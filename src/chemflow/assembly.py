@@ -272,28 +272,6 @@ def assemble_skew_B(layout, velocity, ctx=None):
     return AssembledForm(matrix=mat, domain_layout=layout, range_layout=layout)
 
 
-def assemble_convection(layout, velocity, ctx=None):
-    """One-sided convection matrix ((v . grad) phi_j, phi_i), no skew part.
-
-    Reference form used to validate the skew-symmetrized transport against
-    divergence-free velocities.
-    """
-    ctx = _ctx_for(layout, ctx, FULL_DEGREE)
-    vals = ctx.basis_values(layout.kind)
-    grads = ctx.basis_gradients(layout.kind)
-    v = velocity.values(ctx)
-    conv = np.einsum("eqd,eqjd->eqj", v, grads)
-    local = np.einsum("q,qi,eqj->eij", ctx.weights, vals, conv)
-    local *= ctx.areas[:, None, None]
-    shape = (layout.n_dofs, layout.n_dofs)
-    c = None
-    for comp in range(layout.components):
-        dofs = _component_dofs(layout, comp)
-        block = _scatter_matrix(local, dofs, dofs, shape)
-        c = block if c is None else c + block
-    return AssembledForm(matrix=c, domain_layout=layout, range_layout=layout)
-
-
 def assemble_pressure_coupling(layout_u, layout_pi, rho=1.0, ctx=None):
     """G with G[i, j] = (psi_j, div Phi_i) over velocity rows / pressure columns.
 
@@ -449,14 +427,6 @@ def integral_weight_vector(layout, ctx=None):
     ctx = _ctx_for(layout, ctx, P1_DEGREE)
     ones = AnalyticField(lambda x, y: np.ones_like(x))
     return assemble_load(layout, ones, ctx=ctx)
-
-
-def zero_rows(matrix, rows):
-    """Zero the given rows of a SparseMatrix (used on coupling blocks)."""
-    n = matrix.shape[0]
-    keep = np.ones(n)
-    keep[rows] = 0.0
-    return linsolve.SparseMatrix.from_scipy(sp.diags(keep) @ matrix.csr)
 
 
 def apply_constraints(form, layout, weight_vector=None):

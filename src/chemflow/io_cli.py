@@ -12,6 +12,7 @@ import argparse
 import configparser
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -61,10 +62,15 @@ class RunConfig:
         if self.preset not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.preset!r}")
         for name in ("Lx", "Ly", "dt", "t_final", "D_n", "D_c", "D_u", "rho"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"config value {name} must be positive")
-        if self.chi < 0 or self.gamma < 0:
-            raise ValueError("chi and gamma must be nonnegative")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"config value {name} must be finite and positive")
+        for name in ("chi", "gamma"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"config value {name} must be finite and nonnegative")
+        if not all(math.isfinite(g) for g in self.grad_phi):
+            raise ValueError("config value grad_phi must be finite")
+        if not all(math.isfinite(ts) for ts in self.snapshot_times):
+            raise ValueError("snapshot times must be finite")
         if self.kx < 1 or self.ky < 1:
             raise ValueError("mesh subdivisions kx, ky must be >= 1")
         if self.init_mode not in INIT_MODES:
@@ -453,7 +459,9 @@ def _load_config(args):
         overrides["quadrature_degree"] = args.quadrature_degree
     if getattr(args, "mesh", None) is not None:
         parts = [int(p) for p in args.mesh.split(",")]
-        overrides["kx"], overrides["ky"] = (parts[0], parts[0]) if len(parts) == 1 else parts[:2]
+        if len(parts) > 2:
+            raise ValueError(f"--mesh takes K or KX,KY, got {args.mesh!r}")
+        overrides["kx"], overrides["ky"] = (parts[0], parts[0]) if len(parts) == 1 else parts
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg.validate()

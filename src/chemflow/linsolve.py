@@ -135,39 +135,49 @@ class Factorization:
         self.factor_time = time.perf_counter() - t0
 
     def solve(self, b):
-        """Solve A x = b.
-
-        Raises
-        ------
-        SingularSystemError
-            If the recomputed residual exceeds
-            RTOL * (||A||_F ||x|| + ||b||) even after one step of
-            iterative refinement.
-        """
-        b = np.asarray(b, dtype=float)
-        t0 = time.perf_counter()
-        x = self._lu.solve(b)
-        solve_time = time.perf_counter() - t0
-        residual = b - self._a.matvec(x)
-        res_norm = float(np.linalg.norm(residual))
-        bound = RTOL * (self._fro * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("solution contains non-finite entries")
-        if res_norm > bound:
-            # one refinement pass before declaring the system unusable
-            x = x + self._lu.solve(residual)
-            residual = b - self._a.matvec(x)
-            res_norm = float(np.linalg.norm(residual))
-            bound = RTOL * (self._fro * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
-            if res_norm > bound:
-                raise SingularSystemError(
-                    f"residual {res_norm:.3e} exceeds tolerance {bound:.3e}"
-                )
+        """Solve A x = b, held to the residual bound (see ``checked_solve``)."""
+        x, res_norm, solve_time = checked_solve(b, self._lu.solve, self._a.matvec, self._fro)
         return x, SolveReport(
             residual_norm=res_norm,
             factor_time=self.factor_time,
             solve_time=solve_time,
         )
+
+
+def checked_solve(b, solve, apply, fro):
+    """Solve A x = b with an approximate inverse, then verify the residual.
+
+    ``solve(b)`` applies the approximate inverse, ``apply(x)`` computes
+    A x and ``fro`` is ||A||_F.  Returns (x, residual norm, seconds spent
+    in the first ``solve``).
+
+    Raises
+    ------
+    SingularSystemError
+        If x is not finite, or if the recomputed residual exceeds
+        RTOL * (||A||_F ||x|| + ||b||) even after one step of iterative
+        refinement.
+    """
+    b = np.asarray(b, dtype=float)
+    t0 = time.perf_counter()
+    x = solve(b)
+    solve_time = time.perf_counter() - t0
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError("solution contains non-finite entries")
+    residual = b - apply(x)
+    res_norm = float(np.linalg.norm(residual))
+    bound = RTOL * (fro * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
+    if res_norm > bound:
+        # one refinement pass before declaring the system unusable
+        x = x + solve(residual)
+        residual = b - apply(x)
+        res_norm = float(np.linalg.norm(residual))
+        bound = RTOL * (fro * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
+        if res_norm > bound:
+            raise SingularSystemError(
+                f"residual {res_norm:.3e} exceeds tolerance {bound:.3e}"
+            )
+    return x, res_norm, solve_time
 
 
 def solve(a, b):

@@ -6,10 +6,13 @@ saddle system -- and every nonlinear coupling is evaluated at the previous
 time level, so each system is linear and they never feed back within a
 step.  Matrices that do not depend on the previous level (mass, stiffness,
 div/rot, pressure coupling) are assembled once per mesh; only the two
-transport matrices and the load vectors are rebuilt each step.
+transport matrices and the load vectors are rebuilt each step.  The
+velocity/pressure system is solved with its bubbles condensed out
+(``CondensedSaddle``), from parts built once per time step size.
 """
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +49,15 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("D_n", "D_c", "D_u", "rho"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"parameter {name} must be positive")
-        if self.chi < 0 or self.gamma < 0:
-            raise ValueError("chi and gamma must be nonnegative")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"parameter {name} must be finite and positive")
+        for name in ("chi", "gamma"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"parameter {name} must be finite and nonnegative")
+        if not math.isfinite(self.alpha0):
+            raise ValueError("parameter alpha0 must be finite")
+        if not callable(self.grad_phi) and not np.all(np.isfinite(self.grad_phi)):
+            raise ValueError("constant grad_phi must be finite")
 
     def grad_phi_field(self):
         if callable(self.grad_phi):
@@ -65,8 +73,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0 or self.n_steps < 0:
-            raise ValueError("need dt > 0 and n_steps >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0) or self.n_steps < 0:
+            raise ValueError("need a finite dt > 0 and n_steps >= 0")
 
     @property
     def T(self):
@@ -135,6 +143,108 @@ class SimulationResult:
     snapshots: list = field(default_factory=list)  # (time, state index)
 
 
+class CondensedSaddle:
+    """Velocity/pressure solver for one step-independent velocity operator.
+
+    Solves the bordered saddle system of the scheme,
+
+        [ S_c    -G_c/rho  0 ] [u  ]   [f]
+        [ G_c^T   0        w ] [pi ] = [g]
+        [ 0       w^T      0 ] [lam]   [h]
+
+    with S = ``s_const`` + N (N: the skew transport matrix of the step)
+    and the pinned velocity dofs eliminated (identity rows, value 0),
+    without factoring it:
+
+    * the bubble-bubble block D of S is diagonal (a bubble lives on one
+      element, and N has a zero diagonal), so the bubbles are condensed
+      out, leaving a P1-P1 system whose pressure block is
+      G_B^T D^-1 G_B / rho;
+    * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
+      one pressure dof is pinned and the mean shifted afterwards.
+
+    The saddle matrix of ``s_const``, D^-1 and the index sets are built
+    once; ``solve`` adds N, condenses and checks the residual of the
+    full system above.
+    """
+
+    def __init__(self, s_const, g, layout_u, w, rho):
+        nodal, bubble = layout_u.nodal_and_bubble_dofs()
+        s_bb = s_const[bubble][:, bubble]
+        if (s_bb - sp.diags(s_bb.diagonal())).count_nonzero():
+            raise ValueError("bubble-bubble block of the velocity operator is not diagonal")
+        nu, npi = g.shape
+        self.n_u = nu
+        self.t_const = sp.bmat([[s_const, -g / rho], [g.T, None]], format="csr")
+        self.d_inv = 1.0 / s_bb.diagonal()
+        self.w = w
+        self.area = float(w.sum())
+        self.pinned = layout_u.constrained_dofs
+        self.bubble = bubble
+        # unknowns of the condensed system; pressure dof 0 carries the gauge
+        self.kept = np.concatenate([np.setdiff1d(nodal, self.pinned), nu + np.arange(1, npi)])
+        self.unpinned = np.ones(nu + npi, dtype=bool)
+        self.unpinned[self.pinned] = False
+
+    def solve(self, skew, rhs_u, rhs_pi):
+        """(u, pi, SolveReport) for the step whose transport matrix is ``skew``.
+
+        ``skew`` may be None (no transport).  The report carries the
+        residual of the full bordered system, which must meet the
+        ``linsolve.RTOL`` bound.
+        """
+        t0 = time.perf_counter()
+        t = self.t_const
+        nu, n = self.n_u, t.shape[0]
+        if skew is not None:
+            indptr = np.concatenate([skew.indptr, np.full(n - nu, skew.indptr[-1])])
+            t = t + sp.csr_matrix((skew.data, skew.indices, indptr), shape=t.shape)
+        t_kept = t[self.kept]
+        a_kb = t_kept[:, self.bubble]
+        dinv_a_bk = sp.diags(self.d_inv) @ t[self.bubble][:, self.kept]
+        condensed = t_kept[:, self.kept] - a_kb @ dinv_a_bk
+        fact = linsolve.Factorization(linsolve.SparseMatrix.from_scipy(condensed))
+        factor_time = time.perf_counter() - t0
+
+        def condensed_solve(b):
+            lam = b[nu:n].sum() / self.area
+            z = b[:n].copy()
+            z[nu:] -= lam * self.w
+            z_b = self.d_inv * z[self.bubble]
+            x, _ = fact.solve(z[self.kept] - a_kb @ z_b)
+            z[:] = 0.0
+            z[self.kept] = x
+            z[self.bubble] = z_b - dinv_a_bk @ x
+            z[nu:] += (b[-1] - self.w @ z[nu:]) / self.area
+            return np.append(z, lam)
+
+        # bordered system with the pinned velocity rows/columns made identity
+        rows = np.repeat(np.arange(n), np.diff(t.indptr))
+        kept_entries = self.unpinned[rows] & self.unpinned[t.indices]
+        fro = math.sqrt(
+            float((t.data[kept_entries] ** 2).sum())
+            + len(self.pinned)
+            + 2.0 * float(self.w @ self.w)
+        )
+
+        def apply(x):
+            z = x[:n].copy()
+            z[self.pinned] = 0.0
+            r = t @ z
+            r[self.pinned] = x[self.pinned]
+            r[nu:] += x[-1] * self.w
+            return np.append(r, self.w @ x[nu:n])
+
+        rhs_u = np.array(rhs_u, dtype=float)
+        rhs_u[self.pinned] = 0.0
+        b = np.concatenate([rhs_u, rhs_pi, [0.0]])
+        x, res_norm, solve_time = linsolve.checked_solve(b, condensed_solve, apply, fro)
+        report = linsolve.SolveReport(
+            residual_norm=res_norm, factor_time=factor_time, solve_time=solve_time
+        )
+        return x[:nu], x[nu:n], report
+
+
 def _bind_time(fn, t, components=1):
     if fn is None:
         return None
@@ -163,7 +273,6 @@ class Stepper:
         self.K = asm.assemble_stiffness(self.layout_c, 1.0, self.ctx_p1).matrix
         self.M_sigma = asm.assemble_mass(self.layout_sigma, self.ctx_p1).matrix
         self.divrot = asm.assemble_divrot(self.layout_sigma, params.D_c).matrix
-        self.divrot_unit = asm.assemble_divrot(self.layout_sigma, 1.0).matrix
         self.M_u = asm.assemble_mass(self.layout_u, self.ctx).matrix
         self.K_u = asm.assemble_stiffness(self.layout_u, 1.0, self.ctx).matrix
         self.G = asm.assemble_pressure_coupling(
@@ -172,11 +281,9 @@ class Stepper:
 
         self.w_p1 = asm.integral_weight_vector(self.layout_c, self.ctx_p1)
         self.area = float(self.w_p1.sum())
-
-        # constrained coupling block: rows of pinned velocity dofs removed
-        self.G_c = asm.zero_rows(self.G, self.layout_u.constrained_dofs)
         self._grad_phi = params.grad_phi_field()
         self._sigma_solver = {}  # dt -> Factorization of the flux system
+        self._saddle_solver = {}  # dt (None: Stokes projection) -> CondensedSaddle
 
     # -- helpers ----------------------------------------------------------
 
@@ -205,30 +312,6 @@ class Stepper:
             matrix=form_matrix, domain_layout=layout, range_layout=layout
         )
         return asm.apply_constraints(form, layout, weight_vector=weight_vector).matrix
-
-    def _solve_saddle(self, s_matrix, rhs_u, rhs_pi):
-        """Solve the velocity/pressure block system with the mean multiplier."""
-        nu = self.layout_u.n_dofs
-        keep = np.ones(nu)
-        keep[self.layout_u.constrained_dofs] = 0.0
-        p = sp.diags(keep)
-        pinned = np.zeros(nu)
-        pinned[self.layout_u.constrained_dofs] = 1.0
-        s_c = p @ s_matrix.csr @ p + sp.diags(pinned)
-        w = sp.csr_matrix(self.w_p1.reshape(-1, 1))
-        big = sp.bmat(
-            [
-                [s_c, -(1.0 / self.params.rho) * self.G_c.csr, None],
-                [self.G_c.csr.T, None, w],
-                [None, w.T, None],
-            ],
-            format="csr",
-        )
-        rhs_u = np.array(rhs_u, dtype=float)
-        rhs_u[self.layout_u.constrained_dofs] = 0.0
-        rhs = np.concatenate([rhs_u, rhs_pi, [0.0]])
-        x, report = linsolve.solve(linsolve.SparseMatrix.from_scipy(big), rhs)
-        return x[:nu], x[nu : nu + self.layout_pi.n_dofs], report
 
     # -- initialization ----------------------------------------------------
 
@@ -278,7 +361,9 @@ class Stepper:
         c0 = linsolve.solve(a_c, rhs)[0]
 
         # flux: div/rot/L2 projection under the normal-trace constraints
-        a_s = self._constrained(self.divrot_unit + self.M_sigma, self.layout_sigma)
+        a_s = self._constrained(
+            self.divrot.scaled(1.0 / self.params.D_c) + self.M_sigma, self.layout_sigma
+        )
         rhs = asm.assemble_div_load(
             self.layout_sigma, asm.AnalyticField(data.div_sigma0), ctx
         )
@@ -293,7 +378,6 @@ class Stepper:
 
         # velocity/pressure: discrete Stokes projection
         d_u = self.params.D_u
-        s_st = self.K_u.scaled(d_u)
         rhs_u = d_u * asm.assemble_grad_load(
             self.layout_u, asm.AnalyticField(data.grad_u0, components=2), ctx
         )
@@ -304,13 +388,27 @@ class Stepper:
         rhs_pi = asm.assemble_load(
             self.layout_pi, asm.AnalyticField(data.div_u0), ctx
         )
-        u0, pi0, _ = self._solve_saddle(s_st, rhs_u, rhs_pi)
+        u0, pi0, _ = self._saddle(None).solve(None, rhs_u, rhs_pi)
         # the projection problem carries no density scaling on its pressure
         # block, while the step solver does; undo it
         pi0 = pi0 / self.params.rho
         return State(m=0, t=0.0, n=n0, c=c0, sigma=sigma0, u=u0, pi=pi0)
 
     # -- stepping ----------------------------------------------------------
+
+    def _saddle(self, dt):
+        """Velocity/pressure solver of one time step size; ``dt=None`` gives
+        the Stokes operator of the initial projection."""
+        if dt not in self._saddle_solver:
+            p = self.params
+            if dt is None:
+                s = self.K_u.scaled(p.D_u)
+            else:
+                s = self.M_u.scaled(1.0 / dt) + self.K_u.scaled(p.D_u / p.rho)
+            self._saddle_solver[dt] = CondensedSaddle(
+                s.csr, self.G.csr, self.layout_u, self.w_p1, p.rho
+            )
+        return self._saddle_solver[dt]
 
     def _sigma_factorization(self, dt):
         if dt not in self._sigma_solver:
@@ -372,19 +470,15 @@ class Stepper:
         c_new, reports["c"] = linsolve.solve(a_c, rhs)
 
         # (d)-(e) velocity and pressure
-        s = (
-            self.M_u.scaled(1.0 / dt)
-            + self.K_u.scaled(p.D_u / p.rho)
-            + asm.assemble_skew_B(self.layout_u, u_prev, self.ctx).matrix
-        )
+        u_skew = asm.assemble_skew_B(self.layout_u, u_prev, self.ctx).matrix
         rhs_u = self.M_u @ prev.u / dt
         rhs_u += asm.assemble_buoyancy_rhs(
             self.layout_u, n_prev, self._grad_phi, p.rho, p.alpha0, self.ctx
         )
         if g_u is not None:
             rhs_u += asm.assemble_load(self.layout_u, g_u, self.ctx)
-        u_new, pi_new, reports["u"] = self._solve_saddle(
-            s, rhs_u, np.zeros(self.layout_pi.n_dofs)
+        u_new, pi_new, reports["u"] = self._saddle(dt).solve(
+            u_skew.csr, rhs_u, np.zeros(self.layout_pi.n_dofs)
         )
 
         state = State(m=prev.m + 1, t=t_new, n=n_new, c=c_new, sigma=sigma_new, u=u_new, pi=pi_new)
@@ -393,9 +487,9 @@ class Stepper:
     def run(self, grid, data, mode="elliptic_projection", forcing=None, snapshot_times=()):
         """Integrate over the whole time grid, collecting diagnostics.
 
-        Diagnostics per step: time level, conserved mass, solver residuals,
-        the discrete-divergence residual, and min/max of each field's nodal
-        values.
+        Diagnostics per step: time level, conserved mass, solver residuals
+        with their factor and solve times, the discrete-divergence residual,
+        and min/max of each field's nodal values.
         """
         state = self.init_state(data, mode=mode)
         states = [state]
@@ -435,4 +529,6 @@ class Stepper:
             rec[f"max_{name}"] = float(vals.max())
         for name, rep in reports.items():
             rec[f"residual_{name}"] = rep.residual_norm
+            rec[f"factor_time_{name}"] = rep.factor_time
+            rec[f"solve_time_{name}"] = rep.solve_time
         return rec

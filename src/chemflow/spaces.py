@@ -40,8 +40,9 @@ class DofLayout:
     ``element_dofs[e, i]`` is the global dof of local basis function i on
     element e (local order: per component, nodes then bubble).
     ``constrained_dofs`` are prescribed the value 0.  ``mean_constraint``
-    marks spaces restricted to zero mean, realized by one bordered
-    Lagrange-multiplier row/column when the system is assembled.
+    marks spaces restricted to zero mean: the density system realizes it
+    by one bordered Lagrange-multiplier row/column, the velocity/pressure
+    solve by pinning one pressure dof and shifting the mean afterwards.
     """
 
     kind: str
@@ -65,14 +66,15 @@ class DofLayout:
     def has_bubble(self):
         return self.kind == VELOCITY_MINI
 
-    def component_node_dofs(self, comp):
-        """Global dofs of the nodal values of one component."""
-        return comp * self.n_scalar + np.arange(self.mesh.n_nodes)
+    def nodal_and_bubble_dofs(self):
+        """Global dofs of the nodal values and of the bubbles, both sorted.
 
-    def free_mask(self):
-        mask = np.ones(self.n_dofs, dtype=bool)
-        mask[self.constrained_dofs] = False
-        return mask
+        The bubble set is empty for spaces without bubbles.
+        """
+        offsets = self.n_scalar * np.arange(self.components)[:, None]
+        nodal = (offsets + np.arange(self.mesh.n_nodes)).ravel()
+        bubble = (offsets + np.arange(self.mesh.n_nodes, self.n_scalar)).ravel()
+        return nodal, bubble
 
 
 @dataclass(frozen=True)
@@ -137,10 +139,6 @@ def build_layout(mesh, kind, zero_mean=False):
         constrained_dofs=constrained,
         mean_constraint=False,
     )
-
-
-def scalar_basis_count(kind):
-    return 4 if kind == VELOCITY_MINI else 3
 
 
 def scalar_basis_values(kind, bary):

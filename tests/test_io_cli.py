@@ -43,6 +43,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    @pytest.mark.parametrize("name", ["Lx", "dt", "t_final", "D_u", "rho", "chi", "gamma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, name, bad):
+        from dataclasses import replace
+
+        cfg = replace(io_cli.default_config("test2"), **{name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cfg.validate()
+
+    def test_non_finite_gravity_and_snapshots_rejected(self):
+        from dataclasses import replace
+
+        cfg = io_cli.default_config("test2")
+        with pytest.raises(ValueError, match="grad_phi must be finite"):
+            replace(cfg, grad_phi=(0.0, math.nan)).validate()
+        with pytest.raises(ValueError, match="snapshot times must be finite"):
+            replace(cfg, snapshot_times=(math.inf,)).validate()
+
     def test_round_trip(self):
         for preset in ("test1", "test2"):
             cfg = io_cli.default_config(preset)
@@ -269,6 +287,22 @@ class TestMain:
         assert (tmp_path / "diagnostics.csv").exists()
         header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
         assert header.startswith("m,t,mass,div_residual")
+
+    def test_mesh_with_three_parts_rejected(self, tmp_path, capsys):
+        code = io_cli.main(
+            ["run", "--preset", "test2", "--mesh", "10,20,30", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ValueError"
+        assert "--mesh" in summary["message"]
+        assert not (tmp_path / "diagnostics.csv").exists()
+
+    def test_nan_dt_flag_rejected(self, tmp_path, capsys):
+        code = io_cli.main(["run", "--preset", "test2", "--dt", "nan", "--out", str(tmp_path)])
+        assert code == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "dt must be finite" in summary["message"]
 
     def test_bad_config_exits_1_with_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

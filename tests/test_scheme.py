@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from chemflow import assembly as asm
+from chemflow import io_cli
 from chemflow import linsolve
 from chemflow import manufactured
 from chemflow.mesh import build_rect_mesh
-from chemflow.scheme import InitialData, ModelParams, Stepper, TimeGrid
+from chemflow.scheme import CondensedSaddle, InitialData, ModelParams, Stepper, TimeGrid
 
 
 def constant_fields(cbar, alpha0):
@@ -39,9 +43,22 @@ class TestModelParams:
         with pytest.raises(ValueError):
             simple_params(rho=-1.0)
 
+    @pytest.mark.parametrize("name", ["D_n", "D_c", "D_u", "rho", "chi", "gamma", "alpha0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            simple_params(**{name: bad})
+
+    def test_non_finite_gravity_rejected(self):
+        with pytest.raises(ValueError, match="grad_phi"):
+            simple_params(grad_phi=(0.0, math.inf))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(dt=0.0, n_steps=3)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TimeGrid(dt=bad, n_steps=3)
         grid = TimeGrid(dt=0.25, n_steps=4)
         assert grid.T == pytest.approx(1.0)
         assert np.allclose(grid.times(), [0, 0.25, 0.5, 0.75, 1.0])
@@ -210,6 +227,17 @@ class TestRun:
         for key in ("m", "t", "mass", "div_residual", "residual_n", "max_c", "min_eta"):
             assert key in rec
 
+    def test_diagnostics_carry_solver_timings(self):
+        mesh = build_rect_mesh(1, 1, 4, 4)
+        st = Stepper(mesh, manufactured.test2_params())
+        result = st.run(TimeGrid(dt=2e-4, n_steps=2), manufactured.test2_initial_data(),
+                        mode="nodal", forcing=manufactured.test2_forcing())
+        for rec in result.diagnostics[1:]:
+            for system in ("n", "sigma", "c", "u"):
+                for key in ("residual", "factor_time", "solve_time"):
+                    value = rec[f"{key}_{system}"]
+                    assert np.isfinite(value) and value >= 0.0
+
 
 class TestConsistency:
     def test_discrete_residual_first_order_sweep(self):
@@ -249,3 +277,139 @@ class TestConsistency:
             norms.append(math.sqrt(abs(r @ riesz)))
         assert norms[0] / norms[1] >= 1.8
         assert norms[1] / norms[2] >= 1.8
+
+
+def bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi):
+    """The uncondensed (u, pi) solve: pinned velocity dofs made identity
+    rows, the zero-mean pressure constraint bordered by a multiplier row,
+    one LU of the whole system."""
+    nu, npi = st.layout_u.n_dofs, st.layout_pi.n_dofs
+    pinned = st.layout_u.constrained_dofs
+    keep = np.ones(nu)
+    keep[pinned] = 0.0
+    p = sp.diags(keep)
+    s_c = p @ s_matrix @ p + sp.diags(1.0 - keep)
+    g_c = p @ st.G.csr
+    w = sp.csr_matrix(st.w_p1.reshape(-1, 1))
+    big = sp.bmat(
+        [[s_c, -g_c / st.params.rho, None], [g_c.T, None, w], [None, w.T, None]],
+        format="csc",
+    )
+    rhs_u = np.array(rhs_u, dtype=float)
+    rhs_u[pinned] = 0.0
+    x = spla.splu(big).solve(np.concatenate([rhs_u, rhs_pi, [0.0]]))
+    return x[:nu], x[nu : nu + npi]
+
+
+def _captured_saddle_solves(monkeypatch):
+    calls = []
+    original = CondensedSaddle.solve
+
+    def recording(self, skew, rhs_u, rhs_pi):
+        out = original(self, skew, rhs_u, rhs_pi)
+        calls.append((skew, np.array(rhs_u), np.array(rhs_pi), out))
+        return out
+
+    monkeypatch.setattr(CondensedSaddle, "solve", recording)
+    return calls
+
+
+def _counted_solve_passes(monkeypatch):
+    """Number of passes of the approximate inverse in each checked solve."""
+    passes = []
+    original = linsolve.checked_solve
+
+    def counting(b, solve, apply, fro):
+        count = [0]
+
+        def counted(rhs):
+            count[0] += 1
+            return solve(rhs)
+
+        out = original(b, counted, apply, fro)
+        passes.append(count[0])
+        return out
+
+    monkeypatch.setattr(linsolve, "checked_solve", counting)
+    return passes
+
+
+def _saddle_case(preset):
+    """Stepper, initial data with a divergence source that has a nonzero
+    integral, the step size and the forcing of one preset."""
+    if preset == "test1":
+        cfg = replace(io_cli.default_config("test1"), kx=12, ky=6)
+        mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
+        params, data, forcing = io_cli.build_problem(cfg, mesh)
+        dt = cfg.dt
+    else:
+        mesh = build_rect_mesh(1, 1, 10, 10)
+        params = manufactured.test2_params()
+        data, forcing = manufactured.test2_initial_data(), manufactured.test2_forcing()
+        dt = 2e-4
+    data = replace(data, div_u0=lambda x, y: 1.0 + x * y)
+    return Stepper(mesh, params), data, dt, forcing
+
+
+class TestCondensedSaddle:
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    @pytest.mark.parametrize("solve", ["stokes_init", "step"])
+    def test_matches_bordered_solve(self, monkeypatch, preset, solve):
+        st, data, dt, forcing = _saddle_case(preset)
+        calls = _captured_saddle_solves(monkeypatch)
+        passes = _counted_solve_passes(monkeypatch)
+        state = st.init_state(data, mode="elliptic_projection")
+        p = st.params
+        if solve == "stokes_init":
+            skew, rhs_u, rhs_pi, (u, pi, report) = calls[0]
+            assert skew is None
+            assert abs(rhs_pi.sum()) > 1e-3 * np.abs(rhs_pi).max()
+            s_matrix = st.K_u.csr * p.D_u
+        else:
+            state, _ = st.step(state, dt, forcing)  # test1 starts at rest
+            state, _ = st.step(state, dt, forcing)
+            skew, rhs_u, rhs_pi, (u, pi, report) = calls[-1]
+            assert np.abs(state.u).max() > 0.0 and skew.count_nonzero() > 0
+            s_matrix = (st.M_u.csr / dt + st.K_u.csr * (p.D_u / p.rho)) + skew
+        u_ref, pi_ref = bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi)
+        assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+        assert np.abs(pi - pi_ref).max() <= 1e-10 * np.abs(pi_ref).max()
+        assert abs(st.w_p1 @ pi) <= 1e-12 * np.abs(pi).max()
+        assert np.all(u[st.layout_u.constrained_dofs] == 0.0)
+        # the saddle solve is the last one of init and of a step; it meets
+        # the residual bound of the full system without a refinement pass
+        assert passes[-1] == 1
+
+    def test_condensed_system_size(self, monkeypatch):
+        st, data, dt, forcing = _saddle_case("test2")
+        sizes = []
+        original = linsolve.Factorization.__init__
+
+        def recording(self, a):
+            sizes.append(a.shape[0])
+            original(self, a)
+
+        monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
+        st._saddle(dt).solve(None, np.zeros(st.layout_u.n_dofs), np.zeros(st.layout_pi.n_dofs))
+        free_nodal = 2 * st.mesh.n_nodes - len(st.layout_u.constrained_dofs)
+        assert sizes == [free_nodal + st.layout_pi.n_dofs - 1]
+
+    def test_rejects_coupled_bubbles(self):
+        st, _, dt, _ = _saddle_case("test2")
+        _, bubble = st.layout_u.nodal_and_bubble_dofs()
+        s = (st.M_u.csr / dt).tolil()
+        s[bubble[0], bubble[1]] = s[bubble[1], bubble[0]] = 1.0
+        with pytest.raises(ValueError, match="not diagonal"):
+            CondensedSaddle(s.tocsr(), st.G.csr, st.layout_u, st.w_p1, st.params.rho)
+
+    def test_residual_of_full_system_is_enforced(self, monkeypatch):
+        # a transport block the condensation ignores (bubble-bubble coupling)
+        # breaks the full system's residual bound
+        st, _, dt, _ = _saddle_case("test2")
+        _, bubble = st.layout_u.nodal_and_bubble_dofs()
+        n = st.layout_u.n_dofs
+        bad = sp.csr_matrix(([1e3, -1e3], ([bubble[0], bubble[1]], [bubble[1], bubble[0]])),
+                            shape=(n, n))
+        rhs_u = np.ones(n)
+        with pytest.raises(linsolve.SingularSystemError):
+            st._saddle(dt).solve(bad, rhs_u, np.zeros(st.layout_pi.n_dofs))
