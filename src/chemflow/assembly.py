@@ -1,14 +1,15 @@
 """Assembly of all bilinear/trilinear forms and load vectors of the scheme.
 
 Element contributions are computed for every triangle at once with numpy
-einsums and scattered into global triplets; matrices come back wrapped as
-``linsolve.SparseMatrix``.  Each form picks a quadrature degree that
-integrates its integrand exactly: degree 2 for pure-P1 mass/stiffness
-terms, degree 8 everywhere a bubble or a previous-level field enters (the
-velocity trilinear form reaches total degree 8).
+einsums.  Matrices are scattered with one triplet call into canonical
+``scipy.sparse.csr_matrix`` storage, load vectors with one ``np.add.at``;
+vector layouts carry a component axis instead of a loop.  Every form
+integrates on the quadrature rule of the ``AssemblyContext`` it is given.
+A form called without one builds a context of degree 2, exact for pure-P1
+mass and stiffness, or of degree 8, exact for every MINI and
+lagged-coefficient polynomial integrand (the velocity trilinear form
+reaches total degree 8).
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,12 +17,7 @@ import scipy.sparse as sp
 from . import linsolve
 from .mesh import all_element_geometry
 from .quadrature import triangle_rule
-from .spaces import (
-    VECTOR_P1_SIGMA,
-    VELOCITY_MINI,
-    scalar_basis_gradients,
-    scalar_basis_values,
-)
+from .spaces import VECTOR_P1_SIGMA, scalar_basis_gradients, scalar_basis_values
 
 P1_DEGREE = 2  # exact for products of two P1 functions
 FULL_DEGREE = 8  # exact for every MINI / lagged-coefficient integrand
@@ -45,10 +41,6 @@ class AssemblyContext:
         self.points = np.einsum("qi,eic->eqc", self.lam, verts)
         self._vals = {}
         self._grads = {}
-
-    @property
-    def n_q(self):
-        return len(self.weights)
 
     def basis_values(self, kind):
         """Scalar sub-basis values at the quadrature points, (nq, nl)."""
@@ -81,9 +73,7 @@ class DiscreteField:
         self.components = layout.components
 
     def _element_coeffs(self, ctx):
-        nl = self.layout.scalar_local_size
-        dofs = self.layout.element_dofs.reshape(-1, self.layout.components, nl)
-        return self.coeffs[dofs]  # (ne, comps, nl)
+        return self.coeffs[_component_dofs(self.layout)]  # (ne, comps, nl)
 
     def values(self, ctx):
         vals = ctx.basis_values(self.layout.kind)
@@ -135,29 +125,34 @@ def constant_vector_field(vec):
 
 
 # ---------------------------------------------------------------------------
-# assembled forms
+# matrices
 
 
-@dataclass
-class AssembledForm:
-    matrix: linsolve.SparseMatrix
-    domain_layout: object
-    range_layout: object
-    coefficients: dict = field(default_factory=dict)
-    constraints_applied: bool = False
+def _component_dofs(layout):
+    """Element dofs split by component, (ne, comps, nl)."""
+    return layout.element_dofs.reshape(-1, layout.components, layout.scalar_local_size)
 
 
 def _scatter_matrix(local, row_dofs, col_dofs, shape):
-    """Accumulate (ne, nr, nc) element blocks into a global sparse matrix."""
-    ne, nr, nc = local.shape
-    rows = np.broadcast_to(row_dofs[:, :, None], (ne, nr, nc)).ravel()
-    cols = np.broadcast_to(col_dofs[:, None, :], (ne, nr, nc)).ravel()
-    return linsolve.from_triplets(shape, (rows, cols, local.ravel()))
+    """Sum element blocks into a CSR matrix with one ``from_triplets`` call.
+
+    ``row_dofs`` (ne, k, nr) and ``col_dofs`` (ne, k or 1, nc) are the
+    global dofs of k blocks per element, one per component unless a block
+    couples components; ``local`` is (ne, k, nr, nc), or (ne, nr, nc) for
+    the same block on all k.
+    """
+    ne, k, nr = row_dofs.shape
+    full = (ne, k, nr, col_dofs.shape[-1])
+    local = np.broadcast_to(local if local.ndim == 4 else local[:, None], full)
+    rows = np.broadcast_to(row_dofs[..., None], full)
+    cols = np.broadcast_to(col_dofs[..., None, :], full)
+    return linsolve.from_triplets(shape, (rows.ravel(), cols.ravel(), local.ravel()))
 
 
-def _component_dofs(layout, comp):
-    nl = layout.scalar_local_size
-    return layout.element_dofs[:, comp * nl : (comp + 1) * nl]
+def _scatter_componentwise(local, layout):
+    """The same (ne, nl, nl) block on every component of a layout."""
+    dofs = _component_dofs(layout)
+    return _scatter_matrix(local, dofs, dofs, (layout.n_dofs, layout.n_dofs))
 
 
 def _ctx_for(layout_or_mesh, ctx, degree):
@@ -173,14 +168,7 @@ def assemble_mass(layout, ctx=None):
     ctx = _ctx_for(layout, ctx, degree)
     vals = ctx.basis_values(layout.kind)
     e0 = np.einsum("q,qi,qj->ij", ctx.weights, vals, vals)
-    local = ctx.areas[:, None, None] * e0
-    shape = (layout.n_dofs, layout.n_dofs)
-    mat = None
-    for comp in range(layout.components):
-        dofs = _component_dofs(layout, comp)
-        block = _scatter_matrix(local, dofs, dofs, shape)
-        mat = block if mat is None else mat + block
-    return AssembledForm(matrix=mat, domain_layout=layout, range_layout=layout)
+    return _scatter_componentwise(ctx.areas[:, None, None] * e0, layout)
 
 
 def assemble_stiffness(layout, coeff=1.0, ctx=None):
@@ -190,15 +178,7 @@ def assemble_stiffness(layout, coeff=1.0, ctx=None):
     grads = ctx.basis_gradients(layout.kind)
     local = np.einsum("q,eqid,eqjd->eij", ctx.weights, grads, grads)
     local *= coeff * ctx.areas[:, None, None]
-    shape = (layout.n_dofs, layout.n_dofs)
-    mat = None
-    for comp in range(layout.components):
-        dofs = _component_dofs(layout, comp)
-        block = _scatter_matrix(local, dofs, dofs, shape)
-        mat = block if mat is None else mat + block
-    return AssembledForm(
-        matrix=mat, domain_layout=layout, range_layout=layout, coefficients={"coeff": coeff}
-    )
+    return _scatter_componentwise(local, layout)
 
 
 def _sigma_div_rot(layout):
@@ -226,83 +206,52 @@ def assemble_divrot(layout, coeff=1.0):
     div, rot = _sigma_div_rot(layout)
     local = np.einsum("ea,eb->eab", div, div) + np.einsum("ea,eb->eab", rot, rot)
     local *= coeff * areas[:, None, None]
-    shape = (layout.n_dofs, layout.n_dofs)
-    mat = _scatter_matrix(local, layout.element_dofs, layout.element_dofs, shape)
-    return AssembledForm(
-        matrix=mat, domain_layout=layout, range_layout=layout, coefficients={"coeff": coeff}
-    )
+    dofs = layout.element_dofs[:, None]  # one block coupling both components
+    return _scatter_matrix(local, dofs, dofs, (layout.n_dofs, layout.n_dofs))
 
 
-def _skew_convection(layout, velocity, ctx):
-    """N = (C - C^T)/2 with C_ij = ((v . grad) phi_j, phi_i) per component."""
+def assemble_skew(layout, velocity, ctx=None):
+    """Skew-symmetric transport matrix N = (C - C^T)/2 with
+    C_ij = ((v . grad) phi_j, phi_i), componentwise on vector layouts.
+
+    The quadratic form of the result vanishes identically; for pointwise
+    divergence-free velocities with zero normal trace it coincides with the
+    one-sided convection form C.
+    """
+    ctx = _ctx_for(layout, ctx, FULL_DEGREE)
     vals = ctx.basis_values(layout.kind)
     grads = ctx.basis_gradients(layout.kind)
     v = velocity.values(ctx)
     conv = np.einsum("eqd,eqjd->eqj", v, grads)
     local = np.einsum("q,qi,eqj->eij", ctx.weights, vals, conv)
     local *= ctx.areas[:, None, None]
-    shape = (layout.n_dofs, layout.n_dofs)
-    c = None
-    for comp in range(layout.components):
-        dofs = _component_dofs(layout, comp)
-        block = _scatter_matrix(local, dofs, dofs, shape)
-        c = block if c is None else c + block
-    half = c.csr.multiply(0.5)
-    return linsolve.SparseMatrix.from_scipy(half - half.T)
+    half = _scatter_componentwise(local, layout).multiply(0.5)
+    return half - half.T
 
 
-def assemble_skew_A(layout, velocity, ctx=None):
-    """Skew-symmetric transport matrix for a scalar unknown.
-
-    The quadratic form of the result vanishes identically; for pointwise
-    divergence-free velocities with zero normal trace it coincides with the
-    one-sided convection form.
-    """
-    ctx = _ctx_for(layout, ctx, FULL_DEGREE)
-    mat = _skew_convection(layout, velocity, ctx)
-    return AssembledForm(matrix=mat, domain_layout=layout, range_layout=layout)
-
-
-def assemble_skew_B(layout, velocity, ctx=None):
-    """Skew-symmetric transport matrix on the MINI velocity space."""
-    if layout.kind != VELOCITY_MINI:
-        raise ValueError("B form is defined on the velocity space")
-    ctx = _ctx_for(layout, ctx, FULL_DEGREE)
-    mat = _skew_convection(layout, velocity, ctx)
-    return AssembledForm(matrix=mat, domain_layout=layout, range_layout=layout)
-
-
-def assemble_pressure_coupling(layout_u, layout_pi, rho=1.0, ctx=None):
+def assemble_pressure_coupling(layout_u, layout_pi, ctx=None):
     """G with G[i, j] = (psi_j, div Phi_i) over velocity rows / pressure columns.
 
     The saddle system uses -(1/rho) G in the momentum block and G^T in the
-    continuity block; rho is recorded but not baked into the entries.
+    continuity block.
     """
     ctx = _ctx_for(layout_u, ctx, FULL_DEGREE)
     pvals = ctx.basis_values(layout_pi.kind)
     ugrads = ctx.basis_gradients(layout_u.kind)
+    local = np.einsum("q,eqic,qj->ecij", ctx.weights, ugrads, pvals)
+    local *= ctx.areas[:, None, None, None]
     shape = (layout_u.n_dofs, layout_pi.n_dofs)
-    mat = None
-    for comp in range(layout_u.components):
-        local = np.einsum("q,eqi,qj->eij", ctx.weights, ugrads[..., comp], pvals)
-        local *= ctx.areas[:, None, None]
-        block = _scatter_matrix(local, _component_dofs(layout_u, comp), layout_pi.element_dofs, shape)
-        mat = block if mat is None else mat + block
-    return AssembledForm(
-        matrix=mat,
-        domain_layout=layout_pi,
-        range_layout=layout_u,
-        coefficients={"rho": rho},
-    )
+    return _scatter_matrix(local, _component_dofs(layout_u), layout_pi.element_dofs[:, None], shape)
 
 
 # ---------------------------------------------------------------------------
 # load vectors
 
 
-def _scatter_vector(local, dofs, n):
-    b = np.zeros(n)
-    np.add.at(b, dofs.ravel(), local.ravel())
+def _scatter_vector(local, layout):
+    """Sum element vectors, (ne, comps, nl) or (ne, local_size), into a global vector."""
+    b = np.zeros(layout.n_dofs)
+    np.add.at(b, layout.element_dofs.ravel(), local.ravel())
     return b
 
 
@@ -310,17 +259,9 @@ def assemble_load(layout, f, ctx=None):
     """(f, phi_i) for scalar layouts, (f, Phi_i) componentwise for vectors."""
     ctx = _ctx_for(layout, ctx, FULL_DEGREE)
     vals = ctx.basis_values(layout.kind)
-    fv = f.values(ctx)
-    b = np.zeros(layout.n_dofs)
-    if layout.components == 1:
-        local = np.einsum("q,eq,qi->ei", ctx.weights, fv, vals) * ctx.areas[:, None]
-        np.add.at(b, layout.element_dofs.ravel(), local.ravel())
-    else:
-        for comp in range(layout.components):
-            local = np.einsum("q,eq,qi->ei", ctx.weights, fv[..., comp], vals)
-            local *= ctx.areas[:, None]
-            np.add.at(b, _component_dofs(layout, comp).ravel(), local.ravel())
-    return b
+    fv = f.values(ctx).reshape(ctx.points.shape[:2] + (layout.components,))
+    local = np.einsum("q,eqc,qi->eci", ctx.weights, fv, vals) * ctx.areas[:, None, None]
+    return _scatter_vector(local, layout)
 
 
 def assemble_div_load(layout, f, ctx=None):
@@ -330,12 +271,9 @@ def assemble_div_load(layout, f, ctx=None):
     ctx = _ctx_for(layout, ctx, FULL_DEGREE)
     grads = ctx.basis_gradients(layout.kind)
     fv = f.values(ctx)
-    b = np.zeros(layout.n_dofs)
-    for comp in range(2):
-        local = np.einsum("q,eq,eqi->ei", ctx.weights, fv, grads[..., comp])
-        local *= ctx.areas[:, None]
-        np.add.at(b, _component_dofs(layout, comp).ravel(), local.ravel())
-    return b
+    local = np.einsum("q,eq,eqic->eci", ctx.weights, fv, grads)
+    local *= ctx.areas[:, None, None]
+    return _scatter_vector(local, layout)
 
 
 def assemble_rot_load(layout, f, ctx=None):
@@ -347,7 +285,7 @@ def assemble_rot_load(layout, f, ctx=None):
     f_int = np.einsum("q,eq->e", ctx.weights, fv) * ctx.areas
     _, rot = _sigma_div_rot(layout)
     local = f_int[:, None] * rot
-    return _scatter_vector(local, layout.element_dofs, layout.n_dofs)
+    return _scatter_vector(local, layout)
 
 
 def assemble_grad_load(layout, g, ctx=None):
@@ -356,17 +294,11 @@ def assemble_grad_load(layout, g, ctx=None):
     and g returns a (..., 2, 2) gradient array."""
     ctx = _ctx_for(layout, ctx, FULL_DEGREE)
     grads = ctx.basis_gradients(layout.kind)
-    gv = g.values(ctx)
-    b = np.zeros(layout.n_dofs)
-    if layout.components == 1:
-        local = np.einsum("q,eqd,eqid->ei", ctx.weights, gv, grads) * ctx.areas[:, None]
-        np.add.at(b, layout.element_dofs.ravel(), local.ravel())
-    else:
-        for comp in range(2):
-            local = np.einsum("q,eqd,eqid->ei", ctx.weights, gv[..., comp, :], grads)
-            local *= ctx.areas[:, None]
-            np.add.at(b, _component_dofs(layout, comp).ravel(), local.ravel())
-    return b
+    gv = g.values(ctx).reshape(ctx.points.shape[:2] + (layout.components, 2))
+    # component-major and contiguous: einsum is ~10x slower on the strided view
+    gv = np.ascontiguousarray(np.moveaxis(gv, 2, 0))
+    local = np.einsum("q,ceqd,eqid->eci", ctx.weights, gv, grads) * ctx.areas[:, None, None]
+    return _scatter_vector(local, layout)
 
 
 def assemble_chemo_rhs(layout_n, n_prev, sigma_prev, chi, alpha0, ctx=None):
@@ -377,7 +309,7 @@ def assemble_chemo_rhs(layout_n, n_prev, sigma_prev, chi, alpha0, ctx=None):
     sig = sigma_prev.values(ctx)
     dot = np.einsum("eqd,eqid->eqi", sig, grads)
     local = chi * np.einsum("q,eq,eqi->ei", ctx.weights, density, dot) * ctx.areas[:, None]
-    return _scatter_vector(local, layout_n.element_dofs, layout_n.n_dofs)
+    return _scatter_vector(local, layout_n)
 
 
 def assemble_sigma_rhs(layout_sigma, u_prev, sigma_prev, n_prev, c_prev, gamma, alpha0, ctx=None):
@@ -390,7 +322,7 @@ def assemble_sigma_rhs(layout_sigma, u_prev, sigma_prev, n_prev, c_prev, gamma, 
     f_int = np.einsum("q,eq->e", ctx.weights, scalar) * ctx.areas
     div, _ = _sigma_div_rot(layout_sigma)
     local = f_int[:, None] * div
-    return _scatter_vector(local, layout_sigma.element_dofs, layout_sigma.n_dofs)
+    return _scatter_vector(local, layout_sigma)
 
 
 def assemble_consumption_rhs(layout_c, n_prev, c_prev, gamma, alpha0, ctx=None):
@@ -399,7 +331,7 @@ def assemble_consumption_rhs(layout_c, n_prev, c_prev, gamma, alpha0, ctx=None):
     vals = ctx.basis_values(layout_c.kind)
     scalar = -gamma * (n_prev.values(ctx) + alpha0) * c_prev.values(ctx)
     local = np.einsum("q,eq,qi->ei", ctx.weights, scalar, vals) * ctx.areas[:, None]
-    return _scatter_vector(local, layout_c.element_dofs, layout_c.n_dofs)
+    return _scatter_vector(local, layout_c)
 
 
 def assemble_buoyancy_rhs(layout_u, n_prev, grad_phi, rho, alpha0, ctx=None):
@@ -407,13 +339,9 @@ def assemble_buoyancy_rhs(layout_u, n_prev, grad_phi, rho, alpha0, ctx=None):
     ctx = _ctx_for(layout_u, ctx, FULL_DEGREE)
     vals = ctx.basis_values(layout_u.kind)
     density = (n_prev.values(ctx) + alpha0) / rho
-    gp = grad_phi.values(ctx)
-    b = np.zeros(layout_u.n_dofs)
-    for comp in range(layout_u.components):
-        local = np.einsum("q,eq,qi->ei", ctx.weights, density * gp[..., comp], vals)
-        local *= ctx.areas[:, None]
-        np.add.at(b, _component_dofs(layout_u, comp).ravel(), local.ravel())
-    return b
+    force = density[..., None] * grad_phi.values(ctx)
+    local = np.einsum("q,eqc,qi->eci", ctx.weights, force, vals) * ctx.areas[:, None, None]
+    return _scatter_vector(local, layout_u)
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +357,15 @@ def integral_weight_vector(layout, ctx=None):
     return assemble_load(layout, ones, ctx=ctx)
 
 
-def apply_constraints(form, layout, weight_vector=None):
+def apply_constraints(a, layout, weight_vector=None):
     """Eliminate constrained dofs and append the zero-mean multiplier row.
 
-    Constrained rows/columns are replaced by the identity (symmetric
-    elimination, value 0), then, if the layout carries a mean constraint,
-    one bordered row/column with the basis integral weights is appended.
-    Idempotent: a form whose constraints were already applied is returned
-    unchanged.
+    Constrained rows/columns of the matrix ``a`` are replaced by the
+    identity (symmetric elimination, value 0), then, if the layout carries
+    a mean constraint, one bordered row/column with the basis integral
+    weights is appended.  Idempotent on layouts without a mean constraint.
     """
-    if form.constraints_applied:
-        return form
-    a = form.matrix.csr
-    if a.shape[0] != layout.n_dofs or a.shape[1] != layout.n_dofs:
+    if a.shape != (layout.n_dofs, layout.n_dofs):
         raise ValueError(
             f"form shape {a.shape} does not match layout dimension {layout.n_dofs}"
         )
@@ -456,13 +380,7 @@ def apply_constraints(form, layout, weight_vector=None):
         w = integral_weight_vector(layout) if weight_vector is None else weight_vector
         wc = sp.csr_matrix(w.reshape(-1, 1))
         a = sp.bmat([[a, wc], [wc.T, None]], format="csr")
-    return AssembledForm(
-        matrix=linsolve.SparseMatrix.from_scipy(a),
-        domain_layout=form.domain_layout,
-        range_layout=form.range_layout,
-        coefficients=dict(form.coefficients),
-        constraints_applied=True,
-    )
+    return a
 
 
 def constrain_rhs(b, layout):

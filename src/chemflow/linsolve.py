@@ -1,9 +1,10 @@
 """Sparse CSR storage and direct solves for the per-step linear systems.
 
-Thin wrappers over scipy.sparse / SuperLU that pin down the behaviours the
-rest of the code relies on: canonical CSR storage, duplicate summing, an
-explicit error on (near-)singular systems instead of silent garbage, and a
-recomputed residual in every solve report.
+Matrices are plain ``scipy.sparse.csr_matrix``.  This module pins down the
+behaviours the rest of the code relies on: canonical CSR storage with
+duplicates summed when triplets are assembled, an explicit error on
+(near-)singular systems instead of silent garbage, and a recomputed
+residual in every solve report.
 """
 
 import time
@@ -22,66 +23,9 @@ class SingularSystemError(RuntimeError):
 RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Immutable CSR matrix (canonical form: sorted indices, summed duplicates)."""
-
-    csr: sp.csr_matrix
-
-    @staticmethod
-    def from_scipy(a):
-        a = sp.csr_matrix(a)
-        a.sum_duplicates()
-        a.sort_indices()
-        return SparseMatrix(csr=a)
-
-    @property
-    def shape(self):
-        return self.csr.shape
-
-    @property
-    def row_offsets(self):
-        return self.csr.indptr
-
-    @property
-    def col_indices(self):
-        return self.csr.indices
-
-    @property
-    def values(self):
-        return self.csr.data
-
-    def matvec(self, x):
-        return self.csr @ np.asarray(x, dtype=float)
-
-    def __matmul__(self, x):
-        return self.matvec(x)
-
-    def __add__(self, other):
-        return SparseMatrix.from_scipy(self.csr + other.csr)
-
-    def __sub__(self, other):
-        return SparseMatrix.from_scipy(self.csr - other.csr)
-
-    def scaled(self, alpha):
-        return SparseMatrix.from_scipy(self.csr * float(alpha))
-
-    def transpose(self):
-        return SparseMatrix.from_scipy(self.csr.T)
-
-    @property
-    def T(self):
-        return self.transpose()
-
-    def frobenius(self):
-        return float(np.sqrt((self.csr.data**2).sum()))
-
-    def to_dense(self):
-        return self.csr.toarray()
-
-
 def from_triplets(shape, entries):
-    """Build a SparseMatrix from (row, col, value) entries; duplicates are summed.
+    """Canonical CSR matrix (sorted indices, duplicates summed) from
+    (row, col, value) entries.
 
     Parameters
     ----------
@@ -107,8 +51,10 @@ def from_triplets(shape, entries):
         rows.min() < 0 or rows.max() >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]
     ):
         raise ValueError(f"triplet index out of range for shape {shape}")
-    coo = sp.coo_matrix((vals.astype(float), (rows, cols)), shape=shape)
-    return SparseMatrix.from_scipy(coo)
+    a = sp.csr_matrix(sp.coo_matrix((vals.astype(float), (rows, cols)), shape=shape))
+    a.sum_duplicates()
+    a.sort_indices()
+    return a
 
 
 @dataclass(frozen=True)
@@ -119,24 +65,24 @@ class SolveReport:
 
 
 class Factorization:
-    """LU factorization of a square SparseMatrix, reusable across solves."""
+    """LU factorization of a square scipy sparse matrix, reusable across solves."""
 
     def __init__(self, a):
         n, m = a.shape
         if n != m:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
-        self._a = a
-        self._fro = a.frobenius()
+        self._a = sp.csr_matrix(a)
+        self._fro = float(np.linalg.norm(self._a.data))
         t0 = time.perf_counter()
         try:
-            self._lu = spla.splu(sp.csc_matrix(a.csr))
+            self._lu = spla.splu(self._a.tocsc())
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SingularSystemError(str(exc)) from exc
         self.factor_time = time.perf_counter() - t0
 
     def solve(self, b):
         """Solve A x = b, held to the residual bound (see ``checked_solve``)."""
-        x, res_norm, solve_time = checked_solve(b, self._lu.solve, self._a.matvec, self._fro)
+        x, res_norm, solve_time = checked_solve(b, self._lu.solve, self._a.dot, self._fro)
         return x, SolveReport(
             residual_norm=res_norm,
             factor_time=self.factor_time,
@@ -184,12 +130,3 @@ def solve(a, b):
     """Factorize and solve in one call; see Factorization.solve."""
     return Factorization(a).solve(b)
 
-
-def write_matrix_market(a, path):
-    """Export a matrix in Matrix Market coordinate format (1-based indices)."""
-    coo = sp.coo_matrix(a.csr)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")

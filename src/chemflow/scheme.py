@@ -31,7 +31,8 @@ from .spaces import (
 
 @dataclass
 class ModelParams:
-    """Physical parameters; all coefficients must be strictly positive.
+    """Physical parameters.  The diffusivities and rho must be positive,
+    chi and gamma nonnegative (0 switches the coupling off), all finite.
 
     ``grad_phi`` is the gravitational-potential gradient as a constant
     2-vector or a vectorized callable (x, y) -> (..., 2); ``alpha0`` is the
@@ -203,7 +204,7 @@ class CondensedSaddle:
         a_kb = t_kept[:, self.bubble]
         dinv_a_bk = sp.diags(self.d_inv) @ t[self.bubble][:, self.kept]
         condensed = t_kept[:, self.kept] - a_kb @ dinv_a_bk
-        fact = linsolve.Factorization(linsolve.SparseMatrix.from_scipy(condensed))
+        fact = linsolve.Factorization(condensed)
         factor_time = time.perf_counter() - t0
 
         def condensed_solve(b):
@@ -269,15 +270,13 @@ class Stepper:
         self.ctx_p1 = asm.AssemblyContext(mesh, degree=asm.P1_DEGREE)
 
         # time-independent matrices
-        self.M = asm.assemble_mass(self.layout_c, self.ctx_p1).matrix
-        self.K = asm.assemble_stiffness(self.layout_c, 1.0, self.ctx_p1).matrix
-        self.M_sigma = asm.assemble_mass(self.layout_sigma, self.ctx_p1).matrix
-        self.divrot = asm.assemble_divrot(self.layout_sigma, params.D_c).matrix
-        self.M_u = asm.assemble_mass(self.layout_u, self.ctx).matrix
-        self.K_u = asm.assemble_stiffness(self.layout_u, 1.0, self.ctx).matrix
-        self.G = asm.assemble_pressure_coupling(
-            self.layout_u, self.layout_pi, params.rho, self.ctx
-        ).matrix
+        self.M = asm.assemble_mass(self.layout_c, self.ctx_p1)
+        self.K = asm.assemble_stiffness(self.layout_c, 1.0, self.ctx_p1)
+        self.M_sigma = asm.assemble_mass(self.layout_sigma, self.ctx_p1)
+        self.divrot = asm.assemble_divrot(self.layout_sigma, params.D_c)
+        self.M_u = asm.assemble_mass(self.layout_u, self.ctx)
+        self.K_u = asm.assemble_stiffness(self.layout_u, 1.0, self.ctx)
+        self.G = asm.assemble_pressure_coupling(self.layout_u, self.layout_pi, self.ctx)
 
         self.w_p1 = asm.integral_weight_vector(self.layout_c, self.ctx_p1)
         self.area = float(self.w_p1.sum())
@@ -306,12 +305,6 @@ class Stepper:
     def divergence_residual(self, state):
         """max_j |(psi_j, div u_h)| over the pressure basis."""
         return float(np.abs(self.G.T @ state.u).max())
-
-    def _constrained(self, form_matrix, layout, weight_vector=None):
-        form = asm.AssembledForm(
-            matrix=form_matrix, domain_layout=layout, range_layout=layout
-        )
-        return asm.apply_constraints(form, layout, weight_vector=weight_vector).matrix
 
     # -- initialization ----------------------------------------------------
 
@@ -345,7 +338,7 @@ class Stepper:
 
         ctx = self.ctx
         # density: gradient projection with matched (zero) mean
-        a_n = self._constrained(self.K, self.layout_n, weight_vector=self.w_p1)
+        a_n = asm.apply_constraints(self.K, self.layout_n, weight_vector=self.w_p1)
         rhs = asm.assemble_grad_load(
             self.layout_n, asm.AnalyticField(data.grad_eta0, components=2), ctx
         )
@@ -361,8 +354,8 @@ class Stepper:
         c0 = linsolve.solve(a_c, rhs)[0]
 
         # flux: div/rot/L2 projection under the normal-trace constraints
-        a_s = self._constrained(
-            self.divrot.scaled(1.0 / self.params.D_c) + self.M_sigma, self.layout_sigma
+        a_s = asm.apply_constraints(
+            self.divrot * (1.0 / self.params.D_c) + self.M_sigma, self.layout_sigma
         )
         rhs = asm.assemble_div_load(
             self.layout_sigma, asm.AnalyticField(data.div_sigma0), ctx
@@ -402,19 +395,17 @@ class Stepper:
         if dt not in self._saddle_solver:
             p = self.params
             if dt is None:
-                s = self.K_u.scaled(p.D_u)
+                s = self.K_u * p.D_u
             else:
-                s = self.M_u.scaled(1.0 / dt) + self.K_u.scaled(p.D_u / p.rho)
-            self._saddle_solver[dt] = CondensedSaddle(
-                s.csr, self.G.csr, self.layout_u, self.w_p1, p.rho
-            )
+                s = self.M_u * (1.0 / dt) + self.K_u * (p.D_u / p.rho)
+            self._saddle_solver[dt] = CondensedSaddle(s, self.G, self.layout_u, self.w_p1, p.rho)
         return self._saddle_solver[dt]
 
     def _sigma_factorization(self, dt):
         if dt not in self._sigma_solver:
-            a = self.M_sigma.scaled(1.0 / dt) + self.divrot
+            a = self.M_sigma * (1.0 / dt) + self.divrot
             self._sigma_solver[dt] = linsolve.Factorization(
-                self._constrained(a, self.layout_sigma)
+                asm.apply_constraints(a, self.layout_sigma)
             )
         return self._sigma_solver[dt]
 
@@ -434,17 +425,17 @@ class Stepper:
         reports = {}
 
         # transport matrix shared by the density and concentration systems
-        n_skew = asm.assemble_skew_A(self.layout_c, u_prev, self.ctx).matrix
+        n_skew = asm.assemble_skew(self.layout_c, u_prev, self.ctx)
 
         # (a) cell density
-        a_n = self.M.scaled(1.0 / dt) + self.K.scaled(p.D_n) + n_skew
+        a_n = self.M * (1.0 / dt) + self.K * p.D_n + n_skew
         rhs = self.M @ prev.n / dt
         rhs += asm.assemble_chemo_rhs(
             self.layout_n, n_prev, sigma_prev, p.chi, p.alpha0, self.ctx
         )
         if g_n is not None:
             rhs += asm.assemble_load(self.layout_n, g_n, self.ctx)
-        a_n = self._constrained(a_n, self.layout_n, weight_vector=self.w_p1)
+        a_n = asm.apply_constraints(a_n, self.layout_n, weight_vector=self.w_p1)
         rhs = asm.constrain_rhs(rhs, self.layout_n)
         sol, reports["n"] = linsolve.solve(a_n, rhs)
         n_new = sol[: self.layout_n.n_dofs]
@@ -460,7 +451,7 @@ class Stepper:
         sigma_new, reports["sigma"] = self._sigma_factorization(dt).solve(rhs)
 
         # (c) concentration
-        a_c = self.M.scaled(1.0 / dt) + self.K.scaled(p.D_c) + n_skew
+        a_c = self.M * (1.0 / dt) + self.K * p.D_c + n_skew
         rhs = self.M @ prev.c / dt
         rhs += asm.assemble_consumption_rhs(
             self.layout_c, n_prev, c_prev, p.gamma, p.alpha0, self.ctx
@@ -470,7 +461,7 @@ class Stepper:
         c_new, reports["c"] = linsolve.solve(a_c, rhs)
 
         # (d)-(e) velocity and pressure
-        u_skew = asm.assemble_skew_B(self.layout_u, u_prev, self.ctx).matrix
+        u_skew = asm.assemble_skew(self.layout_u, u_prev, self.ctx)
         rhs_u = self.M_u @ prev.u / dt
         rhs_u += asm.assemble_buoyancy_rhs(
             self.layout_u, n_prev, self._grad_phi, p.rho, p.alpha0, self.ctx
@@ -478,7 +469,7 @@ class Stepper:
         if g_u is not None:
             rhs_u += asm.assemble_load(self.layout_u, g_u, self.ctx)
         u_new, pi_new, reports["u"] = self._saddle(dt).solve(
-            u_skew.csr, rhs_u, np.zeros(self.layout_pi.n_dofs)
+            u_skew, rhs_u, np.zeros(self.layout_pi.n_dofs)
         )
 
         state = State(m=prev.m + 1, t=t_new, n=n_new, c=c_new, sigma=sigma_new, u=u_new, pi=pi_new)

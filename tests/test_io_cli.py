@@ -61,6 +61,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="snapshot times must be finite"):
             replace(cfg, snapshot_times=(math.inf,)).validate()
 
+    @pytest.mark.parametrize("degree", [0, 9])
+    def test_quadrature_degree_out_of_range_rejected(self, degree):
+        with pytest.raises(ValueError, match="quadrature_degree must be an integer in 1..8"):
+            io_cli.parse_config(f"[output]\nquadrature_degree = {degree}\n")
+        from dataclasses import replace
+
+        with pytest.raises(ValueError, match="quadrature_degree must be an integer"):
+            replace(io_cli.default_config("test2"), quadrature_degree=degree + 0.5).validate()
+
     def test_round_trip(self):
         for preset in ("test1", "test2"):
             cfg = io_cli.default_config(preset)
@@ -303,6 +312,22 @@ class TestMain:
         assert code == 1
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "dt must be finite" in summary["message"]
+
+    def test_quadrature_degree_flag_rejected(self, tmp_path, capsys):
+        code = io_cli.main(
+            ["run", "--preset", "test2", "--quadrature-degree", "99", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "quadrature_degree must be an integer in 1..8" in summary["message"]
+        assert not (tmp_path / "diagnostics.csv").exists()
+
+    def test_check_takes_no_run_flags(self, capsys):
+        code = io_cli.main(["check", "--dt", "-5", "--quadrature-degree", "99", "--preset", "test2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert "PASS" not in captured.out
 
     def test_bad_config_exits_1_with_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

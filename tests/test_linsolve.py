@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from chemflow.linsolve import (
-    Factorization,
-    SingularSystemError,
-    SparseMatrix,
-    from_triplets,
-    solve,
-    write_matrix_market,
-)
+from chemflow.linsolve import Factorization, SingularSystemError, from_triplets, solve
 
 
 class TestFromTriplets:
     def test_duplicates_summed(self):
         a = from_triplets((2, 2), [(0, 0, 1.0), (0, 0, 2.0)])
-        assert a.to_dense()[0, 0] == 3.0
-        assert a.csr.nnz == 1
+        assert a.toarray()[0, 0] == 3.0
+        assert a.nnz == 1
 
     def test_empty(self):
         a = from_triplets((3, 3), [])
@@ -47,7 +41,7 @@ class TestFromTriplets:
         a = from_triplets((10, 10), (rows, cols, vals))
         perm = rng.permutation(50)
         b = from_triplets((10, 10), (rows[perm], cols[perm], vals[perm]))
-        assert np.allclose(a.to_dense(), b.to_dense(), atol=1e-15)
+        assert np.allclose(a.toarray(), b.toarray(), atol=1e-15)
 
     def test_csr_invariants(self):
         rng = np.random.default_rng(2)
@@ -55,7 +49,7 @@ class TestFromTriplets:
             (15, 15),
             (rng.integers(0, 15, 100), rng.integers(0, 15, 100), rng.standard_normal(100)),
         )
-        indptr, indices = a.row_offsets, a.col_indices
+        indptr, indices = a.indptr, a.indices
         for i in range(15):
             row = indices[indptr[i] : indptr[i + 1]]
             assert np.all(np.diff(row) > 0)  # strictly increasing, no duplicates
@@ -63,7 +57,7 @@ class TestFromTriplets:
 
 class TestSolve:
     def test_identity(self):
-        eye = SparseMatrix.from_scipy(np.eye(4))
+        eye = sp.csr_matrix(np.eye(4))
         b = np.array([1.0, -2.0, 3.5, 0.0])
         x, report = solve(eye, b)
         assert np.array_equal(x, b)
@@ -80,7 +74,7 @@ class TestSolve:
         m = rng.standard_normal((n, n))
         spd = m @ m.T + n * np.eye(n)
         b = rng.standard_normal(n)
-        x, report = solve(SparseMatrix.from_scipy(spd), b)
+        x, report = solve(sp.csr_matrix(spd), b)
         assert np.allclose(x, np.linalg.solve(spd, b), atol=1e-10)
         assert report.residual_norm <= 1e-10 * (
             np.linalg.norm(spd, "fro") * np.linalg.norm(x) + np.linalg.norm(b)
@@ -95,7 +89,7 @@ class TestSolve:
         rng = np.random.default_rng(17)
         n = 40
         dense = rng.standard_normal((n, n)) + n * np.eye(n)
-        a = SparseMatrix.from_scipy(dense)
+        a = sp.csr_matrix(dense)
         b = rng.standard_normal(n)
         x1, _ = solve(a, b)
         x2, _ = solve(a, b)
@@ -104,7 +98,7 @@ class TestSolve:
     def test_factorization_reuse(self):
         rng = np.random.default_rng(19)
         n = 30
-        a = SparseMatrix.from_scipy(rng.standard_normal((n, n)) + n * np.eye(n))
+        a = sp.csr_matrix(rng.standard_normal((n, n)) + n * np.eye(n))
         fact = Factorization(a)
         for _ in range(3):
             b = rng.standard_normal(n)
@@ -117,18 +111,3 @@ class TestSolve:
         with pytest.raises(ValueError):
             Factorization(a)
 
-
-class TestMatrixMarket:
-    def test_round_trip(self, tmp_path):
-        a = from_triplets((3, 4), [(0, 0, 1.5), (2, 3, -2.0), (1, 1, 0.25)])
-        path = tmp_path / "a.mtx"
-        write_matrix_market(a, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("%%MatrixMarket matrix coordinate real general")
-        rows, cols, nnz = map(int, lines[1].split())
-        assert (rows, cols, nnz) == (3, 4, 3)
-        dense = np.zeros((rows, cols))
-        for entry in lines[2:]:
-            i, j, v = entry.split()
-            dense[int(i) - 1, int(j) - 1] = float(v)  # 1-based indices
-        assert np.allclose(dense, a.to_dense(), atol=1e-15)

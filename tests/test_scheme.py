@@ -103,7 +103,7 @@ class TestInitState:
             ell = st.init_state(data, mode="elliptic_projection")
             nod = st.init_state(data, mode="nodal")
             d = ell.c - nod.c
-            m = asm.assemble_mass(st.layout_c).matrix
+            m = asm.assemble_mass(st.layout_c)
             diffs.append(math.sqrt(d @ (m @ d)))
         order1 = math.log2(diffs[0] / diffs[1])
         order2 = math.log2(diffs[1] / diffs[2])
@@ -261,8 +261,8 @@ class TestConsistency:
             u0[: mesh.n_nodes] = uu[..., 0]
             u0[ns : ns + mesh.n_nodes] = uu[..., 1]
             u_prev = asm.DiscreteField(st.layout_u, u0)
-            skew = asm.assemble_skew_A(st.layout_c, u_prev, st.ctx).matrix
-            a_c = st.M.scaled(1.0 / dt) + st.K.scaled(params.D_c) + skew
+            skew = asm.assemble_skew(st.layout_c, u_prev, st.ctx)
+            a_c = st.M * (1.0 / dt) + st.K * params.D_c + skew
             rhs = st.M @ c0 / dt
             rhs += asm.assemble_consumption_rhs(
                 st.layout_c,
@@ -289,7 +289,7 @@ def bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi):
     keep[pinned] = 0.0
     p = sp.diags(keep)
     s_c = p @ s_matrix @ p + sp.diags(1.0 - keep)
-    g_c = p @ st.G.csr
+    g_c = p @ st.G
     w = sp.csr_matrix(st.w_p1.reshape(-1, 1))
     big = sp.bmat(
         [[s_c, -g_c / st.params.rho, None], [g_c.T, None, w], [None, w.T, None]],
@@ -364,13 +364,13 @@ class TestCondensedSaddle:
             skew, rhs_u, rhs_pi, (u, pi, report) = calls[0]
             assert skew is None
             assert abs(rhs_pi.sum()) > 1e-3 * np.abs(rhs_pi).max()
-            s_matrix = st.K_u.csr * p.D_u
+            s_matrix = st.K_u * p.D_u
         else:
             state, _ = st.step(state, dt, forcing)  # test1 starts at rest
             state, _ = st.step(state, dt, forcing)
             skew, rhs_u, rhs_pi, (u, pi, report) = calls[-1]
             assert np.abs(state.u).max() > 0.0 and skew.count_nonzero() > 0
-            s_matrix = (st.M_u.csr / dt + st.K_u.csr * (p.D_u / p.rho)) + skew
+            s_matrix = (st.M_u / dt + st.K_u * (p.D_u / p.rho)) + skew
         u_ref, pi_ref = bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi)
         assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
         assert np.abs(pi - pi_ref).max() <= 1e-10 * np.abs(pi_ref).max()
@@ -397,10 +397,10 @@ class TestCondensedSaddle:
     def test_rejects_coupled_bubbles(self):
         st, _, dt, _ = _saddle_case("test2")
         _, bubble = st.layout_u.nodal_and_bubble_dofs()
-        s = (st.M_u.csr / dt).tolil()
+        s = (st.M_u / dt).tolil()
         s[bubble[0], bubble[1]] = s[bubble[1], bubble[0]] = 1.0
         with pytest.raises(ValueError, match="not diagonal"):
-            CondensedSaddle(s.tocsr(), st.G.csr, st.layout_u, st.w_p1, st.params.rho)
+            CondensedSaddle(s.tocsr(), st.G, st.layout_u, st.w_p1, st.params.rho)
 
     def test_residual_of_full_system_is_enforced(self, monkeypatch):
         # a transport block the condensation ignores (bubble-bubble coupling)
