@@ -1,14 +1,20 @@
 """Assembly of all bilinear/trilinear forms and load vectors of the scheme.
 
-Element contributions are computed for every triangle at once with numpy
-einsums.  Matrices are scattered with one triplet call into canonical
-``scipy.sparse.csr_matrix`` storage, load vectors with one ``np.add.at``;
-vector layouts carry a component axis instead of a loop.  Every form
-integrates on the quadrature rule of the ``AssemblyContext`` it is given.
-A form called without one builds a context of degree 2, exact for pure-P1
-mass and stiffness, or of degree 8, exact for every MINI and
-lagged-coefficient polynomial integrand (the velocity trilinear form
-reaches total degree 8).
+Element contributions are computed for every triangle at once.  Each
+kernel contracts its integrand over the quadrature points with small
+reference tables (basis values, and the gradient table that writes every
+basis gradient as a combination of the constant barycentric gradients) in
+one matrix product, and applies the per-element chain rule with the
+barycentric gradients in another; no (ne, nq, nl, 2) gradient array is
+formed.  Matrices are summed through a ``linsolve.ScatterPlan`` kept on
+their layout, so the CSR pattern and the slot of every element entry are
+found once per layout and each assembly only sums values; load vectors
+are summed with one ``np.add.at``.  Vector layouts carry a component axis
+instead of a loop.  Every form integrates on the quadrature rule of the
+``AssemblyContext`` it is given.  A form called without one builds a
+context of degree 2, exact for pure-P1 mass and stiffness, or of degree 8,
+exact for every MINI and lagged-coefficient polynomial integrand (the
+velocity trilinear form reaches total degree 8).
 """
 
 import numpy as np
@@ -17,7 +23,7 @@ import scipy.sparse as sp
 from . import linsolve
 from .mesh import all_element_geometry
 from .quadrature import triangle_rule
-from .spaces import VECTOR_P1_SIGMA, scalar_basis_gradients, scalar_basis_values
+from .spaces import VECTOR_P1_SIGMA, scalar_basis_gradient_table, scalar_basis_values
 
 P1_DEGREE = 2  # exact for products of two P1 functions
 FULL_DEGREE = 8  # exact for every MINI / lagged-coefficient integrand
@@ -26,33 +32,52 @@ FULL_DEGREE = 8  # exact for every MINI / lagged-coefficient integrand
 class AssemblyContext:
     """Per-mesh quadrature data shared by all forms of one run.
 
-    Caches physical quadrature points and basis values/gradients so that
-    per-step reassembly (convection matrices, load vectors) touches only
-    einsums.
+    Caches the physical quadrature points, the barycentric gradients of
+    every element (``grad_bary``, (ne, 3, 2), and its transpose
+    ``grad_bary_t``) and, per space kind, the reference tables the kernels
+    contract with, so that per-step reassembly touches only matrix
+    products.
     """
 
     def __init__(self, mesh, degree=FULL_DEGREE):
         self.mesh = mesh
         self.rule = triangle_rule(degree)
         self.areas, self.grad_bary = all_element_geometry(mesh)
+        self.grad_bary_t = np.ascontiguousarray(self.grad_bary.transpose(0, 2, 1))
         self.lam = self.rule.points
         self.weights = self.rule.weights
         verts = mesh.nodes[mesh.triangles]  # (ne, 3, 2)
         self.points = np.einsum("qi,eic->eqc", self.lam, verts)
-        self._vals = {}
-        self._grads = {}
+        self._tables = {}
+
+    def cached(self, name, kind, build):
+        """The table ``build()`` made on first use for (name, space kind)."""
+        if (name, kind) not in self._tables:
+            self._tables[name, kind] = build()
+        return self._tables[name, kind]
 
     def basis_values(self, kind):
         """Scalar sub-basis values at the quadrature points, (nq, nl)."""
-        if kind not in self._vals:
-            self._vals[kind] = scalar_basis_values(kind, self.lam)
-        return self._vals[kind]
+        return self.cached("values", kind, lambda: scalar_basis_values(kind, self.lam))
 
-    def basis_gradients(self, kind):
-        """Scalar sub-basis physical gradients, (ne, nq, nl, 2)."""
-        if kind not in self._grads:
-            self._grads[kind] = scalar_basis_gradients(kind, self.grad_bary, self.lam)
-        return self._grads[kind]
+    def gradient_table(self, kind):
+        """T (nq, nl, 3) with grad phi_i(x_q) = sum_a T[q, i, a] grad lambda_a."""
+        return self.cached("gradients", kind, lambda: scalar_basis_gradient_table(kind, self.lam))
+
+    def weighted_values(self, kind):
+        """w_q phi_i(x_q), (nq, nl)."""
+        return self.cached(
+            "weighted_values", kind, lambda: self.weights[:, None] * self.basis_values(kind)
+        )
+
+    def weighted_gradient_table(self, kind):
+        """w_q T[q, i, a] with rows (q, a) and columns i, (nq * 3, nl)."""
+
+        def build():
+            wt = self.weights[:, None, None] * self.gradient_table(kind)
+            return np.ascontiguousarray(wt.transpose(0, 2, 1).reshape(-1, wt.shape[1]))
+
+        return self.cached("weighted_gradients", kind, build)
 
 
 # ---------------------------------------------------------------------------
@@ -72,18 +97,25 @@ class DiscreteField:
         self.coeffs = coeffs
         self.components = layout.components
 
-    def _element_coeffs(self, ctx):
-        return self.coeffs[_component_dofs(self.layout)]  # (ne, comps, nl)
+    def _element_coeffs(self):
+        """(ne * comps, nl): one row per element and component."""
+        return self.coeffs[_component_dofs(self.layout)].reshape(-1, self.layout.scalar_local_size)
 
     def values(self, ctx):
-        vals = ctx.basis_values(self.layout.kind)
-        out = np.einsum("qi,eci->eqc", vals, self._element_coeffs(ctx))
-        return out[..., 0] if self.components == 1 else out
+        """(ne, nq), or (ne, nq, comps) for vector layouts."""
+        vals = self._element_coeffs() @ ctx.basis_values(self.layout.kind).T
+        vals = vals.reshape(-1, self.components, vals.shape[1])
+        return vals[:, 0] if self.components == 1 else vals.transpose(0, 2, 1)
 
     def gradients(self, ctx):
-        grads = ctx.basis_gradients(self.layout.kind)
-        out = np.einsum("eqid,eci->eqcd", grads, self._element_coeffs(ctx))
-        return out[:, :, 0, :] if self.components == 1 else out
+        """(ne, nq, 2), or (ne, nq, comps, 2) for vector layouts."""
+        table = ctx.gradient_table(self.layout.kind)
+        nq, nl, _ = table.shape
+        # derivatives along the barycentric coordinates, then the chain rule
+        dlam = self._element_coeffs() @ table.transpose(1, 0, 2).reshape(nl, -1)
+        ne = ctx.grad_bary.shape[0]
+        grads = (dlam.reshape(ne, -1, 3) @ ctx.grad_bary).reshape(ne, self.components, nq, 2)
+        return grads[:, 0] if self.components == 1 else grads.transpose(0, 2, 1, 3)
 
 
 class AnalyticField:
@@ -133,26 +165,29 @@ def _component_dofs(layout):
     return layout.element_dofs.reshape(-1, layout.components, layout.scalar_local_size)
 
 
-def _scatter_matrix(local, row_dofs, col_dofs, shape):
-    """Sum element blocks into a CSR matrix with one ``from_triplets`` call.
-
-    ``row_dofs`` (ne, k, nr) and ``col_dofs`` (ne, k or 1, nc) are the
-    global dofs of k blocks per element, one per component unless a block
-    couples components; ``local`` is (ne, k, nr, nc), or (ne, nr, nc) for
-    the same block on all k.
-    """
-    ne, k, nr = row_dofs.shape
-    full = (ne, k, nr, col_dofs.shape[-1])
-    local = np.broadcast_to(local if local.ndim == 4 else local[:, None], full)
+def _block_plan(row_dofs, col_dofs, shape):
+    """Scatter plan of k element blocks: ``row_dofs`` (ne, k, nr) and
+    ``col_dofs`` (ne, k or 1, nc) are the global dofs of each block, whose
+    entries are listed in (ne, k, nr, nc) order."""
+    full = row_dofs.shape + col_dofs.shape[-1:]
     rows = np.broadcast_to(row_dofs[..., None], full)
     cols = np.broadcast_to(col_dofs[..., None, :], full)
-    return linsolve.from_triplets(shape, (rows.ravel(), cols.ravel(), local.ravel()))
+    return linsolve.ScatterPlan(shape, rows, cols)
 
 
-def _scatter_componentwise(local, layout):
-    """The same (ne, nl, nl) block on every component of a layout."""
-    dofs = _component_dofs(layout)
-    return _scatter_matrix(local, dofs, dofs, (layout.n_dofs, layout.n_dofs))
+def _square_plan(layout, coupled=False):
+    """Plan of square element blocks on a layout, built once and kept on it:
+    one block per component, or with ``coupled`` one block coupling all."""
+    if coupled not in layout.plans:
+        dofs = layout.element_dofs[:, None] if coupled else _component_dofs(layout)
+        layout.plans[coupled] = _block_plan(dofs, dofs, (layout.n_dofs, layout.n_dofs))
+    return layout.plans[coupled]
+
+
+def _per_component(local, layout):
+    """The same (ne, nl, nl) block on every component, (ne, comps, nl, nl)."""
+    ne, nl, _ = local.shape
+    return np.broadcast_to(local[:, None], (ne, layout.components, nl, nl))
 
 
 def _ctx_for(layout_or_mesh, ctx, degree):
@@ -166,25 +201,26 @@ def assemble_mass(layout, ctx=None):
     """Mass matrix of the layout's space (SPD before constraints)."""
     degree = P1_DEGREE if not layout.has_bubble else FULL_DEGREE
     ctx = _ctx_for(layout, ctx, degree)
-    vals = ctx.basis_values(layout.kind)
-    e0 = np.einsum("q,qi,qj->ij", ctx.weights, vals, vals)
-    return _scatter_componentwise(ctx.areas[:, None, None] * e0, layout)
+    e0 = ctx.basis_values(layout.kind).T @ ctx.weighted_values(layout.kind)
+    return _square_plan(layout).matrix(_per_component(ctx.areas[:, None, None] * e0, layout))
 
 
 def assemble_stiffness(layout, coeff=1.0, ctx=None):
     """Stiffness matrix coeff * (grad u, grad v); componentwise for vectors."""
     degree = P1_DEGREE if not layout.has_bubble else FULL_DEGREE
     ctx = _ctx_for(layout, ctx, degree)
-    grads = ctx.basis_gradients(layout.kind)
-    local = np.einsum("q,eqid,eqjd->eij", ctx.weights, grads, grads)
-    local *= coeff * ctx.areas[:, None, None]
-    return _scatter_componentwise(local, layout)
+    table = ctx.gradient_table(layout.kind)
+    nl = table.shape[1]
+    # (grad phi_i, grad phi_j) = sum_ab S[a, b, i, j] grad lambda_a . grad lambda_b
+    s = np.einsum("q,qia,qjb->abij", ctx.weights, table, table).reshape(9, nl * nl)
+    local = ((ctx.areas[:, None, None] * ctx.grad_bary) @ ctx.grad_bary_t).reshape(-1, 9) @ s
+    local *= coeff
+    return _square_plan(layout).matrix(_per_component(local.reshape(-1, nl, nl), layout))
 
 
-def _sigma_div_rot(layout):
+def _sigma_div_rot(grad_bary):
     """Constant per-element div and rot of the 6 local sigma basis functions."""
-    _, grad_bary = all_element_geometry(layout.mesh)
-    ne = layout.mesh.n_triangles
+    ne = grad_bary.shape[0]
     div = np.empty((ne, 6))
     rot = np.empty((ne, 6))
     div[:, :3] = grad_bary[:, :, 0]  # (phi, 0): div = dphi/dx, rot = -dphi/dy
@@ -202,12 +238,11 @@ def assemble_divrot(layout, coeff=1.0):
     """
     if layout.kind != VECTOR_P1_SIGMA:
         raise ValueError("divrot form is defined on the sigma space")
-    areas, _ = all_element_geometry(layout.mesh)
-    div, rot = _sigma_div_rot(layout)
+    areas, grad_bary = all_element_geometry(layout.mesh)
+    div, rot = _sigma_div_rot(grad_bary)
     local = np.einsum("ea,eb->eab", div, div) + np.einsum("ea,eb->eab", rot, rot)
     local *= coeff * areas[:, None, None]
-    dofs = layout.element_dofs[:, None]  # one block coupling both components
-    return _scatter_matrix(local, dofs, dofs, (layout.n_dofs, layout.n_dofs))
+    return _square_plan(layout, coupled=True).matrix(local)
 
 
 def assemble_skew(layout, velocity, ctx=None):
@@ -216,17 +251,25 @@ def assemble_skew(layout, velocity, ctx=None):
 
     The quadratic form of the result vanishes identically; for pointwise
     divergence-free velocities with zero normal trace it coincides with the
-    one-sided convection form C.
+    one-sided convection form C.  N is stored on the full pattern of the
+    layout, so N = -N^T holds entry by entry.
     """
     ctx = _ctx_for(layout, ctx, FULL_DEGREE)
-    vals = ctx.basis_values(layout.kind)
-    grads = ctx.basis_gradients(layout.kind)
-    v = velocity.values(ctx)
-    conv = np.einsum("eqd,eqjd->eqj", v, grads)
-    local = np.einsum("q,qi,eqj->eij", ctx.weights, vals, conv)
-    local *= ctx.areas[:, None, None]
-    half = _scatter_componentwise(local, layout).multiply(0.5)
-    return half - half.T
+    kind = layout.kind
+
+    def build():
+        # w_q phi_i(x_q) T[q, j, a] with rows (q, a) and columns (i, j)
+        w = np.einsum("qi,qja->qaij", ctx.weighted_values(kind), ctx.gradient_table(kind))
+        return w.reshape(-1, w.shape[2] * w.shape[3])
+
+    # v . grad lambda_a at every point, contracted over (q, a) in one product
+    v_grad = velocity.values(ctx) @ ctx.grad_bary_t
+    local = v_grad.reshape(len(v_grad), -1) @ ctx.cached("skew", kind, build)
+    local *= ctx.areas[:, None]
+    nl = layout.scalar_local_size
+    plan = _square_plan(layout)
+    c = plan.data(_per_component(local.reshape(-1, nl, nl), layout))
+    return plan.csr(0.5 * (c - c[plan.transpose_slots]))
 
 
 def assemble_pressure_coupling(layout_u, layout_pi, ctx=None):
@@ -236,12 +279,16 @@ def assemble_pressure_coupling(layout_u, layout_pi, ctx=None):
     continuity block.
     """
     ctx = _ctx_for(layout_u, ctx, FULL_DEGREE)
+    table = ctx.gradient_table(layout_u.kind)
     pvals = ctx.basis_values(layout_pi.kind)
-    ugrads = ctx.basis_gradients(layout_u.kind)
-    local = np.einsum("q,eqic,qj->ecij", ctx.weights, ugrads, pvals)
+    nl, npl = table.shape[1], pvals.shape[1]
+    # (psi_j, d phi_i / dx_c) = sum_a grad lambda_a[c] Y[a, i, j]
+    y = np.einsum("q,qia,qj->aij", ctx.weights, table, pvals).reshape(3, nl * npl)
+    local = (ctx.grad_bary_t @ y).reshape(-1, 2, nl, npl)
     local *= ctx.areas[:, None, None, None]
     shape = (layout_u.n_dofs, layout_pi.n_dofs)
-    return _scatter_matrix(local, _component_dofs(layout_u), layout_pi.element_dofs[:, None], shape)
+    plan = _block_plan(_component_dofs(layout_u), layout_pi.element_dofs[:, None], shape)
+    return plan.matrix(local)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +302,31 @@ def _scatter_vector(local, layout):
     return b
 
 
+def _component_major(fv, components):
+    """Values at the points, (ne, nq) or (ne, nq, comps), as (ne, comps, nq)."""
+    return np.moveaxis(fv.reshape(fv.shape[:2] + (components,)), 2, 1)
+
+
+def _against_values(ctx, kind, fv):
+    """area * sum_q w_q fv[e, c, q] phi_i(x_q) for fv (ne, comps, nq)."""
+    ne, comps, nq = fv.shape
+    local = fv.reshape(ne * comps, nq) @ ctx.weighted_values(kind)
+    return local.reshape(ne, comps, -1) * ctx.areas[:, None, None]
+
+
+def _against_gradients(ctx, kind, flux):
+    """area * sum_q w_q flux[e, c, q] . grad phi_i(x_q) for flux (ne, comps, nq, 2)."""
+    ne, comps, nq, _ = flux.shape
+    f_grad = flux.reshape(ne, comps * nq, 2) @ ctx.grad_bary_t  # flux . grad lambda_a
+    local = f_grad.reshape(ne * comps, nq * 3) @ ctx.weighted_gradient_table(kind)
+    return local.reshape(ne, comps, -1) * ctx.areas[:, None, None]
+
+
 def assemble_load(layout, f, ctx=None):
     """(f, phi_i) for scalar layouts, (f, Phi_i) componentwise for vectors."""
     ctx = _ctx_for(layout, ctx, FULL_DEGREE)
-    vals = ctx.basis_values(layout.kind)
-    fv = f.values(ctx).reshape(ctx.points.shape[:2] + (layout.components,))
-    local = np.einsum("q,eqc,qi->eci", ctx.weights, fv, vals) * ctx.areas[:, None, None]
-    return _scatter_vector(local, layout)
+    fv = _component_major(f.values(ctx), layout.components)
+    return _scatter_vector(_against_values(ctx, layout.kind, fv), layout)
 
 
 def assemble_div_load(layout, f, ctx=None):
@@ -269,11 +334,12 @@ def assemble_div_load(layout, f, ctx=None):
     if layout.components != 2:
         raise ValueError("div load is defined on vector layouts")
     ctx = _ctx_for(layout, ctx, FULL_DEGREE)
-    grads = ctx.basis_gradients(layout.kind)
-    fv = f.values(ctx)
-    local = np.einsum("q,eq,eqic->eci", ctx.weights, fv, grads)
-    local *= ctx.areas[:, None, None]
-    return _scatter_vector(local, layout)
+    table = ctx.weights[:, None, None] * ctx.gradient_table(layout.kind)
+    nq, nl, _ = table.shape
+    # integrate f against each w_q T[q, i, a] first, then d phi_i / dx_c per element
+    f_t = (f.values(ctx) @ table.reshape(nq, -1)).reshape(-1, nl, 3)
+    local = (f_t @ ctx.grad_bary) * ctx.areas[:, None, None]
+    return _scatter_vector(local.transpose(0, 2, 1), layout)
 
 
 def assemble_rot_load(layout, f, ctx=None):
@@ -281,11 +347,9 @@ def assemble_rot_load(layout, f, ctx=None):
     if layout.kind != VECTOR_P1_SIGMA:
         raise ValueError("rot load is defined on the sigma space")
     ctx = _ctx_for(layout, ctx, FULL_DEGREE)
-    fv = f.values(ctx)
-    f_int = np.einsum("q,eq->e", ctx.weights, fv) * ctx.areas
-    _, rot = _sigma_div_rot(layout)
-    local = f_int[:, None] * rot
-    return _scatter_vector(local, layout)
+    f_int = (f.values(ctx) @ ctx.weights) * ctx.areas
+    _, rot = _sigma_div_rot(ctx.grad_bary)
+    return _scatter_vector(f_int[:, None] * rot, layout)
 
 
 def assemble_grad_load(layout, g, ctx=None):
@@ -293,23 +357,17 @@ def assemble_grad_load(layout, g, ctx=None):
     or (G[c], grad phi_i) componentwise when the layout is a vector space
     and g returns a (..., 2, 2) gradient array."""
     ctx = _ctx_for(layout, ctx, FULL_DEGREE)
-    grads = ctx.basis_gradients(layout.kind)
-    gv = g.values(ctx).reshape(ctx.points.shape[:2] + (layout.components, 2))
-    # component-major and contiguous: einsum is ~10x slower on the strided view
-    gv = np.ascontiguousarray(np.moveaxis(gv, 2, 0))
-    local = np.einsum("q,ceqd,eqid->eci", ctx.weights, gv, grads) * ctx.areas[:, None, None]
-    return _scatter_vector(local, layout)
+    gv = g.values(ctx)
+    gv = np.moveaxis(gv.reshape(gv.shape[:2] + (layout.components, 2)), 2, 1)
+    return _scatter_vector(_against_gradients(ctx, layout.kind, gv), layout)
 
 
 def assemble_chemo_rhs(layout_n, n_prev, sigma_prev, chi, alpha0, ctx=None):
     """chi * ((n_prev + alpha0) sigma_prev, grad phi_i) on the density space."""
     ctx = _ctx_for(layout_n, ctx, FULL_DEGREE)
-    grads = ctx.basis_gradients(layout_n.kind)
-    density = n_prev.values(ctx) + alpha0
-    sig = sigma_prev.values(ctx)
-    dot = np.einsum("eqd,eqid->eqi", sig, grads)
-    local = chi * np.einsum("q,eq,eqi->ei", ctx.weights, density, dot) * ctx.areas[:, None]
-    return _scatter_vector(local, layout_n)
+    density = chi * (n_prev.values(ctx) + alpha0)
+    flux = density[:, None, :, None] * sigma_prev.values(ctx)[:, None]
+    return _scatter_vector(_against_gradients(ctx, layout_n.kind, flux), layout_n)
 
 
 def assemble_sigma_rhs(layout_sigma, u_prev, sigma_prev, n_prev, c_prev, gamma, alpha0, ctx=None):
@@ -317,31 +375,26 @@ def assemble_sigma_rhs(layout_sigma, u_prev, sigma_prev, n_prev, c_prev, gamma, 
     ctx = _ctx_for(layout_sigma, ctx, FULL_DEGREE)
     uv = u_prev.values(ctx)
     sv = sigma_prev.values(ctx)
-    scalar = np.einsum("eqd,eqd->eq", uv, sv)
+    scalar = uv[..., 0] * sv[..., 0] + uv[..., 1] * sv[..., 1]
     scalar += gamma * (n_prev.values(ctx) + alpha0) * c_prev.values(ctx)
-    f_int = np.einsum("q,eq->e", ctx.weights, scalar) * ctx.areas
-    div, _ = _sigma_div_rot(layout_sigma)
-    local = f_int[:, None] * div
-    return _scatter_vector(local, layout_sigma)
+    f_int = (scalar @ ctx.weights) * ctx.areas
+    div, _ = _sigma_div_rot(ctx.grad_bary)
+    return _scatter_vector(f_int[:, None] * div, layout_sigma)
 
 
 def assemble_consumption_rhs(layout_c, n_prev, c_prev, gamma, alpha0, ctx=None):
     """-gamma ((n_prev + alpha0) c_prev, phi_i) on the concentration space."""
     ctx = _ctx_for(layout_c, ctx, FULL_DEGREE)
-    vals = ctx.basis_values(layout_c.kind)
     scalar = -gamma * (n_prev.values(ctx) + alpha0) * c_prev.values(ctx)
-    local = np.einsum("q,eq,qi->ei", ctx.weights, scalar, vals) * ctx.areas[:, None]
-    return _scatter_vector(local, layout_c)
+    return _scatter_vector(_against_values(ctx, layout_c.kind, scalar[:, None]), layout_c)
 
 
 def assemble_buoyancy_rhs(layout_u, n_prev, grad_phi, rho, alpha0, ctx=None):
     """(1/rho) ((n_prev + alpha0) grad_phi, Phi_i) on the velocity space."""
     ctx = _ctx_for(layout_u, ctx, FULL_DEGREE)
-    vals = ctx.basis_values(layout_u.kind)
     density = (n_prev.values(ctx) + alpha0) / rho
-    force = density[..., None] * grad_phi.values(ctx)
-    local = np.einsum("q,eqc,qi->eci", ctx.weights, force, vals) * ctx.areas[:, None, None]
-    return _scatter_vector(local, layout_u)
+    force = density[:, None] * _component_major(grad_phi.values(ctx), 2)
+    return _scatter_vector(_against_values(ctx, layout_u.kind, force), layout_u)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,8 @@ class RunConfig:
             raise ValueError("config value grad_phi must be finite")
         if not all(math.isfinite(ts) for ts in self.snapshot_times):
             raise ValueError("snapshot times must be finite")
+        if any(ts < 0 for ts in self.snapshot_times):
+            raise ValueError("snapshot times must be nonnegative")
         if self.kx < 1 or self.ky < 1:
             raise ValueError("mesh subdivisions kx, ky must be >= 1")
         degree = self.quadrature_degree

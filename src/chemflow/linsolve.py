@@ -2,11 +2,12 @@
 
 Matrices are plain ``scipy.sparse.csr_matrix``.  This module pins down the
 behaviours the rest of the code relies on: canonical CSR storage with
-duplicates summed when triplets are assembled, an explicit error on
-(near-)singular systems instead of silent garbage, and a recomputed
-residual in every solve report.
+duplicates summed, through a ``ScatterPlan`` built once per entry list, an
+explicit error on (near-)singular systems instead of silent garbage, and a
+recomputed residual in every solve report.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -23,38 +24,65 @@ class SingularSystemError(RuntimeError):
 RTOL = 1e-10
 
 
-def from_triplets(shape, entries):
-    """Canonical CSR matrix (sorted indices, duplicates summed) from
-    (row, col, value) entries.
+class ScatterPlan:
+    """CSR pattern of a fixed list of (row, col) entries, and the slot each
+    entry sums into.
 
-    Parameters
-    ----------
-    shape : (int, int)
-    entries : iterable of (row, col, value), or a (rows, cols, values) triple
-        of equal-length arrays.
+    Built once per index list; every matrix with those entries then costs
+    one ``np.bincount`` over its values.  The pattern is canonical (sorted
+    column indices, no duplicates) and stores every listed position, also
+    where the values sum to 0.
 
     Raises
     ------
     ValueError
         If any index lies outside ``shape``.
     """
-    if isinstance(entries, tuple) and len(entries) == 3 and np.ndim(entries[0]) == 1:
-        rows, cols, vals = (np.asarray(a) for a in entries)
-    else:
-        entries = list(entries)
-        if entries:
-            rows, cols, vals = map(np.asarray, zip(*entries))
-        else:
-            rows = cols = np.empty(0, dtype=int)
-            vals = np.empty(0)
-    if len(rows) and (
-        rows.min() < 0 or rows.max() >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]
-    ):
-        raise ValueError(f"triplet index out of range for shape {shape}")
-    a = sp.csr_matrix(sp.coo_matrix((vals.astype(float), (rows, cols)), shape=shape))
-    a.sum_duplicates()
-    a.sort_indices()
-    return a
+
+    def __init__(self, shape, rows, cols):
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        n_rows, n_cols = shape
+        if len(rows) and (
+            rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
+        ):
+            raise ValueError(f"entry index out of range for shape {shape}")
+        keys, self.slots = np.unique(rows * n_cols + cols, return_inverse=True)
+        self.shape = (n_rows, n_cols)
+        self.nnz = len(keys)
+        index = np.int32 if max(self.nnz, n_rows, n_cols) < np.iinfo(np.int32).max else np.int64
+        self.indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols).astype(index)
+        self.indices = (keys % n_cols).astype(index)
+        self._keys = keys
+
+    @functools.cached_property
+    def transpose_slots(self):
+        """Slot of entry (j, i) for each slot (i, j) of a square pattern.
+
+        Raises
+        ------
+        ValueError
+            If the pattern is not structurally symmetric.
+        """
+        n = self.shape[0]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        t_keys = self.indices.astype(np.int64) * n + rows
+        perm = np.searchsorted(self._keys, t_keys)
+        if self.shape[1] != n or np.any(self._keys[np.minimum(perm, self.nnz - 1)] != t_keys):
+            raise ValueError("scatter pattern is not structurally symmetric")
+        return perm
+
+    def data(self, values):
+        """Sum of the values, listed in the order of the entries, per slot."""
+        return np.bincount(self.slots, weights=np.ravel(values), minlength=self.nnz)
+
+    def csr(self, data):
+        """The CSR matrix of the pattern holding ``data``."""
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+
+    def matrix(self, values):
+        """Canonical CSR matrix summing the values of all entries."""
+        return self.csr(self.data(values))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ velocity/pressure system is solved with its bubbles condensed out
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -74,8 +75,11 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0) or self.n_steps < 0:
-            raise ValueError("need a finite dt > 0 and n_steps >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("need a finite dt > 0")
+        n = self.n_steps
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"n_steps must be an integer >= 0, got {n!r}")
 
     @property
     def T(self):
@@ -281,6 +285,7 @@ class Stepper:
         self.w_p1 = asm.integral_weight_vector(self.layout_c, self.ctx_p1)
         self.area = float(self.w_p1.sum())
         self._grad_phi = params.grad_phi_field()
+        self.assembly_time = 0.0  # seconds of assembly in the last init_state or step
         self._sigma_solver = {}  # dt -> Factorization of the flux system
         self._saddle_solver = {}  # dt (None: Stokes projection) -> CondensedSaddle
 
@@ -311,11 +316,13 @@ class Stepper:
     def init_state(self, data, mode="elliptic_projection"):
         """Discrete initial state via elliptic/Stokes projections or vertex
         interpolation (bubbles zero).  The zero-mean and boundary constraints
-        hold exactly in both modes."""
+        hold exactly in both modes.  The seconds spent assembling loads are
+        left in ``assembly_time`` (0 for the vertex interpolation)."""
         if mode not in self.INIT_MODES:
             raise ValueError(f"unknown init mode {mode!r}")
         alpha0 = self.params.alpha0
         if mode == "nodal":
+            self.assembly_time = 0.0
             x, y = self.mesh.nodes[:, 0], self.mesh.nodes[:, 1]
             n0 = np.asarray(data.eta0(x, y), dtype=float) - alpha0
             n0 -= (self.w_p1 @ n0) / self.area  # pin the discrete mean
@@ -337,41 +344,24 @@ class Stepper:
             return State(m=0, t=0.0, n=n0, c=c0, sigma=sigma0, u=u0, pi=pi0)
 
         ctx = self.ctx
-        # density: gradient projection with matched (zero) mean
-        a_n = asm.apply_constraints(self.K, self.layout_n, weight_vector=self.w_p1)
-        rhs = asm.assemble_grad_load(
+        t0 = time.perf_counter()
+        rhs_n = asm.assemble_grad_load(
             self.layout_n, asm.AnalyticField(data.grad_eta0, components=2), ctx
         )
-        rhs = asm.constrain_rhs(rhs, self.layout_n)
-        n0 = linsolve.solve(a_n, rhs)[0][: self.layout_n.n_dofs]
-
-        # concentration: full H1 projection
-        a_c = self.K + self.M
-        rhs = asm.assemble_grad_load(
+        rhs_c = asm.assemble_grad_load(
             self.layout_c, asm.AnalyticField(data.grad_c0, components=2), ctx
         )
-        rhs += asm.assemble_load(self.layout_c, asm.AnalyticField(data.c0), ctx)
-        c0 = linsolve.solve(a_c, rhs)[0]
-
-        # flux: div/rot/L2 projection under the normal-trace constraints
-        a_s = asm.apply_constraints(
-            self.divrot * (1.0 / self.params.D_c) + self.M_sigma, self.layout_sigma
-        )
-        rhs = asm.assemble_div_load(
+        rhs_c += asm.assemble_load(self.layout_c, asm.AnalyticField(data.c0), ctx)
+        rhs_s = asm.assemble_div_load(
             self.layout_sigma, asm.AnalyticField(data.div_sigma0), ctx
         )
-        rhs += asm.assemble_rot_load(
+        rhs_s += asm.assemble_rot_load(
             self.layout_sigma, asm.AnalyticField(data.rot_sigma0), ctx
         )
-        rhs += asm.assemble_load(
+        rhs_s += asm.assemble_load(
             self.layout_sigma, asm.AnalyticField(data.sigma0, components=2), ctx
         )
-        rhs = asm.constrain_rhs(rhs, self.layout_sigma)
-        sigma0 = linsolve.solve(a_s, rhs)[0]
-
-        # velocity/pressure: discrete Stokes projection
-        d_u = self.params.D_u
-        rhs_u = d_u * asm.assemble_grad_load(
+        rhs_u = self.params.D_u * asm.assemble_grad_load(
             self.layout_u, asm.AnalyticField(data.grad_u0, components=2), ctx
         )
         if data.pi0 is not None:
@@ -381,6 +371,23 @@ class Stepper:
         rhs_pi = asm.assemble_load(
             self.layout_pi, asm.AnalyticField(data.div_u0), ctx
         )
+        self.assembly_time = time.perf_counter() - t0
+
+        # density: gradient projection with matched (zero) mean
+        a_n = asm.apply_constraints(self.K, self.layout_n, weight_vector=self.w_p1)
+        rhs = asm.constrain_rhs(rhs_n, self.layout_n)
+        n0 = linsolve.solve(a_n, rhs)[0][: self.layout_n.n_dofs]
+
+        # concentration: full H1 projection
+        c0 = linsolve.solve(self.K + self.M, rhs_c)[0]
+
+        # flux: div/rot/L2 projection under the normal-trace constraints
+        a_s = asm.apply_constraints(
+            self.divrot * (1.0 / self.params.D_c) + self.M_sigma, self.layout_sigma
+        )
+        sigma0 = linsolve.solve(a_s, asm.constrain_rhs(rhs_s, self.layout_sigma))[0]
+
+        # velocity/pressure: discrete Stokes projection
         u0, pi0, _ = self._saddle(None).solve(None, rhs_u, rhs_pi)
         # the projection problem carries no density scaling on its pressure
         # block, while the step solver does; undo it
@@ -410,7 +417,11 @@ class Stepper:
         return self._sigma_solver[dt]
 
     def step(self, prev, dt, forcing=None):
-        """Advance one time level; returns (state, solve reports)."""
+        """Advance one time level; returns (state, solve reports).
+
+        The seconds spent assembling the step's forms and loads are left in
+        ``assembly_time``.
+        """
         p = self.params
         t_new = prev.t + dt
         forcing = forcing or StepForcing()
@@ -424,52 +435,51 @@ class Stepper:
         sigma_prev = self.field_sigma(prev)
         reports = {}
 
+        # every form and load of the step depends on the previous level only
+        t0 = time.perf_counter()
         # transport matrix shared by the density and concentration systems
         n_skew = asm.assemble_skew(self.layout_c, u_prev, self.ctx)
-
-        # (a) cell density
-        a_n = self.M * (1.0 / dt) + self.K * p.D_n + n_skew
-        rhs = self.M @ prev.n / dt
-        rhs += asm.assemble_chemo_rhs(
+        load_n = asm.assemble_chemo_rhs(
             self.layout_n, n_prev, sigma_prev, p.chi, p.alpha0, self.ctx
         )
         if g_n is not None:
-            rhs += asm.assemble_load(self.layout_n, g_n, self.ctx)
+            load_n += asm.assemble_load(self.layout_n, g_n, self.ctx)
+        load_sigma = asm.assemble_sigma_rhs(
+            self.layout_sigma, u_prev, sigma_prev, n_prev, c_prev, p.gamma, p.alpha0, self.ctx
+        )
+        load_c = asm.assemble_consumption_rhs(
+            self.layout_c, n_prev, c_prev, p.gamma, p.alpha0, self.ctx
+        )
+        if g_c is not None:
+            load_sigma -= asm.assemble_div_load(self.layout_sigma, g_c, self.ctx)
+            load_c += asm.assemble_load(self.layout_c, g_c, self.ctx)
+        u_skew = asm.assemble_skew(self.layout_u, u_prev, self.ctx)
+        load_u = asm.assemble_buoyancy_rhs(
+            self.layout_u, n_prev, self._grad_phi, p.rho, p.alpha0, self.ctx
+        )
+        if g_u is not None:
+            load_u += asm.assemble_load(self.layout_u, g_u, self.ctx)
+        self.assembly_time = time.perf_counter() - t0
+
+        # (a) cell density
+        a_n = self.M * (1.0 / dt) + self.K * p.D_n + n_skew
+        rhs = self.M @ prev.n / dt + load_n
         a_n = asm.apply_constraints(a_n, self.layout_n, weight_vector=self.w_p1)
         rhs = asm.constrain_rhs(rhs, self.layout_n)
         sol, reports["n"] = linsolve.solve(a_n, rhs)
         n_new = sol[: self.layout_n.n_dofs]
 
         # (b) flux
-        rhs = self.M_sigma @ prev.sigma / dt
-        rhs += asm.assemble_sigma_rhs(
-            self.layout_sigma, u_prev, sigma_prev, n_prev, c_prev, p.gamma, p.alpha0, self.ctx
-        )
-        if g_c is not None:
-            rhs -= asm.assemble_div_load(self.layout_sigma, g_c, self.ctx)
-        rhs = asm.constrain_rhs(rhs, self.layout_sigma)
+        rhs = asm.constrain_rhs(self.M_sigma @ prev.sigma / dt + load_sigma, self.layout_sigma)
         sigma_new, reports["sigma"] = self._sigma_factorization(dt).solve(rhs)
 
         # (c) concentration
         a_c = self.M * (1.0 / dt) + self.K * p.D_c + n_skew
-        rhs = self.M @ prev.c / dt
-        rhs += asm.assemble_consumption_rhs(
-            self.layout_c, n_prev, c_prev, p.gamma, p.alpha0, self.ctx
-        )
-        if g_c is not None:
-            rhs += asm.assemble_load(self.layout_c, g_c, self.ctx)
-        c_new, reports["c"] = linsolve.solve(a_c, rhs)
+        c_new, reports["c"] = linsolve.solve(a_c, self.M @ prev.c / dt + load_c)
 
         # (d)-(e) velocity and pressure
-        u_skew = asm.assemble_skew(self.layout_u, u_prev, self.ctx)
-        rhs_u = self.M_u @ prev.u / dt
-        rhs_u += asm.assemble_buoyancy_rhs(
-            self.layout_u, n_prev, self._grad_phi, p.rho, p.alpha0, self.ctx
-        )
-        if g_u is not None:
-            rhs_u += asm.assemble_load(self.layout_u, g_u, self.ctx)
         u_new, pi_new, reports["u"] = self._saddle(dt).solve(
-            u_skew, rhs_u, np.zeros(self.layout_pi.n_dofs)
+            u_skew, self.M_u @ prev.u / dt + load_u, np.zeros(self.layout_pi.n_dofs)
         )
 
         state = State(m=prev.m + 1, t=t_new, n=n_new, c=c_new, sigma=sigma_new, u=u_new, pi=pi_new)
@@ -478,9 +488,10 @@ class Stepper:
     def run(self, grid, data, mode="elliptic_projection", forcing=None, snapshot_times=()):
         """Integrate over the whole time grid, collecting diagnostics.
 
-        Diagnostics per step: time level, conserved mass, solver residuals
-        with their factor and solve times, the discrete-divergence residual,
-        and min/max of each field's nodal values.
+        Diagnostics per step: time level, conserved mass, the seconds spent
+        assembling forms and loads, solver residuals with their factor and
+        solve times, the discrete-divergence residual, and min/max of each
+        field's nodal values.
         """
         state = self.init_state(data, mode=mode)
         states = [state]
@@ -507,6 +518,7 @@ class Stepper:
             "t": state.t,
             "mass": self.mass_of_eta(state),
             "div_residual": self.divergence_residual(state),
+            "assembly_time": self.assembly_time,
         }
         nodal = {
             "eta": state.n[:nn] + self.params.alpha0,

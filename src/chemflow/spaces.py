@@ -17,7 +17,7 @@ component, so dof ``comp * (n_nodes + n_tri) + n_nodes + e`` is the
 bubble of element ``e``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class DofLayout:
     marks spaces restricted to zero mean: the density system realizes it
     by one bordered Lagrange-multiplier row/column, the velocity/pressure
     solve by pinning one pressure dof and shifting the mean afterwards.
+    ``plans`` caches the CSR scatter plans assembly builds on the layout,
+    so they are built once and live as long as it does.
     """
 
     kind: str
@@ -53,6 +55,7 @@ class DofLayout:
     element_dofs: np.ndarray
     constrained_dofs: np.ndarray
     mean_constraint: bool
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def local_size(self):
@@ -154,35 +157,30 @@ def scalar_basis_values(kind, bary):
     return bary
 
 
-def scalar_basis_gradients(kind, grad_bary, bary):
-    """Physical gradients of the scalar sub-basis.
+def scalar_basis_gradient_table(kind, bary):
+    """Gradients of the scalar sub-basis in terms of the barycentric ones.
+
+    Every basis gradient is a combination of the three barycentric
+    gradients of its element, ``grad phi_i = sum_a T[..., i, a] grad
+    lambda_a``, with coefficients that do not depend on the element.
 
     Parameters
     ----------
-    grad_bary : (..., 3, 2) barycentric-coordinate gradients (constant per
-        element).
     bary : (nq, 3) barycentric evaluation points.
 
     Returns
     -------
-    (..., nq, nl, 2) array.  P1 gradients are constant in the point index;
-    the bubble gradient varies.
+    T : (nq, nl, 3) array.  The P1 rows are the identity at every point;
+    the bubble row varies with the point.
     """
-    grad_bary = np.asarray(grad_bary, dtype=float)
     bary = np.asarray(bary, dtype=float)
     nq = bary.shape[0]
-    lead = grad_bary.shape[:-2]
-    p1 = np.broadcast_to(grad_bary[..., None, :, :], lead + (nq, 3, 2))
+    p1 = np.broadcast_to(np.eye(3), (nq, 3, 3))
     if kind != VELOCITY_MINI:
-        return p1
+        return p1.copy()
     l1, l2, l3 = bary[:, 0], bary[:, 1], bary[:, 2]
-    g1 = grad_bary[..., None, 0, :]
-    g2 = grad_bary[..., None, 1, :]
-    g3 = grad_bary[..., None, 2, :]
-    bub = BUBBLE_SCALE * (
-        (l2 * l3)[:, None] * g1 + (l1 * l3)[:, None] * g2 + (l1 * l2)[:, None] * g3
-    )
-    return np.concatenate([p1, bub[..., None, :]], axis=-2)
+    bub = BUBBLE_SCALE * np.stack([l2 * l3, l1 * l3, l1 * l2], axis=-1)
+    return np.concatenate([p1, bub[:, None, :]], axis=1)
 
 
 def eval_basis(kind, geom, bary):
@@ -194,5 +192,5 @@ def eval_basis(kind, geom, bary):
     """
     bary = np.asarray(bary, dtype=float)
     vals = scalar_basis_values(kind, bary[None, :])[0]
-    grads = scalar_basis_gradients(kind, geom.grad_bary, bary[None, :])[0]
+    grads = scalar_basis_gradient_table(kind, bary[None, :])[0] @ geom.grad_bary
     return [BasisValue(value=float(v), gradient=g.copy()) for v, g in zip(vals, grads)]

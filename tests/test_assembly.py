@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chemflow import assembly as asm
 from chemflow import manufactured
@@ -452,3 +456,257 @@ class TestConstraints:
         x, _ = linsolve.solve(out, rhs)
         w = asm.integral_weight_vector(lay)
         assert abs(w @ x[: lay.n_dofs]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the matmul kernels and scatter plans against the einsum kernels and the
+# triplet scatter they replaced, which are kept here as references
+
+
+def broadcast_gradients(kind, grad_bary, lam):
+    """Physical basis gradients at every point, (ne, nq, nl, 2)."""
+    nq = lam.shape[0]
+    p1 = np.broadcast_to(grad_bary[:, None], (grad_bary.shape[0], nq, 3, 2))
+    if kind != VELOCITY_MINI:
+        return p1
+    l1, l2, l3 = lam[:, 0], lam[:, 1], lam[:, 2]
+    g1, g2, g3 = (grad_bary[:, None, a, :] for a in range(3))
+    bub = 27.0 * ((l2 * l3)[:, None] * g1 + (l1 * l3)[:, None] * g2 + (l1 * l2)[:, None] * g3)
+    return np.concatenate([p1, bub[:, :, None, :]], axis=-2)
+
+
+def triplet_matrix(local, row_dofs, col_dofs, shape):
+    """Sum (ne, k, nr, nc) blocks through COO -> CSR with duplicates summed."""
+    full = (row_dofs.shape[0], row_dofs.shape[1], row_dofs.shape[2], col_dofs.shape[-1])
+    local = np.broadcast_to(local if local.ndim == 4 else local[:, None], full)
+    rows = np.broadcast_to(row_dofs[..., None], full).ravel()
+    cols = np.broadcast_to(col_dofs[..., None, :], full).ravel()
+    a = sp.csr_matrix(sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape))
+    a.sum_duplicates()
+    a.sort_indices()
+    return a
+
+
+def component_dofs(layout):
+    return layout.element_dofs.reshape(-1, layout.components, layout.scalar_local_size)
+
+
+def scatter(local, layout):
+    b = np.zeros(layout.n_dofs)
+    np.add.at(b, layout.element_dofs.ravel(), local.ravel())
+    return b
+
+
+def jittered_mesh(kx=5, ky=4, seed=0):
+    """A rectangle mesh with its interior nodes moved off the lattice."""
+    mesh = build_rect_mesh(1.3, 1.0, kx, ky)
+    nodes = mesh.nodes.copy()
+    x, y = nodes[:, 0], nodes[:, 1]
+    interior = (x > 1e-12) & (x < 1.3 - 1e-12) & (y > 1e-12) & (y < 1.0 - 1e-12)
+    shift = np.random.default_rng(seed).uniform(-0.2, 0.2, (int(interior.sum()), 2))
+    nodes[interior] += shift * np.array([1.3 / kx, 1.0 / ky])
+    return Mesh(nodes=nodes, triangles=mesh.triangles, boundary_edges=mesh.boundary_edges, h=mesh.h)
+
+
+def assert_rel(actual, expected, rtol=1e-13):
+    actual = actual.toarray() if sp.issparse(actual) else np.asarray(actual)
+    expected = expected.toarray() if sp.issparse(expected) else np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+class TestKernelEquivalence:
+    KINDS = [SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI]
+
+    def setup_method(self):
+        self.mesh = jittered_mesh()
+        self.ctx = asm.AssemblyContext(self.mesh)
+        self.rng = np.random.default_rng(11)
+        self.lu = build_layout(self.mesh, VELOCITY_MINI)
+        self.velocity = self.field(self.lu)
+
+    def field(self, layout):
+        return asm.DiscreteField(layout, self.rng.standard_normal(layout.n_dofs))
+
+    def grads(self, kind):
+        return broadcast_gradients(kind, self.ctx.grad_bary, self.ctx.lam)
+
+    def ref_values(self, f):
+        coef = f.coeffs[component_dofs(f.layout)]
+        out = np.einsum("qi,eci->eqc", self.ctx.basis_values(f.layout.kind), coef)
+        return out[..., 0] if f.components == 1 else out
+
+    def ref_against_values(self, layout, fv):
+        fv = fv.reshape(fv.shape[:2] + (layout.components,))
+        vals = self.ctx.basis_values(layout.kind)
+        local = np.einsum("q,eqc,qi->eci", self.ctx.weights, fv, vals)
+        return scatter(local * self.ctx.areas[:, None, None], layout)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_field_values_and_gradients(self, kind):
+        f = self.field(build_layout(self.mesh, kind))
+        assert_rel(f.values(self.ctx), self.ref_values(f))
+        coef = f.coeffs[component_dofs(f.layout)]
+        grads = np.einsum("eqid,eci->eqcd", self.grads(kind), coef)
+        assert_rel(f.gradients(self.ctx), grads[:, :, 0] if f.components == 1 else grads)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mass_and_stiffness(self, kind):
+        lay = build_layout(self.mesh, kind)
+        ctx, dofs, shape = self.ctx, component_dofs(lay), (lay.n_dofs, lay.n_dofs)
+        vals, grads = ctx.basis_values(kind), self.grads(kind)
+        mass = np.einsum("q,qi,qj->ij", ctx.weights, vals, vals) * ctx.areas[:, None, None]
+        assert_rel(asm.assemble_mass(lay, ctx), triplet_matrix(mass, dofs, dofs, shape))
+        stiff = np.einsum("q,eqid,eqjd->eij", ctx.weights, grads, grads) * ctx.areas[:, None, None]
+        assert_rel(asm.assemble_stiffness(lay, 1.0, ctx), triplet_matrix(stiff, dofs, dofs, shape))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_skew(self, kind):
+        lay = build_layout(self.mesh, kind)
+        ctx, dofs = self.ctx, component_dofs(lay)
+        vals, grads = ctx.basis_values(kind), self.grads(kind)
+        conv = np.einsum("eqd,eqjd->eqj", self.ref_values(self.velocity), grads)
+        local = np.einsum("q,qi,eqj->eij", ctx.weights, vals, conv) * ctx.areas[:, None, None]
+        half = triplet_matrix(local, dofs, dofs, (lay.n_dofs, lay.n_dofs)).multiply(0.5)
+        assert_rel(asm.assemble_skew(lay, self.velocity, ctx), half - half.T)
+
+    @pytest.mark.parametrize("kind", [VECTOR_P1_SIGMA, VELOCITY_MINI])
+    def test_pressure_coupling(self, kind):
+        lay, lpi = build_layout(self.mesh, kind), build_layout(self.mesh, "pressure_p1")
+        ctx = self.ctx
+        pvals = ctx.basis_values(lpi.kind)
+        local = np.einsum("q,eqic,qj->ecij", ctx.weights, self.grads(kind), pvals)
+        local *= ctx.areas[:, None, None, None]
+        ref = triplet_matrix(local, component_dofs(lay), lpi.element_dofs[:, None], (lay.n_dofs, lpi.n_dofs))
+        assert_rel(asm.assemble_pressure_coupling(lay, lpi, ctx), ref)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loads(self, kind):
+        lay = build_layout(self.mesh, kind)
+        ctx, comps = self.ctx, lay.components
+        f = self.field(lay)
+        assert_rel(asm.assemble_load(lay, f, ctx), self.ref_against_values(lay, self.ref_values(f)))
+        analytic = asm.AnalyticField(
+            lambda x, y: np.stack([np.sin(x + k * y) for k in range(comps)], axis=-1).reshape(
+                np.shape(x) + ((comps,) if comps > 1 else ())),
+            components=comps,
+        )
+        assert_rel(asm.assemble_load(lay, analytic, ctx),
+                   self.ref_against_values(lay, analytic.values(ctx)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_grad_load(self, kind):
+        lay = build_layout(self.mesh, kind)
+        ctx, comps = self.ctx, lay.components
+        g = asm.AnalyticField(
+            lambda x, y: np.stack([np.cos(x * (k + 1) - y) for k in range(2 * comps)], axis=-1).reshape(
+                np.shape(x) + (comps, 2)),
+            components=comps,
+        )
+        gv = np.moveaxis(g.values(ctx), 2, 0)
+        local = np.einsum("q,ceqd,eqid->eci", ctx.weights, gv, self.grads(kind))
+        assert_rel(asm.assemble_grad_load(lay, g, ctx), scatter(local * ctx.areas[:, None, None], lay))
+
+    @pytest.mark.parametrize("kind", [VECTOR_P1_SIGMA, VELOCITY_MINI])
+    def test_div_load(self, kind):
+        lay = build_layout(self.mesh, kind)
+        ctx = self.ctx
+        f = self.field(build_layout(self.mesh, SCALAR_P1))
+        local = np.einsum("q,eq,eqic->eci", ctx.weights, self.ref_values(f), self.grads(kind))
+        assert_rel(asm.assemble_div_load(lay, f, ctx), scatter(local * ctx.areas[:, None, None], lay))
+
+    def test_step_loads(self):
+        ctx = self.ctx
+        ln = build_layout(self.mesh, SCALAR_P1, zero_mean=True)
+        lc = build_layout(self.mesh, SCALAR_P1)
+        ls = build_layout(self.mesh, VECTOR_P1_SIGMA)
+        n, c, sig = self.field(ln), self.field(lc), self.field(ls)
+        chi, gamma, alpha0, rho = 1.7, 0.6, 2.5, 1.3
+        w, areas = ctx.weights, ctx.areas
+        nv, cv, sv, uv = (self.ref_values(f) for f in (n, c, sig, self.velocity))
+
+        dot = np.einsum("eqd,eqid->eqi", sv, self.grads(SCALAR_P1))
+        local = chi * np.einsum("q,eq,eqi->ei", w, nv + alpha0, dot) * areas[:, None]
+        assert_rel(asm.assemble_chemo_rhs(ln, n, sig, chi, alpha0, ctx), scatter(local, ln))
+
+        scalar = np.einsum("eqd,eqd->eq", uv, sv) + gamma * (nv + alpha0) * cv
+        f_int = np.einsum("q,eq->e", w, scalar) * areas
+        div = np.hstack([ctx.grad_bary[:, :, 0], ctx.grad_bary[:, :, 1]])
+        ref = scatter(f_int[:, None] * div, ls)
+        assert_rel(asm.assemble_sigma_rhs(ls, self.velocity, sig, n, c, gamma, alpha0, ctx), ref)
+
+        vals = ctx.basis_values(SCALAR_P1)
+        scalar = -gamma * (nv + alpha0) * cv
+        local = np.einsum("q,eq,qi->ei", w, scalar, vals) * areas[:, None]
+        assert_rel(asm.assemble_consumption_rhs(lc, n, c, gamma, alpha0, ctx), scatter(local, lc))
+
+        gravity = asm.AnalyticField(lambda x, y: np.stack([np.sin(y), -1.0 - x], axis=-1), components=2)
+        force = ((nv + alpha0) / rho)[..., None] * gravity.values(ctx)
+        assert_rel(asm.assemble_buoyancy_rhs(self.lu, n, gravity, rho, alpha0, ctx),
+                   self.ref_against_values(self.lu, force))
+
+
+class TestScatterPlans:
+    """Every matrix pattern assembly uses, filled with the same element
+    blocks, matches the triplet scatter."""
+
+    def setup_method(self):
+        self.mesh = jittered_mesh(4, 3, seed=2)
+        self.rng = np.random.default_rng(7)
+
+    @pytest.mark.parametrize("kind", [SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI])
+    def test_componentwise(self, kind):
+        lay = build_layout(self.mesh, kind)
+        dofs = component_dofs(lay)
+        local = self.rng.standard_normal(dofs.shape + (dofs.shape[-1],))
+        plan = asm._square_plan(lay)
+        assert asm._square_plan(lay) is plan  # built once per layout
+        ref = triplet_matrix(local, dofs, dofs, (lay.n_dofs, lay.n_dofs))
+        a = plan.matrix(local)
+        assert np.array_equal(a.indptr, ref.indptr) and np.array_equal(a.indices, ref.indices)
+        assert_rel(a, ref, rtol=1e-14)
+
+    def test_coupled_and_rectangular(self):
+        ls = build_layout(self.mesh, VECTOR_P1_SIGMA)
+        local = self.rng.standard_normal((self.mesh.n_triangles, 6, 6))
+        dofs = ls.element_dofs[:, None]
+        assert_rel(asm._square_plan(ls, coupled=True).matrix(local),
+                   triplet_matrix(local, dofs, dofs, (ls.n_dofs, ls.n_dofs)), rtol=1e-14)
+        lu, lpi = build_layout(self.mesh, VELOCITY_MINI), build_layout(self.mesh, "pressure_p1")
+        rows, cols = component_dofs(lu), lpi.element_dofs[:, None]
+        local = self.rng.standard_normal((self.mesh.n_triangles, 2, 4, 3))
+        shape = (lu.n_dofs, lpi.n_dofs)
+        assert_rel(asm._block_plan(rows, cols, shape).matrix(local),
+                   triplet_matrix(local, rows, cols, shape), rtol=1e-14)
+
+
+def unit_scaled(a):
+    """``a`` times the power of two that puts its largest entry in [0.5, 1)."""
+    largest = np.abs(a).max(initial=0.0)
+    return a if largest == 0.0 else np.ldexp(a, -np.frexp(largest)[1])
+
+
+class TestSkewProperties:
+    """N = -N^T entry by entry and x^T N x = 0 to rounding, for any velocity.
+
+    The quadratic form is checked in units where the largest entries of N
+    and x are of order 1 (an exact rescaling), so that no square underflows.
+    """
+
+    MESHES = {kind: build_rect_mesh(1, 1, 3, 2) for kind in (SCALAR_P1, VELOCITY_MINI)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from([SCALAR_P1, VELOCITY_MINI]))
+    def test_skew_identity(self, data, kind):
+        mesh = self.MESHES[kind]
+        lu = build_layout(mesh, VELOCITY_MINI)
+        layout = build_layout(mesh, kind)
+        finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        coeffs = data.draw(hnp.arrays(np.float64, lu.n_dofs, elements=finite))
+        x = data.draw(hnp.arrays(np.float64, layout.n_dofs, elements=finite))
+        n = asm.assemble_skew(layout, asm.DiscreteField(lu, coeffs))
+        dense = n.toarray()
+        assert np.array_equal(dense, -dense.T)
+        n = sp.csr_matrix((unit_scaled(n.data), n.indices, n.indptr), shape=n.shape)
+        x = unit_scaled(x)
+        assert abs(x @ (n @ x)) <= 1e-13 * np.linalg.norm(n.data) * (x @ x)

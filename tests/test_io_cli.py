@@ -61,6 +61,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="snapshot times must be finite"):
             replace(cfg, snapshot_times=(math.inf,)).validate()
 
+    def test_negative_snapshot_time_rejected(self):
+        from dataclasses import replace
+
+        with pytest.raises(ValueError, match="snapshot times must be nonnegative"):
+            io_cli.parse_config("[output]\nsnapshot_times = 0.0, -2e-4\n")
+        with pytest.raises(ValueError, match="snapshot times must be nonnegative"):
+            replace(io_cli.default_config("test2"), snapshot_times=(-2e-4,)).validate()
+
     @pytest.mark.parametrize("degree", [0, 9])
     def test_quadrature_degree_out_of_range_rejected(self, degree):
         with pytest.raises(ValueError, match="quadrature_degree must be an integer in 1..8"):

@@ -2,22 +2,29 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chemflow.linsolve import Factorization, SingularSystemError, from_triplets, solve
+from chemflow.linsolve import Factorization, ScatterPlan, SingularSystemError, solve
+
+
+def from_triplets(shape, rows, cols, vals):
+    return ScatterPlan(shape, rows, cols).matrix(np.asarray(vals, dtype=float))
 
 
 class TestFromTriplets:
+    """CSR matrices summed from (row, col, value) entries through a ScatterPlan."""
+
     def test_duplicates_summed(self):
-        a = from_triplets((2, 2), [(0, 0, 1.0), (0, 0, 2.0)])
+        a = from_triplets((2, 2), [0, 0], [0, 0], [1.0, 2.0])
         assert a.toarray()[0, 0] == 3.0
         assert a.nnz == 1
 
     def test_empty(self):
-        a = from_triplets((3, 3), [])
+        a = from_triplets((3, 3), [], [], [])
         assert np.all(a @ np.ones(3) == 0.0)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            from_triplets((2, 2), [(2, 0, 1.0)])
+        for rows, cols in (([2], [0]), ([0], [-1]), ([0], [2])):
+            with pytest.raises(ValueError, match="out of range"):
+                ScatterPlan((2, 2), rows, cols)
 
     @pytest.mark.parametrize("n", [20, 50])
     def test_random_matches_dense(self, n):
@@ -28,7 +35,7 @@ class TestFromTriplets:
         vals = rng.standard_normal(nnz)
         dense = np.zeros((n, n))
         np.add.at(dense, (rows, cols), vals)
-        a = from_triplets((n, n), (rows, cols, vals))
+        a = from_triplets((n, n), rows, cols, vals)
         for _ in range(3):
             x = rng.standard_normal(n)
             assert np.abs(a @ x - dense @ x).max() <= 1e-13 * max(1.0, np.abs(dense @ x).max())
@@ -38,21 +45,54 @@ class TestFromTriplets:
         rows = rng.integers(0, 10, 50)
         cols = rng.integers(0, 10, 50)
         vals = rng.standard_normal(50)
-        a = from_triplets((10, 10), (rows, cols, vals))
+        a = from_triplets((10, 10), rows, cols, vals)
         perm = rng.permutation(50)
-        b = from_triplets((10, 10), (rows[perm], cols[perm], vals[perm]))
+        b = from_triplets((10, 10), rows[perm], cols[perm], vals[perm])
         assert np.allclose(a.toarray(), b.toarray(), atol=1e-15)
 
     def test_csr_invariants(self):
         rng = np.random.default_rng(2)
         a = from_triplets(
-            (15, 15),
-            (rng.integers(0, 15, 100), rng.integers(0, 15, 100), rng.standard_normal(100)),
+            (15, 15), rng.integers(0, 15, 100), rng.integers(0, 15, 100), rng.standard_normal(100)
         )
         indptr, indices = a.indptr, a.indices
         for i in range(15):
             row = indices[indptr[i] : indptr[i + 1]]
             assert np.all(np.diff(row) > 0)  # strictly increasing, no duplicates
+
+
+class TestScatterPlan:
+    def test_reuse_sums_each_set_of_values(self):
+        rng = np.random.default_rng(3)
+        rows, cols = rng.integers(0, 8, 40), rng.integers(0, 6, 40)
+        plan = ScatterPlan((8, 6), rows, cols)
+        for _ in range(3):
+            vals = rng.standard_normal(40)
+            dense = np.zeros((8, 6))
+            np.add.at(dense, (rows, cols), vals)
+            assert np.abs(plan.matrix(vals).toarray() - dense).max() <= 1e-14
+
+    def test_matrices_share_no_index_arrays(self):
+        plan = ScatterPlan((3, 3), [0, 1, 2], [1, 2, 0])
+        a = plan.matrix(np.zeros(3))
+        a.eliminate_zeros()
+        assert plan.matrix(np.ones(3)).nnz == 3
+
+    def test_pattern_keeps_zero_sums(self):
+        a = from_triplets((2, 2), [0, 0, 1], [1, 1, 0], [1.0, -1.0, 2.0])
+        assert a.nnz == 2 and a[0, 1] == 0.0
+
+    def test_transpose_slots(self):
+        rng = np.random.default_rng(4)
+        rows, cols = rng.integers(0, 9, 30), rng.integers(0, 9, 30)
+        plan = ScatterPlan((9, 9), np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+        data = rng.standard_normal(plan.nnz)
+        a = plan.csr(data)
+        assert np.array_equal(plan.csr(data[plan.transpose_slots]).toarray(), a.toarray().T)
+
+    def test_transpose_slots_need_a_symmetric_pattern(self):
+        with pytest.raises(ValueError, match="not structurally symmetric"):
+            ScatterPlan((2, 2), [0], [1]).transpose_slots
 
 
 class TestSolve:
@@ -64,7 +104,7 @@ class TestSolve:
         assert report.residual_norm == 0.0
 
     def test_two_by_two(self):
-        a = from_triplets((2, 2), [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0)])
+        a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         x, _ = solve(a, np.array([3.0, 3.0]))
         assert x == pytest.approx([1.0, 1.0], rel=1e-14)
 
@@ -81,7 +121,7 @@ class TestSolve:
         )
 
     def test_singular_raises(self):
-        a = from_triplets((2, 2), [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
+        a = sp.csr_matrix(np.ones((2, 2)))
         with pytest.raises(SingularSystemError):
             solve(a, np.array([1.0, 2.0]))
 
@@ -107,7 +147,7 @@ class TestSolve:
             assert report.factor_time >= 0 and report.solve_time >= 0
 
     def test_rectangular_rejected(self):
-        a = from_triplets((2, 3), [(0, 0, 1.0)])
+        a = from_triplets((2, 3), [0], [0], [1.0])
         with pytest.raises(ValueError):
             Factorization(a)
 

@@ -63,6 +63,12 @@ class TestModelParams:
         assert grid.T == pytest.approx(1.0)
         assert np.allclose(grid.times(), [0, 0.25, 0.5, 0.75, 1.0])
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, -1])
+    def test_grid_needs_integral_step_count(self, bad):
+        with pytest.raises(ValueError, match="n_steps"):
+            TimeGrid(dt=1e-3, n_steps=bad)
+        assert len(TimeGrid(dt=1e-3, n_steps=np.int64(3)).times()) == 4
+
 
 class TestInitState:
     def test_constant_concentration_projection_exact(self):
@@ -201,6 +207,18 @@ class TestMassConservation:
 
 
 class TestRun:
+    def test_every_record_carries_its_assembly_time(self):
+        mesh = build_rect_mesh(1, 1, 6, 6)
+        st = Stepper(mesh, manufactured.test2_params())
+        data = manufactured.test2_initial_data()
+        for mode, init_assembles in (("nodal", False), ("elliptic_projection", True)):
+            result = st.run(TimeGrid(dt=2e-4, n_steps=2), data, mode=mode,
+                            forcing=manufactured.test2_forcing())
+            times = [rec["assembly_time"] for rec in result.diagnostics]
+            assert (times[0] > 0.0) == init_assembles
+            assert all(t > 0.0 for t in times[1:])
+            assert all("factor_time_u" in rec for rec in result.diagnostics[1:])
+
     def test_zero_steps_returns_initial_state(self):
         mesh = build_rect_mesh(1, 1, 4, 4)
         st = Stepper(mesh, simple_params(alpha0=1.0))
