@@ -11,10 +11,16 @@ their layout, so the CSR pattern and the slot of every element entry are
 found once per layout and each assembly only sums values; load vectors
 are summed with one ``np.add.at``.  Vector layouts carry a component axis
 instead of a loop.  Every form integrates on the quadrature rule of the
-``AssemblyContext`` it is given.  A form called without one builds a
+``AssemblyContext`` it is given.  A matrix called without one builds a
 context of degree 2, exact for pure-P1 mass and stiffness, or of degree 8,
 exact for every MINI and lagged-coefficient polynomial integrand (the
 velocity trilinear form reaches total degree 8).
+
+The transport form and the loads take their coefficient as an array of
+values at the quadrature points of the context they are given, so that a
+caller evaluates each field once and combines the values before
+integrating: ``DiscreteField.values`` for finite element functions,
+``at_points`` for closed-form data.
 """
 
 import numpy as np
@@ -23,7 +29,7 @@ import scipy.sparse as sp
 from . import linsolve
 from .mesh import all_element_geometry
 from .quadrature import triangle_rule
-from .spaces import VECTOR_P1_SIGMA, scalar_basis_gradient_table, scalar_basis_values
+from .spaces import SPACE_KINDS, VECTOR_P1_SIGMA, scalar_basis_gradient_table, scalar_basis_values
 
 P1_DEGREE = 2  # exact for products of two P1 functions
 FULL_DEGREE = 8  # exact for every MINI / lagged-coefficient integrand
@@ -36,7 +42,8 @@ class AssemblyContext:
     every element (``grad_bary``, (ne, 3, 2), and its transpose
     ``grad_bary_t``) and, per space kind, the reference tables the kernels
     contract with, so that per-step reassembly touches only matrix
-    products.
+    products.  The basis values, which every field evaluation needs, are
+    built with the context; the other tables on first use.
     """
 
     def __init__(self, mesh, degree=FULL_DEGREE):
@@ -48,7 +55,7 @@ class AssemblyContext:
         self.weights = self.rule.weights
         verts = mesh.nodes[mesh.triangles]  # (ne, 3, 2)
         self.points = np.einsum("qi,eic->eqc", self.lam, verts)
-        self._tables = {}
+        self._tables = {("values", k): scalar_basis_values(k, self.lam) for k in SPACE_KINDS}
 
     def cached(self, name, kind, build):
         """The table ``build()`` made on first use for (name, space kind)."""
@@ -58,7 +65,7 @@ class AssemblyContext:
 
     def basis_values(self, kind):
         """Scalar sub-basis values at the quadrature points, (nq, nl)."""
-        return self.cached("values", kind, lambda: scalar_basis_values(kind, self.lam))
+        return self._tables["values", kind]
 
     def gradient_table(self, kind):
         """T (nq, nl, 3) with grad phi_i(x_q) = sum_a T[q, i, a] grad lambda_a."""
@@ -81,7 +88,13 @@ class AssemblyContext:
 
 
 # ---------------------------------------------------------------------------
-# fields evaluable at quadrature points
+# values at the quadrature points
+
+
+def at_points(fn, ctx, *args):
+    """``fn(x, y, *args)`` at the quadrature points of ``ctx``: (ne, nq)
+    for a scalar, (ne, nq, 2) for a vector, (ne, nq, 2, 2) for a gradient."""
+    return np.asarray(fn(ctx.points[..., 0], ctx.points[..., 1], *args), dtype=float)
 
 
 class DiscreteField:
@@ -118,44 +131,6 @@ class DiscreteField:
         return grads[:, 0] if self.components == 1 else grads.transpose(0, 2, 1, 3)
 
 
-class AnalyticField:
-    """A closed-form field of (x, y), vectorized over numpy arrays.
-
-    ``fn(x, y)`` returns an array like x for scalars or shape ``(..., 2)``
-    for vectors; ``grad(x, y)`` returns ``(..., 2)`` or ``(..., 2, 2)``
-    with the component index before the derivative index.
-    """
-
-    def __init__(self, fn, grad=None, components=1):
-        self.fn = fn
-        self.grad = grad
-        self.components = components
-
-    def values(self, ctx):
-        return np.asarray(self.fn(ctx.points[..., 0], ctx.points[..., 1]), dtype=float)
-
-    def gradients(self, ctx):
-        if self.grad is None:
-            raise ValueError("analytic field has no gradient callable")
-        return np.asarray(self.grad(ctx.points[..., 0], ctx.points[..., 1]), dtype=float)
-
-
-def constant_vector_field(vec):
-    """AnalyticField for a constant 2-vector (e.g. a uniform gravity gradient)."""
-    vec = np.asarray(vec, dtype=float)
-
-    def fn(x, y):
-        out = np.empty(np.shape(x) + (2,))
-        out[..., 0] = vec[0]
-        out[..., 1] = vec[1]
-        return out
-
-    def grad(x, y):
-        return np.zeros(np.shape(x) + (2, 2))
-
-    return AnalyticField(fn, grad=grad, components=2)
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -190,11 +165,8 @@ def _per_component(local, layout):
     return np.broadcast_to(local[:, None], (ne, layout.components, nl, nl))
 
 
-def _ctx_for(layout_or_mesh, ctx, degree):
-    if ctx is not None:
-        return ctx
-    mesh = getattr(layout_or_mesh, "mesh", layout_or_mesh)
-    return AssemblyContext(mesh, degree=degree)
+def _ctx_for(layout, ctx, degree):
+    return ctx if ctx is not None else AssemblyContext(layout.mesh, degree=degree)
 
 
 def assemble_mass(layout, ctx=None):
@@ -245,16 +217,16 @@ def assemble_divrot(layout, coeff=1.0):
     return _square_plan(layout, coupled=True).matrix(local)
 
 
-def assemble_skew(layout, velocity, ctx=None):
+def assemble_skew(layout, velocity, ctx):
     """Skew-symmetric transport matrix N = (C - C^T)/2 with
-    C_ij = ((v . grad) phi_j, phi_i), componentwise on vector layouts.
+    C_ij = ((v . grad) phi_j, phi_i), componentwise on vector layouts, for
+    the velocity values (ne, nq, 2) at the points of ``ctx``.
 
     The quadratic form of the result vanishes identically; for pointwise
     divergence-free velocities with zero normal trace it coincides with the
     one-sided convection form C.  N is stored on the full pattern of the
     layout, so N = -N^T holds entry by entry.
     """
-    ctx = _ctx_for(layout, ctx, FULL_DEGREE)
     kind = layout.kind
 
     def build():
@@ -263,7 +235,7 @@ def assemble_skew(layout, velocity, ctx=None):
         return w.reshape(-1, w.shape[2] * w.shape[3])
 
     # v . grad lambda_a at every point, contracted over (q, a) in one product
-    v_grad = velocity.values(ctx) @ ctx.grad_bary_t
+    v_grad = velocity @ ctx.grad_bary_t
     local = v_grad.reshape(len(v_grad), -1) @ ctx.cached("skew", kind, build)
     local *= ctx.areas[:, None]
     nl = layout.scalar_local_size
@@ -302,99 +274,46 @@ def _scatter_vector(local, layout):
     return b
 
 
-def _component_major(fv, components):
-    """Values at the points, (ne, nq) or (ne, nq, comps), as (ne, comps, nq)."""
-    return np.moveaxis(fv.reshape(fv.shape[:2] + (components,)), 2, 1)
+def assemble_load(layout, f, ctx):
+    """(f, phi_i) for scalar layouts, (f, Phi_i) componentwise for vectors,
+    for the values f, (ne, nq) or (ne, nq, comps), at the points of ``ctx``."""
+    (ne, nq), comps = f.shape[:2], layout.components
+    fv = np.moveaxis(f.reshape(ne, nq, comps), 2, 1)  # (ne, comps, nq)
+    local = fv.reshape(ne * comps, nq) @ ctx.weighted_values(layout.kind)
+    return _scatter_vector(local.reshape(ne, comps, -1) * ctx.areas[:, None, None], layout)
 
 
-def _against_values(ctx, kind, fv):
-    """area * sum_q w_q fv[e, c, q] phi_i(x_q) for fv (ne, comps, nq)."""
-    ne, comps, nq = fv.shape
-    local = fv.reshape(ne * comps, nq) @ ctx.weighted_values(kind)
-    return local.reshape(ne, comps, -1) * ctx.areas[:, None, None]
-
-
-def _against_gradients(ctx, kind, flux):
-    """area * sum_q w_q flux[e, c, q] . grad phi_i(x_q) for flux (ne, comps, nq, 2)."""
-    ne, comps, nq, _ = flux.shape
-    f_grad = flux.reshape(ne, comps * nq, 2) @ ctx.grad_bary_t  # flux . grad lambda_a
-    local = f_grad.reshape(ne * comps, nq * 3) @ ctx.weighted_gradient_table(kind)
-    return local.reshape(ne, comps, -1) * ctx.areas[:, None, None]
-
-
-def assemble_load(layout, f, ctx=None):
-    """(f, phi_i) for scalar layouts, (f, Phi_i) componentwise for vectors."""
-    ctx = _ctx_for(layout, ctx, FULL_DEGREE)
-    fv = _component_major(f.values(ctx), layout.components)
-    return _scatter_vector(_against_values(ctx, layout.kind, fv), layout)
-
-
-def assemble_div_load(layout, f, ctx=None):
-    """(f, div Phi_i) on a vector layout for a scalar field f."""
+def assemble_div_load(layout, f, ctx):
+    """(f, div Phi_i) on a vector layout for scalar values f (ne, nq)."""
     if layout.components != 2:
         raise ValueError("div load is defined on vector layouts")
-    ctx = _ctx_for(layout, ctx, FULL_DEGREE)
     table = ctx.weights[:, None, None] * ctx.gradient_table(layout.kind)
     nq, nl, _ = table.shape
     # integrate f against each w_q T[q, i, a] first, then d phi_i / dx_c per element
-    f_t = (f.values(ctx) @ table.reshape(nq, -1)).reshape(-1, nl, 3)
+    f_t = (f @ table.reshape(nq, -1)).reshape(-1, nl, 3)
     local = (f_t @ ctx.grad_bary) * ctx.areas[:, None, None]
     return _scatter_vector(local.transpose(0, 2, 1), layout)
 
 
-def assemble_rot_load(layout, f, ctx=None):
-    """(f, rot Psi_i) on the sigma space, rot(s) = ds2/dx - ds1/dy."""
+def assemble_rot_load(layout, f, ctx):
+    """(f, rot Psi_i) on the sigma space, rot(s) = ds2/dx - ds1/dy, for
+    scalar values f (ne, nq)."""
     if layout.kind != VECTOR_P1_SIGMA:
         raise ValueError("rot load is defined on the sigma space")
-    ctx = _ctx_for(layout, ctx, FULL_DEGREE)
-    f_int = (f.values(ctx) @ ctx.weights) * ctx.areas
+    f_int = (f @ ctx.weights) * ctx.areas
     _, rot = _sigma_div_rot(ctx.grad_bary)
     return _scatter_vector(f_int[:, None] * rot, layout)
 
 
-def assemble_grad_load(layout, g, ctx=None):
-    """(g, grad phi_i) for a vector field g against a scalar layout's basis,
-    or (G[c], grad phi_i) componentwise when the layout is a vector space
-    and g returns a (..., 2, 2) gradient array."""
-    ctx = _ctx_for(layout, ctx, FULL_DEGREE)
-    gv = g.values(ctx)
-    gv = np.moveaxis(gv.reshape(gv.shape[:2] + (layout.components, 2)), 2, 1)
-    return _scatter_vector(_against_gradients(ctx, layout.kind, gv), layout)
-
-
-def assemble_chemo_rhs(layout_n, n_prev, sigma_prev, chi, alpha0, ctx=None):
-    """chi * ((n_prev + alpha0) sigma_prev, grad phi_i) on the density space."""
-    ctx = _ctx_for(layout_n, ctx, FULL_DEGREE)
-    density = chi * (n_prev.values(ctx) + alpha0)
-    flux = density[:, None, :, None] * sigma_prev.values(ctx)[:, None]
-    return _scatter_vector(_against_gradients(ctx, layout_n.kind, flux), layout_n)
-
-
-def assemble_sigma_rhs(layout_sigma, u_prev, sigma_prev, n_prev, c_prev, gamma, alpha0, ctx=None):
-    """(u_prev . sigma_prev + gamma (n_prev + alpha0) c_prev, div Psi_i)."""
-    ctx = _ctx_for(layout_sigma, ctx, FULL_DEGREE)
-    uv = u_prev.values(ctx)
-    sv = sigma_prev.values(ctx)
-    scalar = uv[..., 0] * sv[..., 0] + uv[..., 1] * sv[..., 1]
-    scalar += gamma * (n_prev.values(ctx) + alpha0) * c_prev.values(ctx)
-    f_int = (scalar @ ctx.weights) * ctx.areas
-    div, _ = _sigma_div_rot(ctx.grad_bary)
-    return _scatter_vector(f_int[:, None] * div, layout_sigma)
-
-
-def assemble_consumption_rhs(layout_c, n_prev, c_prev, gamma, alpha0, ctx=None):
-    """-gamma ((n_prev + alpha0) c_prev, phi_i) on the concentration space."""
-    ctx = _ctx_for(layout_c, ctx, FULL_DEGREE)
-    scalar = -gamma * (n_prev.values(ctx) + alpha0) * c_prev.values(ctx)
-    return _scatter_vector(_against_values(ctx, layout_c.kind, scalar[:, None]), layout_c)
-
-
-def assemble_buoyancy_rhs(layout_u, n_prev, grad_phi, rho, alpha0, ctx=None):
-    """(1/rho) ((n_prev + alpha0) grad_phi, Phi_i) on the velocity space."""
-    ctx = _ctx_for(layout_u, ctx, FULL_DEGREE)
-    density = (n_prev.values(ctx) + alpha0) / rho
-    force = density[:, None] * _component_major(grad_phi.values(ctx), 2)
-    return _scatter_vector(_against_values(ctx, layout_u.kind, force), layout_u)
+def assemble_grad_load(layout, g, ctx):
+    """(g, grad phi_i) for vector values g (ne, nq, 2) against a scalar
+    layout's basis, or (G[c], grad phi_i) componentwise for gradient
+    values G (ne, nq, 2, 2) on a vector layout."""
+    (ne, nq), comps = g.shape[:2], layout.components
+    flux = np.moveaxis(g.reshape(ne, nq, comps, 2), 2, 1)  # (ne, comps, nq, 2)
+    f_grad = flux.reshape(ne, comps * nq, 2) @ ctx.grad_bary_t  # flux . grad lambda_a
+    local = f_grad.reshape(ne * comps, nq * 3) @ ctx.weighted_gradient_table(layout.kind)
+    return _scatter_vector(local.reshape(ne, comps, -1) * ctx.areas[:, None, None], layout)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +325,7 @@ def integral_weight_vector(layout, ctx=None):
     if layout.components != 1:
         raise ValueError("integral weights are defined for scalar layouts")
     ctx = _ctx_for(layout, ctx, P1_DEGREE)
-    ones = AnalyticField(lambda x, y: np.ones_like(x))
-    return assemble_load(layout, ones, ctx=ctx)
+    return assemble_load(layout, np.ones(ctx.points.shape[:2]), ctx)
 
 
 def apply_constraints(a, layout, weight_vector=None):

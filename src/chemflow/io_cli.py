@@ -13,13 +13,14 @@ import configparser
 import io
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import manufactured
-from .assembly import AssemblyContext, DiscreteField, assemble_skew
+from .assembly import AssemblyContext, DiscreteField, assemble_skew, at_points
 from .mesh import build_rect_mesh
 from .quadrature import MAX_DEGREE
 from .scheme import InitialData, ModelParams, Stepper, TimeGrid
@@ -27,6 +28,10 @@ from .scheme import InitialData, ModelParams, Stepper, TimeGrid
 PRESET_NAMES = ("test1", "test2")
 INIT_MODES = {"elliptic": "elliptic_projection", "nodal": "nodal"}
 FORMATS = ("vtk", "csv")
+
+
+def _integer(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -74,10 +79,10 @@ class RunConfig:
             raise ValueError("snapshot times must be finite")
         if any(ts < 0 for ts in self.snapshot_times):
             raise ValueError("snapshot times must be nonnegative")
-        if self.kx < 1 or self.ky < 1:
-            raise ValueError("mesh subdivisions kx, ky must be >= 1")
+        if not (_integer(self.kx) and _integer(self.ky) and self.kx >= 1 and self.ky >= 1):
+            raise ValueError("mesh subdivisions kx, ky must be integers >= 1")
         degree = self.quadrature_degree
-        if not (isinstance(degree, int) and 1 <= degree <= MAX_DEGREE):
+        if not (_integer(degree) and 1 <= degree <= MAX_DEGREE):
             raise ValueError(f"quadrature_degree must be an integer in 1..{MAX_DEGREE}")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {sorted(INIT_MODES)}")
@@ -283,7 +288,7 @@ def test1_initial_fields():
 def mean_over_domain(mesh, fn, degree=8):
     """Domain average of a scalar field by quadrature on the mesh."""
     ctx = AssemblyContext(mesh, degree=degree)
-    vals = fn(ctx.points[..., 0], ctx.points[..., 1])
+    vals = at_points(fn, ctx)
     total = float(np.einsum("q,eq->", ctx.weights, vals * ctx.areas[:, None]))
     return total / float(ctx.areas.sum())
 
@@ -505,6 +510,8 @@ def cmd_run(args):
 
 def cmd_converge(args):
     cfg = _load_config(args)
+    if cfg.preset != "test2":
+        raise ValueError(f"converge runs the manufactured test2 problem, not preset {cfg.preset!r}")
     meshes = tuple(int(s) for s in (args.meshes or "10,20,30,40,50").split(","))
     report = manufactured.convergence_study(
         list(meshes),
@@ -564,7 +571,7 @@ def cmd_check(args):
     for _ in range(5):
         vel = DiscreteField(stepper.layout_u, rng.standard_normal(stepper.layout_u.n_dofs))
         for layout in (stepper.layout_c, stepper.layout_u):
-            nmat = assemble_skew(layout, vel, stepper.ctx)
+            nmat = assemble_skew(layout, vel.values(stepper.ctx), stepper.ctx)
             x = rng.standard_normal(nmat.shape[0])
             worst = max(worst, abs(x @ (nmat @ x)) / (np.linalg.norm(nmat.data) * (x @ x)))
     check("skew symmetry", worst <= 1e-12, f"max scaled |x^T N x| {worst:.3e}")

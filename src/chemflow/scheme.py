@@ -58,13 +58,9 @@ class ModelParams:
                 raise ValueError(f"parameter {name} must be finite and nonnegative")
         if not math.isfinite(self.alpha0):
             raise ValueError("parameter alpha0 must be finite")
-        if not callable(self.grad_phi) and not np.all(np.isfinite(self.grad_phi)):
-            raise ValueError("constant grad_phi must be finite")
-
-    def grad_phi_field(self):
-        if callable(self.grad_phi):
-            return asm.AnalyticField(self.grad_phi, components=2)
-        return asm.constant_vector_field(self.grad_phi)
+        gp = self.grad_phi
+        if not callable(gp) and not (np.shape(gp) == (2,) and np.all(np.isfinite(gp))):
+            raise ValueError("constant grad_phi must be a finite 2-vector")
 
 
 @dataclass(frozen=True)
@@ -250,12 +246,6 @@ class CondensedSaddle:
         return x[:nu], x[nu:n], report
 
 
-def _bind_time(fn, t, components=1):
-    if fn is None:
-        return None
-    return asm.AnalyticField(lambda x, y, _t=t: fn(x, y, _t), components=components)
-
-
 class Stepper:
     """Assembled discretization of one mesh/parameter configuration."""
 
@@ -284,7 +274,11 @@ class Stepper:
 
         self.w_p1 = asm.integral_weight_vector(self.layout_c, self.ctx_p1)
         self.area = float(self.w_p1.sum())
-        self._grad_phi = params.grad_phi_field()
+        grad_phi = params.grad_phi
+        if callable(grad_phi):
+            grad_phi = asm.at_points(grad_phi, self.ctx)
+        # grad_phi / rho at the quadrature points, which the buoyancy load scales
+        self._buoyancy = np.broadcast_to(grad_phi, self.ctx.points.shape) / params.rho
         self.assembly_time = 0.0  # seconds of assembly in the last init_state or step
         self._sigma_solver = {}  # dt -> Factorization of the flux system
         self._saddle_solver = {}  # dt (None: Stokes projection) -> CondensedSaddle
@@ -345,32 +339,18 @@ class Stepper:
 
         ctx = self.ctx
         t0 = time.perf_counter()
-        rhs_n = asm.assemble_grad_load(
-            self.layout_n, asm.AnalyticField(data.grad_eta0, components=2), ctx
-        )
-        rhs_c = asm.assemble_grad_load(
-            self.layout_c, asm.AnalyticField(data.grad_c0, components=2), ctx
-        )
-        rhs_c += asm.assemble_load(self.layout_c, asm.AnalyticField(data.c0), ctx)
-        rhs_s = asm.assemble_div_load(
-            self.layout_sigma, asm.AnalyticField(data.div_sigma0), ctx
-        )
-        rhs_s += asm.assemble_rot_load(
-            self.layout_sigma, asm.AnalyticField(data.rot_sigma0), ctx
-        )
-        rhs_s += asm.assemble_load(
-            self.layout_sigma, asm.AnalyticField(data.sigma0, components=2), ctx
-        )
+        rhs_n = asm.assemble_grad_load(self.layout_n, asm.at_points(data.grad_eta0, ctx), ctx)
+        rhs_c = asm.assemble_grad_load(self.layout_c, asm.at_points(data.grad_c0, ctx), ctx)
+        rhs_c += asm.assemble_load(self.layout_c, asm.at_points(data.c0, ctx), ctx)
+        rhs_s = asm.assemble_div_load(self.layout_sigma, asm.at_points(data.div_sigma0, ctx), ctx)
+        rhs_s += asm.assemble_rot_load(self.layout_sigma, asm.at_points(data.rot_sigma0, ctx), ctx)
+        rhs_s += asm.assemble_load(self.layout_sigma, asm.at_points(data.sigma0, ctx), ctx)
         rhs_u = self.params.D_u * asm.assemble_grad_load(
-            self.layout_u, asm.AnalyticField(data.grad_u0, components=2), ctx
+            self.layout_u, asm.at_points(data.grad_u0, ctx), ctx
         )
         if data.pi0 is not None:
-            rhs_u -= asm.assemble_div_load(
-                self.layout_u, asm.AnalyticField(data.pi0), ctx
-            )
-        rhs_pi = asm.assemble_load(
-            self.layout_pi, asm.AnalyticField(data.div_u0), ctx
-        )
+            rhs_u -= asm.assemble_div_load(self.layout_u, asm.at_points(data.pi0, ctx), ctx)
+        rhs_pi = asm.assemble_load(self.layout_pi, asm.at_points(data.div_u0, ctx), ctx)
         self.assembly_time = time.perf_counter() - t0
 
         # density: gradient projection with matched (zero) mean
@@ -416,70 +396,73 @@ class Stepper:
             )
         return self._sigma_solver[dt]
 
+    def lagged_forms(self, prev, t_new, forcing=None):
+        """The step's forms, all built from the previous level ``prev``: the
+        transport matrix of the scalar space (shared by the n and c
+        systems) and of the velocity space, and the loads of the n, sigma, c
+        and u systems (a dict), with the sources of ``forcing`` at ``t_new``.
+
+        Each field of ``prev`` and each source is evaluated once at the
+        quadrature points; each load is one generic load of their lagged
+        product, plus a separate one for g_n, which is tested against the
+        basis and not against its gradient.
+        """
+        p, ctx = self.params, self.ctx
+        forcing = forcing or StepForcing()
+        u = self.field_u(prev).values(ctx)
+        eta = self.field_n(prev).values(ctx) + p.alpha0
+        sigma = self.field_sigma(prev).values(ctx)
+        consumption = p.gamma * eta * self.field_c(prev).values(ctx)
+        g_c = 0.0 if forcing.g_c is None else asm.at_points(forcing.g_c, ctx, t_new)
+        g_u = 0.0 if forcing.g_u is None else asm.at_points(forcing.g_u, ctx, t_new)
+        loads = {
+            "n": asm.assemble_grad_load(self.layout_n, p.chi * eta[..., None] * sigma, ctx),
+            "sigma": asm.assemble_div_load(
+                self.layout_sigma, (u * sigma).sum(axis=-1) + consumption - g_c, ctx
+            ),
+            "c": asm.assemble_load(self.layout_c, g_c - consumption, ctx),
+            "u": asm.assemble_load(self.layout_u, eta[..., None] * self._buoyancy + g_u, ctx),
+        }
+        if forcing.g_n is not None:
+            g_n = asm.at_points(forcing.g_n, ctx, t_new)
+            loads["n"] += asm.assemble_load(self.layout_n, g_n, ctx)
+        n_skew = asm.assemble_skew(self.layout_c, u, ctx)
+        return n_skew, asm.assemble_skew(self.layout_u, u, ctx), loads
+
     def step(self, prev, dt, forcing=None):
         """Advance one time level; returns (state, solve reports).
 
-        The seconds spent assembling the step's forms and loads are left in
-        ``assembly_time``.
+        The seconds spent assembling the step's forms and loads
+        (``lagged_forms``) are left in ``assembly_time``.
         """
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"need a finite dt > 0, got {dt!r}")
         p = self.params
         t_new = prev.t + dt
-        forcing = forcing or StepForcing()
-        g_n = _bind_time(forcing.g_n, t_new)
-        g_c = _bind_time(forcing.g_c, t_new)
-        g_u = _bind_time(forcing.g_u, t_new, components=2)
-
-        u_prev = self.field_u(prev)
-        n_prev = self.field_n(prev)
-        c_prev = self.field_c(prev)
-        sigma_prev = self.field_sigma(prev)
         reports = {}
-
-        # every form and load of the step depends on the previous level only
         t0 = time.perf_counter()
-        # transport matrix shared by the density and concentration systems
-        n_skew = asm.assemble_skew(self.layout_c, u_prev, self.ctx)
-        load_n = asm.assemble_chemo_rhs(
-            self.layout_n, n_prev, sigma_prev, p.chi, p.alpha0, self.ctx
-        )
-        if g_n is not None:
-            load_n += asm.assemble_load(self.layout_n, g_n, self.ctx)
-        load_sigma = asm.assemble_sigma_rhs(
-            self.layout_sigma, u_prev, sigma_prev, n_prev, c_prev, p.gamma, p.alpha0, self.ctx
-        )
-        load_c = asm.assemble_consumption_rhs(
-            self.layout_c, n_prev, c_prev, p.gamma, p.alpha0, self.ctx
-        )
-        if g_c is not None:
-            load_sigma -= asm.assemble_div_load(self.layout_sigma, g_c, self.ctx)
-            load_c += asm.assemble_load(self.layout_c, g_c, self.ctx)
-        u_skew = asm.assemble_skew(self.layout_u, u_prev, self.ctx)
-        load_u = asm.assemble_buoyancy_rhs(
-            self.layout_u, n_prev, self._grad_phi, p.rho, p.alpha0, self.ctx
-        )
-        if g_u is not None:
-            load_u += asm.assemble_load(self.layout_u, g_u, self.ctx)
+        n_skew, u_skew, loads = self.lagged_forms(prev, t_new, forcing)
         self.assembly_time = time.perf_counter() - t0
 
         # (a) cell density
         a_n = self.M * (1.0 / dt) + self.K * p.D_n + n_skew
-        rhs = self.M @ prev.n / dt + load_n
+        rhs = self.M @ prev.n / dt + loads["n"]
         a_n = asm.apply_constraints(a_n, self.layout_n, weight_vector=self.w_p1)
         rhs = asm.constrain_rhs(rhs, self.layout_n)
         sol, reports["n"] = linsolve.solve(a_n, rhs)
         n_new = sol[: self.layout_n.n_dofs]
 
         # (b) flux
-        rhs = asm.constrain_rhs(self.M_sigma @ prev.sigma / dt + load_sigma, self.layout_sigma)
+        rhs = asm.constrain_rhs(self.M_sigma @ prev.sigma / dt + loads["sigma"], self.layout_sigma)
         sigma_new, reports["sigma"] = self._sigma_factorization(dt).solve(rhs)
 
         # (c) concentration
         a_c = self.M * (1.0 / dt) + self.K * p.D_c + n_skew
-        c_new, reports["c"] = linsolve.solve(a_c, self.M @ prev.c / dt + load_c)
+        c_new, reports["c"] = linsolve.solve(a_c, self.M @ prev.c / dt + loads["c"])
 
         # (d)-(e) velocity and pressure
         u_new, pi_new, reports["u"] = self._saddle(dt).solve(
-            u_skew, self.M_u @ prev.u / dt + load_u, np.zeros(self.layout_pi.n_dofs)
+            u_skew, self.M_u @ prev.u / dt + loads["u"], np.zeros(self.layout_pi.n_dofs)
         )
 
         state = State(m=prev.m + 1, t=t_new, n=n_new, c=c_new, sigma=sigma_new, u=u_new, pi=pi_new)

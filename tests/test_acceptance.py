@@ -150,7 +150,7 @@ def test_criterion_6_skew_symmetry():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(20):
-        vel = asm.DiscreteField(lay_u, rng.standard_normal(lay_u.n_dofs))
+        vel = asm.DiscreteField(lay_u, rng.standard_normal(lay_u.n_dofs)).values(ctx)
         for layout in (lay_c, lay_u):
             n = asm.assemble_skew(layout, vel, ctx)
             fro = np.linalg.norm(n.data)

@@ -9,6 +9,7 @@ from chemflow import assembly as asm
 from chemflow import manufactured
 from chemflow.mesh import Mesh, build_rect_mesh, element_geometry
 from chemflow.quadrature import triangle_rule
+from chemflow.scheme import ModelParams, State, Stepper
 from chemflow.spaces import (
     SCALAR_P1,
     VECTOR_P1_SIGMA,
@@ -131,9 +132,10 @@ class TestSkewForms:
         mesh = build_rect_mesh(1, 1, 3, 3)
         lu = build_layout(mesh, VELOCITY_MINI)
         lc = build_layout(mesh, SCALAR_P1)
-        vel = asm.DiscreteField(lu, np.zeros(lu.n_dofs))
-        assert np.linalg.norm(asm.assemble_skew(lc, vel).data) == 0.0
-        assert np.linalg.norm(asm.assemble_skew(lu, vel).data) == 0.0
+        ctx = asm.AssemblyContext(mesh)
+        vel = asm.DiscreteField(lu, np.zeros(lu.n_dofs)).values(ctx)
+        assert np.linalg.norm(asm.assemble_skew(lc, vel, ctx).data) == 0.0
+        assert np.linalg.norm(asm.assemble_skew(lu, vel, ctx).data) == 0.0
 
     @pytest.mark.parametrize("which", ["A", "B"])
     def test_quadratic_form_vanishes(self, which):
@@ -142,7 +144,7 @@ class TestSkewForms:
         lc = build_layout(mesh, SCALAR_P1)
         rng = np.random.default_rng(23)
         ctx = asm.AssemblyContext(mesh)
-        vel = asm.DiscreteField(lu, rng.standard_normal(lu.n_dofs))
+        vel = asm.DiscreteField(lu, rng.standard_normal(lu.n_dofs)).values(ctx)
         n = asm.assemble_skew(lc if which == "A" else lu, vel, ctx)
         for _ in range(20):
             x = rng.standard_normal(n.shape[0])
@@ -153,9 +155,10 @@ class TestSkewForms:
         lu = build_layout(mesh, VELOCITY_MINI)
         lc = build_layout(mesh, SCALAR_P1)
         rng = np.random.default_rng(8)
-        vel = asm.DiscreteField(lu, rng.standard_normal(lu.n_dofs))
+        ctx = asm.AssemblyContext(mesh)
+        vel = asm.DiscreteField(lu, rng.standard_normal(lu.n_dofs)).values(ctx)
         for layout in (lc, lu):
-            dense = asm.assemble_skew(layout, vel).toarray()
+            dense = asm.assemble_skew(layout, vel, ctx).toarray()
             sym = 0.5 * (dense + dense.T)
             assert np.linalg.norm(sym) <= 1e-12 * np.linalg.norm(dense)
 
@@ -166,8 +169,8 @@ class TestSkewForms:
         sol = manufactured.test2_solution()
         mesh = build_rect_mesh(1, 1, 8, 8)
         lc = build_layout(mesh, SCALAR_P1)
-        vel = asm.AnalyticField(lambda x, y: sol.u(x, y, 0.0), components=2)
-        n_mat = asm.assemble_skew(lc, vel).toarray()
+        ctx = asm.AssemblyContext(mesh)
+        n_mat = asm.assemble_skew(lc, asm.at_points(sol.u, ctx, 0.0), ctx).toarray()
         oracle = oracle_convection_dense(mesh, lc, lambda x, y: sol.u(x, y, 0.0))
         assert np.abs(n_mat - oracle).max() <= 1e-10
 
@@ -176,7 +179,8 @@ class TestSkewForms:
         lu = build_layout(mesh, VELOCITY_MINI)
         rng = np.random.default_rng(4)
         coeffs = rng.standard_normal(lu.n_dofs)
-        vel = asm.DiscreteField(lu, coeffs)
+        ctx = asm.AssemblyContext(mesh)
+        vel = asm.DiscreteField(lu, coeffs).values(ctx)
 
         def vel_fn(x, y):
             # pointwise evaluation via a one-point context
@@ -198,11 +202,29 @@ class TestSkewForms:
 
         c = oracle_convection_dense(mesh, lu, vel_fn)
         n_oracle = 0.5 * (c - c.T)
-        n_mat = asm.assemble_skew(lu, vel).toarray()
+        n_mat = asm.assemble_skew(lu, vel, ctx).toarray()
         assert np.abs(n_mat - n_oracle).max() <= 1e-10
 
 
+class Closed:
+    """A closed-form field, evaluated at the quadrature points of a context."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def values(self, ctx):
+        return asm.at_points(self.fn, ctx)
+
+
+def constant_vector(vec):
+    return Closed(lambda x, y: np.broadcast_to(np.asarray(vec, dtype=float), np.shape(x) + (2,)))
+
+
 class TestLoadVectors:
+    """Identities of the four per-equation loads of a step, checked on their
+    references (kept below), against which
+    ``TestKernelEquivalence::test_step_loads`` checks the step's loads."""
+
     def setup_method(self):
         self.mesh = build_rect_mesh(1, 1, 4, 4)
         self.ctx = asm.AssemblyContext(self.mesh)
@@ -226,14 +248,34 @@ class TestLoadVectors:
             np.add.at(out, dofs[:, 3].ravel(), 27.0 * areas / 60.0)
         return out
 
+    def flux_load_of_constant_concentration(self, gamma, alpha0, cbar):
+        """(gamma alpha0 cbar, div Psi_i): elementwise constant divergences."""
+        from chemflow.mesh import all_element_geometry
+
+        areas, grads = all_element_geometry(self.mesh)
+        expected = np.zeros(self.ls.n_dofs)
+        for comp in range(2):
+            dofs = self.ls.element_dofs[:, comp * 3 : (comp + 1) * 3]
+            np.add.at(
+                expected, dofs.ravel(), (gamma * alpha0 * cbar * areas[:, None] * grads[:, :, comp]).ravel()
+            )
+        return expected
+
+    def load_of_vertical_gravity(self, g, rho, alpha0):
+        """(alpha0 (0, g) / rho, Phi_i) through the MINI basis integrals."""
+        ns = self.lu.n_scalar
+        expected = np.zeros(self.lu.n_dofs)
+        expected[ns:] = g * alpha0 / rho * self.basis_integrals_mini()[ns:]
+        return expected
+
     def test_chemo_rhs_zero_sigma(self):
-        b = asm.assemble_chemo_rhs(self.ln, self.zero_scalar, self.zero_sigma, 2.0, 3.0, self.ctx)
+        b = chemo_rhs_reference(self.ln, self.zero_scalar, self.zero_sigma, 2.0, 3.0, self.ctx)
         assert np.all(b == 0.0)
 
     def test_chemo_rhs_constant_sigma_zero_sum(self):
-        const_sigma = asm.constant_vector_field((0.7, -0.3))
+        const_sigma = constant_vector((0.7, -0.3))
         chi, alpha0 = 2.0, 3.0
-        b = asm.assemble_chemo_rhs(self.ln, self.zero_scalar, const_sigma, chi, alpha0, self.ctx)
+        b = chemo_rhs_reference(self.ln, self.zero_scalar, const_sigma, chi, alpha0, self.ctx)
         # gradients of a partition of unity sum to zero
         assert abs(b.sum()) <= 1e-13 * np.abs(b).max()
 
@@ -241,12 +283,10 @@ class TestLoadVectors:
         mesh = single_triangle_mesh()
         ln = build_layout(mesh, SCALAR_P1, zero_mean=True)
         ctx = asm.AssemblyContext(mesh)
-        n_field = asm.AnalyticField(lambda x, y: x + 0.5 * y)
-        s_field = asm.AnalyticField(
-            lambda x, y: np.stack(np.broadcast_arrays(x * y, 1.0 - x), axis=-1), components=2
-        )
+        n_field = Closed(lambda x, y: x + 0.5 * y)
+        s_field = Closed(lambda x, y: np.stack(np.broadcast_arrays(x * y, 1.0 - x), axis=-1))
         chi, alpha0 = 1.7, 0.9
-        b = asm.assemble_chemo_rhs(ln, n_field, s_field, chi, alpha0, ctx)
+        b = chemo_rhs_reference(ln, n_field, s_field, chi, alpha0, ctx)
         geom = element_geometry(mesh, 0)
         rule = triangle_rule(8)
         expected = np.zeros(3)
@@ -261,56 +301,66 @@ class TestLoadVectors:
         assert np.allclose(b, expected, atol=1e-14)
 
     def test_sigma_rhs_zero_fields(self):
-        b = asm.assemble_sigma_rhs(
+        b = sigma_rhs_reference(
             self.ls, self.zero_u, self.zero_sigma, self.zero_scalar, self.zero_scalar, 1.0, 0.0, self.ctx
         )
         assert np.all(b == 0.0)
 
     def test_sigma_rhs_constant_concentration(self):
         gamma, alpha0, cbar = 2.0, 3.0, 1.5
-        c_field = asm.AnalyticField(lambda x, y: np.full(np.shape(x), cbar))
-        b = asm.assemble_sigma_rhs(
+        c_field = Closed(lambda x, y: np.full(np.shape(x), cbar))
+        b = sigma_rhs_reference(
             self.ls, self.zero_u, self.zero_sigma, self.zero_scalar, c_field, gamma, alpha0, self.ctx
         )
-        from chemflow.mesh import all_element_geometry
-
-        areas, grads = all_element_geometry(self.mesh)
-        expected = np.zeros(self.ls.n_dofs)
-        for comp in range(2):
-            dofs = self.ls.element_dofs[:, comp * 3 : (comp + 1) * 3]
-            np.add.at(
-                expected, dofs.ravel(), (gamma * alpha0 * cbar * areas[:, None] * grads[:, :, comp]).ravel()
-            )
+        expected = self.flux_load_of_constant_concentration(gamma, alpha0, cbar)
         assert np.allclose(b, expected, atol=1e-13)
 
     def test_consumption_rhs_zero_concentration(self):
-        b = asm.assemble_consumption_rhs(self.lc, self.zero_scalar, self.zero_scalar, 2.0, 3.0, self.ctx)
+        b = consumption_rhs_reference(self.lc, self.zero_scalar, self.zero_scalar, 2.0, 3.0, self.ctx)
         assert np.all(b == 0.0)
 
     def test_consumption_rhs_reduces_to_mass_action(self):
         gamma, alpha0 = 2.0, 3.0
-        ones = asm.AnalyticField(lambda x, y: np.ones_like(x))
-        b = asm.assemble_consumption_rhs(self.lc, self.zero_scalar, ones, gamma, alpha0, self.ctx)
+        ones = Closed(lambda x, y: np.ones_like(x))
+        b = consumption_rhs_reference(self.lc, self.zero_scalar, ones, gamma, alpha0, self.ctx)
         m = asm.assemble_mass(self.lc)
         assert np.allclose(b, -gamma * alpha0 * (m @ np.ones(self.lc.n_dofs)), atol=1e-13)
 
     def test_buoyancy_zero_gravity(self):
-        b = asm.assemble_buoyancy_rhs(
-            self.lu, self.zero_scalar, asm.constant_vector_field((0.0, 0.0)), 1.0, 5.0, self.ctx
+        b = buoyancy_rhs_reference(
+            self.lu, self.zero_scalar, constant_vector((0.0, 0.0)), 1.0, 5.0, self.ctx
         )
         assert np.all(b == 0.0)
 
     def test_buoyancy_constant_gravity(self):
         rho, alpha0 = 2.0, 3.0
-        b = asm.assemble_buoyancy_rhs(
-            self.lu, self.zero_scalar, asm.constant_vector_field((0.0, -1000.0)), rho, alpha0, self.ctx
+        b = buoyancy_rhs_reference(
+            self.lu, self.zero_scalar, constant_vector((0.0, -1000.0)), rho, alpha0, self.ctx
         )
-        w = self.basis_integrals_mini()
-        ns = self.lu.n_scalar
-        expected = np.zeros(self.lu.n_dofs)
-        expected[ns:] = -1000.0 * alpha0 / rho * w[ns:]
-        assert np.allclose(b, expected, atol=1e-12)
-        assert np.all(b[:ns] == 0.0)
+        assert np.allclose(b, self.load_of_vertical_gravity(-1000.0, rho, alpha0), atol=1e-12)
+        assert np.all(b[: self.lu.n_scalar] == 0.0)
+
+    def test_step_loads_of_a_resting_state(self):
+        # the identities above, on the step's own loads: with n = 0 (eta =
+        # alpha0), sigma = u = 0 and c = cbar, the chemotaxis load vanishes
+        # and the others reduce to a constant concentration, mass action and
+        # constant gravity
+        chi, gamma, alpha0, rho, cbar = 2.0, 2.0, 3.0, 2.0, 1.5
+        params = ModelParams(chi=chi, D_n=1.0, D_c=1.0, D_u=1.0, rho=rho, gamma=gamma,
+                             grad_phi=(0.0, -1000.0), alpha0=alpha0)
+        st = Stepper(self.mesh, params)
+        prev = State(m=0, t=0.0, n=np.zeros(self.ln.n_dofs), c=np.full(self.lc.n_dofs, cbar),
+                     sigma=np.zeros(self.ls.n_dofs), u=np.zeros(self.lu.n_dofs),
+                     pi=np.zeros(self.lc.n_dofs))
+        n_skew, u_skew, loads = st.lagged_forms(prev, 1e-3)
+        assert np.all(loads["n"] == 0.0)
+        assert n_skew.count_nonzero() == 0 and u_skew.count_nonzero() == 0
+        expected = self.flux_load_of_constant_concentration(gamma, alpha0, cbar)
+        assert np.allclose(loads["sigma"], expected, atol=1e-13)
+        mass_action = -gamma * alpha0 * cbar * (asm.assemble_mass(self.lc) @ np.ones(self.lc.n_dofs))
+        assert np.allclose(loads["c"], mass_action, atol=1e-13)
+        assert np.allclose(loads["u"], self.load_of_vertical_gravity(-1000.0, rho, alpha0), atol=1e-12)
+        assert np.all(loads["u"][: self.lu.n_scalar] == 0.0)
 
     def test_discrete_field_reproduces_linears(self):
         x, y = self.mesh.nodes[:, 0], self.mesh.nodes[:, 1]
@@ -353,9 +403,7 @@ class TestScatterIdentities:
         lay = build_layout(self.mesh, kind)
         m = asm.assemble_mass(lay, self.ctx)
         for unit in np.eye(lay.components):
-            one = asm.AnalyticField(
-                lambda x, y, u=unit: np.multiply.outer(np.ones_like(x), u), components=lay.components
-            )
+            one = asm.at_points(lambda x, y: np.multiply.outer(np.ones_like(x), unit), self.ctx)
             expected = m @ self.interpolate(lay, np.tile(unit, (self.mesh.n_nodes, 1)))
             self.assert_close(asm.assemble_load(lay, one, self.ctx), expected)
 
@@ -365,9 +413,8 @@ class TestScatterIdentities:
         k = asm.assemble_stiffness(lay, 1.0, self.ctx)
         # component c of the field is coef[c, 0] + coef[c, 1] x + coef[c, 2] y
         coef = np.array([[0.3, 1.7, -0.4], [-1.1, 0.2, 0.9]])[: lay.components]
-        grad = asm.AnalyticField(
-            lambda x, y: np.broadcast_to(coef[:, 1:], np.shape(x) + coef[:, 1:].shape),
-            components=lay.components,
+        grad = asm.at_points(
+            lambda x, y: np.broadcast_to(coef[:, 1:], np.shape(x) + coef[:, 1:].shape), self.ctx
         )
         x, y = self.mesh.nodes[:, 0], self.mesh.nodes[:, 1]
         nodal = coef[:, 0] + np.outer(x, coef[:, 1]) + np.outer(y, coef[:, 2])
@@ -379,7 +426,8 @@ class TestScatterIdentities:
         lpi = build_layout(self.mesh, "pressure_p1")
         g = asm.assemble_pressure_coupling(lay, lpi, self.ctx)
         q = np.random.default_rng(5).standard_normal(lpi.n_dofs)
-        self.assert_close(asm.assemble_div_load(lay, asm.DiscreteField(lpi, q), self.ctx), g @ q)
+        q_h = asm.DiscreteField(lpi, q).values(self.ctx)
+        self.assert_close(asm.assemble_div_load(lay, q_h, self.ctx), g @ q)
 
 class TestPressureCoupling:
     def setup_method(self):
@@ -460,7 +508,8 @@ class TestConstraints:
 
 # ---------------------------------------------------------------------------
 # the matmul kernels and scatter plans against the einsum kernels and the
-# triplet scatter they replaced, which are kept here as references
+# triplet scatter they replaced, and the step's loads against the
+# per-equation loads they replaced; all of these are kept here as references
 
 
 def broadcast_gradients(kind, grad_bary, lam):
@@ -495,6 +544,47 @@ def scatter(local, layout):
     b = np.zeros(layout.n_dofs)
     np.add.at(b, layout.element_dofs.ravel(), local.ravel())
     return b
+
+
+def load_reference(layout, fv, ctx):
+    """(f, phi_i), componentwise on vector layouts, for values fv at the points."""
+    fv = fv.reshape(fv.shape[:2] + (layout.components,))
+    local = np.einsum("q,eqc,qi->eci", ctx.weights, fv, ctx.basis_values(layout.kind))
+    return scatter(local * ctx.areas[:, None, None], layout)
+
+
+def div_load_reference(layout, fv, ctx):
+    """(f, div Phi_i) on a vector layout for scalar values fv at the points."""
+    grads = broadcast_gradients(layout.kind, ctx.grad_bary, ctx.lam)
+    local = np.einsum("q,eq,eqic->eci", ctx.weights, fv, grads)
+    return scatter(local * ctx.areas[:, None, None], layout)
+
+
+def chemo_rhs_reference(layout_n, n_prev, sigma_prev, chi, alpha0, ctx):
+    """chi * ((n_prev + alpha0) sigma_prev, grad phi_i) on the density space."""
+    grads = broadcast_gradients(layout_n.kind, ctx.grad_bary, ctx.lam)
+    density = chi * (n_prev.values(ctx) + alpha0)
+    local = np.einsum("q,eq,eqd,eqid->ei", ctx.weights, density, sigma_prev.values(ctx), grads)
+    return scatter(local * ctx.areas[:, None], layout_n)
+
+
+def sigma_rhs_reference(layout_sigma, u_prev, sigma_prev, n_prev, c_prev, gamma, alpha0, ctx):
+    """(u_prev . sigma_prev + gamma (n_prev + alpha0) c_prev, div Psi_i)."""
+    scalar = np.einsum("eqd,eqd->eq", u_prev.values(ctx), sigma_prev.values(ctx))
+    scalar += gamma * (n_prev.values(ctx) + alpha0) * c_prev.values(ctx)
+    return div_load_reference(layout_sigma, scalar, ctx)
+
+
+def consumption_rhs_reference(layout_c, n_prev, c_prev, gamma, alpha0, ctx):
+    """-gamma ((n_prev + alpha0) c_prev, phi_i) on the concentration space."""
+    scalar = -gamma * (n_prev.values(ctx) + alpha0) * c_prev.values(ctx)
+    return load_reference(layout_c, scalar, ctx)
+
+
+def buoyancy_rhs_reference(layout_u, n_prev, grad_phi, rho, alpha0, ctx):
+    """(1/rho) ((n_prev + alpha0) grad_phi, Phi_i) on the velocity space."""
+    density = (n_prev.values(ctx) + alpha0) / rho
+    return load_reference(layout_u, density[..., None] * grad_phi.values(ctx), ctx)
 
 
 def jittered_mesh(kx=5, ky=4, seed=0):
@@ -536,12 +626,6 @@ class TestKernelEquivalence:
         out = np.einsum("qi,eci->eqc", self.ctx.basis_values(f.layout.kind), coef)
         return out[..., 0] if f.components == 1 else out
 
-    def ref_against_values(self, layout, fv):
-        fv = fv.reshape(fv.shape[:2] + (layout.components,))
-        vals = self.ctx.basis_values(layout.kind)
-        local = np.einsum("q,eqc,qi->eci", self.ctx.weights, fv, vals)
-        return scatter(local * self.ctx.areas[:, None, None], layout)
-
     @pytest.mark.parametrize("kind", KINDS)
     def test_field_values_and_gradients(self, kind):
         f = self.field(build_layout(self.mesh, kind))
@@ -565,10 +649,11 @@ class TestKernelEquivalence:
         lay = build_layout(self.mesh, kind)
         ctx, dofs = self.ctx, component_dofs(lay)
         vals, grads = ctx.basis_values(kind), self.grads(kind)
-        conv = np.einsum("eqd,eqjd->eqj", self.ref_values(self.velocity), grads)
+        uv = self.ref_values(self.velocity)
+        conv = np.einsum("eqd,eqjd->eqj", uv, grads)
         local = np.einsum("q,qi,eqj->eij", ctx.weights, vals, conv) * ctx.areas[:, None, None]
         half = triplet_matrix(local, dofs, dofs, (lay.n_dofs, lay.n_dofs)).multiply(0.5)
-        assert_rel(asm.assemble_skew(lay, self.velocity, ctx), half - half.T)
+        assert_rel(asm.assemble_skew(lay, uv, ctx), half - half.T)
 
     @pytest.mark.parametrize("kind", [VECTOR_P1_SIGMA, VELOCITY_MINI])
     def test_pressure_coupling(self, kind):
@@ -584,66 +669,66 @@ class TestKernelEquivalence:
     def test_loads(self, kind):
         lay = build_layout(self.mesh, kind)
         ctx, comps = self.ctx, lay.components
-        f = self.field(lay)
-        assert_rel(asm.assemble_load(lay, f, ctx), self.ref_against_values(lay, self.ref_values(f)))
-        analytic = asm.AnalyticField(
+        fv = self.ref_values(self.field(lay))
+        assert_rel(asm.assemble_load(lay, fv, ctx), load_reference(lay, fv, ctx))
+        analytic = asm.at_points(
             lambda x, y: np.stack([np.sin(x + k * y) for k in range(comps)], axis=-1).reshape(
                 np.shape(x) + ((comps,) if comps > 1 else ())),
-            components=comps,
+            ctx,
         )
-        assert_rel(asm.assemble_load(lay, analytic, ctx),
-                   self.ref_against_values(lay, analytic.values(ctx)))
+        assert_rel(asm.assemble_load(lay, analytic, ctx), load_reference(lay, analytic, ctx))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_grad_load(self, kind):
         lay = build_layout(self.mesh, kind)
         ctx, comps = self.ctx, lay.components
-        g = asm.AnalyticField(
+        g = asm.at_points(
             lambda x, y: np.stack([np.cos(x * (k + 1) - y) for k in range(2 * comps)], axis=-1).reshape(
                 np.shape(x) + (comps, 2)),
-            components=comps,
+            ctx,
         )
-        gv = np.moveaxis(g.values(ctx), 2, 0)
-        local = np.einsum("q,ceqd,eqid->eci", ctx.weights, gv, self.grads(kind))
+        local = np.einsum("q,ceqd,eqid->eci", ctx.weights, np.moveaxis(g, 2, 0), self.grads(kind))
         assert_rel(asm.assemble_grad_load(lay, g, ctx), scatter(local * ctx.areas[:, None, None], lay))
 
     @pytest.mark.parametrize("kind", [VECTOR_P1_SIGMA, VELOCITY_MINI])
     def test_div_load(self, kind):
         lay = build_layout(self.mesh, kind)
-        ctx = self.ctx
-        f = self.field(build_layout(self.mesh, SCALAR_P1))
-        local = np.einsum("q,eq,eqic->eci", ctx.weights, self.ref_values(f), self.grads(kind))
-        assert_rel(asm.assemble_div_load(lay, f, ctx), scatter(local * ctx.areas[:, None, None], lay))
+        fv = self.ref_values(self.field(build_layout(self.mesh, SCALAR_P1)))
+        assert_rel(asm.assemble_div_load(lay, fv, self.ctx), div_load_reference(lay, fv, self.ctx))
 
     def test_step_loads(self):
-        ctx = self.ctx
-        ln = build_layout(self.mesh, SCALAR_P1, zero_mean=True)
-        lc = build_layout(self.mesh, SCALAR_P1)
-        ls = build_layout(self.mesh, VECTOR_P1_SIGMA)
-        n, c, sig = self.field(ln), self.field(lc), self.field(ls)
+        """The four loads of a step against the per-equation references, for
+        random previous fields, with and without manufactured forcing."""
+        gravity = Closed(lambda x, y: np.stack(np.broadcast_arrays(np.sin(y), -1.0 - x), axis=-1))
         chi, gamma, alpha0, rho = 1.7, 0.6, 2.5, 1.3
-        w, areas = ctx.weights, ctx.areas
-        nv, cv, sv, uv = (self.ref_values(f) for f in (n, c, sig, self.velocity))
-
-        dot = np.einsum("eqd,eqid->eqi", sv, self.grads(SCALAR_P1))
-        local = chi * np.einsum("q,eq,eqi->ei", w, nv + alpha0, dot) * areas[:, None]
-        assert_rel(asm.assemble_chemo_rhs(ln, n, sig, chi, alpha0, ctx), scatter(local, ln))
-
-        scalar = np.einsum("eqd,eqd->eq", uv, sv) + gamma * (nv + alpha0) * cv
-        f_int = np.einsum("q,eq->e", w, scalar) * areas
-        div = np.hstack([ctx.grad_bary[:, :, 0], ctx.grad_bary[:, :, 1]])
-        ref = scatter(f_int[:, None] * div, ls)
-        assert_rel(asm.assemble_sigma_rhs(ls, self.velocity, sig, n, c, gamma, alpha0, ctx), ref)
-
-        vals = ctx.basis_values(SCALAR_P1)
-        scalar = -gamma * (nv + alpha0) * cv
-        local = np.einsum("q,eq,qi->ei", w, scalar, vals) * areas[:, None]
-        assert_rel(asm.assemble_consumption_rhs(lc, n, c, gamma, alpha0, ctx), scatter(local, lc))
-
-        gravity = asm.AnalyticField(lambda x, y: np.stack([np.sin(y), -1.0 - x], axis=-1), components=2)
-        force = ((nv + alpha0) / rho)[..., None] * gravity.values(ctx)
-        assert_rel(asm.assemble_buoyancy_rhs(self.lu, n, gravity, rho, alpha0, ctx),
-                   self.ref_against_values(self.lu, force))
+        params = ModelParams(chi=chi, D_n=1.0, D_c=1.0, D_u=1.0, rho=rho, gamma=gamma,
+                             grad_phi=gravity.fn, alpha0=alpha0)
+        st = Stepper(self.mesh, params)
+        ctx = st.ctx
+        n, c, sig = self.field(st.layout_n), self.field(st.layout_c), self.field(st.layout_sigma)
+        prev = State(m=0, t=0.0, n=n.coeffs, c=c.coeffs, sigma=sig.coeffs,
+                     u=self.velocity.coeffs, pi=np.zeros(st.layout_pi.n_dofs))
+        t = 0.3
+        for forcing in (None, manufactured.test2_forcing()):
+            n_skew, u_skew, loads = st.lagged_forms(prev, t, forcing)
+            ref = {
+                "n": chemo_rhs_reference(st.layout_n, n, sig, chi, alpha0, ctx),
+                "sigma": sigma_rhs_reference(st.layout_sigma, self.velocity, sig, n, c, gamma, alpha0, ctx),
+                "c": consumption_rhs_reference(st.layout_c, n, c, gamma, alpha0, ctx),
+                "u": buoyancy_rhs_reference(st.layout_u, n, gravity, rho, alpha0, ctx),
+            }
+            if forcing is not None:
+                x, y = ctx.points[..., 0], ctx.points[..., 1]
+                ref["n"] += load_reference(st.layout_n, forcing.g_n(x, y, t), ctx)
+                ref["sigma"] -= div_load_reference(st.layout_sigma, forcing.g_c(x, y, t), ctx)
+                ref["c"] += load_reference(st.layout_c, forcing.g_c(x, y, t), ctx)
+                ref["u"] += load_reference(st.layout_u, forcing.g_u(x, y, t), ctx)
+            assert loads.keys() == ref.keys()
+            for name in ref:
+                assert_rel(loads[name], ref[name])
+            uv = self.ref_values(self.velocity)
+            assert_rel(n_skew, asm.assemble_skew(st.layout_c, uv, ctx))
+            assert_rel(u_skew, asm.assemble_skew(st.layout_u, uv, ctx))
 
 
 class TestScatterPlans:
@@ -704,7 +789,8 @@ class TestSkewProperties:
         finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
         coeffs = data.draw(hnp.arrays(np.float64, lu.n_dofs, elements=finite))
         x = data.draw(hnp.arrays(np.float64, layout.n_dofs, elements=finite))
-        n = asm.assemble_skew(layout, asm.DiscreteField(lu, coeffs))
+        ctx = asm.AssemblyContext(mesh)
+        n = asm.assemble_skew(layout, asm.DiscreteField(lu, coeffs).values(ctx), ctx)
         dense = n.toarray()
         assert np.array_equal(dense, -dense.T)
         n = sp.csr_matrix((unit_scaled(n.data), n.indices, n.indptr), shape=n.shape)

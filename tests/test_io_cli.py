@@ -78,6 +78,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="quadrature_degree must be an integer"):
             replace(io_cli.default_config("test2"), quadrature_degree=degree + 0.5).validate()
 
+    @pytest.mark.parametrize("name, bad", [
+        ("kx", 2.5), ("ky", 3.0), ("kx", True), ("quadrature_degree", True),
+        ("quadrature_degree", 4.0),
+    ])
+    def test_non_integer_mesh_and_degree_rejected(self, name, bad):
+        from dataclasses import replace
+
+        match = "quadrature_degree must be an integer" if name == "quadrature_degree" else "integers >= 1"
+        with pytest.raises(ValueError, match=match):
+            replace(io_cli.default_config("test2"), **{name: bad}).validate()
+        # numpy integers are integers
+        replace(io_cli.default_config("test2"), **{name: np.int64(4)}).validate()
+
     def test_round_trip(self):
         for preset in ("test1", "test2"):
             cfg = io_cli.default_config(preset)
@@ -295,6 +308,22 @@ class TestMain:
             assert (tmp_path / f"{var}.csv").exists()
         out = capsys.readouterr().out
         assert "initialization: nodal" in out
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_converge_refuses_other_presets(self, tmp_path, capsys, source):
+        if source == "flag":
+            argv = ["converge", "--preset", "test1"]
+        else:
+            cfgfile = tmp_path / "c.ini"
+            cfgfile.write_text("[initial]\npreset = test1\n")
+            argv = ["converge", "--config", str(cfgfile)]
+        out = tmp_path / "tables"
+        code = io_cli.main(argv + ["--meshes", "4,8", "--out", str(out)])
+        assert code == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ValueError"
+        assert "test2" in summary["message"] and "test1" in summary["message"]
+        assert not out.exists()
 
     def test_run_smoke(self, tmp_path):
         code = io_cli.main(

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from chemflow import assembly as asm
 from chemflow import io_cli
 from chemflow import linsolve
 from chemflow import manufactured
 from chemflow.mesh import build_rect_mesh
-from chemflow.scheme import CondensedSaddle, InitialData, ModelParams, Stepper, TimeGrid
+from chemflow.scheme import CondensedSaddle, InitialData, ModelParams, State, Stepper, TimeGrid
 
 
 def constant_fields(cbar, alpha0):
@@ -52,6 +55,13 @@ class TestModelParams:
     def test_non_finite_gravity_rejected(self):
         with pytest.raises(ValueError, match="grad_phi"):
             simple_params(grad_phi=(0.0, math.inf))
+
+    @pytest.mark.parametrize("bad", [(5.0,), (0.0, 1.0, 2.0), ((0.0, 1.0),)])
+    def test_constant_gravity_must_be_a_two_vector(self, bad):
+        # a constant grad_phi is broadcast over the quadrature points, where
+        # a single entry would silently act on both components
+        with pytest.raises(ValueError, match="2-vector"):
+            simple_params(grad_phi=bad)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -161,6 +171,16 @@ class TestStep:
             assert np.abs(state.u).max() <= 1e-12
             assert np.abs(state.sigma).max() <= 1e-12
 
+    @pytest.mark.parametrize("bad", [-1e-3, math.inf, math.nan, 0.0])
+    def test_step_rejects_a_bad_dt(self, bad):
+        # rejected before anything is assembled or a solver is cached
+        st = Stepper(build_rect_mesh(1, 1, 4, 4), simple_params(alpha0=1.0))
+        state = st.init_state(constant_fields(1.0, 1.0), mode="nodal")
+        with pytest.raises(ValueError, match="finite dt > 0"):
+            st.step(state, bad)
+        assert st.assembly_time == 0.0
+        assert st._saddle_solver == {} and st._sigma_solver == {}
+
     def test_one_step_reports(self):
         mesh = build_rect_mesh(1, 1, 10, 10)
         st = Stepper(mesh, manufactured.test2_params())
@@ -204,6 +224,26 @@ class TestMassConservation:
         result = st.run(TimeGrid(dt=1e-5, n_steps=10), data, mode="elliptic_projection")
         masses = np.array([rec["mass"] for rec in result.diagnostics])
         assert np.abs(masses - masses[0]).max() <= 1e-10 * abs(masses[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=hst.data())
+    def test_mass_conserved_from_random_data(self, data):
+        # a random zero-mean density perturbation, transported by a random
+        # (not divergence-free) velocity with chemotaxis and gravity on
+        st = Stepper(build_rect_mesh(1.5, 1.0, 4, 3),
+                     simple_params(chi=3.0, gamma=2.0, alpha0=2.0, grad_phi=(0.0, -50.0)))
+        unit = hst.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+        n = data.draw(hnp.arrays(np.float64, st.layout_n.n_dofs, elements=unit))
+        n -= (st.w_p1 @ n) / st.area
+        u = data.draw(hnp.arrays(np.float64, st.layout_u.n_dofs, elements=unit))
+        u[st.layout_u.constrained_dofs] = 0.0
+        state = State(m=0, t=0.0, n=n, c=np.ones(st.layout_c.n_dofs),
+                      sigma=np.zeros(st.layout_sigma.n_dofs), u=u,
+                      pi=np.zeros(st.layout_pi.n_dofs))
+        mass0 = st.mass_of_eta(state)
+        for _ in range(3):
+            state, _ = st.step(state, 1e-3)
+            assert abs(st.mass_of_eta(state) - mass0) <= 1e-10 * abs(mass0)
 
 
 class TestRun:
@@ -278,19 +318,11 @@ class TestConsistency:
             uu = sol.u(x, y, 0.0)
             u0[: mesh.n_nodes] = uu[..., 0]
             u0[ns : ns + mesh.n_nodes] = uu[..., 1]
-            u_prev = asm.DiscreteField(st.layout_u, u0)
-            skew = asm.assemble_skew(st.layout_c, u_prev, st.ctx)
+            prev = State(m=0, t=0.0, n=n0, c=c0, sigma=np.zeros(st.layout_sigma.n_dofs),
+                         u=u0, pi=np.zeros(st.layout_pi.n_dofs))
+            skew, _, loads = st.lagged_forms(prev, dt, forcing)
             a_c = st.M * (1.0 / dt) + st.K * params.D_c + skew
-            rhs = st.M @ c0 / dt
-            rhs += asm.assemble_consumption_rhs(
-                st.layout_c,
-                asm.DiscreteField(st.layout_c, n0),
-                asm.DiscreteField(st.layout_c, c0),
-                params.gamma, params.alpha0, st.ctx,
-            )
-            g_c = asm.AnalyticField(lambda px, py, _t=dt: forcing.g_c(px, py, _t))
-            rhs += asm.assemble_load(st.layout_c, g_c, st.ctx)
-            r = a_c @ c1 - rhs
+            r = a_c @ c1 - (st.M @ c0 / dt + loads["c"])
             riesz, _ = linsolve.solve(st.M, r)
             norms.append(math.sqrt(abs(r @ riesz)))
         assert norms[0] / norms[1] >= 1.8
