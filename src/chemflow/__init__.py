@@ -6,25 +6,21 @@ time stepping, plus a manufactured-solution harness that measures the
 spatial convergence orders of the scheme.
 """
 
-from .mesh import Mesh, ElementGeometry, build_rect_mesh, classify_boundary, element_geometry
-from .quadrature import TriangleRule, integrate, triangle_rule
+from .mesh import Mesh, build_rect_mesh, classify_boundary
+from .quadrature import TriangleRule, triangle_rule
 from .scheme import InitialData, ModelParams, SimulationResult, State, StepForcing, Stepper, TimeGrid
-from .spaces import DofLayout, build_layout, eval_basis
+from .spaces import DofLayout, build_layout
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Mesh",
-    "ElementGeometry",
     "build_rect_mesh",
     "classify_boundary",
-    "element_geometry",
     "TriangleRule",
     "triangle_rule",
-    "integrate",
     "DofLayout",
     "build_layout",
-    "eval_basis",
     "ModelParams",
     "TimeGrid",
     "StepForcing",

@@ -12,7 +12,6 @@ import argparse
 import configparser
 import io
 import json
-import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ from . import manufactured
 from .assembly import AssemblyContext, DiscreteField, assemble_skew, at_points
 from .mesh import build_rect_mesh
 from .quadrature import MAX_DEGREE
-from .scheme import InitialData, ModelParams, Stepper, TimeGrid
+from .scheme import InitialData, InvariantError, ModelParams, Stepper, TimeGrid, require_real
 
 PRESET_NAMES = ("test1", "test2")
 INIT_MODES = {"elliptic": "elliptic_projection", "nodal": "nodal"}
@@ -67,16 +66,13 @@ class RunConfig:
     def validate(self):
         if self.preset not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.preset!r}")
-        for name in ("Lx", "Ly", "dt", "t_final", "D_n", "D_c", "D_u", "rho"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"config value {name} must be finite and positive")
-        for name in ("chi", "gamma"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"config value {name} must be finite and nonnegative")
-        if not all(math.isfinite(g) for g in self.grad_phi):
-            raise ValueError("config value grad_phi must be finite")
-        if not all(math.isfinite(ts) for ts in self.snapshot_times):
-            raise ValueError("snapshot times must be finite")
+        for name in ("Lx", "Ly", "dt", "t_final", "D_n", "D_c", "D_u", "rho", "chi", "gamma"):
+            sign = "nonnegative" if name in ("chi", "gamma") else "positive"
+            require_real(f"config value {name}", getattr(self, name), sign)
+        for g in self.grad_phi:
+            require_real("config value grad_phi", g)
+        for ts in self.snapshot_times:
+            require_real("snapshot times", ts)
         if any(ts < 0 for ts in self.snapshot_times):
             raise ValueError("snapshot times must be nonnegative")
         if not (_integer(self.kx) and _integer(self.ky) and self.kx >= 1 and self.ky >= 1):
@@ -164,25 +160,20 @@ def parse_config(text):
     cfg = default_config(preset)
 
     def get(section, key, cast):
-        if cp.has_option(section, key):
+        if not cp.has_option(section, key):
+            return None
+        try:
             return cast(cp.get(section, key))
-        return None
+        except ValueError as exc:
+            raise ValueError(f"config value {key} in section [{section}]: {exc}") from exc
 
+    parsed_below = ("grad_phi_x", "grad_phi_y", "snapshot_times", "formats")
     updates = {}
-    for name, section, key, cast in [
-        ("Lx", "domain", "Lx", float), ("Ly", "domain", "Ly", float),
-        ("kx", "mesh", "kx", int), ("ky", "mesh", "ky", int),
-        ("dt", "time", "dt", float), ("t_final", "time", "t_final", float),
-        ("chi", "params", "chi", float), ("D_n", "params", "D_n", float),
-        ("D_c", "params", "D_c", float), ("D_u", "params", "D_u", float),
-        ("rho", "params", "rho", float), ("gamma", "params", "gamma", float),
-        ("init_mode", "initial", "init_mode", str),
-        ("outdir", "output", "outdir", str),
-        ("quadrature_degree", "output", "quadrature_degree", int),
-    ]:
-        val = get(section, key, cast)
-        if val is not None:
-            updates[name] = val
+    for section, keys in _CONFIG_SCHEMA.items():
+        for key, cast in keys.items():
+            val = get(section, key, cast)
+            if val is not None and key not in parsed_below:
+                updates[key] = val
     gx = get("params", "grad_phi_x", float)
     gy = get("params", "grad_phi_y", float)
     if gx is not None or gy is not None:
@@ -435,14 +426,15 @@ def write_csv_table(report, path):
 
 
 def write_diagnostics_csv(diagnostics, path):
-    """Per-step diagnostics (mass, residuals, field extrema) as one CSV."""
+    """Per-step diagnostics (mass, residuals, solver kinds, field extrema) as one CSV."""
     keys = ["m", "t", "mass", "div_residual"]
     extra = sorted({k for rec in diagnostics for k in rec} - set(keys))
     keys += extra
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(keys) + "\n")
         for rec in diagnostics:
-            fh.write(",".join("" if k not in rec else f"{rec[k]:.10g}" for k in keys) + "\n")
+            cells = (rec.get(k, "") for k in keys)
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.10g}" for v in cells) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +478,21 @@ def cmd_run(args):
     params, data, forcing = build_problem(cfg, mesh)
     stepper = Stepper(mesh, params, quad_degree=cfg.quadrature_degree)
     grid = TimeGrid(dt=cfg.dt, n_steps=cfg.n_steps())
-    result = stepper.run(
-        grid, data, mode=INIT_MODES[cfg.init_mode], forcing=forcing,
-        snapshot_times=cfg.snapshot_times,
-    )
-    os.makedirs(cfg.outdir, exist_ok=True)
-    if "csv" in cfg.formats:
-        write_diagnostics_csv(result.diagnostics, os.path.join(cfg.outdir, "diagnostics.csv"))
+
+    def write_records(diagnostics):
+        os.makedirs(cfg.outdir, exist_ok=True)
+        if "csv" in cfg.formats:
+            write_diagnostics_csv(diagnostics, os.path.join(cfg.outdir, "diagnostics.csv"))
+
+    try:
+        result = stepper.run(
+            grid, data, mode=INIT_MODES[cfg.init_mode], forcing=forcing,
+            snapshot_times=cfg.snapshot_times,
+        )
+    except InvariantError as exc:  # keep the records up to the failing step
+        write_records(exc.result.diagnostics)
+        raise
+    write_records(result.diagnostics)
     if "vtk" in cfg.formats:
         for t, idx in result.snapshots:
             snap = snapshot_from_state(stepper, result.states[idx])

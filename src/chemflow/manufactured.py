@@ -253,24 +253,6 @@ def test2_initial_data(sol=None):
     )
 
 
-def eval_exact(which, x, y, t, sol=None):
-    """Evaluate one exact field by name: eta, c, sigma, u or pi."""
-    sol = sol or test2_solution()
-    fields = {"eta": sol.eta, "c": sol.c, "sigma": sol.sigma, "u": sol.u, "pi": sol.pi}
-    if which not in fields:
-        raise ValueError(f"unknown exact field {which!r}")
-    return fields[which](x, y, t)
-
-
-def eval_forcing(which, x, y, t, forcing=None):
-    """Evaluate one source term by equation name: n, c, sigma or u."""
-    forcing = forcing or test2_forcing()
-    fields = {"n": forcing.g_n, "c": forcing.g_c, "sigma": forcing.g_sigma, "u": forcing.g_u}
-    if which not in fields:
-        raise ValueError(f"unknown forcing {which!r}")
-    return fields[which](x, y, t)
-
-
 # ---------------------------------------------------------------------------
 # discrete error norms
 

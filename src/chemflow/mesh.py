@@ -59,19 +59,6 @@ class Mesh:
         )
 
 
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Affine geometry of one triangle.
-
-    ``grad_bary[i]`` is the (constant) physical gradient of the i-th
-    barycentric coordinate; the three gradients sum to zero.
-    """
-
-    vertices: np.ndarray  # (3, 2)
-    area: float
-    grad_bary: np.ndarray  # (3, 2)
-
-
 def build_rect_mesh(Lx, Ly, kx, ky):
     """Triangulate [0,Lx] x [0,Ly] with a uniform (kx x ky)-cell grid.
 
@@ -121,33 +108,6 @@ def build_rect_mesh(Lx, Ly, kx, ky):
     hx, hy = Lx / kx, Ly / ky
     h = float(np.hypot(hx, hy))  # the diagonal is always the longest edge
     return Mesh(nodes=nodes, triangles=triangles, boundary_edges=boundary_edges, h=h)
-
-
-def element_geometry(mesh, elem):
-    """Area and barycentric-coordinate gradients of one triangle.
-
-    Raises
-    ------
-    GeometryError
-        If the triangle is degenerate (collinear vertices).
-    """
-    verts = mesh.nodes[mesh.triangles[elem]]
-    v0, v1, v2 = verts
-    d1 = v1 - v0
-    d2 = v2 - v0
-    twice_area = d1[0] * d2[1] - d1[1] * d2[0]
-    if twice_area <= 0.0:
-        raise GeometryError(
-            f"triangle {elem} has non-positive signed area {0.5 * twice_area}"
-        )
-    # grad(lambda_i) = rot90(edge opposite to vertex i) / (2A)
-    grads = np.empty((3, 2))
-    for i in range(3):
-        a = verts[(i + 1) % 3]
-        b = verts[(i + 2) % 3]
-        grads[i] = (a[1] - b[1], b[0] - a[0])
-    grads /= twice_area
-    return ElementGeometry(vertices=verts, area=0.5 * twice_area, grad_bary=grads)
 
 
 def all_element_geometry(mesh):

@@ -102,15 +102,3 @@ def triangle_rule(degree):
         wts.setflags(write=False)
         _CACHE[degree] = TriangleRule(degree=degree, points=pts, weights=wts)
     return _CACHE[degree]
-
-
-def physical_points(rule, geom):
-    """Map the rule's barycentric points onto one element, shape (nq, 2)."""
-    return rule.points @ geom.vertices
-
-
-def integrate(rule, geom, f):
-    """Approximate the integral of ``f(x, y)`` over one element."""
-    xy = physical_points(rule, geom)
-    vals = np.array([f(x, y) for x, y in xy], dtype=float)
-    return geom.area * float(rule.weights @ vals)

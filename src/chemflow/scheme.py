@@ -6,11 +6,12 @@ saddle system -- and every nonlinear coupling is evaluated at the previous
 time level, so each system is linear and they never feed back within a
 step.  Matrices that do not depend on the previous level (mass, stiffness,
 div/rot, pressure coupling) are assembled once per mesh; only the two
-transport matrices and the load vectors are rebuilt each step.  The
-velocity/pressure system is solved with its bubbles condensed out
-(``CondensedSaddle``), from parts built once per time step size.
+transport matrices and the load vectors are rebuilt each step.  A step solves
+each system through the LU of its transport-free operator, kept per time
+step size; the velocity/pressure system has its bubbles condensed out.
 """
 
+import functools
 import math
 import numbers
 import time
@@ -28,6 +29,26 @@ from .spaces import (
     VELOCITY_MINI,
     build_layout,
 )
+
+
+def require_real(label, value, sign=""):
+    """Raise ValueError unless ``value`` is a finite real number, not a
+    bool, and, for ``sign`` "positive" or "nonnegative", of that sign."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    if not ok or (sign == "positive" and value <= 0) or (sign == "nonnegative" and value < 0):
+        raise ValueError(f"{label} must be finite{' and ' + sign if sign else ''}, got {value!r}")
+
+
+MASS_DRIFT_TOL = 1e-10  # criterion 4: relative drift of the conserved mass in a run
+DIVERGENCE_TOL = 1e-9  # criterion 7: max_j |(psi_j, div u_h)| after each step of a run
+
+
+class InvariantError(RuntimeError):
+    """A step broke an invariant; ``result`` holds the run up to that step."""
+
+    def __init__(self, message, result):
+        super().__init__(message)
+        self.result = result
 
 
 @dataclass
@@ -50,17 +71,15 @@ class ModelParams:
     alpha0: float
 
     def __post_init__(self):
-        for name in ("D_n", "D_c", "D_u", "rho"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"parameter {name} must be finite and positive")
-        for name in ("chi", "gamma"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"parameter {name} must be finite and nonnegative")
-        if not math.isfinite(self.alpha0):
-            raise ValueError("parameter alpha0 must be finite")
-        gp = self.grad_phi
-        if not callable(gp) and not (np.shape(gp) == (2,) and np.all(np.isfinite(gp))):
-            raise ValueError("constant grad_phi must be a finite 2-vector")
+        for name in ("D_n", "D_c", "D_u", "rho", "chi", "gamma"):
+            sign = "nonnegative" if name in ("chi", "gamma") else "positive"
+            require_real(f"parameter {name}", getattr(self, name), sign)
+        require_real("parameter alpha0", self.alpha0)
+        if not callable(self.grad_phi):
+            if np.shape(self.grad_phi) != (2,):
+                raise ValueError("constant grad_phi must be a finite 2-vector")
+            for g in self.grad_phi:
+                require_real("constant grad_phi entry", g)
 
 
 @dataclass(frozen=True)
@@ -164,9 +183,9 @@ class CondensedSaddle:
     * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
       one pressure dof is pinned and the mean shifted afterwards.
 
-    The saddle matrix of ``s_const``, D^-1 and the index sets are built
-    once; ``solve`` adds N, condenses and checks the residual of the
-    full system above.
+    The saddle matrix of ``s_const``, D^-1, the index sets and the LU of the
+    condensed ``s_const`` are built once; ``solve`` adds N and refines against
+    the full system above through that LU, or condenses and factors its own.
     """
 
     def __init__(self, s_const, g, layout_u, w, rho):
@@ -186,6 +205,33 @@ class CondensedSaddle:
         self.kept = np.concatenate([np.setdiff1d(nodal, self.pinned), nu + np.arange(1, npi)])
         self.unpinned = np.ones(nu + npi, dtype=bool)
         self.unpinned[self.pinned] = False
+        # kept as data: a closure over self would make a reference cycle,
+        # which holds the LU until the cyclic garbage collector runs
+        t0 = time.perf_counter()
+        self._condensation = self._condense(self.t_const)
+        self._unpaid = time.perf_counter() - t0  # reported by the first solve
+
+    def _condense(self, t):
+        """Nodal-bubble blocks of the saddle matrix ``t`` and an LU of its condensation."""
+        t_kept = t[self.kept]
+        a_kb = t_kept[:, self.bubble]
+        dinv_a_bk = sp.diags(self.d_inv) @ t[self.bubble][:, self.kept]
+        return a_kb, dinv_a_bk, linsolve.Factorization(t_kept[:, self.kept] - a_kb @ dinv_a_bk)
+
+    def _condensed_solve(self, condensation, b):
+        """x with T x = b, T the bordered system whose parts ``_condense`` built."""
+        a_kb, dinv_a_bk, fact = condensation
+        nu, n = self.n_u, len(b) - 1
+        lam = b[nu:n].sum() / self.area
+        z = b[:n].copy()
+        z[nu:] -= lam * self.w
+        z_b = self.d_inv * z[self.bubble]
+        x, _ = fact.solve(z[self.kept] - a_kb @ z_b)
+        z[:] = 0.0
+        z[self.kept] = x
+        z[self.bubble] = z_b - dinv_a_bk @ x
+        z[nu:] += (b[-1] - self.w @ z[nu:]) / self.area
+        return np.append(z, lam)
 
     def solve(self, skew, rhs_u, rhs_pi):
         """(u, pi, SolveReport) for the step whose transport matrix is ``skew``.
@@ -194,30 +240,12 @@ class CondensedSaddle:
         residual of the full bordered system, which must meet the
         ``linsolve.RTOL`` bound.
         """
-        t0 = time.perf_counter()
         t = self.t_const
         nu, n = self.n_u, t.shape[0]
         if skew is not None:
-            indptr = np.concatenate([skew.indptr, np.full(n - nu, skew.indptr[-1])])
-            t = t + sp.csr_matrix((skew.data, skew.indices, indptr), shape=t.shape)
-        t_kept = t[self.kept]
-        a_kb = t_kept[:, self.bubble]
-        dinv_a_bk = sp.diags(self.d_inv) @ t[self.bubble][:, self.kept]
-        condensed = t_kept[:, self.kept] - a_kb @ dinv_a_bk
-        fact = linsolve.Factorization(condensed)
-        factor_time = time.perf_counter() - t0
-
-        def condensed_solve(b):
-            lam = b[nu:n].sum() / self.area
-            z = b[:n].copy()
-            z[nu:] -= lam * self.w
-            z_b = self.d_inv * z[self.bubble]
-            x, _ = fact.solve(z[self.kept] - a_kb @ z_b)
-            z[:] = 0.0
-            z[self.kept] = x
-            z[self.bubble] = z_b - dinv_a_bk @ x
-            z[nu:] += (b[-1] - self.w @ z[nu:]) / self.area
-            return np.append(z, lam)
+            skew = skew.copy()
+            skew.resize(t.shape)  # zero rows and columns for the pressure
+            t = t + skew
 
         # bordered system with the pinned velocity rows/columns made identity
         rows = np.repeat(np.arange(n), np.diff(t.indptr))
@@ -239,10 +267,12 @@ class CondensedSaddle:
         rhs_u = np.array(rhs_u, dtype=float)
         rhs_u[self.pinned] = 0.0
         b = np.concatenate([rhs_u, rhs_pi, [0.0]])
-        x, res_norm, solve_time = linsolve.checked_solve(b, condensed_solve, apply, fro)
-        report = linsolve.SolveReport(
-            residual_norm=res_norm, factor_time=factor_time, solve_time=solve_time
+        paid, self._unpaid = self._unpaid, None
+        inverse = functools.partial(self._condensed_solve, self._condensation)
+        fresh = None if skew is None else (
+            lambda: functools.partial(self._condensed_solve, self._condense(t))
         )
+        x, report = linsolve.refined_solve(b, inverse, apply, fro, paid, fresh)
         return x[:nu], x[nu:n], report
 
 
@@ -280,8 +310,7 @@ class Stepper:
         # grad_phi / rho at the quadrature points, which the buoyancy load scales
         self._buoyancy = np.broadcast_to(grad_phi, self.ctx.points.shape) / params.rho
         self.assembly_time = 0.0  # seconds of assembly in the last init_state or step
-        self._sigma_solver = {}  # dt -> Factorization of the flux system
-        self._saddle_solver = {}  # dt (None: Stokes projection) -> CondensedSaddle
+        self._solvers = {}  # (system, dt) -> solver of its transport-free operator
 
     # -- helpers ----------------------------------------------------------
 
@@ -314,7 +343,7 @@ class Stepper:
         left in ``assembly_time`` (0 for the vertex interpolation)."""
         if mode not in self.INIT_MODES:
             raise ValueError(f"unknown init mode {mode!r}")
-        alpha0 = self.params.alpha0
+        p, alpha0 = self.params, self.params.alpha0
         if mode == "nodal":
             self.assembly_time = 0.0
             x, y = self.mesh.nodes[:, 0], self.mesh.nodes[:, 1]
@@ -345,7 +374,7 @@ class Stepper:
         rhs_s = asm.assemble_div_load(self.layout_sigma, asm.at_points(data.div_sigma0, ctx), ctx)
         rhs_s += asm.assemble_rot_load(self.layout_sigma, asm.at_points(data.rot_sigma0, ctx), ctx)
         rhs_s += asm.assemble_load(self.layout_sigma, asm.at_points(data.sigma0, ctx), ctx)
-        rhs_u = self.params.D_u * asm.assemble_grad_load(
+        rhs_u = p.D_u * asm.assemble_grad_load(
             self.layout_u, asm.at_points(data.grad_u0, ctx), ctx
         )
         if data.pi0 is not None:
@@ -363,38 +392,40 @@ class Stepper:
 
         # flux: div/rot/L2 projection under the normal-trace constraints
         a_s = asm.apply_constraints(
-            self.divrot * (1.0 / self.params.D_c) + self.M_sigma, self.layout_sigma
+            self.divrot * (1.0 / p.D_c) + self.M_sigma, self.layout_sigma
         )
         sigma0 = linsolve.solve(a_s, asm.constrain_rhs(rhs_s, self.layout_sigma))[0]
 
-        # velocity/pressure: discrete Stokes projection
-        u0, pi0, _ = self._saddle(None).solve(None, rhs_u, rhs_pi)
+        # velocity/pressure: discrete Stokes projection (its LU is used once)
+        stokes = CondensedSaddle(self.K_u * p.D_u, self.G, self.layout_u, self.w_p1, p.rho)
+        u0, pi0, _ = stokes.solve(None, rhs_u, rhs_pi)
         # the projection problem carries no density scaling on its pressure
         # block, while the step solver does; undo it
-        pi0 = pi0 / self.params.rho
+        pi0 = pi0 / p.rho
         return State(m=0, t=0.0, n=n0, c=c0, sigma=sigma0, u=u0, pi=pi0)
 
     # -- stepping ----------------------------------------------------------
 
-    def _saddle(self, dt):
-        """Velocity/pressure solver of one time step size; ``dt=None`` gives
-        the Stokes operator of the initial projection."""
-        if dt not in self._saddle_solver:
+    def _solver(self, system, dt):
+        """Solver of the transport-free operator of one system and dt, built at
+        its first step: a ``CondensedSaddle`` for u, else an LU (n bordered by
+        its zero-mean row, sigma under its normal-trace constraints)."""
+        key = (system, dt)
+        if key not in self._solvers:
             p = self.params
-            if dt is None:
-                s = self.K_u * p.D_u
-            else:
+            if system == "u":
                 s = self.M_u * (1.0 / dt) + self.K_u * (p.D_u / p.rho)
-            self._saddle_solver[dt] = CondensedSaddle(s, self.G, self.layout_u, self.w_p1, p.rho)
-        return self._saddle_solver[dt]
-
-    def _sigma_factorization(self, dt):
-        if dt not in self._sigma_solver:
-            a = self.M_sigma * (1.0 / dt) + self.divrot
-            self._sigma_solver[dt] = linsolve.Factorization(
-                asm.apply_constraints(a, self.layout_sigma)
-            )
-        return self._sigma_solver[dt]
+                solver = CondensedSaddle(s, self.G, self.layout_u, self.w_p1, p.rho)
+            elif system == "sigma":
+                a = self.M_sigma * (1.0 / dt) + self.divrot
+                solver = linsolve.Factorization(asm.apply_constraints(a, self.layout_sigma))
+            else:
+                a = self.M * (1.0 / dt) + self.K * (p.D_n if system == "n" else p.D_c)
+                if system == "n":
+                    a = asm.apply_constraints(a, self.layout_n, weight_vector=self.w_p1)
+                solver = linsolve.Factorization(a)
+            self._solvers[key] = solver
+        return self._solvers[key]
 
     def lagged_forms(self, prev, t_new, forcing=None):
         """The step's forms, all built from the previous level ``prev``: the
@@ -437,31 +468,30 @@ class Stepper:
         """
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"need a finite dt > 0, got {dt!r}")
-        p = self.params
         t_new = prev.t + dt
         reports = {}
         t0 = time.perf_counter()
         n_skew, u_skew, loads = self.lagged_forms(prev, t_new, forcing)
         self.assembly_time = time.perf_counter() - t0
 
-        # (a) cell density
-        a_n = self.M * (1.0 / dt) + self.K * p.D_n + n_skew
-        rhs = self.M @ prev.n / dt + loads["n"]
-        a_n = asm.apply_constraints(a_n, self.layout_n, weight_vector=self.w_p1)
-        rhs = asm.constrain_rhs(rhs, self.layout_n)
-        sol, reports["n"] = linsolve.solve(a_n, rhs)
+        # (a) cell density: the cached LU, refined against the step's transport
+        lu = self._solver("n", dt)
+        rhs = asm.constrain_rhs(self.M @ prev.n / dt + loads["n"], self.layout_n)
+        bordered_skew = n_skew.copy()
+        bordered_skew.resize(lu.matrix.shape)  # a zero row and column for the mean
+        sol, reports["n"] = lu.solve(rhs, lu.matrix + bordered_skew)
         n_new = sol[: self.layout_n.n_dofs]
 
         # (b) flux
         rhs = asm.constrain_rhs(self.M_sigma @ prev.sigma / dt + loads["sigma"], self.layout_sigma)
-        sigma_new, reports["sigma"] = self._sigma_factorization(dt).solve(rhs)
+        sigma_new, reports["sigma"] = self._solver("sigma", dt).solve(rhs)
 
         # (c) concentration
-        a_c = self.M * (1.0 / dt) + self.K * p.D_c + n_skew
-        c_new, reports["c"] = linsolve.solve(a_c, self.M @ prev.c / dt + loads["c"])
+        lu = self._solver("c", dt)
+        c_new, reports["c"] = lu.solve(self.M @ prev.c / dt + loads["c"], lu.matrix + n_skew)
 
         # (d)-(e) velocity and pressure
-        u_new, pi_new, reports["u"] = self._saddle(dt).solve(
+        u_new, pi_new, reports["u"] = self._solver("u", dt).solve(
             u_skew, self.M_u @ prev.u / dt + loads["u"], np.zeros(self.layout_pi.n_dofs)
         )
 
@@ -472,19 +502,31 @@ class Stepper:
         """Integrate over the whole time grid, collecting diagnostics.
 
         Diagnostics per step: time level, conserved mass, the seconds spent
-        assembling forms and loads, solver residuals with their factor and
-        solve times, the discrete-divergence residual, and min/max of each
-        field's nodal values.
+        assembling forms and loads, for each system the solver kind, its
+        LU passes, residual, factor and solve time, the discrete-divergence
+        residual, and min/max of each field's nodal values.  Raises
+        ``InvariantError`` after the first step whose mass drifts by more
+        than MASS_DRIFT_TOL of w.|eta0| (the initial mass if eta0 >= 0) or
+        whose divergence residual exceeds DIVERGENCE_TOL.
         """
         state = self.init_state(data, mode=mode)
         states = [state]
         diagnostics = [self._diagnostics_record(state, {})]
         snapshots = self._match_snapshots(snapshot_times, grid, 0, [])
+        mass0 = diagnostics[0]["mass"]
+        scale = float(self.w_p1 @ np.abs(state.n + self.params.alpha0)) or 1.0
         for m in range(1, grid.n_steps + 1):
             state, reports = self.step(state, grid.dt, forcing)
             states.append(state)
-            diagnostics.append(self._diagnostics_record(state, reports))
+            rec = self._diagnostics_record(state, reports)
+            diagnostics.append(rec)
             snapshots = self._match_snapshots(snapshot_times, grid, m, snapshots)
+            problems = [f"{k} {v:.3e} exceeds {tol:g}" for k, v, tol in (
+                ("relative mass drift", abs(rec["mass"] - mass0) / scale, MASS_DRIFT_TOL),
+                ("divergence residual", rec["div_residual"], DIVERGENCE_TOL)) if not v <= tol]
+            if problems:
+                raise InvariantError(f"step {m}: " + "; ".join(problems),
+                                     SimulationResult(states, diagnostics, snapshots))
         return SimulationResult(states=states, diagnostics=diagnostics, snapshots=snapshots)
 
     def _match_snapshots(self, snapshot_times, grid, m, acc):
@@ -514,6 +556,8 @@ class Stepper:
             rec[f"min_{name}"] = float(vals.min())
             rec[f"max_{name}"] = float(vals.max())
         for name, rep in reports.items():
+            rec[f"solver_{name}"] = rep.kind
+            rec[f"iterations_{name}"] = rep.iterations
             rec[f"residual_{name}"] = rep.residual_norm
             rec[f"factor_time_{name}"] = rep.factor_time
             rec[f"solve_time_{name}"] = rep.solve_time

@@ -80,12 +80,6 @@ class DofLayout:
         return nodal, bubble
 
 
-@dataclass(frozen=True)
-class BasisValue:
-    value: float
-    gradient: np.ndarray
-
-
 def build_layout(mesh, kind, zero_mean=False):
     """Build the dof layout of one space kind on a mesh.
 
@@ -181,16 +175,3 @@ def scalar_basis_gradient_table(kind, bary):
     l1, l2, l3 = bary[:, 0], bary[:, 1], bary[:, 2]
     bub = BUBBLE_SCALE * np.stack([l2 * l3, l1 * l3, l1 * l2], axis=-1)
     return np.concatenate([p1, bub[:, None, :]], axis=1)
-
-
-def eval_basis(kind, geom, bary):
-    """Scalar sub-basis values and physical gradients at one point.
-
-    Returns a list of BasisValue, one per local scalar basis function
-    (3 for P1 kinds, 4 for MINI with the bubble last).  Vector spaces use
-    the same scalar sub-basis for each component.
-    """
-    bary = np.asarray(bary, dtype=float)
-    vals = scalar_basis_values(kind, bary[None, :])[0]
-    grads = scalar_basis_gradient_table(kind, bary[None, :])[0] @ geom.grad_bary
-    return [BasisValue(value=float(v), gradient=g.copy()) for v, g in zip(vals, grads)]

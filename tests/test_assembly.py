@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from chemflow import assembly as asm
 from chemflow import manufactured
-from chemflow.mesh import Mesh, build_rect_mesh, element_geometry
+from chemflow.mesh import Mesh, build_rect_mesh
 from chemflow.quadrature import triangle_rule
 from chemflow.scheme import ModelParams, State, Stepper
 from chemflow.spaces import (
@@ -15,8 +15,8 @@ from chemflow.spaces import (
     VECTOR_P1_SIGMA,
     VELOCITY_MINI,
     build_layout,
-    eval_basis,
 )
+from oracles import element_geometry, eval_basis
 
 
 def single_triangle_mesh():

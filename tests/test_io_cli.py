@@ -61,6 +61,31 @@ class TestConfig:
         with pytest.raises(ValueError, match="snapshot times must be finite"):
             replace(cfg, snapshot_times=(math.inf,)).validate()
 
+    @pytest.mark.parametrize(
+        "name", ["Lx", "Ly", "dt", "t_final", "chi", "D_n", "D_c", "D_u", "rho", "gamma"]
+    )
+    def test_bool_rejected_for_float_values(self, name):
+        # True would otherwise run as 1.0
+        from dataclasses import replace
+
+        cfg = replace(io_cli.default_config("test2"), **{name: True})
+        with pytest.raises(ValueError, match=f"{name} must be finite.*, got True"):
+            cfg.validate()
+
+    def test_bool_rejected_in_gravity_and_snapshots(self):
+        from dataclasses import replace
+
+        cfg = io_cli.default_config("test2")
+        with pytest.raises(ValueError, match="grad_phi must be finite, got True"):
+            replace(cfg, grad_phi=(0.0, True)).validate()
+        with pytest.raises(ValueError, match="snapshot times must be finite, got False"):
+            replace(cfg, snapshot_times=(False,)).validate()
+
+    @pytest.mark.parametrize("section,key", [("params", "chi"), ("domain", "Lx"), ("time", "dt")])
+    def test_bool_rejected_in_config_file(self, section, key):
+        with pytest.raises(ValueError, match=f"config value {key} in section \\[{section}\\]"):
+            io_cli.parse_config(f"[{section}]\n{key} = True\n")
+
     def test_negative_snapshot_time_rejected(self):
         from dataclasses import replace
 
@@ -333,6 +358,24 @@ class TestMain:
         assert (tmp_path / "diagnostics.csv").exists()
         header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
         assert header.startswith("m,t,mass,div_residual")
+
+    def test_blow_up_exits_1_and_keeps_the_records(self, tmp_path, capsys):
+        # test1 on 20x20 at dt=1e-2 loses mass conservation at step 3
+        cfgfile = tmp_path / "blowup.ini"
+        cfgfile.write_text(
+            "[initial]\npreset = test1\n[mesh]\nkx = 20\nky = 20\n"
+            "[time]\ndt = 1e-2\nt_final = 5e-2\n"
+            "[output]\nsnapshot_times =\nformats = csv\n"
+        )
+        code = io_cli.main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "InvariantError"
+        assert summary["message"].startswith("step 3: relative mass drift")
+        rows = (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        assert len(rows) == 1 + 4  # the initial record and steps 1-3
+        assert rows[-1].split(",")[header.index("solver_u")] == "lu-fallback"
 
     def test_mesh_with_three_parts_rejected(self, tmp_path, capsys):
         code = io_cli.main(

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chemflow.linsolve import Factorization, ScatterPlan, SingularSystemError, solve
+from chemflow import linsolve
+from chemflow.linsolve import (
+    Factorization,
+    refined_solve,
+    ScatterPlan,
+    SingularSystemError,
+    solve,
+)
 
 
 def from_triplets(shape, rows, cols, vals):
@@ -151,3 +158,61 @@ class TestSolve:
         with pytest.raises(ValueError):
             Factorization(a)
 
+
+class TestRefinement:
+    """Solves through the LU of a nearby matrix, refined against the true one."""
+
+    @staticmethod
+    def system(n=40, seed=23):
+        rng = np.random.default_rng(seed)
+        a = sp.csr_matrix(rng.standard_normal((n, n)) + n * np.eye(n))
+        skew = rng.standard_normal((n, n))
+        return a, sp.csr_matrix(skew - skew.T), rng.standard_normal(n)
+
+    def test_reused_factorization_reports_no_factor_time(self):
+        a, _, b = self.system()
+        fact = Factorization(a)
+        reports = [fact.solve(b)[1] for _ in range(3)]
+        assert [r.kind for r in reports] == ["lu", "cached-lu", "cached-lu"]
+        assert [r.factor_time for r in reports] == [fact.factor_time, 0.0, 0.0]
+        assert all(r.iterations == 1 for r in reports)
+
+    def test_refines_against_a_nearby_matrix(self):
+        a, skew, b = self.system()
+        near = a + 0.05 * skew
+        fact = Factorization(a)
+        for kind in ("lu", "cached-lu"):
+            x, report = fact.solve(b, near)
+            assert report.kind == kind
+            assert 2 <= report.iterations < linsolve.MAX_REFINE_PASSES
+            assert np.allclose(x, np.linalg.solve(near.toarray(), b), rtol=1e-12, atol=0)
+            assert report.residual_norm == pytest.approx(np.linalg.norm(b - near @ x), abs=1e-12)
+
+    def test_falls_back_to_a_fresh_lu(self):
+        a, skew, b = self.system()
+        far = a + 40.0 * skew  # the refinement diverges
+        fact = Factorization(a)
+        fact.solve(b)
+        x, report = fact.solve(b, far)
+        assert report.kind == "lu-fallback"
+        assert report.factor_time > 0.0 and report.iterations >= 2
+        assert np.allclose(x, np.linalg.solve(far.toarray(), b), rtol=1e-12, atol=0)
+        bound = linsolve.RTOL * (np.linalg.norm(far.data) * np.linalg.norm(x) + np.linalg.norm(b))
+        assert np.linalg.norm(b - far @ x) <= bound
+
+    @pytest.mark.parametrize("scale,passes,fell_back", [
+        (0.9, None, False),  # converging: stops at the rounding floor
+        (2.5, 2 + 1, True),  # the residual grows from the second pass
+        (0.3, linsolve.MAX_REFINE_PASSES + 1, True),  # too slow for the pass cap
+    ])
+    def test_refinement_stops_or_falls_back(self, scale, passes, fell_back):
+        # A = I, and each pass leaves 1 - scale of the error
+        b = np.linspace(1.0, 2.0, 5)
+        identity = lambda r: r
+        x, report = refined_solve(b, lambda r: scale * r, identity, 1.0, None, lambda: identity)
+        assert np.abs(x - b).max() <= 1e-15 * np.abs(b).max()
+        assert (report.kind == "lu-fallback") == fell_back
+        if passes is None:
+            assert report.iterations < linsolve.MAX_REFINE_PASSES
+        else:
+            assert report.iterations == passes

