@@ -297,7 +297,7 @@ def build_problem(cfg, mesh):
             chi=cfg.chi, D_n=cfg.D_n, D_c=cfg.D_c, D_u=cfg.D_u,
             rho=cfg.rho, gamma=cfg.gamma, grad_phi=cfg.grad_phi,
         )
-        return params, manufactured.test2_initial_data(sol), manufactured.test2_forcing(sol)
+        return params, manufactured.test2_initial_data(sol), manufactured.test2_forcing()
     data = test1_initial_fields()
     alpha0 = mean_over_domain(mesh, data.eta0, degree=cfg.quadrature_degree)
     params = ModelParams(

@@ -108,8 +108,9 @@ def refined_solve(b, inverse, apply, fro, paid, fresh_inverse=None):
     With ``fresh_inverse``, the LU is of a matrix close to A and passes are
     refined against A while each halves the residual (Higham, *Accuracy and
     Stability of Numerical Algorithms*, ch. 12); if the residual turns
-    non-finite, grows above the RTOL bound or is still above it after
-    MAX_REFINE_PASSES passes, the exact ``fresh_inverse()`` takes over.
+    non-finite or stops shrinking above the RTOL bound, or if the contraction
+    of the last pass would leave it above the bound after MAX_REFINE_PASSES
+    passes, the exact ``fresh_inverse()`` takes over at once.
     """
     t0, passes, fresh_time = time.perf_counter(), [0], 0.0
     kind = "cached-lu" if paid is None else "lu"
@@ -126,7 +127,9 @@ def refined_solve(b, inverse, apply, fro, paid, fresh_inverse=None):
             bound = RTOL * (fro * float(np.linalg.norm(x)) + b_norm)
             if res <= bound and (res >= 0.5 * prev or n == MAX_REFINE_PASSES):
                 return x
-            if not res <= prev or n == MAX_REFINE_PASSES:
+            # give up once this pass's contraction, kept up to the pass cap,
+            # would still leave the residual above the bound
+            if not res < prev or res * (res / prev) ** (MAX_REFINE_PASSES - n) > bound:
                 raise SingularSystemError(f"refinement left residual {res:.3e} after {n} passes")
             x, n, prev = x + counted(residual), n + 1, res
 
@@ -158,6 +161,10 @@ class Factorization:
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SingularSystemError(str(exc)) from exc
         self.factor_time = self._unpaid = time.perf_counter() - t0
+
+    def lu_solve(self, b):
+        """LU^-1 b, unchecked: for a caller that checks the residual of a larger system."""
+        return self._lu.solve(b)
 
     def solve(self, b, a=None):
         """Solve A x = b, or a x = b through this LU of a matrix close to ``a``

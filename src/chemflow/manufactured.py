@@ -13,7 +13,7 @@ as ``exp(-t)`` with the classical trigonometric profiles.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .scheme import InitialData, ModelParams, Stepper, StepForcing, TimeGrid
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI2 = TWO_PI**2
-EIGHT_PI3 = TWO_PI**3
 ETA_MEAN = 3.0  # spatial mean of the prescribed cell density, all t
 
 VARIABLES = ("eta", "c", "u1", "u2")
@@ -59,179 +58,151 @@ class ExactSolution:
     grad_pi: object
 
 
-def _stack(*comps):
-    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _neg(v):
+    return tuple(-a for a in v)
+
+
+class _lazy:
+    """A value computed on an instance's first use and kept in its ``__dict__``
+    (``functools.cached_property`` without the lock it takes before 3.12)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class _Test2:
+    """The test2 fields and sources at the points (x, y) and times t.
+
+    One instance serves one call.  Each quantity is computed on first use
+    from the table of exp(-t), sin/cos(2 pi x) and sin/cos(2 pi y), and
+    kept, so a single field pays only for the terms it needs and a source
+    computes each term once.  Vectors are tuples of components, gradients
+    of vectors tuples of rows (component index first).
+    """
+
+    def __init__(self, x, y, t):
+        self.x, self.y, self.t = x, y, t
+
+    e = _lazy(lambda s: np.exp(-s.t))
+    sx = _lazy(lambda s: np.sin(TWO_PI * s.x))
+    cx = _lazy(lambda s: np.cos(TWO_PI * s.x))
+    sy = _lazy(lambda s: np.sin(TWO_PI * s.y))
+    cy = _lazy(lambda s: np.cos(TWO_PI * s.y))
+    zero = _lazy(lambda s: np.zeros(np.broadcast(s.x, s.y, s.t).shape))
+
+    eta_wave = _lazy(lambda s: s.e * (s.cx + s.cy))  # eta minus its mean
+    eta = _lazy(lambda s: s.eta_wave + ETA_MEAN)
+    eta_t = _lazy(lambda s: -s.eta_wave)
+    grad_eta = _lazy(lambda s: (-TWO_PI * s.e * s.sx, -TWO_PI * s.e * s.sy))
+    lap_eta = _lazy(lambda s: -FOUR_PI2 * s.eta_wave)
+    c = _lazy(lambda s: s.e * (s.sy + s.cx - TWO_PI * s.y + 9.0))
+    c_t = _lazy(lambda s: -s.c)
+    sigma = _lazy(lambda s: (-TWO_PI * s.e * s.sx, TWO_PI * s.e * (s.cy - 1.0)))
+    grad_c = _lazy(lambda s: s.sigma)
+    sigma_t = _lazy(lambda s: _neg(s.sigma))
+    grad_sigma = _lazy(
+        lambda s: ((-FOUR_PI2 * s.e * s.cx, 0.0), (0.0, -FOUR_PI2 * s.e * s.sy))
+    )
+    pi = _lazy(lambda s: s.e * (s.cx + s.sy))
+    grad_pi = _lazy(lambda s: (-TWO_PI * s.e * s.sx, TWO_PI * s.e * s.cy))
+    div_sigma = _lazy(lambda s: -FOUR_PI2 * s.pi)
+    grad_div_sigma = _lazy(lambda s: tuple(-FOUR_PI2 * g for g in s.grad_pi))
+    rot_sigma = _lazy(lambda s: s.zero)
+    u = _lazy(lambda s: (s.e * s.sy * (s.cx - 1.0), s.e * s.sx * (1.0 - s.cy)))
+    u_t = _lazy(lambda s: _neg(s.u))
+    lap_u = _lazy(lambda s: (
+        -FOUR_PI2 * s.e * s.sy * (2.0 * s.cx - 1.0), FOUR_PI2 * s.e * s.sx * (2.0 * s.cy - 1.0)
+    ))
+    div_u = _lazy(lambda s: s.zero)
+
+    @_lazy
+    def grad_u(self):
+        e, sx, cx, sy, cy = self.e, self.sx, self.cx, self.sy, self.cy
+        diag = TWO_PI * e * sx * sy
+        return ((-diag, TWO_PI * e * cy * (cx - 1.0)), (TWO_PI * e * cx * (1.0 - cy), diag))
+
+    # sources: residuals of the strong equations at the exact solution with
+    # unit coefficients and zero gravity
+
+    @_lazy
+    def g_n(self):
+        ge = self.grad_eta
+        chemo = _dot(ge, self.sigma) + self.eta * self.div_sigma
+        return self.eta_t + _dot(self.u, ge) - self.lap_eta + chemo
+
+    @_lazy
+    def g_c(self):
+        return self.c_t + _dot(self.u, self.sigma) - self.div_sigma + self.eta * self.c
+
+    @_lazy
+    def g_sigma(self):
+        # gradient of g_c, using grad(c_t) = -sigma for this solution
+        u, gu, sg, gs = self.u, self.grad_u, self.sigma, self.grad_sigma
+        return tuple(
+            -sg[d]
+            + gu[0][d] * sg[0] + u[0] * gs[0][d] + gu[1][d] * sg[1] + u[1] * gs[1][d]
+            - self.grad_div_sigma[d]
+            + self.grad_eta[d] * self.c
+            + self.eta * sg[d]
+            for d in range(2)
+        )
+
+    @_lazy
+    def g_u(self):
+        u, gu = self.u, self.grad_u
+        return tuple(
+            self.u_t[d] + _dot(u, gu[d]) - self.lap_u[d] + self.grad_pi[d] for d in range(2)
+        )
+
+
+def _array(value):
+    """A quantity of ``_Test2`` as one array: components on a last axis,
+    rows on the axis before it."""
+    if not isinstance(value, tuple):
+        return value
+    matrix = isinstance(value[0], tuple)
+    comps = [c for row in value for c in row] if matrix else value
+    out = np.empty(np.broadcast(*comps).shape + (len(comps),))
+    for i, comp in enumerate(comps):
+        out[..., i] = comp
+    return out.reshape(out.shape[:-1] + (2, 2)) if matrix else out
+
+
+def _pointwise(name):
+    """The vectorized (x, y, t) callable of one quantity of ``_Test2``."""
+    formula = vars(_Test2)[name].fn
+
+    def fn(x, y, t):
+        return _array(formula(_Test2(x, y, t)))
+
+    fn.__name__ = fn.__qualname__ = name
+    return fn
 
 
 def test2_solution():
     """The convergence-study exact solution on [0,1]^2."""
-
-    def eta(x, y, t):
-        return np.exp(-t) * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y)) + ETA_MEAN
-
-    def eta_t(x, y, t):
-        return -np.exp(-t) * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y))
-
-    def grad_eta(x, y, t):
-        e = np.exp(-t)
-        return _stack(-TWO_PI * e * np.sin(TWO_PI * x), -TWO_PI * e * np.sin(TWO_PI * y))
-
-    def lap_eta(x, y, t):
-        return -FOUR_PI2 * np.exp(-t) * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y))
-
-    def c(x, y, t):
-        return np.exp(-t) * (
-            np.sin(TWO_PI * y) + np.cos(TWO_PI * x) - TWO_PI * y + 9.0
-        )
-
-    def c_t(x, y, t):
-        return -c(x, y, t)
-
-    def sigma(x, y, t):
-        e = np.exp(-t)
-        return _stack(
-            -TWO_PI * e * np.sin(TWO_PI * x), TWO_PI * e * (np.cos(TWO_PI * y) - 1.0)
-        )
-
-    def grad_c(x, y, t):
-        e = np.exp(-t)
-        return _stack(
-            e * (-TWO_PI * np.sin(TWO_PI * x)),
-            e * (TWO_PI * np.cos(TWO_PI * y) - TWO_PI),
-        )
-
-    def sigma_t(x, y, t):
-        return -sigma(x, y, t)
-
-    def grad_sigma(x, y, t):
-        e = np.exp(-t)
-        zero = np.zeros(np.shape(x))
-        row1 = _stack(-FOUR_PI2 * e * np.cos(TWO_PI * x), zero)
-        row2 = _stack(zero, -FOUR_PI2 * e * np.sin(TWO_PI * y))
-        return np.stack([row1, row2], axis=-2)
-
-    def div_sigma(x, y, t):
-        return -FOUR_PI2 * np.exp(-t) * (np.cos(TWO_PI * x) + np.sin(TWO_PI * y))
-
-    def grad_div_sigma(x, y, t):
-        e = np.exp(-t)
-        return _stack(
-            EIGHT_PI3 * e * np.sin(TWO_PI * x), -EIGHT_PI3 * e * np.cos(TWO_PI * y)
-        )
-
-    def rot_sigma(x, y, t):
-        return np.zeros(np.shape(x))
-
-    def u(x, y, t):
-        e = np.exp(-t)
-        return _stack(
-            e * np.sin(TWO_PI * y) * (np.cos(TWO_PI * x) - 1.0),
-            e * np.sin(TWO_PI * x) * (1.0 - np.cos(TWO_PI * y)),
-        )
-
-    def u_t(x, y, t):
-        return -u(x, y, t)
-
-    def grad_u(x, y, t):
-        e = np.exp(-t)
-        sx, cx = np.sin(TWO_PI * x), np.cos(TWO_PI * x)
-        sy, cy = np.sin(TWO_PI * y), np.cos(TWO_PI * y)
-        row1 = _stack(-TWO_PI * e * sx * sy, TWO_PI * e * cy * (cx - 1.0))
-        row2 = _stack(TWO_PI * e * cx * (1.0 - cy), TWO_PI * e * sx * sy)
-        return np.stack([row1, row2], axis=-2)
-
-    def lap_u(x, y, t):
-        e = np.exp(-t)
-        return _stack(
-            -FOUR_PI2 * e * np.sin(TWO_PI * y) * (2.0 * np.cos(TWO_PI * x) - 1.0),
-            FOUR_PI2 * e * np.sin(TWO_PI * x) * (2.0 * np.cos(TWO_PI * y) - 1.0),
-        )
-
-    def div_u(x, y, t):
-        return np.zeros(np.shape(x))
-
-    def pi(x, y, t):
-        return np.exp(-t) * (np.cos(TWO_PI * x) + np.sin(TWO_PI * y))
-
-    def grad_pi(x, y, t):
-        e = np.exp(-t)
-        return _stack(-TWO_PI * e * np.sin(TWO_PI * x), TWO_PI * e * np.cos(TWO_PI * y))
-
-    return ExactSolution(
-        eta=eta, eta_t=eta_t, grad_eta=grad_eta, lap_eta=lap_eta,
-        c=c, c_t=c_t, grad_c=grad_c,
-        sigma=sigma, sigma_t=sigma_t, grad_sigma=grad_sigma,
-        div_sigma=div_sigma, grad_div_sigma=grad_div_sigma, rot_sigma=rot_sigma,
-        u=u, u_t=u_t, grad_u=grad_u, lap_u=lap_u, div_u=div_u,
-        pi=pi, grad_pi=grad_pi,
-    )
+    return ExactSolution(**{f.name: _pointwise(f.name) for f in fields(ExactSolution)})
 
 
-def test2_forcing(sol=None):
+def test2_forcing():
     """Source terms that make the exact solution solve the forced system.
 
     Residuals of the strong equations at the exact solution with unit
     coefficients and zero gravity; the flux source is the gradient of the
-    concentration source.
+    concentration source.  Each call evaluates its source from one table.
     """
-    sol = sol or test2_solution()
-
-    def g_n(x, y, t):
-        ge = sol.grad_eta(x, y, t)
-        uu = sol.u(x, y, t)
-        sg = sol.sigma(x, y, t)
-        transport = uu[..., 0] * ge[..., 0] + uu[..., 1] * ge[..., 1]
-        chemo = ge[..., 0] * sg[..., 0] + ge[..., 1] * sg[..., 1]
-        chemo += sol.eta(x, y, t) * sol.div_sigma(x, y, t)
-        return sol.eta_t(x, y, t) + transport - sol.lap_eta(x, y, t) + chemo
-
-    def g_c(x, y, t):
-        uu = sol.u(x, y, t)
-        sg = sol.sigma(x, y, t)
-        transport = uu[..., 0] * sg[..., 0] + uu[..., 1] * sg[..., 1]
-        return (
-            sol.c_t(x, y, t)
-            + transport
-            - sol.div_sigma(x, y, t)
-            + sol.eta(x, y, t) * sol.c(x, y, t)
-        )
-
-    def g_sigma(x, y, t):
-        # gradient of g_c, using grad(c_t) = -sigma for this solution
-        uu = sol.u(x, y, t)
-        gu = sol.grad_u(x, y, t)
-        sg = sol.sigma(x, y, t)
-        gs = sol.grad_sigma(x, y, t)
-        gds = sol.grad_div_sigma(x, y, t)
-        ge = sol.grad_eta(x, y, t)
-        cc = sol.c(x, y, t)
-        ee = sol.eta(x, y, t)
-        comps = []
-        for d in range(2):
-            transport_d = (
-                gu[..., 0, d] * sg[..., 0]
-                + uu[..., 0] * gs[..., 0, d]
-                + gu[..., 1, d] * sg[..., 1]
-                + uu[..., 1] * gs[..., 1, d]
-            )
-            comps.append(
-                -sg[..., d] + transport_d - gds[..., d] + ge[..., d] * cc + ee * sg[..., d]
-            )
-        return _stack(*comps)
-
-    def g_u(x, y, t):
-        uu = sol.u(x, y, t)
-        gu = sol.grad_u(x, y, t)
-        lap = sol.lap_u(x, y, t)
-        gp = sol.grad_pi(x, y, t)
-        ut = sol.u_t(x, y, t)
-        comps = []
-        for d in range(2):
-            advect = uu[..., 0] * gu[..., d, 0] + uu[..., 1] * gu[..., d, 1]
-            comps.append(ut[..., d] + advect - lap[..., d] + gp[..., d])
-        return _stack(*comps)
-
-    return StepForcing(g_n=g_n, g_c=g_c, g_sigma=g_sigma, g_u=g_u)
+    return StepForcing(**{name: _pointwise(name) for name in ("g_n", "g_c", "g_sigma", "g_u")})
 
 
 def test2_params():
@@ -365,7 +336,7 @@ def convergence_study(mesh_sizes, dt, T, init_mode="elliptic_projection", quad_d
     if not math.isclose(n_steps * dt, T, rel_tol=1e-9):
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
     sol = test2_solution()
-    forcing = test2_forcing(sol)
+    forcing = test2_forcing()
     data = test2_initial_data(sol)
     grid = TimeGrid(dt=dt, n_steps=n_steps)
     entries = []

@@ -219,14 +219,17 @@ class CondensedSaddle:
         return a_kb, dinv_a_bk, linsolve.Factorization(t_kept[:, self.kept] - a_kb @ dinv_a_bk)
 
     def _condensed_solve(self, condensation, b):
-        """x with T x = b, T the bordered system whose parts ``_condense`` built."""
+        """x with T x = b, T the bordered system whose parts ``_condense`` built.
+
+        The condensed LU is applied unchecked; ``solve`` checks the residual
+        of the bordered system."""
         a_kb, dinv_a_bk, fact = condensation
         nu, n = self.n_u, len(b) - 1
         lam = b[nu:n].sum() / self.area
         z = b[:n].copy()
         z[nu:] -= lam * self.w
         z_b = self.d_inv * z[self.bubble]
-        x, _ = fact.solve(z[self.kept] - a_kb @ z_b)
+        x = fact.lu_solve(z[self.kept] - a_kb @ z_b)
         z[:] = 0.0
         z[self.kept] = x
         z[self.bubble] = z_b - dinv_a_bk @ x

@@ -63,7 +63,7 @@ def test2_run_20():
         TimeGrid(dt=DT, n_steps=round(T_END / DT)),
         mf.test2_initial_data(sol),
         mode="nodal",
-        forcing=mf.test2_forcing(sol),
+        forcing=mf.test2_forcing(),
     )
     return stepper, result
 
@@ -172,7 +172,7 @@ def test_criterion_7_discrete_incompressibility(test2_run_20):
 
 def test_criterion_8_forcing_correctness():
     sol = mf.test2_solution()
-    forcing = mf.test2_forcing(sol)
+    forcing = mf.test2_forcing()
     rng = np.random.default_rng(99)
     x = rng.uniform(0.05, 0.95, 100)
     y = rng.uniform(0.05, 0.95, 100)

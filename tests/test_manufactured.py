@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from chemflow import manufactured as mf
 from chemflow.assembly import AssemblyContext
 from chemflow.mesh import build_rect_mesh
 from chemflow.scheme import State, Stepper
+from oracles import field_by_field_forcing, field_by_field_solution
 
 FD_H = 1e-3
 
@@ -91,7 +93,7 @@ class TestForcing:
 
     def setup_method(self):
         self.sol = mf.test2_solution()
-        self.forcing = mf.test2_forcing(self.sol)
+        self.forcing = mf.test2_forcing()
         self.rng = np.random.default_rng(77)
 
     def oracle_g_n(self, x, y, t):
@@ -169,6 +171,33 @@ class TestForcing:
         dgc = lambda xx: d1(lambda v: self.forcing.g_c(v, y, t), xx, h=1e-5)
         x_star = brentq(dgc, xs[i - 1], xs[i + 1])
         assert abs(self.forcing.g_sigma(x_star, y, t)[0]) <= 1e-6
+
+
+class TestTableEquivalence:
+    """Each field and source, built from one table per call, against the
+    field-by-field composition it replaces."""
+
+    @staticmethod
+    def assert_close(new, old):
+        assert new.shape == old.shape
+        assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
+
+    @pytest.mark.parametrize("t", [0.0, 0.004, 0.37, "array"])
+    def test_matches_field_by_field(self, t):
+        rng = np.random.default_rng(2024)
+        x, y = rng.uniform(0.0, 1.0, (2, 40, 16))
+        if t == "array":
+            t = rng.uniform(0.0, 1.0, (40, 16))
+        sol, ref = mf.test2_solution(), field_by_field_solution()
+        for f in fields(mf.ExactSolution):
+            new, old = getattr(sol, f.name)(x, y, t), getattr(ref, f.name)(x, y, t)
+            if f.name in ("rot_sigma", "div_u"):
+                assert new.shape == old.shape and not new.any() and not old.any()
+            else:
+                self.assert_close(new, old)
+        forcing, ref_forcing = mf.test2_forcing(), field_by_field_forcing(ref)
+        for name in ("g_n", "g_c", "g_sigma", "g_u"):
+            self.assert_close(getattr(forcing, name)(x, y, t), getattr(ref_forcing, name)(x, y, t))
 
 
 class TestErrorNorms:
