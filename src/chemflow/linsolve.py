@@ -88,6 +88,38 @@ class ScatterPlan:
         return self.csr(self.data(values))
 
 
+def pruned(a):
+    """A copy of the sparse matrix ``a`` without its stored zeros."""
+    a = a.copy()
+    a.eliminate_zeros()
+    return a
+
+
+class PatternSum:
+    """``base`` plus a transport on the CSR pattern of ``pattern``, a leading
+    block of ``base`` whose positions ``base`` all stores, written in place
+    into one kept ``matrix``: the slots are found once, and a call builds no
+    sparse matrix.  A pattern or a transport that does not fit raises ValueError."""
+
+    def __init__(self, base, pattern):
+        self.matrix, self.pattern = base.copy(), pattern
+        rows = lambda m: np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+        keys, want = (rows(m) * base.shape[1] + m.indices for m in (base, pattern))
+        self._slots = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        if np.any(keys[self._slots] != want):
+            raise ValueError("the operator does not store every position of the pattern")
+        self._base = base.data[self._slots]
+
+    def __call__(self, t):
+        """The kept matrix, holding ``base + t``."""
+        p = self.pattern
+        if t.shape != p.shape or not (
+                np.array_equal(t.indptr, p.indptr) and np.array_equal(t.indices, p.indices)):
+            raise ValueError("transport matrix is off the pattern of its layout")
+        self.matrix.data[self._slots] = self._base + t.data
+        return self.matrix
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """``kind``: ``lu`` if the solve paid for its LU, ``cached-lu`` if it reused one,
@@ -167,13 +199,13 @@ class Factorization:
         return self._lu.solve(b)
 
     def solve(self, b, a=None):
-        """Solve A x = b, or a x = b through this LU of a matrix close to ``a``
-        (``refined_solve``); only the first solve reports the factor time."""
+        """Solve A x = b, or a x = b through this LU of a matrix close to the
+        CSR matrix ``a`` (``refined_solve``; a fresh LU factors ``a`` without
+        its stored zeros); only the first solve reports the factor time."""
         paid, self._unpaid = self._unpaid, None
         if a is None:
             return refined_solve(b, self._lu.solve, self.matrix.dot, self._fro, paid)
-        a = sp.csr_matrix(a)
-        fresh = lambda: Factorization(a)._lu.solve
+        fresh = lambda: Factorization(pruned(a))._lu.solve
         return refined_solve(b, self._lu.solve, a.dot, np.linalg.norm(a.data), paid, fresh)
 
 

@@ -184,8 +184,9 @@ class CondensedSaddle:
       one pressure dof is pinned and the mean shifted afterwards.
 
     The saddle matrix of ``s_const``, D^-1, the index sets and the LU of the
-    condensed ``s_const`` are built once; ``solve`` adds N and refines against
-    the full system above through that LU, or condenses and factors its own.
+    condensed ``s_const`` are built once; ``solve`` adds N in place on the pattern
+    of ``s_const`` and refines against the full system above through that LU, or
+    condenses and factors its own.
     """
 
     def __init__(self, s_const, g, layout_u, w, rho):
@@ -203,8 +204,9 @@ class CondensedSaddle:
         self.bubble = bubble
         # unknowns of the condensed system; pressure dof 0 carries the gauge
         self.kept = np.concatenate([np.setdiff1d(nodal, self.pinned), nu + np.arange(1, npi)])
-        self.unpinned = np.ones(nu + npi, dtype=bool)
-        self.unpinned[self.pinned] = False
+        rows = np.repeat(np.arange(nu + npi), np.diff(self.t_const.indptr))
+        self._kept_entries = ~np.isin(rows, self.pinned) & ~np.isin(self.t_const.indices, self.pinned)
+        self._pattern, self._transport = s_const, None
         # kept as data: a closure over self would make a reference cycle,
         # which holds the LU until the cyclic garbage collector runs
         t0 = time.perf_counter()
@@ -246,15 +248,13 @@ class CondensedSaddle:
         t = self.t_const
         nu, n = self.n_u, t.shape[0]
         if skew is not None:
-            skew = skew.copy()
-            skew.resize(t.shape)  # zero rows and columns for the pressure
-            t = t + skew
+            if self._transport is None:
+                self._transport = linsolve.PatternSum(t, self._pattern)
+            t = self._transport(skew)
 
         # bordered system with the pinned velocity rows/columns made identity
-        rows = np.repeat(np.arange(n), np.diff(t.indptr))
-        kept_entries = self.unpinned[rows] & self.unpinned[t.indices]
         fro = math.sqrt(
-            float((t.data[kept_entries] ** 2).sum())
+            float((t.data[self._kept_entries] ** 2).sum())
             + len(self.pinned)
             + 2.0 * float(self.w @ self.w)
         )
@@ -304,6 +304,7 @@ class Stepper:
         self.M_u = asm.assemble_mass(self.layout_u, self.ctx)
         self.K_u = asm.assemble_stiffness(self.layout_u, 1.0, self.ctx)
         self.G = asm.assemble_pressure_coupling(self.layout_u, self.layout_pi, self.ctx)
+        self.G.eliminate_zeros()  # its exact zeros would only widen G^T u and the saddle
 
         self.w_p1 = asm.integral_weight_vector(self.layout_c, self.ctx_p1)
         self.area = float(self.w_p1.sum())
@@ -412,21 +413,24 @@ class Stepper:
     def _solver(self, system, dt):
         """Solver of the transport-free operator of one system and dt, built at
         its first step: a ``CondensedSaddle`` for u, else an LU (n bordered by
-        its zero-mean row, sigma under its normal-trace constraints)."""
+        its zero-mean row, sigma under its normal-trace constraints), for n and
+        c with a ``linsolve.PatternSum`` of the operator on the layout's pattern."""
         key = (system, dt)
         if key not in self._solvers:
             p = self.params
             if system == "u":
-                s = self.M_u * (1.0 / dt) + self.K_u * (p.D_u / p.rho)
+                s = self.M_u * (1.0 / dt)
+                s.data += self.K_u.data * (p.D_u / p.rho)  # M_u and K_u share the layout's pattern
                 solver = CondensedSaddle(s, self.G, self.layout_u, self.w_p1, p.rho)
             elif system == "sigma":
                 a = self.M_sigma * (1.0 / dt) + self.divrot
                 solver = linsolve.Factorization(asm.apply_constraints(a, self.layout_sigma))
             else:
-                a = self.M * (1.0 / dt) + self.K * (p.D_n if system == "n" else p.D_c)
+                a = self.M * (1.0 / dt)
+                a.data += self.K.data * (p.D_n if system == "n" else p.D_c)  # so do M and K
                 if system == "n":
                     a = asm.apply_constraints(a, self.layout_n, weight_vector=self.w_p1)
-                solver = linsolve.Factorization(a)
+                solver = linsolve.Factorization(linsolve.pruned(a)), linsolve.PatternSum(a, self.M)
             self._solvers[key] = solver
         return self._solvers[key]
 
@@ -478,11 +482,9 @@ class Stepper:
         self.assembly_time = time.perf_counter() - t0
 
         # (a) cell density: the cached LU, refined against the step's transport
-        lu = self._solver("n", dt)
+        lu, operator = self._solver("n", dt)
         rhs = asm.constrain_rhs(self.M @ prev.n / dt + loads["n"], self.layout_n)
-        bordered_skew = n_skew.copy()
-        bordered_skew.resize(lu.matrix.shape)  # a zero row and column for the mean
-        sol, reports["n"] = lu.solve(rhs, lu.matrix + bordered_skew)
+        sol, reports["n"] = lu.solve(rhs, operator(n_skew))
         n_new = sol[: self.layout_n.n_dofs]
 
         # (b) flux
@@ -490,8 +492,8 @@ class Stepper:
         sigma_new, reports["sigma"] = self._solver("sigma", dt).solve(rhs)
 
         # (c) concentration
-        lu = self._solver("c", dt)
-        c_new, reports["c"] = lu.solve(self.M @ prev.c / dt + loads["c"], lu.matrix + n_skew)
+        lu, operator = self._solver("c", dt)
+        c_new, reports["c"] = lu.solve(self.M @ prev.c / dt + loads["c"], operator(n_skew))
 
         # (d)-(e) velocity and pressure
         u_new, pi_new, reports["u"] = self._solver("u", dt).solve(

@@ -200,6 +200,24 @@ class TestRefinement:
         bound = linsolve.RTOL * (np.linalg.norm(far.data) * np.linalg.norm(x) + np.linalg.norm(b))
         assert np.linalg.norm(b - far @ x) <= bound
 
+    def test_fresh_lu_factors_without_stored_zeros(self, monkeypatch):
+        a, skew, b = self.system()
+        far = a + 40.0 * skew
+        far.data[1::7] = 0.0  # stored zeros the fresh LU must not see
+        fact = Factorization(a)
+        factored = []
+        original = Factorization.__init__
+
+        def recording(self, m):
+            factored.append(m)
+            original(self, m)
+
+        monkeypatch.setattr(Factorization, "__init__", recording)
+        x, report = fact.solve(b, far)
+        assert report.kind == "lu-fallback"
+        assert factored[0].nnz == far.count_nonzero() < far.nnz
+        assert np.allclose(x, np.linalg.solve(far.toarray(), b), rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("scale,passes,fell_back", [
         (0.9, None, False),  # converging: stops at the rounding floor
         (2.5, 2 + 1, True),  # the residual grows from the second pass

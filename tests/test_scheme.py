@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _compressed
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
@@ -378,19 +379,10 @@ class TestCachedFactorizations:
 
     @pytest.mark.parametrize("preset", ["test1", "test2"])
     def test_matches_fresh_lu_steps(self, preset):
-        if preset == "test1":
-            cfg = replace(io_cli.default_config("test1"), kx=12, ky=6)
-            mode = "elliptic_projection"
-        else:
-            cfg = io_cli.default_config("test2")  # k = 10
-            mode = "nodal"
-        mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
-        params, data, forcing = io_cli.build_problem(cfg, mesh)
-        st = Stepper(mesh, params)
-        state = st.init_state(data, mode=mode)
+        st, state, dt, forcing = _preset_case(preset)
         for m in range(1, 6):
-            fresh = self.fresh_lu_step(st, state, cfg.dt, forcing)
-            state, reports = st.step(state, cfg.dt, forcing)
+            fresh = self.fresh_lu_step(st, state, dt, forcing)
+            state, reports = st.step(state, dt, forcing)
             for system in ("n", "c", "u"):
                 assert reports[system].kind == ("lu" if m == 1 else "cached-lu")
             for name, ref in fresh.items():
@@ -432,6 +424,86 @@ class TestCachedFactorizations:
             state, reports = st.step(state, 1e-3)
         assert (reports["n"].kind, reports["n"].iterations) == ("lu-fallback", 2 + 1)
         assert reports["c"].kind == reports["u"].kind == "cached-lu"
+
+
+class TestStepOperators:
+    """Each step adds its transport to the cached transport-free operator in
+    place, on the layout's pattern; the scipy sums it replaces are the
+    reference."""
+
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_equal_the_scipy_sums(self, preset):
+        st, state, dt, forcing = _preset_case(preset)
+        for _ in range(3):  # test1 starts at rest
+            n_skew, u_skew, _ = st.lagged_forms(state, state.t + dt, forcing)
+            state, _ = st.step(state, dt, forcing)
+        assert n_skew.count_nonzero() > 0 and u_skew.count_nonzero() > 0
+        assert np.all(st.G.data != 0.0)  # G keeps none of its exact zeros
+        (lu_n, op_n), (lu_c, op_c) = st._solver("n", dt), st._solver("c", dt)
+        p = st.params
+        s = st.M_u * (1.0 / dt) + st.K_u * (p.D_u / p.rho)
+        t_const = sp.bmat([[s, -st.G / p.rho], [st.G.T, None]], format="csr")
+
+        def resized(skew, shape):
+            skew = skew.copy()
+            skew.resize(shape)
+            return skew
+
+        pairs = [
+            (op_n.matrix, lu_n.matrix + resized(n_skew, lu_n.matrix.shape)),
+            (op_c.matrix, lu_c.matrix + n_skew),
+            (st._solver("u", dt)._transport.matrix, t_const + resized(u_skew, t_const.shape)),
+        ]
+        for got, ref in pairs:
+            got = linsolve.pruned(got)
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
+
+    def test_lus_factor_the_operators_without_stored_zeros(self, monkeypatch):
+        # at dt = 1/1200, M/dt + K cancels exactly on some edges of the k=10
+        # mesh; the LUs must not see those positions
+        st, state, _, forcing = _preset_case("test2")
+        dt = 1.0 / 1200
+        assert np.any((st.M * (1.0 / dt)).data + st.K.data == 0.0)
+        factored = []
+        original = linsolve.Factorization.__init__
+
+        def recording(self, a):
+            factored.append(a)
+            original(self, a)
+
+        monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
+        st.step(state, dt, forcing)
+        assert len(factored) == 4  # n, sigma, c and the condensed (u, pi)
+        assert all(np.all(a.data != 0.0) for a in factored)
+
+    @pytest.mark.parametrize("system", ["n", "c", "u"])
+    def test_off_pattern_transport_rejected(self, system):
+        st, _, dt, _ = _preset_case("test2")
+        nd = (st.layout_u if system == "u" else st.layout_c).n_dofs
+        # the first and last dofs share no element (or component)
+        off = sp.csr_matrix(([1.0, -1.0], ([0, nd - 1], [nd - 1, 0])), shape=(nd, nd))
+        with pytest.raises(ValueError, match="off the pattern"):
+            if system == "u":
+                st._solver("u", dt).solve(off, np.zeros(nd), np.zeros(st.layout_pi.n_dofs))
+            else:
+                st._solver(system, dt)[1](off)
+
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_a_step_builds_only_its_transport_matrices(self, monkeypatch, preset):
+        st, state, dt, forcing = _preset_case(preset)
+        state, _ = st.step(state, dt, forcing)  # builds the cached operators
+        built = []
+        original = _compressed._cs_matrix.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_compressed._cs_matrix, "__init__", counting)
+        st.step(state, dt, forcing)
+        assert len(built) <= 2  # the two skews of lagged_forms
 
 
 class TestConsistency:
@@ -528,6 +600,21 @@ def _counted_solve_passes(monkeypatch):
     return passes
 
 
+def _preset_case(preset):
+    """Stepper, initial state, step size and forcing of ``test1`` on 12x6
+    (elliptic init) or ``test2`` at k=10 (nodal init)."""
+    if preset == "test1":
+        cfg = replace(io_cli.default_config("test1"), kx=12, ky=6)
+        mode = "elliptic_projection"
+    else:
+        cfg = io_cli.default_config("test2")  # k = 10
+        mode = "nodal"
+    mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
+    params, data, forcing = io_cli.build_problem(cfg, mesh)
+    st = Stepper(mesh, params)
+    return st, st.init_state(data, mode=mode), cfg.dt, forcing
+
+
 def _saddle_case(preset):
     """Stepper, initial data with a divergence source that has a nonzero
     integral, the step size and the forcing of one preset."""
@@ -596,15 +683,14 @@ class TestCondensedSaddle:
         with pytest.raises(ValueError, match="not diagonal"):
             CondensedSaddle(s.tocsr(), st.G, st.layout_u, st.w_p1, st.params.rho)
 
-    def test_residual_of_full_system_is_enforced(self, monkeypatch):
-        # a transport block the condensation ignores (bubble-bubble coupling)
-        # breaks the full system's residual bound
+    def test_residual_of_full_system_is_enforced(self):
+        # a transport entry the condensation ignores (on a bubble's diagonal,
+        # which a skew transport leaves 0) breaks the full system's residual bound
         st, _, dt, _ = _saddle_case("test2")
         _, bubble = st.layout_u.nodal_and_bubble_dofs()
-        n = st.layout_u.n_dofs
-        bad = sp.csr_matrix(([1e3, -1e3], ([bubble[0], bubble[1]], [bubble[1], bubble[0]])),
-                            shape=(n, n))
-        rhs_u = np.ones(n)
+        bad = st.M_u * 0.0  # the layout's pattern
+        bad[bubble[0], bubble[0]] = 1e3
+        rhs_u = np.ones(st.layout_u.n_dofs)
         with pytest.raises(linsolve.SingularSystemError):
             st._solver("u", dt).solve(bad, rhs_u, np.zeros(st.layout_pi.n_dofs))
 
