@@ -68,8 +68,7 @@ class ScatterPlan:
             If the pattern is not structurally symmetric.
         """
         n = self.shape[0]
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        t_keys = self.indices.astype(np.int64) * n + rows
+        t_keys = self.indices.astype(np.int64) * n + entry_rows(self)
         perm = np.searchsorted(self._keys, t_keys)
         if self.shape[1] != n or np.any(self._keys[np.minimum(perm, self.nnz - 1)] != t_keys):
             raise ValueError("scatter pattern is not structurally symmetric")
@@ -88,6 +87,11 @@ class ScatterPlan:
         return self.csr(self.data(values))
 
 
+def entry_rows(a):
+    """Row of each stored entry of a CSR matrix or ``ScatterPlan``."""
+    return np.repeat(np.arange(len(a.indptr) - 1, dtype=np.int64), np.diff(a.indptr))
+
+
 def pruned(a):
     """A copy of the sparse matrix ``a`` without its stored zeros."""
     a = a.copy()
@@ -103,8 +107,7 @@ class PatternSum:
 
     def __init__(self, base, pattern):
         self.matrix, self.pattern = base.copy(), pattern
-        rows = lambda m: np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
-        keys, want = (rows(m) * base.shape[1] + m.indices for m in (base, pattern))
+        keys, want = (entry_rows(m) * base.shape[1] + m.indices for m in (base, pattern))
         self._slots = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         if np.any(keys[self._slots] != want):
             raise ValueError("the operator does not store every position of the pattern")
@@ -179,17 +182,23 @@ def refined_solve(b, inverse, apply, fro, paid, fresh_inverse=None):
 
 
 class Factorization:
-    """LU factorization of a square scipy sparse matrix, reusable across solves."""
+    """LU factorization of a square scipy sparse matrix, reusable across solves:
+    SuperLU's COLAMD ordering with partial pivoting, or, for a ``quasi_definite``
+    matrix (symmetric quasi-definite after a diagonal row scaling, so every
+    symmetric ordering has nonzero pivots), a symmetric minimum-degree ordering
+    without pivoting, which fills less."""
 
-    def __init__(self, a):
+    def __init__(self, a, quasi_definite=False):
         n, m = a.shape
         if n != m:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         self.matrix = sp.csr_matrix(a)
         self._fro = float(np.linalg.norm(self.matrix.data))
+        ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True}) if quasi_definite else {}
         t0 = time.perf_counter()
         try:
-            self._lu = spla.splu(self.matrix.tocsc())
+            self._lu = spla.splu(self.matrix.tocsc(), **ordering)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SingularSystemError(str(exc)) from exc
         self.factor_time = self._unpaid = time.perf_counter() - t0

@@ -183,6 +183,15 @@ class CondensedSaddle:
     * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
       one pressure dof is pinned and the mean shifted afterwards.
 
+    For a symmetric positive definite ``s_const``, the condensed matrix with
+    its pressure rows scaled by -1/rho is [[A, B^T], [B, -C]]: A is the bubble
+    Schur complement of ``s_const`` on the free dofs, so positive definite, and
+    C = G_B^T D^-1 G_B / rho^2 is positive definite once pressure dof 0 is
+    pinned, since G_B p = 0 makes grad p vanish on every element.  Its LU is
+    therefore taken without pivoting (``linsolve.Factorization``'s
+    ``quasi_definite``); the condensation of a step's own matrix, whose N
+    is skew, keeps partial pivoting.
+
     The saddle matrix of ``s_const``, D^-1, the index sets and the LU of the
     condensed ``s_const`` are built once; ``solve`` adds N in place on the pattern
     of ``s_const`` and refines against the full system above through that LU, or
@@ -191,34 +200,39 @@ class CondensedSaddle:
 
     def __init__(self, s_const, g, layout_u, w, rho):
         nodal, bubble = layout_u.nodal_and_bubble_dofs()
-        s_bb = s_const[bubble][:, bubble]
-        if (s_bb - sp.diags(s_bb.diagonal())).count_nonzero():
-            raise ValueError("bubble-bubble block of the velocity operator is not diagonal")
         nu, npi = g.shape
+        is_bubble = np.zeros(nu, dtype=bool)
+        is_bubble[bubble] = True
+        rows, cols = linsolve.entry_rows(s_const), s_const.indices
+        coupled = is_bubble[rows] & is_bubble[cols] & (rows != cols)
+        if np.any(s_const.data[coupled] != 0.0):
+            raise ValueError("bubble-bubble block of the velocity operator is not diagonal")
         self.n_u = nu
         self.t_const = sp.bmat([[s_const, -g / rho], [g.T, None]], format="csr")
-        self.d_inv = 1.0 / s_bb.diagonal()
+        self.d_inv = 1.0 / s_const.diagonal()[bubble]
         self.w = w
         self.area = float(w.sum())
         self.pinned = layout_u.constrained_dofs
         self.bubble = bubble
         # unknowns of the condensed system; pressure dof 0 carries the gauge
         self.kept = np.concatenate([np.setdiff1d(nodal, self.pinned), nu + np.arange(1, npi)])
-        rows = np.repeat(np.arange(nu + npi), np.diff(self.t_const.indptr))
-        self._kept_entries = ~np.isin(rows, self.pinned) & ~np.isin(self.t_const.indices, self.pinned)
+        free = np.ones(nu + npi, dtype=bool)
+        free[self.pinned] = False
+        self._kept_entries = free[linsolve.entry_rows(self.t_const)] & free[self.t_const.indices]
         self._pattern, self._transport = s_const, None
         # kept as data: a closure over self would make a reference cycle,
         # which holds the LU until the cyclic garbage collector runs
         t0 = time.perf_counter()
-        self._condensation = self._condense(self.t_const)
+        self._condensation = self._condense(self.t_const, quasi_definite=True)
         self._unpaid = time.perf_counter() - t0  # reported by the first solve
 
-    def _condense(self, t):
+    def _condense(self, t, quasi_definite=False):
         """Nodal-bubble blocks of the saddle matrix ``t`` and an LU of its condensation."""
         t_kept = t[self.kept]
         a_kb = t_kept[:, self.bubble]
         dinv_a_bk = sp.diags(self.d_inv) @ t[self.bubble][:, self.kept]
-        return a_kb, dinv_a_bk, linsolve.Factorization(t_kept[:, self.kept] - a_kb @ dinv_a_bk)
+        condensed = t_kept[:, self.kept] - a_kb @ dinv_a_bk
+        return a_kb, dinv_a_bk, linsolve.Factorization(condensed, quasi_definite)
 
     def _condensed_solve(self, condensation, b):
         """x with T x = b, T the bordered system whose parts ``_condense`` built.

@@ -5,7 +5,8 @@ The tests check the vectorized kernels of the package against these
 scalar versions, which share no code path with them beyond the reference
 basis tables of ``chemflow.spaces``; and the table-built ``test2`` fields
 and sources of ``chemflow.manufactured`` against the field-by-field
-composition they replace.
+composition they replace; and the invariant gates of a run that stopped,
+recomputed from its records.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 
 from chemflow import manufactured as mf
 from chemflow.mesh import GeometryError
-from chemflow.scheme import StepForcing
+from chemflow.scheme import DIVERGENCE_TOL, MASS_DRIFT_TOL, StepForcing
 from chemflow.spaces import scalar_basis_gradient_table, scalar_basis_values
 
 
@@ -264,3 +265,25 @@ def field_by_field_forcing(sol):
         return _stack(*comps)
 
     return StepForcing(g_n=g_n, g_c=g_c, g_sigma=g_sigma, g_u=g_u)
+
+
+def stopped_step(stepper, error):
+    """The step k at which ``stepper.run`` raised the InvariantError ``error``.
+
+    Asserts that the message names step k, that the records are 0..k, and
+    that every record before k keeps the relative mass drift (against
+    w.|eta0|) within MASS_DRIFT_TOL and the divergence residual within
+    DIVERGENCE_TOL, while record k breaks one of them.
+    """
+    result = error.result
+    k = len(result.states) - 1
+    assert str(error).startswith(f"step {k}: ")
+    assert [rec["m"] for rec in result.diagnostics] == list(range(k + 1))
+    scale = stepper.w_p1 @ np.abs(result.states[0].n + stepper.params.alpha0)
+    mass0 = result.diagnostics[0]["mass"]
+    within = [
+        abs(rec["mass"] - mass0) / scale <= MASS_DRIFT_TOL and rec["div_residual"] <= DIVERGENCE_TOL
+        for rec in result.diagnostics
+    ]
+    assert within == [True] * k + [False]
+    return k

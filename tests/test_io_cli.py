@@ -7,7 +7,8 @@ import pytest
 from chemflow import io_cli
 from chemflow import manufactured as mf
 from chemflow.mesh import build_rect_mesh
-from chemflow.scheme import Stepper, TimeGrid
+from chemflow.scheme import InvariantError, Stepper, TimeGrid
+from oracles import stopped_step
 
 
 class TestConfig:
@@ -359,22 +360,35 @@ class TestMain:
         header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
         assert header.startswith("m,t,mass,div_residual")
 
-    def test_blow_up_exits_1_and_keeps_the_records(self, tmp_path, capsys):
-        # test1 on 20x20 at dt=1e-2 loses mass conservation at step 3
+    def test_blow_up_exits_1_and_keeps_the_records(self, tmp_path, capsys, monkeypatch):
+        # test1 on 20x20 at dt=1e-2 blows up and breaks an invariant by step 4
         cfgfile = tmp_path / "blowup.ini"
         cfgfile.write_text(
             "[initial]\npreset = test1\n[mesh]\nkx = 20\nky = 20\n"
             "[time]\ndt = 1e-2\nt_final = 5e-2\n"
             "[output]\nsnapshot_times =\nformats = csv\n"
         )
+        raised, original = [], Stepper.run
+
+        def recording(self, *args, **kwargs):
+            try:
+                return original(self, *args, **kwargs)
+            except InvariantError as exc:
+                raised.append((self, exc))
+                raise
+
+        monkeypatch.setattr(Stepper, "run", recording)
         code = io_cli.main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == 1
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert summary["error"] == "InvariantError"
-        assert summary["message"].startswith("step 3: relative mass drift")
+        (stepper, error), = raised
+        assert summary["message"] == str(error)
+        k = stopped_step(stepper, error)  # the CSV's 10 digits cannot resolve the drift
+        assert k <= 4
         rows = (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()
         header = rows[0].split(",")
-        assert len(rows) == 1 + 4  # the initial record and steps 1-3
+        assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(k + 1))
         assert rows[-1].split(",")[header.index("solver_u")] == "lu-fallback"
 
     def test_mesh_with_three_parts_rejected(self, tmp_path, capsys):
