@@ -332,7 +332,8 @@ def apply_constraints(a, layout, weight_vector=None):
     """Eliminate constrained dofs and append the zero-mean multiplier row.
 
     Constrained rows/columns of the matrix ``a`` are replaced by the
-    identity (symmetric elimination, value 0), then, if the layout carries
+    identity (``linsolve.eliminated``: symmetric elimination, value 0, on the
+    pattern of ``a``, so zeroed entries stay stored), then, if the layout carries
     a mean constraint, one bordered row/column with the basis integral
     weights is appended.  Idempotent on layouts without a mean constraint.
     """
@@ -341,12 +342,7 @@ def apply_constraints(a, layout, weight_vector=None):
             f"form shape {a.shape} does not match layout dimension {layout.n_dofs}"
         )
     if len(layout.constrained_dofs):
-        keep = np.ones(layout.n_dofs)
-        keep[layout.constrained_dofs] = 0.0
-        p = sp.diags(keep)
-        pinned = np.zeros(layout.n_dofs)
-        pinned[layout.constrained_dofs] = 1.0
-        a = p @ a @ p + sp.diags(pinned)
+        a = linsolve.eliminated(a, layout.constrained_dofs)
     if layout.mean_constraint:
         w = integral_weight_vector(layout) if weight_vector is None else weight_vector
         wc = sp.csr_matrix(w.reshape(-1, 1))

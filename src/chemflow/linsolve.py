@@ -3,9 +3,10 @@
 Matrices are plain ``scipy.sparse.csr_matrix``.  This module pins down the
 behaviours the rest of the code relies on: canonical CSR storage with
 duplicates summed, through a ``ScatterPlan`` built once per entry list, an
-explicit error on (near-)singular systems instead of silent garbage, and a
-recomputed residual in every solve report, also of one refined through the
-LU of a nearby matrix (``refined_solve``).
+explicit error on (near-)singular systems instead of silent garbage, one
+elimination of constrained dofs (``eliminated``), and one checked
+refinement loop for every solve (``refined_solve``), whose report carries
+the residual it accepted, also of a solve through the LU of a nearby matrix.
 """
 
 import functools
@@ -99,18 +100,49 @@ def pruned(a):
     return a
 
 
+def _touching(a, dofs):
+    """Row of each stored entry of the CSR matrix ``a``, and whether the entry
+    lies in a row or a column of ``dofs`` (an integer array)."""
+    rows, hit = entry_rows(a), np.zeros(a.shape[0], dtype=bool)
+    hit[dofs] = True
+    return rows, hit[rows] | hit[a.indices]
+
+
+def eliminated(a, dofs):
+    """A copy of the square CSR matrix ``a`` with the rows and columns of
+    ``dofs`` zeroed and their diagonal set to 1, on the pattern of ``a``: the
+    symmetric elimination of dofs held at 0.
+
+    Raises
+    ------
+    ValueError
+        If ``a`` stores no diagonal entry for one of ``dofs``.
+    """
+    a = a.tocsr(copy=True)
+    rows, touched = _touching(a, dofs)
+    a.data[touched] = 0.0
+    diagonal = touched & (rows == a.indices)
+    if not np.array_equal(rows[diagonal], np.unique(dofs)):
+        raise ValueError("an eliminated dof has no stored diagonal entry")
+    a.data[diagonal] = 1.0
+    return a
+
+
 class PatternSum:
     """``base`` plus a transport on the CSR pattern of ``pattern``, a leading
     block of ``base`` whose positions ``base`` all stores, written in place
     into one kept ``matrix``: the slots are found once, and a call builds no
-    sparse matrix.  A pattern or a transport that does not fit raises ValueError."""
+    sparse matrix.  Transport entries in the rows and columns of ``eliminated``
+    are dropped.  A pattern or a transport that does not fit raises ValueError."""
 
-    def __init__(self, base, pattern):
+    def __init__(self, base, pattern, eliminated=np.empty(0, dtype=np.int64)):
         self.matrix, self.pattern = base.copy(), pattern
         keys, want = (entry_rows(m) * base.shape[1] + m.indices for m in (base, pattern))
-        self._slots = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        if np.any(keys[self._slots] != want):
+        slots = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        if np.any(keys[slots] != want):
             raise ValueError("the operator does not store every position of the pattern")
+        self._kept = ~_touching(pattern, eliminated)[1]
+        self._slots = slots[self._kept]
         self._base = base.data[self._slots]
 
     def __call__(self, t):
@@ -119,7 +151,7 @@ class PatternSum:
         if t.shape != p.shape or not (
                 np.array_equal(t.indptr, p.indptr) and np.array_equal(t.indices, p.indices)):
             raise ValueError("transport matrix is off the pattern of its layout")
-        self.matrix.data[self._slots] = self._base + t.data
+        self.matrix.data[self._slots] = self._base + t.data[self._kept]
         return self.matrix
 
 
@@ -137,48 +169,50 @@ class SolveReport:
 
 
 def refined_solve(b, inverse, apply, fro, paid, fresh_inverse=None):
-    """Solve A x = b through the LU ``inverse``, held to ``checked_solve``;
-    returns (x, SolveReport).  ``apply`` computes A x, ``fro`` is ||A||_F,
-    ``paid`` the factor time of the LU if this solve pays for it, else None.
-    With ``fresh_inverse``, the LU is of a matrix close to A and passes are
-    refined against A while each halves the residual (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 12); if the residual turns
-    non-finite or stops shrinking above the RTOL bound, or if the contraction
-    of the last pass would leave it above the bound after MAX_REFINE_PASSES
-    passes, the exact ``fresh_inverse()`` takes over at once.
+    """Solve A x = b through the LU ``inverse``; returns (x, SolveReport).
+
+    ``apply`` computes A x, ``fro`` is ||A||_F, ``paid`` the factor time of
+    the LU if this solve pays for it, else None.  Every pass applies the LU
+    once and A once, and x is accepted when ||b - A x|| <= RTOL * (||A||_F ||x||
+    + ||b||).  An LU of A itself gets one refinement pass at most.  With
+    ``fresh_inverse``, the LU is of a matrix close to A and passes are refined
+    against A while each halves the residual (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 12); if the residual turns non-finite or stops
+    shrinking above the bound, or if the contraction of the last pass would
+    leave it above the bound after MAX_REFINE_PASSES passes, the exact
+    ``fresh_inverse()`` takes over at once.
+
+    Raises
+    ------
+    SingularSystemError
+        If an exact LU leaves the residual above the bound or non-finite.
     """
-    t0, passes, fresh_time = time.perf_counter(), [0], 0.0
+    t0, fresh_time = time.perf_counter(), 0.0
     kind = "cached-lu" if paid is None else "lu"
-
-    def counted(rhs):
-        passes[0] += 1
-        return inverse(rhs)
-
-    def refined(rhs):
-        x, n, prev, b_norm = counted(rhs), 1, math.inf, float(np.linalg.norm(rhs))
-        while True:
-            residual = rhs - apply(x)
-            res = float(np.linalg.norm(residual))
-            bound = RTOL * (fro * float(np.linalg.norm(x)) + b_norm)
-            if res <= bound and (res >= 0.5 * prev or n == MAX_REFINE_PASSES):
-                return x
-            # give up once this pass's contraction, kept up to the pass cap,
-            # would still leave the residual above the bound
-            if not res < prev or res * (res / prev) ** (MAX_REFINE_PASSES - n) > bound:
-                raise SingularSystemError(f"refinement left residual {res:.3e} after {n} passes")
-            x, n, prev = x + counted(residual), n + 1, res
-
-    try:
-        x, res_norm = checked_solve(b, counted if fresh_inverse is None else refined, apply, fro)
-    except SingularSystemError:
+    b = np.asarray(b, dtype=float)
+    b_norm = float(np.linalg.norm(b))
+    x, n, passes, prev = inverse(b), 1, 1, math.inf
+    while True:
+        residual = b - apply(x)
+        res = float(np.linalg.norm(residual))
+        bound = RTOL * (fro * float(np.linalg.norm(x)) + b_norm)
         if fresh_inverse is None:
-            raise
-        t1 = time.perf_counter()
-        inverse, kind = fresh_inverse(), "lu-fallback"
-        fresh_time = time.perf_counter() - t1
-        x, res_norm = checked_solve(b, counted, apply, fro)
+            if res <= bound:
+                break
+            if n == 2 or not math.isfinite(res):
+                raise SingularSystemError(
+                    f"residual {res:.3e} exceeds tolerance {bound:.3e} after {n} passes")
+        elif res <= bound and (res >= 0.5 * prev or n == MAX_REFINE_PASSES):
+            break
+        elif not res < prev or res * (res / prev) ** (MAX_REFINE_PASSES - n) > bound:
+            t1 = time.perf_counter()
+            inverse, fresh_inverse, kind = fresh_inverse(), None, "lu-fallback"
+            fresh_time = time.perf_counter() - t1
+            x, n, passes = inverse(b), 1, passes + 1
+            continue
+        x, n, passes, prev = x + inverse(residual), n + 1, passes + 1, res
     solve_time = time.perf_counter() - t0 - fresh_time
-    return x, SolveReport(res_norm, (paid or 0.0) + fresh_time, solve_time, kind, passes[0])
+    return x, SolveReport(res, (paid or 0.0) + fresh_time, solve_time, kind, passes)
 
 
 class Factorization:
@@ -216,39 +250,6 @@ class Factorization:
             return refined_solve(b, self._lu.solve, self.matrix.dot, self._fro, paid)
         fresh = lambda: Factorization(pruned(a))._lu.solve
         return refined_solve(b, self._lu.solve, a.dot, np.linalg.norm(a.data), paid, fresh)
-
-
-def checked_solve(b, solve, apply, fro):
-    """Solve A x = b with an approximate inverse, then verify the residual.
-
-    ``solve(b)`` applies the approximate inverse, ``apply(x)`` computes
-    A x and ``fro`` is ||A||_F.  Returns (x, residual norm).
-
-    Raises
-    ------
-    SingularSystemError
-        If x is not finite, or if the recomputed residual exceeds
-        RTOL * (||A||_F ||x|| + ||b||) even after one step of iterative
-        refinement.
-    """
-    b = np.asarray(b, dtype=float)
-    x = solve(b)
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("solution contains non-finite entries")
-    residual = b - apply(x)
-    res_norm = float(np.linalg.norm(residual))
-    bound = RTOL * (fro * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
-    if res_norm > bound:
-        # one refinement pass before declaring the system unusable
-        x = x + solve(residual)
-        residual = b - apply(x)
-        res_norm = float(np.linalg.norm(residual))
-        bound = RTOL * (fro * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
-        if res_norm > bound:
-            raise SingularSystemError(
-                f"residual {res_norm:.3e} exceeds tolerance {bound:.3e}"
-            )
-    return x, res_norm
 
 
 def solve(a, b):

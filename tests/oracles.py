@@ -5,8 +5,8 @@ The tests check the vectorized kernels of the package against these
 scalar versions, which share no code path with them beyond the reference
 basis tables of ``chemflow.spaces``; and the table-built ``test2`` fields
 and sources of ``chemflow.manufactured`` against the field-by-field
-composition they replace; and the invariant gates of a run that stopped,
-recomputed from its records.
+composition they replace; the invariant gates of a run that stopped,
+recomputed from its records; and the row-by-row VTK writer.
 """
 
 import math
@@ -287,3 +287,32 @@ def stopped_step(stepper, error):
     ]
     assert within == [True] * k + [False]
     return k
+
+
+def write_vtk_row_by_row(snapshot, path):
+    """The legacy ASCII VTK writer, one formatted write per row: the reference
+    for the bytes of ``chemflow.io_cli.write_vtk``."""
+    mesh = snapshot.mesh
+    nn, ne = mesh.n_nodes, mesh.n_triangles
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(f"chemotaxis-fluid snapshot t={snapshot.time:.9g}\n")
+        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {nn} double\n")
+        for px, py in mesh.nodes:
+            fh.write(f"{px:.9g} {py:.9g} 0\n")
+        fh.write(f"CELLS {ne} {4 * ne}\n")
+        for a, b, c in mesh.triangles:
+            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(f"CELL_TYPES {ne}\n")
+        for _ in range(ne):
+            fh.write("5\n")
+        fh.write(f"POINT_DATA {nn}\n")
+        for name, arr in (("eta", snapshot.eta), ("c", snapshot.c), ("pressure", snapshot.pressure)):
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for v in arr:
+                fh.write(f"{v:.9g}\n")
+        for name, arr in (("sigma", snapshot.sigma), ("velocity", snapshot.velocity)):
+            fh.write(f"VECTORS {name} double\n")
+            for vx, vy in arr:
+                fh.write(f"{vx:.9g} {vy:.9g} 0\n")

@@ -491,6 +491,27 @@ class TestConstraints:
         twice = asm.apply_constraints(once, lay)
         assert np.allclose(once.toarray(), twice.toarray(), atol=0.0)
 
+    @pytest.mark.parametrize("kind", [VECTOR_P1_SIGMA, VELOCITY_MINI])
+    def test_elimination_equals_the_projected_sum(self, kind):
+        # the elimination keeps the pattern of the matrix; without its stored
+        # zeros it is bit for bit the P a P + diag(pinned) it replaces
+        from chemflow import linsolve
+
+        lay = build_layout(build_rect_mesh(2, 1, 6, 3), kind)
+        a = asm.assemble_mass(lay) + asm.assemble_stiffness(lay, 0.7)
+        if kind == VECTOR_P1_SIGMA:
+            a = a + asm.assemble_divrot(lay, 0.3)
+        keep = np.ones(lay.n_dofs)
+        keep[lay.constrained_dofs] = 0.0
+        ref = sp.diags(keep) @ a @ sp.diags(keep) + sp.diags(1.0 - keep)
+        out = asm.apply_constraints(a, lay)
+        assert len(lay.constrained_dofs) > 0
+        assert np.array_equal(out.indptr, a.indptr) and np.array_equal(out.indices, a.indices)
+        got = linsolve.pruned(out)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+
     def test_mean_constrained_solve_has_zero_mean(self):
         from chemflow import linsolve
 

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from chemflow import io_cli
+from chemflow import io_cli, scheme
 from chemflow import manufactured as mf
 from chemflow.mesh import build_rect_mesh
 from chemflow.scheme import InvariantError, Stepper, TimeGrid
-from oracles import stopped_step
+from oracles import stopped_step, write_vtk_row_by_row
 
 
 class TestConfig:
@@ -315,6 +315,10 @@ class TestVtk:
         _pts, _cells, _types, fields = parse_legacy_vtk(path)
         for name, vals in fields.items():
             assert np.all(np.isfinite(vals)), name
+        # the bytes of the row-by-row writer it replaces, on a stepped snapshot
+        assert idx > 0 and np.abs(snap.velocity).max() > 0.0
+        write_vtk_row_by_row(snap, tmp_path / "rows.vtk")
+        assert path.read_bytes() == (tmp_path / "rows.vtk").read_bytes()
 
 
 class TestMain:
@@ -415,6 +419,22 @@ class TestMain:
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "quadrature_degree must be an integer in 1..8" in summary["message"]
         assert not (tmp_path / "diagnostics.csv").exists()
+
+    def test_check_passes(self, capsys):
+        assert io_cli.main(["check"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and all(line.startswith("PASS: ") for line in lines)
+
+    def test_check_reports_a_tripped_run_gate(self, monkeypatch, capsys):
+        # the run stops at its first step with the mass gate at 0; every check
+        # is still reported, against the tolerance of the gate
+        monkeypatch.setattr(scheme, "MASS_DRIFT_TOL", 0.0)
+        assert io_cli.main(["check"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL: mass conservation" in captured.out
+        assert "PASS: discrete incompressibility" in captured.out
+        assert "PASS: skew symmetry" in captured.out
+        assert json.loads(captured.err)["failed"][0]["check"] == "mass conservation"
 
     def test_check_takes_no_run_flags(self, capsys):
         code = io_cli.main(["check", "--dt", "-5", "--quadrature-degree", "99", "--preset", "test2"])

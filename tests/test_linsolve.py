@@ -159,6 +159,21 @@ class TestSolve:
             Factorization(a)
 
 
+class TestElimination:
+    def test_rows_and_columns_zeroed_on_the_pattern(self):
+        a = from_triplets((3, 3), [0, 0, 1, 2, 2], [0, 1, 2, 0, 2], [1.0, 4.0, 2.0, 5.0, 3.0])
+        out = linsolve.eliminated(a, np.array([0, 2]))
+        assert np.array_equal(out.toarray(), [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(out.indices, a.indices) and a[0, 1] == 4.0  # a is left as it was
+        # no eliminated dofs: an empty index array leaves the matrix as it is
+        assert np.array_equal(linsolve.eliminated(a, np.empty(0, dtype=int)).data, a.data)
+
+    def test_missing_diagonal_rejected(self):
+        a = from_triplets((3, 3), [0, 0, 1, 2, 2], [0, 1, 2, 0, 2], [1.0, 4.0, 2.0, 5.0, 3.0])
+        with pytest.raises(ValueError, match="no stored diagonal"):
+            linsolve.eliminated(a, np.array([0, 1]))
+
+
 class TestRefinement:
     """Solves through the LU of a nearby matrix, refined against the true one."""
 
@@ -217,6 +232,27 @@ class TestRefinement:
         assert report.kind == "lu-fallback"
         assert factored[0].nnz == far.count_nonzero() < far.nnz
         assert np.allclose(x, np.linalg.solve(far.toarray(), b), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", ["exact", "exact-refined", "nearby", "fallback"])
+    def test_one_product_per_pass(self, case):
+        # each pass applies the LU once and A once; the residual of the
+        # accepted x is the one the loop computed, not a product more
+        a, skew, b = self.system()
+        target = a + {"nearby": 0.05, "fallback": 40.0}.get(case, 0.0) * skew
+        lu = Factorization(a).lu_solve
+        inverse = (lambda r: (1.0 + 1e-8) * lu(r)) if case == "exact-refined" else lu
+        products = []
+
+        def apply(x):
+            products.append(x)
+            return target @ x
+
+        fresh = (lambda: Factorization(target).lu_solve) if case in ("nearby", "fallback") else None
+        x, report = refined_solve(b, inverse, apply, np.linalg.norm(target.data), None, fresh)
+        assert len(products) == report.iterations
+        assert report.iterations == {"exact": 1, "exact-refined": 2}.get(case, report.iterations)
+        assert (report.kind == "lu-fallback") == (case == "fallback")
+        assert report.residual_norm == np.linalg.norm(b - target @ x)
 
     @pytest.mark.parametrize("scale,passes,fell_back", [
         (0.9, None, False),  # converging: stops at the rounding floor
