@@ -13,12 +13,14 @@ as ``exp(-t)`` with the classical trigonometric profiles.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from .mesh import build_rect_mesh
-from .scheme import InitialData, ModelParams, Stepper, StepForcing, TimeGrid
+from .scheme import InitialData, ModelParams, Stepper, StepForcing, TimeGrid, require_real
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI2 = TWO_PI**2
@@ -93,6 +95,12 @@ class _Test2:
 
     def __init__(self, x, y, t):
         self.x, self.y, self.t = x, y, t
+
+    def at(self, t):
+        """The table at time t over this table's sin/cos of 2 pi x and 2 pi y."""
+        table = _Test2(self.x, self.y, t)
+        table.__dict__.update(sx=self.sx, cx=self.cx, sy=self.sy, cy=self.cy)
+        return table
 
     e = _lazy(lambda s: np.exp(-s.t))
     sx = _lazy(lambda s: np.sin(TWO_PI * s.x))
@@ -263,37 +271,28 @@ class ErrorReport:
         return out
 
 
-def _spatial_errors(stepper, state, sol):
-    """L2 and H1 errors of eta, c, u1, u2 against the exact fields at state.t."""
+def _spatial_errors(stepper, state, exact, scale, rows):
+    """Squared L2 and H1 errors of eta, c, u1, u2 at state.t.
+
+    ``exact`` carries eta, grad_eta, c, grad_c, u and grad_u at the
+    quadrature points, vector components first; ``scale`` is the flattened
+    quadrature weights times element areas; ``rows`` is 12 rows of scratch.
+    """
     ctx = stepper.ctx
-    x, y = ctx.points[..., 0], ctx.points[..., 1]
-    t = state.t
-    p = stepper.params
-    scale = ctx.weights[None, :] * ctx.areas[:, None]
-
-    def norms(err_val, err_grad):
-        l2sq = float((scale * err_val**2).sum())
-        h1sq = float((scale * (err_grad**2).sum(axis=-1)).sum())
-        return l2sq, h1sq
-
-    out = {}
-    fn = stepper.field_n(state)
-    out["eta"] = norms(
-        sol.eta(x, y, t) - (fn.values(ctx) + p.alpha0),
-        sol.grad_eta(x, y, t) - fn.gradients(ctx),
+    fn, fc, fu = stepper.field_n(state), stepper.field_c(state), stepper.field_u(state)
+    gn, gc, uv, gu = fn.gradients(ctx), fc.gradients(ctx), fu.values(ctx), fu.gradients(ctx)
+    discrete = (
+        fn.values(ctx) + stepper.params.alpha0, gn[..., 0], gn[..., 1],
+        fc.values(ctx), gc[..., 0], gc[..., 1],
+        uv[..., 0], gu[..., 0, 0], gu[..., 0, 1],
+        uv[..., 1], gu[..., 1, 0], gu[..., 1, 1],
     )
-    fc = stepper.field_c(state)
-    out["c"] = norms(
-        sol.c(x, y, t) - fc.values(ctx), sol.grad_c(x, y, t) - fc.gradients(ctx)
-    )
-    fu = stepper.field_u(state)
-    uv = fu.values(ctx)
-    ug = fu.gradients(ctx)
-    uex = sol.u(x, y, t)
-    gex = sol.grad_u(x, y, t)
-    out["u1"] = norms(uex[..., 0] - uv[..., 0], gex[..., 0, :] - ug[..., 0, :])
-    out["u2"] = norms(uex[..., 1] - uv[..., 1], gex[..., 1, :] - ug[..., 1, :])
-    return out
+    exact = (exact.eta, *exact.grad_eta, exact.c, *exact.grad_c,
+             exact.u[0], *exact.grad_u[0], exact.u[1], *exact.grad_u[1])
+    for row, ex, dis in zip(rows, exact, discrete):
+        np.subtract(ex, dis, out=row.reshape(dis.shape))
+    sq = (np.square(rows, out=rows) @ scale).reshape(-1, 3)  # value, d/dx, d/dy per variable
+    return {v: (float(l2), float(gx + gy)) for v, (l2, gx, gy) in zip(VARIABLES, sq)}
 
 
 def error_norms(states, stepper, dt, sol=None, k=None):
@@ -303,18 +302,39 @@ def error_norms(states, stepper, dt, sol=None, k=None):
     l2(H1): sqrt(dt * sum over steps m >= 1) of the squared full H1 error.
     linf(H1): max over all time levels of the full H1 error (velocity
     components only, mirroring the reported tables).
+
+    ``states`` is any non-empty iterable of states, read once.  Without
+    ``sol`` the exact fields are the test2 ones, read at each level from
+    one table over sin/cos of 2 pi x and 2 pi y computed once per call.
     """
-    sol = sol or test2_solution()
+    ctx = stepper.ctx
+    x, y = ctx.points[..., 0], ctx.points[..., 1]
+    scale = (ctx.weights[None, :] * ctx.areas[:, None]).ravel()
+    if sol is None:
+        exact_at = _Test2(x, y, 0.0).at
+    else:
+        first = lambda a, n=1: np.moveaxis(a, range(-n, 0), range(n))  # components first
+        exact_at = lambda t: SimpleNamespace(
+            eta=sol.eta(x, y, t), grad_eta=first(sol.grad_eta(x, y, t)), c=sol.c(x, y, t),
+            grad_c=first(sol.grad_c(x, y, t)), u=first(sol.u(x, y, t)),
+            grad_u=first(sol.grad_u(x, y, t), 2),
+        )
+    # one scratch block for all levels: a fresh block per level makes the
+    # allocator hand its pages back to the system and fault them in again
+    rows = np.empty((3 * len(VARIABLES), scale.size))
     linf_l2 = {v: 0.0 for v in VARIABLES}
     linf_h1 = {v: 0.0 for v in VARIABLES}
     l2_h1 = {v: 0.0 for v in VARIABLES}
+    state = None
     for state in states:
-        errs = _spatial_errors(stepper, state, sol)
+        errs = _spatial_errors(stepper, state, exact_at(state.t), scale, rows)
         for v, (l2sq, h1sq) in errs.items():
             linf_l2[v] = max(linf_l2[v], math.sqrt(l2sq))
             linf_h1[v] = max(linf_h1[v], math.sqrt(l2sq + h1sq))
             if state.m >= 1:
                 l2_h1[v] += dt * (l2sq + h1sq)
+    if state is None:
+        raise ValueError("error norms need at least one time level")
     l2_h1 = {v: math.sqrt(s) for v, s in l2_h1.items()}
     return MeshErrors(
         k=k if k is not None else -1,
@@ -330,19 +350,25 @@ def convergence_study(mesh_sizes, dt, T, init_mode="elliptic_projection", quad_d
 
     Returns an ErrorReport with one MeshErrors entry per k, in order.
     """
-    if sorted(mesh_sizes) != list(mesh_sizes):
+    sizes = list(mesh_sizes)
+    if not sizes or not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1
+                            for k in sizes):
+        raise ValueError(f"mesh sizes must be one or more integers >= 1, got {sizes!r}")
+    if sorted(sizes) != sizes:
         raise ValueError("mesh sizes must be increasing")
-    n_steps = round(T / dt)
+    require_real("dt", dt, "positive")
+    require_real("T", T, "positive")
+    ratio = T / dt
+    n_steps = round(ratio) if math.isfinite(ratio) else 0
     if not math.isclose(n_steps * dt, T, rel_tol=1e-9):
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
-    sol = test2_solution()
     forcing = test2_forcing()
-    data = test2_initial_data(sol)
+    data = test2_initial_data()
     grid = TimeGrid(dt=dt, n_steps=n_steps)
     entries = []
-    for k in mesh_sizes:
+    for k in sizes:
         mesh = build_rect_mesh(1.0, 1.0, k, k)
         stepper = Stepper(mesh, test2_params(), quad_degree=quad_degree)
         result = stepper.run(grid, data, mode=init_mode, forcing=forcing)
-        entries.append(error_norms(result.states, stepper, dt, sol=sol, k=k))
+        entries.append(error_norms(result.states, stepper, dt, k=k))
     return ErrorReport(meshes=entries)

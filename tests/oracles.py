@@ -5,8 +5,9 @@ The tests check the vectorized kernels of the package against these
 scalar versions, which share no code path with them beyond the reference
 basis tables of ``chemflow.spaces``; and the table-built ``test2`` fields
 and sources of ``chemflow.manufactured`` against the field-by-field
-composition they replace; the invariant gates of a run that stopped,
-recomputed from its records; and the row-by-row VTK writer.
+composition they replace, and its error norms against one sum per norm;
+the invariant gates of a run that stopped, recomputed from its records;
+and the row-by-row VTK writer.
 """
 
 import math
@@ -265,6 +266,29 @@ def field_by_field_forcing(sol):
         return _stack(*comps)
 
     return StepForcing(g_n=g_n, g_c=g_c, g_sigma=g_sigma, g_u=g_u)
+
+
+def level_errors_by_sums(stepper, state, sol):
+    """Squared L2 and H1 errors of eta, c, u1, u2 at state.t, each exact
+    field evaluated by its own callable and each norm summed on its own:
+    the reference for the one-contraction reduction of
+    ``chemflow.manufactured.error_norms``."""
+    ctx = stepper.ctx
+    x, y, t = ctx.points[..., 0], ctx.points[..., 1], state.t
+    scale = ctx.weights[None, :] * ctx.areas[:, None]
+
+    def norms(err_val, err_grad):
+        return float((scale * err_val**2).sum()), float((scale * (err_grad**2).sum(axis=-1)).sum())
+
+    fn, fc, fu = stepper.field_n(state), stepper.field_c(state), stepper.field_u(state)
+    uv, ug, uex, gex = fu.values(ctx), fu.gradients(ctx), sol.u(x, y, t), sol.grad_u(x, y, t)
+    return {
+        "eta": norms(sol.eta(x, y, t) - (fn.values(ctx) + stepper.params.alpha0),
+                     sol.grad_eta(x, y, t) - fn.gradients(ctx)),
+        "c": norms(sol.c(x, y, t) - fc.values(ctx), sol.grad_c(x, y, t) - fc.gradients(ctx)),
+        "u1": norms(uex[..., 0] - uv[..., 0], gex[..., 0, :] - ug[..., 0, :]),
+        "u2": norms(uex[..., 1] - uv[..., 1], gex[..., 1, :] - ug[..., 1, :]),
+    }
 
 
 def stopped_step(stepper, error):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from chemflow import manufactured as mf
 from chemflow.assembly import AssemblyContext
 from chemflow.mesh import build_rect_mesh
-from chemflow.scheme import State, Stepper
-from oracles import field_by_field_forcing, field_by_field_solution
+from chemflow.scheme import State, Stepper, TimeGrid
+from oracles import field_by_field_forcing, field_by_field_solution, level_errors_by_sums
 
 FD_H = 1e-3
 
@@ -200,7 +201,93 @@ class TestTableEquivalence:
             self.assert_close(getattr(forcing, name)(x, y, t), getattr(ref_forcing, name)(x, y, t))
 
 
+@pytest.fixture(scope="module")
+def test2_run():
+    """A short test2 trajectory on a 6 x 6 mesh: its stepper and states."""
+    st = Stepper(build_rect_mesh(1.0, 1.0, 6, 6), mf.test2_params())
+    result = st.run(TimeGrid(dt=1e-3, n_steps=4), mf.test2_initial_data(), mode="nodal",
+                    forcing=mf.test2_forcing())
+    return st, result.states
+
+
+class TestErrorTable:
+    """The exact fields of the error norms, read from one table per level
+    over a spatial half computed once."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.004, 0.37, 2.5])
+    def test_fields_equal_the_callables_bit_for_bit(self, t):
+        ctx = AssemblyContext(build_rect_mesh(1.0, 1.0, 6, 6))
+        x, y = ctx.points[..., 0], ctx.points[..., 1]
+        half, sol = mf._Test2(x, y, 0.0), mf.test2_solution()
+        table = half.at(t)
+        for name in ("sx", "cx", "sy", "cy"):
+            assert getattr(table, name) is getattr(half, name)
+        for f in fields(mf.ExactSolution):
+            new, old = mf._array(getattr(table, f.name)), getattr(sol, f.name)(x, y, t)
+            assert new.shape == old.shape and np.array_equal(new, old), f.name
+
+
 class TestErrorNorms:
+    @staticmethod
+    def assert_norms_close(new, old, rtol=1e-13):
+        for norm in ("linf_l2", "l2_h1", "linf_h1"):
+            a, b = getattr(new, norm), getattr(old, norm)
+            assert a.keys() == b.keys()
+            for v in a:
+                assert abs(a[v] - b[v]) <= rtol * abs(b[v]), (norm, v)
+
+    def test_table_and_callable_paths_agree(self, test2_run):
+        st, states = test2_run
+        table = mf.error_norms(states, st, 1e-3)
+        assert table.linf_l2["eta"] > 0.0
+        self.assert_norms_close(table, mf.error_norms(states, st, 1e-3, sol=mf.test2_solution()))
+        self.assert_norms_close(table, mf.error_norms(states, st, 1e-3, sol=field_by_field_solution()))
+
+    def test_levels_match_one_sum_per_norm(self, test2_run):
+        # one level at m >= 1 with dt = 1: linf(L2) is the L2 error and
+        # l2(H1) the full H1 error of that level
+        st, states = test2_run
+        ref_sol = field_by_field_solution()
+        for state in states[1:]:
+            ref = level_errors_by_sums(st, state, ref_sol)
+            for sol in (None, ref_sol):
+                errs = mf.error_norms([state], st, 1.0, sol=sol)
+                for v, (l2sq, h1sq) in ref.items():
+                    assert errs.linf_l2[v] == pytest.approx(math.sqrt(l2sq), rel=1e-13)
+                    assert errs.l2_h1[v] == pytest.approx(math.sqrt(l2sq + h1sq), rel=1e-13)
+
+    def test_reads_a_generator_once(self, test2_run):
+        st, states = test2_run
+        levels = iter(states)
+        errs = mf.error_norms(levels, st, 1e-3)
+        assert next(levels, None) is None
+        self.assert_norms_close(errs, mf.error_norms(list(states), st, 1e-3), rtol=0.0)
+
+    @pytest.mark.parametrize("states", [[], (), "generator"])
+    def test_empty_trajectory_rejected(self, test2_run, states):
+        st, _ = test2_run
+        if states == "generator":
+            states = (s for s in ())
+        with pytest.raises(ValueError, match="at least one time level"):
+            mf.error_norms(states, st, 1e-3)
+
+    def test_memory_does_not_grow_with_levels(self, test2_run):
+        # north star 3: each level's tables and errors are dropped before
+        # the next; one level's exact fields alone take about 100 KiB here
+        st, _ = test2_run
+
+        def peak(n_levels):
+            levels = (_zero_state(st, m, 1e-3) for m in range(n_levels))
+            tracemalloc.start()
+            try:
+                mf.error_norms(levels, st, 1e-3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-use allocations of the context and layouts
+        assert peak(40) <= peak(10) + 16 * 1024
+
     def test_zero_trajectory_zero_solution(self):
         mesh = build_rect_mesh(1, 1, 4, 4)
         params = mf.test2_params()
@@ -252,6 +339,24 @@ class TestConvergenceStudy:
             mf.convergence_study([20, 10], dt=2e-4, T=0.01)
         with pytest.raises(ValueError):
             mf.convergence_study([4, 8], dt=3e-4, T=0.01)
+
+    @pytest.mark.parametrize("dt, T", [
+        (0.0, 0.01), (-2e-4, 0.01), (math.nan, 0.01), (math.inf, 0.01), (True, 2.0), ("x", 0.01),
+        (2e-4, math.inf), (2e-4, math.nan), (2e-4, 0.0), (2e-4, -0.01), (2e-4, None),
+        (1e-300, 1e300),
+    ])
+    def test_rejects_a_bad_time_grid(self, dt, T):
+        with pytest.raises(ValueError):
+            mf.convergence_study([4], dt=dt, T=T)
+
+    @pytest.mark.parametrize("sizes", [[], [True], [2.5], [0], [-4], ["4"], [4, None]])
+    def test_rejects_bad_mesh_sizes(self, sizes):
+        with pytest.raises(ValueError, match="mesh sizes"):
+            mf.convergence_study(sizes, dt=2e-4, T=0.01)
+
+    def test_accepts_integer_mesh_sizes_of_any_kind(self):
+        rep = mf.convergence_study(iter([np.int64(2), 3]), dt=1e-3, T=2e-3, init_mode="nodal")
+        assert [m.k for m in rep.meshes] == [2, 3]
 
     def test_single_mesh_error_magnitude(self):
         # coarsest tabulated mesh: density error within a factor 2 of the
