@@ -13,8 +13,10 @@ import configparser
 import io
 import json
 import numbers
+import os
 import sys
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -48,33 +50,24 @@ class RunConfig:
     D_u: float
     rho: float
     gamma: float
-    grad_phi: tuple
+    grad_phi: tuple[float, float]
     init_mode: str = "elliptic"
     quadrature_degree: int = 8
-    snapshot_times: tuple = ()
+    snapshot_times: tuple[float, ...] = ()
     outdir: str = "out"
-    formats: tuple = ("vtk", "csv")
+    formats: tuple[str, ...] = ("vtk", "csv")
 
     def n_steps(self):
-        steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(abs(steps), 1.0):
-            raise ValueError(
-                f"t_final={self.t_final} is not an integer multiple of dt={self.dt}"
-            )
-        return int(round(steps))
+        return scheme.grid_step(self.t_final, self.dt, "t_final")
 
     def validate(self):
         if self.preset not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.preset!r}")
-        for name in ("Lx", "Ly", "dt", "t_final", "D_n", "D_c", "D_u", "rho", "chi", "gamma"):
-            sign = "nonnegative" if name in ("chi", "gamma") else "positive"
+        signs = dict.fromkeys(("Lx", "Ly", "dt", "t_final"), "positive") | scheme.PARAM_SIGNS
+        for name, sign in signs.items():
             require_real(f"config value {name}", getattr(self, name), sign)
         for g in self.grad_phi:
             require_real("config value grad_phi", g)
-        for ts in self.snapshot_times:
-            require_real("snapshot times", ts)
-        if any(ts < 0 for ts in self.snapshot_times):
-            raise ValueError("snapshot times must be nonnegative")
         if not (_integer(self.kx) and _integer(self.ky) and self.kx >= 1 and self.ky >= 1):
             raise ValueError("mesh subdivisions kx, ky must be integers >= 1")
         degree = self.quadrature_degree
@@ -87,10 +80,10 @@ class RunConfig:
                 raise ValueError(f"unknown output format {fmt!r}")
         n = self.n_steps()
         for ts in self.snapshot_times:
-            steps = ts / self.dt
-            if abs(steps - round(steps)) > 1e-9 * max(abs(steps), 1.0):
-                raise ValueError(f"snapshot time {ts} does not lie on the time grid")
-            if round(steps) > n:
+            m = scheme.grid_step(ts, self.dt, "snapshot times")
+            if m < 0:
+                raise ValueError("snapshot times must be nonnegative")
+            if m > n:
                 raise ValueError(f"snapshot time {ts} exceeds t_final")
         return self
 
@@ -120,28 +113,38 @@ def default_config(preset):
     raise ValueError(f"unknown preset {preset!r}")
 
 
+# config file sections and their keys: the RunConfig fields, grad_phi as its
+# two components
 _CONFIG_SCHEMA = {
-    "domain": {"Lx": float, "Ly": float},
-    "mesh": {"kx": int, "ky": int},
-    "time": {"dt": float, "t_final": float},
-    "params": {
-        "chi": float, "D_n": float, "D_c": float, "D_u": float,
-        "rho": float, "gamma": float,
-        "grad_phi_x": float, "grad_phi_y": float,
-    },
-    "initial": {"preset": str, "init_mode": str},
-    "output": {
-        "snapshot_times": str, "outdir": str, "formats": str,
-        "quadrature_degree": int,
-    },
+    "domain": ("Lx", "Ly"),
+    "mesh": ("kx", "ky"),
+    "time": ("dt", "t_final"),
+    "params": ("chi", "D_n", "D_c", "D_u", "rho", "gamma", "grad_phi_x", "grad_phi_y"),
+    "initial": ("preset", "init_mode"),
+    "output": ("snapshot_times", "outdir", "formats", "quadrature_degree"),
 }
+_KEY_TYPES = {f.name: f.type for f in fields(RunConfig)} | {"grad_phi_x": float, "grad_phi_y": float}
 
 
-def parse_config(text):
+def _parse_value(key, text):
+    """``text`` as a value of the type of config key ``key``; a tuple type
+    reads a comma-separated list of its item type."""
+    kind = _KEY_TYPES[key]
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(s.strip()) for s in text.split(",") if s.strip())
+    return kind(text)
+
+
+def _format_value(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def parse_config(text, preset=None):
     """Parse an INI-style configuration; unknown keys are an error.
 
-    The ``[initial] preset`` entry selects the defaults; every other key
-    overrides one preset value.
+    The defaults are those of ``preset``, else of the ``[initial] preset``
+    entry, else of test2; every other key overrides one preset value.
     """
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keep case: D_n vs d_n matters
@@ -149,69 +152,32 @@ def parse_config(text):
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValueError(f"malformed config: {exc}") from exc
+    values = {}
     for section in cp.sections():
         if section not in _CONFIG_SCHEMA:
             raise ValueError(f"unknown config section [{section}]")
-        for key in cp[section]:
+        for key, raw in cp[section].items():
             if key not in _CONFIG_SCHEMA[section]:
                 raise ValueError(f"unknown config key {key!r} in section [{section}]")
-
-    preset = cp.get("initial", "preset", fallback="test2")
-    cfg = default_config(preset)
-
-    def get(section, key, cast):
-        if not cp.has_option(section, key):
-            return None
-        try:
-            return cast(cp.get(section, key))
-        except ValueError as exc:
-            raise ValueError(f"config value {key} in section [{section}]: {exc}") from exc
-
-    parsed_below = ("grad_phi_x", "grad_phi_y", "snapshot_times", "formats")
-    updates = {}
-    for section, keys in _CONFIG_SCHEMA.items():
-        for key, cast in keys.items():
-            val = get(section, key, cast)
-            if val is not None and key not in parsed_below:
-                updates[key] = val
-    gx = get("params", "grad_phi_x", float)
-    gy = get("params", "grad_phi_y", float)
-    if gx is not None or gy is not None:
-        updates["grad_phi"] = (
-            cfg.grad_phi[0] if gx is None else gx,
-            cfg.grad_phi[1] if gy is None else gy,
-        )
-    times = get("output", "snapshot_times", str)
-    if times is not None:
-        stripped = times.strip()
-        updates["snapshot_times"] = (
-            tuple(float(s) for s in stripped.split(",")) if stripped else ()
-        )
-    fmts = get("output", "formats", str)
-    if fmts is not None:
-        updates["formats"] = tuple(s.strip() for s in fmts.split(",") if s.strip())
-    return replace(cfg, **updates).validate()
+            try:
+                values[key] = _parse_value(key, raw)
+            except ValueError as exc:
+                raise ValueError(f"config value {key} in section [{section}]: {exc}") from exc
+    file_preset = values.pop("preset", "test2")
+    cfg = default_config(preset or file_preset)
+    gx, gy = cfg.grad_phi
+    grad_phi = (values.pop("grad_phi_x", gx), values.pop("grad_phi_y", gy))
+    return replace(cfg, grad_phi=grad_phi, **values).validate()
 
 
 def serialize_config(cfg):
     """Render a config as INI text; parse_config round-trips it."""
+    values = dict(vars(cfg))
+    values["grad_phi_x"], values["grad_phi_y"] = values.pop("grad_phi")
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    cp["domain"] = {"Lx": repr(cfg.Lx), "Ly": repr(cfg.Ly)}
-    cp["mesh"] = {"kx": str(cfg.kx), "ky": str(cfg.ky)}
-    cp["time"] = {"dt": repr(cfg.dt), "t_final": repr(cfg.t_final)}
-    cp["params"] = {
-        "chi": repr(cfg.chi), "D_n": repr(cfg.D_n), "D_c": repr(cfg.D_c),
-        "D_u": repr(cfg.D_u), "rho": repr(cfg.rho), "gamma": repr(cfg.gamma),
-        "grad_phi_x": repr(cfg.grad_phi[0]), "grad_phi_y": repr(cfg.grad_phi[1]),
-    }
-    cp["initial"] = {"preset": cfg.preset, "init_mode": cfg.init_mode}
-    cp["output"] = {
-        "snapshot_times": ",".join(repr(t) for t in cfg.snapshot_times),
-        "outdir": cfg.outdir,
-        "formats": ",".join(cfg.formats),
-        "quadrature_degree": str(cfg.quadrature_degree),
-    }
+    for section, keys in _CONFIG_SCHEMA.items():
+        cp[section] = {key: _format_value(values[key]) for key in keys}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -290,21 +256,14 @@ def build_problem(cfg, mesh):
     The conserved density mean is analytic for the manufactured preset and
     computed by quadrature on the run mesh otherwise.
     """
+    physical = {name: getattr(cfg, name) for name in scheme.PARAM_SIGNS}
     if cfg.preset == "test2":
         sol = manufactured.test2_solution()
-        params = replace(
-            manufactured.test2_params(),
-            chi=cfg.chi, D_n=cfg.D_n, D_c=cfg.D_c, D_u=cfg.D_u,
-            rho=cfg.rho, gamma=cfg.gamma, grad_phi=cfg.grad_phi,
-        )
+        params = replace(manufactured.test2_params(), grad_phi=cfg.grad_phi, **physical)
         return params, manufactured.test2_initial_data(sol), manufactured.test2_forcing()
     data = test1_initial_fields()
     alpha0 = mean_over_domain(mesh, data.eta0, degree=cfg.quadrature_degree)
-    params = ModelParams(
-        chi=cfg.chi, D_n=cfg.D_n, D_c=cfg.D_c, D_u=cfg.D_u,
-        rho=cfg.rho, gamma=cfg.gamma, grad_phi=cfg.grad_phi, alpha0=alpha0,
-    )
-    return params, data, None
+    return ModelParams(grad_phi=cfg.grad_phi, alpha0=alpha0, **physical), data, None
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +284,14 @@ class FieldSnapshot:
 
 
 def snapshot_from_state(stepper, state):
-    nn = stepper.mesh.n_nodes
-    ns = stepper.layout_u.n_scalar
     return FieldSnapshot(
         time=state.t,
         mesh=stepper.mesh,
-        eta=state.n[:nn] + stepper.params.alpha0,
-        c=state.c[:nn],
-        sigma=np.column_stack([state.sigma[:nn], state.sigma[nn : 2 * nn]]),
-        velocity=np.column_stack([state.u[:nn], state.u[ns : ns + nn]]),
-        pressure=state.pi[:nn],
+        eta=stepper.layout_n.vertex_values(state.n) + stepper.params.alpha0,
+        c=stepper.layout_c.vertex_values(state.c),
+        sigma=stepper.layout_sigma.vertex_values(state.sigma),
+        velocity=stepper.layout_u.vertex_values(state.u),
+        pressure=stepper.layout_pi.vertex_values(state.pi),
     )
 
 
@@ -369,23 +326,8 @@ def write_vtk(snapshot, path):
         fh.write("".join(parts))
 
 
-def format_order(value):
-    return "" if value is None else f"{value:.4f}"
-
-
-def _csv_columns(report, norm, var):
-    """Error strings (6 significant digits) and order strings recomputed
-    from the rounded errors, so the written columns are self-consistent."""
-    errors = [f"{getattr(m, norm)[var]:.6g}" for m in report.meshes]
-    hs = [m.h for m in report.meshes]
-    orders = [""]
-    for i in range(1, len(errors)):
-        e0, e1 = float(errors[i - 1]), float(errors[i])
-        if e0 > 0 and e1 > 0 and hs[i - 1] > hs[i]:
-            orders.append(f"{np.log(e0 / e1) / np.log(hs[i - 1] / hs[i]):.12g}")
-        else:
-            orders.append("")
-    return errors, orders
+def format_order(value, spec=".4f"):
+    return "" if value is None else format(value, spec)
 
 
 def write_csv_table(report, path):
@@ -397,24 +339,26 @@ def write_csv_table(report, path):
     empty, and each order equals the log-ratio of the adjacent printed
     errors.
     """
-    import os
-
     os.makedirs(path, exist_ok=True)
+    # orders of the printed errors, so the written columns are self-consistent
+    rounded = manufactured.ErrorReport([
+        replace(m, **{norm: {v: float(f"{e:.6g}") for v, e in getattr(m, norm).items()}
+                      for norm in ("linf_l2", "l2_h1", "linf_h1")})
+        for m in report.meshes
+    ])
     written = []
     for var in manufactured.VARIABLES:
-        norms = ["linf_l2", "l2_h1"]
-        if var in ("u1", "u2"):
-            norms.append("linf_h1")
+        norms = ("linf_l2", "l2_h1", "linf_h1")[: 3 if var in ("u1", "u2") else 2]
         header = "k," + ",".join(
             f"error_{label},order"
             for label in ("linf_L2", "l2_H1", "linf_H1")[: len(norms)]
         )
-        columns = [_csv_columns(report, norm, var) for norm in norms]
+        orders = [rounded.orders(norm, var) for norm in norms]
         lines = [header]
-        for i, mesh_err in enumerate(report.meshes):
+        for i, mesh_err in enumerate(rounded.meshes):
             row = [str(mesh_err.k)]
-            for errs, orders in columns:
-                row += [errs[i], orders[i]]
+            for norm, order in zip(norms, orders):
+                row += [f"{getattr(mesh_err, norm)[var]:.6g}", format_order(order[i], ".12g")]
             lines.append(",".join(row))
         out = os.path.join(path, f"{var}.csv")
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -439,38 +383,39 @@ def write_diagnostics_csv(diagnostics, path):
 # commands
 
 
+# run-setting flags (argparse dests) and the RunConfig field each overrides
+_FLAG_FIELDS = {
+    "dt": "dt", "tfinal": "t_final", "out": "outdir", "init_mode": "init_mode",
+    "quadrature_degree": "quadrature_degree",
+}
+
+
+def _int_list(flag, text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from exc
+
+
 def _load_config(args):
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+            cfg = parse_config(fh.read(), preset=args.preset)
     else:
         cfg = default_config(args.preset or "test2")
-    overrides = {}
-    if args.preset and getattr(args, "config", None):
-        overrides["preset"] = args.preset
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
-    if getattr(args, "tfinal", None) is not None:
-        overrides["t_final"] = args.tfinal
-    if getattr(args, "out", None) is not None:
-        overrides["outdir"] = args.out
-    if getattr(args, "init_mode", None) is not None:
-        overrides["init_mode"] = args.init_mode
-    if getattr(args, "quadrature_degree", None) is not None:
-        overrides["quadrature_degree"] = args.quadrature_degree
+    overrides = {
+        name: getattr(args, flag) for flag, name in _FLAG_FIELDS.items()
+        if getattr(args, flag) is not None
+    }
     if getattr(args, "mesh", None) is not None:
-        parts = [int(p) for p in args.mesh.split(",")]
+        parts = _int_list("--mesh", args.mesh)
         if len(parts) > 2:
             raise ValueError(f"--mesh takes K or KX,KY, got {args.mesh!r}")
         overrides["kx"], overrides["ky"] = (parts[0], parts[0]) if len(parts) == 1 else parts
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    return replace(cfg, **overrides).validate()
 
 
 def cmd_run(args):
-    import os
-
     cfg = _load_config(args)
     mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
     params, data, forcing = build_problem(cfg, mesh)
@@ -510,9 +455,8 @@ def cmd_converge(args):
     cfg = _load_config(args)
     if cfg.preset != "test2":
         raise ValueError(f"converge runs the manufactured test2 problem, not preset {cfg.preset!r}")
-    meshes = tuple(int(s) for s in (args.meshes or "10,20,30,40,50").split(","))
     report = manufactured.convergence_study(
-        list(meshes),
+        _int_list("--meshes", args.meshes or "10,20,30,40,50"),
         dt=cfg.dt,
         T=cfg.t_final,
         init_mode=INIT_MODES[cfg.init_mode],

@@ -20,7 +20,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .mesh import build_rect_mesh
-from .scheme import InitialData, ModelParams, Stepper, StepForcing, TimeGrid, require_real
+from .scheme import (
+    InitialData, ModelParams, Stepper, StepForcing, TimeGrid, grid_step, require_real,
+)
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI2 = TWO_PI**2
@@ -358,13 +360,9 @@ def convergence_study(mesh_sizes, dt, T, init_mode="elliptic_projection", quad_d
         raise ValueError("mesh sizes must be increasing")
     require_real("dt", dt, "positive")
     require_real("T", T, "positive")
-    ratio = T / dt
-    n_steps = round(ratio) if math.isfinite(ratio) else 0
-    if not math.isclose(n_steps * dt, T, rel_tol=1e-9):
-        raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
     forcing = test2_forcing()
     data = test2_initial_data()
-    grid = TimeGrid(dt=dt, n_steps=n_steps)
+    grid = TimeGrid(dt=dt, n_steps=grid_step(T, dt, "T"))
     entries = []
     for k in sizes:
         mesh = build_rect_mesh(1.0, 1.0, k, k)

@@ -44,6 +44,23 @@ def require_real(label, value, sign=""):
         raise ValueError(f"{label} must be finite{' and ' + sign if sign else ''}, got {value!r}")
 
 
+def grid_step(t, dt, label):
+    """The index m of the level t = m * dt of a uniform time grid, to a
+    relative 1e-9; raises ValueError naming ``label`` when no level lies at t."""
+    require_real(label, t)
+    steps = t / dt
+    m = round(steps) if math.isfinite(steps) else None
+    if m is None or abs(steps - m) > 1e-9 * max(abs(steps), 1.0):
+        raise ValueError(f"{label}={t} is not an integer multiple of dt={dt}")
+    return m
+
+
+# sign each physical parameter must have: 0 switches a coupling off
+PARAM_SIGNS = {
+    "D_n": "positive", "D_c": "positive", "D_u": "positive", "rho": "positive",
+    "chi": "nonnegative", "gamma": "nonnegative",
+}
+
 MASS_DRIFT_TOL = 1e-10  # criterion 4: relative drift of the conserved mass in a run
 DIVERGENCE_TOL = 1e-9  # criterion 7: max_j |(psi_j, div u_h)| after each step of a run
 
@@ -58,8 +75,7 @@ class InvariantError(RuntimeError):
 
 @dataclass
 class ModelParams:
-    """Physical parameters.  The diffusivities and rho must be positive,
-    chi and gamma nonnegative (0 switches the coupling off), all finite.
+    """Physical parameters, finite and of the signs in ``PARAM_SIGNS``.
 
     ``grad_phi`` is the gravitational-potential gradient as a constant
     2-vector or a vectorized callable (x, y) -> (..., 2); ``alpha0`` is the
@@ -76,8 +92,7 @@ class ModelParams:
     alpha0: float
 
     def __post_init__(self):
-        for name in ("D_n", "D_c", "D_u", "rho", "chi", "gamma"):
-            sign = "nonnegative" if name in ("chi", "gamma") else "positive"
+        for name, sign in PARAM_SIGNS.items():
             require_real(f"parameter {name}", getattr(self, name), sign)
         require_real("parameter alpha0", self.alpha0)
         if not callable(self.grad_phi):
@@ -518,12 +533,17 @@ class Stepper:
         residual, and min/max of each field's nodal values.  Raises
         ``InvariantError`` after the first step whose mass drifts by more
         than MASS_DRIFT_TOL of w.|eta0| (the initial mass if eta0 >= 0) or
-        whose divergence residual exceeds DIVERGENCE_TOL.
+        whose divergence residual exceeds DIVERGENCE_TOL.  ``snapshots`` lists
+        (time, state index) of each of ``snapshot_times``, which must be levels
+        of ``grid``.
         """
+        wanted = sorted({grid_step(ts, grid.dt, "snapshot times") for ts in snapshot_times})
+        if not all(0 <= m <= grid.n_steps for m in wanted):
+            raise ValueError(f"snapshot times must lie in [0, T={grid.T}]")
+        snapshots = lambda last: [(m * grid.dt, m) for m in wanted if m <= last]
         state = self.init_state(data, mode=mode)
         states = [state]
         diagnostics = [self._diagnostics_record(state, {})]
-        snapshots = self._match_snapshots(snapshot_times, grid, 0, [])
         mass0 = diagnostics[0]["mass"]
         scale = float(self.w_p1 @ np.abs(state.n + self.params.alpha0)) or 1.0
         for m in range(1, grid.n_steps + 1):
@@ -531,24 +551,15 @@ class Stepper:
             states.append(state)
             rec = self._diagnostics_record(state, reports)
             diagnostics.append(rec)
-            snapshots = self._match_snapshots(snapshot_times, grid, m, snapshots)
             problems = [f"{k} {v:.3e} exceeds {tol:g}" for k, v, tol in (
                 ("relative mass drift", abs(rec["mass"] - mass0) / scale, MASS_DRIFT_TOL),
                 ("divergence residual", rec["div_residual"], DIVERGENCE_TOL)) if not v <= tol]
             if problems:
                 raise InvariantError(f"step {m}: " + "; ".join(problems),
-                                     SimulationResult(states, diagnostics, snapshots))
-        return SimulationResult(states=states, diagnostics=diagnostics, snapshots=snapshots)
-
-    def _match_snapshots(self, snapshot_times, grid, m, acc):
-        t = m * grid.dt
-        for ts in snapshot_times:
-            if math.isclose(ts, t, rel_tol=0.0, abs_tol=1e-9 * max(grid.dt, 1e-300)):
-                acc.append((t, m))
-        return acc
+                                     SimulationResult(states, diagnostics, snapshots(m)))
+        return SimulationResult(states, diagnostics, snapshots(grid.n_steps))
 
     def _diagnostics_record(self, state, reports):
-        nn = self.mesh.n_nodes
         rec = {
             "m": state.m,
             "t": state.t,
@@ -556,12 +567,13 @@ class Stepper:
             "div_residual": self.divergence_residual(state),
             "assembly_time": self.assembly_time,
         }
+        u = self.layout_u.vertex_values(state.u)
         nodal = {
-            "eta": state.n[:nn] + self.params.alpha0,
-            "c": state.c[:nn],
-            "u1": state.u[:nn],
-            "u2": state.u[self.layout_u.n_scalar : self.layout_u.n_scalar + nn],
-            "pi": state.pi[:nn],
+            "eta": self.layout_n.vertex_values(state.n) + self.params.alpha0,
+            "c": self.layout_c.vertex_values(state.c),
+            "u1": u[:, 0],
+            "u2": u[:, 1],
+            "pi": self.layout_pi.vertex_values(state.pi),
         }
         for name, vals in nodal.items():
             rec[f"min_{name}"] = float(vals.min())

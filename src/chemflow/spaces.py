@@ -79,6 +79,12 @@ class DofLayout:
         bubble = (offsets + np.arange(self.mesh.n_nodes, self.n_scalar)).ravel()
         return nodal, bubble
 
+    def vertex_values(self, x):
+        """Values of the coefficient vector ``x`` at the mesh vertices, bubbles
+        dropped: shape (n_nodes,) for a scalar space, else (n_nodes, components)."""
+        nodal = np.reshape(x, (self.components, self.n_scalar))[:, : self.mesh.n_nodes]
+        return nodal[0] if self.components == 1 else nodal.T
+
 
 def build_layout(mesh, kind, zero_mean=False):
     """Build the dof layout of one space kind on a mesh.

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -122,6 +123,41 @@ class TestConfig:
             cfg = io_cli.default_config(preset)
             again = io_cli.parse_config(io_cli.serialize_config(cfg))
             assert again == cfg
+
+    def test_round_trip_of_non_preset_values(self):
+        cfg = io_cli.RunConfig(
+            preset="test2", Lx=3.0, Ly=0.5, kx=7, ky=5, dt=2.5e-3, t_final=2e-2,
+            chi=0.5, D_n=2.0, D_c=3.0, D_u=4.0, rho=1.5, gamma=0.25, grad_phi=(1.5, -2.5),
+            init_mode="elliptic", quadrature_degree=5, snapshot_times=(5e-3, 1e-2),
+            outdir="results/x", formats=("csv",),
+        ).validate()
+        test1, test2 = io_cli.default_config("test1"), io_cli.default_config("test2")
+        for f in fields(io_cli.RunConfig):
+            value = getattr(cfg, f.name)
+            assert f.name == "preset" or value != getattr(test2, f.name), f.name
+            assert f.name in ("preset", "init_mode") or value != getattr(test1, f.name), f.name
+        assert io_cli.parse_config(io_cli.serialize_config(cfg)) == cfg
+
+    def test_config_keys_are_the_fields(self):
+        keys = [key for section in io_cli._CONFIG_SCHEMA.values() for key in section]
+        expected = []
+        for f in fields(io_cli.RunConfig):
+            expected += ["grad_phi_x", "grad_phi_y"] if f.name == "grad_phi" else [f.name]
+        assert sorted(keys) == sorted(expected)
+
+    def test_preset_argument_selects_the_defaults(self, tmp_path):
+        text = "[initial]\npreset = test2\n[mesh]\nkx = 4\n"
+        expected = replace(io_cli.default_config("test1"), kx=4)
+        assert io_cli.parse_config(text, preset="test1") == expected
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(text)
+        args = io_cli.build_parser().parse_args(
+            ["run", "--config", str(cfgfile), "--preset", "test1"])
+        assert io_cli._load_config(args) == expected
+
+    def test_bad_list_entry_is_named(self):
+        with pytest.raises(ValueError, match="config value snapshot_times in section \\[output\\]"):
+            io_cli.parse_config("[output]\nsnapshot_times = abc\n")
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ValueError, match="viscosity"):
@@ -404,6 +440,22 @@ class TestMain:
         assert summary["error"] == "ValueError"
         assert "--mesh" in summary["message"]
         assert not (tmp_path / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("argv, source", [
+        (["run", "--preset", "test2", "--mesh", "a"], "--mesh"),
+        (["converge", "--preset", "test2", "--meshes", "4,x"], "--meshes"),
+        (["run", "--config", "{bad_ini}"], "snapshot_times in section [output]"),
+    ])
+    def test_malformed_value_names_its_source(self, tmp_path, capsys, argv, source):
+        bad_ini = tmp_path / "bad.ini"
+        bad_ini.write_text("[output]\nsnapshot_times = abc\n")
+        argv = [a.format(bad_ini=bad_ini) for a in argv]
+        code = io_cli.main(argv + ["--out", str(tmp_path / "o")])
+        assert code == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ValueError"
+        assert source in summary["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_nan_dt_flag_rejected(self, tmp_path, capsys):
         code = io_cli.main(["run", "--preset", "test2", "--dt", "nan", "--out", str(tmp_path)])

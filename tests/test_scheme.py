@@ -304,6 +304,13 @@ class TestRun:
         )
         assert [idx for _t, idx in result.snapshots] == [0, 2, 4]
 
+    @pytest.mark.parametrize("bad", [1.5e-3, 5e-3, -1e-3, math.nan])
+    def test_snapshot_times_off_the_grid_rejected(self, bad):
+        st = Stepper(build_rect_mesh(1, 1, 4, 4), simple_params(alpha0=1.0))
+        with pytest.raises(ValueError, match="snapshot times"):
+            st.run(TimeGrid(dt=1e-3, n_steps=4), constant_fields(1.0, 1.0), mode="nodal",
+                   snapshot_times=(0.0, bad))
+
     def test_diagnostics_fields(self):
         mesh = build_rect_mesh(1, 1, 4, 4)
         st = Stepper(mesh, simple_params(alpha0=1.0, gamma=2.0))

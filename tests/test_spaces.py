@@ -43,6 +43,22 @@ class TestLayoutCounts:
         assert np.array_equal(a.constrained_dofs, b.constrained_dofs)
 
 
+class TestVertexValues:
+    @pytest.mark.parametrize("kind", [SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI, PRESSURE_P1])
+    def test_equals_the_component_slices(self, kind):
+        mesh = build_rect_mesh(2, 1, 3, 2)
+        lay = build_layout(mesh, kind)
+        x = np.random.default_rng(3).standard_normal(lay.n_dofs)
+        nn, ns = mesh.n_nodes, lay.n_scalar
+        if kind in (SCALAR_P1, PRESSURE_P1):
+            expected = x[:nn]
+        elif kind == VECTOR_P1_SIGMA:
+            expected = np.column_stack([x[:nn], x[nn : 2 * nn]])
+        else:
+            expected = np.column_stack([x[:nn], x[ns : ns + nn]])
+        assert np.array_equal(lay.vertex_values(x), expected)
+
+
 class TestBasisEvaluation:
     def setup_method(self):
         self.mesh = build_rect_mesh(1, 1, 1, 1)
