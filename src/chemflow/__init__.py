@@ -8,7 +8,7 @@ spatial convergence orders of the scheme.
 
 from .mesh import Mesh, build_rect_mesh, classify_boundary
 from .quadrature import TriangleRule, triangle_rule
-from .scheme import InitialData, ModelParams, SimulationResult, State, StepForcing, Stepper, TimeGrid
+from .scheme import InitialData, ModelParams, State, StepForcing, Stepper, TimeGrid
 from .spaces import DofLayout, build_layout
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "StepForcing",
     "State",
     "InitialData",
-    "SimulationResult",
     "Stepper",
     "__version__",
 ]

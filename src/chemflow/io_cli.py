@@ -10,9 +10,9 @@ corresponding config entry.
 
 import argparse
 import configparser
+import contextlib
 import io
 import json
-import numbers
 import os
 import sys
 import typing
@@ -29,10 +29,6 @@ from .scheme import InitialData, InvariantError, ModelParams, Stepper, TimeGrid,
 PRESET_NAMES = ("test1", "test2")
 INIT_MODES = {"elliptic": "elliptic_projection", "nodal": "nodal"}
 FORMATS = ("vtk", "csv")
-
-
-def _integer(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -60,6 +56,20 @@ class RunConfig:
     def n_steps(self):
         return scheme.grid_step(self.t_final, self.dt, "t_final")
 
+    def snapshot_steps(self):
+        """The set of step indices of ``snapshot_times``; raises ValueError for
+        a time off the dt grid or outside [0, t_final]."""
+        n = self.n_steps()
+        steps = set()
+        for ts in self.snapshot_times:
+            m = scheme.grid_step(ts, self.dt, "snapshot times")
+            if m < 0:
+                raise ValueError("snapshot times must be nonnegative")
+            if m > n:
+                raise ValueError(f"snapshot time {ts} exceeds t_final")
+            steps.add(m)
+        return steps
+
     def validate(self):
         if self.preset not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.preset!r}")
@@ -68,23 +78,17 @@ class RunConfig:
             require_real(f"config value {name}", getattr(self, name), sign)
         for g in self.grad_phi:
             require_real("config value grad_phi", g)
-        if not (_integer(self.kx) and _integer(self.ky) and self.kx >= 1 and self.ky >= 1):
+        if not (scheme.is_integer(self.kx, 1) and scheme.is_integer(self.ky, 1)):
             raise ValueError("mesh subdivisions kx, ky must be integers >= 1")
         degree = self.quadrature_degree
-        if not (_integer(degree) and 1 <= degree <= MAX_DEGREE):
+        if not (scheme.is_integer(degree, 1) and degree <= MAX_DEGREE):
             raise ValueError(f"quadrature_degree must be an integer in 1..{MAX_DEGREE}")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {sorted(INIT_MODES)}")
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ValueError(f"unknown output format {fmt!r}")
-        n = self.n_steps()
-        for ts in self.snapshot_times:
-            m = scheme.grid_step(ts, self.dt, "snapshot times")
-            if m < 0:
-                raise ValueError("snapshot times must be nonnegative")
-            if m > n:
-                raise ValueError(f"snapshot time {ts} exceeds t_final")
+        self.snapshot_steps()
         return self
 
 
@@ -140,11 +144,13 @@ def _format_value(value):
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def parse_config(text, preset=None):
+def parse_config(text, preset=None, **overrides):
     """Parse an INI-style configuration; unknown keys are an error.
 
     The defaults are those of ``preset``, else of the ``[initial] preset``
-    entry, else of test2; every other key overrides one preset value.
+    entry, else of test2; every other key overrides one preset value, and
+    ``overrides`` (RunConfig field values) override the file.  The result
+    is validated once, with the overrides applied.
     """
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keep case: D_n vs d_n matters
@@ -167,7 +173,7 @@ def parse_config(text, preset=None):
     cfg = default_config(preset or file_preset)
     gx, gy = cfg.grad_phi
     grad_phi = (values.pop("grad_phi_x", gx), values.pop("grad_phi_y", gy))
-    return replace(cfg, grad_phi=grad_phi, **values).validate()
+    return replace(cfg, grad_phi=grad_phi, **(values | overrides)).validate()
 
 
 def serialize_config(cfg):
@@ -398,11 +404,10 @@ def _int_list(flag, text):
 
 
 def _load_config(args):
+    text = ""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read(), preset=args.preset)
-    else:
-        cfg = default_config(args.preset or "test2")
+            text = fh.read()
     overrides = {
         name: getattr(args, flag) for flag, name in _FLAG_FIELDS.items()
         if getattr(args, flag) is not None
@@ -412,7 +417,7 @@ def _load_config(args):
         if len(parts) > 2:
             raise ValueError(f"--mesh takes K or KX,KY, got {args.mesh!r}")
         overrides["kx"], overrides["ky"] = (parts[0], parts[0]) if len(parts) == 1 else parts
-    return replace(cfg, **overrides).validate()
+    return parse_config(text, args.preset, **overrides)
 
 
 def cmd_run(args):
@@ -422,30 +427,24 @@ def cmd_run(args):
     stepper = Stepper(mesh, params, quad_degree=cfg.quadrature_degree)
     grid = TimeGrid(dt=cfg.dt, n_steps=cfg.n_steps())
 
-    def write_records(diagnostics):
-        os.makedirs(cfg.outdir, exist_ok=True)
+    snapshots = cfg.snapshot_steps() if "vtk" in cfg.formats else set()
+    diagnostics = []
+    os.makedirs(cfg.outdir, exist_ok=True)
+    try:
+        for state, rec in stepper.run(grid, data, INIT_MODES[cfg.init_mode], forcing):
+            diagnostics.append(rec)
+            if state.m in snapshots:
+                snap = snapshot_from_state(stepper, state)
+                write_vtk(snap, os.path.join(cfg.outdir, f"snapshot_{state.m:06d}.vtk"))
+    finally:  # a run stopped early keeps the records it reached
         if "csv" in cfg.formats:
             write_diagnostics_csv(diagnostics, os.path.join(cfg.outdir, "diagnostics.csv"))
-
-    try:
-        result = stepper.run(
-            grid, data, mode=INIT_MODES[cfg.init_mode], forcing=forcing,
-            snapshot_times=cfg.snapshot_times,
-        )
-    except InvariantError as exc:  # keep the records up to the failing step
-        write_records(exc.result.diagnostics)
-        raise
-    write_records(result.diagnostics)
-    if "vtk" in cfg.formats:
-        for t, idx in result.snapshots:
-            snap = snapshot_from_state(stepper, result.states[idx])
-            write_vtk(snap, os.path.join(cfg.outdir, f"snapshot_{idx:06d}.vtk"))
-    mass0 = result.diagnostics[0]["mass"]
-    mass_end = result.diagnostics[-1]["mass"]
+    mass0 = diagnostics[0]["mass"]
+    mass_end = diagnostics[-1]["mass"]
     drift = abs(mass_end - mass0) / max(abs(mass0), 1e-300)
     print(f"completed {grid.n_steps} steps to t={grid.T:.6g}")
     print(f"mass: initial {mass0:.12g}, final {mass_end:.12g}, relative drift {drift:.3e}")
-    max_c = [rec["max_c"] for rec in result.diagnostics]
+    max_c = [rec["max_c"] for rec in diagnostics]
     if len(max_c) > 2 and any(b > a * (1 + 1e-12) for a, b in zip(max_c[1:-1], max_c[2:])):
         print("note: max(c_h) increased after the first step (soft diagnostic)")
     return 0
@@ -483,25 +482,23 @@ def cmd_check(args):
         if not ok:
             failures.append({"check": name, "detail": detail})
 
-    cfg = replace(default_config("test1"), kx=16, ky=8, dt=1e-5, t_final=1e-4,
-                  snapshot_times=())
+    cfg = replace(default_config("test1"), kx=16, ky=8, dt=1e-5, t_final=1e-4)
     mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
     params, data, forcing = build_problem(cfg, mesh)
     stepper = Stepper(mesh, params)
     grid = TimeGrid(dt=cfg.dt, n_steps=cfg.n_steps())
-    try:
-        result = stepper.run(grid, data, mode=INIT_MODES[cfg.init_mode], forcing=forcing)
-    except InvariantError as exc:  # check the steps the run reached
-        result = exc.result
+    records = []
+    with contextlib.suppress(InvariantError):  # check the levels the run reached
+        for final, rec in stepper.run(grid, data, INIT_MODES[cfg.init_mode], forcing):
+            records.append(rec)
 
-    masses = np.array([rec["mass"] for rec in result.diagnostics])
+    masses = np.array([rec["mass"] for rec in records])
     drift = np.abs(masses - masses[0]).max() / abs(masses[0])
     check("mass conservation", drift <= scheme.MASS_DRIFT_TOL, f"relative drift {drift:.3e}")
 
-    div_res = max(rec["div_residual"] for rec in result.diagnostics[1:])
+    div_res = max(rec["div_residual"] for rec in records[1:])
     check("discrete incompressibility", div_res <= scheme.DIVERGENCE_TOL, f"max residual {div_res:.3e}")
 
-    final = result.states[-1]
     sig_c = np.abs(final.sigma[stepper.layout_sigma.constrained_dofs]).max() if len(
         stepper.layout_sigma.constrained_dofs) else 0.0
     u_c = np.abs(final.u[stepper.layout_u.constrained_dofs]).max()

@@ -13,7 +13,6 @@ as ``exp(-t)`` with the classical trigonometric profiles.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .mesh import build_rect_mesh
 from .scheme import (
-    InitialData, ModelParams, Stepper, StepForcing, TimeGrid, grid_step, require_real,
+    InitialData, ModelParams, Stepper, StepForcing, TimeGrid, grid_step, is_integer, require_real,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -353,8 +352,7 @@ def convergence_study(mesh_sizes, dt, T, init_mode="elliptic_projection", quad_d
     Returns an ErrorReport with one MeshErrors entry per k, in order.
     """
     sizes = list(mesh_sizes)
-    if not sizes or not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1
-                            for k in sizes):
+    if not sizes or not all(is_integer(k, 1) for k in sizes):
         raise ValueError(f"mesh sizes must be one or more integers >= 1, got {sizes!r}")
     if sorted(sizes) != sizes:
         raise ValueError("mesh sizes must be increasing")
@@ -367,6 +365,6 @@ def convergence_study(mesh_sizes, dt, T, init_mode="elliptic_projection", quad_d
     for k in sizes:
         mesh = build_rect_mesh(1.0, 1.0, k, k)
         stepper = Stepper(mesh, test2_params(), quad_degree=quad_degree)
-        result = stepper.run(grid, data, mode=init_mode, forcing=forcing)
-        entries.append(error_norms(result.states, stepper, dt, k=k))
+        states = (s for s, _ in stepper.run(grid, data, mode=init_mode, forcing=forcing))
+        entries.append(error_norms(states, stepper, dt, k=k))
     return ErrorReport(meshes=entries)

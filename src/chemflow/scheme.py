@@ -15,7 +15,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +36,11 @@ def _is_real(value, sign=""):
     "positive" or "nonnegative", of that sign."""
     ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     return ok and not (sign == "positive" and value <= 0 or sign == "nonnegative" and value < 0)
+
+
+def is_integer(value, low):
+    """Whether ``value`` is an integer >= ``low``, not a bool; numpy integers count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 def require_real(label, value, sign=""):
@@ -66,11 +71,7 @@ DIVERGENCE_TOL = 1e-9  # criterion 7: max_j |(psi_j, div u_h)| after each step o
 
 
 class InvariantError(RuntimeError):
-    """A step broke an invariant; ``result`` holds the run up to that step."""
-
-    def __init__(self, message, result):
-        super().__init__(message)
-        self.result = result
+    """A step of ``Stepper.run`` broke criterion 4 or 7."""
 
 
 @dataclass
@@ -111,9 +112,8 @@ class TimeGrid:
 
     def __post_init__(self):
         require_real("dt", self.dt, "positive")
-        n = self.n_steps
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-            raise ValueError(f"n_steps must be an integer >= 0, got {n!r}")
+        if not is_integer(self.n_steps, 0):
+            raise ValueError(f"n_steps must be an integer >= 0, got {self.n_steps!r}")
 
     @property
     def T(self):
@@ -173,13 +173,6 @@ class InitialData:
     grad_u0: object
     div_u0: object
     pi0: object = None
-
-
-@dataclass
-class SimulationResult:
-    states: list
-    diagnostics: list
-    snapshots: list = field(default_factory=list)  # (time, state index)
 
 
 class CondensedSaddle:
@@ -524,40 +517,33 @@ class Stepper:
         state = State(m=prev.m + 1, t=t_new, n=n_new, c=c_new, sigma=sigma_new, u=u_new, pi=pi_new)
         return state, reports
 
-    def run(self, grid, data, mode="elliptic_projection", forcing=None, snapshot_times=()):
-        """Integrate over the whole time grid, collecting diagnostics.
+    def run(self, grid, data, mode="elliptic_projection", forcing=None):
+        """Integrate over the whole time grid, yielding (state, diagnostics
+        record) for each level, the initial one first; no earlier level is kept.
 
-        Diagnostics per step: time level, conserved mass, the seconds spent
+        Record per level: time level, conserved mass, the seconds spent
         assembling forms and loads, for each system the solver kind, its
         LU passes, residual, factor and solve time, the discrete-divergence
-        residual, and min/max of each field's nodal values.  Raises
-        ``InvariantError`` after the first step whose mass drifts by more
-        than MASS_DRIFT_TOL of w.|eta0| (the initial mass if eta0 >= 0) or
-        whose divergence residual exceeds DIVERGENCE_TOL.  ``snapshots`` lists
-        (time, state index) of each of ``snapshot_times``, which must be levels
-        of ``grid``.
+        residual, and min/max of each field's nodal values.  Each level is
+        yielded before it is checked: resumed after the first step whose mass
+        drifts by more than MASS_DRIFT_TOL of w.|eta0| (the initial mass if
+        eta0 >= 0) or whose divergence residual exceeds DIVERGENCE_TOL, the
+        run raises ``InvariantError``.
         """
-        wanted = sorted({grid_step(ts, grid.dt, "snapshot times") for ts in snapshot_times})
-        if not all(0 <= m <= grid.n_steps for m in wanted):
-            raise ValueError(f"snapshot times must lie in [0, T={grid.T}]")
-        snapshots = lambda last: [(m * grid.dt, m) for m in wanted if m <= last]
         state = self.init_state(data, mode=mode)
-        states = [state]
-        diagnostics = [self._diagnostics_record(state, {})]
-        mass0 = diagnostics[0]["mass"]
+        rec = self._diagnostics_record(state, {})
+        mass0 = rec["mass"]
         scale = float(self.w_p1 @ np.abs(state.n + self.params.alpha0)) or 1.0
+        yield state, rec
         for m in range(1, grid.n_steps + 1):
             state, reports = self.step(state, grid.dt, forcing)
-            states.append(state)
             rec = self._diagnostics_record(state, reports)
-            diagnostics.append(rec)
+            yield state, rec
             problems = [f"{k} {v:.3e} exceeds {tol:g}" for k, v, tol in (
                 ("relative mass drift", abs(rec["mass"] - mass0) / scale, MASS_DRIFT_TOL),
                 ("divergence residual", rec["div_residual"], DIVERGENCE_TOL)) if not v <= tol]
             if problems:
-                raise InvariantError(f"step {m}: " + "; ".join(problems),
-                                     SimulationResult(states, diagnostics, snapshots(m)))
-        return SimulationResult(states, diagnostics, snapshots(grid.n_steps))
+                raise InvariantError(f"step {m}: " + "; ".join(problems))
 
     def _diagnostics_record(self, state, reports):
         rec = {

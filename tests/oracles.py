@@ -291,23 +291,24 @@ def level_errors_by_sums(stepper, state, sol):
     }
 
 
-def stopped_step(stepper, error):
+def stopped_step(stepper, error, levels):
     """The step k at which ``stepper.run`` raised the InvariantError ``error``.
 
-    Asserts that the message names step k, that the records are 0..k, and
-    that every record before k keeps the relative mass drift (against
-    w.|eta0|) within MASS_DRIFT_TOL and the divergence residual within
-    DIVERGENCE_TOL, while record k breaks one of them.
+    ``levels`` are the (state, record) pairs the run yielded before it
+    raised.  Asserts that the message names step k, that the records are
+    0..k, and that every record before k keeps the relative mass drift
+    (against w.|eta0|) within MASS_DRIFT_TOL and the divergence residual
+    within DIVERGENCE_TOL, while record k breaks one of them.
     """
-    result = error.result
-    k = len(result.states) - 1
+    records = [rec for _state, rec in levels]
+    k = len(levels) - 1
     assert str(error).startswith(f"step {k}: ")
-    assert [rec["m"] for rec in result.diagnostics] == list(range(k + 1))
-    scale = stepper.w_p1 @ np.abs(result.states[0].n + stepper.params.alpha0)
-    mass0 = result.diagnostics[0]["mass"]
+    assert [rec["m"] for rec in records] == list(range(k + 1))
+    scale = stepper.w_p1 @ np.abs(levels[0][0].n + stepper.params.alpha0)
+    mass0 = records[0]["mass"]
     within = [
         abs(rec["mass"] - mass0) / scale <= MASS_DRIFT_TOL and rec["div_residual"] <= DIVERGENCE_TOL
-        for rec in result.diagnostics
+        for rec in records
     ]
     assert within == [True] * k + [False]
     return k

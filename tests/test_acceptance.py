@@ -59,13 +59,13 @@ def test2_run_20():
     sol = mf.test2_solution()
     mesh = build_rect_mesh(1.0, 1.0, 20, 20)
     stepper = Stepper(mesh, mf.test2_params())
-    result = stepper.run(
+    records = [rec for _state, rec in stepper.run(
         TimeGrid(dt=DT, n_steps=round(T_END / DT)),
         mf.test2_initial_data(sol),
         mode="nodal",
         forcing=mf.test2_forcing(),
-    )
-    return stepper, result
+    )]
+    return stepper, records
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +74,10 @@ def plume_run():
     mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
     params, data, _ = io_cli.build_problem(cfg, mesh)
     stepper = Stepper(mesh, params)
-    result = stepper.run(
+    records = [rec for _state, rec in stepper.run(
         TimeGrid(dt=cfg.dt, n_steps=cfg.n_steps()), data, mode="elliptic_projection"
-    )
-    return stepper, result
+    )]
+    return stepper, records
 
 
 def test_criterion_1_l2_convergence_orders(study):
@@ -116,8 +116,8 @@ def test_criterion_3_error_magnitudes(study):
 
 def test_criterion_4_mass_conservation(plume_run, test2_run_20):
     drifts = {}
-    for name, (stepper, result) in (("plume", plume_run), ("manufactured", test2_run_20)):
-        masses = np.array([rec["mass"] for rec in result.diagnostics])
+    for name, (stepper, records) in (("plume", plume_run), ("manufactured", test2_run_20)):
+        masses = np.array([rec["mass"] for rec in records])
         drifts[name] = float(np.abs(masses - masses[0]).max() / abs(masses[0]))
         assert drifts[name] <= 1e-10, (name, drifts[name])
     assert report(4, True, f"relative drifts {drifts}")
@@ -163,8 +163,8 @@ def test_criterion_6_skew_symmetry():
 
 
 def test_criterion_7_discrete_incompressibility(test2_run_20):
-    stepper, result = test2_run_20
-    residuals = [rec["div_residual"] for rec in result.diagnostics[1:]]
+    stepper, records = test2_run_20
+    residuals = [rec["div_residual"] for rec in records[1:]]
     worst = max(residuals)
     assert all(r <= 1e-9 for r in residuals)
     assert report(7, True, f"max |(pressure test, div u)| = {worst:.2e} over {len(residuals)} steps")

@@ -38,6 +38,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             replace(cfg, dt=3e-4).validate()
 
+    def test_snapshot_steps(self):
+        cfg = replace(io_cli.default_config("test2"), dt=1e-3, t_final=4e-3,
+                      snapshot_times=(0.0, 2e-3, 4e-3, 2e-3))
+        assert cfg.validate().snapshot_steps() == {0, 2, 4}
+
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(1.5e-3, "snapshot times=0.0015 is not an integer multiple", id="0.0015"),
+        pytest.param(5e-3, "snapshot time 0.005 exceeds t_final", id="0.005"),
+        pytest.param(-1e-3, "snapshot times must be nonnegative", id="-0.001"),
+        pytest.param(math.nan, "snapshot times must be finite", id="nan"),
+    ])
+    def test_snapshot_times_off_the_grid_rejected(self, bad, message):
+        cfg = replace(io_cli.default_config("test2"), dt=1e-3, t_final=4e-3,
+                      snapshot_times=(0.0, bad))
+        with pytest.raises(ValueError, match=message):
+            cfg.snapshot_steps()
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+
     def test_snapshot_times_on_grid(self):
         from dataclasses import replace
 
@@ -339,13 +358,11 @@ class TestVtk:
         mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
         params, data, forcing = io_cli.build_problem(cfg, mesh)
         stepper = Stepper(mesh, params)
-        result = stepper.run(
-            TimeGrid(dt=cfg.dt, n_steps=cfg.n_steps()), data,
-            mode="elliptic_projection", snapshot_times=cfg.snapshot_times,
-        )
-        assert result.snapshots
-        t, idx = result.snapshots[-1]
-        snap = io_cli.snapshot_from_state(stepper, result.states[idx])
+        idx, = cfg.snapshot_steps()
+        levels = stepper.run(TimeGrid(dt=cfg.dt, n_steps=cfg.n_steps()), data,
+                             mode="elliptic_projection")
+        state, = [state for state, _rec in levels if state.m == idx]
+        snap = io_cli.snapshot_from_state(stepper, state)
         path = tmp_path / "plume.vtk"
         io_cli.write_vtk(snap, path)
         _pts, _cells, _types, fields = parse_legacy_vtk(path)
@@ -411,10 +428,13 @@ class TestMain:
         raised, original = [], Stepper.run
 
         def recording(self, *args, **kwargs):
+            levels = []
             try:
-                return original(self, *args, **kwargs)
+                for level in original(self, *args, **kwargs):
+                    levels.append(level)
+                    yield level
             except InvariantError as exc:
-                raised.append((self, exc))
+                raised.append((self, exc, levels))
                 raise
 
         monkeypatch.setattr(Stepper, "run", recording)
@@ -422,14 +442,30 @@ class TestMain:
         assert code == 1
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert summary["error"] == "InvariantError"
-        (stepper, error), = raised
+        (stepper, error, levels), = raised
         assert summary["message"] == str(error)
-        k = stopped_step(stepper, error)  # the CSV's 10 digits cannot resolve the drift
+        k = stopped_step(stepper, error, levels)  # the CSV's 10 digits cannot resolve the drift
         assert k <= 4
         rows = (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()
         header = rows[0].split(",")
         assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(k + 1))
         assert rows[-1].split(",")[header.index("solver_u")] == "lu-fallback"
+
+    def test_blow_up_keeps_the_snapshots_it_reached(self, tmp_path, capsys):
+        # the run of the test above, with a snapshot at t=0 and one at t_final
+        cfgfile = tmp_path / "blowup.ini"
+        cfgfile.write_text(
+            "[initial]\npreset = test1\n[mesh]\nkx = 20\nky = 20\n"
+            "[time]\ndt = 1e-2\nt_final = 5e-2\n"
+            "[output]\nsnapshot_times = 0, 5e-2\nformats = vtk,csv\n"
+        )
+        out = tmp_path / "o"
+        code = io_cli.main(["run", "--config", str(cfgfile), "--out", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "InvariantError"
+        assert sorted(p.name for p in out.iterdir()) == ["diagnostics.csv", "snapshot_000000.vtk"]
+        _pts, _cells, _types, fields = parse_legacy_vtk(out / "snapshot_000000.vtk")
+        assert set(fields) == {"eta", "c", "pressure", "sigma", "velocity"}
 
     def test_mesh_with_three_parts_rejected(self, tmp_path, capsys):
         code = io_cli.main(
@@ -503,6 +539,17 @@ class TestMain:
         err = capsys.readouterr().err
         summary = json.loads(err.strip().splitlines()[-1])
         assert summary["error"] == "ValueError"
+
+    def test_flags_override_invalid_file_values(self, tmp_path):
+        # dt = 3e-4 does not divide t_final; the --dt flag replaces it
+        cfgfile = tmp_path / "d.ini"
+        cfgfile.write_text("[mesh]\nkx = 4\nky = 4\n[time]\ndt = 3e-4\nt_final = 2e-3\n")
+        out = tmp_path / "o"
+        code = io_cli.main(["run", "--config", str(cfgfile), "--dt", "2e-4", "--out", str(out)])
+        assert code == 0
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert [float(row.split(",")[1]) for row in rows[1:]] == pytest.approx(
+            [m * 2e-4 for m in range(11)])
 
     def test_config_flag_overrides(self, tmp_path):
         cfgfile = tmp_path / "c.ini"

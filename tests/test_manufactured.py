@@ -205,9 +205,9 @@ class TestTableEquivalence:
 def test2_run():
     """A short test2 trajectory on a 6 x 6 mesh: its stepper and states."""
     st = Stepper(build_rect_mesh(1.0, 1.0, 6, 6), mf.test2_params())
-    result = st.run(TimeGrid(dt=1e-3, n_steps=4), mf.test2_initial_data(), mode="nodal",
+    levels = st.run(TimeGrid(dt=1e-3, n_steps=4), mf.test2_initial_data(), mode="nodal",
                     forcing=mf.test2_forcing())
-    return st, result.states
+    return st, [state for state, _rec in levels]
 
 
 class TestErrorTable:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -248,8 +249,8 @@ class TestMassConservation:
         mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
         params, data, _ = build_problem(cfg, mesh)
         st = Stepper(mesh, params)
-        result = st.run(TimeGrid(dt=1e-5, n_steps=10), data, mode="elliptic_projection")
-        masses = np.array([rec["mass"] for rec in result.diagnostics])
+        levels = st.run(TimeGrid(dt=1e-5, n_steps=10), data, mode="elliptic_projection")
+        masses = np.array([rec["mass"] for _state, rec in levels])
         assert np.abs(masses - masses[0]).max() <= 1e-10 * abs(masses[0])
 
     @settings(max_examples=25, deadline=None)
@@ -279,52 +280,53 @@ class TestRun:
         st = Stepper(mesh, manufactured.test2_params())
         data = manufactured.test2_initial_data()
         for mode, init_assembles in (("nodal", False), ("elliptic_projection", True)):
-            result = st.run(TimeGrid(dt=2e-4, n_steps=2), data, mode=mode,
-                            forcing=manufactured.test2_forcing())
-            times = [rec["assembly_time"] for rec in result.diagnostics]
+            records = [rec for _state, rec in st.run(TimeGrid(dt=2e-4, n_steps=2), data, mode=mode,
+                                                     forcing=manufactured.test2_forcing())]
+            times = [rec["assembly_time"] for rec in records]
             assert (times[0] > 0.0) == init_assembles
             assert all(t > 0.0 for t in times[1:])
-            assert all("factor_time_u" in rec for rec in result.diagnostics[1:])
+            assert all("factor_time_u" in rec for rec in records[1:])
 
     def test_zero_steps_returns_initial_state(self):
         mesh = build_rect_mesh(1, 1, 4, 4)
         st = Stepper(mesh, simple_params(alpha0=1.0))
-        result = st.run(TimeGrid(dt=1e-3, n_steps=0), constant_fields(1.0, 1.0), mode="nodal")
-        assert len(result.states) == 1
-        assert result.states[0].m == 0
+        states = [state for state, _rec in st.run(TimeGrid(dt=1e-3, n_steps=0),
+                                                  constant_fields(1.0, 1.0), mode="nodal")]
+        assert len(states) == 1
+        assert states[0].m == 0
 
-    def test_snapshots_on_grid(self):
-        mesh = build_rect_mesh(1, 1, 4, 4)
-        st = Stepper(mesh, simple_params(alpha0=1.0))
-        result = st.run(
-            TimeGrid(dt=1e-3, n_steps=4),
-            constant_fields(1.0, 1.0),
-            mode="nodal",
-            snapshot_times=(0.0, 2e-3, 4e-3),
-        )
-        assert [idx for _t, idx in result.snapshots] == [0, 2, 4]
+    def test_memory_does_not_grow_with_steps(self):
+        # each level is discarded as it is read, so the run must keep none
+        st = Stepper(build_rect_mesh(1.0, 1.0, 10, 10), manufactured.test2_params())
+        data, forcing = manufactured.test2_initial_data(), manufactured.test2_forcing()
 
-    @pytest.mark.parametrize("bad", [1.5e-3, 5e-3, -1e-3, math.nan])
-    def test_snapshot_times_off_the_grid_rejected(self, bad):
-        st = Stepper(build_rect_mesh(1, 1, 4, 4), simple_params(alpha0=1.0))
-        with pytest.raises(ValueError, match="snapshot times"):
-            st.run(TimeGrid(dt=1e-3, n_steps=4), constant_fields(1.0, 1.0), mode="nodal",
-                   snapshot_times=(0.0, bad))
+        def peak(n_steps):
+            tracemalloc.start()
+            try:
+                for _level in st.run(TimeGrid(dt=2e-4, n_steps=n_steps), data, mode="nodal",
+                                     forcing=forcing):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-step factorizations of the cached operators
+        assert peak(40) <= peak(10) + 64 * 1024
 
     def test_diagnostics_fields(self):
         mesh = build_rect_mesh(1, 1, 4, 4)
         st = Stepper(mesh, simple_params(alpha0=1.0, gamma=2.0))
-        result = st.run(TimeGrid(dt=1e-3, n_steps=2), constant_fields(1.0, 1.0), mode="nodal")
-        rec = result.diagnostics[-1]
+        *_, (_state, rec) = st.run(TimeGrid(dt=1e-3, n_steps=2), constant_fields(1.0, 1.0),
+                                   mode="nodal")
         for key in ("m", "t", "mass", "div_residual", "residual_n", "max_c", "min_eta"):
             assert key in rec
 
     def test_diagnostics_carry_solver_timings(self):
         mesh = build_rect_mesh(1, 1, 4, 4)
         st = Stepper(mesh, manufactured.test2_params())
-        result = st.run(TimeGrid(dt=2e-4, n_steps=2), manufactured.test2_initial_data(),
+        levels = st.run(TimeGrid(dt=2e-4, n_steps=2), manufactured.test2_initial_data(),
                         mode="nodal", forcing=manufactured.test2_forcing())
-        for rec in result.diagnostics[1:]:
+        for _state, rec in list(levels)[1:]:
             for system in ("n", "sigma", "c", "u"):
                 for key in ("residual", "factor_time", "solve_time"):
                     value = rec[f"{key}_{system}"]
@@ -333,13 +335,13 @@ class TestRun:
     def test_records_name_each_solver(self):
         mesh = build_rect_mesh(1, 1, 6, 6)
         st = Stepper(mesh, manufactured.test2_params())
-        result = st.run(TimeGrid(dt=2e-4, n_steps=3), manufactured.test2_initial_data(),
+        levels = st.run(TimeGrid(dt=2e-4, n_steps=3), manufactured.test2_initial_data(),
                         mode="nodal", forcing=manufactured.test2_forcing())
-        first, *later = result.diagnostics[1:]
+        _initial, first, *later = [rec for _state, rec in levels]
         for system in ("n", "sigma", "c", "u"):
             assert first[f"solver_{system}"] == "lu"
             assert all(rec[f"solver_{system}"] == "cached-lu" for rec in later)
-            for rec in result.diagnostics[1:]:
+            for rec in [first, *later]:
                 passes = rec[f"iterations_{system}"]
                 assert isinstance(passes, int) and 1 <= passes <= linsolve.MAX_REFINE_PASSES
 
@@ -350,9 +352,10 @@ class TestRun:
         data, forcing = manufactured.test2_initial_data(), manufactured.test2_forcing()
         records = []
         for dt in (2e-4, 1e-4):
-            result = st.run(TimeGrid(dt=dt, n_steps=4), data, mode="nodal", forcing=forcing)
-            records += result.diagnostics[1:]
-            paid = [rec["factor_time_sigma"] > 0 for rec in result.diagnostics[1:]]
+            levels = st.run(TimeGrid(dt=dt, n_steps=4), data, mode="nodal", forcing=forcing)
+            steps = [rec for _state, rec in levels][1:]
+            records += steps
+            paid = [rec["factor_time_sigma"] > 0 for rec in steps]
             assert paid == [True, False, False, False]
         once = sum(st._solvers[("sigma", dt)].factor_time for dt in (2e-4, 1e-4))
         assert sum(rec["factor_time_sigma"] for rec in records) == once
@@ -369,11 +372,13 @@ class TestRun:
         params, data, _ = io_cli.build_problem(cfg, mesh)
         st = Stepper(mesh, params)
         grid = TimeGrid(dt=1e-2, n_steps=5)
+        levels = []
         with pytest.raises(InvariantError) as e:
-            st.run(grid, data, mode="elliptic_projection")
-        k = stopped_step(st, e.value)
+            for level in st.run(grid, data, mode="elliptic_projection"):
+                levels.append(level)
+        k = stopped_step(st, e.value, levels)
         assert k <= 4
-        assert e.value.result.diagnostics[k]["solver_u"] == "lu-fallback"
+        assert levels[k][1]["solver_u"] == "lu-fallback"
 
 
 class TestCachedFactorizations:
