@@ -188,12 +188,15 @@ def _array(value):
     return out.reshape(out.shape[:-1] + (2, 2)) if matrix else out
 
 
-def _pointwise(name):
-    """The vectorized (x, y, t) callable of one quantity of ``_Test2``."""
+def _pointwise(name, table=_Test2):
+    """The vectorized (x, y, t) callable of one quantity of ``_Test2``, read
+    from ``table(x, y, t)``.  The quantity itself is not kept in the table;
+    each source formula builds new arrays, so the caller of a table shared
+    between calls still owns each source it gets."""
     formula = vars(_Test2)[name].fn
 
     def fn(x, y, t):
-        return _array(formula(_Test2(x, y, t)))
+        return _array(formula(table(x, y, t)))
 
     fn.__name__ = fn.__qualname__ = name
     return fn
@@ -204,14 +207,41 @@ def test2_solution():
     return ExactSolution(**{f.name: _pointwise(f.name) for f in fields(ExactSolution)})
 
 
+def _same(value, kept):
+    """Whether ``value`` equals the private copy ``kept`` in dtype, shape and
+    every entry (a caller's view may be new on each call, or changed in place)."""
+    return np.asarray(value).dtype == kept.dtype and np.array_equal(value, kept)
+
+
 def test2_forcing():
     """Source terms that make the exact solution solve the forced system.
 
     Residuals of the strong equations at the exact solution with unit
     coefficients and zero gravity; the flux source is the gradient of the
-    concentration source.  Each call evaluates its source from one table.
+    concentration source.
+
+    The four sources share one table: the spatial half (sin/cos of 2 pi x
+    and 2 pi y) is kept while x and y hold the same values, and one level
+    over it while t does too, so the sources of a step compute exp(-t)
+    and the fields they share once, and a run on one mesh computes its
+    sin/cos once.  Points or times that differ by value replace what is
+    kept; each call returns arrays of its own.
     """
-    return StepForcing(**{name: _pointwise(name) for name in ("g_n", "g_c", "g_sigma", "g_u")})
+    kept = {}  # private copies of x, y and t; the half over x, y; the level at t
+
+    def level(x, y, t):
+        if "half" in kept and _same(x, kept["x"]) and _same(y, kept["y"]):
+            if _same(t, kept["t"]):
+                return kept["level"]
+        else:
+            kept["x"], kept["y"] = np.array(x), np.array(y)
+            kept["half"] = _Test2(kept["x"], kept["y"], 0.0)
+        kept["t"] = np.array(t)
+        kept["level"] = kept["half"].at(kept["t"])
+        return kept["level"]
+
+    names = ("g_n", "g_c", "g_sigma", "g_u")
+    return StepForcing(**{name: _pointwise(name, level) for name in names})
 
 
 def test2_params():

@@ -5,7 +5,8 @@ The tests check the vectorized kernels of the package against these
 scalar versions, which share no code path with them beyond the reference
 basis tables of ``chemflow.spaces``; and the table-built ``test2`` fields
 and sources of ``chemflow.manufactured`` against the field-by-field
-composition they replace, and its error norms against one sum per norm;
+composition they replace, its shared-table sources against one table per
+call, and its error norms against one sum per norm;
 the invariant gates of a run that stopped, recomputed from its records;
 and the row-by-row VTK writer.
 """
@@ -266,6 +267,25 @@ def field_by_field_forcing(sol):
         return _stack(*comps)
 
     return StepForcing(g_n=g_n, g_c=g_c, g_sigma=g_sigma, g_u=g_u)
+
+
+SOURCES = ("g_n", "g_c", "g_sigma", "g_u")
+
+
+def per_call_forcing():
+    """The test2 sources, each call building its own table and keeping
+    nothing: the reference for the shared table of
+    ``chemflow.manufactured.test2_forcing``."""
+
+    def source(name):
+        formula = vars(mf._Test2)[name].fn
+
+        def fn(x, y, t):
+            return mf._array(formula(mf._Test2(x, y, t)))
+
+        return fn
+
+    return StepForcing(**{name: source(name) for name in SOURCES})
 
 
 def level_errors_by_sums(stepper, state, sol):

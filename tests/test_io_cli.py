@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -466,6 +467,67 @@ class TestMain:
         assert sorted(p.name for p in out.iterdir()) == ["diagnostics.csv", "snapshot_000000.vtk"]
         _pts, _cells, _types, fields = parse_legacy_vtk(out / "snapshot_000000.vtk")
         assert set(fields) == {"eta", "c", "pressure", "sigma", "velocity"}
+
+    @pytest.mark.parametrize("stop, n_records", [
+        ("none", range(6, 7)), ("invariant", range(2, 6)), ("after_init", range(1, 2)),
+    ])
+    def test_streamed_csv_equals_the_whole_file_writer(
+        self, tmp_path, capsys, monkeypatch, stop, n_records
+    ):
+        # the CSV written row by row during the run has the bytes that
+        # write_diagnostics_csv gives for the records the run yielded
+        argv = ["run", "--preset", "test2", "--mesh", "4", "--dt", "1e-3", "--tfinal", "5e-3"]
+        if stop == "invariant":  # the blow-up run of the tests above
+            cfgfile = tmp_path / "blowup.ini"
+            cfgfile.write_text(
+                "[initial]\npreset = test1\n[mesh]\nkx = 20\nky = 20\n"
+                "[time]\ndt = 1e-2\nt_final = 5e-2\n"
+                "[output]\nsnapshot_times =\nformats = csv\n"
+            )
+            argv = ["run", "--config", str(cfgfile)]
+        if stop == "after_init":
+            def step(self, prev, dt, forcing=None):
+                raise RuntimeError("stopped after init")
+
+            monkeypatch.setattr(Stepper, "step", step)
+        records, original = [], Stepper.run
+
+        def recording(self, *args, **kwargs):
+            for state, rec in original(self, *args, **kwargs):
+                records.append(rec)
+                yield state, rec
+
+        monkeypatch.setattr(Stepper, "run", recording)
+        code = io_cli.main(argv + ["--out", str(tmp_path / "o")])
+        assert code == (0 if stop == "none" else 1)
+        capsys.readouterr()
+        assert len(records) in n_records
+        io_cli.write_diagnostics_csv(records, tmp_path / "whole.csv")
+        streamed = (tmp_path / "o" / "diagnostics.csv").read_bytes()
+        assert streamed == (tmp_path / "whole.csv").read_bytes()
+
+    def test_streamed_csv_rejects_a_record_outside_its_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="record 2 has keys outside the CSV columns"):
+            with io_cli._DiagnosticsCsv(tmp_path / "d.csv") as csv:
+                for rec in ({"m": 0}, {"m": 1, "a": 1.0}, {"m": 2, "b": 2.0}):
+                    csv.write(rec)
+        assert (tmp_path / "d.csv").read_text() == "m,t,mass,div_residual,a\n0,,,,\n1,,,,1\n"
+
+    def test_run_memory_does_not_grow_with_steps(self, tmp_path, capsys):
+        # each diagnostics row is written as its record arrives; about 3.7 KB
+        # of records a step were kept until the end before
+        def peak(n_steps):
+            argv = ["run", "--preset", "test2", "--mesh", "4", "--dt", "1e-3",
+                    "--tfinal", f"{n_steps * 1e-3:g}", "--out", str(tmp_path)]
+            tracemalloc.start()
+            try:
+                assert io_cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-use allocations of the modules
+        assert peak(40) <= peak(10) + 64 * 1024
 
     def test_mesh_with_three_parts_rejected(self, tmp_path, capsys):
         code = io_cli.main(

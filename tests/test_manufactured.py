@@ -8,8 +8,10 @@ import pytest
 from chemflow import manufactured as mf
 from chemflow.assembly import AssemblyContext
 from chemflow.mesh import build_rect_mesh
-from chemflow.scheme import State, Stepper, TimeGrid
-from oracles import field_by_field_forcing, field_by_field_solution, level_errors_by_sums
+from chemflow.scheme import State, Stepper, StepForcing, TimeGrid
+from oracles import (
+    SOURCES, field_by_field_forcing, field_by_field_solution, level_errors_by_sums, per_call_forcing,
+)
 
 FD_H = 1e-3
 
@@ -199,6 +201,140 @@ class TestTableEquivalence:
         forcing, ref_forcing = mf.test2_forcing(), field_by_field_forcing(ref)
         for name in ("g_n", "g_c", "g_sigma", "g_u"):
             self.assert_close(getattr(forcing, name)(x, y, t), getattr(ref_forcing, name)(x, y, t))
+
+
+class TestSharedSources:
+    """The sources of one ``test2_forcing()`` call share one table; each call
+    must equal one table per call bit for bit, whatever came before it."""
+
+    @staticmethod
+    def assert_equal(forcing, x, y, t, names=SOURCES):
+        ref = per_call_forcing()
+        for name in names:
+            new, old = getattr(forcing, name)(x, y, t), getattr(ref, name)(x, y, t)
+            assert new.shape == old.shape and np.array_equal(new, old), name
+
+    @staticmethod
+    def quadrature_points(k=6):
+        ctx = AssemblyContext(build_rect_mesh(1.0, 1.0, k, k))
+        return lambda: (ctx.points[..., 0], ctx.points[..., 1])  # a new view on each call
+
+    def test_time_sequence_at_fixed_points(self):
+        points, forcing = self.quadrature_points(), mf.test2_forcing()
+        for t in (0.0, 2e-4, 4e-4, 4e-4, 0.37, 0.0, 2.5):
+            self.assert_equal(forcing, *points(), t)
+            self.assert_equal(forcing, *points(), t, names=SOURCES[::-1])
+
+    def test_alternating_points_and_nodes(self):
+        points, forcing = self.quadrature_points(), mf.test2_forcing()
+        nodes = build_rect_mesh(1.0, 1.0, 6, 6).nodes
+        for t in (0.0, 0.0, 1e-3, 1e-3, 2e-3):
+            self.assert_equal(forcing, *points(), t)
+            self.assert_equal(forcing, nodes[:, 0], nodes[:, 1], t)
+
+    @pytest.mark.parametrize("moved", ["x", "y"])
+    def test_points_changed_in_place(self, moved):
+        rng = np.random.default_rng(7)
+        xy = {"x": rng.uniform(0.0, 1.0, (30, 16)), "y": rng.uniform(0.0, 1.0, (30, 16))}
+        forcing = mf.test2_forcing()
+        for t in (0.0, 0.0, 1e-3):
+            self.assert_equal(forcing, xy["x"], xy["y"], t)
+            xy[moved][3, 5] += 1e-5  # a finite-difference probe, in the caller's array
+            self.assert_equal(forcing, xy["x"], xy["y"], t)
+
+    def test_array_t(self):
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(0.0, 1.0, (2, 40, 16))
+        t = rng.uniform(0.0, 1.0, (40, 16))
+        forcing = mf.test2_forcing()
+        self.assert_equal(forcing, x, y, 0.5)
+        self.assert_equal(forcing, x, y, t)
+        self.assert_equal(forcing, x, y, t.copy())
+        t[0, 0] += 0.25  # changed in place
+        self.assert_equal(forcing, x, y, t)
+        self.assert_equal(forcing, x, y, t[:, :1])  # broadcast against the points
+        self.assert_equal(forcing, x, y, 0.5)
+
+    def test_wrapped_as_plain_functions(self):
+        # as the benchmark's tracer wraps each source: a new (x, y, t) callable
+        # around the same closure
+        points, shared = self.quadrature_points(), mf.test2_forcing()
+        calls = []
+
+        def wrap(fn):
+            def traced(x, y, t):
+                calls.append(fn.__name__)
+                return fn(x, y, t)
+            return traced
+
+        forcing = StepForcing(**{name: wrap(getattr(shared, name)) for name in SOURCES})
+        for t in (0.0, 2e-4, 4e-4):
+            self.assert_equal(forcing, *points(), t)
+        assert calls == list(SOURCES) * 3
+
+    def test_caller_owns_each_result(self):
+        points, forcing = self.quadrature_points(), mf.test2_forcing()
+        for name in SOURCES:
+            first = getattr(forcing, name)(*points(), 1e-3)
+            first[...] = np.nan
+            self.assert_equal(forcing, *points(), 1e-3)
+
+    def test_step_states_and_lu_passes_match_per_call_sources(self):
+        grid, data = TimeGrid(dt=2e-4, n_steps=5), mf.test2_initial_data()
+
+        def levels(forcing):  # a stepper each: the first step of a stepper factors its LUs
+            st = Stepper(build_rect_mesh(1.0, 1.0, 6, 6), mf.test2_params())
+            return list(st.run(grid, data, mode="nodal", forcing=forcing))
+
+        shared, per_call = levels(mf.test2_forcing()), levels(per_call_forcing())
+        assert len(shared) == len(per_call) == 6
+        for (s1, r1), (s2, r2) in zip(shared, per_call):
+            for name in ("n", "c", "sigma", "u", "pi"):
+                assert np.array_equal(getattr(s1, name), getattr(s2, name)), (s1.m, name)
+            passes = [k for k in r1 if k.startswith(("solver_", "iterations_"))]
+            assert [r1[k] for k in passes] == [r2[k] for k in passes]
+            assert len(passes) == (0 if s1.m == 0 else 8)
+
+    def test_sin_and_cos_once_per_mesh_exp_once_per_step(self, monkeypatch):
+        st = Stepper(build_rect_mesh(1.0, 1.0, 6, 6), mf.test2_params())
+        state = st.init_state(mf.test2_initial_data(), mode="nodal")
+        forcing = mf.test2_forcing()
+        counts = {}
+
+        def counting(name, ufunc):
+            def fn(*args, **kwargs):
+                counts[name] += 1
+                return ufunc(*args, **kwargs)
+            return fn
+
+        for name in ("sin", "cos", "exp"):
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+        per_step = []
+        for _ in range(4):
+            counts.update(sin=0, cos=0, exp=0)
+            state, _reports = st.step(state, 2e-4, forcing)
+            per_step.append(dict(counts))
+        assert per_step[0] == {"sin": 2, "cos": 2, "exp": 1}
+        assert per_step[1:] == [{"sin": 0, "cos": 0, "exp": 1}] * 3
+
+    def test_memory_does_not_grow_with_levels(self):
+        # between levels the sources keep the spatial half and one level's
+        # table; one level's table alone takes about 600 KiB here
+        x, y = self.quadrature_points(k=10)()
+        forcing = mf.test2_forcing()
+
+        def peak(n_levels):
+            tracemalloc.start()
+            try:
+                for m in range(n_levels):
+                    for name in ("g_n", "g_c", "g_u"):
+                        getattr(forcing, name)(x, y, m * 2e-4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # the spatial half and the first level
+        assert peak(40) <= peak(10) + 16 * 1024
 
 
 @pytest.fixture(scope="module")
