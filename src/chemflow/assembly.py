@@ -8,19 +8,20 @@ one matrix product, and applies the per-element chain rule with the
 barycentric gradients in another; no (ne, nq, nl, 2) gradient array is
 formed.  Matrices are summed through a ``linsolve.ScatterPlan`` kept on
 their layout, so the CSR pattern and the slot of every element entry are
-found once per layout and each assembly only sums values; load vectors
-are summed with one ``np.add.at``.  Vector layouts carry a component axis
-instead of a loop.  Every form integrates on the quadrature rule of the
+found once per layout and each assembly only sums values; a block that
+is the same on every component is summed once and repeated.  Load vectors
+are summed with one ``np.add.at``.  Every form integrates on the rule of the
 ``AssemblyContext`` it is given.  A matrix called without one builds a
 context of degree 2, exact for pure-P1 mass and stiffness, or of degree 8,
 exact for every MINI and lagged-coefficient polynomial integrand (the
 velocity trilinear form reaches total degree 8).
 
-The transport form and the loads take their coefficient as an array of
-values at the quadrature points of the context they are given, so that a
-caller evaluates each field once and combines the values before
-integrating: ``DiscreteField.values`` for finite element functions,
-``at_points`` for closed-form data.
+One MINI element kernel gives the skew transport of every layout of a step
+as data on the layout's plan.  The transport form and the loads take their
+coefficient as an array of values at the quadrature points of the context
+they are given, so that a caller evaluates each field once and combines
+the values before integrating: ``DiscreteField.values`` for finite element
+functions, ``at_points`` for closed-form data.
 """
 
 import numpy as np
@@ -29,7 +30,8 @@ import scipy.sparse as sp
 from . import linsolve
 from .mesh import all_element_geometry
 from .quadrature import triangle_rule
-from .spaces import SPACE_KINDS, VECTOR_P1_SIGMA, scalar_basis_gradient_table, scalar_basis_values
+from .spaces import SPACE_KINDS, VECTOR_P1_SIGMA, VELOCITY_MINI
+from .spaces import scalar_basis_gradient_table, scalar_basis_values
 
 P1_DEGREE = 2  # exact for products of two P1 functions
 FULL_DEGREE = 8  # exact for every MINI / lagged-coefficient integrand
@@ -159,10 +161,15 @@ def _square_plan(layout, coupled=False):
     return layout.plans[coupled]
 
 
-def _per_component(local, layout):
-    """The same (ne, nl, nl) block on every component, (ne, comps, nl, nl)."""
-    ne, nl, _ = local.shape
-    return np.broadcast_to(local[:, None], (ne, layout.components, nl, nl))
+def _square_data(local, layout):
+    """Data on ``_square_plan(layout)`` of the same (ne, nl, nl) block on every
+    component: each component's slots are the first's, shifted, so the first
+    is summed, through its slots kept on the layout, and repeated."""
+    plan, comps = _square_plan(layout), layout.components
+    if "first" not in layout.plans:
+        layout.plans["first"] = plan.slots.reshape(len(local), comps, -1)[:, 0].ravel()
+    data = np.bincount(layout.plans["first"], weights=local.ravel(), minlength=plan.nnz // comps)
+    return np.tile(data, comps)
 
 
 def _ctx_for(layout, ctx, degree):
@@ -174,7 +181,7 @@ def assemble_mass(layout, ctx=None):
     degree = P1_DEGREE if not layout.has_bubble else FULL_DEGREE
     ctx = _ctx_for(layout, ctx, degree)
     e0 = ctx.basis_values(layout.kind).T @ ctx.weighted_values(layout.kind)
-    return _square_plan(layout).matrix(_per_component(ctx.areas[:, None, None] * e0, layout))
+    return _square_plan(layout).csr(_square_data(ctx.areas[:, None, None] * e0, layout))
 
 
 def assemble_stiffness(layout, coeff=1.0, ctx=None):
@@ -187,7 +194,7 @@ def assemble_stiffness(layout, coeff=1.0, ctx=None):
     s = np.einsum("q,qia,qjb->abij", ctx.weights, table, table).reshape(9, nl * nl)
     local = ((ctx.areas[:, None, None] * ctx.grad_bary) @ ctx.grad_bary_t).reshape(-1, 9) @ s
     local *= coeff
-    return _square_plan(layout).matrix(_per_component(local.reshape(-1, nl, nl), layout))
+    return _square_plan(layout).csr(_square_data(local.reshape(-1, nl, nl), layout))
 
 
 def _sigma_div_rot(grad_bary):
@@ -217,31 +224,37 @@ def assemble_divrot(layout, coeff=1.0):
     return _square_plan(layout, coupled=True).matrix(local)
 
 
-def assemble_skew(layout, velocity, ctx):
-    """Skew-symmetric transport matrix N = (C - C^T)/2 with
-    C_ij = ((v . grad) phi_j, phi_i), componentwise on vector layouts, for
-    the velocity values (ne, nq, 2) at the points of ``ctx``.
+def assemble_skew_data(layouts, velocity, ctx):
+    """The skew transport N = (C - C^T)/2, C_ij = ((v . grad) phi_j, phi_i),
+    componentwise on vector layouts, on each of ``layouts`` for the velocity
+    values (ne, nq, 2) at the points of ``ctx``, as data on the layout's plan.
 
-    The quadratic form of the result vanishes identically; for pointwise
-    divergence-free velocities with zero normal trace it coincides with the
-    one-sided convection form C.  N is stored on the full pattern of the
-    layout, so N = -N^T holds entry by entry.
+    The MINI element blocks are formed and skew-symmetrized once; a P1
+    layout takes their vertex block, since the MINI vertex functions are the
+    barycentrics.  Slot (j, i) sums the negated entries of slot (i, j) in the
+    same element order, so N = -N^T entry by entry.  The quadratic form of N
+    vanishes; for pointwise divergence-free velocities with zero normal trace
+    N coincides with the one-sided convection form C.
     """
-    kind = layout.kind
 
     def build():
         # w_q phi_i(x_q) T[q, j, a] with rows (q, a) and columns (i, j)
-        w = np.einsum("qi,qja->qaij", ctx.weighted_values(kind), ctx.gradient_table(kind))
+        vals, grads = ctx.weighted_values(VELOCITY_MINI), ctx.gradient_table(VELOCITY_MINI)
+        w = np.einsum("qi,qja->qaij", vals, grads)
         return w.reshape(-1, w.shape[2] * w.shape[3])
 
     # v . grad lambda_a at every point, contracted over (q, a) in one product
     v_grad = velocity @ ctx.grad_bary_t
-    local = v_grad.reshape(len(v_grad), -1) @ ctx.cached("skew", kind, build)
-    local *= ctx.areas[:, None]
-    nl = layout.scalar_local_size
-    plan = _square_plan(layout)
-    c = plan.data(_per_component(local.reshape(-1, nl, nl), layout))
-    return plan.csr(0.5 * (c - c[plan.transpose_slots]))
+    half = v_grad.reshape(len(v_grad), -1) @ ctx.cached("skew", VELOCITY_MINI, build)
+    half = (0.5 * ctx.areas[:, None] * half).reshape(-1, 4, 4)
+    blocks = half - half.transpose(0, 2, 1)
+    return [_square_data(blocks[:, :lay.scalar_local_size, :lay.scalar_local_size], lay)
+            for lay in layouts]
+
+
+def assemble_skew(layout, velocity, ctx):
+    """The transport of ``assemble_skew_data`` on one layout as a CSR matrix."""
+    return _square_plan(layout).csr(assemble_skew_data([layout], velocity, ctx)[0])
 
 
 def assemble_pressure_coupling(layout_u, layout_pi, ctx=None):

@@ -9,7 +9,6 @@ refinement loop for every solve (``refined_solve``), whose report carries
 the residual it accepted, also of a solve through the LU of a nearby matrix.
 """
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -57,23 +56,6 @@ class ScatterPlan:
         index = np.int32 if max(self.nnz, n_rows, n_cols) < np.iinfo(np.int32).max else np.int64
         self.indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols).astype(index)
         self.indices = (keys % n_cols).astype(index)
-        self._keys = keys
-
-    @functools.cached_property
-    def transpose_slots(self):
-        """Slot of entry (j, i) for each slot (i, j) of a square pattern.
-
-        Raises
-        ------
-        ValueError
-            If the pattern is not structurally symmetric.
-        """
-        n = self.shape[0]
-        t_keys = self.indices.astype(np.int64) * n + entry_rows(self)
-        perm = np.searchsorted(self._keys, t_keys)
-        if self.shape[1] != n or np.any(self._keys[np.minimum(perm, self.nnz - 1)] != t_keys):
-            raise ValueError("scatter pattern is not structurally symmetric")
-        return perm
 
     def data(self, values):
         """Sum of the values, listed in the order of the entries, per slot."""
@@ -129,14 +111,15 @@ def eliminated(a, dofs):
 
 
 class PatternSum:
-    """``base`` plus a transport on the CSR pattern of ``pattern``, a leading
-    block of ``base`` whose positions ``base`` all stores, written in place
-    into one kept ``matrix``: the slots are found once, and a call builds no
-    sparse matrix.  Transport entries in the rows and columns of ``eliminated``
-    are dropped.  A pattern or a transport that does not fit raises ValueError."""
+    """``base`` plus a transport given as data on ``pattern`` (a ``ScatterPlan``
+    or a CSR matrix), a leading block of ``base`` whose positions ``base`` all
+    stores, written in place into one kept ``matrix``: the slots are found
+    once, and a call builds no sparse matrix.  Transport entries in the rows
+    and columns of ``eliminated`` are dropped.  A pattern that does not fit,
+    or data of another length than the pattern's, raises ValueError."""
 
     def __init__(self, base, pattern, eliminated=np.empty(0, dtype=np.int64)):
-        self.matrix, self.pattern = base.copy(), pattern
+        self.matrix, self.nnz = base.copy(), pattern.nnz
         keys, want = (entry_rows(m) * base.shape[1] + m.indices for m in (base, pattern))
         slots = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         if np.any(keys[slots] != want):
@@ -145,13 +128,11 @@ class PatternSum:
         self._slots = slots[self._kept]
         self._base = base.data[self._slots]
 
-    def __call__(self, t):
-        """The kept matrix, holding ``base + t``."""
-        p = self.pattern
-        if t.shape != p.shape or not (
-                np.array_equal(t.indptr, p.indptr) and np.array_equal(t.indices, p.indices)):
-            raise ValueError("transport matrix is off the pattern of its layout")
-        self.matrix.data[self._slots] = self._base + t.data[self._kept]
+    def __call__(self, data):
+        """The kept matrix, holding ``base`` plus the transport ``data``."""
+        if np.shape(data) != (self.nnz,):
+            raise ValueError(f"transport data has shape {np.shape(data)}, expected ({self.nnz},)")
+        self.matrix.data[self._slots] = self._base + data[self._kept]
         return self.matrix
 
 

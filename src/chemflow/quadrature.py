@@ -10,6 +10,7 @@ requested degrees without a positive-weight rule of their own are served
 by the next rule up, so every returned rule has positive weights.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +93,14 @@ def triangle_rule(degree):
     Raises
     ------
     ValueError
-        If degree is outside 1..MAX_DEGREE.
+        If degree is not an integer (numpy's count, a bool does not) in 1..MAX_DEGREE.
     """
-    if not (1 <= degree <= MAX_DEGREE):
-        raise ValueError(f"unsupported quadrature degree {degree} (expected 1..{MAX_DEGREE})")
+    integral = isinstance(degree, numbers.Integral) and not isinstance(degree, bool)
+    if not (integral and 1 <= degree <= MAX_DEGREE):
+        raise ValueError(f"quadrature degree must be an integer in 1..{MAX_DEGREE}, got {degree!r}")
     if degree not in _CACHE:
         pts, wts = _orbits(*_RULES[_DEGREE_TO_RULE[degree]])
         pts.setflags(write=False)
         wts.setflags(write=False)
-        _CACHE[degree] = TriangleRule(degree=degree, points=pts, weights=wts)
+        _CACHE[degree] = TriangleRule(degree=int(degree), points=pts, weights=wts)
     return _CACHE[degree]

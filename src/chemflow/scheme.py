@@ -6,9 +6,10 @@ saddle system -- and every nonlinear coupling is evaluated at the previous
 time level, so each system is linear and they never feed back within a
 step.  Matrices that do not depend on the previous level (mass, stiffness,
 div/rot, pressure coupling) are assembled once per mesh; only the two
-transport matrices and the load vectors are rebuilt each step.  A step solves
-each system through the LU of its transport-free operator, kept per time
-step size; the velocity/pressure system has its bubbles condensed out.
+transports (data on fixed patterns) and the load vectors are rebuilt each
+step.  A step solves each system through the LU of its transport-free
+operator, kept per time step size; the velocity/pressure system has its
+bubbles condensed out.
 """
 
 import functools
@@ -184,7 +185,7 @@ class CondensedSaddle:
         [ G_c^T   0        w ] [pi ] = [g]
         [ 0       w^T      0 ] [lam]   [h]
 
-    with S = ``s_const`` + N (N: the skew transport matrix of the step)
+    with S = ``s_const`` + N (N: the skew transport of the step)
     and the pinned velocity dofs eliminated (identity rows, value 0),
     without factoring it:
 
@@ -206,9 +207,9 @@ class CondensedSaddle:
 
     The saddle matrix of ``s_const``, its pinned velocity dofs eliminated by
     ``linsolve.eliminated``, D^-1, the index sets and the LU of the condensed
-    ``s_const`` are built once; ``solve`` adds N in place on the pattern of
-    ``s_const``, outside the eliminated rows and columns, and refines against
-    that matrix through the LU, or condenses and factors its own.
+    ``s_const`` are built once; ``solve`` adds N, data on the pattern of
+    ``s_const``, in place outside the eliminated rows and columns, and refines
+    against that matrix through the LU, or condenses and factors its own.
     """
 
     def __init__(self, s_const, g, layout_u, w, rho):
@@ -265,24 +266,23 @@ class CondensedSaddle:
         z[nu:] += (b[-1] - self.w @ z[nu:]) / self.area
         return np.append(z, lam)
 
-    def solve(self, skew, rhs_u, rhs_pi):
-        """(u, pi, SolveReport) for the step whose transport matrix is ``skew``.
-
-        ``skew`` may be None (no transport).  The report carries the
-        residual of the full bordered system, which must meet the
-        ``linsolve.RTOL`` bound.
+    def solve(self, transport, rhs_u, rhs_pi):
+        """(u, pi, SolveReport) for the step whose transport has the data
+        ``transport`` on the pattern of ``s_const``, or none if it is None.
+        The report carries the residual of the full bordered system, which
+        must meet the ``linsolve.RTOL`` bound.
         """
         t = self.t_const
-        if skew is not None:
+        if transport is not None:
             if self._transport is None:
                 self._transport = linsolve.PatternSum(t, self._pattern, self.pinned)
-            t = self._transport(skew)
+            t = self._transport(transport)
         rhs_u = np.array(rhs_u, dtype=float)
         rhs_u[self.pinned] = 0.0
         b = np.concatenate([rhs_u, rhs_pi, [0.0]])
         paid, self._unpaid = self._unpaid, None
         inverse = functools.partial(self._condensed_solve, self._condensation)
-        fresh = None if skew is None else (
+        fresh = None if transport is None else (
             lambda: functools.partial(self._condensed_solve, self._condense(t))
         )
         x, report = linsolve.refined_solve(b, inverse, t.dot, np.linalg.norm(t.data), paid, fresh)
@@ -448,8 +448,9 @@ class Stepper:
 
     def lagged_forms(self, prev, t_new, forcing=None):
         """The step's forms, all built from the previous level ``prev``: the
-        transport matrix of the scalar space (shared by the n and c
-        systems) and of the velocity space, and the loads of the n, sigma, c
+        transport of the scalar space (shared by the n and c systems) and of
+        the velocity space, as data on the patterns of ``M`` and ``M_u``
+        (``assembly.assemble_skew_data``), and the loads of the n, sigma, c
         and u systems (a dict), with the sources of ``forcing`` at ``t_new``.
 
         Each field of ``prev`` and each source is evaluated once at the
@@ -476,8 +477,7 @@ class Stepper:
         if forcing.g_n is not None:
             g_n = asm.at_points(forcing.g_n, ctx, t_new)
             loads["n"] += asm.assemble_load(self.layout_n, g_n, ctx)
-        n_skew = asm.assemble_skew(self.layout_c, u, ctx)
-        return n_skew, asm.assemble_skew(self.layout_u, u, ctx), loads
+        return (*asm.assemble_skew_data((self.layout_c, self.layout_u), u, ctx), loads)
 
     def step(self, prev, dt, forcing=None):
         """Advance one time level; returns (state, solve reports).
@@ -524,11 +524,12 @@ class Stepper:
         Record per level: time level, conserved mass, the seconds spent
         assembling forms and loads, for each system the solver kind, its
         LU passes, residual, factor and solve time, the discrete-divergence
-        residual, and min/max of each field's nodal values.  Each level is
-        yielded before it is checked: resumed after the first step whose mass
-        drifts by more than MASS_DRIFT_TOL of w.|eta0| (the initial mass if
-        eta0 >= 0) or whose divergence residual exceeds DIVERGENCE_TOL, the
-        run raises ``InvariantError``.
+        residual, the largest |value| at the pinned dofs of u and sigma, and
+        min/max of each field's nodal values.  Each level is yielded before it
+        is checked: resumed after the first step whose mass drifts by more
+        than MASS_DRIFT_TOL of w.|eta0| (the initial mass if eta0 >= 0) or
+        whose divergence residual exceeds DIVERGENCE_TOL, the run raises
+        ``InvariantError``.
         """
         state = self.init_state(data, mode=mode)
         rec = self._diagnostics_record(state, {})
@@ -553,6 +554,9 @@ class Stepper:
             "div_residual": self.divergence_residual(state),
             "assembly_time": self.assembly_time,
         }
+        for name, layout in (("u", self.layout_u), ("sigma", self.layout_sigma)):
+            pinned = np.abs(getattr(state, name)[layout.constrained_dofs])
+            rec[f"max_pinned_{name}"] = float(pinned.max(initial=0.0))
         u = self.layout_u.vertex_values(state.u)
         nodal = {
             "eta": self.layout_n.vertex_values(state.n) + self.params.alpha0,

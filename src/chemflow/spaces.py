@@ -43,8 +43,8 @@ class DofLayout:
     marks spaces restricted to zero mean: the density system realizes it
     by one bordered Lagrange-multiplier row/column, the velocity/pressure
     solve by pinning one pressure dof and shifting the mean afterwards.
-    ``plans`` caches the CSR scatter plans assembly builds on the layout,
-    so they are built once and live as long as it does.
+    ``plans`` caches the scatter plans (and first-component slots) assembly
+    builds on the layout, so they are built once and live as long as it does.
     """
 
     kind: str

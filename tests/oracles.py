@@ -8,7 +8,10 @@ and sources of ``chemflow.manufactured`` against the field-by-field
 composition they replace, its shared-table sources against one table per
 call, and its error norms against one sum per norm;
 the invariant gates of a run that stopped, recomputed from its records;
-and the row-by-row VTK writer.
+the row-by-row VTK writer; and the skew transport of one layout at a
+time, skew-symmetrized by a global transpose of the summed one-sided form,
+against which the one MINI element kernel of
+``chemflow.assembly.assemble_skew_data`` is checked.
 """
 
 import math
@@ -16,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from chemflow import assembly as asm
 from chemflow import manufactured as mf
+from chemflow.linsolve import entry_rows
 from chemflow.mesh import GeometryError
 from chemflow.scheme import DIVERGENCE_TOL, MASS_DRIFT_TOL, StepForcing
 from chemflow.spaces import scalar_basis_gradient_table, scalar_basis_values
@@ -361,3 +366,43 @@ def write_vtk_row_by_row(snapshot, path):
             fh.write(f"VECTORS {name} double\n")
             for vx, vy in arr:
                 fh.write(f"{vx:.9g} {vy:.9g} 0\n")
+
+
+# ---------------------------------------------------------------------------
+# the skew transport, one layout at a time
+
+
+def transpose_slots(plan):
+    """Slot of entry (j, i) for each slot (i, j) of a structurally symmetric
+    square scatter plan."""
+    n = plan.shape[0]
+    rows, cols = entry_rows(plan), plan.indices.astype(np.int64)
+    keys, t_keys = rows * n + cols, cols * n + rows
+    perm = np.searchsorted(keys, t_keys)
+    assert plan.shape == (n, n) and np.array_equal(keys[np.minimum(perm, plan.nnz - 1)], t_keys)
+    return perm
+
+
+def skew_by_global_transpose(layout, velocity, ctx):
+    """N = (C - C^T)/2 as a CSR matrix on the layout's scatter plan: the
+    one-sided form C_ij = ((v . grad) phi_j, phi_i) from the layout's own
+    basis table, summed, then skew-symmetrized by a global gather of the
+    transposed slots."""
+    kind = layout.kind
+    w = np.einsum("qi,qja->qaij", ctx.weighted_values(kind), ctx.gradient_table(kind))
+    v_grad = velocity @ ctx.grad_bary_t
+    local = v_grad.reshape(len(v_grad), -1) @ w.reshape(-1, w.shape[2] * w.shape[3])
+    local *= ctx.areas[:, None]
+    ne, comps, nl = len(local), layout.components, layout.scalar_local_size
+    dofs = layout.element_dofs.reshape(ne, comps, nl)
+    plan = asm._block_plan(dofs, dofs, (layout.n_dofs, layout.n_dofs))  # the layout's pattern
+    c = plan.data(np.broadcast_to(local.reshape(ne, 1, nl, nl), (ne, comps, nl, nl)))
+    return plan.csr(0.5 * (c - c[transpose_slots(plan)]))
+
+
+def lagged_matrices(stepper, *args):
+    """``stepper.lagged_forms(*args)`` with its two transports, data in the
+    slot order of their layout's scatter plan, read as CSR matrices."""
+    n_data, u_data, loads = stepper.lagged_forms(*args)
+    n_plan, u_plan = (asm._square_plan(lay) for lay in (stepper.layout_c, stepper.layout_u))
+    return n_plan.csr(n_data), u_plan.csr(u_data), loads

@@ -11,12 +11,19 @@ from chemflow.mesh import Mesh, build_rect_mesh
 from chemflow.quadrature import triangle_rule
 from chemflow.scheme import ModelParams, State, Stepper
 from chemflow.spaces import (
+    PRESSURE_P1,
     SCALAR_P1,
     VECTOR_P1_SIGMA,
     VELOCITY_MINI,
     build_layout,
 )
-from oracles import element_geometry, eval_basis
+from oracles import (
+    element_geometry,
+    eval_basis,
+    lagged_matrices,
+    skew_by_global_transpose,
+    transpose_slots,
+)
 
 
 def single_triangle_mesh():
@@ -352,7 +359,7 @@ class TestLoadVectors:
         prev = State(m=0, t=0.0, n=np.zeros(self.ln.n_dofs), c=np.full(self.lc.n_dofs, cbar),
                      sigma=np.zeros(self.ls.n_dofs), u=np.zeros(self.lu.n_dofs),
                      pi=np.zeros(self.lc.n_dofs))
-        n_skew, u_skew, loads = st.lagged_forms(prev, 1e-3)
+        n_skew, u_skew, loads = lagged_matrices(st, prev, 1e-3)
         assert np.all(loads["n"] == 0.0)
         assert n_skew.count_nonzero() == 0 and u_skew.count_nonzero() == 0
         expected = self.flux_load_of_constant_concentration(gamma, alpha0, cbar)
@@ -731,7 +738,7 @@ class TestKernelEquivalence:
                      u=self.velocity.coeffs, pi=np.zeros(st.layout_pi.n_dofs))
         t = 0.3
         for forcing in (None, manufactured.test2_forcing()):
-            n_skew, u_skew, loads = st.lagged_forms(prev, t, forcing)
+            n_skew, u_skew, loads = lagged_matrices(st, prev, t, forcing)
             ref = {
                 "n": chemo_rhs_reference(st.layout_n, n, sig, chi, alpha0, ctx),
                 "sigma": sigma_rhs_reference(st.layout_sigma, self.velocity, sig, n, c, gamma, alpha0, ctx),
@@ -771,6 +778,16 @@ class TestScatterPlans:
         a = plan.matrix(local)
         assert np.array_equal(a.indptr, ref.indptr) and np.array_equal(a.indices, ref.indices)
         assert_rel(a, ref, rtol=1e-14)
+
+    @pytest.mark.parametrize("kind", [SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI])
+    def test_one_block_on_every_component(self, kind):
+        # summed over the first component and repeated, bit for bit the sum
+        # over every component of the full plan
+        lay = build_layout(self.mesh, kind)
+        ne, comps, nl = component_dofs(lay).shape
+        local = self.rng.standard_normal((ne, nl, nl))
+        full = asm._square_plan(lay).data(np.broadcast_to(local[:, None], (ne, comps, nl, nl)))
+        assert np.array_equal(asm._square_data(local, lay), full)
 
     def test_coupled_and_rectangular(self):
         ls = build_layout(self.mesh, VECTOR_P1_SIGMA)
@@ -817,3 +834,50 @@ class TestSkewProperties:
         n = sp.csr_matrix((unit_scaled(n.data), n.indices, n.indptr), shape=n.shape)
         x = unit_scaled(x)
         assert abs(x @ (n @ x)) <= 1e-13 * np.linalg.norm(n.data) * (x @ x)
+
+
+class TestOneTransportKernel:
+    """The transports of every layout from one skew-symmetrized MINI element
+    kernel, against the per-layout kernel with a global transpose it
+    replaces (``oracles.skew_by_global_transpose``)."""
+
+    KINDS = [SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI, PRESSURE_P1]
+
+    def cases(self):
+        """(layouts, context, velocity values): random MINI velocities on a
+        jittered mesh, and the exact test2 velocity on the k=10 mesh."""
+        mesh = jittered_mesh()
+        ctx = asm.AssemblyContext(mesh)
+        lays = [build_layout(mesh, kind) for kind in self.KINDS]
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            yield lays, ctx, asm.DiscreteField(lays[2], rng.standard_normal(lays[2].n_dofs)).values(ctx)
+        mesh = build_rect_mesh(1, 1, 10, 10)
+        ctx = asm.AssemblyContext(mesh)
+        lays = [build_layout(mesh, kind) for kind in self.KINDS]
+        yield lays, ctx, asm.at_points(manufactured.test2_solution().u, ctx, 0.3)
+
+    def test_matches_the_per_layout_oracle(self):
+        for lays, ctx, vel in self.cases():
+            for lay, data in zip(lays, asm.assemble_skew_data(lays, vel, ctx)):
+                ref = skew_by_global_transpose(lay, vel, ctx)
+                plan = asm._square_plan(lay)
+                assert np.array_equal(ref.indices, plan.indices)
+                assert np.array_equal(ref.indptr, plan.indptr)
+                assert np.abs(data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+    def test_skew_entry_by_entry(self):
+        for lays, ctx, vel in self.cases():
+            for lay, data in zip(lays, asm.assemble_skew_data(lays, vel, ctx)):
+                plan = asm._square_plan(lay)
+                perm = transpose_slots(plan)
+                assert np.array_equal(plan.csr(data[perm]).toarray(), plan.csr(data).toarray().T)
+                assert np.count_nonzero(data) > 0 and np.array_equal(data, -data[perm])
+
+    def test_csr_form_holds_the_same_data(self):
+        lays, ctx, vel = next(self.cases())
+        for lay, data in zip(lays, asm.assemble_skew_data(lays, vel, ctx)):
+            n = asm.assemble_skew(lay, vel, ctx)
+            plan = asm._square_plan(lay)
+            assert np.array_equal(n.indptr, plan.indptr) and np.array_equal(n.indices, plan.indices)
+            assert np.array_equal(n.data, data)

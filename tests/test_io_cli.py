@@ -418,6 +418,15 @@ class TestMain:
         header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
         assert header.startswith("m,t,mass,div_residual")
 
+    def test_diagnostics_carry_the_pinned_values(self, tmp_path):
+        assert io_cli.main(["run", "--preset", "test1", "--mesh", "8,4", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        assert len(rows) == 1 + 1 + io_cli.default_config("test1").n_steps()
+        for name in ("max_pinned_u", "max_pinned_sigma"):
+            col = header.index(name)
+            assert [float(row.split(",")[col]) for row in rows[1:]] == [0.0] * (len(rows) - 1)
+
     def test_blow_up_exits_1_and_keeps_the_records(self, tmp_path, capsys, monkeypatch):
         # test1 on 20x20 at dt=1e-2 blows up and breaks an invariant by step 4
         cfgfile = tmp_path / "blowup.ini"
@@ -585,6 +594,23 @@ class TestMain:
         assert "PASS: discrete incompressibility" in captured.out
         assert "PASS: skew symmetry" in captured.out
         assert json.loads(captured.err)["failed"][0]["check"] == "mass conservation"
+
+    def test_check_reads_the_pinned_values_of_every_record(self, monkeypatch, capsys):
+        # a pinned value off 0 at one intermediate level fails the check,
+        # although the final state holds every pinned dof at 0
+        original = Stepper._diagnostics_record
+
+        def recording(self, state, reports):
+            rec = original(self, state, reports)
+            if state.m == 1:
+                rec["max_pinned_sigma"] = 1e-3
+            return rec
+
+        monkeypatch.setattr(Stepper, "_diagnostics_record", recording)
+        assert io_cli.main(["check"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: constraint preservation (max pinned value 1.000e-03)" in out
+        assert "PASS: zero means" in out
 
     def test_check_takes_no_run_flags(self, capsys):
         code = io_cli.main(["check", "--dt", "-5", "--quadrature-degree", "99", "--preset", "test2"])

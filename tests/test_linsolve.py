@@ -89,18 +89,6 @@ class TestScatterPlan:
         a = from_triplets((2, 2), [0, 0, 1], [1, 1, 0], [1.0, -1.0, 2.0])
         assert a.nnz == 2 and a[0, 1] == 0.0
 
-    def test_transpose_slots(self):
-        rng = np.random.default_rng(4)
-        rows, cols = rng.integers(0, 9, 30), rng.integers(0, 9, 30)
-        plan = ScatterPlan((9, 9), np.concatenate([rows, cols]), np.concatenate([cols, rows]))
-        data = rng.standard_normal(plan.nnz)
-        a = plan.csr(data)
-        assert np.array_equal(plan.csr(data[plan.transpose_slots]).toarray(), a.toarray().T)
-
-    def test_transpose_slots_need_a_symmetric_pattern(self):
-        with pytest.raises(ValueError, match="not structurally symmetric"):
-            ScatterPlan((2, 2), [0], [1]).transpose_slots
-
 
 class TestSolve:
     def test_identity(self):

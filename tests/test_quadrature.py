@@ -32,6 +32,17 @@ class TestRuleData:
         with pytest.raises(ValueError):
             triangle_rule(degree)
 
+    @pytest.mark.parametrize("degree", [2.5, 3.0, True, False, "3", None, float("nan")])
+    def test_degree_that_is_not_an_integer(self, degree):
+        with pytest.raises(ValueError, match="must be an integer in 1..8"):
+            triangle_rule(degree)
+
+    def test_degree_of_a_rule_is_an_int(self):
+        for degree in (3, np.int64(3), np.int32(7)):
+            r = triangle_rule(degree)
+            assert type(r.degree) is int and r.degree == int(degree)
+            assert r is triangle_rule(int(degree))
+
     @pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
     def test_exactness_sweep(self, degree):
         geom = reference_triangle()

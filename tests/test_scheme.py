@@ -25,7 +25,7 @@ from chemflow.scheme import (
     Stepper,
     TimeGrid,
 )
-from oracles import stopped_step
+from oracles import lagged_matrices, skew_by_global_transpose, stopped_step
 
 
 def constant_fields(cbar, alpha0):
@@ -209,6 +209,15 @@ class TestStep:
         assert st.assembly_time == 0.0
         assert st._solvers == {}
 
+    @pytest.mark.parametrize("degree", [True, 2.5, 3.0, 0, 9])
+    def test_stepper_rejects_a_bad_quadrature_degree(self, degree):
+        with pytest.raises(ValueError, match="quadrature degree must be an integer in 1..8"):
+            Stepper(build_rect_mesh(1, 1, 2, 2), simple_params(), quad_degree=degree)
+
+    def test_stepper_takes_a_numpy_quadrature_degree(self):
+        st = Stepper(build_rect_mesh(1, 1, 2, 2), simple_params(), quad_degree=np.int64(5))
+        assert type(st.ctx.rule.degree) is int and st.ctx.rule.degree == 5
+
     def test_one_step_reports(self):
         mesh = build_rect_mesh(1, 1, 10, 10)
         st = Stepper(mesh, manufactured.test2_params())
@@ -321,6 +330,16 @@ class TestRun:
         for key in ("m", "t", "mass", "div_residual", "residual_n", "max_c", "min_eta"):
             assert key in rec
 
+    def test_records_read_the_pinned_values(self):
+        st = Stepper(build_rect_mesh(1, 1, 4, 4), manufactured.test2_params())
+        state = st.init_state(manufactured.test2_initial_data(), mode="nodal")
+        rec = st._diagnostics_record(state, {})
+        assert rec["max_pinned_u"] == rec["max_pinned_sigma"] == 0.0
+        state.u[st.layout_u.constrained_dofs[3]] = -2.5
+        state.sigma[st.layout_sigma.constrained_dofs[-1]] = 0.75
+        rec = st._diagnostics_record(state, {})
+        assert (rec["max_pinned_u"], rec["max_pinned_sigma"]) == (2.5, 0.75)
+
     def test_diagnostics_carry_solver_timings(self):
         mesh = build_rect_mesh(1, 1, 4, 4)
         st = Stepper(mesh, manufactured.test2_params())
@@ -389,7 +408,7 @@ class TestCachedFactorizations:
     @staticmethod
     def fresh_lu_step(st, prev, dt, forcing):
         p, npi = st.params, st.layout_pi.n_dofs
-        n_skew, u_skew, loads = st.lagged_forms(prev, prev.t + dt, forcing)
+        n_skew, u_skew, loads = lagged_matrices(st, prev, prev.t + dt, forcing)
         a_n = st.M / dt + st.K * p.D_n + n_skew
         a_n = asm.apply_constraints(a_n, st.layout_n, weight_vector=st.w_p1)
         rhs_n = asm.constrain_rhs(st.M @ prev.n / dt + loads["n"], st.layout_n)
@@ -435,7 +454,7 @@ class TestCachedFactorizations:
         assert factored == [False] * 3
         assert reports["sigma"].kind == "cached-lu"
         # the step's own concentration system, rebuilt, meets the bound
-        n_skew, _, loads = st.lagged_forms(prev, prev.t + dt)
+        n_skew, _, loads = lagged_matrices(st, prev, prev.t + dt)
         a_c = st.M / dt + st.K * params.D_c + n_skew
         b = st.M @ prev.c / dt + loads["c"]
         residual = np.linalg.norm(b - a_c @ state.c)
@@ -458,6 +477,39 @@ class TestCachedFactorizations:
         assert reports["c"].kind == reports["u"].kind == "cached-lu"
 
 
+class TestOneTransportKernel:
+    """Runs whose transports come from the one MINI element kernel agree with
+    runs whose transports come from the per-layout kernel with a global
+    transpose (``oracles.skew_by_global_transpose``), the path it replaces."""
+
+    @staticmethod
+    def levels(cfg, n_steps):
+        mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
+        params, data, forcing = io_cli.build_problem(cfg, mesh)
+        st = Stepper(mesh, params)
+        state = st.init_state(data, mode=io_cli.INIT_MODES[cfg.init_mode])
+        out = []
+        for _ in range(n_steps):
+            state, reports = st.step(state, cfg.dt, forcing)
+            out.append((state, {name: rep.iterations for name, rep in reports.items()}))
+        return out
+
+    @pytest.mark.parametrize("preset, mesh, n_steps", [("test1", (16, 8), 10), ("test2", (10, 10), 50)])
+    def test_runs_match_the_oracle_path(self, monkeypatch, preset, mesh, n_steps):
+        cfg = replace(io_cli.default_config(preset), kx=mesh[0], ky=mesh[1])
+        got = self.levels(cfg, n_steps)
+        with monkeypatch.context() as m:
+            m.setattr(asm, "assemble_skew_data", lambda layouts, velocity, ctx: [
+                skew_by_global_transpose(lay, velocity, ctx).data for lay in layouts])
+            ref = self.levels(cfg, n_steps)
+        for (state, passes), (ref_state, ref_passes) in zip(got, ref):
+            for name in ("n", "c", "sigma", "u", "pi"):
+                a, b = getattr(state, name), getattr(ref_state, name)
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+            assert all(abs(passes[k] - ref_passes[k]) <= 1 for k in ref_passes)
+        assert np.abs(got[-1][0].u).max() > 0.0
+
+
 class TestStepOperators:
     """Each step adds its transport to the cached transport-free operator in
     place, on the layout's pattern; the scipy sums it replaces are the
@@ -467,7 +519,7 @@ class TestStepOperators:
     def test_equal_the_scipy_sums(self, preset):
         st, state, dt, forcing = _preset_case(preset)
         for _ in range(3):  # test1 starts at rest
-            n_skew, u_skew, _ = st.lagged_forms(state, state.t + dt, forcing)
+            n_skew, u_skew, _ = lagged_matrices(st, state, state.t + dt, forcing)
             state, _ = st.step(state, dt, forcing)
         assert n_skew.count_nonzero() > 0 and u_skew.count_nonzero() > 0
         assert np.all(st.G.data != 0.0)  # G keeps none of its exact zeros
@@ -511,16 +563,18 @@ class TestStepOperators:
         assert all(np.all(a.data != 0.0) for a in factored)
 
     @pytest.mark.parametrize("system", ["n", "c", "u"])
-    def test_off_pattern_transport_rejected(self, system):
+    def test_wrong_length_transport_rejected(self, system):
+        # a transport is data in the slot order of its layout's scatter plan;
+        # the data of the other layout, one slot short or as a matrix do not fit
         st, _, dt, _ = _preset_case("test2")
-        nd = (st.layout_u if system == "u" else st.layout_c).n_dofs
-        # the first and last dofs share no element (or component)
-        off = sp.csr_matrix(([1.0, -1.0], ([0, nd - 1], [nd - 1, 0])), shape=(nd, nd))
-        with pytest.raises(ValueError, match="off the pattern"):
-            if system == "u":
-                st._solver("u", dt).solve(off, np.zeros(nd), np.zeros(st.layout_pi.n_dofs))
-            else:
-                st._solver(system, dt)[1](off)
+        own, other = (st.M_u, st.M) if system == "u" else (st.M, st.M_u)
+        for bad in (other.data, own.data[:-1], own.data[:, None]):
+            with pytest.raises(ValueError, match="transport data has shape"):
+                if system == "u":
+                    st._solver("u", dt).solve(bad, np.zeros(own.shape[0]),
+                                              np.zeros(st.layout_pi.n_dofs))
+                else:
+                    st._solver(system, dt)[1](bad)
 
     @pytest.mark.parametrize("preset", ["test1", "test2"])
     def test_a_step_builds_only_its_transport_matrices(self, monkeypatch, preset):
@@ -535,7 +589,7 @@ class TestStepOperators:
 
         monkeypatch.setattr(_compressed._cs_matrix, "__init__", counting)
         st.step(state, dt, forcing)
-        assert len(built) <= 2  # the two skews of lagged_forms
+        assert built == []  # the transports are data on the kept operators' patterns
 
 
 class TestConsistency:
@@ -561,7 +615,7 @@ class TestConsistency:
             u0[ns : ns + mesh.n_nodes] = uu[..., 1]
             prev = State(m=0, t=0.0, n=n0, c=c0, sigma=np.zeros(st.layout_sigma.n_dofs),
                          u=u0, pi=np.zeros(st.layout_pi.n_dofs))
-            skew, _, loads = st.lagged_forms(prev, dt, forcing)
+            skew, _, loads = lagged_matrices(st, prev, dt, forcing)
             a_c = st.M * (1.0 / dt) + st.K * params.D_c + skew
             r = a_c @ c1 - (st.M @ c0 / dt + loads["c"])
             riesz, _ = linsolve.solve(st.M, r)
@@ -678,6 +732,7 @@ class TestCondensedSaddle:
             state, _ = st.step(state, dt, forcing)  # test1 starts at rest
             state, _ = st.step(state, dt, forcing)
             skew, rhs_u, rhs_pi, (u, pi, report) = calls[-1]
+            skew = asm._square_plan(st.layout_u).csr(skew)
             assert np.abs(state.u).max() > 0.0 and skew.count_nonzero() > 0
             s_matrix = (st.M_u / dt + st.K_u * (p.D_u / p.rho)) + skew
         u_ref, pi_ref = bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi)
@@ -790,7 +845,7 @@ class TestCondensedSaddle:
         bad[bubble[0], bubble[0]] = 1e3
         rhs_u = np.ones(st.layout_u.n_dofs)
         with pytest.raises(linsolve.SingularSystemError):
-            st._solver("u", dt).solve(bad, rhs_u, np.zeros(st.layout_pi.n_dofs))
+            st._solver("u", dt).solve(bad.data, rhs_u, np.zeros(st.layout_pi.n_dofs))
 
     def test_corrupted_condensed_lu_is_caught(self, monkeypatch):
         # the condensed LU is applied unchecked; a wrong one is still caught
@@ -801,11 +856,12 @@ class TestCondensedSaddle:
         fact = saddle._condensation[2]
         exact = fact.lu_solve
         monkeypatch.setattr(fact, "lu_solve", lambda r: 0.5 * exact(r))
-        _, u_skew, loads = st.lagged_forms(state, state.t + dt, forcing)
+        _, u_data, loads = st.lagged_forms(state, state.t + dt, forcing)
+        u_skew = asm._square_plan(st.layout_u).csr(u_data)
         rhs_u, rhs_pi = st.M_u @ state.u / dt + loads["u"], np.zeros(st.layout_pi.n_dofs)
         with pytest.raises(linsolve.SingularSystemError):
             saddle.solve(None, rhs_u, rhs_pi)
-        u, pi, report = saddle.solve(u_skew, rhs_u, rhs_pi)
+        u, pi, report = saddle.solve(u_data, rhs_u, rhs_pi)
         assert report.kind == "lu-fallback"
         p = st.params
         s_matrix = st.M_u / dt + st.K_u * (p.D_u / p.rho) + u_skew
