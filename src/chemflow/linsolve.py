@@ -5,10 +5,14 @@ behaviours the rest of the code relies on: canonical CSR storage with
 duplicates summed, through a ``ScatterPlan`` built once per entry list, an
 explicit error on (near-)singular systems instead of silent garbage, one
 elimination of constrained dofs (``eliminated``), and one checked
-refinement loop for every solve (``refined_solve``), whose report carries
-the residual it accepted, also of a solve through the LU of a nearby matrix.
+refinement loop for every solve (``refined_solve``).  Its one stopping rule
+accepts x once the residual meets the RTOL bound and every row is at its
+rounding floor, the Oettli-Prager componentwise backward error
+max_i |b - Ax|_i / (|A||x| + |b|)_i <= FLOOR * eps; its report carries the
+residual it accepted, also of a solve through the LU of a nearby matrix.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -25,6 +29,9 @@ class SingularSystemError(RuntimeError):
 # residual acceptance: ||b - Ax|| <= RTOL * (||A||_F ||x|| + ||b||)
 RTOL = 1e-10
 MAX_REFINE_PASSES = 20  # passes through a nearby LU before a fresh LU takes over
+# rounding floor: componentwise backward error accepted, in units of eps
+FLOOR = 64
+_FLOOR_EPS = FLOOR * np.finfo(float).eps
 
 
 class ScatterPlan:
@@ -75,6 +82,11 @@ def entry_rows(a):
     return np.repeat(np.arange(len(a.indptr) - 1, dtype=np.int64), np.diff(a.indptr))
 
 
+def abs_matrix(a):
+    """|a| of the CSR matrix ``a``, on the index arrays of ``a``."""
+    return sp.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
+
+
 def pruned(a):
     """A copy of the sparse matrix ``a`` without its stored zeros."""
     a = a.copy()
@@ -115,8 +127,10 @@ class PatternSum:
     or a CSR matrix), a leading block of ``base`` whose positions ``base`` all
     stores, written in place into one kept ``matrix``: the slots are found
     once, and a call builds no sparse matrix.  Transport entries in the rows
-    and columns of ``eliminated`` are dropped.  A pattern that does not fit,
-    or data of another length than the pattern's, raises ValueError."""
+    and columns of ``eliminated`` are dropped.  ``abs_matrix`` holds |matrix|
+    on the index arrays of ``matrix``, refreshed by each call.  A pattern that
+    does not fit, or data of another length than the pattern's, raises
+    ValueError."""
 
     def __init__(self, base, pattern, eliminated=np.empty(0, dtype=np.int64)):
         self.matrix, self.nnz = base.copy(), pattern.nnz
@@ -127,12 +141,14 @@ class PatternSum:
         self._kept = ~_touching(pattern, eliminated)[1]
         self._slots = slots[self._kept]
         self._base = base.data[self._slots]
+        self.abs_matrix = abs_matrix(self.matrix)
 
     def __call__(self, data):
         """The kept matrix, holding ``base`` plus the transport ``data``."""
         if np.shape(data) != (self.nnz,):
             raise ValueError(f"transport data has shape {np.shape(data)}, expected ({self.nnz},)")
         self.matrix.data[self._slots] = self._base + data[self._kept]
+        np.abs(self.matrix.data, out=self.abs_matrix.data)
         return self.matrix
 
 
@@ -149,19 +165,29 @@ class SolveReport:
     iterations: int
 
 
-def refined_solve(b, inverse, apply, fro, paid, fresh_inverse=None):
+def _norm(v):
+    """||v||_2 of a real vector, as ``np.linalg.norm`` computes it, without its
+    argument checks, which cost more than the product on the step's sizes."""
+    return math.sqrt(v.dot(v))
+
+
+def refined_solve(b, inverse, a, abs_a, paid, fresh_inverse=None):
     """Solve A x = b through the LU ``inverse``; returns (x, SolveReport).
 
-    ``apply`` computes A x, ``fro`` is ||A||_F, ``paid`` the factor time of
-    the LU if this solve pays for it, else None.  Every pass applies the LU
-    once and A once, and x is accepted when ||b - A x|| <= RTOL * (||A||_F ||x||
-    + ||b||).  An LU of A itself gets one refinement pass at most.  With
-    ``fresh_inverse``, the LU is of a matrix close to A and passes are refined
-    against A while each halves the residual (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, ch. 12); if the residual turns non-finite or stops
-    shrinking above the bound, or if the contraction of the last pass would
-    leave it above the bound after MAX_REFINE_PASSES passes, the exact
-    ``fresh_inverse()`` takes over at once.
+    ``a`` is the CSR matrix A, ``abs_a`` |A| on the same index arrays, ``paid``
+    the factor time of the LU if this solve pays for it, else None.  Every pass
+    applies the LU once and A once.  x is accepted once ||b - A x|| <= RTOL *
+    (||A||_F ||x|| + ||b||) and each row is at its rounding floor, |b - A x|_i
+    <= FLOOR * eps * (|A||x| + |b|)_i (Oettli and Prager, *Numer. Math.* 6,
+    1964; refinement in working precision reaches it, Skeel, *Math. Comp.* 35,
+    1980; Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 12).
+    The floor is taken from the first x of each LU that meets the bound, so
+    |A| is applied once per LU.  An LU of A itself gets one refinement pass
+    at most.  With ``fresh_inverse``, the LU is of a matrix close to A, and a
+    pass that no longer halves the residual also ends the refinement; if the
+    residual turns non-finite or stops shrinking above the bound, or if the
+    contraction of the last pass would leave it above the bound after
+    MAX_REFINE_PASSES passes, the exact ``fresh_inverse()`` takes over at once.
 
     Raises
     ------
@@ -171,24 +197,27 @@ def refined_solve(b, inverse, apply, fro, paid, fresh_inverse=None):
     t0, fresh_time = time.perf_counter(), 0.0
     kind = "cached-lu" if paid is None else "lu"
     b = np.asarray(b, dtype=float)
-    b_norm = float(np.linalg.norm(b))
-    x, n, passes, prev = inverse(b), 1, 1, math.inf
+    fro, b_norm = _norm(a.data), _norm(b)
+    cap = 2 if fresh_inverse is None else MAX_REFINE_PASSES
+    x, n, passes, prev, floor = inverse(b), 1, 1, math.inf, None
     while True:
-        residual = b - apply(x)
-        res = float(np.linalg.norm(residual))
-        bound = RTOL * (fro * float(np.linalg.norm(x)) + b_norm)
-        if fresh_inverse is None:
-            if res <= bound:
+        residual = b - a.dot(x)
+        res = _norm(residual)
+        bound = RTOL * (fro * _norm(x) + b_norm)
+        if res <= bound:
+            if floor is None:
+                floor = _FLOOR_EPS * (abs_a.dot(np.abs(x)) + np.abs(b))
+            if n == cap or res >= 0.5 * prev or np.all(np.abs(residual) <= floor):
                 break
-            if n == 2 or not math.isfinite(res):
+        if fresh_inverse is None:
+            if n == cap or not math.isfinite(res):
                 raise SingularSystemError(
                     f"residual {res:.3e} exceeds tolerance {bound:.3e} after {n} passes")
-        elif res <= bound and (res >= 0.5 * prev or n == MAX_REFINE_PASSES):
-            break
         elif not res < prev or res * (res / prev) ** (MAX_REFINE_PASSES - n) > bound:
             t1 = time.perf_counter()
             inverse, fresh_inverse, kind = fresh_inverse(), None, "lu-fallback"
             fresh_time = time.perf_counter() - t1
+            cap, prev, floor = 2, math.inf, None
             x, n, passes = inverse(b), 1, passes + 1
             continue
         x, n, passes, prev = x + inverse(residual), n + 1, passes + 1, res
@@ -208,7 +237,6 @@ class Factorization:
         if n != m:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         self.matrix = sp.csr_matrix(a)
-        self._fro = float(np.linalg.norm(self.matrix.data))
         ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options={"SymmetricMode": True}) if quasi_definite else {}
         t0 = time.perf_counter()
@@ -218,19 +246,26 @@ class Factorization:
             raise SingularSystemError(str(exc)) from exc
         self.factor_time = self._unpaid = time.perf_counter() - t0
 
+    @functools.cached_property
+    def abs_matrix(self):
+        """|A| on the index arrays of ``matrix``, built at its first use."""
+        return abs_matrix(self.matrix)
+
     def lu_solve(self, b):
         """LU^-1 b, unchecked: for a caller that checks the residual of a larger system."""
         return self._lu.solve(b)
 
-    def solve(self, b, a=None):
+    def solve(self, b, a=None, abs_a=None):
         """Solve A x = b, or a x = b through this LU of a matrix close to the
-        CSR matrix ``a`` (``refined_solve``; a fresh LU factors ``a`` without
-        its stored zeros); only the first solve reports the factor time."""
+        CSR matrix ``a``, whose |a| on its index arrays is ``abs_a``; each x
+        is refined to its rounding floor (``refined_solve``; a fresh LU
+        factors ``a`` without its stored zeros).  Only the first solve
+        reports the factor time."""
         paid, self._unpaid = self._unpaid, None
         if a is None:
-            return refined_solve(b, self._lu.solve, self.matrix.dot, self._fro, paid)
+            return refined_solve(b, self._lu.solve, self.matrix, self.abs_matrix, paid)
         fresh = lambda: Factorization(pruned(a))._lu.solve
-        return refined_solve(b, self._lu.solve, a.dot, np.linalg.norm(a.data), paid, fresh)
+        return refined_solve(b, self._lu.solve, a, abs_a, paid, fresh)
 
 
 def solve(a, b):

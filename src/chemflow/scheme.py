@@ -240,6 +240,11 @@ class CondensedSaddle:
         self._condensation = self._condense(self.t_const, quasi_definite=True)
         self._unpaid = time.perf_counter() - t0  # reported by the first solve
 
+    @functools.cached_property
+    def _abs_const(self):
+        """|T| of the transport-free saddle matrix, built at its first use."""
+        return linsolve.abs_matrix(self.t_const)
+
     def _condense(self, t, quasi_definite=False):
         """Nodal-bubble blocks of the saddle matrix ``t`` and an LU of its condensation."""
         t_kept = t[self.kept]
@@ -273,10 +278,12 @@ class CondensedSaddle:
         must meet the ``linsolve.RTOL`` bound.
         """
         t = self.t_const
-        if transport is not None:
+        if transport is None:
+            abs_t = self._abs_const
+        else:
             if self._transport is None:
                 self._transport = linsolve.PatternSum(t, self._pattern, self.pinned)
-            t = self._transport(transport)
+            t, abs_t = self._transport(transport), self._transport.abs_matrix
         rhs_u = np.array(rhs_u, dtype=float)
         rhs_u[self.pinned] = 0.0
         b = np.concatenate([rhs_u, rhs_pi, [0.0]])
@@ -285,7 +292,7 @@ class CondensedSaddle:
         fresh = None if transport is None else (
             lambda: functools.partial(self._condensed_solve, self._condense(t))
         )
-        x, report = linsolve.refined_solve(b, inverse, t.dot, np.linalg.norm(t.data), paid, fresh)
+        x, report = linsolve.refined_solve(b, inverse, t, abs_t, paid, fresh)
         return x[:self.n_u], x[self.n_u:-1], report
 
 
@@ -498,7 +505,7 @@ class Stepper:
         # (a) cell density: the cached LU, refined against the step's transport
         lu, operator = self._solver("n", dt)
         rhs = asm.constrain_rhs(self.M @ prev.n / dt + loads["n"], self.layout_n)
-        sol, reports["n"] = lu.solve(rhs, operator(n_skew))
+        sol, reports["n"] = lu.solve(rhs, operator(n_skew), operator.abs_matrix)
         n_new = sol[: self.layout_n.n_dofs]
 
         # (b) flux
@@ -507,7 +514,9 @@ class Stepper:
 
         # (c) concentration
         lu, operator = self._solver("c", dt)
-        c_new, reports["c"] = lu.solve(self.M @ prev.c / dt + loads["c"], operator(n_skew))
+        c_new, reports["c"] = lu.solve(
+            self.M @ prev.c / dt + loads["c"], operator(n_skew), operator.abs_matrix
+        )
 
         # (d)-(e) velocity and pressure
         u_new, pi_new, reports["u"] = self._solver("u", dt).solve(

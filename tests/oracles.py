@@ -8,7 +8,8 @@ and sources of ``chemflow.manufactured`` against the field-by-field
 composition they replace, its shared-table sources against one table per
 call, and its error norms against one sum per norm;
 the invariant gates of a run that stopped, recomputed from its records;
-the row-by-row VTK writer; and the skew transport of one layout at a
+the row-by-row VTK writer; the componentwise backward error of a solve,
+on the dense matrix; and the skew transport of one layout at a
 time, skew-symmetrized by a global transpose of the summed one-sided form,
 against which the one MINI element kernel of
 ``chemflow.assembly.assemble_skew_data`` is checked.
@@ -337,6 +338,17 @@ def stopped_step(stepper, error, levels):
     ]
     assert within == [True] * k + [False]
     return k
+
+
+def componentwise_backward_error(a, x, b):
+    """max_i |b - A x|_i / (|A||x| + |b|)_i of x (Oettli and Prager), with the
+    sparse or dense matrix ``a`` taken dense; a row whose denominator is 0
+    counts 0 if its residual is 0, else inf."""
+    a = np.asarray(a.toarray() if hasattr(a, "toarray") else a, dtype=float)
+    r = np.abs(b - a @ x)
+    denominator = np.abs(a) @ np.abs(x) + np.abs(b)
+    ratios = np.divide(r, denominator, out=np.where(r > 0, np.inf, 0.0), where=denominator > 0)
+    return float(ratios.max(initial=0.0))
 
 
 def write_vtk_row_by_row(snapshot, path):

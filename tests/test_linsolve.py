@@ -5,11 +5,14 @@ import scipy.sparse as sp
 from chemflow import linsolve
 from chemflow.linsolve import (
     Factorization,
+    abs_matrix,
+    entry_rows,
     refined_solve,
     ScatterPlan,
     SingularSystemError,
     solve,
 )
+from oracles import componentwise_backward_error
 
 
 def from_triplets(shape, rows, cols, vals):
@@ -162,6 +165,24 @@ class TestElimination:
             linsolve.eliminated(a, np.array([0, 1]))
 
 
+class TestPatternSum:
+    def test_abs_matrix_follows_each_call_on_the_same_index_arrays(self):
+        # |A| is kept as one data array on the kept matrix's pattern and
+        # refreshed in place, so a call allocates no matrix
+        rng = np.random.default_rng(29)
+        base = from_triplets((6, 6), *rng.integers(0, 6, (2, 30)), rng.standard_normal(30))
+        pattern = ScatterPlan((6, 6), entry_rows(base)[::2], base.indices[::2])
+        op = linsolve.PatternSum(base, pattern, eliminated=np.array([1]))
+        kept = op.abs_matrix
+        for _ in range(3):
+            m = op(rng.standard_normal(pattern.nnz))
+            assert op.abs_matrix is kept and op.abs_matrix.data is kept.data
+            assert np.array_equal(op.abs_matrix.data, np.abs(m.data))
+            for name in ("indices", "indptr"):
+                kept_index, index = getattr(op.abs_matrix, name), getattr(m, name)
+                assert np.array_equal(kept_index, index) and np.shares_memory(kept_index, index)
+
+
 class TestRefinement:
     """Solves through the LU of a nearby matrix, refined against the true one."""
 
@@ -171,6 +192,18 @@ class TestRefinement:
         a = sp.csr_matrix(rng.standard_normal((n, n)) + n * np.eye(n))
         skew = rng.standard_normal((n, n))
         return a, sp.csr_matrix(skew - skew.T), rng.standard_normal(n)
+
+    @staticmethod
+    def iterates(inverse):
+        """``inverse``, recording each x the refinement forms from its outputs."""
+        xs = []
+
+        def recording(r):
+            d = inverse(r)
+            xs.append(d if not xs else xs[-1] + d)
+            return d
+
+        return recording, xs
 
     def test_reused_factorization_reports_no_factor_time(self):
         a, _, b = self.system()
@@ -185,18 +218,58 @@ class TestRefinement:
         near = a + 0.05 * skew
         fact = Factorization(a)
         for kind in ("lu", "cached-lu"):
-            x, report = fact.solve(b, near)
+            x, report = fact.solve(b, near, abs_matrix(near))
             assert report.kind == kind
             assert 2 <= report.iterations < linsolve.MAX_REFINE_PASSES
             assert np.allclose(x, np.linalg.solve(near.toarray(), b), rtol=1e-12, atol=0)
             assert report.residual_norm == pytest.approx(np.linalg.norm(b - near @ x), abs=1e-12)
+
+    def test_nearby_solve_stops_at_its_rounding_floor(self):
+        # the first x whose componentwise backward error is at the floor is
+        # accepted, however much the residual still shrinks per pass
+        a, skew, b = self.system()
+        near = a + 0.05 * skew
+        inverse, xs = self.iterates(Factorization(a).lu_solve)
+        fresh = lambda: Factorization(near).lu_solve
+        x, report = refined_solve(b, inverse, near, abs_matrix(near), None, fresh)
+        omegas = [componentwise_backward_error(near, y, b) for y in xs]
+        floor = linsolve.FLOOR * np.finfo(float).eps
+        assert report.kind == "cached-lu" and report.iterations == len(xs) >= 3
+        assert np.array_equal(x, xs[-1])
+        assert omegas[-1] <= floor < min(omegas[:-1])
+
+    def test_exact_lu_above_the_floor_takes_one_more_pass(self):
+        # x meets the RTOL bound after one pass, but not the floor
+        a, _, b = self.system()
+        lu = Factorization(a).lu_solve
+        inverse, xs = self.iterates(lambda r: (1.0 + 1e-12) * lu(r))
+        x, report = refined_solve(b, inverse, a, abs_matrix(a), None)
+        floor = linsolve.FLOOR * np.finfo(float).eps
+        first = componentwise_backward_error(a, xs[0], b)
+        assert np.linalg.norm(b - a @ xs[0]) <= linsolve.RTOL * (
+            np.linalg.norm(a.data) * np.linalg.norm(xs[0]) + np.linalg.norm(b))
+        assert first > floor
+        assert report.iterations == 2 and componentwise_backward_error(a, x, b) <= floor
+
+    def test_fallback_does_not_stop_on_the_cached_residual(self):
+        # the cached LU leaves a residual of 3e-10 |b| above the bound of
+        # about 2e-10 |b|, then doubles it; the fresh LU's first x meets the
+        # bound at 1.9e-10 |b|, within half of the cached residual, but not the
+        # floor, so it takes its one refinement pass
+        b = np.linspace(1.0, 2.0, 5)
+        identity = sp.identity(5, format="csr")
+        scales = iter([1.0 + 3e-10, -1.0])
+        x, report = refined_solve(b, lambda r: next(scales) * r, identity, identity, None,
+                                  lambda: (lambda r: (1.0 + 1.9e-10) * r))
+        assert report.kind == "lu-fallback" and report.iterations == 2 + 2
+        assert componentwise_backward_error(identity, x, b) <= linsolve.FLOOR * np.finfo(float).eps
 
     def test_falls_back_to_a_fresh_lu(self):
         a, skew, b = self.system()
         far = a + 40.0 * skew  # the refinement diverges
         fact = Factorization(a)
         fact.solve(b)
-        x, report = fact.solve(b, far)
+        x, report = fact.solve(b, far, abs_matrix(far))
         assert report.kind == "lu-fallback"
         assert report.factor_time > 0.0 and report.iterations >= 2
         assert np.allclose(x, np.linalg.solve(far.toarray(), b), rtol=1e-12, atol=0)
@@ -216,43 +289,52 @@ class TestRefinement:
             original(self, m)
 
         monkeypatch.setattr(Factorization, "__init__", recording)
-        x, report = fact.solve(b, far)
+        x, report = fact.solve(b, far, abs_matrix(far))
         assert report.kind == "lu-fallback"
         assert factored[0].nnz == far.count_nonzero() < far.nnz
         assert np.allclose(x, np.linalg.solve(far.toarray(), b), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("case", ["exact", "exact-refined", "nearby", "fallback"])
-    def test_one_product_per_pass(self, case):
-        # each pass applies the LU once and A once; the residual of the
-        # accepted x is the one the loop computed, not a product more
+    def test_one_product_per_pass(self, monkeypatch, case):
+        # each pass applies the LU once and A once, and the solve applies |A|
+        # once, for its floor; the residual of the accepted x is the one the
+        # loop computed, not a product more
         a, skew, b = self.system()
         target = a + {"nearby": 0.05, "fallback": 40.0}.get(case, 0.0) * skew
+        abs_target = abs_matrix(target)
         lu = Factorization(a).lu_solve
         inverse = (lambda r: (1.0 + 1e-8) * lu(r)) if case == "exact-refined" else lu
-        products = []
+        products, dot = [], sp.csr_matrix.dot
 
-        def apply(x):
-            products.append(x)
-            return target @ x
+        def recording(m, x):
+            products.append("A" if m is target else "|A|" if m is abs_target else "other")
+            return dot(m, x)
 
         fresh = (lambda: Factorization(target).lu_solve) if case in ("nearby", "fallback") else None
-        x, report = refined_solve(b, inverse, apply, np.linalg.norm(target.data), None, fresh)
-        assert len(products) == report.iterations
+        monkeypatch.setattr(sp.csr_matrix, "dot", recording)
+        x, report = refined_solve(b, inverse, target, abs_target, None, fresh)
+        monkeypatch.undo()
+        assert products.count("A") == report.iterations and products.count("|A|") == 1
+        assert len(products) == report.iterations + 1
         assert report.iterations == {"exact": 1, "exact-refined": 2}.get(case, report.iterations)
         assert (report.kind == "lu-fallback") == (case == "fallback")
         assert report.residual_norm == np.linalg.norm(b - target @ x)
 
     @pytest.mark.parametrize("scale,passes,fell_back", [
+        (1.0, 1, False),  # a zero residual stops at once, also through a nearby LU
         (0.9, None, False),  # converging: stops at the rounding floor
         (2.5, 2 + 1, True),  # the residual grows from the second pass
         (0.3, 2 + 1, True),  # too slow for the pass cap: falls back after two passes
     ])
     def test_refinement_stops_or_falls_back(self, scale, passes, fell_back):
-        # A = I, and each pass leaves 1 - scale of the error
+        # A = I, and each pass leaves 1 - scale of the error; the fresh LU is
+        # exact, so its first residual is 0.  With A = I the floor bounds the
+        # error: |x - b| <= FLOOR * eps * (|x| + |b|)
         b = np.linspace(1.0, 2.0, 5)
-        identity = lambda r: r
-        x, report = refined_solve(b, lambda r: scale * r, identity, 1.0, None, lambda: identity)
-        assert np.abs(x - b).max() <= 1e-15 * np.abs(b).max()
+        identity = sp.identity(5, format="csr")
+        x, report = refined_solve(b, lambda r: scale * r, identity, identity, None,
+                                  lambda: (lambda r: r))
+        assert componentwise_backward_error(identity, x, b) <= linsolve.FLOOR * np.finfo(float).eps
         assert (report.kind == "lu-fallback") == fell_back
         if passes is None:
             assert report.iterations < linsolve.MAX_REFINE_PASSES
