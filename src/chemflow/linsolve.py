@@ -229,8 +229,10 @@ class Factorization:
     """LU factorization of a square scipy sparse matrix, reusable across solves:
     SuperLU's COLAMD ordering with partial pivoting, or, for a ``quasi_definite``
     matrix (symmetric quasi-definite after a diagonal row scaling, so every
-    symmetric ordering has nonzero pivots), a symmetric minimum-degree ordering
-    without pivoting, which fills less."""
+    symmetric ordering has nonzero pivots; Vanderbei, *SIAM J. Optim.* 5,
+    1995), a symmetric minimum-degree ordering without pivoting, which fills
+    less.  A symmetric positive definite matrix is the quasi-definite case
+    with an empty negative block, so ``quasi_definite=True`` covers it."""
 
     def __init__(self, a, quasi_definite=False):
         n, m = a.shape

@@ -71,6 +71,13 @@ MASS_DRIFT_TOL = 1e-10  # criterion 4: relative drift of the conserved mass in a
 DIVERGENCE_TOL = 1e-9  # criterion 7: max_j |(psi_j, div u_h)| after each step of a run
 
 
+def _projected(rhs, solve):
+    """``solve(rhs)``, or zeros of the shape of ``rhs`` if every entry of the
+    constrained right-hand side ``rhs`` is 0: a projection of zero data is
+    zero, so ``solve`` builds and factors its operator only for nonzero data."""
+    return solve(rhs) if np.any(rhs) else np.zeros_like(rhs)
+
+
 class InvariantError(RuntimeError):
     """A step of ``Stepper.run`` broke criterion 4 or 7."""
 
@@ -202,8 +209,9 @@ class CondensedSaddle:
     C = G_B^T D^-1 G_B / rho^2 is positive definite once pressure dof 0 is
     pinned, since G_B p = 0 makes grad p vanish on every element.  Its LU is
     therefore taken without pivoting (``linsolve.Factorization``'s
-    ``quasi_definite``); the condensation of a step's own matrix, whose N
-    is skew, keeps partial pivoting.
+    ``quasi_definite``), for a step's M_u/dt + D_u K_u/rho and for the
+    initial Stokes projection's D_u K_u alike; the condensation of a step's
+    own matrix, whose N is skew, keeps partial pivoting.
 
     The saddle matrix of ``s_const``, its pinned velocity dofs eliminated by
     ``linsolve.eliminated``, D^-1, the index sets and the LU of the condensed
@@ -361,7 +369,13 @@ class Stepper:
         """Discrete initial state via elliptic/Stokes projections or vertex
         interpolation (bubbles zero).  The zero-mean and boundary constraints
         hold exactly in both modes.  The seconds spent assembling loads are
-        left in ``assembly_time`` (0 for the vertex interpolation)."""
+        left in ``assembly_time`` (0 for the vertex interpolation).
+
+        A projection whose right-hand side, after its constraints, is exactly
+        zero is zero, and builds and factors no operator: the Stokes
+        projection of a fluid at rest takes no LU.  The SPD c and sigma
+        operators are factored without pivoting; the n operator, whose K
+        block is singular, keeps partial pivoting."""
         if mode not in self.INIT_MODES:
             raise ValueError(f"unknown init mode {mode!r}")
         p, alpha0 = self.params, self.params.alpha0
@@ -404,27 +418,35 @@ class Stepper:
         self.assembly_time = time.perf_counter() - t0
 
         # density: gradient projection with matched (zero) mean
-        a_n = asm.apply_constraints(self.K, self.layout_n, weight_vector=self.w_p1)
-        rhs = asm.constrain_rhs(rhs_n, self.layout_n)
-        n0 = linsolve.solve(a_n, rhs)[0][: self.layout_n.n_dofs]
+        def density(b):
+            a = asm.apply_constraints(self.K, self.layout_n, weight_vector=self.w_p1)
+            return linsolve.solve(a, b)[0]
 
-        # concentration: full H1 projection
-        c0 = linsolve.solve(self.K + self.M, rhs_c)[0]
+        n0 = _projected(asm.constrain_rhs(rhs_n, self.layout_n), density)[: self.layout_n.n_dofs]
 
-        # flux: div/rot/L2 projection under the normal-trace constraints
-        a_s = asm.apply_constraints(
-            self.divrot * (1.0 / p.D_c) + self.M_sigma, self.layout_sigma
-        )
-        rhs = asm.constrain_rhs(rhs_s, self.layout_sigma)
-        sigma0 = linsolve.solve(linsolve.pruned(a_s), rhs)[0]
+        # concentration: full H1 projection, SPD
+        c0 = _projected(rhs_c, lambda b: linsolve.Factorization(
+            self.K + self.M, quasi_definite=True).solve(b)[0])
+
+        # flux: div/rot/L2 projection under the normal-trace constraints, SPD
+        def flux(b):
+            a = asm.apply_constraints(self.divrot * (1.0 / p.D_c) + self.M_sigma, self.layout_sigma)
+            return linsolve.Factorization(linsolve.pruned(a), quasi_definite=True).solve(b)[0]
+
+        sigma0 = _projected(asm.constrain_rhs(rhs_s, self.layout_sigma), flux)
 
         # velocity/pressure: discrete Stokes projection (its LU is used once)
-        stokes = CondensedSaddle(self.K_u * p.D_u, self.G, self.layout_u, self.w_p1, p.rho)
-        u0, pi0, _ = stokes.solve(None, rhs_u, rhs_pi)
+        nu = self.layout_u.n_dofs
+
+        def stokes(b):
+            saddle = CondensedSaddle(self.K_u * p.D_u, self.G, self.layout_u, self.w_p1, p.rho)
+            return np.concatenate(saddle.solve(None, b[:nu], b[nu:])[:2])
+
+        rhs_u[self.layout_u.constrained_dofs] = 0.0
+        x = _projected(np.concatenate([rhs_u, rhs_pi]), stokes)
         # the projection problem carries no density scaling on its pressure
         # block, while the step solver does; undo it
-        pi0 = pi0 / p.rho
-        return State(m=0, t=0.0, n=n0, c=c0, sigma=sigma0, u=u0, pi=pi0)
+        return State(m=0, t=0.0, n=n0, c=c0, sigma=sigma0, u=x[:nu], pi=x[nu:] / p.rho)
 
     # -- stepping ----------------------------------------------------------
 
@@ -432,7 +454,14 @@ class Stepper:
         """Solver of the transport-free operator of one system and dt, built at
         its first step: a ``CondensedSaddle`` for u, else an LU (n bordered by
         its zero-mean row, sigma under its normal-trace constraints), for n and
-        c with a ``linsolve.PatternSum`` of the operator on the layout's pattern."""
+        c with a ``linsolve.PatternSum`` of the operator on the layout's pattern.
+
+        The SPD sigma operator, like the condensed (u, pi) one, is factored in
+        a symmetric ordering without pivoting (``quasi_definite``), which
+        fills less.  The n and c LUs keep COLAMD with partial pivoting: at the
+        benchmark's sizes they solve faster, and each is applied several
+        times per step.  A fresh fallback LU carries the skew transport, so
+        it pivots too."""
         key = (system, dt)
         if key not in self._solvers:
             p = self.params
@@ -443,7 +472,7 @@ class Stepper:
             elif system == "sigma":
                 a = self.M_sigma * (1.0 / dt) + self.divrot
                 a = asm.apply_constraints(a, self.layout_sigma)
-                solver = linsolve.Factorization(linsolve.pruned(a))
+                solver = linsolve.Factorization(linsolve.pruned(a), quasi_definite=True)
             else:
                 a = self.M * (1.0 / dt)
                 a.data += self.K.data * (p.D_n if system == "n" else p.D_c)  # so do M and K

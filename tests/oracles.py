@@ -9,7 +9,9 @@ composition they replace, its shared-table sources against one table per
 call, and its error norms against one sum per norm;
 the invariant gates of a run that stopped, recomputed from its records;
 the row-by-row VTK writer; the componentwise backward error of a solve,
-on the dense matrix; and the skew transport of one layout at a
+on the dense matrix; the elliptic and Stokes initial projections as every
+one of them was solved before a projection of zero data was skipped; and
+the skew transport of one layout at a
 time, skew-symmetrized by a global transpose of the summed one-sided form,
 against which the one MINI element kernel of
 ``chemflow.assembly.assemble_skew_data`` is checked.
@@ -21,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from chemflow import assembly as asm
+from chemflow import linsolve
 from chemflow import manufactured as mf
 from chemflow.linsolve import entry_rows
 from chemflow.mesh import GeometryError
-from chemflow.scheme import DIVERGENCE_TOL, MASS_DRIFT_TOL, StepForcing
+from chemflow.scheme import DIVERGENCE_TOL, MASS_DRIFT_TOL, CondensedSaddle, StepForcing
 from chemflow.spaces import scalar_basis_gradient_table, scalar_basis_values
 
 
@@ -349,6 +352,37 @@ def componentwise_backward_error(a, x, b):
     denominator = np.abs(a) @ np.abs(x) + np.abs(b)
     ratios = np.divide(r, denominator, out=np.where(r > 0, np.inf, 0.0), where=denominator > 0)
     return float(ratios.max(initial=0.0))
+
+
+def solved_projections(stepper, data):
+    """(n0, c0, sigma0, u0, pi0) of ``stepper``'s elliptic and Stokes
+    projections of ``data``, each one solved whatever its data: n, c and
+    sigma through COLAMD LUs with partial pivoting, (u, pi) by building the
+    Stokes ``CondensedSaddle`` of D_u K_u, solving it, and dividing pi by rho.
+    The reference for the zero-data rule and the unpivoted LUs of
+    ``Stepper.init_state``."""
+    st, p, ctx = stepper, stepper.params, stepper.ctx
+
+    def load(kind, layout, field):
+        return getattr(asm, f"assemble_{kind}")(layout, asm.at_points(field, ctx), ctx)
+
+    rhs_n = asm.constrain_rhs(load("grad_load", st.layout_n, data.grad_eta0), st.layout_n)
+    a_n = asm.apply_constraints(st.K, st.layout_n, weight_vector=st.w_p1)
+    n0 = linsolve.solve(a_n, rhs_n)[0][: st.layout_n.n_dofs]
+    rhs_c = load("grad_load", st.layout_c, data.grad_c0) + load("load", st.layout_c, data.c0)
+    c0 = linsolve.solve(st.K + st.M, rhs_c)[0]
+    rhs_s = (load("div_load", st.layout_sigma, data.div_sigma0)
+             + load("rot_load", st.layout_sigma, data.rot_sigma0)
+             + load("load", st.layout_sigma, data.sigma0))
+    a_s = asm.apply_constraints(st.divrot * (1.0 / p.D_c) + st.M_sigma, st.layout_sigma)
+    sigma0 = linsolve.solve(linsolve.pruned(a_s), asm.constrain_rhs(rhs_s, st.layout_sigma))[0]
+    rhs_u = p.D_u * load("grad_load", st.layout_u, data.grad_u0)
+    if data.pi0 is not None:
+        rhs_u -= load("div_load", st.layout_u, data.pi0)
+    rhs_pi = load("load", st.layout_pi, data.div_u0)
+    saddle = CondensedSaddle(st.K_u * p.D_u, st.G, st.layout_u, st.w_p1, p.rho)
+    u0, pi0, _ = saddle.solve(None, rhs_u, rhs_pi)
+    return n0, c0, sigma0, u0, pi0 / p.rho
 
 
 def write_vtk_row_by_row(snapshot, path):

@@ -30,6 +30,7 @@ from oracles import (
     componentwise_backward_error,
     lagged_matrices,
     skew_by_global_transpose,
+    solved_projections,
     stopped_step,
 )
 
@@ -172,6 +173,107 @@ class TestInitState:
         st = Stepper(mesh, simple_params())
         with pytest.raises(ValueError):
             st.init_state(constant_fields(1.0, 0.0), mode="l2")
+
+
+class TestInitialProjections:
+    """A projection whose constrained data are exactly zero is zero and takes
+    no LU, and the SPD c and sigma operators are factored without pivoting;
+    ``oracles.solved_projections``, which solves every projection through
+    pivoting LUs and always builds the Stokes saddle, is the path replaced."""
+
+    @staticmethod
+    def case(preset, mesh=None):
+        """Stepper, initial data, step size and forcing of one preset."""
+        cfg = io_cli.default_config(preset)
+        if mesh is not None:
+            cfg = replace(cfg, kx=mesh[0], ky=mesh[1])
+        mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
+        params, data, forcing = io_cli.build_problem(cfg, mesh)
+        return Stepper(mesh, params), data, cfg.dt, forcing
+
+    @pytest.mark.parametrize("preset, mesh, saddles, factored", [
+        ("test1", (16, 8), 0, ["n", "c", "sigma"]),  # the plume starts at rest
+        ("test2", None, 1, ["n", "c", "sigma", "u"]),
+    ])
+    def test_match_the_solved_projections(self, monkeypatch, preset, mesh, saddles, factored):
+        st, data, _, _ = self.case(preset, mesh)
+        built, original = [], CondensedSaddle.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(CondensedSaddle, "__init__", counting)
+            lus = _recorded_lus(m, st)
+            state = st.init_state(data, mode="elliptic_projection")
+        assert len(built) == saddles
+        assert [system for system, _ in lus] == factored
+        n0, c0, sigma0, u0, pi0 = solved_projections(st, data)
+        for got, ref in ((state.n, n0), (state.u, u0), (state.pi, pi0)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        for got, ref in ((state.c, c0), (state.sigma, sigma0)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert (np.abs(state.u).max() > 0.0) == (saddles == 1)
+
+    def test_constant_data_factor_only_the_concentration(self, monkeypatch):
+        # criterion 10's data: only c is nonzero, and it is exact
+        st = Stepper(build_rect_mesh(1.0, 1.0, 20, 20), manufactured.test2_params())
+        lus = _recorded_lus(monkeypatch, st)
+        cbar = 7.5
+        state = st.init_state(constant_fields(cbar, st.params.alpha0), mode="elliptic_projection")
+        assert [system for system, _ in lus] == ["c"]
+        assert np.abs(state.c - cbar).max() <= 1e-13 * cbar
+        for name in ("n", "sigma", "u", "pi"):
+            assert not np.any(getattr(state, name)), name
+
+    @pytest.mark.parametrize("preset, mesh, mode, at_init", [
+        ("test1", (16, 8), "elliptic_projection", ["n", "c", "sigma"]),
+        ("test2", None, "nodal", []),
+    ])
+    def test_lus_of_init_and_first_step(self, monkeypatch, preset, mesh, mode, at_init):
+        # a factorization a later change brings back fails here
+        st, data, dt, forcing = self.case(preset, mesh)
+        lus = _recorded_lus(monkeypatch, st)
+        state = st.init_state(data, mode=mode)
+        assert [system for system, _ in lus] == at_init
+        del lus[:]
+        st.step(state, dt, forcing)
+        assert [system for system, _ in lus] == ["n", "sigma", "c", "u"]
+
+    def test_spd_lus_take_no_pivots(self, monkeypatch):
+        st, data, dt, forcing = self.case("test1", (16, 8))
+        with monkeypatch.context() as m:
+            lus = _recorded_lus(m, st)
+            st.step(st.init_state(data, mode="elliptic_projection"), dt, forcing)
+        init = dict(lus[:3])
+        assert [fact for system, fact in lus[3:] if system == "sigma"] == [st._solver("sigma", dt)]
+        rng = np.random.default_rng(3)
+        for fact in (init["c"], init["sigma"], st._solver("sigma", dt)):
+            unpivoted = spla.splu(fact.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            assert np.array_equal(fact._lu.perm_r, fact._lu.perm_c)
+            assert np.array_equal(fact._lu.perm_c, unpivoted.perm_c)
+            b = rng.standard_normal(fact.matrix.shape[0])
+            x, x_ref = fact.solve(b)[0], linsolve.Factorization(fact.matrix).solve(b)[0]
+            assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        # the n projection's K block is singular: its LU interchanges rows
+        assert not np.array_equal(init["n"]._lu.perm_r, init["n"]._lu.perm_c)
+        for fact in (init["n"], st._solver("n", dt)[0], st._solver("c", dt)[0]):
+            pivoting = spla.splu(fact.matrix.tocsc())  # COLAMD, partial pivoting
+            assert np.array_equal(fact._lu.perm_c, pivoting.perm_c)
+            assert np.array_equal(fact._lu.perm_r, pivoting.perm_r)
+
+    @pytest.mark.parametrize("preset, mesh, n_steps", [("test1", (16, 8), 10), ("test2", (10, 10), 50)])
+    def test_runs_match_an_all_pivoting_run(self, monkeypatch, preset, mesh, n_steps):
+        cfg = replace(io_cli.default_config(preset), kx=mesh[0], ky=mesh[1])
+        got = _run_levels(cfg, n_steps)
+        original = linsolve.Factorization.__init__
+        with monkeypatch.context() as m:
+            m.setattr(linsolve.Factorization, "__init__",
+                      lambda self, a, quasi_definite=False: original(self, a))
+            ref = _run_levels(cfg, n_steps)
+        _assert_levels_agree(got, ref)
 
 
 class TestStep:
@@ -505,32 +607,15 @@ class TestOneTransportKernel:
     runs whose transports come from the per-layout kernel with a global
     transpose (``oracles.skew_by_global_transpose``), the path it replaces."""
 
-    @staticmethod
-    def levels(cfg, n_steps):
-        mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
-        params, data, forcing = io_cli.build_problem(cfg, mesh)
-        st = Stepper(mesh, params)
-        state = st.init_state(data, mode=io_cli.INIT_MODES[cfg.init_mode])
-        out = []
-        for _ in range(n_steps):
-            state, reports = st.step(state, cfg.dt, forcing)
-            out.append((state, {name: rep.iterations for name, rep in reports.items()}))
-        return out
-
     @pytest.mark.parametrize("preset, mesh, n_steps", [("test1", (16, 8), 10), ("test2", (10, 10), 50)])
     def test_runs_match_the_oracle_path(self, monkeypatch, preset, mesh, n_steps):
         cfg = replace(io_cli.default_config(preset), kx=mesh[0], ky=mesh[1])
-        got = self.levels(cfg, n_steps)
+        got = _run_levels(cfg, n_steps)
         with monkeypatch.context() as m:
             m.setattr(asm, "assemble_skew_data", lambda layouts, velocity, ctx: [
                 skew_by_global_transpose(lay, velocity, ctx).data for lay in layouts])
-            ref = self.levels(cfg, n_steps)
-        for (state, passes), (ref_state, ref_passes) in zip(got, ref):
-            for name in ("n", "c", "sigma", "u", "pi"):
-                a, b = getattr(state, name), getattr(ref_state, name)
-                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
-            assert all(abs(passes[k] - ref_passes[k]) <= 1 for k in ref_passes)
-        assert np.abs(got[-1][0].u).max() > 0.0
+            ref = _run_levels(cfg, n_steps)
+        _assert_levels_agree(got, ref)
 
 
 class TestStepOperators:
@@ -645,6 +730,47 @@ class TestConsistency:
             norms.append(math.sqrt(abs(r @ riesz)))
         assert norms[0] / norms[1] >= 1.8
         assert norms[1] / norms[2] >= 1.8
+
+
+def _recorded_lus(monkeypatch, st):
+    """(system, Factorization) of each LU built from now on,
+    the system told apart by its size against the layouts of ``st``."""
+    sizes = {st.layout_n.n_dofs + 1: "n", st.layout_c.n_dofs: "c", st.layout_sigma.n_dofs: "sigma"}
+    made, original = [], linsolve.Factorization.__init__
+
+    def recording(self, a, quasi_definite=False):
+        original(self, a, quasi_definite)
+        made.append((sizes.get(a.shape[0], "u"), self))
+
+    monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
+    return made
+
+
+def _run_levels(cfg, n_steps):
+    """(state, LU passes per system) of each level of a run of ``cfg``, the
+    initial level (no passes) first."""
+    mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
+    params, data, forcing = io_cli.build_problem(cfg, mesh)
+    st = Stepper(mesh, params)
+    state = st.init_state(data, mode=io_cli.INIT_MODES[cfg.init_mode])
+    out = [(state, {})]
+    for _ in range(n_steps):
+        state, reports = st.step(state, cfg.dt, forcing)
+        out.append((state, {name: rep.iterations for name, rep in reports.items()}))
+    return out
+
+
+def _assert_levels_agree(got, ref):
+    """Every field of every level within 1e-12 of ``ref``'s largest entry,
+    and LU passes within one per system and step."""
+    assert len(got) == len(ref)
+    for (state, passes), (ref_state, ref_passes) in zip(got, ref):
+        for name in ("n", "c", "sigma", "u", "pi"):
+            a, b = getattr(state, name), getattr(ref_state, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+        assert passes.keys() == ref_passes.keys()
+        assert all(abs(passes[k] - ref_passes[k]) <= 1 for k in ref_passes)
+    assert np.abs(got[-1][0].u).max() > 0.0
 
 
 def projector(n, pinned):
