@@ -17,11 +17,14 @@ exact for every MINI and lagged-coefficient polynomial integrand (the
 velocity trilinear form reaches total degree 8).
 
 One MINI element kernel gives the skew transport of every layout of a step
-as data on the layout's plan.  The transport form and the loads take their
-coefficient as an array of values at the quadrature points of the context
-they are given, so that a caller evaluates each field once and combines
-the values before integrating: ``DiscreteField.values`` for finite element
-functions, ``at_points`` for closed-form data.
+as data on the layout's plan.  It takes the velocity as a ``DiscreteField``,
+whose element coefficients it contracts with a reference table, or as values
+at the quadrature points.  The loads take their coefficient as values at
+the quadrature points of the context they are given: ``DiscreteField.values``
+for finite element functions, ``at_points`` for closed-form data.  A product
+of finite element fields needs no point values: ``AssemblyContext.moments``
+holds the integrals of products of basis functions on the context's rule, to
+contract with the fields' element coefficients (``Stepper.lagged_forms``).
 """
 
 import numpy as np
@@ -79,6 +82,28 @@ class AssemblyContext:
             "weighted_values", kind, lambda: self.weights[:, None] * self.basis_values(kind)
         )
 
+    def weighted_vector_values(self, kind):
+        """w_q phi_k(x_q) for the two-component basis, component-major: rows
+        (q, c), columns (c, k), (nq * 2, 2 * nl)."""
+
+        def build():
+            table = np.einsum("qk,cd->qcdk", self.weighted_values(kind), np.eye(2))
+            return table.reshape(2 * len(self.weights), -1)
+
+        return self.cached("weighted_vector_values", kind, build)
+
+    def moments(self, *kinds):
+        """M[i, j, ...] = sum_q w_q phi_i(x_q) psi_j(x_q) ... for the scalar
+        sub-basis of each of ``kinds``: the integral over an element, per unit
+        area, of a product of basis functions on this context's rule."""
+
+        def build():
+            out = "abc"[: len(kinds)]
+            spec = ",".join(["q"] + [f"q{i}" for i in out]) + f"->{out}"
+            return np.einsum(spec, self.weights, *(self.basis_values(k) for k in kinds))
+
+        return self.cached("moments", kinds, build)
+
     def weighted_gradient_table(self, kind):
         """w_q T[q, i, a] with rows (q, a) and columns i, (nq * 3, nl)."""
 
@@ -112,13 +137,13 @@ class DiscreteField:
         self.coeffs = coeffs
         self.components = layout.components
 
-    def _element_coeffs(self):
+    def element_coeffs(self):
         """(ne * comps, nl): one row per element and component."""
         return self.coeffs[_component_dofs(self.layout)].reshape(-1, self.layout.scalar_local_size)
 
     def values(self, ctx):
         """(ne, nq), or (ne, nq, comps) for vector layouts."""
-        vals = self._element_coeffs() @ ctx.basis_values(self.layout.kind).T
+        vals = self.element_coeffs() @ ctx.basis_values(self.layout.kind).T
         vals = vals.reshape(-1, self.components, vals.shape[1])
         return vals[:, 0] if self.components == 1 else vals.transpose(0, 2, 1)
 
@@ -127,7 +152,7 @@ class DiscreteField:
         table = ctx.gradient_table(self.layout.kind)
         nq, nl, _ = table.shape
         # derivatives along the barycentric coordinates, then the chain rule
-        dlam = self._element_coeffs() @ table.transpose(1, 0, 2).reshape(nl, -1)
+        dlam = self.element_coeffs() @ table.transpose(1, 0, 2).reshape(nl, -1)
         ne = ctx.grad_bary.shape[0]
         grads = (dlam.reshape(ne, -1, 3) @ ctx.grad_bary).reshape(ne, self.components, nq, 2)
         return grads[:, 0] if self.components == 1 else grads.transpose(0, 2, 1, 3)
@@ -152,7 +177,7 @@ def _block_plan(row_dofs, col_dofs, shape):
     return linsolve.ScatterPlan(shape, rows, cols)
 
 
-def _square_plan(layout, coupled=False):
+def square_plan(layout, coupled=False):
     """Plan of square element blocks on a layout, built once and kept on it:
     one block per component, or with ``coupled`` one block coupling all."""
     if coupled not in layout.plans:
@@ -162,10 +187,10 @@ def _square_plan(layout, coupled=False):
 
 
 def _square_data(local, layout):
-    """Data on ``_square_plan(layout)`` of the same (ne, nl, nl) block on every
+    """Data on ``square_plan(layout)`` of the same (ne, nl, nl) block on every
     component: each component's slots are the first's, shifted, so the first
     is summed, through its slots kept on the layout, and repeated."""
-    plan, comps = _square_plan(layout), layout.components
+    plan, comps = square_plan(layout), layout.components
     if "first" not in layout.plans:
         layout.plans["first"] = plan.slots.reshape(len(local), comps, -1)[:, 0].ravel()
     data = np.bincount(layout.plans["first"], weights=local.ravel(), minlength=plan.nnz // comps)
@@ -181,7 +206,7 @@ def assemble_mass(layout, ctx=None):
     degree = P1_DEGREE if not layout.has_bubble else FULL_DEGREE
     ctx = _ctx_for(layout, ctx, degree)
     e0 = ctx.basis_values(layout.kind).T @ ctx.weighted_values(layout.kind)
-    return _square_plan(layout).csr(_square_data(ctx.areas[:, None, None] * e0, layout))
+    return square_plan(layout).csr(_square_data(ctx.areas[:, None, None] * e0, layout))
 
 
 def assemble_stiffness(layout, coeff=1.0, ctx=None):
@@ -194,7 +219,7 @@ def assemble_stiffness(layout, coeff=1.0, ctx=None):
     s = np.einsum("q,qia,qjb->abij", ctx.weights, table, table).reshape(9, nl * nl)
     local = ((ctx.areas[:, None, None] * ctx.grad_bary) @ ctx.grad_bary_t).reshape(-1, 9) @ s
     local *= coeff
-    return _square_plan(layout).csr(_square_data(local.reshape(-1, nl, nl), layout))
+    return square_plan(layout).csr(_square_data(local.reshape(-1, nl, nl), layout))
 
 
 def _sigma_div_rot(grad_bary):
@@ -221,40 +246,46 @@ def assemble_divrot(layout, coeff=1.0):
     div, rot = _sigma_div_rot(grad_bary)
     local = np.einsum("ea,eb->eab", div, div) + np.einsum("ea,eb->eab", rot, rot)
     local *= coeff * areas[:, None, None]
-    return _square_plan(layout, coupled=True).matrix(local)
+    return square_plan(layout, coupled=True).matrix(local)
 
 
 def assemble_skew_data(layouts, velocity, ctx):
     """The skew transport N = (C - C^T)/2, C_ij = ((v . grad) phi_j, phi_i),
     componentwise on vector layouts, on each of ``layouts`` for the velocity
-    values (ne, nq, 2) at the points of ``ctx``, as data on the layout's plan.
+    v, a vector ``DiscreteField`` or its values (ne, nq, 2) at the points of
+    ``ctx``, as data on the layout's plan.
 
-    The MINI element blocks are formed and skew-symmetrized once; a P1
-    layout takes their vertex block, since the MINI vertex functions are the
-    barycentrics.  Slot (j, i) sums the negated entries of slot (i, j) in the
-    same element order, so N = -N^T entry by entry.  The quadratic form of N
-    vanishes; for pointwise divergence-free velocities with zero normal trace
-    N coincides with the one-sided convection form C.
+    grad lambda_a . v_m, for the field's element coefficients v_m or the
+    point values, is contracted over (a, m) in one product with the table
+    w_q phi_i(x_q) T[q, j, a], which for a field is first contracted with its
+    basis psi_m(x_q): the two inputs differ only in the table.  The MINI
+    element blocks are formed and skew-symmetrized once; a P1 layout takes
+    their vertex block, since the MINI vertex functions are the barycentrics.
+    Slot (j, i) sums the negated entries of slot (i, j) in the same element
+    order, so N = -N^T entry by entry.  The quadratic form of N vanishes; for
+    pointwise divergence-free velocities with zero normal trace N coincides
+    with the one-sided convection form C.
     """
+    if isinstance(velocity, DiscreteField):
+        kind = velocity.layout.kind
+        vel = velocity.element_coeffs().reshape(len(ctx.areas), 2, -1)  # (ne, 2, nl)
+        basis = ctx.basis_values(kind)
+    else:
+        kind, vel = "points", velocity.transpose(0, 2, 1)  # (ne, 2, nq)
+        basis = np.eye(len(ctx.weights))  # the point table, contracted with nothing
 
     def build():
-        # w_q phi_i(x_q) T[q, j, a] with rows (q, a) and columns (i, j)
+        # w_q phi_i(x_q) T[q, j, a] basis[q, m] with rows (a, m) and columns (i, j)
         vals, grads = ctx.weighted_values(VELOCITY_MINI), ctx.gradient_table(VELOCITY_MINI)
-        w = np.einsum("qi,qja->qaij", vals, grads)
+        w = np.einsum("qi,qja,qm->amij", vals, grads, basis)
         return w.reshape(-1, w.shape[2] * w.shape[3])
 
-    # v . grad lambda_a at every point, contracted over (q, a) in one product
-    v_grad = velocity @ ctx.grad_bary_t
-    half = v_grad.reshape(len(v_grad), -1) @ ctx.cached("skew", VELOCITY_MINI, build)
+    v_grad = ctx.grad_bary @ vel
+    half = v_grad.reshape(len(v_grad), -1) @ ctx.cached("skew", kind, build)
     half = (0.5 * ctx.areas[:, None] * half).reshape(-1, 4, 4)
     blocks = half - half.transpose(0, 2, 1)
     return [_square_data(blocks[:, :lay.scalar_local_size, :lay.scalar_local_size], lay)
             for lay in layouts]
-
-
-def assemble_skew(layout, velocity, ctx):
-    """The transport of ``assemble_skew_data`` on one layout as a CSR matrix."""
-    return _square_plan(layout).csr(assemble_skew_data([layout], velocity, ctx)[0])
 
 
 def assemble_pressure_coupling(layout_u, layout_pi, ctx=None):
@@ -300,10 +331,11 @@ def assemble_div_load(layout, f, ctx):
     """(f, div Phi_i) on a vector layout for scalar values f (ne, nq)."""
     if layout.components != 2:
         raise ValueError("div load is defined on vector layouts")
-    table = ctx.weights[:, None, None] * ctx.gradient_table(layout.kind)
-    nq, nl, _ = table.shape
+    nl = layout.scalar_local_size
+    table = ctx.cached("weighted_gradients_by_point", layout.kind, lambda: (
+        ctx.weights[:, None, None] * ctx.gradient_table(layout.kind)).reshape(len(ctx.weights), -1))
     # integrate f against each w_q T[q, i, a] first, then d phi_i / dx_c per element
-    f_t = (f @ table.reshape(nq, -1)).reshape(-1, nl, 3)
+    f_t = (f @ table).reshape(-1, nl, 3)
     local = (f_t @ ctx.grad_bary) * ctx.areas[:, None, None]
     return _scatter_vector(local.transpose(0, 2, 1), layout)
 

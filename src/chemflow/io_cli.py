@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import manufactured, scheme
-from .assembly import AssemblyContext, DiscreteField, assemble_skew, at_points
+from .assembly import AssemblyContext, DiscreteField, assemble_skew_data, at_points, square_plan
 from .mesh import build_rect_mesh
 from .quadrature import MAX_DEGREE
 from .scheme import InitialData, InvariantError, ModelParams, Stepper, TimeGrid, require_real
@@ -565,8 +565,9 @@ def cmd_check(args):
     worst = 0.0
     for _ in range(5):
         vel = DiscreteField(stepper.layout_u, rng.standard_normal(stepper.layout_u.n_dofs))
-        for layout in (stepper.layout_c, stepper.layout_u):
-            nmat = assemble_skew(layout, vel.values(stepper.ctx), stepper.ctx)
+        layouts = (stepper.layout_c, stepper.layout_u)
+        for layout, data in zip(layouts, assemble_skew_data(layouts, vel, stepper.ctx)):
+            nmat = square_plan(layout).csr(data)
             x = rng.standard_normal(nmat.shape[0])
             worst = max(worst, abs(x @ (nmat @ x)) / (np.linalg.norm(nmat.data) * (x @ x)))
     check("skew symmetry", worst <= 1e-12, f"max scaled |x^T N x| {worst:.3e}")

@@ -333,11 +333,6 @@ class Stepper:
 
         self.w_p1 = asm.integral_weight_vector(self.layout_c, self.ctx_p1)
         self.area = float(self.w_p1.sum())
-        grad_phi = params.grad_phi
-        if callable(grad_phi):
-            grad_phi = asm.at_points(grad_phi, self.ctx)
-        # grad_phi / rho at the quadrature points, which the buoyancy load scales
-        self._buoyancy = np.broadcast_to(grad_phi, self.ctx.points.shape) / params.rho
         self.assembly_time = 0.0  # seconds of assembly in the last init_state or step
         self._solvers = {}  # (system, dt) -> solver of its transport-free operator
 
@@ -482,6 +477,29 @@ class Stepper:
             self._solvers[key] = solver
         return self._solvers[key]
 
+    @functools.cached_property
+    def _buoyancy(self):
+        """(ne, 3, 8): the integral over each element, per unit area, of
+        lambda_a Psi_k . grad_phi / rho for the velocity basis Psi_k
+        (component-major, nodes then bubble) on the rule of ``ctx``, with
+        grad_phi at the points.  Built at the first step."""
+        ctx, grad_phi = self.ctx, self.params.grad_phi
+        if callable(grad_phi):
+            grad_phi = asm.at_points(grad_phi, ctx)
+        g = np.broadcast_to(grad_phi, ctx.points.shape) / self.params.rho
+        table = np.einsum("qa,qk,eqc->eack", ctx.lam, ctx.weighted_values(VELOCITY_MINI), g)
+        return table.reshape(len(g), 3, -1)
+
+    @functools.cached_property
+    def _load_dofs(self):
+        """Element dofs of the n, sigma, c and u loads, (ne * 20,), offset so
+        that the four loads are consecutive parts of one vector, and the
+        offsets of the parts."""
+        layouts = (self.layout_n, self.layout_sigma, self.layout_c, self.layout_u)
+        offsets = np.cumsum([0] + [lay.n_dofs for lay in layouts])
+        dofs = np.hstack([lay.element_dofs + off for lay, off in zip(layouts, offsets)])
+        return dofs.ravel(), offsets
+
     def lagged_forms(self, prev, t_new, forcing=None):
         """The step's forms, all built from the previous level ``prev``: the
         transport of the scalar space (shared by the n and c systems) and of
@@ -489,30 +507,49 @@ class Stepper:
         (``assembly.assemble_skew_data``), and the loads of the n, sigma, c
         and u systems (a dict), with the sources of ``forcing`` at ``t_new``.
 
-        Each field of ``prev`` and each source is evaluated once at the
-        quadrature points; each load is one generic load of their lagged
-        product, plus a separate one for g_n, which is tested against the
-        basis and not against its gradient.
+        Every lagged term is a product of two finite element fields, so each
+        is built from their element coefficients and the reference integrals
+        of basis products on the rule of ``ctx`` (``AssemblyContext.moments``:
+        P of two P1 functions, Q of a MINI and a P1 one, Z of three P1 ones),
+        and no field is evaluated at the quadrature points; by linearity this
+        equals integrating the products of their point values on that rule.
+        The buoyancy has a table of its own (``_buoyancy``).  Only the sources
+        are evaluated at the points, once each.  The element vectors of the
+        four loads are summed in one ``np.bincount``.
         """
         p, ctx = self.params, self.ctx
         forcing = forcing or StepForcing()
-        u = self.field_u(prev).values(ctx)
-        eta = self.field_n(prev).values(ctx) + p.alpha0
-        sigma = self.field_sigma(prev).values(ctx)
-        consumption = p.gamma * eta * self.field_c(prev).values(ctx)
-        g_c = 0.0 if forcing.g_c is None else asm.at_points(forcing.g_c, ctx, t_new)
-        g_u = 0.0 if forcing.g_u is None else asm.at_points(forcing.g_u, ctx, t_new)
-        loads = {
-            "n": asm.assemble_grad_load(self.layout_n, p.chi * eta[..., None] * sigma, ctx),
-            "sigma": asm.assemble_div_load(
-                self.layout_sigma, (u * sigma).sum(axis=-1) + consumption - g_c, ctx
-            ),
-            "c": asm.assemble_load(self.layout_c, g_c - consumption, ctx),
-            "u": asm.assemble_load(self.layout_u, eta[..., None] * self._buoyancy + g_u, ctx),
-        }
+        ne, p1, mini = len(ctx.areas), SCALAR_P1, VELOCITY_MINI
+        eta = self.field_n(prev).element_coeffs() + p.alpha0  # (ne, 3)
+        c = self.field_c(prev).element_coeffs()
+        sigma = self.field_sigma(prev).element_coeffs().reshape(ne, 2, 3)
+        u = self.field_u(prev)
+
+        # integrals per unit area: eta sigma, eta c lambda_i, and u . sigma +
+        # gamma eta c, which the sigma load tests against the constant div Psi_i
+        eta_sigma = np.einsum("ecb,eb->ec", sigma, eta @ ctx.moments(p1, p1))
+        eta_c = (eta @ ctx.moments(p1, p1, p1).reshape(3, 9)).reshape(ne, 3, 3)
+        eta_c = np.einsum("ebi,eb->ei", eta_c, c)
+        u_q = (u.element_coeffs() @ ctx.moments(mini, p1)).reshape(ne, 6)
+        against_div = np.einsum("ej,ej->e", u_q, sigma.reshape(ne, 6)) + p.gamma * eta_c.sum(axis=1)
+        local = np.empty((ne, 20))  # the n, sigma, c and u element vectors
+        local[:, :3] = p.chi * np.einsum("eic,ec->ei", ctx.grad_bary, eta_sigma)
+        local[:, 9:12] = -p.gamma * eta_c
+        local[:, 12:] = np.einsum("ea,eak->ek", eta, self._buoyancy)
         if forcing.g_n is not None:
-            g_n = asm.at_points(forcing.g_n, ctx, t_new)
-            loads["n"] += asm.assemble_load(self.layout_n, g_n, ctx)
+            local[:, :3] += asm.at_points(forcing.g_n, ctx, t_new) @ ctx.weighted_values(p1)
+        if forcing.g_c is not None:
+            g_c = asm.at_points(forcing.g_c, ctx, t_new)
+            against_div -= g_c @ ctx.weights
+            local[:, 9:12] += g_c @ ctx.weighted_values(p1)
+        if forcing.g_u is not None:
+            g_u = asm.at_points(forcing.g_u, ctx, t_new).reshape(ne, -1)  # rows (q, c)
+            local[:, 12:] += g_u @ ctx.weighted_vector_values(mini)
+        local[:, 3:9] = against_div[:, None] * ctx.grad_bary_t.reshape(ne, 6)
+        local *= ctx.areas[:, None]
+        dofs, offsets = self._load_dofs
+        b = np.bincount(dofs, weights=local.ravel(), minlength=offsets[-1])
+        loads = dict(zip(("n", "sigma", "c", "u"), np.split(b, offsets[1:-1])))
         return (*asm.assemble_skew_data((self.layout_c, self.layout_u), u, ctx), loads)
 
     def step(self, prev, dt, forcing=None):

@@ -10,11 +10,14 @@ call, and its error norms against one sum per norm;
 the invariant gates of a run that stopped, recomputed from its records;
 the row-by-row VTK writer; the componentwise backward error of a solve,
 on the dense matrix; the elliptic and Stokes initial projections as every
-one of them was solved before a projection of zero data was skipped; and
-the skew transport of one layout at a
+one of them was solved before a projection of zero data was skipped; the
+skew transport of one layout at a
 time, skew-symmetrized by a global transpose of the summed one-sided form,
 against which the one MINI element kernel of
-``chemflow.assembly.assemble_skew_data`` is checked.
+``chemflow.assembly.assemble_skew_data`` is checked; and a step's lagged
+forms built from point values, the reference for ``Stepper.lagged_forms``,
+which builds them from element coefficients; and the divergence load that
+rebuilt its table on every call.
 """
 
 import math
@@ -432,8 +435,11 @@ def transpose_slots(plan):
 def skew_by_global_transpose(layout, velocity, ctx):
     """N = (C - C^T)/2 as a CSR matrix on the layout's scatter plan: the
     one-sided form C_ij = ((v . grad) phi_j, phi_i) from the layout's own
-    basis table, summed, then skew-symmetrized by a global gather of the
-    transposed slots."""
+    basis table and the velocity's values at the points (a ``DiscreteField``
+    is evaluated there), summed, then skew-symmetrized by a global gather of
+    the transposed slots."""
+    if isinstance(velocity, asm.DiscreteField):
+        velocity = velocity.values(ctx)
     kind = layout.kind
     w = np.einsum("qi,qja->qaij", ctx.weighted_values(kind), ctx.gradient_table(kind))
     v_grad = velocity @ ctx.grad_bary_t
@@ -446,9 +452,56 @@ def skew_by_global_transpose(layout, velocity, ctx):
     return plan.csr(0.5 * (c - c[transpose_slots(plan)]))
 
 
+def div_load_rebuilding_its_table(layout, f, ctx):
+    """``asm.assemble_div_load`` building its weighted gradient table on every
+    call: the reference for the table kept on the context."""
+    table = ctx.weights[:, None, None] * ctx.gradient_table(layout.kind)
+    nq, nl, _ = table.shape
+    f_t = (f @ table.reshape(nq, -1)).reshape(-1, nl, 3)
+    local = (f_t @ ctx.grad_bary) * ctx.areas[:, None, None]
+    return asm._scatter_vector(local.transpose(0, 2, 1), layout)
+
+
+def skew_matrix(layout, velocity, ctx):
+    """The transport of ``asm.assemble_skew_data`` on one layout as a CSR matrix."""
+    return asm.square_plan(layout).csr(asm.assemble_skew_data([layout], velocity, ctx)[0])
+
+
+def lagged_forms_at_points(stepper, prev, t_new, forcing=None):
+    """``stepper.lagged_forms`` as it was built from point values: u, n +
+    alpha0, sigma and c evaluated at the quadrature points, each load one
+    generic load of their lagged product (plus one for g_n), grad_phi / rho
+    evaluated at the points, and both transports from the kernel's point
+    table.  The reference for the element-coefficient forms."""
+    p, ctx = stepper.params, stepper.ctx
+    forcing = forcing or StepForcing()
+    u = stepper.field_u(prev).values(ctx)
+    eta = stepper.field_n(prev).values(ctx) + p.alpha0
+    sigma = stepper.field_sigma(prev).values(ctx)
+    consumption = p.gamma * eta * stepper.field_c(prev).values(ctx)
+    grad_phi = p.grad_phi
+    if callable(grad_phi):
+        grad_phi = asm.at_points(grad_phi, ctx)
+    buoyancy = np.broadcast_to(grad_phi, ctx.points.shape) / p.rho
+    g_c = 0.0 if forcing.g_c is None else asm.at_points(forcing.g_c, ctx, t_new)
+    g_u = 0.0 if forcing.g_u is None else asm.at_points(forcing.g_u, ctx, t_new)
+    loads = {
+        "n": asm.assemble_grad_load(stepper.layout_n, p.chi * eta[..., None] * sigma, ctx),
+        "sigma": asm.assemble_div_load(
+            stepper.layout_sigma, (u * sigma).sum(axis=-1) + consumption - g_c, ctx
+        ),
+        "c": asm.assemble_load(stepper.layout_c, g_c - consumption, ctx),
+        "u": asm.assemble_load(stepper.layout_u, eta[..., None] * buoyancy + g_u, ctx),
+    }
+    if forcing.g_n is not None:
+        g_n = asm.at_points(forcing.g_n, ctx, t_new)
+        loads["n"] += asm.assemble_load(stepper.layout_n, g_n, ctx)
+    return (*asm.assemble_skew_data((stepper.layout_c, stepper.layout_u), u, ctx), loads)
+
+
 def lagged_matrices(stepper, *args):
     """``stepper.lagged_forms(*args)`` with its two transports, data in the
     slot order of their layout's scatter plan, read as CSR matrices."""
     n_data, u_data, loads = stepper.lagged_forms(*args)
-    n_plan, u_plan = (asm._square_plan(lay) for lay in (stepper.layout_c, stepper.layout_u))
+    n_plan, u_plan = (asm.square_plan(lay) for lay in (stepper.layout_c, stepper.layout_u))
     return n_plan.csr(n_data), u_plan.csr(u_data), loads

@@ -18,10 +18,12 @@ from chemflow.spaces import (
     build_layout,
 )
 from oracles import (
+    div_load_rebuilding_its_table,
     element_geometry,
     eval_basis,
     lagged_matrices,
     skew_by_global_transpose,
+    skew_matrix,
     transpose_slots,
 )
 
@@ -140,9 +142,9 @@ class TestSkewForms:
         lu = build_layout(mesh, VELOCITY_MINI)
         lc = build_layout(mesh, SCALAR_P1)
         ctx = asm.AssemblyContext(mesh)
-        vel = asm.DiscreteField(lu, np.zeros(lu.n_dofs)).values(ctx)
-        assert np.linalg.norm(asm.assemble_skew(lc, vel, ctx).data) == 0.0
-        assert np.linalg.norm(asm.assemble_skew(lu, vel, ctx).data) == 0.0
+        vel = asm.DiscreteField(lu, np.zeros(lu.n_dofs))
+        assert np.linalg.norm(skew_matrix(lc, vel, ctx).data) == 0.0
+        assert np.linalg.norm(skew_matrix(lu, vel, ctx).data) == 0.0
 
     @pytest.mark.parametrize("which", ["A", "B"])
     def test_quadratic_form_vanishes(self, which):
@@ -151,8 +153,8 @@ class TestSkewForms:
         lc = build_layout(mesh, SCALAR_P1)
         rng = np.random.default_rng(23)
         ctx = asm.AssemblyContext(mesh)
-        vel = asm.DiscreteField(lu, rng.standard_normal(lu.n_dofs)).values(ctx)
-        n = asm.assemble_skew(lc if which == "A" else lu, vel, ctx)
+        vel = asm.DiscreteField(lu, rng.standard_normal(lu.n_dofs))
+        n = skew_matrix(lc if which == "A" else lu, vel, ctx)
         for _ in range(20):
             x = rng.standard_normal(n.shape[0])
             assert abs(x @ (n @ x)) <= 1e-12 * np.linalg.norm(n.data) * (x @ x)
@@ -163,9 +165,9 @@ class TestSkewForms:
         lc = build_layout(mesh, SCALAR_P1)
         rng = np.random.default_rng(8)
         ctx = asm.AssemblyContext(mesh)
-        vel = asm.DiscreteField(lu, rng.standard_normal(lu.n_dofs)).values(ctx)
+        vel = asm.DiscreteField(lu, rng.standard_normal(lu.n_dofs))
         for layout in (lc, lu):
-            dense = asm.assemble_skew(layout, vel, ctx).toarray()
+            dense = skew_matrix(layout, vel, ctx).toarray()
             sym = 0.5 * (dense + dense.T)
             assert np.linalg.norm(sym) <= 1e-12 * np.linalg.norm(dense)
 
@@ -177,7 +179,7 @@ class TestSkewForms:
         mesh = build_rect_mesh(1, 1, 8, 8)
         lc = build_layout(mesh, SCALAR_P1)
         ctx = asm.AssemblyContext(mesh)
-        n_mat = asm.assemble_skew(lc, asm.at_points(sol.u, ctx, 0.0), ctx).toarray()
+        n_mat = skew_matrix(lc, asm.at_points(sol.u, ctx, 0.0), ctx).toarray()
         oracle = oracle_convection_dense(mesh, lc, lambda x, y: sol.u(x, y, 0.0))
         assert np.abs(n_mat - oracle).max() <= 1e-10
 
@@ -187,7 +189,7 @@ class TestSkewForms:
         rng = np.random.default_rng(4)
         coeffs = rng.standard_normal(lu.n_dofs)
         ctx = asm.AssemblyContext(mesh)
-        vel = asm.DiscreteField(lu, coeffs).values(ctx)
+        vel = asm.DiscreteField(lu, coeffs)
 
         def vel_fn(x, y):
             # pointwise evaluation via a one-point context
@@ -209,7 +211,7 @@ class TestSkewForms:
 
         c = oracle_convection_dense(mesh, lu, vel_fn)
         n_oracle = 0.5 * (c - c.T)
-        n_mat = asm.assemble_skew(lu, vel, ctx).toarray()
+        n_mat = skew_matrix(lu, vel, ctx).toarray()
         assert np.abs(n_mat - n_oracle).max() <= 1e-10
 
 
@@ -681,7 +683,7 @@ class TestKernelEquivalence:
         conv = np.einsum("eqd,eqjd->eqj", uv, grads)
         local = np.einsum("q,qi,eqj->eij", ctx.weights, vals, conv) * ctx.areas[:, None, None]
         half = triplet_matrix(local, dofs, dofs, (lay.n_dofs, lay.n_dofs)).multiply(0.5)
-        assert_rel(asm.assemble_skew(lay, uv, ctx), half - half.T)
+        assert_rel(skew_matrix(lay, self.velocity, ctx), half - half.T)
 
     @pytest.mark.parametrize("kind", [VECTOR_P1_SIGMA, VELOCITY_MINI])
     def test_pressure_coupling(self, kind):
@@ -724,6 +726,15 @@ class TestKernelEquivalence:
         fv = self.ref_values(self.field(build_layout(self.mesh, SCALAR_P1)))
         assert_rel(asm.assemble_div_load(lay, fv, self.ctx), div_load_reference(lay, fv, self.ctx))
 
+    @pytest.mark.parametrize("kind", [VECTOR_P1_SIGMA, VELOCITY_MINI])
+    def test_div_load_reads_its_table_from_the_context(self, kind):
+        # bit-identical to the load that rebuilt its table on every call
+        lay = build_layout(self.mesh, kind)
+        fv = self.ref_values(self.field(build_layout(self.mesh, SCALAR_P1)))
+        for _ in range(2):
+            assert np.array_equal(asm.assemble_div_load(lay, fv, self.ctx),
+                                  div_load_rebuilding_its_table(lay, fv, self.ctx))
+
     def test_step_loads(self):
         """The four loads of a step against the per-equation references, for
         random previous fields, with and without manufactured forcing."""
@@ -755,8 +766,8 @@ class TestKernelEquivalence:
             for name in ref:
                 assert_rel(loads[name], ref[name])
             uv = self.ref_values(self.velocity)
-            assert_rel(n_skew, asm.assemble_skew(st.layout_c, uv, ctx))
-            assert_rel(u_skew, asm.assemble_skew(st.layout_u, uv, ctx))
+            assert_rel(n_skew, skew_matrix(st.layout_c, uv, ctx))
+            assert_rel(u_skew, skew_matrix(st.layout_u, uv, ctx))
 
 
 class TestScatterPlans:
@@ -772,8 +783,8 @@ class TestScatterPlans:
         lay = build_layout(self.mesh, kind)
         dofs = component_dofs(lay)
         local = self.rng.standard_normal(dofs.shape + (dofs.shape[-1],))
-        plan = asm._square_plan(lay)
-        assert asm._square_plan(lay) is plan  # built once per layout
+        plan = asm.square_plan(lay)
+        assert asm.square_plan(lay) is plan  # built once per layout
         ref = triplet_matrix(local, dofs, dofs, (lay.n_dofs, lay.n_dofs))
         a = plan.matrix(local)
         assert np.array_equal(a.indptr, ref.indptr) and np.array_equal(a.indices, ref.indices)
@@ -786,14 +797,14 @@ class TestScatterPlans:
         lay = build_layout(self.mesh, kind)
         ne, comps, nl = component_dofs(lay).shape
         local = self.rng.standard_normal((ne, nl, nl))
-        full = asm._square_plan(lay).data(np.broadcast_to(local[:, None], (ne, comps, nl, nl)))
+        full = asm.square_plan(lay).data(np.broadcast_to(local[:, None], (ne, comps, nl, nl)))
         assert np.array_equal(asm._square_data(local, lay), full)
 
     def test_coupled_and_rectangular(self):
         ls = build_layout(self.mesh, VECTOR_P1_SIGMA)
         local = self.rng.standard_normal((self.mesh.n_triangles, 6, 6))
         dofs = ls.element_dofs[:, None]
-        assert_rel(asm._square_plan(ls, coupled=True).matrix(local),
+        assert_rel(asm.square_plan(ls, coupled=True).matrix(local),
                    triplet_matrix(local, dofs, dofs, (ls.n_dofs, ls.n_dofs)), rtol=1e-14)
         lu, lpi = build_layout(self.mesh, VELOCITY_MINI), build_layout(self.mesh, "pressure_p1")
         rows, cols = component_dofs(lu), lpi.element_dofs[:, None]
@@ -828,7 +839,7 @@ class TestSkewProperties:
         coeffs = data.draw(hnp.arrays(np.float64, lu.n_dofs, elements=finite))
         x = data.draw(hnp.arrays(np.float64, layout.n_dofs, elements=finite))
         ctx = asm.AssemblyContext(mesh)
-        n = asm.assemble_skew(layout, asm.DiscreteField(lu, coeffs).values(ctx), ctx)
+        n = skew_matrix(layout, asm.DiscreteField(lu, coeffs), ctx)
         dense = n.toarray()
         assert np.array_equal(dense, -dense.T)
         n = sp.csr_matrix((unit_scaled(n.data), n.indices, n.indptr), shape=n.shape)
@@ -851,7 +862,7 @@ class TestOneTransportKernel:
         lays = [build_layout(mesh, kind) for kind in self.KINDS]
         rng = np.random.default_rng(5)
         for _ in range(3):
-            yield lays, ctx, asm.DiscreteField(lays[2], rng.standard_normal(lays[2].n_dofs)).values(ctx)
+            yield lays, ctx, asm.DiscreteField(lays[2], rng.standard_normal(lays[2].n_dofs))
         mesh = build_rect_mesh(1, 1, 10, 10)
         ctx = asm.AssemblyContext(mesh)
         lays = [build_layout(mesh, kind) for kind in self.KINDS]
@@ -861,7 +872,7 @@ class TestOneTransportKernel:
         for lays, ctx, vel in self.cases():
             for lay, data in zip(lays, asm.assemble_skew_data(lays, vel, ctx)):
                 ref = skew_by_global_transpose(lay, vel, ctx)
-                plan = asm._square_plan(lay)
+                plan = asm.square_plan(lay)
                 assert np.array_equal(ref.indices, plan.indices)
                 assert np.array_equal(ref.indptr, plan.indptr)
                 assert np.abs(data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
@@ -869,15 +880,7 @@ class TestOneTransportKernel:
     def test_skew_entry_by_entry(self):
         for lays, ctx, vel in self.cases():
             for lay, data in zip(lays, asm.assemble_skew_data(lays, vel, ctx)):
-                plan = asm._square_plan(lay)
+                plan = asm.square_plan(lay)
                 perm = transpose_slots(plan)
                 assert np.array_equal(plan.csr(data[perm]).toarray(), plan.csr(data).toarray().T)
                 assert np.count_nonzero(data) > 0 and np.array_equal(data, -data[perm])
-
-    def test_csr_form_holds_the_same_data(self):
-        lays, ctx, vel = next(self.cases())
-        for lay, data in zip(lays, asm.assemble_skew_data(lays, vel, ctx)):
-            n = asm.assemble_skew(lay, vel, ctx)
-            plan = asm._square_plan(lay)
-            assert np.array_equal(n.indptr, plan.indptr) and np.array_equal(n.indices, plan.indices)
-            assert np.array_equal(n.data, data)

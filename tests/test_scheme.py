@@ -28,6 +28,7 @@ from chemflow.scheme import (
 )
 from oracles import (
     componentwise_backward_error,
+    lagged_forms_at_points,
     lagged_matrices,
     skew_by_global_transpose,
     solved_projections,
@@ -618,6 +619,71 @@ class TestOneTransportKernel:
         _assert_levels_agree(got, ref)
 
 
+def _varying_gravity(x, y):
+    """A spatially varying grad_phi for the buoyancy table of a callable."""
+    return np.stack(np.broadcast_arrays(300.0 * np.sin(3.0 * y), -1000.0 - 400.0 * x), axis=-1)
+
+
+class TestCoefficientForms:
+    """A step's loads and transports, built from element coefficients and
+    reference integrals, against the point-value path they replace
+    (``oracles.lagged_forms_at_points``: fields at the quadrature points,
+    generic loads, the kernel's point table)."""
+
+    @staticmethod
+    def case(preset, degree, gravity):
+        """A stepper of ``test1`` on 16x8 or ``test2`` at k=10 (forced) on the
+        rule of ``degree``, three steps in, with the preset's constant grad_phi
+        or ``_varying_gravity``."""
+        cfg = io_cli.default_config(preset)
+        if preset == "test1":
+            cfg = replace(cfg, kx=16, ky=8)
+        mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
+        params, data, forcing = io_cli.build_problem(cfg, mesh)
+        if gravity == "varying":
+            params = replace(params, grad_phi=_varying_gravity)
+        st = Stepper(mesh, params, quad_degree=degree)
+        state = st.init_state(data, mode=io_cli.INIT_MODES[cfg.init_mode])
+        for _ in range(3):  # test1 starts at rest
+            state, _ = st.step(state, cfg.dt, forcing)
+        return st, state, cfg.dt, forcing
+
+    @pytest.mark.parametrize("gravity", ["constant", "varying"])
+    @pytest.mark.parametrize("degree", [8, 4, 2])
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_match_the_point_value_path(self, preset, degree, gravity):
+        st, state, dt, forcing = self.case(preset, degree, gravity)
+        args = (state, state.t + dt, forcing)
+        n_data, u_data, loads = st.lagged_forms(*args)
+        n_ref, u_ref, loads_ref = lagged_forms_at_points(st, *args)
+        assert loads.keys() == loads_ref.keys()
+        for got, ref in [(n_data, n_ref), (u_data, u_ref)] + [(loads[k], loads_ref[k]) for k in loads]:
+            assert got.shape == ref.shape and np.abs(ref).max() > 0.0
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("preset, mesh, n_steps", [("test1", (16, 8), 10), ("test2", (10, 10), 50)])
+    def test_runs_match_the_point_value_path(self, monkeypatch, preset, mesh, n_steps):
+        cfg = replace(io_cli.default_config(preset), kx=mesh[0], ky=mesh[1])
+        got = _run_levels(cfg, n_steps)
+        with monkeypatch.context() as m:
+            m.setattr(Stepper, "lagged_forms", lagged_forms_at_points)
+            ref = _run_levels(cfg, n_steps)
+        _assert_levels_agree(got, ref)
+
+    def test_forcing_free_forms_evaluate_no_field_at_the_points(self, monkeypatch):
+        st, state, dt, _ = self.case("test1", 8, "constant")
+        st = Stepper(st.mesh, st.params)  # its buoyancy table not built yet
+
+        def refuse(*args):
+            raise AssertionError("a field was evaluated at the quadrature points")
+
+        monkeypatch.setattr(asm.DiscreteField, "values", refuse)
+        monkeypatch.setattr(asm, "at_points", refuse)
+        for _ in range(2):
+            n_data, u_data, loads = st.lagged_forms(state, state.t + dt)
+        assert np.abs(n_data).max() > 0.0 and np.abs(loads["u"]).max() > 0.0
+
+
 class TestStepOperators:
     """Each step adds its transport to the cached transport-free operator in
     place, on the layout's pattern; the scipy sums it replaces are the
@@ -889,7 +955,7 @@ class TestCondensedSaddle:
             state, _ = st.step(state, dt, forcing)  # test1 starts at rest
             state, _ = st.step(state, dt, forcing)
             skew, rhs_u, rhs_pi, (u, pi, report) = calls[-1]
-            skew = asm._square_plan(st.layout_u).csr(skew)
+            skew = asm.square_plan(st.layout_u).csr(skew)
             assert np.abs(state.u).max() > 0.0 and skew.count_nonzero() > 0
             s_matrix = (st.M_u / dt + st.K_u * (p.D_u / p.rho)) + skew
         u_ref, pi_ref = bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi)
@@ -1019,7 +1085,7 @@ class TestCondensedSaddle:
         exact = fact.lu_solve
         monkeypatch.setattr(fact, "lu_solve", lambda r: 0.5 * exact(r))
         _, u_data, loads = st.lagged_forms(state, state.t + dt, forcing)
-        u_skew = asm._square_plan(st.layout_u).csr(u_data)
+        u_skew = asm.square_plan(st.layout_u).csr(u_data)
         rhs_u, rhs_pi = st.M_u @ state.u / dt + loads["u"], np.zeros(st.layout_pi.n_dofs)
         with pytest.raises(linsolve.SingularSystemError):
             saddle.solve(None, rhs_u, rhs_pi)
