@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from . import linsolve
 from .mesh import all_element_geometry
 from .quadrature import triangle_rule
-from .spaces import SPACE_KINDS, VECTOR_P1_SIGMA, VELOCITY_MINI
+from .spaces import SPACE_KINDS, VECTOR_P1_SIGMA, VELOCITY_MINI, build_layout
 from .spaces import scalar_basis_gradient_table, scalar_basis_values
 
 P1_DEGREE = 2  # exact for products of two P1 functions
@@ -197,6 +197,21 @@ def _square_data(local, layout):
     return np.tile(data, comps)
 
 
+def _mini_gather(layout):
+    """Index, in the data on the MINI layout of the same mesh, of the first
+    component's slots of ``square_plan(layout)``, kept on the layout.  The
+    layout, without bubbles, has the barycentrics, the MINI vertex functions,
+    as its local functions: a vertex row of the MINI pattern holds the
+    layout's row, then one bubble column per element at the vertex, and the
+    vertex rows come first."""
+    if "mini" not in layout.plans:
+        plan, nn = square_plan(layout), layout.mesh.n_nodes
+        valence = np.bincount(layout.mesh.triangles.ravel(), minlength=nn)
+        shift = np.repeat(np.cumsum(valence) - valence, np.diff(plan.indptr[:nn + 1]))
+        layout.plans["mini"] = np.arange(len(shift)) + shift
+    return layout.plans["mini"]
+
+
 def _ctx_for(layout, ctx, degree):
     return ctx if ctx is not None else AssemblyContext(layout.mesh, degree=degree)
 
@@ -259,10 +274,14 @@ def assemble_skew_data(layouts, velocity, ctx):
     point values, is contracted over (a, m) in one product with the table
     w_q phi_i(x_q) T[q, j, a], which for a field is first contracted with its
     basis psi_m(x_q): the two inputs differ only in the table.  The MINI
-    element blocks are formed and skew-symmetrized once; a P1 layout takes
-    their vertex block, since the MINI vertex functions are the barycentrics.
-    Slot (j, i) sums the negated entries of slot (i, j) in the same element
-    order, so N = -N^T entry by entry.  The quadratic form of N vanishes; for
+    element blocks are formed, skew-symmetrized and summed once, on the MINI
+    layout among ``layouts`` (or on one built for the call); a P1 layout
+    gathers its data from the vertex-vertex slots of that sum
+    (``_mini_gather``), since the MINI vertex functions are the barycentrics,
+    and each of those slots sums the same element entries in the same order
+    as a sum of the P1 layout's own would.  Slot (j, i) sums the negated
+    entries of slot (i, j) in the same element order, so N = -N^T entry by
+    entry.  The quadratic form of N vanishes; for
     pointwise divergence-free velocities with zero normal trace N coincides
     with the one-sided convection form C.
     """
@@ -284,7 +303,9 @@ def assemble_skew_data(layouts, velocity, ctx):
     half = v_grad.reshape(len(v_grad), -1) @ ctx.cached("skew", kind, build)
     half = (0.5 * ctx.areas[:, None] * half).reshape(-1, 4, 4)
     blocks = half - half.transpose(0, 2, 1)
-    return [_square_data(blocks[:, :lay.scalar_local_size, :lay.scalar_local_size], lay)
+    mini = next((lay for lay in layouts if lay.has_bubble), None)
+    data = _square_data(blocks, mini or build_layout(layouts[0].mesh, VELOCITY_MINI))
+    return [data if lay.has_bubble else np.tile(data[_mini_gather(lay)], lay.components)
             for lay in layouts]
 
 

@@ -228,11 +228,14 @@ def refined_solve(b, inverse, a, abs_a, paid, fresh_inverse=None):
 class Factorization:
     """LU factorization of a square scipy sparse matrix, reusable across solves:
     SuperLU's COLAMD ordering with partial pivoting, or, for a ``quasi_definite``
-    matrix (symmetric quasi-definite after a diagonal row scaling, so every
-    symmetric ordering has nonzero pivots; Vanderbei, *SIAM J. Optim.* 5,
-    1995), a symmetric minimum-degree ordering without pivoting, which fills
-    less.  A symmetric positive definite matrix is the quasi-definite case
-    with an empty negative block, so ``quasi_definite=True`` covers it."""
+    matrix, a symmetric minimum-degree ordering without pivoting, which fills
+    less.  The criterion is that a diagonal row scaling gives the matrix a
+    positive definite symmetric part: every symmetric permutation keeps that
+    property, so every symmetric ordering has nonzero pivots (Golub and Van
+    Loan, *Linear Algebra Appl.* 28, 1979).  A symmetric positive definite
+    matrix meets it unscaled, and a symmetric quasi-definite one [[A, B^T],
+    [B, -C]] (Vanderbei, *SIAM J. Optim.* 5, 1995) with its second block of
+    rows negated."""
 
     def __init__(self, a, quasi_definite=False):
         n, m = a.shape

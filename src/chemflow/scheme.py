@@ -7,9 +7,10 @@ time level, so each system is linear and they never feed back within a
 step.  Matrices that do not depend on the previous level (mass, stiffness,
 div/rot, pressure coupling) are assembled once per mesh; only the two
 transports (data on fixed patterns) and the load vectors are rebuilt each
-step.  A step solves each system through the LU of its transport-free
-operator, kept per time step size; the velocity/pressure system has its
-bubbles condensed out.
+step.  A step solves each system through one LU kept per time step size,
+of the operator of the first step of that size, its transport included; a
+later step refines against its own operator through it.  The
+velocity/pressure system has its bubbles condensed out.
 """
 
 import functools
@@ -203,24 +204,28 @@ class CondensedSaddle:
     * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
       one pressure dof is pinned and the mean shifted afterwards.
 
-    For a symmetric positive definite ``s_const``, the condensed matrix with
-    its pressure rows scaled by -1/rho is [[A, B^T], [B, -C]]: A is the bubble
-    Schur complement of ``s_const`` on the free dofs, so positive definite, and
-    C = G_B^T D^-1 G_B / rho^2 is positive definite once pressure dof 0 is
-    pinned, since G_B p = 0 makes grad p vanish on every element.  Its LU is
-    therefore taken without pivoting (``linsolve.Factorization``'s
-    ``quasi_definite``), for a step's M_u/dt + D_u K_u/rho and for the
-    initial Stokes projection's D_u K_u alike; the condensation of a step's
-    own matrix, whose N is skew, keeps partial pivoting.
+    The kept LU is of the condensation of ``s_const`` plus the transport
+    ``transport`` (data on the pattern of ``s_const``; None for none): the
+    first step's own operator, or the initial Stokes projection's D_u K_u.
+    For a symmetric positive definite ``s_const`` it needs no pivoting
+    (``linsolve.Factorization``'s ``quasi_definite``): with its pressure rows
+    scaled by 1/rho, the uncondensed matrix K has the symmetric part
+    diag(S_c, 0), since N is skew, and N leaves D untouched.  For the
+    condensation K/D, x^T (K/D) x = [y; x]^T K [y; x] with y = -D^-1 K_bk x,
+    so the symmetric part of K/D is positive definite on the kept unknowns
+    once pressure dof 0 is pinned (G_B p = 0 makes grad p vanish on every
+    element).  Without transport it is the quasi-definite [[A, B^T], [B, -C]]
+    after scaling by -1/rho.  The fresh LU of a fallback keeps partial
+    pivoting, as the safeguard.
 
     The saddle matrix of ``s_const``, its pinned velocity dofs eliminated by
-    ``linsolve.eliminated``, D^-1, the index sets and the LU of the condensed
-    ``s_const`` are built once; ``solve`` adds N, data on the pattern of
-    ``s_const``, in place outside the eliminated rows and columns, and refines
-    against that matrix through the LU, or condenses and factors its own.
+    ``linsolve.eliminated``, D^-1, the index sets, a ``linsolve.PatternSum``
+    over it and the kept LU are built once; ``solve`` writes a step's N in
+    place outside the eliminated rows and columns, and refines against that
+    matrix through the kept LU, or condenses and factors its own.
     """
 
-    def __init__(self, s_const, g, layout_u, w, rho):
+    def __init__(self, s_const, g, layout_u, w, rho, transport=None):
         nodal, bubble = layout_u.nodal_and_bubble_dofs()
         nu, npi = g.shape
         is_bubble = np.zeros(nu, dtype=bool)
@@ -241,11 +246,12 @@ class CondensedSaddle:
         self.bubble = bubble
         # unknowns of the condensed system; pressure dof 0 carries the gauge
         self.kept = np.concatenate([np.setdiff1d(nodal, self.pinned), nu + np.arange(1, npi)])
-        self._pattern, self._transport = s_const, None
+        self._transport = linsolve.PatternSum(self.t_const, s_const, self.pinned)
+        t = self.t_const if transport is None else self._transport(transport)
         # kept as data: a closure over self would make a reference cycle,
         # which holds the LU until the cyclic garbage collector runs
         t0 = time.perf_counter()
-        self._condensation = self._condense(self.t_const, quasi_definite=True)
+        self._condensation = self._condense(t, quasi_definite=True)
         self._unpaid = time.perf_counter() - t0  # reported by the first solve
 
     @functools.cached_property
@@ -281,16 +287,14 @@ class CondensedSaddle:
 
     def solve(self, transport, rhs_u, rhs_pi):
         """(u, pi, SolveReport) for the step whose transport has the data
-        ``transport`` on the pattern of ``s_const``, or none if it is None.
+        ``transport`` on the pattern of ``s_const``, or, if it is None, for
+        ``s_const`` alone through an LU built without transport.
         The report carries the residual of the full bordered system, which
         must meet the ``linsolve.RTOL`` bound.
         """
-        t = self.t_const
         if transport is None:
-            abs_t = self._abs_const
+            t, abs_t = self.t_const, self._abs_const
         else:
-            if self._transport is None:
-                self._transport = linsolve.PatternSum(t, self._pattern, self.pinned)
             t, abs_t = self._transport(transport), self._transport.abs_matrix
         rhs_u = np.array(rhs_u, dtype=float)
         rhs_u[self.pinned] = 0.0
@@ -334,7 +338,7 @@ class Stepper:
         self.w_p1 = asm.integral_weight_vector(self.layout_c, self.ctx_p1)
         self.area = float(self.w_p1.sum())
         self.assembly_time = 0.0  # seconds of assembly in the last init_state or step
-        self._solvers = {}  # (system, dt) -> solver of its transport-free operator
+        self._solvers = {}  # (system, dt) -> solver kept from the first step of that dt
 
     # -- helpers ----------------------------------------------------------
 
@@ -445,25 +449,30 @@ class Stepper:
 
     # -- stepping ----------------------------------------------------------
 
-    def _solver(self, system, dt):
-        """Solver of the transport-free operator of one system and dt, built at
-        its first step: a ``CondensedSaddle`` for u, else an LU (n bordered by
-        its zero-mean row, sigma under its normal-trace constraints), for n and
-        c with a ``linsolve.PatternSum`` of the operator on the layout's pattern.
+    def _solver(self, system, dt, transport=None):
+        """Solver of one system and dt, built at the first step of that dt from
+        that step's operator, its ``transport`` included (data on the pattern
+        of M for n and c, of M_u for u; sigma has none): a ``CondensedSaddle``
+        for u, else an LU (n bordered by its zero-mean row, sigma under its
+        normal-trace constraints), for n and c with a ``linsolve.PatternSum``
+        of the transport-free operator on the layout's pattern, into which a
+        later step writes its own transport.  A later call returns the kept
+        solver whatever its ``transport``.
 
-        The SPD sigma operator, like the condensed (u, pi) one, is factored in
-        a symmetric ordering without pivoting (``quasi_definite``), which
-        fills less.  The n and c LUs keep COLAMD with partial pivoting: at the
-        benchmark's sizes they solve faster, and each is applied several
-        times per step.  A fresh fallback LU carries the skew transport, so
-        it pivots too."""
+        The SPD sigma operator, and the condensed (u, pi) one, whose symmetric
+        part is positive definite after a diagonal row scaling (see
+        ``CondensedSaddle``), are factored in a symmetric ordering without
+        pivoting (``quasi_definite``), which fills less.  The n and c LUs keep
+        COLAMD with partial pivoting: at the benchmark's sizes they solve
+        faster, and each is applied several times per step.  A fresh fallback
+        LU keeps partial pivoting, as the safeguard."""
         key = (system, dt)
         if key not in self._solvers:
             p = self.params
             if system == "u":
                 s = self.M_u * (1.0 / dt)
                 s.data += self.K_u.data * (p.D_u / p.rho)  # M_u and K_u share the layout's pattern
-                solver = CondensedSaddle(s, self.G, self.layout_u, self.w_p1, p.rho)
+                solver = CondensedSaddle(s, self.G, self.layout_u, self.w_p1, p.rho, transport)
             elif system == "sigma":
                 a = self.M_sigma * (1.0 / dt) + self.divrot
                 a = asm.apply_constraints(a, self.layout_sigma)
@@ -473,7 +482,8 @@ class Stepper:
                 a.data += self.K.data * (p.D_n if system == "n" else p.D_c)  # so do M and K
                 if system == "n":
                     a = asm.apply_constraints(a, self.layout_n, weight_vector=self.w_p1)
-                solver = linsolve.Factorization(linsolve.pruned(a)), linsolve.PatternSum(a, self.M)
+                operator = linsolve.PatternSum(a, self.M)
+                solver = linsolve.Factorization(linsolve.pruned(operator(transport))), operator
             self._solvers[key] = solver
         return self._solvers[key]
 
@@ -568,8 +578,8 @@ class Stepper:
         n_skew, u_skew, loads = self.lagged_forms(prev, t_new, forcing)
         self.assembly_time = time.perf_counter() - t0
 
-        # (a) cell density: the cached LU, refined against the step's transport
-        lu, operator = self._solver("n", dt)
+        # (a) cell density: the kept LU, refined against the step's operator
+        lu, operator = self._solver("n", dt, n_skew)
         rhs = asm.constrain_rhs(self.M @ prev.n / dt + loads["n"], self.layout_n)
         sol, reports["n"] = lu.solve(rhs, operator(n_skew), operator.abs_matrix)
         n_new = sol[: self.layout_n.n_dofs]
@@ -579,13 +589,13 @@ class Stepper:
         sigma_new, reports["sigma"] = self._solver("sigma", dt).solve(rhs)
 
         # (c) concentration
-        lu, operator = self._solver("c", dt)
+        lu, operator = self._solver("c", dt, n_skew)
         c_new, reports["c"] = lu.solve(
             self.M @ prev.c / dt + loads["c"], operator(n_skew), operator.abs_matrix
         )
 
         # (d)-(e) velocity and pressure
-        u_new, pi_new, reports["u"] = self._solver("u", dt).solve(
+        u_new, pi_new, reports["u"] = self._solver("u", dt, u_skew).solve(
             u_skew, self.M_u @ prev.u / dt + loads["u"], np.zeros(self.layout_pi.n_dofs)
         )
 

@@ -16,8 +16,11 @@ time, skew-symmetrized by a global transpose of the summed one-sided form,
 against which the one MINI element kernel of
 ``chemflow.assembly.assemble_skew_data`` is checked; and a step's lagged
 forms built from point values, the reference for ``Stepper.lagged_forms``,
-which builds them from element coefficients; and the divergence load that
-rebuilt its table on every call.
+which builds them from element coefficients; the divergence load that
+rebuilt its table on every call; the transport of each layout summed by a
+bincount of its own, the reference for the P1 data gathered from the MINI
+sum; and the kept LUs of the transport-free operators, the reference for
+the LUs of the first step's operators.
 """
 
 import math
@@ -30,7 +33,8 @@ from chemflow import linsolve
 from chemflow import manufactured as mf
 from chemflow.linsolve import entry_rows
 from chemflow.mesh import GeometryError
-from chemflow.scheme import DIVERGENCE_TOL, MASS_DRIFT_TOL, CondensedSaddle, StepForcing
+from chemflow.scheme import DIVERGENCE_TOL, MASS_DRIFT_TOL, CondensedSaddle, StepForcing, Stepper
+from chemflow.spaces import VELOCITY_MINI
 from chemflow.spaces import scalar_basis_gradient_table, scalar_basis_values
 
 
@@ -460,6 +464,33 @@ def div_load_rebuilding_its_table(layout, f, ctx):
     f_t = (f @ table.reshape(nq, -1)).reshape(-1, nl, 3)
     local = (f_t @ ctx.grad_bary) * ctx.areas[:, None, None]
     return asm._scatter_vector(local.transpose(0, 2, 1), layout)
+
+
+def skew_data_by_own_sums(layouts, velocity, ctx):
+    """``asm.assemble_skew_data`` summing the skew-symmetrized MINI element
+    blocks on each layout by a bincount of its own, over their leading
+    (nl, nl) block for a P1 layout, a ``DiscreteField`` velocity through its
+    element coefficients: the reference for the P1 data gathered from the
+    MINI sum."""
+    vel = velocity.element_coeffs().reshape(len(ctx.areas), 2, -1)
+    vals, grads = ctx.weighted_values(VELOCITY_MINI), ctx.gradient_table(VELOCITY_MINI)
+    w = np.einsum("qi,qja,qm->amij", vals, grads, ctx.basis_values(VELOCITY_MINI))
+    half = (ctx.grad_bary @ vel).reshape(len(vel), -1) @ w.reshape(-1, 16)
+    half = (0.5 * ctx.areas[:, None] * half).reshape(-1, 4, 4)
+    blocks = half - half.transpose(0, 2, 1)
+    return [asm._square_data(blocks[:, :lay.scalar_local_size, :lay.scalar_local_size], lay)
+            for lay in layouts]
+
+
+_kept_solver = Stepper._solver
+
+
+def transport_free_solver(stepper, system, dt, transport=None):
+    """``Stepper._solver`` keeping the LU of each system's transport-free
+    operator, whatever the first step's ``transport``: the reference for the
+    LUs of the first step's operators, transport included."""
+    zero = None if transport is None else np.zeros_like(transport)
+    return _kept_solver(stepper, system, dt, zero)
 
 
 def skew_matrix(layout, velocity, ctx):

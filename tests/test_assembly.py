@@ -23,6 +23,7 @@ from oracles import (
     eval_basis,
     lagged_matrices,
     skew_by_global_transpose,
+    skew_data_by_own_sums,
     skew_matrix,
     transpose_slots,
 )
@@ -876,6 +877,17 @@ class TestOneTransportKernel:
                 assert np.array_equal(ref.indices, plan.indices)
                 assert np.array_equal(ref.indptr, plan.indptr)
                 assert np.abs(data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+    def test_p1_data_gathered_from_the_mini_sum(self):
+        # bit-identical to a bincount of each layout's own, whichever layout
+        # comes first and with no MINI layout among them
+        for lays, ctx, vel in self.cases():
+            if not isinstance(vel, asm.DiscreteField):
+                continue
+            for order in (lays, lays[::-1], lays[:1], [lays[1], lays[3]]):
+                got = asm.assemble_skew_data(order, vel, ctx)
+                for lay, data, ref in zip(order, got, skew_data_by_own_sums(order, vel, ctx)):
+                    assert data.shape == ref.shape and np.array_equal(data, ref), lay.kind
 
     def test_skew_entry_by_entry(self):
         for lays, ctx, vel in self.cases():

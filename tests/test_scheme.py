@@ -33,6 +33,7 @@ from oracles import (
     skew_by_global_transpose,
     solved_projections,
     stopped_step,
+    transport_free_solver,
 )
 
 
@@ -241,6 +242,40 @@ class TestInitialProjections:
         del lus[:]
         st.step(state, dt, forcing)
         assert [system for system, _ in lus] == ["n", "sigma", "c", "u"]
+
+    def test_kept_lus_of_the_first_step_take_few_passes(self):
+        # the mms-coarse run (test2 at k=10, nodal init, forced): the kept LUs
+        # factor the first step's own operators, so step 1 is at its rounding
+        # floor in one pass and a later step refines against a nearby matrix;
+        # through the LUs of the transport-free operators every step took 6
+        st, data, dt, forcing = self.case("test2")
+        state = st.init_state(data, mode="nodal")
+        for m in range(1, io_cli.default_config("test2").n_steps() + 1):
+            state, reports = st.step(state, dt, forcing)
+            for system in ("n", "c", "u"):
+                assert reports[system].kind == ("lu" if m == 1 else "cached-lu")
+                assert reports[system].iterations <= (2 if m == 1 else 4), (m, system)
+
+    def test_first_step_from_rest_factors_the_transport_free_operators(self, monkeypatch):
+        # the plume starts at rest: its first transports are exactly 0, so each
+        # kept LU factors the transport-free operator, entry for entry
+        st, data, dt, forcing = self.case("test1", (16, 8))
+        ref = Stepper(st.mesh, st.params)
+        state = st.init_state(data, mode="elliptic_projection")
+        n_data, u_data, _ = st.lagged_forms(state, dt, forcing)
+        assert not np.any(n_data) and not np.any(u_data)
+        st.step(state, dt, forcing)
+        monkeypatch.setattr(Stepper, "_solver", transport_free_solver)
+        ref.step(ref.init_state(data, mode="elliptic_projection"), dt, forcing)
+
+        def kept_lu(stepper, system):
+            solver = stepper._solvers[(system, dt)]
+            if system == "u":
+                return solver._condensation[2]
+            return solver if system == "sigma" else solver[0]
+
+        for system in ("n", "sigma", "c", "u"):
+            assert_same_csr(kept_lu(st, system).matrix, kept_lu(ref, system).matrix)
 
     def test_spd_lus_take_no_pivots(self, monkeypatch):
         st, data, dt, forcing = self.case("test1", (16, 8))
@@ -603,6 +638,26 @@ class TestCachedFactorizations:
         assert reports["c"].kind == reports["u"].kind == "cached-lu"
 
 
+class TestFirstStepLUs:
+    """Each kept LU factors the operator of the first step of its dt, its
+    transport included; ``oracles.transport_free_solver``, which keeps the LUs
+    of the transport-free operators, is the path it replaces."""
+
+    @pytest.mark.parametrize("mode", ["nodal", "elliptic"])
+    @pytest.mark.parametrize("preset, mesh, n_steps", [("test1", (16, 8), 10), ("test2", (10, 10), 50)])
+    def test_runs_match_the_transport_free_lus(self, monkeypatch, preset, mesh, n_steps, mode):
+        cfg = replace(io_cli.default_config(preset), kx=mesh[0], ky=mesh[1], init_mode=mode)
+        got = _run_levels(cfg, n_steps)
+        with monkeypatch.context() as m:
+            m.setattr(Stepper, "_solver", transport_free_solver)
+            ref = _run_levels(cfg, n_steps)
+        _assert_levels_agree(got, ref, lambda n, n_ref: n <= n_ref)
+        if preset == "test1":  # from rest: the same LUs, bit-identical fields
+            for (state, _), (ref_state, _) in zip(got, ref):
+                for name in ("n", "c", "sigma", "u", "pi"):
+                    assert getattr(state, name).tobytes() == getattr(ref_state, name).tobytes()
+
+
 class TestOneTransportKernel:
     """Runs whose transports come from the one MINI element kernel agree with
     runs whose transports come from the per-layout kernel with a global
@@ -685,7 +740,7 @@ class TestCoefficientForms:
 
 
 class TestStepOperators:
-    """Each step adds its transport to the cached transport-free operator in
+    """Each step adds its transport to the kept transport-free operator in
     place, on the layout's pattern; the scipy sums it replaces are the
     reference."""
 
@@ -697,8 +752,11 @@ class TestStepOperators:
             state, _ = st.step(state, dt, forcing)
         assert n_skew.count_nonzero() > 0 and u_skew.count_nonzero() > 0
         assert np.all(st.G.data != 0.0)  # G keeps none of its exact zeros
-        (lu_n, op_n), (lu_c, op_c) = st._solver("n", dt), st._solver("c", dt)
+        op_n, op_c = st._solver("n", dt)[1], st._solver("c", dt)[1]
         p = st.params
+        a_n = asm.apply_constraints(st.M * (1.0 / dt) + st.K * p.D_n, st.layout_n,
+                                    weight_vector=st.w_p1)
+        a_c = st.M * (1.0 / dt) + st.K * p.D_c
         s = st.M_u * (1.0 / dt) + st.K_u * (p.D_u / p.rho)
         t_ref = bordered_saddle_matrix(st, s)
         proj = projector(st.layout_u.n_dofs, st.layout_u.constrained_dofs)[0]
@@ -709,8 +767,8 @@ class TestStepOperators:
             return skew
 
         pairs = [
-            (op_n.matrix, lu_n.matrix + resized(n_skew, lu_n.matrix.shape)),
-            (op_c.matrix, lu_c.matrix + n_skew),
+            (op_n.matrix, a_n + resized(n_skew, a_n.shape)),
+            (op_c.matrix, a_c + n_skew),
             # the transport is dropped in the pinned rows and columns
             (st._solver("u", dt)._transport.matrix,
              t_ref + resized(proj @ u_skew @ proj, t_ref.shape)),
@@ -742,13 +800,13 @@ class TestStepOperators:
         # the data of the other layout, one slot short or as a matrix do not fit
         st, _, dt, _ = _preset_case("test2")
         own, other = (st.M_u, st.M) if system == "u" else (st.M, st.M_u)
+        solver = st._solver(system, dt, np.zeros(own.nnz))
         for bad in (other.data, own.data[:-1], own.data[:, None]):
             with pytest.raises(ValueError, match="transport data has shape"):
                 if system == "u":
-                    st._solver("u", dt).solve(bad, np.zeros(own.shape[0]),
-                                              np.zeros(st.layout_pi.n_dofs))
+                    solver.solve(bad, np.zeros(own.shape[0]), np.zeros(st.layout_pi.n_dofs))
                 else:
-                    st._solver(system, dt)[1](bad)
+                    solver[1](bad)
 
     @pytest.mark.parametrize("preset", ["test1", "test2"])
     def test_a_step_builds_only_its_transport_matrices(self, monkeypatch, preset):
@@ -826,16 +884,17 @@ def _run_levels(cfg, n_steps):
     return out
 
 
-def _assert_levels_agree(got, ref):
+def _assert_levels_agree(got, ref, passes_agree=lambda n, n_ref: abs(n - n_ref) <= 1):
     """Every field of every level within 1e-12 of ``ref``'s largest entry,
-    and LU passes within one per system and step."""
+    and LU passes of each system and step that ``passes_agree``, by default
+    within one."""
     assert len(got) == len(ref)
     for (state, passes), (ref_state, ref_passes) in zip(got, ref):
         for name in ("n", "c", "sigma", "u", "pi"):
             a, b = getattr(state, name), getattr(ref_state, name)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
         assert passes.keys() == ref_passes.keys()
-        assert all(abs(passes[k] - ref_passes[k]) <= 1 for k in ref_passes)
+        assert all(passes_agree(passes[k], ref_passes[k]) for k in ref_passes)
     assert np.abs(got[-1][0].u).max() > 0.0
 
 
@@ -990,37 +1049,57 @@ class TestCondensedSaddle:
         free_nodal = 2 * st.mesh.n_nodes - len(st.layout_u.constrained_dofs)
         assert sizes == [free_nodal + st.layout_pi.n_dofs - 1]
 
+    # (solve, preset) of each kept condensed LU; "test2-dt1e-2" is test2 at
+    # k=10 with elliptic init at dt=1e-2, the largest first transport
+    KEPT = [("stokes_init", "test1"), ("stokes_init", "test2"),
+            ("step", "test1"), ("step", "test2"), ("step", "test2-dt1e-2")]
+
     @staticmethod
     def kept_operator(preset, solve):
-        """Condensed (u, pi) matrix of the kept LU of a ``_preset_case``'s
-        step, or of its init Stokes projection, its LU and the number of
-        its velocity unknowns."""
-        st, _, dt, _ = _preset_case(preset)
+        """Condensed (u, pi) matrix of the kept LU of the first step of a
+        ``_preset_case`` or of "test2-dt1e-2", or of its init Stokes
+        projection, its LU and the number of its velocity unknowns."""
+        if preset == "test2-dt1e-2":
+            st, data, _, forcing = TestInitialProjections.case("test2")
+            state, dt = st.init_state(data, mode="elliptic_projection"), 1e-2
+        else:
+            st, state, dt, forcing = _preset_case(preset)
         p = st.params
         if solve == "step":
+            st.step(state, dt, forcing)
             saddle = st._solver("u", dt)
         else:  # as init_state builds it
             saddle = CondensedSaddle(st.K_u * p.D_u, st.G, st.layout_u, st.w_p1, p.rho)
         fact = saddle._condensation[2]
         return st, fact.matrix, fact, fact.matrix.shape[0] - (st.layout_pi.n_dofs - 1)
 
-    @pytest.mark.parametrize("preset", ["test1", "test2"])
-    @pytest.mark.parametrize("solve", ["stokes_init", "step"])
+    @pytest.mark.parametrize("solve, preset", KEPT)
     def test_condensed_operator_is_quasi_definite(self, preset, solve):
-        # with its pressure rows scaled by -1/rho, the condensed operator is
-        # [[A, B^T], [B, -C]] with A and C positive definite, so its LU
-        # needs no pivoting; the kept LU took none
+        # with its pressure rows scaled by 1/rho, the condensed operator has a
+        # positive definite symmetric part, so every symmetric ordering has
+        # nonzero pivots: the kept LU, in the minimum-degree ordering, took
+        # none.  Without transport (the Stokes projection, test1's first step
+        # from rest) it is quasi-definite: [[A, B^T], [B, -C]] with A and C
+        # positive definite once its pressure rows are scaled by -1/rho
         st, a, fact, n_vel = self.kept_operator(preset, solve)
         scale = np.ones(a.shape[0])
-        scale[n_vel:] = -1.0 / st.params.rho
+        scale[n_vel:] = 1.0 / st.params.rho
         k = (sp.diags(scale) @ a).toarray()
-        assert np.abs(k - k.T).max() <= 1e-14 * np.abs(k).max()
-        assert np.linalg.eigvalsh(k[:n_vel, :n_vel]).min() > 0.0
-        assert np.linalg.eigvalsh(k[n_vel:, n_vel:]).max() < 0.0
+        assert np.linalg.eigvalsh(k + k.T).min() > 0.0
         assert np.array_equal(fact._lu.perm_r, fact._lu.perm_c)
+        unpivoted = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                              options={"SymmetricMode": True})
+        assert np.array_equal(fact._lu.perm_c, unpivoted.perm_c)
+        velocity = k[:n_vel, :n_vel]
+        transported = np.abs(velocity - velocity.T).max() > 1e-14 * np.abs(k).max()
+        assert transported == (solve == "step" and preset != "test1")
+        if not transported:
+            k[n_vel:] *= -1.0
+            assert np.abs(k - k.T).max() <= 1e-14 * np.abs(k).max()
+            assert np.linalg.eigvalsh(k[:n_vel, :n_vel]).min() > 0.0
+            assert np.linalg.eigvalsh(k[n_vel:, n_vel:]).max() < 0.0
 
-    @pytest.mark.parametrize("preset", ["test1", "test2"])
-    @pytest.mark.parametrize("solve", ["stokes_init", "step"])
+    @pytest.mark.parametrize("solve, preset", KEPT)
     def test_unpivoted_lu_matches_pivoting_lus(self, preset, solve):
         # the path replaced: SuperLU's partial pivoting on the same matrix.
         # A single solve of the condensed test1 operator (condition 3e10)
