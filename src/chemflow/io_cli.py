@@ -373,70 +373,27 @@ def write_csv_table(report, path):
     return written
 
 
-_CSV_LEAD = ("m", "t", "mass", "div_residual")
+def write_diagnostics_csv(records, path):
+    """Per-level diagnostics records (``Stepper.run``) as one CSV: a header of
+    ``scheme.RECORD_KEYS``, then one row per record, written as it arrives
+    from the iterable ``records``, so a run stopped early keeps the rows it
+    reached.  A value that is None or missing gives an empty cell.
 
-
-def _csv_keys(records):
-    """The CSV columns of ``records``: the lead keys, then every other key sorted."""
-    return [*_CSV_LEAD, *sorted({k for rec in records for k in rec} - set(_CSV_LEAD))]
-
-
-def _csv_row(rec, keys):
-    cells = (rec.get(k, "") for k in keys)
-    return ",".join(v if isinstance(v, str) else f"{v:.10g}" for v in cells) + "\n"
-
-
-def write_diagnostics_csv(diagnostics, path):
-    """Per-step diagnostics (mass, residuals, solver kinds, field extrema) as one CSV."""
-    keys = _csv_keys(diagnostics)
+    Raises
+    ------
+    ValueError
+        If a record has a key outside ``scheme.RECORD_KEYS``.
+    """
+    keys, known = scheme.RECORD_KEYS, set(scheme.RECORD_KEYS)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(keys) + "\n")
-        for rec in diagnostics:
-            fh.write(_csv_row(rec, keys))
-
-
-class _DiagnosticsCsv:
-    """The file of ``write_diagnostics_csv``, written one record at a time.
-
-    The initial record lacks the solver keys, so it is held until the first
-    step's record fixes the columns; every later row is written as it
-    arrives.  On exit the held record, if the run stopped before a step, is
-    written under its own columns, so the bytes equal those of
-    ``write_diagnostics_csv`` on the records written.
-    """
-
-    def __init__(self, path):
-        self.fh = open(path, "w", encoding="utf-8", newline="\n")
-        self.keys = None
-        self.held = []
-
-    def write(self, rec):
-        if self.keys is None:
-            self.held.append(rec)
-            if len(self.held) == 2:
-                self._start()
-        elif rec.keys() <= set(self.keys):
-            self.fh.write(_csv_row(rec, self.keys))
-        else:
-            raise ValueError(f"record {rec['m']} has keys outside the CSV columns: "
-                             f"{sorted(rec.keys() - set(self.keys))}")
-
-    def _start(self):
-        self.keys = _csv_keys(self.held)
-        self.fh.write(",".join(self.keys) + "\n")
-        for rec in self.held:
-            self.fh.write(_csv_row(rec, self.keys))
-        self.held = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            if self.keys is None:
-                self._start()
-        finally:
-            self.fh.close()
+        for rec in records:
+            if not rec.keys() <= known:
+                raise ValueError(f"record {rec.get('m')} has keys outside scheme.RECORD_KEYS: "
+                                 f"{sorted(rec.keys() - known)}")
+            cells = (rec.get(k) for k in keys)
+            fh.write(",".join("" if v is None else v if isinstance(v, str) else f"{v:.10g}"
+                              for v in cells) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +442,22 @@ def cmd_run(args):
     os.makedirs(cfg.outdir, exist_ok=True)
     first = last = None
     c_rose = False  # max(c_h) increased after the first step
-    csv_path = os.path.join(cfg.outdir, "diagnostics.csv")
-    # each row is written as its record arrives: a run stopped early keeps the ones it reached
-    with _DiagnosticsCsv(csv_path) if "csv" in cfg.formats else contextlib.nullcontext() as csv:
+
+    def records():
+        nonlocal first, last, c_rose
         for state, rec in stepper.run(grid, data, INIT_MODES[cfg.init_mode], forcing):
-            if csv is not None:
-                csv.write(rec)
             if state.m in snapshots:
                 snap = snapshot_from_state(stepper, state)
                 write_vtk(snap, os.path.join(cfg.outdir, f"snapshot_{state.m:06d}.vtk"))
             c_rose = c_rose or (state.m >= 2 and rec["max_c"] > last["max_c"] * (1 + 1e-12))
             first, last = first or rec, rec
+            yield rec
+
+    if "csv" in cfg.formats:  # a run stopped early keeps the rows it reached
+        write_diagnostics_csv(records(), os.path.join(cfg.outdir, "diagnostics.csv"))
+    else:
+        for _rec in records():
+            pass
     mass0, mass_end = first["mass"], last["mass"]
     drift = abs(mass_end - mass0) / max(abs(mass0), 1e-300)
     print(f"completed {grid.n_steps} steps to t={grid.T:.6g}")

@@ -272,8 +272,3 @@ class Factorization:
         fresh = lambda: Factorization(pruned(a))._lu.solve
         return refined_solve(b, self._lu.solve, a, abs_a, paid, fresh)
 
-
-def solve(a, b):
-    """Factorize and solve in one call; see Factorization.solve."""
-    return Factorization(a).solve(b)
-

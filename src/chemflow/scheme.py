@@ -71,6 +71,22 @@ PARAM_SIGNS = {
 MASS_DRIFT_TOL = 1e-10  # criterion 4: relative drift of the conserved mass in a run
 DIVERGENCE_TOL = 1e-9  # criterion 7: max_j |(psi_j, div u_h)| after each step of a run
 
+# the record of a level (``Stepper.run``): the largest |value| at the pinned
+# dofs of _PINNED, the nodal min and max of _NODAL, and for each system of a
+# step each ``linsolve.SolveReport`` field under its key prefix
+_PINNED = ("u", "sigma")
+_NODAL = ("eta", "c", "u1", "u2", "pi")
+_SYSTEMS = ("n", "sigma", "c", "u")
+_REPORT_FIELDS = {
+    "solver": "kind", "iterations": "iterations", "residual": "residual_norm",
+    "factor_time": "factor_time", "solve_time": "solve_time",
+}
+# every key of a record, the leading ones first, then the others sorted
+RECORD_KEYS = ("m", "t", "mass", "div_residual", *sorted(
+    ["assembly_time"] + [f"max_pinned_{name}" for name in _PINNED]
+    + [f"{bound}_{name}" for name in _NODAL for bound in ("min", "max")]
+    + [f"{prefix}_{system}" for prefix in _REPORT_FIELDS for system in _SYSTEMS]))
+
 
 def _projected(rhs, solve):
     """``solve(rhs)``, or zeros of the shape of ``rhs`` if every entry of the
@@ -219,10 +235,11 @@ class CondensedSaddle:
     pivoting, as the safeguard.
 
     The saddle matrix of ``s_const``, its pinned velocity dofs eliminated by
-    ``linsolve.eliminated``, D^-1, the index sets, a ``linsolve.PatternSum``
-    over it and the kept LU are built once; ``solve`` writes a step's N in
-    place outside the eliminated rows and columns, and refines against that
-    matrix through the kept LU, or condenses and factors its own.
+    ``linsolve.eliminated``, D^-1, the index sets and the kept LU are built
+    once, and a ``linsolve.PatternSum`` over it at the first transport;
+    ``solve`` writes a step's N in place outside the eliminated rows and
+    columns, and refines against that matrix through the kept LU, or
+    condenses and factors its own.
     """
 
     def __init__(self, s_const, g, layout_u, w, rho, transport=None):
@@ -246,13 +263,21 @@ class CondensedSaddle:
         self.bubble = bubble
         # unknowns of the condensed system; pressure dof 0 carries the gauge
         self.kept = np.concatenate([np.setdiff1d(nodal, self.pinned), nu + np.arange(1, npi)])
-        self._transport = linsolve.PatternSum(self.t_const, s_const, self.pinned)
+        self._pattern = s_const
         t = self.t_const if transport is None else self._transport(transport)
         # kept as data: a closure over self would make a reference cycle,
         # which holds the LU until the cyclic garbage collector runs
         t0 = time.perf_counter()
         self._condensation = self._condense(t, quasi_definite=True)
         self._unpaid = time.perf_counter() - t0  # reported by the first solve
+
+    @functools.cached_property
+    def _transport(self):
+        """``linsolve.PatternSum`` of the transports over ``t_const``, built at
+        its first use: a saddle that never solves with a transport builds none."""
+        transport = linsolve.PatternSum(self.t_const, self._pattern, self.pinned)
+        del self._pattern  # the sum holds its slots; s_const is not kept
+        return transport
 
     @functools.cached_property
     def _abs_const(self):
@@ -419,7 +444,7 @@ class Stepper:
         # density: gradient projection with matched (zero) mean
         def density(b):
             a = asm.apply_constraints(self.K, self.layout_n, weight_vector=self.w_p1)
-            return linsolve.solve(a, b)[0]
+            return linsolve.Factorization(a).solve(b)[0]
 
         n0 = _projected(asm.constrain_rhs(rhs_n, self.layout_n), density)[: self.layout_n.n_dofs]
 
@@ -606,12 +631,13 @@ class Stepper:
         """Integrate over the whole time grid, yielding (state, diagnostics
         record) for each level, the initial one first; no earlier level is kept.
 
-        Record per level: time level, conserved mass, the seconds spent
-        assembling forms and loads, for each system the solver kind, its
-        LU passes, residual, factor and solve time, the discrete-divergence
-        residual, the largest |value| at the pinned dofs of u and sigma, and
-        min/max of each field's nodal values.  Each level is yielded before it
-        is checked: resumed after the first step whose mass drifts by more
+        A record has exactly the keys of ``RECORD_KEYS``: time level,
+        conserved mass, the seconds spent assembling forms and loads, for each
+        system the solver kind, its LU passes, residual, factor and solve time
+        (None at the initial level), the discrete-divergence residual, the
+        largest |value| at the pinned dofs of u and sigma, and min/max of each
+        field's nodal values.  Each level is yielded before it is checked:
+        resumed after the first step whose mass drifts by more
         than MASS_DRIFT_TOL of w.|eta0| (the initial mass if eta0 >= 0) or
         whose divergence residual exceeds DIVERGENCE_TOL, the run raises
         ``InvariantError``.
@@ -632,6 +658,8 @@ class Stepper:
                 raise InvariantError(f"step {m}: " + "; ".join(problems))
 
     def _diagnostics_record(self, state, reports):
+        """The record of ``state`` (see ``run``); ``reports`` maps each system
+        of the step to its ``SolveReport``, and is empty for the initial level."""
         rec = {
             "m": state.m,
             "t": state.t,
@@ -639,24 +667,23 @@ class Stepper:
             "div_residual": self.divergence_residual(state),
             "assembly_time": self.assembly_time,
         }
-        for name, layout in (("u", self.layout_u), ("sigma", self.layout_sigma)):
+        for name in _PINNED:
+            layout = getattr(self, f"layout_{name}")
             pinned = np.abs(getattr(state, name)[layout.constrained_dofs])
             rec[f"max_pinned_{name}"] = float(pinned.max(initial=0.0))
         u = self.layout_u.vertex_values(state.u)
-        nodal = {
-            "eta": self.layout_n.vertex_values(state.n) + self.params.alpha0,
-            "c": self.layout_c.vertex_values(state.c),
-            "u1": u[:, 0],
-            "u2": u[:, 1],
-            "pi": self.layout_pi.vertex_values(state.pi),
-        }
-        for name, vals in nodal.items():
+        nodal = (
+            self.layout_n.vertex_values(state.n) + self.params.alpha0,
+            self.layout_c.vertex_values(state.c),
+            u[:, 0],
+            u[:, 1],
+            self.layout_pi.vertex_values(state.pi),
+        )
+        for name, vals in zip(_NODAL, nodal, strict=True):
             rec[f"min_{name}"] = float(vals.min())
             rec[f"max_{name}"] = float(vals.max())
-        for name, rep in reports.items():
-            rec[f"solver_{name}"] = rep.kind
-            rec[f"iterations_{name}"] = rep.iterations
-            rec[f"residual_{name}"] = rep.residual_norm
-            rec[f"factor_time_{name}"] = rep.factor_time
-            rec[f"solve_time_{name}"] = rep.solve_time
+        for system in _SYSTEMS:
+            rep = reports.get(system)
+            for prefix, field in _REPORT_FIELDS.items():
+                rec[f"{prefix}_{system}"] = None if rep is None else getattr(rep, field)
         return rec

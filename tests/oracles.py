@@ -19,8 +19,11 @@ forms built from point values, the reference for ``Stepper.lagged_forms``,
 which builds them from element coefficients; the divergence load that
 rebuilt its table on every call; the transport of each layout summed by a
 bincount of its own, the reference for the P1 data gathered from the MINI
-sum; and the kept LUs of the transport-free operators, the reference for
-the LUs of the first step's operators.
+sum; the kept LUs of the transport-free operators, the reference for
+the LUs of the first step's operators; the (u, pi) solver that builds its
+transport sum at once, the reference for the one built at its first use;
+and the diagnostics CSV over the union of the records' keys, the reference
+for the writer whose columns are the record schema.
 """
 
 import math
@@ -375,14 +378,15 @@ def solved_projections(stepper, data):
 
     rhs_n = asm.constrain_rhs(load("grad_load", st.layout_n, data.grad_eta0), st.layout_n)
     a_n = asm.apply_constraints(st.K, st.layout_n, weight_vector=st.w_p1)
-    n0 = linsolve.solve(a_n, rhs_n)[0][: st.layout_n.n_dofs]
+    n0 = linsolve.Factorization(a_n).solve(rhs_n)[0][: st.layout_n.n_dofs]
     rhs_c = load("grad_load", st.layout_c, data.grad_c0) + load("load", st.layout_c, data.c0)
-    c0 = linsolve.solve(st.K + st.M, rhs_c)[0]
+    c0 = linsolve.Factorization(st.K + st.M).solve(rhs_c)[0]
     rhs_s = (load("div_load", st.layout_sigma, data.div_sigma0)
              + load("rot_load", st.layout_sigma, data.rot_sigma0)
              + load("load", st.layout_sigma, data.sigma0))
     a_s = asm.apply_constraints(st.divrot * (1.0 / p.D_c) + st.M_sigma, st.layout_sigma)
-    sigma0 = linsolve.solve(linsolve.pruned(a_s), asm.constrain_rhs(rhs_s, st.layout_sigma))[0]
+    rhs_s = asm.constrain_rhs(rhs_s, st.layout_sigma)
+    sigma0 = linsolve.Factorization(linsolve.pruned(a_s)).solve(rhs_s)[0]
     rhs_u = p.D_u * load("grad_load", st.layout_u, data.grad_u0)
     if data.pi0 is not None:
         rhs_u -= load("div_load", st.layout_u, data.pi0)
@@ -390,6 +394,24 @@ def solved_projections(stepper, data):
     saddle = CondensedSaddle(st.K_u * p.D_u, st.G, st.layout_u, st.w_p1, p.rho)
     u0, pi0, _ = saddle.solve(None, rhs_u, rhs_pi)
     return n0, c0, sigma0, u0, pi0 / p.rho
+
+
+_CSV_LEAD = ("m", "t", "mass", "div_residual")
+
+
+def write_diagnostics_csv_by_union(diagnostics, path):
+    """The diagnostics CSV whose columns are the lead keys, then every other
+    key of any record sorted, a missing key an empty cell: the reference for
+    the bytes of ``chemflow.io_cli.write_diagnostics_csv``, whose columns are
+    ``scheme.RECORD_KEYS``.  It formats every value it is given, so a caller
+    passes each record without its None entries: the initial record then
+    lacks its solver keys, as every run yielded it before they were None."""
+    keys = [*_CSV_LEAD, *sorted({k for rec in diagnostics for k in rec} - set(_CSV_LEAD))]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(keys) + "\n")
+        for rec in diagnostics:
+            cells = (rec.get(k, "") for k in keys)
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.10g}" for v in cells) + "\n")
 
 
 def write_vtk_row_by_row(snapshot, path):
@@ -491,6 +513,16 @@ def transport_free_solver(stepper, system, dt, transport=None):
     LUs of the first step's operators, transport included."""
     zero = None if transport is None else np.zeros_like(transport)
     return _kept_solver(stepper, system, dt, zero)
+
+
+class SaddleBuildingItsTransportSum(CondensedSaddle):
+    """``CondensedSaddle`` building its ``linsolve.PatternSum`` in ``__init__``,
+    also for a saddle that never solves with a transport: the reference for
+    the one built at its first use."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _ = self._transport  # a cached property: built here
 
 
 def skew_matrix(layout, velocity, ctx):

@@ -532,7 +532,7 @@ class TestConstraints:
         assert out.shape == (lay.n_dofs + 1, lay.n_dofs + 1)
         rng = np.random.default_rng(31)
         rhs = asm.constrain_rhs(rng.standard_normal(lay.n_dofs), lay)
-        x, _ = linsolve.solve(out, rhs)
+        x, _ = linsolve.Factorization(out).solve(rhs)
         w = asm.integral_weight_vector(lay)
         assert abs(w @ x[: lay.n_dofs]) <= 1e-12
 

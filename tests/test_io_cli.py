@@ -10,7 +10,7 @@ from chemflow import io_cli, scheme
 from chemflow import manufactured as mf
 from chemflow.mesh import build_rect_mesh
 from chemflow.scheme import InvariantError, Stepper, TimeGrid
-from oracles import stopped_step, write_vtk_row_by_row
+from oracles import stopped_step, write_diagnostics_csv_by_union, write_vtk_row_by_row
 
 
 class TestConfig:
@@ -477,16 +477,13 @@ class TestMain:
         _pts, _cells, _types, fields = parse_legacy_vtk(out / "snapshot_000000.vtk")
         assert set(fields) == {"eta", "c", "pressure", "sigma", "velocity"}
 
-    @pytest.mark.parametrize("stop, n_records", [
-        ("none", range(6, 7)), ("invariant", range(2, 6)), ("after_init", range(1, 2)),
-    ])
-    def test_streamed_csv_equals_the_whole_file_writer(
-        self, tmp_path, capsys, monkeypatch, stop, n_records
-    ):
-        # the CSV written row by row during the run has the bytes that
-        # write_diagnostics_csv gives for the records the run yielded
-        argv = ["run", "--preset", "test2", "--mesh", "4", "--dt", "1e-3", "--tfinal", "5e-3"]
-        if stop == "invariant":  # the blow-up run of the tests above
+    @pytest.mark.parametrize("run", ["test2", "blow_up"])
+    def test_csv_equals_the_union_writer(self, tmp_path, capsys, monkeypatch, run):
+        # the CSV of a run that takes a step, written row by row as the run
+        # goes, has the bytes of the union writer on the records the run
+        # yielded, each without the keys whose value is None
+        argv = ["run", "--preset", "test2", "--mesh", "4"]  # the preset's 50 steps
+        if run == "blow_up":  # the blow-up run of the tests above
             cfgfile = tmp_path / "blowup.ini"
             cfgfile.write_text(
                 "[initial]\npreset = test1\n[mesh]\nkx = 20\nky = 20\n"
@@ -494,11 +491,6 @@ class TestMain:
                 "[output]\nsnapshot_times =\nformats = csv\n"
             )
             argv = ["run", "--config", str(cfgfile)]
-        if stop == "after_init":
-            def step(self, prev, dt, forcing=None):
-                raise RuntimeError("stopped after init")
-
-            monkeypatch.setattr(Stepper, "step", step)
         records, original = [], Stepper.run
 
         def recording(self, *args, **kwargs):
@@ -508,19 +500,60 @@ class TestMain:
 
         monkeypatch.setattr(Stepper, "run", recording)
         code = io_cli.main(argv + ["--out", str(tmp_path / "o")])
-        assert code == (0 if stop == "none" else 1)
-        capsys.readouterr()
-        assert len(records) in n_records
-        io_cli.write_diagnostics_csv(records, tmp_path / "whole.csv")
+        err = capsys.readouterr().err
+        if run == "test2":
+            assert (code, err, len(records)) == (0, "", 51)
+        else:
+            assert (code, json.loads(err)["error"]) == (1, "InvariantError")
+            assert 2 <= len(records) <= 5
+        assert records[0]["solver_u"] is None and records[1]["solver_u"] is not None
+        union = [{k: v for k, v in rec.items() if v is not None} for rec in records]
+        write_diagnostics_csv_by_union(union, tmp_path / "union.csv")
         streamed = (tmp_path / "o" / "diagnostics.csv").read_bytes()
-        assert streamed == (tmp_path / "whole.csv").read_bytes()
+        assert streamed == (tmp_path / "union.csv").read_bytes()
+
+    def test_csv_of_a_run_stopped_after_init(self, tmp_path, capsys, monkeypatch):
+        # the header is the record schema, and the initial row leaves the
+        # cells of the step's solves empty
+        def step(self, prev, dt, forcing=None):
+            raise RuntimeError("stopped after init")
+
+        monkeypatch.setattr(Stepper, "step", step)
+        code = io_cli.main(["run", "--preset", "test2", "--mesh", "4", "--out", str(tmp_path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["message"] == "stopped after init"
+        header, row = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        assert tuple(header.split(",")) == scheme.RECORD_KEYS
+        cells = dict(zip(scheme.RECORD_KEYS, row.split(","), strict=True))
+        solves = ("solver_", "iterations_", "residual_", "factor_time_", "solve_time_")
+        empty = [k for k, v in cells.items() if v == ""]
+        assert empty == [k for k in scheme.RECORD_KEYS if k.startswith(solves)]
+        assert len(empty) == 20 and cells["m"] == "0"
 
     def test_streamed_csv_rejects_a_record_outside_its_columns(self, tmp_path):
-        with pytest.raises(ValueError, match="record 2 has keys outside the CSV columns"):
-            with io_cli._DiagnosticsCsv(tmp_path / "d.csv") as csv:
-                for rec in ({"m": 0}, {"m": 1, "a": 1.0}, {"m": 2, "b": 2.0}):
-                    csv.write(rec)
-        assert (tmp_path / "d.csv").read_text() == "m,t,mass,div_residual,a\n0,,,,\n1,,,,1\n"
+        records = ({"m": 0}, {"m": 1, "mass": 2.5, "solver_u": None}, {"m": 2, "b": 2.0})
+        with pytest.raises(ValueError, match=r"record 2 has keys outside scheme.RECORD_KEYS: \['b'\]"):
+            io_cli.write_diagnostics_csv(records, tmp_path / "d.csv")
+        blank = [""] * (len(scheme.RECORD_KEYS) - 3)
+        assert (tmp_path / "d.csv").read_text().splitlines() == [
+            ",".join(scheme.RECORD_KEYS), ",".join(["0", "", ""] + blank),
+            ",".join(["1", "", "2.5"] + blank)]
+
+    def test_partial_records_write_with_empty_cells(self, tmp_path):
+        # the benchmark's plume pass writes records of m, t, mass,
+        # div_residual and each system's residual, built as below
+        st = Stepper(build_rect_mesh(1.0, 1.0, 4, 4), mf.test2_params())
+        state0 = st.init_state(mf.test2_initial_data(), mode="nodal")
+        state, reports = st.step(state0, 2e-4, mf.test2_forcing())
+        records = [{"m": s.m, "t": s.t, "mass": st.mass_of_eta(s),
+                    "div_residual": st.divergence_residual(s)} for s in (state0, state)]
+        records[1].update({f"residual_{k}": r.residual_norm for k, r in reports.items()})
+        io_cli.write_diagnostics_csv(records, tmp_path / "d.csv")
+        header, *rows = (tmp_path / "d.csv").read_text().splitlines()
+        assert tuple(header.split(",")) == scheme.RECORD_KEYS
+        for rec, row in zip(records, rows, strict=True):
+            cells = dict(zip(scheme.RECORD_KEYS, row.split(","), strict=True))
+            assert {k: v for k, v in cells.items() if v} == {k: f"{v:.10g}" for k, v in rec.items()}
 
     def test_run_memory_does_not_grow_with_steps(self, tmp_path, capsys):
         # each diagnostics row is written as its record arrives; about 3.7 KB

@@ -293,7 +293,8 @@ class TestSharedSources:
                 assert np.array_equal(getattr(s1, name), getattr(s2, name)), (s1.m, name)
             passes = [k for k in r1 if k.startswith(("solver_", "iterations_"))]
             assert [r1[k] for k in passes] == [r2[k] for k in passes]
-            assert len(passes) == (0 if s1.m == 0 else 8)
+            assert len(passes) == 8
+            assert all((r1[k] is None) == (s1.m == 0) for k in passes)  # the init solves no step
 
     def test_sin_and_cos_once_per_mesh_exp_once_per_step(self, monkeypatch):
         st = Stepper(build_rect_mesh(1.0, 1.0, 6, 6), mf.test2_params())

@@ -14,10 +14,11 @@ from hypothesis.extra import numpy as hnp
 from chemflow import assembly as asm
 from chemflow import io_cli
 from chemflow import linsolve
-from chemflow import manufactured
+from chemflow import manufactured, scheme
 from chemflow.mesh import build_rect_mesh
 from chemflow.scheme import (
     DIVERGENCE_TOL,
+    RECORD_KEYS,
     CondensedSaddle,
     InitialData,
     InvariantError,
@@ -27,6 +28,7 @@ from chemflow.scheme import (
     TimeGrid,
 )
 from oracles import (
+    SaddleBuildingItsTransportSum,
     componentwise_backward_error,
     lagged_forms_at_points,
     lagged_matrices,
@@ -440,6 +442,21 @@ class TestRun:
             assert all(t > 0.0 for t in times[1:])
             assert all("factor_time_u" in rec for rec in records[1:])
 
+    @pytest.mark.parametrize("mode", ["nodal", "elliptic_projection"])
+    def test_every_level_has_the_record_keys(self, mode):
+        st = Stepper(build_rect_mesh(1, 1, 4, 4), manufactured.test2_params())
+        records = [rec for _state, rec in st.run(TimeGrid(dt=2e-4, n_steps=2),
+                                                 manufactured.test2_initial_data(), mode=mode,
+                                                 forcing=manufactured.test2_forcing())]
+        assert len(records) == 3
+        for rec in records:
+            assert sorted(rec) == sorted(RECORD_KEYS) and len(RECORD_KEYS) == 37
+        # the initial level solves no step: exactly its 20 solver entries are None
+        none = [[k for k, v in rec.items() if v is None] for rec in records]
+        assert len(none[0]) == 20 and none[1:] == [[], []]
+        assert all(k.startswith(("solver_", "iterations_", "residual_", "factor_time_",
+                                 "solve_time_")) for k in none[0])
+
     def test_zero_steps_returns_initial_state(self):
         mesh = build_rect_mesh(1, 1, 4, 4)
         st = Stepper(mesh, simple_params(alpha0=1.0))
@@ -556,8 +573,9 @@ class TestCachedFactorizations:
         a_n = st.M / dt + st.K * p.D_n + n_skew
         a_n = asm.apply_constraints(a_n, st.layout_n, weight_vector=st.w_p1)
         rhs_n = asm.constrain_rhs(st.M @ prev.n / dt + loads["n"], st.layout_n)
-        n = linsolve.solve(a_n, rhs_n)[0][: st.layout_n.n_dofs]
-        c = linsolve.solve(st.M / dt + st.K * p.D_c + n_skew, st.M @ prev.c / dt + loads["c"])[0]
+        n = linsolve.Factorization(a_n).solve(rhs_n)[0][: st.layout_n.n_dofs]
+        a_c = st.M / dt + st.K * p.D_c + n_skew
+        c = linsolve.Factorization(a_c).solve(st.M @ prev.c / dt + loads["c"])[0]
         s = st.M_u / dt + st.K_u * (p.D_u / p.rho) + u_skew
         u, pi = bordered_saddle_reference(st, s, st.M_u @ prev.u / dt + loads["u"], np.zeros(npi))
         return {"n": n, "c": c, "u": u, "pi": pi}
@@ -850,7 +868,7 @@ class TestConsistency:
             skew, _, loads = lagged_matrices(st, prev, dt, forcing)
             a_c = st.M * (1.0 / dt) + st.K * params.D_c + skew
             r = a_c @ c1 - (st.M @ c0 / dt + loads["c"])
-            riesz, _ = linsolve.solve(st.M, r)
+            riesz, _ = linsolve.Factorization(st.M).solve(r)
             norms.append(math.sqrt(abs(r @ riesz)))
         assert norms[0] / norms[1] >= 1.8
         assert norms[1] / norms[2] >= 1.8
@@ -1134,6 +1152,34 @@ class TestCondensedSaddle:
         assert np.array_equal(saddle.d_inv, 1.0 / s[bubble][:, bubble].diagonal())
         assert_same_csr(saddle.t_const, bordered_saddle_matrix(st, s))
         assert saddle.t_const.nnz > linsolve.pruned(saddle.t_const).nnz  # the pattern is kept
+
+    def test_stokes_init_builds_no_transport_sum(self, monkeypatch):
+        # the initial Stokes projection solves without transport: it builds no
+        # linsolve.PatternSum, and its (u0, pi0) are those of a saddle that does
+        data = manufactured.test2_initial_data()
+        built, pattern_sum = [], linsolve.PatternSum
+
+        class Counting(pattern_sum):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        def init_state(saddle_class):
+            monkeypatch.setattr(linsolve, "PatternSum", Counting)
+            monkeypatch.setattr(scheme, "CondensedSaddle", saddle_class)
+            try:
+                st = Stepper(build_rect_mesh(1, 1, 10, 10), manufactured.test2_params())
+                return st.init_state(data, mode="elliptic_projection")
+            finally:
+                monkeypatch.undo()
+
+        reference = init_state(SaddleBuildingItsTransportSum)
+        assert len(built) == 1  # the reference does build one
+        built.clear()
+        state = init_state(CondensedSaddle)
+        assert built == []
+        assert np.abs(state.u).max() > 0.0
+        assert np.array_equal(state.u, reference.u) and np.array_equal(state.pi, reference.pi)
 
     def test_rejects_coupled_bubbles(self):
         st, _, dt, _ = _saddle_case("test2")
