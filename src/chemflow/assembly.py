@@ -10,11 +10,11 @@ formed.  Matrices are summed through a ``linsolve.ScatterPlan`` kept on
 their layout, so the CSR pattern and the slot of every element entry are
 found once per layout and each assembly only sums values; a block that
 is the same on every component is summed once and repeated.  Load vectors
-are summed with one ``np.add.at``.  Every form integrates on the rule of the
-``AssemblyContext`` it is given.  A matrix called without one builds a
-context of degree 2, exact for pure-P1 mass and stiffness, or of degree 8,
-exact for every MINI and lagged-coefficient polynomial integrand (the
-velocity trilinear form reaches total degree 8).
+are summed with one ``np.bincount``.  Every form integrates on the rule of
+the ``AssemblyContext`` its caller gives it: degree 2 (``P1_DEGREE``) is
+exact for pure-P1 mass and stiffness, degree 8 (``FULL_DEGREE``) for every
+MINI and lagged-coefficient polynomial integrand (the velocity trilinear
+form reaches total degree 8).
 
 One MINI element kernel gives the skew transport of every layout of a step
 as data on the layout's plan.  It takes the velocity as a ``DiscreteField``,
@@ -212,22 +212,14 @@ def _mini_gather(layout):
     return layout.plans["mini"]
 
 
-def _ctx_for(layout, ctx, degree):
-    return ctx if ctx is not None else AssemblyContext(layout.mesh, degree=degree)
-
-
-def assemble_mass(layout, ctx=None):
+def assemble_mass(layout, ctx):
     """Mass matrix of the layout's space (SPD before constraints)."""
-    degree = P1_DEGREE if not layout.has_bubble else FULL_DEGREE
-    ctx = _ctx_for(layout, ctx, degree)
     e0 = ctx.basis_values(layout.kind).T @ ctx.weighted_values(layout.kind)
     return square_plan(layout).csr(_square_data(ctx.areas[:, None, None] * e0, layout))
 
 
-def assemble_stiffness(layout, coeff=1.0, ctx=None):
+def assemble_stiffness(layout, coeff, ctx):
     """Stiffness matrix coeff * (grad u, grad v); componentwise for vectors."""
-    degree = P1_DEGREE if not layout.has_bubble else FULL_DEGREE
-    ctx = _ctx_for(layout, ctx, degree)
     table = ctx.gradient_table(layout.kind)
     nl = table.shape[1]
     # (grad phi_i, grad phi_j) = sum_ab S[a, b, i, j] grad lambda_a . grad lambda_b
@@ -249,18 +241,17 @@ def _sigma_div_rot(grad_bary):
     return div, rot
 
 
-def assemble_divrot(layout, coeff=1.0):
+def assemble_divrot(layout, coeff, ctx):
     """coeff * [(div s, div t) + (rot s, rot t)] on the sigma space.
 
     The integrands are elementwise constant for P1 vectors, so the element
-    integrals are exact without quadrature.
+    integrals are exact without quadrature: only the geometry of ``ctx`` is read.
     """
     if layout.kind != VECTOR_P1_SIGMA:
         raise ValueError("divrot form is defined on the sigma space")
-    areas, grad_bary = all_element_geometry(layout.mesh)
-    div, rot = _sigma_div_rot(grad_bary)
+    div, rot = _sigma_div_rot(ctx.grad_bary)
     local = np.einsum("ea,eb->eab", div, div) + np.einsum("ea,eb->eab", rot, rot)
-    local *= coeff * areas[:, None, None]
+    local *= coeff * ctx.areas[:, None, None]
     return square_plan(layout, coupled=True).matrix(local)
 
 
@@ -309,13 +300,12 @@ def assemble_skew_data(layouts, velocity, ctx):
             for lay in layouts]
 
 
-def assemble_pressure_coupling(layout_u, layout_pi, ctx=None):
+def assemble_pressure_coupling(layout_u, layout_pi, ctx):
     """G with G[i, j] = (psi_j, div Phi_i) over velocity rows / pressure columns.
 
     The saddle system uses -(1/rho) G in the momentum block and G^T in the
     continuity block.
     """
-    ctx = _ctx_for(layout_u, ctx, FULL_DEGREE)
     table = ctx.gradient_table(layout_u.kind)
     pvals = ctx.basis_values(layout_pi.kind)
     nl, npl = table.shape[1], pvals.shape[1]
@@ -334,9 +324,7 @@ def assemble_pressure_coupling(layout_u, layout_pi, ctx=None):
 
 def _scatter_vector(local, layout):
     """Sum element vectors, (ne, comps, nl) or (ne, local_size), into a global vector."""
-    b = np.zeros(layout.n_dofs)
-    np.add.at(b, layout.element_dofs.ravel(), local.ravel())
-    return b
+    return np.bincount(layout.element_dofs.ravel(), weights=local.ravel(), minlength=layout.n_dofs)
 
 
 def assemble_load(layout, f, ctx):
@@ -386,11 +374,10 @@ def assemble_grad_load(layout, g, ctx):
 # constraints
 
 
-def integral_weight_vector(layout, ctx=None):
+def integral_weight_vector(layout, ctx):
     """w with w_i = integral of basis function i (scalar layouts only)."""
     if layout.components != 1:
         raise ValueError("integral weights are defined for scalar layouts")
-    ctx = _ctx_for(layout, ctx, P1_DEGREE)
     return assemble_load(layout, np.ones(ctx.points.shape[:2]), ctx)
 
 
@@ -401,7 +388,9 @@ def apply_constraints(a, layout, weight_vector=None):
     identity (``linsolve.eliminated``: symmetric elimination, value 0, on the
     pattern of ``a``, so zeroed entries stay stored), then, if the layout carries
     a mean constraint, one bordered row/column with the basis integral
-    weights is appended.  Idempotent on layouts without a mean constraint.
+    weights ``weight_vector`` (``integral_weight_vector``) is appended;
+    without them such a layout raises ValueError.  Idempotent on layouts
+    without a mean constraint.
     """
     if a.shape != (layout.n_dofs, layout.n_dofs):
         raise ValueError(
@@ -410,8 +399,9 @@ def apply_constraints(a, layout, weight_vector=None):
     if len(layout.constrained_dofs):
         a = linsolve.eliminated(a, layout.constrained_dofs)
     if layout.mean_constraint:
-        w = integral_weight_vector(layout) if weight_vector is None else weight_vector
-        wc = sp.csr_matrix(w.reshape(-1, 1))
+        if weight_vector is None:
+            raise ValueError("a mean-constrained layout needs its integral weight_vector")
+        wc = sp.csr_matrix(weight_vector.reshape(-1, 1))
         a = sp.bmat([[a, wc], [wc.T, None]], format="csr")
     return a
 

@@ -209,9 +209,9 @@ class CondensedSaddle:
         [ G_c^T   0        w ] [pi ] = [g]
         [ 0       w^T      0 ] [lam]   [h]
 
-    with S = ``s_const`` + N (N: the skew transport of the step)
-    and the pinned velocity dofs eliminated (identity rows, value 0),
-    without factoring it:
+    with S = ``s_const`` + N (N: the skew transport of the solve, data on the
+    pattern of ``s_const``) and the pinned velocity dofs eliminated
+    (identity rows, value 0), without factoring it:
 
     * the bubble-bubble block D of S is diagonal (a bubble lives on one
       element, and N has a zero diagonal), so the bubbles are condensed
@@ -220,29 +220,21 @@ class CondensedSaddle:
     * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
       one pressure dof is pinned and the mean shifted afterwards.
 
-    The kept LU is of the condensation of ``s_const`` plus the transport
-    ``transport`` (data on the pattern of ``s_const``; None for none): the
-    first step's own operator, or the initial Stokes projection's D_u K_u.
-    For a symmetric positive definite ``s_const`` it needs no pivoting
-    (``linsolve.Factorization``'s ``quasi_definite``): with its pressure rows
-    scaled by 1/rho, the uncondensed matrix K has the symmetric part
-    diag(S_c, 0), since N is skew, and N leaves D untouched.  For the
-    condensation K/D, x^T (K/D) x = [y; x]^T K [y; x] with y = -D^-1 K_bk x,
-    so the symmetric part of K/D is positive definite on the kept unknowns
-    once pressure dof 0 is pinned (G_B p = 0 makes grad p vanish on every
-    element).  Without transport it is the quasi-definite [[A, B^T], [B, -C]]
-    after scaling by -1/rho.  The fresh LU of a fallback keeps partial
-    pivoting, as the safeguard.
-
-    The saddle matrix of ``s_const``, its pinned velocity dofs eliminated by
-    ``linsolve.eliminated``, D^-1, the index sets and the kept LU are built
-    once, and a ``linsolve.PatternSum`` over it at the first transport;
-    ``solve`` writes a step's N in place outside the eliminated rows and
-    columns, and refines against that matrix through the kept LU, or
-    condenses and factors its own.
+    The bordered matrix of ``s_const``, its pinned velocity dofs eliminated
+    by ``linsolve.eliminated``, is kept in a ``linsolve.PatternSum``, into
+    which each solve writes its N.  The kept LU is of the condensation of
+    that matrix with the N of ``transport``: the first step's own operator,
+    or, for a zero transport, the Stokes operator of the initial
+    projection.  With its pressure rows scaled by 1/rho that condensation
+    has a positive definite symmetric part (S is SPD, N skew and zero on D,
+    and x^T (K/D) x = [y; x]^T K [y; x] for y = -D^-1 K_bk x), so it is
+    factored without pivoting, as ``linsolve.Factorization`` sets out for
+    ``quasi_definite``.  ``solve`` refines against its own matrix through
+    the kept LU, or condenses that matrix afresh and factors it with
+    partial pivoting, as the safeguard.
     """
 
-    def __init__(self, s_const, g, layout_u, w, rho, transport=None):
+    def __init__(self, s_const, g, layout_u, w, rho, transport):
         nodal, bubble = layout_u.nodal_and_bubble_dofs()
         nu, npi = g.shape
         is_bubble = np.zeros(nu, dtype=bool)
@@ -255,7 +247,7 @@ class CondensedSaddle:
         wc = sp.csr_matrix(w.reshape(-1, 1))
         saddle = sp.bmat([[s_const, -g / rho, None], [g.T, None, wc], [None, wc.T, None]],
                          format="csr")
-        self.t_const = linsolve.eliminated(saddle, layout_u.constrained_dofs)
+        t_const = linsolve.eliminated(saddle, layout_u.constrained_dofs)
         self.d_inv = 1.0 / s_const.diagonal()[bubble]
         self.w = w
         self.area = float(w.sum())
@@ -263,26 +255,12 @@ class CondensedSaddle:
         self.bubble = bubble
         # unknowns of the condensed system; pressure dof 0 carries the gauge
         self.kept = np.concatenate([np.setdiff1d(nodal, self.pinned), nu + np.arange(1, npi)])
-        self._pattern = s_const
-        t = self.t_const if transport is None else self._transport(transport)
+        self._transport = linsolve.PatternSum(t_const, s_const, self.pinned)
         # kept as data: a closure over self would make a reference cycle,
         # which holds the LU until the cyclic garbage collector runs
         t0 = time.perf_counter()
-        self._condensation = self._condense(t, quasi_definite=True)
+        self._condensation = self._condense(self._transport(transport), quasi_definite=True)
         self._unpaid = time.perf_counter() - t0  # reported by the first solve
-
-    @functools.cached_property
-    def _transport(self):
-        """``linsolve.PatternSum`` of the transports over ``t_const``, built at
-        its first use: a saddle that never solves with a transport builds none."""
-        transport = linsolve.PatternSum(self.t_const, self._pattern, self.pinned)
-        del self._pattern  # the sum holds its slots; s_const is not kept
-        return transport
-
-    @functools.cached_property
-    def _abs_const(self):
-        """|T| of the transport-free saddle matrix, built at its first use."""
-        return linsolve.abs_matrix(self.t_const)
 
     def _condense(self, t, quasi_definite=False):
         """Nodal-bubble blocks of the saddle matrix ``t`` and an LU of its condensation."""
@@ -311,25 +289,20 @@ class CondensedSaddle:
         return np.append(z, lam)
 
     def solve(self, transport, rhs_u, rhs_pi):
-        """(u, pi, SolveReport) for the step whose transport has the data
-        ``transport`` on the pattern of ``s_const``, or, if it is None, for
-        ``s_const`` alone through an LU built without transport.
-        The report carries the residual of the full bordered system, which
-        must meet the ``linsolve.RTOL`` bound.
+        """(u, pi, SolveReport) for the transport with the data ``transport``
+        on the pattern of ``s_const``.  The report carries the residual of
+        the full bordered system, which must meet the ``linsolve.RTOL``
+        bound; a fresh LU of the condensation takes over if the kept one
+        does not get there (``linsolve.refined_solve``).
         """
-        if transport is None:
-            t, abs_t = self.t_const, self._abs_const
-        else:
-            t, abs_t = self._transport(transport), self._transport.abs_matrix
+        t = self._transport(transport)
         rhs_u = np.array(rhs_u, dtype=float)
         rhs_u[self.pinned] = 0.0
         b = np.concatenate([rhs_u, rhs_pi, [0.0]])
         paid, self._unpaid = self._unpaid, None
         inverse = functools.partial(self._condensed_solve, self._condensation)
-        fresh = None if transport is None else (
-            lambda: functools.partial(self._condensed_solve, self._condense(t))
-        )
-        x, report = linsolve.refined_solve(b, inverse, t, abs_t, paid, fresh)
+        fresh = lambda: functools.partial(self._condensed_solve, self._condense(t))
+        x, report = linsolve.refined_solve(b, inverse, t, self._transport.abs_matrix, paid, fresh)
         return x[:self.n_u], x[self.n_u:-1], report
 
 
@@ -354,7 +327,7 @@ class Stepper:
         self.M = asm.assemble_mass(self.layout_c, self.ctx_p1)
         self.K = asm.assemble_stiffness(self.layout_c, 1.0, self.ctx_p1)
         self.M_sigma = asm.assemble_mass(self.layout_sigma, self.ctx_p1)
-        self.divrot = asm.assemble_divrot(self.layout_sigma, params.D_c)
+        self.divrot = asm.assemble_divrot(self.layout_sigma, params.D_c, self.ctx_p1)
         self.M_u = asm.assemble_mass(self.layout_u, self.ctx)
         self.K_u = asm.assemble_stiffness(self.layout_u, 1.0, self.ctx)
         self.G = asm.assemble_pressure_coupling(self.layout_u, self.layout_pi, self.ctx)
@@ -463,8 +436,9 @@ class Stepper:
         nu = self.layout_u.n_dofs
 
         def stokes(b):
-            saddle = CondensedSaddle(self.K_u * p.D_u, self.G, self.layout_u, self.w_p1, p.rho)
-            return np.concatenate(saddle.solve(None, b[:nu], b[nu:])[:2])
+            s, zero = self.K_u * p.D_u, np.zeros(self.K_u.nnz)
+            saddle = CondensedSaddle(s, self.G, self.layout_u, self.w_p1, p.rho, zero)
+            return np.concatenate(saddle.solve(zero, b[:nu], b[nu:])[:2])
 
         rhs_u[self.layout_u.constrained_dofs] = 0.0
         x = _projected(np.concatenate([rhs_u, rhs_pi]), stokes)
@@ -484,13 +458,10 @@ class Stepper:
         later step writes its own transport.  A later call returns the kept
         solver whatever its ``transport``.
 
-        The SPD sigma operator, and the condensed (u, pi) one, whose symmetric
-        part is positive definite after a diagonal row scaling (see
-        ``CondensedSaddle``), are factored in a symmetric ordering without
-        pivoting (``quasi_definite``), which fills less.  The n and c LUs keep
-        COLAMD with partial pivoting: at the benchmark's sizes they solve
-        faster, and each is applied several times per step.  A fresh fallback
-        LU keeps partial pivoting, as the safeguard."""
+        The SPD sigma operator and the condensed (u, pi) one are factored
+        without pivoting (``linsolve.Factorization``'s ``quasi_definite``).
+        The n and c LUs keep COLAMD with partial pivoting: at the benchmark's
+        sizes they solve faster, and each is applied several times per step."""
         key = (system, dt)
         if key not in self._solvers:
             p = self.params

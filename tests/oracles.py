@@ -9,10 +9,10 @@ composition they replace, its shared-table sources against one table per
 call, and its error norms against one sum per norm;
 the invariant gates of a run that stopped, recomputed from its records;
 the row-by-row VTK writer; the componentwise backward error of a solve,
-on the dense matrix; the elliptic and Stokes initial projections as every
-one of them was solved before a projection of zero data was skipped; the
-skew transport of one layout at a
-time, skew-symmetrized by a global transpose of the summed one-sided form,
+on the dense matrix; the elliptic and Stokes initial projections, each
+one solved whatever its data, the reference for the skipped projections
+of zero data; the skew transport of one layout at a time,
+skew-symmetrized by a global transpose of the summed one-sided form,
 against which the one MINI element kernel of
 ``chemflow.assembly.assemble_skew_data`` is checked; and a step's lagged
 forms built from point values, the reference for ``Stepper.lagged_forms``,
@@ -20,23 +20,27 @@ which builds them from element coefficients; the divergence load that
 rebuilt its table on every call; the transport of each layout summed by a
 bincount of its own, the reference for the P1 data gathered from the MINI
 sum; the kept LUs of the transport-free operators, the reference for
-the LUs of the first step's operators; the (u, pi) solver that builds its
-transport sum at once, the reference for the one built at its first use;
-and the diagnostics CSV over the union of the records' keys, the reference
-for the writer whose columns are the record schema.
+the LUs of the first step's operators; the uncondensed (u, pi) solve
+through one LU of the whole bordered matrix, the reference for the
+condensed one; the load vectors summed by ``np.add.at``, the reference for
+the bincount scatter; and the diagnostics CSV over the union of the
+records' keys, the reference for the writer whose columns are the record
+schema.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from chemflow import assembly as asm
 from chemflow import linsolve
 from chemflow import manufactured as mf
 from chemflow.linsolve import entry_rows
 from chemflow.mesh import GeometryError
-from chemflow.scheme import DIVERGENCE_TOL, MASS_DRIFT_TOL, CondensedSaddle, StepForcing, Stepper
+from chemflow.scheme import DIVERGENCE_TOL, MASS_DRIFT_TOL, StepForcing, Stepper
 from chemflow.spaces import VELOCITY_MINI
 from chemflow.spaces import scalar_basis_gradient_table, scalar_basis_values
 
@@ -364,12 +368,51 @@ def componentwise_backward_error(a, x, b):
     return float(ratios.max(initial=0.0))
 
 
+def projector(n, pinned):
+    """The diagonal P zeroing the ``pinned`` dofs, and diag(pinned)."""
+    keep = np.ones(n)
+    keep[pinned] = 0.0
+    return sp.diags(keep), sp.diags(1.0 - keep)
+
+
+def bordered_saddle_matrix(st, s_matrix):
+    """The uncondensed (u, pi) matrix: pinned velocity dofs made identity
+    rows and columns by P s P + diag(pinned), the zero-mean pressure
+    constraint bordered by a multiplier row."""
+    p, pinned = projector(st.layout_u.n_dofs, st.layout_u.constrained_dofs)
+    g_c = p @ st.G
+    w = sp.csr_matrix(st.w_p1.reshape(-1, 1))
+    return sp.bmat(
+        [[p @ s_matrix @ p + pinned, -g_c / st.params.rho, None], [g_c.T, None, w],
+         [None, w.T, None]],
+        format="csr",
+    )
+
+
+def bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi):
+    """The uncondensed (u, pi) solve: one LU of ``bordered_saddle_matrix``,
+    refined against that system until the correction stops shrinking."""
+    nu, npi = st.layout_u.n_dofs, st.layout_pi.n_dofs
+    big = bordered_saddle_matrix(st, s_matrix)
+    rhs_u = np.array(rhs_u, dtype=float)
+    rhs_u[st.layout_u.constrained_dofs] = 0.0
+    lu, b = spla.splu(big.tocsc()), np.concatenate([rhs_u, rhs_pi, [0.0]])
+    x, last = lu.solve(b), math.inf
+    while True:
+        dx = lu.solve(b - big @ x)
+        size = np.linalg.norm(dx)
+        if not size < last:
+            return x[:nu], x[nu : nu + npi]
+        x, last = x + dx, size
+
+
 def solved_projections(stepper, data):
     """(n0, c0, sigma0, u0, pi0) of ``stepper``'s elliptic and Stokes
     projections of ``data``, each one solved whatever its data: n, c and
-    sigma through COLAMD LUs with partial pivoting, (u, pi) by building the
-    Stokes ``CondensedSaddle`` of D_u K_u, solving it, and dividing pi by rho.
-    The reference for the zero-data rule and the unpivoted LUs of
+    sigma through COLAMD LUs with partial pivoting, (u, pi) through one LU of
+    the uncondensed bordered Stokes matrix of D_u K_u
+    (``bordered_saddle_reference``), pi divided by rho.  The reference for
+    the zero-data rule, the unpivoted LUs and the condensed Stokes solve of
     ``Stepper.init_state``."""
     st, p, ctx = stepper, stepper.params, stepper.ctx
 
@@ -391,8 +434,7 @@ def solved_projections(stepper, data):
     if data.pi0 is not None:
         rhs_u -= load("div_load", st.layout_u, data.pi0)
     rhs_pi = load("load", st.layout_pi, data.div_u0)
-    saddle = CondensedSaddle(st.K_u * p.D_u, st.G, st.layout_u, st.w_p1, p.rho)
-    u0, pi0, _ = saddle.solve(None, rhs_u, rhs_pi)
+    u0, pi0 = bordered_saddle_reference(st, st.K_u * p.D_u, rhs_u, rhs_pi)
     return n0, c0, sigma0, u0, pi0 / p.rho
 
 
@@ -485,7 +527,16 @@ def div_load_rebuilding_its_table(layout, f, ctx):
     nq, nl, _ = table.shape
     f_t = (f @ table.reshape(nq, -1)).reshape(-1, nl, 3)
     local = (f_t @ ctx.grad_bary) * ctx.areas[:, None, None]
-    return asm._scatter_vector(local.transpose(0, 2, 1), layout)
+    return scatter_vector_by_add_at(local.transpose(0, 2, 1), layout)
+
+
+def scatter_vector_by_add_at(local, layout):
+    """Element vectors, (ne, comps, nl) or (ne, local_size), summed into a
+    global vector by ``np.add.at``: the reference for the bincount of
+    ``asm._scatter_vector``."""
+    b = np.zeros(layout.n_dofs)
+    np.add.at(b, layout.element_dofs.ravel(), local.ravel())
+    return b
 
 
 def skew_data_by_own_sums(layouts, velocity, ctx):
@@ -513,16 +564,6 @@ def transport_free_solver(stepper, system, dt, transport=None):
     LUs of the first step's operators, transport included."""
     zero = None if transport is None else np.zeros_like(transport)
     return _kept_solver(stepper, system, dt, zero)
-
-
-class SaddleBuildingItsTransportSum(CondensedSaddle):
-    """``CondensedSaddle`` building its ``linsolve.PatternSum`` in ``__init__``,
-    also for a saddle that never solves with a transport: the reference for
-    the one built at its first use."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        _ = self._transport  # a cached property: built here
 
 
 def skew_matrix(layout, velocity, ctx):

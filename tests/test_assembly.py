@@ -22,6 +22,7 @@ from oracles import (
     element_geometry,
     eval_basis,
     lagged_matrices,
+    scatter_vector_by_add_at,
     skew_by_global_transpose,
     skew_data_by_own_sums,
     skew_matrix,
@@ -32,6 +33,12 @@ from oracles import (
 def single_triangle_mesh():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     return Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), boundary_edges=[], h=np.sqrt(2))
+
+
+def context(layout):
+    """A context whose rule integrates the layout's mass and stiffness exactly."""
+    degree = asm.FULL_DEGREE if layout.has_bubble else asm.P1_DEGREE
+    return asm.AssemblyContext(layout.mesh, degree=degree)
 
 
 def oracle_convection_dense(mesh, layout, vel_fn, degree=8):
@@ -58,18 +65,18 @@ def oracle_convection_dense(mesh, layout, vel_fn, degree=8):
 class TestMassStiffness:
     def test_reference_mass(self):
         lay = build_layout(single_triangle_mesh(), SCALAR_P1)
-        m = asm.assemble_mass(lay).toarray()
+        m = asm.assemble_mass(lay, context(lay)).toarray()
         area = 0.5
         assert np.allclose(m, area / 12 * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]), atol=1e-15)
 
     def test_mass_sums_to_domain_area(self):
         lay = build_layout(build_rect_mesh(2, 1, 7, 5), SCALAR_P1)
-        m = asm.assemble_mass(lay)
+        m = asm.assemble_mass(lay, context(lay))
         assert m.toarray().sum() == pytest.approx(2.0, rel=1e-13)
 
     def test_mass_spd(self):
         lay = build_layout(build_rect_mesh(1, 1, 4, 4), SCALAR_P1)
-        m = asm.assemble_mass(lay)
+        m = asm.assemble_mass(lay, context(lay))
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.standard_normal(lay.n_dofs)
@@ -77,19 +84,19 @@ class TestMassStiffness:
 
     def test_reference_stiffness(self):
         lay = build_layout(single_triangle_mesh(), SCALAR_P1)
-        k = asm.assemble_stiffness(lay, 1.0).toarray()
+        k = asm.assemble_stiffness(lay, 1.0, context(lay)).toarray()
         assert np.allclose(k, 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]]), atol=1e-14)
 
     def test_stiffness_kernel_and_symmetry(self):
         lay = build_layout(build_rect_mesh(1, 1, 6, 6), SCALAR_P1)
-        k = asm.assemble_stiffness(lay, 3.7)
+        k = asm.assemble_stiffness(lay, 3.7, context(lay))
         assert np.abs(k @ np.ones(lay.n_dofs)).max() <= 1e-13
         dense = k.toarray()
         assert np.abs(dense - dense.T).max() <= 1e-14
 
     def test_mini_mass_spd(self):
         lay = build_layout(build_rect_mesh(1, 1, 3, 3), VELOCITY_MINI)
-        m = asm.assemble_mass(lay)
+        m = asm.assemble_mass(lay, context(lay))
         vals = np.linalg.eigvalsh(m.toarray())
         assert vals.min() > 0.0
 
@@ -99,7 +106,7 @@ class TestDivRot:
         self.mesh = build_rect_mesh(1, 1, 10, 10)
         self.lay = build_layout(self.mesh, VECTOR_P1_SIGMA)
         self.Dc = 5.0
-        self.form = asm.assemble_divrot(self.lay, self.Dc)
+        self.form = asm.assemble_divrot(self.lay, self.Dc, context(self.lay))
 
     def test_constant_field_in_kernel(self):
         const = np.concatenate([np.full(self.mesh.n_nodes, 2.0), np.full(self.mesh.n_nodes, -3.0)])
@@ -333,7 +340,7 @@ class TestLoadVectors:
         gamma, alpha0 = 2.0, 3.0
         ones = Closed(lambda x, y: np.ones_like(x))
         b = consumption_rhs_reference(self.lc, self.zero_scalar, ones, gamma, alpha0, self.ctx)
-        m = asm.assemble_mass(self.lc)
+        m = asm.assemble_mass(self.lc, self.ctx)
         assert np.allclose(b, -gamma * alpha0 * (m @ np.ones(self.lc.n_dofs)), atol=1e-13)
 
     def test_buoyancy_zero_gravity(self):
@@ -367,7 +374,8 @@ class TestLoadVectors:
         assert n_skew.count_nonzero() == 0 and u_skew.count_nonzero() == 0
         expected = self.flux_load_of_constant_concentration(gamma, alpha0, cbar)
         assert np.allclose(loads["sigma"], expected, atol=1e-13)
-        mass_action = -gamma * alpha0 * cbar * (asm.assemble_mass(self.lc) @ np.ones(self.lc.n_dofs))
+        m = asm.assemble_mass(self.lc, self.ctx)
+        mass_action = -gamma * alpha0 * cbar * (m @ np.ones(self.lc.n_dofs))
         assert np.allclose(loads["c"], mass_action, atol=1e-13)
         assert np.allclose(loads["u"], self.load_of_vertical_gravity(-1000.0, rho, alpha0), atol=1e-12)
         assert np.all(loads["u"][: self.lu.n_scalar] == 0.0)
@@ -444,7 +452,7 @@ class TestPressureCoupling:
         self.mesh = build_rect_mesh(1, 1, 4, 4)
         self.lu = build_layout(self.mesh, VELOCITY_MINI)
         self.lpi = build_layout(self.mesh, "pressure_p1")
-        self.g = asm.assemble_pressure_coupling(self.lu, self.lpi)
+        self.g = asm.assemble_pressure_coupling(self.lu, self.lpi, context(self.lu))
 
     def test_linear_velocity_total_divergence(self):
         # u = (x, 0) nodal interpolant: div u = 1, tested against pressure 1
@@ -463,7 +471,7 @@ class TestPressureCoupling:
         mesh = single_triangle_mesh()
         lu = build_layout(mesh, VELOCITY_MINI)
         lpi = build_layout(mesh, "pressure_p1")
-        g = asm.assemble_pressure_coupling(lu, lpi).toarray()
+        g = asm.assemble_pressure_coupling(lu, lpi, context(lu)).toarray()
         geom = element_geometry(mesh, 0)
         rule = triangle_rule(8)
         expected = np.zeros((lu.n_dofs, lpi.n_dofs))
@@ -483,7 +491,7 @@ class TestConstraints:
     def test_identity_rows_and_zeroed_columns(self):
         mesh = build_rect_mesh(1, 1, 2, 2)
         lay = build_layout(mesh, VECTOR_P1_SIGMA)
-        out = asm.apply_constraints(asm.assemble_mass(lay), lay).toarray()
+        out = asm.apply_constraints(asm.assemble_mass(lay, context(lay)), lay).toarray()
         for k in lay.constrained_dofs:
             ek = np.zeros(lay.n_dofs)
             ek[k] = 1.0
@@ -497,7 +505,7 @@ class TestConstraints:
     def test_idempotent(self):
         mesh = build_rect_mesh(1, 1, 3, 3)
         lay = build_layout(mesh, VECTOR_P1_SIGMA)
-        once = asm.apply_constraints(asm.assemble_mass(lay), lay)
+        once = asm.apply_constraints(asm.assemble_mass(lay, context(lay)), lay)
         twice = asm.apply_constraints(once, lay)
         assert np.allclose(once.toarray(), twice.toarray(), atol=0.0)
 
@@ -508,9 +516,10 @@ class TestConstraints:
         from chemflow import linsolve
 
         lay = build_layout(build_rect_mesh(2, 1, 6, 3), kind)
-        a = asm.assemble_mass(lay) + asm.assemble_stiffness(lay, 0.7)
+        ctx = context(lay)
+        a = asm.assemble_mass(lay, ctx) + asm.assemble_stiffness(lay, 0.7, ctx)
         if kind == VECTOR_P1_SIGMA:
-            a = a + asm.assemble_divrot(lay, 0.3)
+            a = a + asm.assemble_divrot(lay, 0.3, ctx)
         keep = np.ones(lay.n_dofs)
         keep[lay.constrained_dofs] = 0.0
         ref = sp.diags(keep) @ a @ sp.diags(keep) + sp.diags(1.0 - keep)
@@ -527,14 +536,20 @@ class TestConstraints:
 
         mesh = build_rect_mesh(1, 1, 6, 6)
         lay = build_layout(mesh, SCALAR_P1, zero_mean=True)
-        a = asm.assemble_mass(lay) + asm.assemble_stiffness(lay, 1.0)
-        out = asm.apply_constraints(a, lay)
+        ctx = context(lay)
+        a = asm.assemble_mass(lay, ctx) + asm.assemble_stiffness(lay, 1.0, ctx)
+        w = asm.integral_weight_vector(lay, ctx)
+        out = asm.apply_constraints(a, lay, weight_vector=w)
         assert out.shape == (lay.n_dofs + 1, lay.n_dofs + 1)
         rng = np.random.default_rng(31)
         rhs = asm.constrain_rhs(rng.standard_normal(lay.n_dofs), lay)
         x, _ = linsolve.Factorization(out).solve(rhs)
-        w = asm.integral_weight_vector(lay)
         assert abs(w @ x[: lay.n_dofs]) <= 1e-12
+
+    def test_mean_constraint_needs_its_weights(self):
+        lay = build_layout(build_rect_mesh(1, 1, 3, 3), SCALAR_P1, zero_mean=True)
+        with pytest.raises(ValueError, match="weight_vector"):
+            asm.apply_constraints(asm.assemble_mass(lay, context(lay)), lay)
 
 
 # ---------------------------------------------------------------------------
@@ -571,24 +586,18 @@ def component_dofs(layout):
     return layout.element_dofs.reshape(-1, layout.components, layout.scalar_local_size)
 
 
-def scatter(local, layout):
-    b = np.zeros(layout.n_dofs)
-    np.add.at(b, layout.element_dofs.ravel(), local.ravel())
-    return b
-
-
 def load_reference(layout, fv, ctx):
     """(f, phi_i), componentwise on vector layouts, for values fv at the points."""
     fv = fv.reshape(fv.shape[:2] + (layout.components,))
     local = np.einsum("q,eqc,qi->eci", ctx.weights, fv, ctx.basis_values(layout.kind))
-    return scatter(local * ctx.areas[:, None, None], layout)
+    return scatter_vector_by_add_at(local * ctx.areas[:, None, None], layout)
 
 
 def div_load_reference(layout, fv, ctx):
     """(f, div Phi_i) on a vector layout for scalar values fv at the points."""
     grads = broadcast_gradients(layout.kind, ctx.grad_bary, ctx.lam)
     local = np.einsum("q,eq,eqic->eci", ctx.weights, fv, grads)
-    return scatter(local * ctx.areas[:, None, None], layout)
+    return scatter_vector_by_add_at(local * ctx.areas[:, None, None], layout)
 
 
 def chemo_rhs_reference(layout_n, n_prev, sigma_prev, chi, alpha0, ctx):
@@ -596,7 +605,7 @@ def chemo_rhs_reference(layout_n, n_prev, sigma_prev, chi, alpha0, ctx):
     grads = broadcast_gradients(layout_n.kind, ctx.grad_bary, ctx.lam)
     density = chi * (n_prev.values(ctx) + alpha0)
     local = np.einsum("q,eq,eqd,eqid->ei", ctx.weights, density, sigma_prev.values(ctx), grads)
-    return scatter(local * ctx.areas[:, None], layout_n)
+    return scatter_vector_by_add_at(local * ctx.areas[:, None], layout_n)
 
 
 def sigma_rhs_reference(layout_sigma, u_prev, sigma_prev, n_prev, c_prev, gamma, alpha0, ctx):
@@ -719,7 +728,8 @@ class TestKernelEquivalence:
             ctx,
         )
         local = np.einsum("q,ceqd,eqid->eci", ctx.weights, np.moveaxis(g, 2, 0), self.grads(kind))
-        assert_rel(asm.assemble_grad_load(lay, g, ctx), scatter(local * ctx.areas[:, None, None], lay))
+        ref = scatter_vector_by_add_at(local * ctx.areas[:, None, None], lay)
+        assert_rel(asm.assemble_grad_load(lay, g, ctx), ref)
 
     @pytest.mark.parametrize("kind", [VECTOR_P1_SIGMA, VELOCITY_MINI])
     def test_div_load(self, kind):
@@ -800,6 +810,15 @@ class TestScatterPlans:
         local = self.rng.standard_normal((ne, nl, nl))
         full = asm.square_plan(lay).data(np.broadcast_to(local[:, None], (ne, comps, nl, nl)))
         assert np.array_equal(asm._square_data(local, lay), full)
+
+    @pytest.mark.parametrize("kind", [SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI, PRESSURE_P1])
+    def test_load_scatter_equals_add_at(self, kind):
+        # the bincount of the loads sums each dof's entries in element order,
+        # bit for bit as the np.add.at it replaced
+        lay = build_layout(build_rect_mesh(2, 1, 80, 40), kind)
+        local = self.rng.standard_normal(lay.element_dofs.shape)
+        got = asm._scatter_vector(local, lay)
+        assert np.array_equal(got, scatter_vector_by_add_at(local, lay))
 
     def test_coupled_and_rectangular(self):
         ls = build_layout(self.mesh, VECTOR_P1_SIGMA)

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from chemflow import assembly as asm
 from chemflow import io_cli
 from chemflow import linsolve
-from chemflow import manufactured, scheme
+from chemflow import manufactured
 from chemflow.mesh import build_rect_mesh
 from chemflow.scheme import (
     DIVERGENCE_TOL,
@@ -28,10 +28,12 @@ from chemflow.scheme import (
     TimeGrid,
 )
 from oracles import (
-    SaddleBuildingItsTransportSum,
+    bordered_saddle_matrix,
+    bordered_saddle_reference,
     componentwise_backward_error,
     lagged_forms_at_points,
     lagged_matrices,
+    projector,
     skew_by_global_transpose,
     solved_projections,
     stopped_step,
@@ -157,7 +159,7 @@ class TestInitState:
             ell = st.init_state(data, mode="elliptic_projection")
             nod = st.init_state(data, mode="nodal")
             d = ell.c - nod.c
-            m = asm.assemble_mass(st.layout_c)
+            m = st.M
             diffs.append(math.sqrt(d @ (m @ d)))
         order1 = math.log2(diffs[0] / diffs[1])
         order2 = math.log2(diffs[1] / diffs[2])
@@ -182,8 +184,9 @@ class TestInitState:
 class TestInitialProjections:
     """A projection whose constrained data are exactly zero is zero and takes
     no LU, and the SPD c and sigma operators are factored without pivoting;
-    ``oracles.solved_projections``, which solves every projection through
-    pivoting LUs and always builds the Stokes saddle, is the path replaced."""
+    ``oracles.solved_projections``, which solves every projection, whatever
+    its data, through pivoting LUs, the Stokes one uncondensed, is the
+    reference."""
 
     @staticmethod
     def case(preset, mesh=None):
@@ -214,10 +217,12 @@ class TestInitialProjections:
         assert len(built) == saddles
         assert [system for system, _ in lus] == factored
         n0, c0, sigma0, u0, pi0 = solved_projections(st, data)
-        for got, ref in ((state.n, n0), (state.u, u0), (state.pi, pi0)):
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert state.n.dtype == n0.dtype and state.n.tobytes() == n0.tobytes()
         for got, ref in ((state.c, c0), (state.sigma, sigma0)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        # (u, pi) against one LU of the uncondensed bordered Stokes matrix
+        for got, ref in ((state.u, u0), (state.pi, pi0)):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
         assert (np.abs(state.u).max() > 0.0) == (saddles == 1)
 
     def test_constant_data_factor_only_the_concentration(self, monkeypatch):
@@ -916,50 +921,12 @@ def _assert_levels_agree(got, ref, passes_agree=lambda n, n_ref: abs(n - n_ref) 
     assert np.abs(got[-1][0].u).max() > 0.0
 
 
-def projector(n, pinned):
-    """The diagonal P zeroing the ``pinned`` dofs, and diag(pinned)."""
-    keep = np.ones(n)
-    keep[pinned] = 0.0
-    return sp.diags(keep), sp.diags(1.0 - keep)
-
-
-def bordered_saddle_matrix(st, s_matrix):
-    """The uncondensed (u, pi) matrix: pinned velocity dofs made identity
-    rows and columns by P s P + diag(pinned), the zero-mean pressure
-    constraint bordered by a multiplier row."""
-    p, pinned = projector(st.layout_u.n_dofs, st.layout_u.constrained_dofs)
-    g_c = p @ st.G
-    w = sp.csr_matrix(st.w_p1.reshape(-1, 1))
-    return sp.bmat(
-        [[p @ s_matrix @ p + pinned, -g_c / st.params.rho, None], [g_c.T, None, w],
-         [None, w.T, None]],
-        format="csr",
-    )
-
-
 def assert_same_csr(got, ref):
     """``got`` without its stored zeros equals ``ref`` entry by entry, bit for bit."""
     got = linsolve.pruned(got)
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
-
-
-def bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi):
-    """The uncondensed (u, pi) solve: one LU of ``bordered_saddle_matrix``,
-    refined against that system until the correction stops shrinking."""
-    nu, npi = st.layout_u.n_dofs, st.layout_pi.n_dofs
-    big = bordered_saddle_matrix(st, s_matrix)
-    rhs_u = np.array(rhs_u, dtype=float)
-    rhs_u[st.layout_u.constrained_dofs] = 0.0
-    lu, b = spla.splu(big.tocsc()), np.concatenate([rhs_u, rhs_pi, [0.0]])
-    x, last = lu.solve(b), math.inf
-    while True:
-        dx = lu.solve(b - big @ x)
-        size = np.linalg.norm(dx)
-        if not size < last:
-            return x[:nu], x[nu : nu + npi]
-        x, last = x + dx, size
 
 
 def _captured_saddle_solves(monkeypatch):
@@ -1025,7 +992,7 @@ class TestCondensedSaddle:
         p = st.params
         if solve == "stokes_init":
             skew, rhs_u, rhs_pi, (u, pi, report) = calls[0]
-            assert skew is None
+            assert skew.shape == (st.K_u.nnz,) and not np.any(skew)
             assert abs(rhs_pi.sum()) > 1e-3 * np.abs(rhs_pi).max()
             s_matrix = st.K_u * p.D_u
         else:
@@ -1063,7 +1030,9 @@ class TestCondensedSaddle:
             original(self, a, quasi_definite)
 
         monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
-        st._solver("u", dt).solve(None, np.zeros(st.layout_u.n_dofs), np.zeros(st.layout_pi.n_dofs))
+        zero = np.zeros(st.M_u.nnz)
+        rhs_u, rhs_pi = np.ones(st.layout_u.n_dofs), np.zeros(st.layout_pi.n_dofs)
+        st._solver("u", dt, zero).solve(zero, rhs_u, rhs_pi)
         free_nodal = 2 * st.mesh.n_nodes - len(st.layout_u.constrained_dofs)
         assert sizes == [free_nodal + st.layout_pi.n_dofs - 1]
 
@@ -1087,7 +1056,8 @@ class TestCondensedSaddle:
             st.step(state, dt, forcing)
             saddle = st._solver("u", dt)
         else:  # as init_state builds it
-            saddle = CondensedSaddle(st.K_u * p.D_u, st.G, st.layout_u, st.w_p1, p.rho)
+            saddle = CondensedSaddle(st.K_u * p.D_u, st.G, st.layout_u, st.w_p1, p.rho,
+                                     np.zeros(st.K_u.nnz))
         fact = saddle._condensation[2]
         return st, fact.matrix, fact, fact.matrix.shape[0] - (st.layout_pi.n_dofs - 1)
 
@@ -1146,40 +1116,13 @@ class TestCondensedSaddle:
         # replaces; the saddle matrix, its pinned dofs eliminated on its own
         # pattern, against the P s P + diag(pinned) construction
         st, _, dt, _ = _preset_case(preset)
-        saddle = st._solver("u", dt)
+        saddle = st._solver("u", dt, np.zeros(st.M_u.nnz))
         s = st.M_u * (1.0 / dt) + st.K_u * (st.params.D_u / st.params.rho)
         _, bubble = st.layout_u.nodal_and_bubble_dofs()
         assert np.array_equal(saddle.d_inv, 1.0 / s[bubble][:, bubble].diagonal())
-        assert_same_csr(saddle.t_const, bordered_saddle_matrix(st, s))
-        assert saddle.t_const.nnz > linsolve.pruned(saddle.t_const).nnz  # the pattern is kept
-
-    def test_stokes_init_builds_no_transport_sum(self, monkeypatch):
-        # the initial Stokes projection solves without transport: it builds no
-        # linsolve.PatternSum, and its (u0, pi0) are those of a saddle that does
-        data = manufactured.test2_initial_data()
-        built, pattern_sum = [], linsolve.PatternSum
-
-        class Counting(pattern_sum):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        def init_state(saddle_class):
-            monkeypatch.setattr(linsolve, "PatternSum", Counting)
-            monkeypatch.setattr(scheme, "CondensedSaddle", saddle_class)
-            try:
-                st = Stepper(build_rect_mesh(1, 1, 10, 10), manufactured.test2_params())
-                return st.init_state(data, mode="elliptic_projection")
-            finally:
-                monkeypatch.undo()
-
-        reference = init_state(SaddleBuildingItsTransportSum)
-        assert len(built) == 1  # the reference does build one
-        built.clear()
-        state = init_state(CondensedSaddle)
-        assert built == []
-        assert np.abs(state.u).max() > 0.0
-        assert np.array_equal(state.u, reference.u) and np.array_equal(state.pi, reference.pi)
+        t = saddle._transport.matrix  # holding the zero transport
+        assert_same_csr(t, bordered_saddle_matrix(st, s))
+        assert t.nnz > linsolve.pruned(t).nnz  # the pattern is kept
 
     def test_rejects_coupled_bubbles(self):
         st, _, dt, _ = _saddle_case("test2")
@@ -1187,7 +1130,7 @@ class TestCondensedSaddle:
         s = (st.M_u / dt).tolil()
         s[bubble[0], bubble[1]] = s[bubble[1], bubble[0]] = 1.0
         with pytest.raises(ValueError, match="not diagonal"):
-            CondensedSaddle(s.tocsr(), st.G, st.layout_u, st.w_p1, st.params.rho)
+            CondensedSaddle(s.tocsr(), st.G, st.layout_u, st.w_p1, st.params.rho, np.zeros(s.nnz))
 
     def test_residual_of_full_system_is_enforced(self):
         # a transport entry the condensation ignores (on a bubble's diagonal,
@@ -1198,22 +1141,22 @@ class TestCondensedSaddle:
         bad[bubble[0], bubble[0]] = 1e3
         rhs_u = np.ones(st.layout_u.n_dofs)
         with pytest.raises(linsolve.SingularSystemError):
-            st._solver("u", dt).solve(bad.data, rhs_u, np.zeros(st.layout_pi.n_dofs))
+            st._solver("u", dt, np.zeros(bad.nnz)).solve(bad.data, rhs_u,
+                                                         np.zeros(st.layout_pi.n_dofs))
 
     def test_corrupted_condensed_lu_is_caught(self, monkeypatch):
         # the condensed LU is applied unchecked; a wrong one is still caught
-        # by the residual check of the bordered system
+        # by the residual check of the bordered system, and a fresh LU takes over
         st, data, dt, forcing = _saddle_case("test2")
         state, _ = st.step(st.init_state(data, mode="nodal"), dt, forcing)
         saddle = st._solver("u", dt)
-        fact = saddle._condensation[2]
-        exact = fact.lu_solve
-        monkeypatch.setattr(fact, "lu_solve", lambda r: 0.5 * exact(r))
         _, u_data, loads = st.lagged_forms(state, state.t + dt, forcing)
         u_skew = asm.square_plan(st.layout_u).csr(u_data)
         rhs_u, rhs_pi = st.M_u @ state.u / dt + loads["u"], np.zeros(st.layout_pi.n_dofs)
-        with pytest.raises(linsolve.SingularSystemError):
-            saddle.solve(None, rhs_u, rhs_pi)
+        assert saddle.solve(u_data, rhs_u, rhs_pi)[2].kind == "cached-lu"
+        fact = saddle._condensation[2]
+        exact = fact.lu_solve
+        monkeypatch.setattr(fact, "lu_solve", lambda r: 0.5 * exact(r))
         u, pi, report = saddle.solve(u_data, rhs_u, rhs_pi)
         assert report.kind == "lu-fallback"
         p = st.params
