@@ -349,16 +349,6 @@ def assemble_div_load(layout, f, ctx):
     return _scatter_vector(local.transpose(0, 2, 1), layout)
 
 
-def assemble_rot_load(layout, f, ctx):
-    """(f, rot Psi_i) on the sigma space, rot(s) = ds2/dx - ds1/dy, for
-    scalar values f (ne, nq)."""
-    if layout.kind != VECTOR_P1_SIGMA:
-        raise ValueError("rot load is defined on the sigma space")
-    f_int = (f @ ctx.weights) * ctx.areas
-    _, rot = _sigma_div_rot(ctx.grad_bary)
-    return _scatter_vector(f_int[:, None] * rot, layout)
-
-
 def assemble_grad_load(layout, g, ctx):
     """(g, grad phi_i) for vector values g (ne, nq, 2) against a scalar
     layout's basis, or (G[c], grad phi_i) componentwise for gradient

@@ -242,7 +242,7 @@ def test1_initial_fields():
     return InitialData(
         eta0=eta0, grad_eta0=grad_eta0,
         c0=c0, grad_c0=grad_c0,
-        sigma0=grad_c0, div_sigma0=div_sigma0, rot_sigma0=zeros,
+        div_sigma0=div_sigma0,
         u0=u0, grad_u0=grad_u0, div_u0=zeros,
         pi0=None,
     )

@@ -51,7 +51,6 @@ class ExactSolution:
     grad_sigma: object
     div_sigma: object
     grad_div_sigma: object
-    rot_sigma: object
     u: object
     u_t: object
     grad_u: object
@@ -127,7 +126,6 @@ class _Test2:
     grad_pi = _lazy(lambda s: (-TWO_PI * s.e * s.sx, TWO_PI * s.e * s.cy))
     div_sigma = _lazy(lambda s: -FOUR_PI2 * s.pi)
     grad_div_sigma = _lazy(lambda s: tuple(-FOUR_PI2 * g for g in s.grad_pi))
-    rot_sigma = _lazy(lambda s: s.zero)
     u = _lazy(lambda s: (s.e * s.sy * (s.cx - 1.0), s.e * s.sx * (1.0 - s.cy)))
     u_t = _lazy(lambda s: _neg(s.u))
     lap_u = _lazy(lambda s: (
@@ -257,7 +255,7 @@ def test2_initial_data(sol=None):
     return InitialData(
         eta0=at0(sol.eta), grad_eta0=at0(sol.grad_eta),
         c0=at0(sol.c), grad_c0=at0(sol.grad_c),
-        sigma0=at0(sol.sigma), div_sigma0=at0(sol.div_sigma), rot_sigma0=at0(sol.rot_sigma),
+        div_sigma0=at0(sol.div_sigma),
         u0=at0(sol.u), grad_u0=at0(sol.grad_u), div_u0=at0(sol.div_u),
         pi0=at0(sol.pi),
     )
@@ -384,7 +382,7 @@ def convergence_study(mesh_sizes, dt, T, init_mode="elliptic_projection", quad_d
     sizes = list(mesh_sizes)
     if not sizes or not all(is_integer(k, 1) for k in sizes):
         raise ValueError(f"mesh sizes must be one or more integers >= 1, got {sizes!r}")
-    if sorted(sizes) != sizes:
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError("mesh sizes must be increasing")
     require_real("dt", dt, "positive")
     require_real("T", T, "positive")

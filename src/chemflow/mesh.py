@@ -31,15 +31,12 @@ class Mesh:
         Vertex coordinates.
     triangles : (n_triangles, 3) int array
         Vertex indices per triangle, counterclockwise.
-    boundary_edges : list of (int, int, str)
-        Boundary edges as (node, node, side tag), tag in SIDE_TAGS.
     h : float
         Mesh size: maximum triangle diameter (longest edge).
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_edges: list
     h: float
 
     @property
@@ -97,17 +94,9 @@ def build_rect_mesh(Lx, Ly, kx, ky):
             triangles[t + 1] = (a, c, d)
             t += 2
 
-    boundary_edges = []
-    for i in range(kx):
-        boundary_edges.append((nid(i, 0), nid(i + 1, 0), "bottom"))
-        boundary_edges.append((nid(i, ky), nid(i + 1, ky), "top"))
-    for j in range(ky):
-        boundary_edges.append((nid(0, j), nid(0, j + 1), "left"))
-        boundary_edges.append((nid(kx, j), nid(kx, j + 1), "right"))
-
     hx, hy = Lx / kx, Ly / ky
     h = float(np.hypot(hx, hy))  # the diagonal is always the longest edge
-    return Mesh(nodes=nodes, triangles=triangles, boundary_edges=boundary_edges, h=h)
+    return Mesh(nodes=nodes, triangles=triangles, h=h)
 
 
 def all_element_geometry(mesh):

@@ -103,9 +103,9 @@ class InvariantError(RuntimeError):
 class ModelParams:
     """Physical parameters, finite and of the signs in ``PARAM_SIGNS``.
 
-    ``grad_phi`` is the gravitational-potential gradient as a constant
-    2-vector or a vectorized callable (x, y) -> (..., 2); ``alpha0`` is the
-    conserved spatial mean of the initial cell density.
+    ``grad_phi`` is the gravitational-potential gradient, a constant finite
+    2-vector; ``alpha0`` is the conserved spatial mean of the initial cell
+    density.
     """
 
     chi: float
@@ -121,11 +121,10 @@ class ModelParams:
         for name, sign in PARAM_SIGNS.items():
             require_real(f"parameter {name}", getattr(self, name), sign)
         require_real("parameter alpha0", self.alpha0)
-        if not callable(self.grad_phi):
-            if np.shape(self.grad_phi) != (2,):
-                raise ValueError("constant grad_phi must be a finite 2-vector")
-            for g in self.grad_phi:
-                require_real("constant grad_phi entry", g)
+        if np.shape(self.grad_phi) != (2,):
+            raise ValueError("grad_phi must be a constant finite 2-vector")
+        for g in self.grad_phi:
+            require_real("grad_phi entry", g)
 
 
 @dataclass(frozen=True)
@@ -143,9 +142,6 @@ class TimeGrid:
     @property
     def T(self):
         return self.dt * self.n_steps
-
-    def times(self):
-        return np.arange(self.n_steps + 1) * self.dt
 
 
 @dataclass
@@ -182,18 +178,18 @@ class InitialData:
     """Closed-form initial fields plus the derivatives the projections need.
 
     All callables are vectorized over numpy arrays: scalars map arrays to
-    arrays, ``sigma0``/``u0`` return (..., 2), ``grad_u0`` returns
-    (..., 2, 2).  ``pi0`` participates in the velocity projection only and
-    may be None (treated as zero).
+    arrays, ``grad_c0``/``u0`` return (..., 2), ``grad_u0`` returns
+    (..., 2, 2).  The initial flux is grad c0, whose rotation is zero, so
+    ``grad_c0`` and ``div_sigma0`` (the Laplacian of c0) are all the flux
+    projection needs.  ``pi0`` participates in the velocity projection
+    only and may be None (treated as zero).
     """
 
     eta0: object
     grad_eta0: object
     c0: object
     grad_c0: object
-    sigma0: object
     div_sigma0: object
-    rot_sigma0: object
     u0: object
     grad_u0: object
     div_u0: object
@@ -382,9 +378,9 @@ class Stepper:
             n0 = np.asarray(data.eta0(x, y), dtype=float) - alpha0
             n0 -= (self.w_p1 @ n0) / self.area  # pin the discrete mean
             c0 = np.asarray(data.c0(x, y), dtype=float)
-            sig_nodal = np.asarray(data.sigma0(x, y), dtype=float)
-            sigma0 = np.concatenate([sig_nodal[..., 0], sig_nodal[..., 1]])
-            sigma0[self.layout_sigma.constrained_dofs] = 0.0
+            sig_nodal = np.asarray(data.grad_c0(x, y), dtype=float)
+            sig0 = np.concatenate([sig_nodal[..., 0], sig_nodal[..., 1]])
+            sig0[self.layout_sigma.constrained_dofs] = 0.0
             u_nodal = np.asarray(data.u0(x, y), dtype=float)
             ns = self.layout_u.n_scalar
             u0 = np.zeros(self.layout_u.n_dofs)
@@ -396,16 +392,16 @@ class Stepper:
             else:
                 pi0 = np.asarray(data.pi0(x, y), dtype=float)
                 pi0 -= (self.w_p1 @ pi0) / self.area
-            return State(m=0, t=0.0, n=n0, c=c0, sigma=sigma0, u=u0, pi=pi0)
+            return State(m=0, t=0.0, n=n0, c=c0, sigma=sig0, u=u0, pi=pi0)
 
         ctx = self.ctx
         t0 = time.perf_counter()
         rhs_n = asm.assemble_grad_load(self.layout_n, asm.at_points(data.grad_eta0, ctx), ctx)
-        rhs_c = asm.assemble_grad_load(self.layout_c, asm.at_points(data.grad_c0, ctx), ctx)
+        grad_c0 = asm.at_points(data.grad_c0, ctx)  # the initial flux at the points, too
+        rhs_c = asm.assemble_grad_load(self.layout_c, grad_c0, ctx)
         rhs_c += asm.assemble_load(self.layout_c, asm.at_points(data.c0, ctx), ctx)
         rhs_s = asm.assemble_div_load(self.layout_sigma, asm.at_points(data.div_sigma0, ctx), ctx)
-        rhs_s += asm.assemble_rot_load(self.layout_sigma, asm.at_points(data.rot_sigma0, ctx), ctx)
-        rhs_s += asm.assemble_load(self.layout_sigma, asm.at_points(data.sigma0, ctx), ctx)
+        rhs_s += asm.assemble_load(self.layout_sigma, grad_c0, ctx)
         rhs_u = p.D_u * asm.assemble_grad_load(
             self.layout_u, asm.at_points(data.grad_u0, ctx), ctx
         )
@@ -430,7 +426,7 @@ class Stepper:
             a = asm.apply_constraints(self.divrot * (1.0 / p.D_c) + self.M_sigma, self.layout_sigma)
             return linsolve.Factorization(linsolve.pruned(a), quasi_definite=True).solve(b)[0]
 
-        sigma0 = _projected(asm.constrain_rhs(rhs_s, self.layout_sigma), flux)
+        sig0 = _projected(asm.constrain_rhs(rhs_s, self.layout_sigma), flux)
 
         # velocity/pressure: discrete Stokes projection (its LU is used once)
         nu = self.layout_u.n_dofs
@@ -444,7 +440,7 @@ class Stepper:
         x = _projected(np.concatenate([rhs_u, rhs_pi]), stokes)
         # the projection problem carries no density scaling on its pressure
         # block, while the step solver does; undo it
-        return State(m=0, t=0.0, n=n0, c=c0, sigma=sigma0, u=x[:nu], pi=x[nu:] / p.rho)
+        return State(m=0, t=0.0, n=n0, c=c0, sigma=sig0, u=x[:nu], pi=x[nu:] / p.rho)
 
     # -- stepping ----------------------------------------------------------
 
@@ -484,19 +480,6 @@ class Stepper:
         return self._solvers[key]
 
     @functools.cached_property
-    def _buoyancy(self):
-        """(ne, 3, 8): the integral over each element, per unit area, of
-        lambda_a Psi_k . grad_phi / rho for the velocity basis Psi_k
-        (component-major, nodes then bubble) on the rule of ``ctx``, with
-        grad_phi at the points.  Built at the first step."""
-        ctx, grad_phi = self.ctx, self.params.grad_phi
-        if callable(grad_phi):
-            grad_phi = asm.at_points(grad_phi, ctx)
-        g = np.broadcast_to(grad_phi, ctx.points.shape) / self.params.rho
-        table = np.einsum("qa,qk,eqc->eack", ctx.lam, ctx.weighted_values(VELOCITY_MINI), g)
-        return table.reshape(len(g), 3, -1)
-
-    @functools.cached_property
     def _load_dofs(self):
         """Element dofs of the n, sigma, c and u loads, (ne * 20,), offset so
         that the four loads are consecutive parts of one vector, and the
@@ -519,9 +502,10 @@ class Stepper:
         P of two P1 functions, Q of a MINI and a P1 one, Z of three P1 ones),
         and no field is evaluated at the quadrature points; by linearity this
         equals integrating the products of their point values on that rule.
-        The buoyancy has a table of its own (``_buoyancy``).  Only the sources
-        are evaluated at the points, once each.  The element vectors of the
-        four loads are summed in one ``np.bincount``.
+        The buoyancy (eta grad_phi / rho, Psi_k), with grad_phi constant, is
+        eta's coefficients times the Q table scaled by grad_phi / rho.  Only
+        the sources are evaluated at the points, once each.  The element
+        vectors of the four loads are summed in one ``np.bincount``.
         """
         p, ctx = self.params, self.ctx
         forcing = forcing or StepForcing()
@@ -536,12 +520,14 @@ class Stepper:
         eta_sigma = np.einsum("ecb,eb->ec", sigma, eta @ ctx.moments(p1, p1))
         eta_c = (eta @ ctx.moments(p1, p1, p1).reshape(3, 9)).reshape(ne, 3, 3)
         eta_c = np.einsum("ebi,eb->ei", eta_c, c)
-        u_q = (u.element_coeffs() @ ctx.moments(mini, p1)).reshape(ne, 6)
+        q = ctx.moments(mini, p1)
+        u_q = (u.element_coeffs() @ q).reshape(ne, 6)
         against_div = np.einsum("ej,ej->e", u_q, sigma.reshape(ne, 6)) + p.gamma * eta_c.sum(axis=1)
         local = np.empty((ne, 20))  # the n, sigma, c and u element vectors
         local[:, :3] = p.chi * np.einsum("eic,ec->ei", ctx.grad_bary, eta_sigma)
         local[:, 9:12] = -p.gamma * eta_c
-        local[:, 12:] = np.einsum("ea,eak->ek", eta, self._buoyancy)
+        buoyancy = np.einsum("ka,c->ack", q, np.asarray(p.grad_phi, dtype=float) / p.rho)
+        local[:, 12:] = eta @ buoyancy.reshape(3, -1)
         if forcing.g_n is not None:
             local[:, :3] += asm.at_points(forcing.g_n, ctx, t_new) @ ctx.weighted_values(p1)
         if forcing.g_c is not None:

@@ -178,9 +178,6 @@ def field_by_field_solution():
             EIGHT_PI3 * e * np.sin(TWO_PI * x), -EIGHT_PI3 * e * np.cos(TWO_PI * y)
         )
 
-    def rot_sigma(x, y, t):
-        return np.zeros(np.shape(x))
-
     def u(x, y, t):
         e = np.exp(-t)
         return _stack(
@@ -220,7 +217,7 @@ def field_by_field_solution():
         eta=eta, eta_t=eta_t, grad_eta=grad_eta, lap_eta=lap_eta,
         c=c, c_t=c_t, grad_c=grad_c,
         sigma=sigma, sigma_t=sigma_t, grad_sigma=grad_sigma,
-        div_sigma=div_sigma, grad_div_sigma=grad_div_sigma, rot_sigma=rot_sigma,
+        div_sigma=div_sigma, grad_div_sigma=grad_div_sigma,
         u=u, u_t=u_t, grad_u=grad_u, lap_u=lap_u, div_u=div_u,
         pi=pi, grad_pi=grad_pi,
     )
@@ -425,8 +422,7 @@ def solved_projections(stepper, data):
     rhs_c = load("grad_load", st.layout_c, data.grad_c0) + load("load", st.layout_c, data.c0)
     c0 = linsolve.Factorization(st.K + st.M).solve(rhs_c)[0]
     rhs_s = (load("div_load", st.layout_sigma, data.div_sigma0)
-             + load("rot_load", st.layout_sigma, data.rot_sigma0)
-             + load("load", st.layout_sigma, data.sigma0))
+             + load("load", st.layout_sigma, data.grad_c0))  # the initial flux is grad c0
     a_s = asm.apply_constraints(st.divrot * (1.0 / p.D_c) + st.M_sigma, st.layout_sigma)
     rhs_s = asm.constrain_rhs(rhs_s, st.layout_sigma)
     sigma0 = linsolve.Factorization(linsolve.pruned(a_s)).solve(rhs_s)[0]
@@ -583,10 +579,7 @@ def lagged_forms_at_points(stepper, prev, t_new, forcing=None):
     eta = stepper.field_n(prev).values(ctx) + p.alpha0
     sigma = stepper.field_sigma(prev).values(ctx)
     consumption = p.gamma * eta * stepper.field_c(prev).values(ctx)
-    grad_phi = p.grad_phi
-    if callable(grad_phi):
-        grad_phi = asm.at_points(grad_phi, ctx)
-    buoyancy = np.broadcast_to(grad_phi, ctx.points.shape) / p.rho
+    buoyancy = np.broadcast_to(p.grad_phi, ctx.points.shape) / p.rho
     g_c = 0.0 if forcing.g_c is None else asm.at_points(forcing.g_c, ctx, t_new)
     g_u = 0.0 if forcing.g_u is None else asm.at_points(forcing.g_u, ctx, t_new)
     loads = {

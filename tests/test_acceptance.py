@@ -264,7 +264,7 @@ def test_criterion_10_projection_initialization():
     const_data = InitialData(
         eta0=lambda x, y: np.full(np.shape(x), mf.ETA_MEAN), grad_eta0=zv,
         c0=lambda x, y: np.full(np.shape(x), cbar), grad_c0=zv,
-        sigma0=zv, div_sigma0=z, rot_sigma0=z, u0=zv, grad_u0=zg, div_u0=z,
+        div_sigma0=z, u0=zv, grad_u0=zg, div_u0=z,
     )
     state_c = stepper.init_state(const_data, mode="elliptic_projection")
     c_err = np.abs(state_c.c - cbar).max() / abs(cbar)  # exactness is scale-relative

@@ -46,16 +46,23 @@ class TestBuildRectMesh:
         assert np.all(areas > 0)
 
     def test_edge_sharing(self):
-        m = build_rect_mesh(1, 1, 4, 3)
+        # an interior edge is shared by two triangles; the edges used once
+        # are the boundary: 2 (kx + ky) of them, each along a side
+        Lx, Ly, kx, ky = 1.5, 1.0, 4, 3
+        m = build_rect_mesh(Lx, Ly, kx, ky)
         counts = {}
         for tri in m.triangles:
             for i in range(3):
                 edge = tuple(sorted((tri[i], tri[(i + 1) % 3])))
                 counts[edge] = counts.get(edge, 0) + 1
-        boundary = {tuple(sorted((a, b))) for a, b, _tag in m.boundary_edges}
-        for edge, cnt in counts.items():
-            assert cnt == (1 if edge in boundary else 2)
-        assert boundary <= set(counts)
+        assert set(counts.values()) == {1, 2}
+        boundary = [edge for edge, cnt in counts.items() if cnt == 1]
+        assert len(boundary) == 2 * (kx + ky)
+        on_boundary = set(classify_boundary(m)[2])
+        for a, b in boundary:
+            assert a in on_boundary and b in on_boundary
+            (xa, ya), (xb, yb) = m.nodes[a], m.nodes[b]
+            assert (xa == xb and xa in (0.0, Lx)) or (ya == yb and ya in (0.0, Ly))
 
     def test_h_is_max_edge_length(self):
         m = build_rect_mesh(2, 1, 8, 3)
@@ -90,7 +97,7 @@ class TestElementGeometry:
         from chemflow.mesh import Mesh
 
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), boundary_edges=[], h=np.sqrt(2))
+        m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), h=np.sqrt(2))
         areas, grads = all_element_geometry(m)
         assert areas[0] == pytest.approx(0.5)
         assert np.allclose(grads[0, 0], [-1.0, -1.0], atol=1e-15)
@@ -102,14 +109,14 @@ class TestElementGeometry:
         from chemflow.mesh import Mesh
 
         nodes = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])
-        m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), boundary_edges=[], h=h * np.sqrt(2))
+        m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), h=h * np.sqrt(2))
         assert all_element_geometry(m)[0][0] == pytest.approx(h * h / 2, rel=1e-14)
 
     def test_collinear_nodes_raise(self):
         from chemflow.mesh import Mesh
 
         nodes = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), boundary_edges=[], h=1.0)
+        m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), h=1.0)
         with pytest.raises(GeometryError):
             all_element_geometry(m)
 

@@ -10,7 +10,7 @@ from oracles import element_geometry, integrate
 
 def reference_triangle():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), boundary_edges=[], h=np.sqrt(2))
+    m = Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]), h=np.sqrt(2))
     return element_geometry(m, 0)
 
 
@@ -84,9 +84,7 @@ class TestIntegrate:
     def test_affine_invariance(self):
         rng = np.random.default_rng(3)
         verts = np.array([[0.3, -0.2], [1.7, 0.4], [0.9, 2.1]])
-        m = Mesh(
-            nodes=verts, triangles=np.array([[0, 1, 2]]), boundary_edges=[], h=1.0
-        )
+        m = Mesh(nodes=verts, triangles=np.array([[0, 1, 2]]), h=1.0)
         geom = element_geometry(m, 0)
         ref = reference_triangle()
         rule = triangle_rule(5)
