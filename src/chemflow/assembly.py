@@ -18,13 +18,13 @@ form reaches total degree 8).
 
 One MINI element kernel gives the skew transport of every layout of a step
 as data on the layout's plan.  It takes the velocity as a ``DiscreteField``,
-whose element coefficients it contracts with a reference table, or as values
-at the quadrature points.  The loads take their coefficient as values at
-the quadrature points of the context they are given: ``DiscreteField.values``
-for finite element functions, ``at_points`` for closed-form data.  A product
-of finite element fields needs no point values: ``AssemblyContext.moments``
-holds the integrals of products of basis functions on the context's rule, to
-contract with the fields' element coefficients (``Stepper.lagged_forms``).
+whose element coefficients it contracts with a reference table.  The loads
+take their coefficient as values at the quadrature points of the context
+they are given: ``DiscreteField.values`` for finite element functions,
+``at_points`` for closed-form data.  A product of finite element fields
+needs no point values: ``AssemblyContext.moments`` holds the integrals of
+products of basis functions on the context's rule, to contract with the
+fields' element coefficients (``Stepper.lagged_forms``).
 """
 
 import numpy as np
@@ -258,13 +258,11 @@ def assemble_divrot(layout, coeff, ctx):
 def assemble_skew_data(layouts, velocity, ctx):
     """The skew transport N = (C - C^T)/2, C_ij = ((v . grad) phi_j, phi_i),
     componentwise on vector layouts, on each of ``layouts`` for the velocity
-    v, a vector ``DiscreteField`` or its values (ne, nq, 2) at the points of
-    ``ctx``, as data on the layout's plan.
+    v, a vector ``DiscreteField``, as data on the layout's plan.
 
-    grad lambda_a . v_m, for the field's element coefficients v_m or the
-    point values, is contracted over (a, m) in one product with the table
-    w_q phi_i(x_q) T[q, j, a], which for a field is first contracted with its
-    basis psi_m(x_q): the two inputs differ only in the table.  The MINI
+    grad lambda_a . v_m, for the field's element coefficients v_m, is
+    contracted over (a, m) in one product with the table
+    w_q phi_i(x_q) T[q, j, a] psi_m(x_q), psi_m the field's basis.  The MINI
     element blocks are formed, skew-symmetrized and summed once, on the MINI
     layout among ``layouts`` (or on one built for the call); a P1 layout
     gathers its data from the vertex-vertex slots of that sum
@@ -276,18 +274,13 @@ def assemble_skew_data(layouts, velocity, ctx):
     pointwise divergence-free velocities with zero normal trace N coincides
     with the one-sided convection form C.
     """
-    if isinstance(velocity, DiscreteField):
-        kind = velocity.layout.kind
-        vel = velocity.element_coeffs().reshape(len(ctx.areas), 2, -1)  # (ne, 2, nl)
-        basis = ctx.basis_values(kind)
-    else:
-        kind, vel = "points", velocity.transpose(0, 2, 1)  # (ne, 2, nq)
-        basis = np.eye(len(ctx.weights))  # the point table, contracted with nothing
+    kind = velocity.layout.kind
+    vel = velocity.element_coeffs().reshape(len(ctx.areas), 2, -1)  # (ne, 2, nl)
 
     def build():
-        # w_q phi_i(x_q) T[q, j, a] basis[q, m] with rows (a, m) and columns (i, j)
+        # w_q phi_i(x_q) T[q, j, a] psi_m(x_q) with rows (a, m) and columns (i, j)
         vals, grads = ctx.weighted_values(VELOCITY_MINI), ctx.gradient_table(VELOCITY_MINI)
-        w = np.einsum("qi,qja,qm->amij", vals, grads, basis)
+        w = np.einsum("qi,qja,qm->amij", vals, grads, ctx.basis_values(kind))
         return w.reshape(-1, w.shape[2] * w.shape[3])
 
     v_grad = ctx.grad_bary @ vel

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import manufactured, scheme
 from .assembly import AssemblyContext, DiscreteField, assemble_skew_data, at_points, square_plan
-from .mesh import build_rect_mesh
+from .mesh import build_rect_mesh, is_integer
 from .quadrature import MAX_DEGREE
 from .scheme import InitialData, InvariantError, ModelParams, Stepper, TimeGrid, require_real
 
@@ -78,10 +78,10 @@ class RunConfig:
             require_real(f"config value {name}", getattr(self, name), sign)
         for g in self.grad_phi:
             require_real("config value grad_phi", g)
-        if not (scheme.is_integer(self.kx, 1) and scheme.is_integer(self.ky, 1)):
+        if not (is_integer(self.kx, 1) and is_integer(self.ky, 1)):
             raise ValueError("mesh subdivisions kx, ky must be integers >= 1")
         degree = self.quadrature_degree
-        if not (scheme.is_integer(degree, 1) and degree <= MAX_DEGREE):
+        if not (is_integer(degree, 1) and degree <= MAX_DEGREE):
             raise ValueError(f"quadrature_degree must be an integer in 1..{MAX_DEGREE}")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {sorted(INIT_MODES)}")

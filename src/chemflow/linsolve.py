@@ -4,10 +4,12 @@ Matrices are plain ``scipy.sparse.csr_matrix``.  This module pins down the
 behaviours the rest of the code relies on: canonical CSR storage with
 duplicates summed, through a ``ScatterPlan`` built once per entry list, an
 explicit error on (near-)singular systems instead of silent garbage, one
-elimination of constrained dofs (``eliminated``), and one checked
-refinement loop for every solve (``refined_solve``).  Its one stopping rule
-accepts x once the residual meets the RTOL bound and every row is at its
-rounding floor, the Oettli-Prager componentwise backward error
+elimination of constrained dofs (``eliminated``), one solver of operators
+that change by a transport each step through the LU of the first one
+(``KeptLU``), and one checked refinement loop for every solve
+(``refined_solve``).  Its one stopping rule accepts x once the residual
+meets the RTOL bound and every row is at its rounding floor, the
+Oettli-Prager componentwise backward error
 max_i |b - Ax|_i / (|A||x| + |b|)_i <= FLOOR * eps; its report carries the
 residual it accepted, also of a solve through the LU of a nearby matrix.
 """
@@ -257,18 +259,40 @@ class Factorization:
         return abs_matrix(self.matrix)
 
     def lu_solve(self, b):
-        """LU^-1 b, unchecked: for a caller that checks the residual of a larger system."""
+        """LU^-1 b, unchecked: for a caller that checks the residual itself."""
         return self._lu.solve(b)
 
-    def solve(self, b, a=None, abs_a=None):
-        """Solve A x = b, or a x = b through this LU of a matrix close to the
-        CSR matrix ``a``, whose |a| on its index arrays is ``abs_a``; each x
-        is refined to its rounding floor (``refined_solve``; a fresh LU
-        factors ``a`` without its stored zeros).  Only the first solve
-        reports the factor time."""
+    def solve(self, b):
+        """(x, SolveReport) of A x = b (``refined_solve``); the first reports the LU."""
         paid, self._unpaid = self._unpaid, None
-        if a is None:
-            return refined_solve(b, self._lu.solve, self.matrix, self.abs_matrix, paid)
-        fresh = lambda: Factorization(pruned(a))._lu.solve
-        return refined_solve(b, self._lu.solve, a, abs_a, paid, fresh)
+        return refined_solve(b, self._lu.solve, self.matrix, self.abs_matrix, paid)
 
+
+def _pruned_lu(a, quasi_definite=False):
+    """``Factorization`` of the CSR matrix ``a`` without its stored zeros."""
+    return Factorization(pruned(a), quasi_definite)
+
+
+class KeptLU:
+    """Solver of (base + N) x = b, the transport N given as data on ``pattern``
+    (``operator``, a ``PatternSum``), through the LU ``lu`` of its first
+    operator, that of ``transport``: ``factor(a, quasi_definite)``, an object
+    whose ``lu_solve`` applies an LU of ``a`` unchecked (by default a
+    ``Factorization`` of ``a`` without its stored zeros).  Each ``solve``
+    refines against its own operator through ``lu``, and a fresh ``factor(a)``
+    takes over if that fails (``refined_solve``).  The first solve reports the
+    time of the first sum and its LU as its factor time."""
+
+    def __init__(self, base, pattern, transport, factor=_pruned_lu, quasi_definite=False,
+                 eliminated=np.empty(0, dtype=np.int64)):
+        self.operator, self._factor = PatternSum(base, pattern, eliminated), factor
+        t0 = time.perf_counter()
+        self.lu = factor(self.operator(transport), quasi_definite)
+        self._unpaid = time.perf_counter() - t0
+
+    def solve(self, b, transport):
+        """(x, SolveReport) of (base + N) x = b for N with the data ``transport``."""
+        a = self.operator(transport)
+        paid, self._unpaid = self._unpaid, None
+        fresh = lambda: self._factor(a).lu_solve
+        return refined_solve(b, self.lu.lu_solve, a, self.operator.abs_matrix, paid, fresh)

@@ -18,9 +18,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .mesh import build_rect_mesh
+from .mesh import build_rect_mesh, is_integer
 from .scheme import (
-    InitialData, ModelParams, Stepper, StepForcing, TimeGrid, grid_step, is_integer, require_real,
+    InitialData, ModelParams, Stepper, StepForcing, TimeGrid, grid_step, require_real,
 )
 
 TWO_PI = 2.0 * math.pi

@@ -5,6 +5,8 @@ layouts, assembled matrices) only reads from them, so sharing across
 workers is safe.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +58,11 @@ class Mesh:
         )
 
 
+def is_integer(value, low):
+    """Whether ``value`` is an integer >= ``low``, not a bool; numpy integers count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
 def build_rect_mesh(Lx, Ly, kx, ky):
     """Triangulate [0,Lx] x [0,Ly] with a uniform (kx x ky)-cell grid.
 
@@ -67,35 +74,25 @@ def build_rect_mesh(Lx, Ly, kx, ky):
     Raises
     ------
     ValueError
-        If a side length is not positive or a subdivision count is < 1.
+        If a side length is not finite and positive, or a subdivision count
+        is not an integer >= 1 (``is_integer``).
     """
-    if not (Lx > 0 and Ly > 0):
-        raise ValueError(f"side lengths must be positive, got Lx={Lx}, Ly={Ly}")
-    if kx < 1 or ky < 1:
-        raise ValueError(f"subdivision counts must be >= 1, got kx={kx}, ky={ky}")
+    if not (0 < Lx < math.inf and 0 < Ly < math.inf):
+        raise ValueError(f"side lengths must be finite and positive, got Lx={Lx}, Ly={Ly}")
+    if not (is_integer(kx, 1) and is_integer(ky, 1)):
+        raise ValueError(f"subdivision counts must be integers >= 1, got kx={kx!r}, ky={ky!r}")
 
     xs = np.linspace(0.0, Lx, kx + 1)
     ys = np.linspace(0.0, Ly, ky + 1)
     X, Y = np.meshgrid(xs, ys)  # row j = y level j
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(i, j):
-        return j * (kx + 1) + i
+    # lower-left node a of each cell, row-major; its cell is (a, b, c) and (a, c, d)
+    # with b = a + 1, c = a + kx + 2, d = a + kx + 1
+    a = (np.arange(ky, dtype=np.int64)[:, None] * (kx + 1) + np.arange(kx)).ravel()
+    triangles = np.column_stack([a, a + 1, a + kx + 2, a, a + kx + 2, a + kx + 1]).reshape(-1, 3)
 
-    triangles = np.empty((2 * kx * ky, 3), dtype=np.int64)
-    t = 0
-    for j in range(ky):
-        for i in range(kx):
-            a = nid(i, j)
-            b = nid(i + 1, j)
-            c = nid(i + 1, j + 1)
-            d = nid(i, j + 1)
-            triangles[t] = (a, b, c)
-            triangles[t + 1] = (a, c, d)
-            t += 2
-
-    hx, hy = Lx / kx, Ly / ky
-    h = float(np.hypot(hx, hy))  # the diagonal is always the longest edge
+    h = float(np.hypot(Lx / kx, Ly / ky))  # the diagonal is always the longest edge
     return Mesh(nodes=nodes, triangles=triangles, h=h)
 
 

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 
 from . import assembly as asm
 from . import linsolve
+from .mesh import is_integer
 from .spaces import (
     PRESSURE_P1,
     SCALAR_P1,
@@ -38,11 +39,6 @@ def _is_real(value, sign=""):
     "positive" or "nonnegative", of that sign."""
     ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     return ok and not (sign == "positive" and value <= 0 or sign == "nonnegative" and value < 0)
-
-
-def is_integer(value, low):
-    """Whether ``value`` is an integer >= ``low``, not a bool; numpy integers count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 def require_real(label, value, sign=""):
@@ -197,17 +193,19 @@ class InitialData:
 
 
 class CondensedSaddle:
-    """Velocity/pressure solver for one step-independent velocity operator.
+    """Condensation of the velocity/pressure system of one step-independent
+    velocity operator.
 
-    Solves the bordered saddle system of the scheme,
+    The bordered saddle system of the scheme,
 
         [ S_c    -G_c/rho  0 ] [u  ]   [f]
         [ G_c^T   0        w ] [pi ] = [g]
         [ 0       w^T      0 ] [lam]   [h]
 
-    with S = ``s_const`` + N (N: the skew transport of the solve, data on the
+    with S = ``s_const`` + N (N: the skew transport of a step, data on the
     pattern of ``s_const``) and the pinned velocity dofs eliminated
-    (identity rows, value 0), without factoring it:
+    (identity rows, value 0; ``Stepper._saddle_lu`` builds it), is solved
+    without factoring it:
 
     * the bubble-bubble block D of S is diagonal (a bubble lives on one
       element, and N has a zero diagonal), so the bubbles are condensed
@@ -216,23 +214,18 @@ class CondensedSaddle:
     * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
       one pressure dof is pinned and the mean shifted afterwards.
 
-    The bordered matrix of ``s_const``, its pinned velocity dofs eliminated
-    by ``linsolve.eliminated``, is kept in a ``linsolve.PatternSum``, into
-    which each solve writes its N.  The kept LU is of the condensation of
-    that matrix with the N of ``transport``: the first step's own operator,
-    or, for a zero transport, the Stokes operator of the initial
-    projection.  With its pressure rows scaled by 1/rho that condensation
-    has a positive definite symmetric part (S is SPD, N skew and zero on D,
-    and x^T (K/D) x = [y; x]^T K [y; x] for y = -D^-1 K_bk x), so it is
-    factored without pivoting, as ``linsolve.Factorization`` sets out for
-    ``quasi_definite``.  ``solve`` refines against its own matrix through
-    the kept LU, or condenses that matrix afresh and factors it with
-    partial pivoting, as the safeguard.
+    This class keeps that bookkeeping; ``factor(t)`` condenses a bordered
+    matrix ``t`` and factors the condensation.  With its pressure rows
+    scaled by 1/rho that condensation has a positive definite symmetric part
+    (S is SPD, N skew and zero on D, and x^T (K/D) x = [y; x]^T K [y; x] for
+    y = -D^-1 K_bk x), so the kept LU is factored without pivoting, as
+    ``linsolve.Factorization`` sets out for ``quasi_definite``; a fresh one
+    keeps partial pivoting.
     """
 
-    def __init__(self, s_const, g, layout_u, w, rho, transport):
+    def __init__(self, s_const, layout_u, w):
         nodal, bubble = layout_u.nodal_and_bubble_dofs()
-        nu, npi = g.shape
+        nu, npi = s_const.shape[0], len(w)
         is_bubble = np.zeros(nu, dtype=bool)
         is_bubble[bubble] = True
         rows, cols = linsolve.entry_rows(s_const), s_const.indices
@@ -240,10 +233,6 @@ class CondensedSaddle:
         if np.any(s_const.data[coupled] != 0.0):
             raise ValueError("bubble-bubble block of the velocity operator is not diagonal")
         self.n_u = nu
-        wc = sp.csr_matrix(w.reshape(-1, 1))
-        saddle = sp.bmat([[s_const, -g / rho, None], [g.T, None, wc], [None, wc.T, None]],
-                         format="csr")
-        t_const = linsolve.eliminated(saddle, layout_u.constrained_dofs)
         self.d_inv = 1.0 / s_const.diagonal()[bubble]
         self.w = w
         self.area = float(w.sum())
@@ -251,55 +240,41 @@ class CondensedSaddle:
         self.bubble = bubble
         # unknowns of the condensed system; pressure dof 0 carries the gauge
         self.kept = np.concatenate([np.setdiff1d(nodal, self.pinned), nu + np.arange(1, npi)])
-        self._transport = linsolve.PatternSum(t_const, s_const, self.pinned)
-        # kept as data: a closure over self would make a reference cycle,
-        # which holds the LU until the cyclic garbage collector runs
-        t0 = time.perf_counter()
-        self._condensation = self._condense(self._transport(transport), quasi_definite=True)
-        self._unpaid = time.perf_counter() - t0  # reported by the first solve
 
-    def _condense(self, t, quasi_definite=False):
-        """Nodal-bubble blocks of the saddle matrix ``t`` and an LU of its condensation."""
+    def factor(self, t, quasi_definite=False):
+        """The ``Condensation`` of the bordered saddle matrix ``t``."""
         t_kept = t[self.kept]
         a_kb = t_kept[:, self.bubble]
         dinv_a_bk = sp.diags(self.d_inv) @ t[self.bubble][:, self.kept]
-        condensed = t_kept[:, self.kept] - a_kb @ dinv_a_bk
-        return a_kb, dinv_a_bk, linsolve.Factorization(condensed, quasi_definite)
+        lu = linsolve.Factorization(t_kept[:, self.kept] - a_kb @ dinv_a_bk, quasi_definite)
+        return Condensation(self, a_kb, dinv_a_bk, lu)
 
-    def _condensed_solve(self, condensation, b):
-        """x with T x = b, T the bordered system whose parts ``_condense`` built.
 
-        The condensed LU is applied unchecked; ``solve`` checks the residual
-        of the bordered system."""
-        a_kb, dinv_a_bk, fact = condensation
-        nu, n = self.n_u, len(b) - 1
-        lam = b[nu:n].sum() / self.area
+@dataclass(frozen=True)
+class Condensation:
+    """The nodal-bubble blocks of a bordered saddle matrix T of ``saddle``
+    and the LU of its condensation (``lu``)."""
+
+    saddle: CondensedSaddle
+    a_kb: sp.csr_matrix
+    dinv_a_bk: sp.csr_matrix
+    lu: linsolve.Factorization
+
+    def lu_solve(self, b):
+        """x with T x = b through the condensed LU, unchecked: the caller
+        checks the residual of the bordered system."""
+        s = self.saddle
+        nu, n = s.n_u, len(b) - 1
+        lam = b[nu:n].sum() / s.area
         z = b[:n].copy()
-        z[nu:] -= lam * self.w
-        z_b = self.d_inv * z[self.bubble]
-        x = fact.lu_solve(z[self.kept] - a_kb @ z_b)
+        z[nu:] -= lam * s.w
+        z_b = s.d_inv * z[s.bubble]
+        x = self.lu.lu_solve(z[s.kept] - self.a_kb @ z_b)
         z[:] = 0.0
-        z[self.kept] = x
-        z[self.bubble] = z_b - dinv_a_bk @ x
-        z[nu:] += (b[-1] - self.w @ z[nu:]) / self.area
+        z[s.kept] = x
+        z[s.bubble] = z_b - self.dinv_a_bk @ x
+        z[nu:] += (b[-1] - s.w @ z[nu:]) / s.area
         return np.append(z, lam)
-
-    def solve(self, transport, rhs_u, rhs_pi):
-        """(u, pi, SolveReport) for the transport with the data ``transport``
-        on the pattern of ``s_const``.  The report carries the residual of
-        the full bordered system, which must meet the ``linsolve.RTOL``
-        bound; a fresh LU of the condensation takes over if the kept one
-        does not get there (``linsolve.refined_solve``).
-        """
-        t = self._transport(transport)
-        rhs_u = np.array(rhs_u, dtype=float)
-        rhs_u[self.pinned] = 0.0
-        b = np.concatenate([rhs_u, rhs_pi, [0.0]])
-        paid, self._unpaid = self._unpaid, None
-        inverse = functools.partial(self._condensed_solve, self._condensation)
-        fresh = lambda: functools.partial(self._condensed_solve, self._condense(t))
-        x, report = linsolve.refined_solve(b, inverse, t, self._transport.abs_matrix, paid, fresh)
-        return x[:self.n_u], x[self.n_u:-1], report
 
 
 class Stepper:
@@ -432,9 +407,8 @@ class Stepper:
         nu = self.layout_u.n_dofs
 
         def stokes(b):
-            s, zero = self.K_u * p.D_u, np.zeros(self.K_u.nnz)
-            saddle = CondensedSaddle(s, self.G, self.layout_u, self.w_p1, p.rho, zero)
-            return np.concatenate(saddle.solve(zero, b[:nu], b[nu:])[:2])
+            zero = np.zeros(self.K_u.nnz)
+            return self._saddle_lu(self.K_u * p.D_u, zero).solve(np.append(b, 0.0), zero)[0][:-1]
 
         rhs_u[self.layout_u.constrained_dofs] = 0.0
         x = _projected(np.concatenate([rhs_u, rhs_pi]), stokes)
@@ -447,12 +421,12 @@ class Stepper:
     def _solver(self, system, dt, transport=None):
         """Solver of one system and dt, built at the first step of that dt from
         that step's operator, its ``transport`` included (data on the pattern
-        of M for n and c, of M_u for u; sigma has none): a ``CondensedSaddle``
-        for u, else an LU (n bordered by its zero-mean row, sigma under its
-        normal-trace constraints), for n and c with a ``linsolve.PatternSum``
-        of the transport-free operator on the layout's pattern, into which a
-        later step writes its own transport.  A later call returns the kept
-        solver whatever its ``transport``.
+        of M for n and c, of M_u for u; sigma has none).  For n, c and u it is
+        a ``linsolve.KeptLU`` of the transport-free operator (n bordered by its
+        zero-mean row; for u the bordered saddle of ``_saddle_lu``), into which
+        a step writes its own transport to refine against through the kept LU;
+        for sigma an LU under its normal-trace constraints.  A later call
+        returns the kept solver whatever its ``transport``.
 
         The SPD sigma operator and the condensed (u, pi) one are factored
         without pivoting (``linsolve.Factorization``'s ``quasi_definite``).
@@ -464,7 +438,7 @@ class Stepper:
             if system == "u":
                 s = self.M_u * (1.0 / dt)
                 s.data += self.K_u.data * (p.D_u / p.rho)  # M_u and K_u share the layout's pattern
-                solver = CondensedSaddle(s, self.G, self.layout_u, self.w_p1, p.rho, transport)
+                solver = self._saddle_lu(s, transport)
             elif system == "sigma":
                 a = self.M_sigma * (1.0 / dt) + self.divrot
                 a = asm.apply_constraints(a, self.layout_sigma)
@@ -474,10 +448,21 @@ class Stepper:
                 a.data += self.K.data * (p.D_n if system == "n" else p.D_c)  # so do M and K
                 if system == "n":
                     a = asm.apply_constraints(a, self.layout_n, weight_vector=self.w_p1)
-                operator = linsolve.PatternSum(a, self.M)
-                solver = linsolve.Factorization(linsolve.pruned(operator(transport))), operator
+                solver = linsolve.KeptLU(a, self.M, transport)
             self._solvers[key] = solver
         return self._solvers[key]
+
+    def _saddle_lu(self, s, transport):
+        """``linsolve.KeptLU`` of the bordered (u, pi) system of the velocity
+        operator ``s``, its pinned dofs eliminated and its condensed LU
+        (``CondensedSaddle``) kept from ``transport``; b is 0 in its pinned and border rows."""
+        saddle = CondensedSaddle(s, self.layout_u, self.w_p1)
+        g, w = self.G, sp.csr_matrix(self.w_p1.reshape(-1, 1))
+        bordered = sp.bmat([[s, -g / self.params.rho, None], [g.T, None, w], [None, w.T, None]],
+                           format="csr")
+        bordered = linsolve.eliminated(bordered, saddle.pinned)
+        return linsolve.KeptLU(bordered, s, transport, saddle.factor, quasi_definite=True,
+                               eliminated=saddle.pinned)
 
     @functools.cached_property
     def _load_dofs(self):
@@ -561,9 +546,8 @@ class Stepper:
         self.assembly_time = time.perf_counter() - t0
 
         # (a) cell density: the kept LU, refined against the step's operator
-        lu, operator = self._solver("n", dt, n_skew)
         rhs = asm.constrain_rhs(self.M @ prev.n / dt + loads["n"], self.layout_n)
-        sol, reports["n"] = lu.solve(rhs, operator(n_skew), operator.abs_matrix)
+        sol, reports["n"] = self._solver("n", dt, n_skew).solve(rhs, n_skew)
         n_new = sol[: self.layout_n.n_dofs]
 
         # (b) flux
@@ -571,15 +555,16 @@ class Stepper:
         sigma_new, reports["sigma"] = self._solver("sigma", dt).solve(rhs)
 
         # (c) concentration
-        lu, operator = self._solver("c", dt, n_skew)
-        c_new, reports["c"] = lu.solve(
-            self.M @ prev.c / dt + loads["c"], operator(n_skew), operator.abs_matrix
-        )
+        rhs = self.M @ prev.c / dt + loads["c"]
+        c_new, reports["c"] = self._solver("c", dt, n_skew).solve(rhs, n_skew)
 
-        # (d)-(e) velocity and pressure
-        u_new, pi_new, reports["u"] = self._solver("u", dt, u_skew).solve(
-            u_skew, self.M_u @ prev.u / dt + loads["u"], np.zeros(self.layout_pi.n_dofs)
-        )
+        # (d)-(e) velocity and pressure: the bordered system, 0 but in the free u rows
+        nu = self.layout_u.n_dofs
+        rhs = np.zeros(nu + self.layout_pi.n_dofs + 1)
+        rhs[:nu] = self.M_u @ prev.u / dt + loads["u"]
+        rhs[self.layout_u.constrained_dofs] = 0.0
+        x, reports["u"] = self._solver("u", dt, u_skew).solve(rhs, u_skew)
+        u_new, pi_new = x[:nu], x[nu:-1]
 
         state = State(m=prev.m + 1, t=t_new, n=n_new, c=c_new, sigma=sigma_new, u=u_new, pi=pi_new)
         return state, reports

@@ -1,8 +1,9 @@
 """Element-by-element geometry, basis evaluation and quadrature, one point
 at a time, and the manufactured fields and sources composed field by field.
 
-The tests check the vectorized kernels of the package against these
-scalar versions, which share no code path with them beyond the reference
+The tests check the triangles of a rectangle mesh against a loop over its
+cells, and the vectorized kernels of the package against these scalar
+versions, which share no code path with them beyond the reference
 basis tables of ``chemflow.spaces``; and the table-built ``test2`` fields
 and sources of ``chemflow.manufactured`` against the field-by-field
 composition they replace, its shared-table sources against one table per
@@ -15,8 +16,9 @@ of zero data; the skew transport of one layout at a time,
 skew-symmetrized by a global transpose of the summed one-sided form,
 against which the one MINI element kernel of
 ``chemflow.assembly.assemble_skew_data`` is checked; and a step's lagged
-forms built from point values, the reference for ``Stepper.lagged_forms``,
-which builds them from element coefficients; the divergence load that
+forms built from point values, their transports by the point table of
+the transport kernel, the reference for ``Stepper.lagged_forms``, which
+builds them from element coefficients; the divergence load that
 rebuilt its table on every call; the transport of each layout summed by a
 bincount of its own, the reference for the P1 data gathered from the MINI
 sum; the kept LUs of the transport-free operators, the reference for
@@ -41,8 +43,22 @@ from chemflow import manufactured as mf
 from chemflow.linsolve import entry_rows
 from chemflow.mesh import GeometryError
 from chemflow.scheme import DIVERGENCE_TOL, MASS_DRIFT_TOL, StepForcing, Stepper
-from chemflow.spaces import VELOCITY_MINI
+from chemflow.spaces import VELOCITY_MINI, build_layout
 from chemflow.spaces import scalar_basis_gradient_table, scalar_basis_values
+
+
+def rect_triangles_by_loop(kx, ky):
+    """Triangles of ``build_rect_mesh`` for a (kx x ky)-cell grid, one cell
+    at a time: the reference for its index arithmetic."""
+    triangles = np.empty((2 * kx * ky, 3), dtype=np.int64)
+    t = 0
+    for j in range(ky):
+        for i in range(kx):
+            a, b = j * (kx + 1) + i, j * (kx + 1) + i + 1
+            c, d = (j + 1) * (kx + 1) + i + 1, (j + 1) * (kx + 1) + i
+            triangles[t], triangles[t + 1] = (a, b, c), (a, c, d)
+            t += 2
+    return triangles
 
 
 @dataclass(frozen=True)
@@ -562,9 +578,38 @@ def transport_free_solver(stepper, system, dt, transport=None):
     return _kept_solver(stepper, system, dt, zero)
 
 
+def skew_data(layouts, velocity, ctx):
+    """The transports of ``layouts`` for the velocity ``velocity``: a
+    ``DiscreteField`` through ``asm.assemble_skew_data``, values at the points
+    of ``ctx`` through ``skew_data_at_points``."""
+    if isinstance(velocity, asm.DiscreteField):
+        return asm.assemble_skew_data(layouts, velocity, ctx)
+    return skew_data_at_points(layouts, velocity, ctx)
+
+
 def skew_matrix(layout, velocity, ctx):
-    """The transport of ``asm.assemble_skew_data`` on one layout as a CSR matrix."""
-    return asm.square_plan(layout).csr(asm.assemble_skew_data([layout], velocity, ctx)[0])
+    """The transport of ``skew_data`` on one layout as a CSR matrix."""
+    return asm.square_plan(layout).csr(skew_data([layout], velocity, ctx)[0])
+
+
+def skew_data_at_points(layouts, velocity, ctx):
+    """``asm.assemble_skew_data`` for a velocity given by its values
+    (ne, nq, 2) at the points of ``ctx``: grad lambda_a . v(x_q) contracted
+    over (a, q) with the point table w_q phi_i(x_q) T[q, j, a], the MINI
+    element blocks skew-symmetrized and summed on the MINI layout among
+    ``layouts`` (or on one built for the call), each P1 layout gathering its
+    data from their vertex-vertex slots.  The point-value reference for the
+    element-coefficient kernel."""
+    vals, grads = ctx.weighted_values(VELOCITY_MINI), ctx.gradient_table(VELOCITY_MINI)
+    w = np.einsum("qi,qja->aqij", vals, grads)
+    v_grad = ctx.grad_bary @ velocity.transpose(0, 2, 1)  # (ne, 3, nq)
+    half = v_grad.reshape(len(v_grad), -1) @ w.reshape(-1, 16)
+    half = (0.5 * ctx.areas[:, None] * half).reshape(-1, 4, 4)
+    blocks = half - half.transpose(0, 2, 1)
+    mini = next((lay for lay in layouts if lay.has_bubble), None)
+    data = asm._square_data(blocks, mini or build_layout(layouts[0].mesh, VELOCITY_MINI))
+    return [data if lay.has_bubble else np.tile(data[asm._mini_gather(lay)], lay.components)
+            for lay in layouts]
 
 
 def lagged_forms_at_points(stepper, prev, t_new, forcing=None):
@@ -593,7 +638,7 @@ def lagged_forms_at_points(stepper, prev, t_new, forcing=None):
     if forcing.g_n is not None:
         g_n = asm.at_points(forcing.g_n, ctx, t_new)
         loads["n"] += asm.assemble_load(stepper.layout_n, g_n, ctx)
-    return (*asm.assemble_skew_data((stepper.layout_c, stepper.layout_u), u, ctx), loads)
+    return (*skew_data_at_points((stepper.layout_c, stepper.layout_u), u, ctx), loads)
 
 
 def lagged_matrices(stepper, *args):

@@ -136,7 +136,7 @@ def test_criterion_5_unconditional_solvability():
             state = state0
             for _ in range(3):
                 state, reports = stepper.step(state, dt)
-                # Factorization.solve enforces the scaled residual bound and
+                # linsolve.refined_solve enforces the scaled residual bound and
                 # raises on violation, so reaching here means every solve met it
                 assert all(np.isfinite(r.residual_norm) for r in reports.values())
             cases += 1

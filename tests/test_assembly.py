@@ -24,6 +24,7 @@ from oracles import (
     lagged_matrices,
     scatter_vector_by_add_at,
     skew_by_global_transpose,
+    skew_data,
     skew_data_by_own_sums,
     skew_matrix,
     transpose_slots,
@@ -871,7 +872,8 @@ class TestSkewProperties:
 class TestOneTransportKernel:
     """The transports of every layout from one skew-symmetrized MINI element
     kernel, against the per-layout kernel with a global transpose it
-    replaces (``oracles.skew_by_global_transpose``)."""
+    replaces (``oracles.skew_by_global_transpose``); for point values the
+    kernel is its point-table reference (``oracles.skew_data``)."""
 
     KINDS = [SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI, PRESSURE_P1]
 
@@ -891,7 +893,7 @@ class TestOneTransportKernel:
 
     def test_matches_the_per_layout_oracle(self):
         for lays, ctx, vel in self.cases():
-            for lay, data in zip(lays, asm.assemble_skew_data(lays, vel, ctx)):
+            for lay, data in zip(lays, skew_data(lays, vel, ctx)):
                 ref = skew_by_global_transpose(lay, vel, ctx)
                 plan = asm.square_plan(lay)
                 assert np.array_equal(ref.indices, plan.indices)
@@ -911,7 +913,7 @@ class TestOneTransportKernel:
 
     def test_skew_entry_by_entry(self):
         for lays, ctx, vel in self.cases():
-            for lay, data in zip(lays, asm.assemble_skew_data(lays, vel, ctx)):
+            for lay, data in zip(lays, skew_data(lays, vel, ctx)):
                 plan = asm.square_plan(lay)
                 perm = transpose_slots(plan)
                 assert np.array_equal(plan.csr(data[perm]).toarray(), plan.csr(data).toarray().T)

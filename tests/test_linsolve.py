@@ -215,10 +215,10 @@ class TestRefinement:
     def test_refines_against_a_nearby_matrix(self):
         a, skew, b = self.system()
         near = a + 0.05 * skew
-        fact = Factorization(a)
+        kept = linsolve.KeptLU(a, skew, np.zeros(skew.nnz))  # the LU of a itself
         for kind in ("lu", "cached-lu"):
-            x, report = fact.solve(b, near, abs_matrix(near))
-            assert report.kind == kind
+            x, report = kept.solve(b, 0.05 * skew.data)
+            assert report.kind == kind and (report.factor_time > 0.0) == (kind == "lu")
             assert 2 <= report.iterations < linsolve.MAX_REFINE_PASSES
             assert np.allclose(x, np.linalg.solve(near.toarray(), b), rtol=1e-12, atol=0)
             assert report.residual_norm == pytest.approx(np.linalg.norm(b - near @ x), abs=1e-12)
@@ -266,9 +266,9 @@ class TestRefinement:
     def test_falls_back_to_a_fresh_lu(self):
         a, skew, b = self.system()
         far = a + 40.0 * skew  # the refinement diverges
-        fact = Factorization(a)
-        fact.solve(b)
-        x, report = fact.solve(b, far, abs_matrix(far))
+        kept = linsolve.KeptLU(a, skew, np.zeros(skew.nnz))
+        kept.solve(b, np.zeros(skew.nnz))
+        x, report = kept.solve(b, 40.0 * skew.data)
         assert report.kind == "lu-fallback"
         assert report.factor_time > 0.0 and report.iterations >= 2
         assert np.allclose(x, np.linalg.solve(far.toarray(), b), rtol=1e-12, atol=0)
@@ -277,18 +277,19 @@ class TestRefinement:
 
     def test_fresh_lu_factors_without_stored_zeros(self, monkeypatch):
         a, skew, b = self.system()
-        far = a + 40.0 * skew
+        far = a + 40.0 * skew  # on the pattern of a, which stores every entry
         far.data[1::7] = 0.0  # stored zeros the fresh LU must not see
-        fact = Factorization(a)
+        kept = linsolve.KeptLU(a, a, np.zeros(a.nnz))
         factored = []
         original = Factorization.__init__
 
-        def recording(self, m):
+        def recording(self, m, *args):
             factored.append(m)
-            original(self, m)
+            original(self, m, *args)
 
         monkeypatch.setattr(Factorization, "__init__", recording)
-        x, report = fact.solve(b, far, abs_matrix(far))
+        x, report = kept.solve(b, far.data - a.data)
+        assert kept.operator.matrix.nnz == far.nnz and np.array_equal(far.indices, a.indices)
         assert report.kind == "lu-fallback"
         assert factored[0].nnz == far.count_nonzero() < far.nnz
         assert np.allclose(x, np.linalg.solve(far.toarray(), b), rtol=1e-12, atol=0)

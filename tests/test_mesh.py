@@ -7,6 +7,7 @@ from chemflow.mesh import (
     build_rect_mesh,
     classify_boundary,
 )
+from oracles import rect_triangles_by_loop
 
 
 class TestBuildRectMesh:
@@ -28,10 +29,25 @@ class TestBuildRectMesh:
         assert m.n_nodes == 3321
         assert m.n_triangles == 6400
 
-    @pytest.mark.parametrize("bad", [(0, 1, 1, 1), (1, -2.0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)])
+    @pytest.mark.parametrize("bad", [
+        (0, 1, 1, 1), (1, -2.0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0),
+        (np.inf, 1, 2, 2), (1, np.nan, 2, 2), (-np.inf, 1, 2, 2),  # non-finite sides
+        (1, 1, True, 2), (1, 1, 2, np.True_),  # a bool is not a count
+        (1, 1, 2.0, 2), (1, 1, 2, np.float64(3.0)), (1, 1, "2", 2),  # nor a float or a string
+    ])
     def test_invalid_arguments(self, bad):
         with pytest.raises(ValueError):
             build_rect_mesh(*bad)
+
+    def test_numpy_integer_counts(self):
+        m = build_rect_mesh(np.float64(2.0), 1, np.int64(4), np.int32(3))
+        assert (m.n_nodes, m.n_triangles) == (20, 24)
+
+    @pytest.mark.parametrize("kx,ky", [(1, 1), (1, 5), (6, 1), (3, 7), (80, 40)])
+    def test_triangles_match_the_loop_over_cells(self, kx, ky):
+        ref = rect_triangles_by_loop(kx, ky)
+        got = build_rect_mesh(2.0, 1.0, kx, ky).triangles
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     @pytest.mark.parametrize("kx,ky", [(1, 1), (3, 7), (10, 10), (100, 100), (33, 100)])
     def test_total_area(self, kx, ky):

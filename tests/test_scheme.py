@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -279,8 +281,8 @@ class TestInitialProjections:
         def kept_lu(stepper, system):
             solver = stepper._solvers[(system, dt)]
             if system == "u":
-                return solver._condensation[2]
-            return solver if system == "sigma" else solver[0]
+                return solver.lu.lu
+            return solver if system == "sigma" else solver.lu
 
         for system in ("n", "sigma", "c", "u"):
             assert_same_csr(kept_lu(st, system).matrix, kept_lu(ref, system).matrix)
@@ -303,7 +305,7 @@ class TestInitialProjections:
             assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
         # the n projection's K block is singular: its LU interchanges rows
         assert not np.array_equal(init["n"]._lu.perm_r, init["n"]._lu.perm_c)
-        for fact in (init["n"], st._solver("n", dt)[0], st._solver("c", dt)[0]):
+        for fact in (init["n"], st._solver("n", dt).lu, st._solver("c", dt).lu):
             pivoting = spla.splu(fact.matrix.tocsc())  # COLAMD, partial pivoting
             assert np.array_equal(fact._lu.perm_c, pivoting.perm_c)
             assert np.array_equal(fact._lu.perm_r, pivoting.perm_r)
@@ -661,6 +663,35 @@ class TestCachedFactorizations:
         assert (reports["n"].kind, reports["n"].iterations) == ("lu-fallback", 2 + 1)
         assert reports["c"].kind == reports["u"].kind == "cached-lu"
 
+    def test_one_solver_class_for_n_c_and_u(self):
+        st, state, dt, forcing = _preset_case("test2")
+        st.step(state, dt, forcing)
+        solvers = {system: st._solver(system, dt) for system in ("n", "c", "u")}
+        assert {type(solver) for solver in solvers.values()} == {linsolve.KeptLU}
+        assert isinstance(solvers["u"].lu.saddle, CondensedSaddle)
+        assert isinstance(st._solver("sigma", dt), linsolve.Factorization)
+
+    def test_a_stepped_stepper_is_freed_without_the_cycle_collector(self):
+        # no kept solver refers back to the object that keeps it (the (u, pi)
+        # KeptLU holds its condensation, which holds its CondensedSaddle), so
+        # the last reference to a Stepper frees its LUs at once, not at the
+        # next run of the cyclic garbage collector
+        st, state, dt, forcing = _preset_case("test2")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(2):
+                state, _ = st.step(state, dt, forcing)
+            solvers = list(st._solvers.values())
+            kept = solvers + [s.lu for s in solvers if isinstance(s, linsolve.KeptLU)]
+            kept += [st._solver("u", dt).lu.saddle, st._solver("u", dt).lu.lu]
+            refs = [weakref.ref(obj) for obj in [st] + kept]
+            del st, solvers, kept
+            assert [ref() is None for ref in refs] == [True] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestFirstStepLUs:
     """Each kept LU factors the operator of the first step of its dt, its
@@ -771,7 +802,7 @@ class TestStepOperators:
             state, _ = st.step(state, dt, forcing)
         assert n_skew.count_nonzero() > 0 and u_skew.count_nonzero() > 0
         assert np.all(st.G.data != 0.0)  # G keeps none of its exact zeros
-        op_n, op_c = st._solver("n", dt)[1], st._solver("c", dt)[1]
+        op_n, op_c = st._solver("n", dt).operator, st._solver("c", dt).operator
         p = st.params
         a_n = asm.apply_constraints(st.M * (1.0 / dt) + st.K * p.D_n, st.layout_n,
                                     weight_vector=st.w_p1)
@@ -789,7 +820,7 @@ class TestStepOperators:
             (op_n.matrix, a_n + resized(n_skew, a_n.shape)),
             (op_c.matrix, a_c + n_skew),
             # the transport is dropped in the pinned rows and columns
-            (st._solver("u", dt)._transport.matrix,
+            (st._solver("u", dt).operator.matrix,
              t_ref + resized(proj @ u_skew @ proj, t_ref.shape)),
         ]
         for got, ref in pairs:
@@ -820,12 +851,10 @@ class TestStepOperators:
         st, _, dt, _ = _preset_case("test2")
         own, other = (st.M_u, st.M) if system == "u" else (st.M, st.M_u)
         solver = st._solver(system, dt, np.zeros(own.nnz))
+        b = np.zeros(solver.operator.matrix.shape[0])
         for bad in (other.data, own.data[:-1], own.data[:, None]):
             with pytest.raises(ValueError, match="transport data has shape"):
-                if system == "u":
-                    solver.solve(bad, np.zeros(own.shape[0]), np.zeros(st.layout_pi.n_dofs))
-                else:
-                    solver[1](bad)
+                solver.solve(b, bad)
 
     @pytest.mark.parametrize("preset", ["test1", "test2"])
     def test_a_step_builds_only_its_transport_matrices(self, monkeypatch, preset):
@@ -925,16 +954,29 @@ def assert_same_csr(got, ref):
     assert np.array_equal(got.data, ref.data)
 
 
-def _captured_saddle_solves(monkeypatch):
-    calls = []
-    original = CondensedSaddle.solve
+def _saddle_solve(st, solver, transport, rhs_u, rhs_pi):
+    """(u, pi, SolveReport) of the (u, pi) ``linsolve.KeptLU`` ``solver`` of
+    ``st`` for ``transport``, its right-hand side bordered as ``Stepper.step``
+    poses it: rhs_u without its pinned entries, rhs_pi, and the border's 0."""
+    nu = st.layout_u.n_dofs
+    b = np.concatenate([rhs_u, rhs_pi, [0.0]])
+    b[st.layout_u.constrained_dofs] = 0.0
+    x, report = solver.solve(b, transport)
+    return x[:nu], x[nu:-1], report
 
-    def recording(self, skew, rhs_u, rhs_pi):
-        out = original(self, skew, rhs_u, rhs_pi)
-        calls.append((skew, np.array(rhs_u), np.array(rhs_pi), out))
-        return out
 
-    monkeypatch.setattr(CondensedSaddle, "solve", recording)
+def _captured_saddle_solves(monkeypatch, st):
+    """(transport, rhs_u, rhs_pi, (u, pi, SolveReport)) of each (u, pi) solve of ``st``."""
+    calls, original = [], linsolve.KeptLU.solve
+    nu, npi = st.layout_u.n_dofs, st.layout_pi.n_dofs
+
+    def recording(self, b, transport):
+        x, report = original(self, b, transport)
+        if len(b) == nu + npi + 1:
+            calls.append((transport, b[:nu].copy(), b[nu:-1].copy(), (x[:nu], x[nu:-1], report)))
+        return x, report
+
+    monkeypatch.setattr(linsolve.KeptLU, "solve", recording)
     return calls
 
 
@@ -975,7 +1017,7 @@ class TestCondensedSaddle:
     @pytest.mark.parametrize("solve", ["stokes_init", "step"])
     def test_matches_bordered_solve(self, monkeypatch, preset, solve):
         st, data, dt, forcing = _saddle_case(preset)
-        calls = _captured_saddle_solves(monkeypatch)
+        calls = _captured_saddle_solves(monkeypatch, st)
         refined, original = [], linsolve.refined_solve
 
         def recording(b, inverse, a, abs_a, paid, fresh_inverse=None):
@@ -1028,7 +1070,7 @@ class TestCondensedSaddle:
         monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
         zero = np.zeros(st.M_u.nnz)
         rhs_u, rhs_pi = np.ones(st.layout_u.n_dofs), np.zeros(st.layout_pi.n_dofs)
-        st._solver("u", dt, zero).solve(zero, rhs_u, rhs_pi)
+        _saddle_solve(st, st._solver("u", dt, zero), zero, rhs_u, rhs_pi)
         free_nodal = 2 * st.mesh.n_nodes - len(st.layout_u.constrained_dofs)
         assert sizes == [free_nodal + st.layout_pi.n_dofs - 1]
 
@@ -1050,11 +1092,10 @@ class TestCondensedSaddle:
         p = st.params
         if solve == "step":
             st.step(state, dt, forcing)
-            saddle = st._solver("u", dt)
+            solver = st._solver("u", dt)
         else:  # as init_state builds it
-            saddle = CondensedSaddle(st.K_u * p.D_u, st.G, st.layout_u, st.w_p1, p.rho,
-                                     np.zeros(st.K_u.nnz))
-        fact = saddle._condensation[2]
+            solver = st._saddle_lu(st.K_u * p.D_u, np.zeros(st.K_u.nnz))
+        fact = solver.lu.lu
         return st, fact.matrix, fact, fact.matrix.shape[0] - (st.layout_pi.n_dofs - 1)
 
     @pytest.mark.parametrize("solve, preset", KEPT)
@@ -1112,11 +1153,11 @@ class TestCondensedSaddle:
         # replaces; the saddle matrix, its pinned dofs eliminated on its own
         # pattern, against the P s P + diag(pinned) construction
         st, _, dt, _ = _preset_case(preset)
-        saddle = st._solver("u", dt, np.zeros(st.M_u.nnz))
+        solver = st._solver("u", dt, np.zeros(st.M_u.nnz))
         s = st.M_u * (1.0 / dt) + st.K_u * (st.params.D_u / st.params.rho)
         _, bubble = st.layout_u.nodal_and_bubble_dofs()
-        assert np.array_equal(saddle.d_inv, 1.0 / s[bubble][:, bubble].diagonal())
-        t = saddle._transport.matrix  # holding the zero transport
+        assert np.array_equal(solver.lu.saddle.d_inv, 1.0 / s[bubble][:, bubble].diagonal())
+        t = solver.operator.matrix  # holding the zero transport
         assert_same_csr(t, bordered_saddle_matrix(st, s))
         assert t.nnz > linsolve.pruned(t).nnz  # the pattern is kept
 
@@ -1126,7 +1167,7 @@ class TestCondensedSaddle:
         s = (st.M_u / dt).tolil()
         s[bubble[0], bubble[1]] = s[bubble[1], bubble[0]] = 1.0
         with pytest.raises(ValueError, match="not diagonal"):
-            CondensedSaddle(s.tocsr(), st.G, st.layout_u, st.w_p1, st.params.rho, np.zeros(s.nnz))
+            CondensedSaddle(s.tocsr(), st.layout_u, st.w_p1)
 
     def test_residual_of_full_system_is_enforced(self):
         # a transport entry the condensation ignores (on a bubble's diagonal,
@@ -1137,8 +1178,8 @@ class TestCondensedSaddle:
         bad[bubble[0], bubble[0]] = 1e3
         rhs_u = np.ones(st.layout_u.n_dofs)
         with pytest.raises(linsolve.SingularSystemError):
-            st._solver("u", dt, np.zeros(bad.nnz)).solve(bad.data, rhs_u,
-                                                         np.zeros(st.layout_pi.n_dofs))
+            _saddle_solve(st, st._solver("u", dt, np.zeros(bad.nnz)), bad.data, rhs_u,
+                          np.zeros(st.layout_pi.n_dofs))
 
     def test_corrupted_condensed_lu_is_caught(self, monkeypatch):
         # the condensed LU is applied unchecked; a wrong one is still caught
@@ -1149,11 +1190,11 @@ class TestCondensedSaddle:
         _, u_data, loads = st.lagged_forms(state, state.t + dt, forcing)
         u_skew = asm.square_plan(st.layout_u).csr(u_data)
         rhs_u, rhs_pi = st.M_u @ state.u / dt + loads["u"], np.zeros(st.layout_pi.n_dofs)
-        assert saddle.solve(u_data, rhs_u, rhs_pi)[2].kind == "cached-lu"
-        fact = saddle._condensation[2]
+        assert _saddle_solve(st, saddle, u_data, rhs_u, rhs_pi)[2].kind == "cached-lu"
+        fact = saddle.lu.lu
         exact = fact.lu_solve
         monkeypatch.setattr(fact, "lu_solve", lambda r: 0.5 * exact(r))
-        u, pi, report = saddle.solve(u_data, rhs_u, rhs_pi)
+        u, pi, report = _saddle_solve(st, saddle, u_data, rhs_u, rhs_pi)
         assert report.kind == "lu-fallback"
         p = st.params
         s_matrix = st.M_u / dt + st.K_u * (p.D_u / p.rho) + u_skew
