@@ -7,9 +7,16 @@ basis gradient as a combination of the constant barycentric gradients) in
 one matrix product, and applies the per-element chain rule with the
 barycentric gradients in another; no (ne, nq, nl, 2) gradient array is
 formed.  Matrices are summed through a ``linsolve.ScatterPlan`` kept on
-their layout, so the CSR pattern and the slot of every element entry are
-found once per layout and each assembly only sums values; a block that
-is the same on every component is summed once and repeated.  Load vectors
+their layout, so each assembly only sums values; a block that is the same
+on every component is summed once and repeated.  Only the mesh's P1 plan
+(``Mesh.p1_plan``) is sorted.  Every other plan is derived from it by index
+arithmetic, with the pattern and slots a sort of its entry list would find,
+so every sum is the same bit for bit: per-component copies (sigma, the
+velocity), one block coupling the sigma components, the scalar MINI plan (a
+vertex row is the P1 row followed by the bubbles of the elements at the
+vertex, in element order; a bubble row its three vertices sorted, then the
+bubble), and the velocity x pressure plan, the velocity's cut to its vertex
+columns (``pressure_plan``).  Load vectors
 are summed with one ``np.bincount``.  Every form integrates on the rule of
 the ``AssemblyContext`` its caller gives it: degree 2 (``P1_DEGREE``) is
 exact for pure-P1 mass and stiffness, degree 8 (``FULL_DEGREE``) for every
@@ -26,6 +33,8 @@ needs no point values: ``AssemblyContext.moments`` holds the integrals of
 products of basis functions on the context's rule, to contract with the
 fields' element coefficients (``Stepper.lagged_forms``).
 """
+
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,8 +67,12 @@ class AssemblyContext:
         self.grad_bary_t = np.ascontiguousarray(self.grad_bary.transpose(0, 2, 1))
         self.lam = self.rule.points
         self.weights = self.rule.weights
-        verts = mesh.nodes[mesh.triangles]  # (ne, 3, 2)
-        self.points = np.einsum("qi,eic->eqc", self.lam, verts)
+        # (lam_0 v_0 + lam_1 v_1) + lam_2 v_2, each term broadcast over the
+        # elements as (nq, 2, ne), then laid out (ne, nq, 2)
+        verts = mesh.nodes.T[:, mesh.triangles.T]  # (2, 3, ne)
+        lam = self.lam.T[:, :, None, None]
+        points = (lam[0] * verts[:, 0] + lam[1] * verts[:, 1]) + lam[2] * verts[:, 2]
+        self.points = np.ascontiguousarray(points.transpose(2, 0, 1))
         self._tables = {("values", k): scalar_basis_values(k, self.lam) for k in SPACE_KINDS}
 
     def cached(self, name, kind, build):
@@ -167,48 +180,158 @@ def _component_dofs(layout):
     return layout.element_dofs.reshape(-1, layout.components, layout.scalar_local_size)
 
 
-def _block_plan(row_dofs, col_dofs, shape):
-    """Scatter plan of k element blocks: ``row_dofs`` (ne, k, nr) and
-    ``col_dofs`` (ne, k or 1, nc) are the global dofs of each block, whose
-    entries are listed in (ne, k, nr, nc) order."""
-    full = row_dofs.shape + col_dofs.shape[-1:]
-    rows = np.broadcast_to(row_dofs[..., None], full)
-    cols = np.broadcast_to(col_dofs[..., None, :], full)
-    return linsolve.ScatterPlan(shape, rows, cols)
+def _vertex_bubbles(mesh):
+    """Where the rows and slots of ``mesh.p1_plan`` lie in the scalar MINI
+    pattern of the mesh: (before, gather), ``before[v]`` the bubble columns in
+    the vertex rows ahead of row v, (n_nodes + 1,), and ``gather`` the MINI
+    slot of each P1 slot.  A MINI vertex row holds its P1 row, then one bubble
+    column per element at the vertex, and the vertex rows come first."""
+    p1 = mesh.p1_plan
+    before = np.zeros(mesh.n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(mesh.triangles.ravel(), minlength=mesh.n_nodes), out=before[1:])
+    return before, np.arange(p1.nnz) + np.repeat(before[:-1], np.diff(p1.indptr))
+
+
+def _mini_plan(mesh):
+    """The scalar MINI plan of the mesh, derived from ``mesh.p1_plan``: the
+    (ne, 4, 4) element blocks of (three vertices, bubble), with the pattern
+    and slots the sort of ``linsolve.ScatterPlan`` finds.  A vertex row is
+    the P1 row followed by the bubbles of the elements at the vertex, in
+    element order; after every vertex row, the row of the bubble of element
+    e holds its three vertices sorted, then the bubble itself."""
+    p1, tri = mesh.p1_plan, mesh.triangles
+    nn, ne, flat = mesh.n_nodes, mesh.n_triangles, tri.ravel()
+    before, gather = _vertex_bubbles(mesh)
+    ends = p1.indptr[1:].astype(np.int64)  # of the P1 rows, where the bubbles go
+    order = np.argsort(flat, kind="stable")  # the elements at each vertex, in order
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    vertex_rows = np.empty(p1.nnz + len(order), dtype=np.int64)
+    vertex_rows[gather] = p1.indices
+    vertex_rows[ends[flat[order]] + np.arange(len(order))] = nn + order // 3
+    starts = len(vertex_rows) + 4 * np.arange(ne)  # of the bubble rows
+    slots = np.empty((ne, 4, 4), dtype=np.int64)
+    slots[:, :3, :3] = gather[p1.slots.reshape(ne, 3, 3)]
+    slots[:, :3, 3] = (ends[flat] + at).reshape(ne, 3)
+    slots[:, 3, :3] = starts[:, None] + (tri[:, None, :] < tri[:, :, None]).sum(axis=2)
+    slots[:, 3, 3] = starts + 3
+    bubble_rows = np.column_stack([np.sort(tri, axis=1), nn + np.arange(ne)])
+    return linsolve.ScatterPlan.from_pattern(
+        (nn + ne, nn + ne),
+        np.concatenate([p1.indptr + before, starts + 4]),
+        np.concatenate([vertex_rows, bubble_rows.ravel()]),
+        slots.ravel(),
+    )
+
+
+def _vertex_columns(layout):
+    """The plan of one component's element blocks on the layout, (ne, nl, nl),
+    cut to the columns of the three vertex functions, (ne, nl, 3): the
+    entries in columns below n_nodes, each kept in its row and order."""
+    scalar, mesh, nl = _scalar_plan(layout), layout.mesh, layout.scalar_local_size
+    kept = scalar.indices < mesh.n_nodes
+    moved = np.cumsum(kept) - 1  # the slot of each kept entry among the kept
+    return linsolve.ScatterPlan.from_pattern(
+        (scalar.shape[0], mesh.n_nodes),
+        np.append(0, np.cumsum(kept))[scalar.indptr],
+        scalar.indices[kept],
+        moved[scalar.slots.reshape(-1, nl, nl)[:, :, :3]].ravel(),
+    )
+
+
+def _component_plan(scalar, layout, col_shift):
+    """The plan of the layout's components, each a copy of the element blocks
+    of the plan ``scalar``, listed (ne, comps, ...): copy c on rows
+    c * n + its rows and columns c * ``col_shift`` + its columns, n the rows
+    of ``scalar``."""
+    k, ne = layout.components, layout.mesh.n_triangles
+    if k == 1:
+        return scalar
+    copies = np.arange(k)[:, None]
+    slots = np.empty((ne, k, len(scalar.slots) // ne), dtype=np.int64)
+    for c in range(k):
+        slots[:, c] = scalar.slots.reshape(ne, -1) + c * scalar.nnz
+    return linsolve.ScatterPlan.from_pattern(
+        (k * scalar.shape[0], scalar.shape[1] + (k - 1) * col_shift),
+        np.append((scalar.indptr[:-1].astype(np.int64) + scalar.nnz * copies).ravel(), k * scalar.nnz),
+        (scalar.indices.astype(np.int64) + col_shift * copies).ravel(),
+        slots.ravel(),
+    )
+
+
+def _coupled_plan(scalar, layout):
+    """The plan of one element block coupling the layout's components, each
+    a copy of the element blocks of the plan ``scalar``: local function
+    c * nl + i is copy c of scalar function i, on row and column
+    c * n_scalar + its dof.  A row of any copy holds its scalar row once per
+    copy, so copy c of scalar entry p of row s lies
+    k * indptr[s] + c * len(s) + (p - indptr[s]) into the rows of its copy."""
+    k, ne, nl = layout.components, layout.mesh.n_triangles, layout.scalar_local_size
+    ptr, nnz, copies = scalar.indptr.astype(np.int64), scalar.nnz, np.arange(k)[:, None]
+    length = np.diff(ptr)
+    at = np.arange(nnz) + (k - 1) * np.repeat(ptr[:-1], length) + np.repeat(length, length) * copies
+    row = np.empty(k * nnz, dtype=np.int64)
+    row[at] = scalar.indices + layout.n_scalar * copies
+    table = at + k * nnz * copies[:, None]  # [ca, cb]: slot of copy (ca, cb) of each entry
+    blocks = scalar.slots.reshape(ne, nl, nl)
+    slots = np.empty((ne, k, nl, k, nl), dtype=np.int64)
+    for ca, cb in itertools.product(range(k), repeat=2):
+        slots[:, ca, :, cb] = table[ca, cb][blocks]
+    return linsolve.ScatterPlan.from_pattern(
+        (k * scalar.shape[0], k * scalar.shape[0]),
+        np.append((k * ptr[:-1] + k * nnz * copies).ravel(), k * k * nnz),
+        np.tile(row, k),
+        slots.ravel(),
+    )
+
+
+def _scalar_plan(layout):
+    """Plan of one component's element blocks on the layout, kept on it: the
+    mesh's P1 plan, or the square MINI plan derived from it."""
+    if "scalar" not in layout.plans:
+        mesh = layout.mesh
+        layout.plans["scalar"] = _mini_plan(mesh) if layout.has_bubble else mesh.p1_plan
+    return layout.plans["scalar"]
 
 
 def square_plan(layout, coupled=False):
-    """Plan of square element blocks on a layout, built once and kept on it:
-    one block per component, or with ``coupled`` one block coupling all."""
+    """Plan of square element blocks on a layout, derived from its mesh's P1
+    plan once and kept on the layout: one block per component, or with
+    ``coupled`` one block coupling all."""
     if coupled not in layout.plans:
-        dofs = layout.element_dofs[:, None] if coupled else _component_dofs(layout)
-        layout.plans[coupled] = _block_plan(dofs, dofs, (layout.n_dofs, layout.n_dofs))
+        scalar = _scalar_plan(layout)
+        layout.plans[coupled] = (_coupled_plan(scalar, layout) if coupled
+                                 else _component_plan(scalar, layout, layout.n_scalar))
     return layout.plans[coupled]
+
+
+def pressure_plan(layout):
+    """Plan of the element blocks of a vector layout's components against the
+    P1 pressure functions, (ne, comps, nl, 3), derived from its mesh's P1 plan
+    once and kept on the layout: the pressure functions are the barycentrics,
+    so one component's plan is the layout's own cut to its vertex columns."""
+    if "pressure" not in layout.plans:
+        layout.plans["pressure"] = _component_plan(_vertex_columns(layout), layout, 0)
+    return layout.plans["pressure"]
 
 
 def _square_data(local, layout):
     """Data on ``square_plan(layout)`` of the same (ne, nl, nl) block on every
-    component: each component's slots are the first's, shifted, so the first
-    is summed, through its slots kept on the layout, and repeated."""
-    plan, comps = square_plan(layout), layout.components
-    if "first" not in layout.plans:
-        layout.plans["first"] = plan.slots.reshape(len(local), comps, -1)[:, 0].ravel()
-    data = np.bincount(layout.plans["first"], weights=local.ravel(), minlength=plan.nnz // comps)
-    return np.tile(data, comps)
+    component: each component's slots are the first's, those of the layout's
+    scalar plan, shifted, so the first is summed and repeated."""
+    scalar = _scalar_plan(layout)
+    data = np.bincount(scalar.slots, weights=local.ravel(), minlength=scalar.nnz)
+    return np.tile(data, layout.components)
 
 
 def _mini_gather(layout):
     """Index, in the data on the MINI layout of the same mesh, of the first
     component's slots of ``square_plan(layout)``, kept on the layout.  The
     layout, without bubbles, has the barycentrics, the MINI vertex functions,
-    as its local functions: a vertex row of the MINI pattern holds the
-    layout's row, then one bubble column per element at the vertex, and the
-    vertex rows come first."""
+    as its local functions, so its scalar plan is the mesh's P1 plan, whose
+    slots lie in the MINI pattern at ``_vertex_bubbles``' gather."""
     if "mini" not in layout.plans:
-        plan, nn = square_plan(layout), layout.mesh.n_nodes
-        valence = np.bincount(layout.mesh.triangles.ravel(), minlength=nn)
-        shift = np.repeat(np.cumsum(valence) - valence, np.diff(plan.indptr[:nn + 1]))
-        layout.plans["mini"] = np.arange(len(shift)) + shift
+        layout.plans["mini"] = _vertex_bubbles(layout.mesh)[1]
     return layout.plans["mini"]
 
 
@@ -306,9 +429,7 @@ def assemble_pressure_coupling(layout_u, layout_pi, ctx):
     y = np.einsum("q,qia,qj->aij", ctx.weights, table, pvals).reshape(3, nl * npl)
     local = (ctx.grad_bary_t @ y).reshape(-1, 2, nl, npl)
     local *= ctx.areas[:, None, None, None]
-    shape = (layout_u.n_dofs, layout_pi.n_dofs)
-    plan = _block_plan(_component_dofs(layout_u), layout_pi.element_dofs[:, None], shape)
-    return plan.matrix(local)
+    return pressure_plan(layout_u).matrix(local)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,8 @@ class RunConfig:
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ValueError(f"unknown output format {fmt!r}")
+        if not str(self.outdir).strip():
+            raise ValueError("config value outdir must name a directory, got an empty one")
         self.snapshot_steps()
         return self
 

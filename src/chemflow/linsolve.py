@@ -40,10 +40,12 @@ class ScatterPlan:
     """CSR pattern of a fixed list of (row, col) entries, and the slot each
     entry sums into.
 
-    Built once per index list; every matrix with those entries then costs
-    one ``np.bincount`` over its values.  The pattern is canonical (sorted
-    column indices, no duplicates) and stores every listed position, also
-    where the values sum to 0.
+    Built once per index list, by one sort of the entries; every matrix with
+    those entries then costs one ``np.bincount`` over its values.  The
+    pattern is canonical (sorted column indices, no duplicates) and stores
+    every listed position, also where the values sum to 0.  A plan whose
+    pattern and slots are known without sorting (one derived from another
+    by index arithmetic) is made by ``from_pattern``.
 
     Raises
     ------
@@ -59,12 +61,26 @@ class ScatterPlan:
             rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
         ):
             raise ValueError(f"entry index out of range for shape {shape}")
-        keys, self.slots = np.unique(rows * n_cols + cols, return_inverse=True)
-        self.shape = (n_rows, n_cols)
-        self.nnz = len(keys)
-        index = np.int32 if max(self.nnz, n_rows, n_cols) < np.iinfo(np.int32).max else np.int64
-        self.indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols).astype(index)
-        self.indices = (keys % n_cols).astype(index)
+        keys, slots = np.unique(rows * n_cols + cols, return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+        self._store((n_rows, n_cols), indptr, keys % n_cols, slots)
+
+    @classmethod
+    def from_pattern(cls, shape, indptr, indices, slots):
+        """The plan of a canonical CSR pattern (``indptr``, ``indices``) and the
+        slot of each entry (``slots``, int64), as the sort of ``__init__``
+        finds them for the entry list they come from; they are not checked."""
+        plan = cls.__new__(cls)
+        plan._store(shape, indptr, indices, slots)
+        return plan
+
+    def _store(self, shape, indptr, indices, slots):
+        self.shape = tuple(shape)
+        self.nnz = len(indices)
+        index = np.int32 if max(self.nnz, *self.shape) < np.iinfo(np.int32).max else np.int64
+        self.indptr = indptr.astype(index)
+        self.indices = indices.astype(index)
+        self.slots = slots
 
     def data(self, values):
         """Sum of the values, listed in the order of the entries, per slot."""

@@ -2,14 +2,19 @@
 
 Meshes are built once and never mutated; every downstream object (dof
 layouts, assembled matrices) only reads from them, so sharing across
-workers is safe.
+workers is safe.  A mesh keeps the scatter plan of its P1 node adjacency
+(``Mesh.p1_plan``), built by one sort on first use; assembly derives the
+plan of every other space on the mesh from it by index arithmetic.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linsolve import ScatterPlan
 
 SIDE_TAGS = ("left", "right", "bottom", "top")
 
@@ -48,6 +53,16 @@ class Mesh:
     @property
     def n_triangles(self):
         return self.triangles.shape[0]
+
+    @functools.cached_property
+    def p1_plan(self):
+        """``ScatterPlan`` of the P1 element blocks, entries
+        (triangles[e, i], triangles[e, j]) listed in (e, i, j) order: the one
+        sorted pattern of the mesh, kept as long as the mesh lives."""
+        full = (self.n_triangles, 3, 3)
+        rows = np.broadcast_to(self.triangles[:, :, None], full)
+        cols = np.broadcast_to(self.triangles[:, None, :], full)
+        return ScatterPlan((self.n_nodes, self.n_nodes), rows, cols)
 
     @property
     def bounds(self):

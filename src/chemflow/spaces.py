@@ -43,8 +43,10 @@ class DofLayout:
     marks spaces restricted to zero mean: the density system realizes it
     by one bordered Lagrange-multiplier row/column, the velocity/pressure
     solve by pinning one pressure dof and shifting the mean afterwards.
-    ``plans`` caches the scatter plans (and first-component slots) assembly
-    builds on the layout, so they are built once and live as long as it does.
+    ``plans`` caches the scatter plans assembly derives on the layout from
+    its mesh's P1 plan (one component's, square per component or coupled,
+    and against the pressure) and the MINI slots of a P1 layout's, so they
+    are derived once and live as long as the layout does.
     """
 
     kind: str

@@ -25,13 +25,15 @@ sum; the kept LUs of the transport-free operators, the reference for
 the LUs of the first step's operators; the uncondensed (u, pi) solve
 through one LU of the whole bordered matrix, the reference for the
 condensed one; the load vectors summed by ``np.add.at``, the reference for
-the bincount scatter; and the diagnostics CSV over the union of the
+the bincount scatter; the diagnostics CSV over the union of the
 records' keys, the reference for the writer whose columns are the record
-schema.
+schema; and the scatter plans sorted from their entry lists, and a
+stepper's matrices summed through them, the reference for the plans
+derived from a mesh's P1 plan.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -527,9 +529,76 @@ def skew_by_global_transpose(layout, velocity, ctx):
     local *= ctx.areas[:, None]
     ne, comps, nl = len(local), layout.components, layout.scalar_local_size
     dofs = layout.element_dofs.reshape(ne, comps, nl)
-    plan = asm._block_plan(dofs, dofs, (layout.n_dofs, layout.n_dofs))  # the layout's pattern
+    plan = sorted_block_plan(dofs, dofs, (layout.n_dofs, layout.n_dofs))  # the layout's pattern
     c = plan.data(np.broadcast_to(local.reshape(ne, 1, nl, nl), (ne, comps, nl, nl)))
     return plan.csr(0.5 * (c - c[transpose_slots(plan)]))
+
+
+def sorted_block_plan(row_dofs, col_dofs, shape):
+    """``linsolve.ScatterPlan`` of k element blocks, sorted from their entry
+    list: ``row_dofs`` (ne, k, nr) and ``col_dofs`` (ne, k or 1, nc) are the
+    global dofs of each block, whose entries are listed in (ne, k, nr, nc)
+    order.  The reference for the plans assembly derives from the mesh's P1
+    plan."""
+    full = row_dofs.shape + col_dofs.shape[-1:]
+    rows = np.broadcast_to(row_dofs[..., None], full)
+    cols = np.broadcast_to(col_dofs[..., None, :], full)
+    return linsolve.ScatterPlan(shape, rows, cols)
+
+
+def recorded_sorts(monkeypatch):
+    """The shape of each ``linsolve.ScatterPlan`` sorted from an entry list
+    from now on (a plan made by ``from_pattern`` is not sorted)."""
+    made, original = [], linsolve.ScatterPlan.__init__
+
+    def recording(self, shape, rows, cols):
+        made.append(tuple(shape))
+        original(self, shape, rows, cols)
+
+    monkeypatch.setattr(linsolve.ScatterPlan, "__init__", recording)
+    return made
+
+
+def sorted_plans(layout):
+    """Every plan assembly keeps on ``layout``, by its key, each sorted from
+    its entry list (``sorted_block_plan``): one block per component (False),
+    one block coupling all components (True), the first component's blocks
+    (``"scalar"``) and, on a vector layout, the components' blocks against
+    the P1 pressure functions (``"pressure"``)."""
+    dofs = layout.element_dofs.reshape(-1, layout.components, layout.scalar_local_size)
+    coupled, square = layout.element_dofs[:, None], (layout.n_dofs, layout.n_dofs)
+    plans = {
+        False: sorted_block_plan(dofs, dofs, square),
+        True: sorted_block_plan(coupled, coupled, square),
+        "scalar": sorted_block_plan(dofs[:, :1], dofs[:, :1], (layout.n_scalar, layout.n_scalar)),
+    }
+    if layout.components == 2:
+        mesh = layout.mesh
+        plans["pressure"] = sorted_block_plan(dofs, mesh.triangles[:, None], (layout.n_dofs, mesh.n_nodes))
+    return plans
+
+
+def stepper_matrices_by_sorted_plans(stepper):
+    """The matrices ``Stepper.__init__`` assembles, by attribute name, summed
+    on copies of the stepper's layouts that hold the plans of
+    ``sorted_plans``: the reference for the plans derived from the mesh's P1
+    plan."""
+    lays = {}
+    for name in ("c", "sigma", "u"):
+        lays[name] = replace(getattr(stepper, f"layout_{name}"))  # with plans of its own
+        lays[name].plans.update(sorted_plans(lays[name]))
+    ctx, ctx_p1 = stepper.ctx, stepper.ctx_p1
+    g = asm.assemble_pressure_coupling(lays["u"], stepper.layout_pi, ctx)
+    g.eliminate_zeros()  # as the stepper keeps it
+    return {
+        "M": asm.assemble_mass(lays["c"], ctx_p1),
+        "K": asm.assemble_stiffness(lays["c"], 1.0, ctx_p1),
+        "M_sigma": asm.assemble_mass(lays["sigma"], ctx_p1),
+        "divrot": asm.assemble_divrot(lays["sigma"], stepper.params.D_c, ctx_p1),
+        "M_u": asm.assemble_mass(lays["u"], ctx),
+        "K_u": asm.assemble_stiffness(lays["u"], 1.0, ctx),
+        "G": g,
+    }
 
 
 def div_load_rebuilding_its_table(layout, f, ctx):

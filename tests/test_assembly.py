@@ -22,11 +22,13 @@ from oracles import (
     element_geometry,
     eval_basis,
     lagged_matrices,
+    recorded_sorts,
     scatter_vector_by_add_at,
     skew_by_global_transpose,
     skew_data,
     skew_data_by_own_sums,
     skew_matrix,
+    sorted_plans,
     transpose_slots,
 )
 
@@ -832,8 +834,70 @@ class TestScatterPlans:
         rows, cols = component_dofs(lu), lpi.element_dofs[:, None]
         local = self.rng.standard_normal((self.mesh.n_triangles, 2, 4, 3))
         shape = (lu.n_dofs, lpi.n_dofs)
-        assert_rel(asm._block_plan(rows, cols, shape).matrix(local),
+        assert_rel(asm.pressure_plan(lu).matrix(local),
                    triplet_matrix(local, rows, cols, shape), rtol=1e-14)
+
+
+def permuted_mesh(kx=5, ky=4, seed=3):
+    """A rectangle mesh whose triangles list their vertices in a random order
+    each (half of them clockwise: for plans, not geometry)."""
+    mesh = build_rect_mesh(1.0, 1.0, kx, ky)
+    rng = np.random.default_rng(seed)
+    triangles = np.array([t[rng.permutation(3)] for t in mesh.triangles])
+    return Mesh(nodes=mesh.nodes, triangles=triangles, h=mesh.h)
+
+
+class TestDerivedPlans:
+    """Every plan assembly derives from the mesh's P1 plan by index arithmetic
+    has the pattern, slots and dtypes of the plan sorted from its entry list
+    (``oracles.sorted_plans``), and the mesh sorts once."""
+
+    MESHES = {
+        **{f"rect{kx}x{ky}": (kx, ky) for kx, ky in [(1, 1), (3, 2), (10, 10), (24, 12), (80, 40)]},
+        "jittered": jittered_mesh,
+        "permuted": permuted_mesh,
+    }
+
+    @staticmethod
+    def derived(lay, key):
+        if key == "scalar":
+            return asm._scalar_plan(lay)
+        return asm.pressure_plan(lay) if key == "pressure" else asm.square_plan(lay, coupled=key)
+
+    @pytest.mark.parametrize("name", list(MESHES))
+    def test_equal_the_sorted_plans(self, name):
+        make = self.MESHES[name]
+        mesh = build_rect_mesh(1.0, 1.0, *make) if isinstance(make, tuple) else make()
+        for kind in (SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI, PRESSURE_P1):
+            lay = build_layout(mesh, kind)
+            for key, ref in sorted_plans(lay).items():
+                plan = self.derived(lay, key)
+                assert plan.shape == ref.shape and plan.nnz == ref.nnz, (kind, key)
+                for field in ("indptr", "indices", "slots"):
+                    got, want = getattr(plan, field), getattr(ref, field)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (kind, key, field)
+
+    def test_p1_plan_sorted_once_and_kept_on_the_mesh(self, monkeypatch):
+        made = recorded_sorts(monkeypatch)
+        mesh = build_rect_mesh(1.0, 1.0, 6, 5)
+        lays = [build_layout(mesh, kind) for kind in (SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI)]
+        for lay in lays:
+            for key in (False, True, "scalar") + (("pressure",) if lay.components == 2 else ()):
+                self.derived(lay, key)
+        assert made == [(mesh.n_nodes, mesh.n_nodes)]
+        assert asm.square_plan(lays[0]) is mesh.p1_plan
+        assert build_rect_mesh(1.0, 1.0, 6, 5).p1_plan is not mesh.p1_plan  # one per mesh
+        assert len(made) == 2
+
+
+class TestQuadraturePoints:
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_equal_the_einsum(self, degree):
+        # (lam_0 v_0 + lam_1 v_1) + lam_2 v_2, bit for bit the einsum it replaced
+        for mesh in (build_rect_mesh(2.0, 1.0, 24, 12), build_rect_mesh(1.0, 1.0, 7, 3), jittered_mesh()):
+            ctx = asm.AssemblyContext(mesh, degree)
+            ref = np.einsum("qi,eic->eqc", triangle_rule(degree).points, mesh.nodes[mesh.triangles])
+            assert ctx.points.shape == ref.shape and np.array_equal(ctx.points, ref)
 
 
 def unit_scaled(a):

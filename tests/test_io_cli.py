@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -597,6 +600,21 @@ class TestMain:
         assert source in summary["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("outdir", ["", "   "])
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_empty_outdir_rejected(self, tmp_path, capsys, monkeypatch, outdir, source):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--preset", "test2", "--mesh", "4"]
+        if source == "file":
+            (tmp_path / "run.ini").write_text(f"[output]\noutdir = {outdir}\n")
+            argv += ["--config", "run.ini"]
+        else:
+            argv += ["--out", outdir]
+        assert io_cli.main(argv) == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["error"] == "ValueError" and "outdir" in summary["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["run.ini"] if source == "file" else [])
+
     def test_nan_dt_flag_rejected(self, tmp_path, capsys):
         code = io_cli.main(["run", "--preset", "test2", "--dt", "nan", "--out", str(tmp_path)])
         assert code == 1
@@ -611,6 +629,14 @@ class TestMain:
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "quadrature_degree must be an integer in 1..8" in summary["message"]
         assert not (tmp_path / "diagnostics.csv").exists()
+
+    def test_runs_as_a_module(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(io_cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "chemflow", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "usage" in done.stdout and "run" in done.stdout
 
     def test_check_passes(self, capsys):
         assert io_cli.main(["check"]) == 0

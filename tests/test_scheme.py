@@ -36,8 +36,10 @@ from oracles import (
     lagged_forms_at_points,
     lagged_matrices,
     projector,
+    recorded_sorts,
     skew_by_global_transpose,
     solved_projections,
+    stepper_matrices_by_sorted_plans,
     stopped_step,
     transport_free_solver,
 )
@@ -902,6 +904,29 @@ class TestConsistency:
             norms.append(math.sqrt(abs(r @ riesz)))
         assert norms[0] / norms[1] >= 1.8
         assert norms[1] / norms[2] >= 1.8
+
+
+class TestOneSortPerStepper:
+    """A ``Stepper`` sorts one scatter plan, its mesh's P1 plan, and derives
+    every other; its steps build none."""
+
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_one_sorted_plan_and_none_per_step(self, monkeypatch, preset):
+        made = recorded_sorts(monkeypatch)
+        st, state, dt, forcing = _preset_case(preset)  # on a fresh mesh
+        assert made == [(st.mesh.n_nodes, st.mesh.n_nodes)]
+        for _ in range(3):
+            state, _ = st.step(state, dt, forcing)
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_matrices_equal_the_sorted_plan_sums(self, preset):
+        st = _preset_case(preset)[0]
+        for name, ref in stepper_matrices_by_sorted_plans(st).items():
+            got = getattr(st, name)
+            assert got.shape == ref.shape, name
+            for field in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field)), (name, field)
 
 
 def _recorded_lus(monkeypatch, st):
