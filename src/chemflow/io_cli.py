@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import manufactured, scheme
+from . import linsolve, manufactured, scheme
 from .assembly import AssemblyContext, DiscreteField, assemble_skew_data, at_points, square_plan
 from .mesh import build_rect_mesh, is_integer
 from .quadrature import MAX_DEGREE
@@ -507,7 +507,7 @@ def cmd_check(args):
     stepper = Stepper(mesh, params)
     grid = TimeGrid(dt=cfg.dt, n_steps=cfg.n_steps())
     records = []
-    with contextlib.suppress(InvariantError):  # check the levels the run reached
+    with linsolve.recorded_lus() as lus, contextlib.suppress(InvariantError):  # the levels reached
         for final, rec in stepper.run(grid, data, INIT_MODES[cfg.init_mode], forcing):
             records.append(rec)
 
@@ -524,6 +524,17 @@ def cmd_check(args):
     mean_n = abs(stepper.w_p1 @ final.n)
     mean_pi = abs(stepper.w_p1 @ final.pi)
     check("zero means", max(mean_n, mean_pi) <= 1e-11, f"|mean| {max(mean_n, mean_pi):.3e}")
+
+    # each LU by its size: n bordered, c, the free sigma dofs, else the condensed (u, pi)
+    nn, sigma = mesh.n_nodes, stepper.layout_sigma
+    sizes = {nn + 1: "n", nn: "c", sigma.n_dofs - len(sigma.constrained_dofs): "sigma"}
+    fill = {}
+    for fact in lus:
+        system = sizes.get(fact.matrix.shape[0], "u")
+        fill[system] = max(fill.get(system, 0), fact.fill)
+    pivoted = sum(fact.pivoted for fact in lus)
+    check("LUs factor without pivoting", pivoted == 0, f"{pivoted} of {len(lus)} LUs interchanged rows; "
+          + "L+U fill " + ", ".join(f"{system} {fill[system]}" for system in sorted(fill)))
 
     rng = np.random.default_rng(7)
     worst = 0.0

@@ -4,7 +4,10 @@ Matrices are plain ``scipy.sparse.csr_matrix``.  This module pins down the
 behaviours the rest of the code relies on: canonical CSR storage with
 duplicates summed, through a ``ScatterPlan`` built once per entry list, an
 explicit error on (near-)singular systems instead of silent garbage, one
-elimination of constrained dofs (``eliminated``), one solver of operators
+elimination of constrained dofs (``eliminated``), one way to factor: the
+kept unknowns of a system in an order its caller gives (``Selection``, a
+node ordering of the mesh, ``graph_order``, expanded to the system),
+without reordering or pivoting (``Factorization``), one solver of operators
 that change by a transport each step through the LU of the first one
 (``KeptLU``), and one checked refinement loop for every solve
 (``refined_solve``).  Its one stopping rule accepts x once the residual
@@ -14,6 +17,7 @@ max_i |b - Ax|_i / (|A||x| + |b|)_i <= FLOOR * eps; its report carries the
 residual it accepted, also of a solve through the LU of a nearby matrix.
 """
 
+import contextlib
 import functools
 import math
 import time
@@ -34,6 +38,9 @@ MAX_REFINE_PASSES = 20  # passes through a nearby LU before a fresh LU takes ove
 # rounding floor: componentwise backward error accepted, in units of eps
 FLOOR = 64
 _FLOOR_EPS = FLOOR * np.finfo(float).eps
+# SuperLU's supernode relaxation and panel width: its defaults factor the
+# scheme's node-ordered systems 1.3-3x slower, from 10x10 to 80x40 meshes
+_RELAX, _PANEL = 2, 4
 
 
 class ScatterPlan:
@@ -77,7 +84,7 @@ class ScatterPlan:
     def _store(self, shape, indptr, indices, slots):
         self.shape = tuple(shape)
         self.nnz = len(indices)
-        index = np.int32 if max(self.nnz, *self.shape) < np.iinfo(np.int32).max else np.int64
+        index = index_dtype(max(self.nnz, *self.shape))
         self.indptr = indptr.astype(index)
         self.indices = indices.astype(index)
         self.slots = slots
@@ -95,29 +102,21 @@ class ScatterPlan:
         return self.csr(self.data(values))
 
 
-def entry_rows(a):
-    """Row of each stored entry of a CSR matrix or ``ScatterPlan``."""
-    return np.repeat(np.arange(len(a.indptr) - 1, dtype=np.int64), np.diff(a.indptr))
+def index_dtype(bound):
+    """int32 if every index up to ``bound`` fits in it, else int64."""
+    return np.int32 if bound < np.iinfo(np.int32).max else np.int64
+
+
+def entry_rows(a=None, indptr=None):
+    """Row of each stored entry of a CSR matrix or ``ScatterPlan`` ``a``, or of
+    the pattern with ``indptr``."""
+    indptr = a.indptr if indptr is None else indptr
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
 
 
 def abs_matrix(a):
     """|a| of the CSR matrix ``a``, on the index arrays of ``a``."""
     return sp.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
-
-
-def pruned(a):
-    """A copy of the sparse matrix ``a`` without its stored zeros."""
-    a = a.copy()
-    a.eliminate_zeros()
-    return a
-
-
-def _touching(a, dofs):
-    """Row of each stored entry of the CSR matrix ``a``, and whether the entry
-    lies in a row or a column of ``dofs`` (an integer array)."""
-    rows, hit = entry_rows(a), np.zeros(a.shape[0], dtype=bool)
-    hit[dofs] = True
-    return rows, hit[rows] | hit[a.indices]
 
 
 def eliminated(a, dofs):
@@ -131,7 +130,9 @@ def eliminated(a, dofs):
         If ``a`` stores no diagonal entry for one of ``dofs``.
     """
     a = a.tocsr(copy=True)
-    rows, touched = _touching(a, dofs)
+    rows, hit = entry_rows(a), np.zeros(a.shape[0], dtype=bool)
+    hit[dofs] = True
+    touched = hit[rows] | hit[a.indices]
     a.data[touched] = 0.0
     diagonal = touched & (rows == a.indices)
     if not np.array_equal(rows[diagonal], np.unique(dofs)):
@@ -140,29 +141,134 @@ def eliminated(a, dofs):
     return a
 
 
-class PatternSum:
-    """``base`` plus a transport given as data on ``pattern`` (a ``ScatterPlan``
-    or a CSR matrix), a leading block of ``base`` whose positions ``base`` all
-    stores, written in place into one kept ``matrix``: the slots are found
-    once, and a call builds no sparse matrix.  Transport entries in the rows
-    and columns of ``eliminated`` are dropped.  ``abs_matrix`` holds |matrix|
-    on the index arrays of ``matrix``, refreshed by each call.  A pattern that
-    does not fit, or data of another length than the pattern's, raises
-    ValueError."""
+def graph_order(plan):
+    """The rows of the square pattern of ``plan`` (a ``ScatterPlan`` or CSR
+    matrix with a stored diagonal) in SuperLU's multiple minimum degree
+    order of its graph, (n,): the order SuperLU picks for the graph
+    Laplacian plus the identity, which an incomplete LU that keeps no fill
+    returns as fast as any call.  Minimum degree fills near-optimally on
+    2-D meshes (George, *SIAM J. Numer. Anal.* 10, 1973), and an order of a
+    mesh's node graph orders the unknowns of every space on its nodes
+    (Ashcraft, *SIAM J. Sci. Comput.* 16, 1995)."""
+    rows, degree = entry_rows(plan), np.diff(plan.indptr)
+    data = np.where(rows == plan.indices, degree[rows].astype(float), -1.0)
+    laplacian = sp.csc_matrix((data, plan.indices, plan.indptr), shape=plan.shape)
+    lu = spla.spilu(laplacian, permc_spec="MMD_AT_PLUS_A", drop_tol=1.0, fill_factor=1.0)
+    return np.argsort(lu.perm_c)
 
-    def __init__(self, base, pattern, eliminated=np.empty(0, dtype=np.int64)):
-        self.matrix, self.nnz = base.copy(), pattern.nnz
-        keys, want = (entry_rows(m) * base.shape[1] + m.indices for m in (base, pattern))
-        slots = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        if np.any(keys[slots] != want):
-            raise ValueError("the operator does not store every position of the pattern")
-        self._kept = ~_touching(pattern, eliminated)[1]
+
+def ordered_pattern(plan, order):
+    """The square pattern of ``plan`` (a ``ScatterPlan`` or CSR matrix) with
+    its rows and columns in ``order`` (``order[k]``: the row placed k-th):
+    (indptr, indices, entry), ``entry`` the index in ``plan``'s pattern of
+    each entry.  The rows come out sorted, each row's few entries sorted in
+    one padded (rows, widest row) array: no sort of the whole pattern."""
+    n = len(order)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    starts, length = plan.indptr[order].astype(np.int64), np.diff(plan.indptr)[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(length, out=indptr[1:])
+    rows = np.repeat(np.arange(n), length)
+    within = np.arange(indptr[-1]) - indptr[rows]
+    padded = np.full((n, int(length.max(initial=0))), n, dtype=np.int64)
+    padded[rows, within] = rank[plan.indices[starts[rows] + within]]
+    sorter = np.argsort(padded, axis=1, kind="stable")
+    entry = (starts[:, None] + sorter)[np.arange(padded.shape[1]) < length[:, None]]
+    return indptr, rank[plan.indices[entry]], entry
+
+
+def stacked_pattern(n, parts):
+    """The CSR pattern of ``n`` rows whose row r holds the entries of
+    ``parts[0]`` in row r, then those of ``parts[1]``, and so on:
+    (indptr, indices, take).  A part is (rows, cols, take), its entries
+    listed by row (rows nondecreasing); a row comes out sorted if each
+    part's columns in it are sorted and lie below the next part's."""
+    counts = [np.bincount(rows, minlength=n) for rows, _, _ in parts]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.sum(counts, axis=0), out=indptr[1:])
+    indices, take = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1], dtype=np.int64)
+    filled = indptr[:-1].copy()
+    for (rows, cols, source), count in zip(parts, counts):
+        first = np.cumsum(count) - count  # where each row's entries start in the part
+        at = filled[rows] + np.arange(len(rows)) - first[rows]
+        indices[at], take[at] = cols, source
+        filled += count
+    return indptr, indices, take
+
+
+def block_pattern(indptr, indices, dof_rank, allowed):
+    """A pattern over nodes (``indptr``, ``indices``, rows sorted) expanded to
+    their unknowns: (indptr, indices, cell).  Unknown a of node i is
+    ``dof_rank[i, a]`` (-1: not kept; the kept ones increase with (i, a)),
+    and entry (i, j) holds the block entries (a, b) that ``allowed[a, b]``
+    admits.  ``cell`` is (entry * w + a) * w + b of each kept entry, w =
+    ``dof_rank.shape[1]``.  The candidates are laid out (i, a, j, b) in one
+    array padded to the widest row, so the kept ones, read in order, come
+    out with their rows sorted."""
+    (n, w), ptr = dof_rank.shape, np.asarray(indptr, dtype=np.int64)
+    rows, length = entry_rows(indptr=ptr), np.diff(ptr)
+    within = np.arange(len(indices)) - ptr[rows]
+    entry = np.full((n, int(length.max(initial=0))), -1, dtype=np.int64)
+    entry[rows, within] = np.arange(len(indices))
+    ranks = np.append(dof_rank, np.full((1, w), -1), axis=0)  # a padding entry reads row -1
+    cols = ranks[indices[entry] if len(indices) else entry][:, None, :, :]
+    cols = np.where(entry[:, None, :, None] >= 0, cols, -1)
+    ok = (dof_rank[:, :, None, None] >= 0) & (cols >= 0) & allowed[None, :, None, :]
+    cell = (entry[:, None, :, None] * w + np.arange(w)[:, None, None]) * w + np.arange(w)
+    out = np.zeros(n * w + 1, dtype=np.int64)
+    np.cumsum(ok.sum(axis=(2, 3)).ravel(), out=out[1:])
+    return out[np.append(dof_rank.ravel() >= 0, True)], np.broadcast_to(cols, ok.shape)[ok], cell[ok]
+
+
+class Selection:
+    """The kept unknowns of a square system in factoring order and the CSR
+    pattern of its kept matrix, each entry gathered from one entry of a
+    source vector.
+
+    ``kept[i]`` is the system's unknown at position i (None: all of them, in
+    their own order).  The kept matrix's pattern is (``indptr``,
+    ``indices``), and its entry k holds ``source[take[k]]``; both are built
+    once by index arithmetic (``ordered_pattern``, ``stacked_pattern``,
+    ``block_pattern``), so the kept matrix of each source costs one gather
+    (``matrix``).  ``slots[j]`` is the entry that source entry j fills, -1
+    where none (the last, for an entry taken twice), found at first use.
+    """
+
+    def __init__(self, kept, indptr, indices, take, n_source):
+        index = index_dtype(max(len(take), n_source))
+        self.kept, self.take, self._n_source = kept, take.astype(index), n_source
+        self.indptr, self.indices = indptr.astype(index), indices.astype(index)
+
+    @functools.cached_property
+    def slots(self):
+        slots = np.full(self._n_source, -1, dtype=self.take.dtype)
+        slots[self.take] = np.arange(len(self.take))
+        return slots
+
+    def matrix(self, source):
+        """The kept matrix holding the entries of ``source``."""
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((source[self.take], self.indices.copy(), self.indptr.copy()), shape=(n, n))
+
+
+class PatternSum:
+    """A kept ``matrix`` plus a transport given as data, its entry k written
+    in place into slot ``slots[k]`` of the matrix (dropped where -1): the
+    slots are known from the matrix's construction, and a call builds no
+    sparse matrix.  ``abs_matrix`` holds |matrix| on the index arrays of
+    ``matrix``, refreshed by each call.  Data of another length than
+    ``slots`` raises ValueError."""
+
+    def __init__(self, matrix, slots):
+        self.matrix, self.nnz = matrix, len(slots)
+        self._kept = slots >= 0
         self._slots = slots[self._kept]
-        self._base = base.data[self._slots]
-        self.abs_matrix = abs_matrix(self.matrix)
+        self._base = matrix.data[self._slots]
+        self.abs_matrix = abs_matrix(matrix)
 
     def __call__(self, data):
-        """The kept matrix, holding ``base`` plus the transport ``data``."""
+        """The kept matrix, holding its base plus the transport ``data``."""
         if np.shape(data) != (self.nnz,):
             raise ValueError(f"transport data has shape {np.shape(data)}, expected ({self.nnz},)")
         self.matrix.data[self._slots] = self._base + data[self._kept]
@@ -244,66 +350,105 @@ def refined_solve(b, inverse, a, abs_a, paid, fresh_inverse=None):
 
 
 class Factorization:
-    """LU factorization of a square scipy sparse matrix, reusable across solves:
-    SuperLU's COLAMD ordering with partial pivoting, or, for a ``quasi_definite``
-    matrix, a symmetric minimum-degree ordering without pivoting, which fills
-    less.  The criterion is that a diagonal row scaling gives the matrix a
-    positive definite symmetric part: every symmetric permutation keeps that
-    property, so every symmetric ordering has nonzero pivots (Golub and Van
-    Loan, *Linear Algebra Appl.* 28, 1979).  A symmetric positive definite
-    matrix meets it unscaled, and a symmetric quasi-definite one [[A, B^T],
-    [B, -C]] (Vanderbei, *SIAM J. Optim.* 5, 1995) with its second block of
-    rows negated."""
+    """LU factorization of a square sparse system, reusable across solves.
 
-    def __init__(self, a, quasi_definite=False):
+    There is one way to factor: SuperLU takes the kept unknowns in the order
+    given (``permc_spec="NATURAL"``) and each diagonal entry as its pivot
+    (``diag_pivot_thresh=0``), so its row and column permutations are the
+    identity.  The order is the caller's, and fills little: the mesh's node
+    order (``graph_order``) expanded to the system.  Every system of the
+    scheme has nonzero pivots in it: a matrix that a diagonal row scaling
+    gives a positive definite symmetric part keeps that property under
+    every symmetric permutation (Golub and Van Loan, *Linear Algebra Appl.*
+    28, 1979), and the bordered density operator's border comes just before
+    its last node.  ``order`` is a ``Selection`` gathering the kept matrix
+    from ``a.data``, or None to factor ``a`` as it stands; unknowns outside
+    it are held at 0.  The kept matrix's CSR arrays, read as CSC, are those
+    of its transpose, which SuperLU factors without a copy; ``lu_solve``
+    solves with the transpose of that.
+    """
+
+    def __init__(self, a, order=None):
         n, m = a.shape
         if n != m:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
-        self.matrix = sp.csr_matrix(a)
-        ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                        options={"SymmetricMode": True}) if quasi_definite else {}
+        self.n, self.kept = n, None if order is None else order.kept
+        self.matrix = sp.csr_matrix(a) if order is None else order.matrix(a.data)
+        kept = self.matrix
         t0 = time.perf_counter()
         try:
-            self._lu = spla.splu(self.matrix.tocsc(), **ordering)
+            self._lu = spla.splu(sp.csc_matrix((kept.data, kept.indices, kept.indptr), shape=kept.shape),
+                                 permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=_RELAX,
+                                 panel_size=_PANEL, options={"SymmetricMode": True})
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SingularSystemError(str(exc)) from exc
         self.factor_time = self._unpaid = time.perf_counter() - t0
+        for made in _RECORDERS:
+            made.append(self)
 
     @functools.cached_property
     def abs_matrix(self):
         """|A| on the index arrays of ``matrix``, built at its first use."""
         return abs_matrix(self.matrix)
 
+    @property
+    def fill(self):
+        """Nonzeros of L plus U."""
+        return self._lu.L.nnz + self._lu.U.nnz
+
+    @property
+    def pivoted(self):
+        """Whether SuperLU interchanged rows (it does only at a zero pivot)."""
+        return not np.array_equal(self._lu.perm_r, np.arange(self.matrix.shape[0]))
+
     def lu_solve(self, b):
-        """LU^-1 b, unchecked: for a caller that checks the residual itself."""
-        return self._lu.solve(b)
+        """LU^-1 b of the kept system, unchecked: for a caller that checks the residual itself."""
+        return self._lu.solve(b, trans="T")
 
     def solve(self, b):
-        """(x, SolveReport) of A x = b (``refined_solve``); the first reports the LU."""
+        """(x, SolveReport) of A x = b (``refined_solve`` on the kept system);
+        the first reports the LU."""
         paid, self._unpaid = self._unpaid, None
-        return refined_solve(b, self._lu.solve, self.matrix, self.abs_matrix, paid)
+        if self.kept is None:
+            return refined_solve(b, self.lu_solve, self.matrix, self.abs_matrix, paid)
+        x, report = refined_solve(np.asarray(b, dtype=float)[self.kept], self.lu_solve,
+                                  self.matrix, self.abs_matrix, paid)
+        full = np.zeros(self.n)
+        full[self.kept] = x
+        return full, report
 
 
-def _pruned_lu(a, quasi_definite=False):
-    """``Factorization`` of the CSR matrix ``a`` without its stored zeros."""
-    return Factorization(pruned(a), quasi_definite)
+_RECORDERS = []  # the lists of ``recorded_lus`` contexts now open
+
+
+@contextlib.contextmanager
+def recorded_lus():
+    """A list that collects every ``Factorization`` built while the context is open."""
+    made = []
+    _RECORDERS.append(made)
+    try:
+        yield made
+    finally:
+        _RECORDERS.remove(made)
 
 
 class KeptLU:
-    """Solver of (base + N) x = b, the transport N given as data on ``pattern``
-    (``operator``, a ``PatternSum``), through the LU ``lu`` of its first
-    operator, that of ``transport``: ``factor(a, quasi_definite)``, an object
-    whose ``lu_solve`` applies an LU of ``a`` unchecked (by default a
-    ``Factorization`` of ``a`` without its stored zeros).  Each ``solve``
-    refines against its own operator through ``lu``, and a fresh ``factor(a)``
-    takes over if that fails (``refined_solve``).  The first solve reports the
-    time of the first sum and its LU as its factor time."""
+    """Solver of (base + N) x = b, the transport N given as data written into
+    the slots ``slots`` of the kept ``matrix`` (``operator``, a
+    ``PatternSum``), through the LU ``lu`` of its first operator, that of
+    ``transport``: ``factor(a)``, an object whose ``lu_solve`` applies an LU
+    of ``a`` unchecked (by default a ``Factorization``, whose ``matrix`` is
+    then the kept operator, which each solve overwrites).  ``matrix`` holds
+    the system's unknowns ``kept`` in order (None: in their own order), so
+    each ``solve`` permutes b and x once.  Each ``solve`` refines against its
+    own operator through ``lu``, and a fresh ``factor(a)`` takes over if that
+    fails (``refined_solve``).  The first solve reports the time of the first
+    sum and its LU as its factor time."""
 
-    def __init__(self, base, pattern, transport, factor=_pruned_lu, quasi_definite=False,
-                 eliminated=np.empty(0, dtype=np.int64)):
-        self.operator, self._factor = PatternSum(base, pattern, eliminated), factor
+    def __init__(self, matrix, slots, transport, kept=None, factor=Factorization):
+        self.operator, self.kept, self._factor = PatternSum(matrix, slots), kept, factor
         t0 = time.perf_counter()
-        self.lu = factor(self.operator(transport), quasi_definite)
+        self.lu = factor(self.operator(transport))
         self._unpaid = time.perf_counter() - t0
 
     def solve(self, b, transport):
@@ -311,4 +456,10 @@ class KeptLU:
         a = self.operator(transport)
         paid, self._unpaid = self._unpaid, None
         fresh = lambda: self._factor(a).lu_solve
-        return refined_solve(b, self.lu.lu_solve, a, self.operator.abs_matrix, paid, fresh)
+        if self.kept is None:
+            return refined_solve(b, self.lu.lu_solve, a, self.operator.abs_matrix, paid, fresh)
+        x, report = refined_solve(np.asarray(b, dtype=float)[self.kept], self.lu.lu_solve, a,
+                                  self.operator.abs_matrix, paid, fresh)
+        full = np.empty(len(b))
+        full[self.kept] = x
+        return full, report

@@ -4,7 +4,10 @@ Meshes are built once and never mutated; every downstream object (dof
 layouts, assembled matrices) only reads from them, so sharing across
 workers is safe.  A mesh keeps the scatter plan of its P1 node adjacency
 (``Mesh.p1_plan``), built by one sort on first use; assembly derives the
-plan of every other space on the mesh from it by index arithmetic.
+plan of every other space on the mesh from it by index arithmetic.  It
+also keeps one ordering of its nodes (``Mesh.node_order``), computed at
+its first use, that every LU of a system on the mesh expands to its
+unknowns.
 """
 
 import functools
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsolve import ScatterPlan
+from .linsolve import ScatterPlan, graph_order
 
 SIDE_TAGS = ("left", "right", "bottom", "top")
 
@@ -63,6 +66,14 @@ class Mesh:
         rows = np.broadcast_to(self.triangles[:, :, None], full)
         cols = np.broadcast_to(self.triangles[:, None, :], full)
         return ScatterPlan((self.n_nodes, self.n_nodes), rows, cols)
+
+    @functools.cached_property
+    def node_order(self):
+        """The nodes in the minimum degree order of the P1 node graph
+        (``linsolve.graph_order`` of ``p1_plan``), computed at the first
+        factorization of a system on the mesh and kept as long as the mesh
+        lives: ``node_order[k]`` is the node eliminated k-th."""
+        return graph_order(self.p1_plan)
 
     @property
     def bounds(self):

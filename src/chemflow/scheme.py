@@ -10,9 +10,12 @@ transports (data on fixed patterns) and the load vectors are rebuilt each
 step.  A step solves each system through one LU kept per time step size,
 of the operator of the first step of that size, its transport included; a
 later step refines against its own operator through it.  The
-velocity/pressure system has its bubbles condensed out.
+velocity/pressure system has its bubbles condensed out.  Every LU factors
+its system's kept unknowns in the mesh's node order, expanded to them by
+index arithmetic, without pivoting.
 """
 
+import copy
 import functools
 import math
 import numbers
@@ -193,8 +196,7 @@ class InitialData:
 
 
 class CondensedSaddle:
-    """Condensation of the velocity/pressure system of one step-independent
-    velocity operator.
+    """Condensation of the bordered velocity/pressure system of one layout.
 
     The bordered saddle system of the scheme,
 
@@ -202,78 +204,170 @@ class CondensedSaddle:
         [ G_c^T   0        w ] [pi ] = [g]
         [ 0       w^T      0 ] [lam]   [h]
 
-    with S = ``s_const`` + N (N: the skew transport of a step, data on the
-    pattern of ``s_const``) and the pinned velocity dofs eliminated
-    (identity rows, value 0; ``Stepper._saddle_lu`` builds it), is solved
-    without factoring it:
+    with S a velocity operator on the pattern of the layout's mass matrix
+    (a step's skew transport N included) and the pinned velocity dofs
+    eliminated (identity rows, value 0), is T, solved without factoring it:
 
     * the bubble-bubble block D of S is diagonal (a bubble lives on one
       element, and N has a zero diagonal), so the bubbles are condensed
       out, leaving a P1-P1 system whose pressure block is
       G_B^T D^-1 G_B / rho;
     * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
-      one pressure dof is pinned and the mean shifted afterwards.
+      the gauge pressure dof 0 is pinned and the mean shifted afterwards.
 
-    This class keeps that bookkeeping; ``factor(t)`` condenses a bordered
-    matrix ``t`` and factors the condensation.  With its pressure rows
-    scaled by 1/rho that condensation has a positive definite symmetric part
-    (S is SPD, N skew and zero on D, and x^T (K/D) x = [y; x]^T K [y; x] for
-    y = -D^-1 K_bk x), so the kept LU is factored without pivoting, as
-    ``linsolve.Factorization`` sets out for ``quasi_definite``; a fresh one
-    keeps partial pivoting.
+    The bookkeeping is built once per layout, by index arithmetic on the
+    plans of ``s`` (``asm.square_plan``) and ``g`` (G on
+    ``asm.pressure_plan``, its exact zeros stored) and on ``nodes``, the
+    node-ordered P1 pattern (``Stepper._nodes``): ``bordered(s)`` forms T
+    with one gather, the pinned rows and columns zeroed on the pattern and
+    their diagonal set to 1 in the same pass, and ``slots`` places a
+    transport in it.  The condensed system keeps ``kept``: the free
+    nodal velocity dofs and the pressure dofs but the gauge, sorted by node
+    in the mesh's node order, then u1, u2, pi, so the condensation comes
+    out already ordered.  A bubble couples only to the three vertex
+    velocities of its component on its element and to the element's three
+    pressures, so T_kb D^-1 T_bk is a sum of 6 x 6 blocks, one per bubble,
+    summed into a pattern found once.  ``factor(t)`` returns a copy holding
+    those blocks of a bordered matrix t and the LU of its condensation,
+    whose ``lu_solve`` solves with t.  With its pressure rows scaled by
+    1/rho that condensation has a positive definite symmetric part (S is
+    SPD, N skew and zero on D, and x^T (K/D) x = [y; x]^T K [y; x] for
+    y = -D^-1 K_bk x), so every symmetric ordering of it has nonzero pivots
+    (``linsolve.Factorization``).
     """
 
-    def __init__(self, s_const, layout_u, w):
-        nodal, bubble = layout_u.nodal_and_bubble_dofs()
-        nu, npi = s_const.shape[0], len(w)
-        is_bubble = np.zeros(nu, dtype=bool)
-        is_bubble[bubble] = True
-        rows, cols = linsolve.entry_rows(s_const), s_const.indices
-        coupled = is_bubble[rows] & is_bubble[cols] & (rows != cols)
-        if np.any(s_const.data[coupled] != 0.0):
+    def __init__(self, s, g, layout_u, w, rho, nodes):
+        mesh, (nu, npi) = layout_u.mesh, (s.shape[0], len(w))
+        n, ne, ns, pinned = nu + npi + 1, mesh.n_triangles, layout_u.n_scalar, layout_u.constrained_dofs
+        bubble = layout_u.nodal_and_bubble_dofs()[1]
+        rows, cols, g_rows = linsolve.entry_rows(s), s.indices, linsolve.entry_rows(g)
+        is_bubble, is_pinned = np.zeros(nu, dtype=bool), np.zeros(nu, dtype=bool)
+        is_bubble[bubble], is_pinned[pinned] = True, True
+        if np.any(s.data[is_bubble[rows] & is_bubble[cols] & (rows != cols)] != 0.0):
             raise ValueError("bubble-bubble block of the velocity operator is not diagonal")
-        self.n_u = nu
-        self.d_inv = 1.0 / s_const.diagonal()[bubble]
-        self.w = w
-        self.area = float(w.sum())
-        self.pinned = layout_u.constrained_dofs
-        self.bubble = bubble
-        # unknowns of the condensed system; pressure dof 0 carries the gauge
-        self.kept = np.concatenate([np.setdiff1d(nodal, self.pinned), nu + np.arange(1, npi)])
+        self.n_u, self.w, self.area, self.bubble = nu, w, float(w.sum()), bubble
 
-    def factor(self, t, quasi_definite=False):
-        """The ``Condensation`` of the bordered saddle matrix ``t``."""
-        t_kept = t[self.kept]
-        a_kb = t_kept[:, self.bubble]
-        dinv_a_bk = sp.diags(self.d_inv) @ t[self.bubble][:, self.kept]
-        lu = linsolve.Factorization(t_kept[:, self.kept] - a_kb @ dinv_a_bk, quasi_definite)
-        return Condensation(self, a_kb, dinv_a_bk, lu)
+        # T from the source [s, -G/rho, G, w, 1, 0], each row in column order:
+        # a velocity row is its row of s, then of G; a pressure row its column
+        # of G, then w; the pinned rows and columns keep their positions,
+        # read from the 0, but the diagonal, read from the 1
+        by_col = sp.csr_matrix((np.arange(g.nnz, dtype=float), g.indices, g.indptr), shape=g.shape).tocsc()
+        of_g, gt_rows = by_col.data.astype(np.int64), linsolve.entry_rows(indptr=by_col.indptr)
+        nt = s.nnz + 2 * g.nnz + 2 * npi
+        ptr = np.concatenate([s.indptr + g.indptr, s.nnz + g.nnz + by_col.indptr[1:] + np.arange(1, npi + 1),
+                              [nt]])
+        at_s = np.arange(s.nnz) + g.indptr[rows]
+        at_g = s.indptr[g_rows + 1] + np.arange(g.nnz)
+        at_gt = np.empty(g.nnz, dtype=np.int64)
+        at_gt[of_g] = s.nnz + g.nnz + np.arange(g.nnz) + gt_rows
+        w_col, w_row = ptr[nu + 1 : n] - 1, nt - npi + np.arange(npi)
+        one, zero = s.nnz + 2 * g.nnz + npi, s.nnz + 2 * g.nnz + npi + 1
+        cols_t, take = np.empty(nt, dtype=np.int64), np.empty(nt, dtype=np.int64)
+        cols_t[at_s], cols_t[at_g], cols_t[at_gt] = cols, nu + g.indices, g_rows
+        cols_t[w_col], cols_t[w_row] = n - 1, nu + np.arange(npi)
+        free = ~(is_pinned[rows] | is_pinned[cols])
+        take[at_s] = np.where(free, np.arange(s.nnz), np.where(rows == cols, one, zero))
+        g_free = ~is_pinned[g_rows]
+        take[at_g] = np.where(g_free, s.nnz + np.arange(g.nnz), zero)
+        take[at_gt] = np.where(g_free, s.nnz + g.nnz + np.arange(g.nnz), zero)
+        take[w_col] = take[w_row] = s.nnz + 2 * g.nnz + np.arange(npi)
+        index = linsolve.index_dtype(nt)
+        self._t_ptr, self._t_cols, self._t_take = ptr.astype(index), cols_t.astype(index), take.astype(index)
+        self.slots = np.where(free, at_s, -1).astype(index)
+        self._g, self._rho = g, rho
 
+        # the condensed system: (u1, u2, pi) by node, in the node order
+        indptr, indices, entry, (el, vi, vj) = nodes
+        order, nodes_n = mesh.node_order, mesh.n_nodes
+        by_node = np.column_stack([order, ns + order, nu + order])
+        keep = np.ones(n, dtype=bool)
+        keep[pinned] = keep[nu] = False
+        keep = keep[by_node]
+        dof_rank = np.where(keep, np.cumsum(keep).reshape(-1, 3) - 1, -1)
+        self.kept = by_node[keep]
+        allowed = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=bool)  # u1 and u2 never couple
+        c_ptr, c_cols, cell = linsolve.block_pattern(indptr, indices, dof_rank, allowed)
+        index = linsolve.index_dtype(max(len(c_cols), nt))
+        self._c_ptr, self._c_cols = c_ptr.astype(index), c_cols.astype(index)
+        at = np.full(9 * len(indices), len(cell), dtype=index)  # an unkept partner's pairs sum into a dummy
+        at[cell] = np.arange(len(cell))
 
-@dataclass(frozen=True)
-class Condensation:
-    """The nodal-bubble blocks of a bordered saddle matrix T of ``saddle``
-    and the LU of its condensation (``lu``)."""
+        # T_kk, the entries of T on kept positions, by node pair: the slot of
+        # a vertex pair in a layout's plan is that of an element entry summing
+        # into it; the pressure-pressure block of T is empty
+        su = asm.square_plan(layout_u).slots.reshape(ne, 2, 4, 4)
+        gp = asm.pressure_plan(layout_u).slots.reshape(ne, 2, 4, 3)
+        table = np.full((len(indices), 3, 3), -1)
+        for c in range(2):
+            table[:, c, c] = at_s[su[el, c, vi, vj]]
+            table[:, c, 2] = at_g[gp[el, c, vi, vj]]
+            table[:, 2, c] = at_gt[gp[el, c, vj, vi]]
+        kk_at = table.ravel()[cell]
+        self._kk = np.flatnonzero(kk_at >= 0).astype(index)
+        self._kk_at = kk_at[self._kk].astype(index)
 
-    saddle: CondensedSaddle
-    a_kb: sp.csr_matrix
-    dinv_a_bk: sp.csr_matrix
-    lu: linsolve.Factorization
+        # bubble (c, e): its partners (vertex k, u_c), then (vertex k, pi); the
+        # slots in T of its column, row and diagonal, and in the condensed
+        # matrix of each pair of partners; an unkept partner's column and row
+        # are read as 0
+        comp, elem = np.repeat([0, 1], ne), np.tile(np.arange(ne), 2)
+        node_rank = np.empty(nodes_n, dtype=np.int64)
+        node_rank[order] = np.arange(nodes_n)
+        kind = np.hstack([np.repeat(comp[:, None], 3, axis=1), np.full((2 * ne, 3), 2)]).astype(index)
+        corner = np.tile(np.arange(3), 2)
+        rank = dof_rank[node_rank[mesh.triangles[elem][:, corner]], kind]
+        coupling = gp[elem, comp, 3, :]
+        self._q_at = np.hstack([at_s[su[elem, comp, :3, 3]], at_gt[coupling]])
+        self._r_at = np.hstack([at_s[su[elem, comp, 3, :3]], at_g[coupling]])
+        self._d_at = at_s[su[elem, comp, 3, 3]]
+        valid = rank >= 0
+        self._valid, self._rank = valid.astype(float), np.where(valid, rank, 0).astype(index)
+        oinv = np.empty(len(entry), dtype=index)
+        oinv[entry] = np.arange(len(entry))
+        opos = oinv[mesh.p1_plan.slots.reshape(ne, 3, 3)][elem][:, corner[:, None], corner]
+        self._pair_at = at[(opos * 3 + kind[:, :, None]) * 3 + kind[:, None, :]].ravel()
+
+    def bordered(self, s):
+        """T of the velocity operator ``s`` (data on the pattern this was built from)."""
+        n = len(self._t_ptr) - 1
+        g = self._g.data
+        data = np.concatenate([s.data, -g / self._rho, g, self.w, [1.0, 0.0]])[self._t_take]
+        return sp.csr_matrix((data, self._t_cols.copy(), self._t_ptr.copy()), shape=(n, n))
+
+    def factor(self, t):
+        """A copy holding the bubble blocks of the bordered matrix ``t`` (on
+        the pattern of ``bordered``), T_kb and D^-1 T_bk, and the LU of its
+        condensation (``lu``)."""
+        out, data = copy.copy(self), t.data
+        out.d_inv = 1.0 / data[self._d_at]
+        q = data[self._q_at] * self._valid  # T[partner, bubble]
+        r = data[self._r_at] * (self._valid * out.d_inv[:, None])  # T[bubble, partner] / D
+        blocks = q[:, :, None] * r[:, None, :]
+        nk, nnz = len(self.kept), len(self._c_cols)
+        values = np.zeros(nnz)
+        values[self._kk] = data[self._kk_at]
+        values -= np.bincount(self._pair_at, weights=blocks.ravel(), minlength=nnz + 1)[:nnz]
+        out.lu = linsolve.Factorization(
+            sp.csr_matrix((values, self._c_cols.copy(), self._c_ptr.copy()), shape=(nk, nk)))
+        # T_kb by bubble column and D^-1 T_bk by bubble row, six partners each
+        nb, by_bubble = len(self.bubble), np.arange(0, self._rank.size + 1, 6)
+        out.a_kb = sp.csc_matrix((q.ravel(), self._rank.ravel(), by_bubble), shape=(nk, nb))
+        out.dinv_a_bk = sp.csr_matrix((r.ravel(), self._rank.ravel(), by_bubble), shape=(nb, nk))
+        return out
 
     def lu_solve(self, b):
         """x with T x = b through the condensed LU, unchecked: the caller
         checks the residual of the bordered system."""
-        s = self.saddle
-        nu, n = s.n_u, len(b) - 1
-        lam = b[nu:n].sum() / s.area
+        nu, n = self.n_u, len(b) - 1
+        lam = b[nu:n].sum() / self.area
         z = b[:n].copy()
-        z[nu:] -= lam * s.w
-        z_b = s.d_inv * z[s.bubble]
-        x = self.lu.lu_solve(z[s.kept] - self.a_kb @ z_b)
+        z[nu:] -= lam * self.w
+        z_b = self.d_inv * z[self.bubble]
+        x = self.lu.lu_solve(z[self.kept] - self.a_kb @ z_b)
         z[:] = 0.0
-        z[s.kept] = x
-        z[s.bubble] = z_b - self.dinv_a_bk @ x
-        z[nu:] += (b[-1] - s.w @ z[nu:]) / s.area
+        z[self.kept] = x
+        z[self.bubble] = z_b - self.dinv_a_bk @ x
+        z[nu:] += (b[-1] - self.w @ z[nu:]) / self.area
         return np.append(z, lam)
 
 
@@ -302,12 +396,12 @@ class Stepper:
         self.M_u = asm.assemble_mass(self.layout_u, self.ctx)
         self.K_u = asm.assemble_stiffness(self.layout_u, 1.0, self.ctx)
         self.G = asm.assemble_pressure_coupling(self.layout_u, self.layout_pi, self.ctx)
-        self.G.eliminate_zeros()  # its exact zeros would only widen G^T u and the saddle
 
         self.w_p1 = asm.integral_weight_vector(self.layout_c, self.ctx_p1)
         self.area = float(self.w_p1.sum())
         self.assembly_time = 0.0  # seconds of assembly in the last init_state or step
         self._solvers = {}  # (system, dt) -> solver kept from the first step of that dt
+        self._selections = {}  # system -> kept unknowns and their gather (``_selection``)
 
     # -- helpers ----------------------------------------------------------
 
@@ -341,9 +435,10 @@ class Stepper:
 
         A projection whose right-hand side, after its constraints, is exactly
         zero is zero, and builds and factors no operator: the Stokes
-        projection of a fluid at rest takes no LU.  The SPD c and sigma
-        operators are factored without pivoting; the n operator, whose K
-        block is singular, keeps partial pivoting."""
+        projection of a fluid at rest takes no LU.  Each LU factors its
+        system's kept unknowns in the order a step's LU of that system uses
+        (``_selection``): the n operator, whose K block is singular, has its
+        zero-mean border just before the last node, where no pivot is 0."""
         if mode not in self.INIT_MODES:
             raise ValueError(f"unknown init mode {mode!r}")
         p, alpha0 = self.params, self.params.alpha0
@@ -386,22 +481,17 @@ class Stepper:
         self.assembly_time = time.perf_counter() - t0
 
         # density: gradient projection with matched (zero) mean
-        def density(b):
-            a = asm.apply_constraints(self.K, self.layout_n, weight_vector=self.w_p1)
-            return linsolve.Factorization(a).solve(b)[0]
-
-        n0 = _projected(asm.constrain_rhs(rhs_n, self.layout_n), density)[: self.layout_n.n_dofs]
+        zero = np.zeros(self.M.nnz)
+        n0 = _projected(asm.constrain_rhs(rhs_n, self.layout_n), lambda b: self._kept_lu(
+            "n", self.K.data, zero).solve(b, zero)[0])[: self.layout_n.n_dofs]
 
         # concentration: full H1 projection, SPD
-        c0 = _projected(rhs_c, lambda b: linsolve.Factorization(
-            self.K + self.M, quasi_definite=True).solve(b)[0])
+        c0 = _projected(rhs_c, lambda b: self._kept_lu("c", self.K.data + self.M.data, zero).solve(
+            b, zero)[0])
 
         # flux: div/rot/L2 projection under the normal-trace constraints, SPD
-        def flux(b):
-            a = asm.apply_constraints(self.divrot * (1.0 / p.D_c) + self.M_sigma, self.layout_sigma)
-            return linsolve.Factorization(linsolve.pruned(a), quasi_definite=True).solve(b)[0]
-
-        sig0 = _projected(asm.constrain_rhs(rhs_s, self.layout_sigma), flux)
+        sig0 = _projected(asm.constrain_rhs(rhs_s, self.layout_sigma), lambda b: linsolve.Factorization(
+            self._sigma_operator(1.0, 1.0 / p.D_c), self._selection("sigma")).solve(b)[0])
 
         # velocity/pressure: discrete Stokes projection (its LU is used once)
         nu = self.layout_u.n_dofs
@@ -422,16 +512,13 @@ class Stepper:
         """Solver of one system and dt, built at the first step of that dt from
         that step's operator, its ``transport`` included (data on the pattern
         of M for n and c, of M_u for u; sigma has none).  For n, c and u it is
-        a ``linsolve.KeptLU`` of the transport-free operator (n bordered by its
-        zero-mean row; for u the bordered saddle of ``_saddle_lu``), into which
-        a step writes its own transport to refine against through the kept LU;
-        for sigma an LU under its normal-trace constraints.  A later call
-        returns the kept solver whatever its ``transport``.
-
-        The SPD sigma operator and the condensed (u, pi) one are factored
-        without pivoting (``linsolve.Factorization``'s ``quasi_definite``).
-        The n and c LUs keep COLAMD with partial pivoting: at the benchmark's
-        sizes they solve faster, and each is applied several times per step."""
+        a ``linsolve.KeptLU`` of the transport-free operator (``_kept_lu``; for
+        u the bordered saddle of ``_saddle_lu``), into which a step writes its
+        own transport to refine against through the kept LU; for sigma an LU
+        of its free dofs.  A later call returns the kept solver whatever its
+        ``transport``.  Every LU factors its system's kept unknowns in the
+        mesh's node order, expanded to them (``_selection``,
+        ``CondensedSaddle``), without pivoting (``linsolve.Factorization``)."""
         key = (system, dt)
         if key not in self._solvers:
             p = self.params
@@ -440,29 +527,112 @@ class Stepper:
                 s.data += self.K_u.data * (p.D_u / p.rho)  # M_u and K_u share the layout's pattern
                 solver = self._saddle_lu(s, transport)
             elif system == "sigma":
-                a = self.M_sigma * (1.0 / dt) + self.divrot
-                a = asm.apply_constraints(a, self.layout_sigma)
-                solver = linsolve.Factorization(linsolve.pruned(a), quasi_definite=True)
-            else:
-                a = self.M * (1.0 / dt)
-                a.data += self.K.data * (p.D_n if system == "n" else p.D_c)  # so do M and K
-                if system == "n":
-                    a = asm.apply_constraints(a, self.layout_n, weight_vector=self.w_p1)
-                solver = linsolve.KeptLU(a, self.M, transport)
+                solver = linsolve.Factorization(self._sigma_operator(1.0 / dt, 1.0),
+                                                self._selection("sigma"))
+            else:  # so do M and K
+                a = self.M.data * (1.0 / dt) + self.K.data * (p.D_n if system == "n" else p.D_c)
+                solver = self._kept_lu(system, a, transport)
             self._solvers[key] = solver
         return self._solvers[key]
 
+    @functools.cached_property
+    def _nodes(self):
+        """The P1 pattern in the mesh's node order (``linsolve.ordered_pattern``
+        of ``Mesh.p1_plan`` and ``Mesh.node_order``): (indptr, indices,
+        entry), and for each of its entries one element entry (e, i, j) of
+        the P1 plan summing into it, as three arrays: the slot of that vertex
+        pair in any plan assembly derives from the P1 plan is the slot of
+        that element entry there.  Built at the first LU and kept."""
+        p1 = self.mesh.p1_plan
+        indptr, indices, entry = linsolve.ordered_pattern(p1, self.mesh.node_order)
+        first = np.empty(p1.nnz, dtype=np.int64)
+        first[p1.slots] = np.arange(len(p1.slots))
+        e, ij = np.divmod(first[entry], 9)
+        return indptr, indices, entry, (e, *np.divmod(ij, 3))
+
+    def _selection(self, system):
+        """``linsolve.Selection`` of the kept unknowns of the n, c or sigma
+        system, built at its first LU and kept, by index arithmetic on the
+        node-ordered P1 pattern (``_nodes``): for c the nodes in order, of the
+        operator on the pattern of M; for n the same, its source [operator,
+        w], with the zero-mean border just before the last node: there every
+        pivot is nonzero, also for the init operator K, which is singular,
+        while the border last would leave K's last pivot, 0; for sigma the
+        free dofs, a node's two components next to each other, of the operator
+        on the pattern of ``divrot`` (``_sigma_operator``)."""
+        if system not in self._selections:
+            indptr, indices, entry, (e, i, j) = self._nodes
+            order, nn, m = self.mesh.node_order, self.mesh.n_nodes, self.M
+            if system == "c":
+                selection = linsolve.Selection(order, indptr, indices, entry, m.nnz)
+            elif system == "n":
+                shift = lambda r: r + (r == nn - 1)  # the last node moves past the border
+                rows, cols = shift(linsolve.entry_rows(indptr=indptr)), shift(indices)
+                low, nodes, border, w_at = cols < nn - 1, shift(np.arange(nn)), np.full(nn, nn - 1), m.nnz + order
+                selection = linsolve.Selection(
+                    np.concatenate([order[:-1], [nn], order[-1:]]),
+                    *linsolve.stacked_pattern(nn + 1, [
+                        (rows[low], cols[low], entry[low]),
+                        (nodes, border, w_at),
+                        (rows[~low], cols[~low], entry[~low]),
+                        (border, nodes, w_at),
+                    ]),
+                    m.nnz + nn,
+                )
+            else:
+                by_node = np.column_stack([order, nn + order])
+                free = np.ones(2 * nn, dtype=bool)
+                free[self.layout_sigma.constrained_dofs] = False
+                free = free[by_node]
+                dof_rank = np.where(free, np.cumsum(free).reshape(nn, 2) - 1, -1)
+                ptr, cols, cell = linsolve.block_pattern(indptr, indices, dof_rank, np.ones((2, 2), dtype=bool))
+                oe, a, b = cell // 4, cell // 2 % 2, cell % 2
+                slots = asm.square_plan(self.layout_sigma, coupled=True).slots.reshape(-1, 2, 3, 2, 3)
+                selection = linsolve.Selection(by_node[free], ptr, cols, slots[e[oe], a, i[oe], b, j[oe]],
+                                               self.divrot.nnz)
+            self._selections[system] = selection
+        return self._selections[system]
+
+    def _kept_lu(self, system, data, transport):
+        """``linsolve.KeptLU`` of the n or c operator with ``data`` on the
+        pattern of M (n bordered by its zero-mean row and column), in the
+        order of ``_selection``, with the transport ``transport``."""
+        selection = self._selection(system)
+        if system == "n":
+            data = np.concatenate([data, self.w_p1])
+        return linsolve.KeptLU(selection.matrix(data), selection.slots[: self.M.nnz], transport,
+                               selection.kept)
+
+    @functools.cached_property
+    def _sigma_mass(self):
+        """Where each entry of M_sigma lies in the pattern of divrot, which
+        holds it: read off the two layouts' plans, element entry by element
+        entry, at the first sigma LU."""
+        coupled = asm.square_plan(self.layout_sigma, coupled=True).slots.reshape(-1, 2, 3, 2, 3)
+        mass = asm.square_plan(self.layout_sigma)
+        at = np.empty(mass.nnz, dtype=np.int64)
+        at[mass.slots] = np.stack([coupled[:, c, :, c, :] for c in range(2)], axis=1).ravel()
+        return at
+
+    def _sigma_operator(self, mass_scale, divrot_scale):
+        """mass_scale M_sigma + divrot_scale divrot on the pattern of divrot:
+        no constraint applied, no position dropped."""
+        a = self.divrot * divrot_scale
+        a.data[self._sigma_mass] += self.M_sigma.data * mass_scale
+        return a
+
+    @functools.cached_property
+    def _saddle(self):
+        """The ``CondensedSaddle`` of the velocity layout, built at the first
+        (u, pi) LU and kept."""
+        return CondensedSaddle(self.M_u, self.G, self.layout_u, self.w_p1, self.params.rho, self._nodes)
+
     def _saddle_lu(self, s, transport):
         """``linsolve.KeptLU`` of the bordered (u, pi) system of the velocity
-        operator ``s``, its pinned dofs eliminated and its condensed LU
-        (``CondensedSaddle``) kept from ``transport``; b is 0 in its pinned and border rows."""
-        saddle = CondensedSaddle(s, self.layout_u, self.w_p1)
-        g, w = self.G, sp.csr_matrix(self.w_p1.reshape(-1, 1))
-        bordered = sp.bmat([[s, -g / self.params.rho, None], [g.T, None, w], [None, w.T, None]],
-                           format="csr")
-        bordered = linsolve.eliminated(bordered, saddle.pinned)
-        return linsolve.KeptLU(bordered, s, transport, saddle.factor, quasi_definite=True,
-                               eliminated=saddle.pinned)
+        operator ``s`` (``CondensedSaddle.bordered``), its condensed LU kept
+        from ``transport``; b is 0 in its pinned and border rows."""
+        saddle = self._saddle
+        return linsolve.KeptLU(saddle.bordered(s), saddle.slots, transport, factor=saddle.factor)
 
     @functools.cached_property
     def _load_dofs(self):

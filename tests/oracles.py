@@ -421,14 +421,43 @@ def bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi):
         x, last = x + dx, size
 
 
+def sorted_pattern(n, rows, cols, take, kept):
+    """(indptr, indices, take) of the matrix of the entries (rows, cols),
+    each holding source entry ``take``, of the n x n system, cut to the
+    unknowns ``kept`` in that order, by one sort of the entries: the
+    reference for the patterns ``linsolve`` builds by index arithmetic."""
+    rank = np.full(n, -1)
+    rank[kept] = np.arange(len(kept))
+    rows, cols = rank[rows], rank[cols]
+    inside = (rows >= 0) & (cols >= 0)
+    rows, cols, take = rows[inside], cols[inside], take[inside]
+    by = np.lexsort((cols, rows))
+    return np.searchsorted(rows[by], np.arange(len(kept) + 1)), cols[by], take[by]
+
+
+def pivoting_solve(a, b):
+    """x of a x = b through SuperLU's default LU of the sparse matrix ``a``
+    (COLAMD ordering, partial pivoting), refined against ``a`` until the
+    correction stops shrinking: the path the package's unpivoted LUs in the
+    mesh's node order replace."""
+    lu, b = spla.splu(sp.csc_matrix(a)), np.asarray(b, dtype=float)
+    x, last = lu.solve(b), math.inf
+    while True:
+        dx = lu.solve(b - a @ x)
+        size = np.linalg.norm(dx)
+        if not size < last:
+            return x
+        x, last = x + dx, size
+
+
 def solved_projections(stepper, data):
     """(n0, c0, sigma0, u0, pi0) of ``stepper``'s elliptic and Stokes
     projections of ``data``, each one solved whatever its data: n, c and
-    sigma through COLAMD LUs with partial pivoting, (u, pi) through one LU of
-    the uncondensed bordered Stokes matrix of D_u K_u
-    (``bordered_saddle_reference``), pi divided by rho.  The reference for
-    the zero-data rule, the unpivoted LUs and the condensed Stokes solve of
-    ``Stepper.init_state``."""
+    sigma through COLAMD LUs with partial pivoting (``pivoting_solve``),
+    (u, pi) through one LU of the uncondensed bordered Stokes matrix of
+    D_u K_u (``bordered_saddle_reference``), pi divided by rho.  The
+    reference for the zero-data rule, the unpivoted LUs and the condensed
+    Stokes solve of ``Stepper.init_state``."""
     st, p, ctx = stepper, stepper.params, stepper.ctx
 
     def load(kind, layout, field):
@@ -436,14 +465,13 @@ def solved_projections(stepper, data):
 
     rhs_n = asm.constrain_rhs(load("grad_load", st.layout_n, data.grad_eta0), st.layout_n)
     a_n = asm.apply_constraints(st.K, st.layout_n, weight_vector=st.w_p1)
-    n0 = linsolve.Factorization(a_n).solve(rhs_n)[0][: st.layout_n.n_dofs]
+    n0 = pivoting_solve(a_n, rhs_n)[: st.layout_n.n_dofs]
     rhs_c = load("grad_load", st.layout_c, data.grad_c0) + load("load", st.layout_c, data.c0)
-    c0 = linsolve.Factorization(st.K + st.M).solve(rhs_c)[0]
+    c0 = pivoting_solve(st.K + st.M, rhs_c)
     rhs_s = (load("div_load", st.layout_sigma, data.div_sigma0)
              + load("load", st.layout_sigma, data.grad_c0))  # the initial flux is grad c0
     a_s = asm.apply_constraints(st.divrot * (1.0 / p.D_c) + st.M_sigma, st.layout_sigma)
-    rhs_s = asm.constrain_rhs(rhs_s, st.layout_sigma)
-    sigma0 = linsolve.Factorization(linsolve.pruned(a_s)).solve(rhs_s)[0]
+    sigma0 = pivoting_solve(a_s, asm.constrain_rhs(rhs_s, st.layout_sigma))
     rhs_u = p.D_u * load("grad_load", st.layout_u, data.grad_u0)
     if data.pi0 is not None:
         rhs_u -= load("div_load", st.layout_u, data.pi0)
@@ -589,7 +617,6 @@ def stepper_matrices_by_sorted_plans(stepper):
         lays[name].plans.update(sorted_plans(lays[name]))
     ctx, ctx_p1 = stepper.ctx, stepper.ctx_p1
     g = asm.assemble_pressure_coupling(lays["u"], stepper.layout_pi, ctx)
-    g.eliminate_zeros()  # as the stepper keeps it
     return {
         "M": asm.assemble_mass(lays["c"], ctx_p1),
         "K": asm.assemble_stiffness(lays["c"], 1.0, ctx_p1),

@@ -516,8 +516,6 @@ class TestConstraints:
     def test_elimination_equals_the_projected_sum(self, kind):
         # the elimination keeps the pattern of the matrix; without its stored
         # zeros it is bit for bit the P a P + diag(pinned) it replaces
-        from chemflow import linsolve
-
         lay = build_layout(build_rect_mesh(2, 1, 6, 3), kind)
         ctx = context(lay)
         a = asm.assemble_mass(lay, ctx) + asm.assemble_stiffness(lay, 0.7, ctx)
@@ -529,7 +527,8 @@ class TestConstraints:
         out = asm.apply_constraints(a, lay)
         assert len(lay.constrained_dofs) > 0
         assert np.array_equal(out.indptr, a.indptr) and np.array_equal(out.indices, a.indices)
-        got = linsolve.pruned(out)
+        got = out.copy()
+        got.eliminate_zeros()
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data, ref.data)

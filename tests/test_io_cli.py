@@ -641,7 +641,22 @@ class TestMain:
     def test_check_passes(self, capsys):
         assert io_cli.main(["check"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 5 and all(line.startswith("PASS: ") for line in lines)
+        assert len(lines) == 6 and all(line.startswith("PASS: ") for line in lines)
+        # init factors n, c and sigma, the first step n, sigma, c and (u, pi)
+        lu_line = next(line for line in lines if "LUs factor without pivoting" in line)
+        assert "0 of 7 LUs interchanged rows" in lu_line
+        assert all(f"{system} " in lu_line.split("fill")[1] for system in ("n", "c", "sigma", "u"))
+
+    def test_check_reports_an_lu_that_pivoted(self, monkeypatch, capsys):
+        # SuperLU interchanges rows only at a zero pivot in the given order;
+        # here the sigma LUs (the 2 * 153 unknowns of the 16 x 8 mesh) report one
+        from chemflow import linsolve
+
+        monkeypatch.setattr(linsolve.Factorization, "pivoted", property(lambda self: self.n == 2 * 153))
+        assert io_cli.main(["check"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL: LUs factor without pivoting (2 of 7 LUs interchanged rows" in captured.out  # sigma, twice
+        assert json.loads(captured.err)["failed"][0]["check"] == "LUs factor without pivoting"
 
     def test_check_reports_a_tripped_run_gate(self, monkeypatch, capsys):
         # the run stops at its first step with the mass gate at 0; every check

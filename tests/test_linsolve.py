@@ -11,7 +11,7 @@ from chemflow.linsolve import (
     ScatterPlan,
     SingularSystemError,
 )
-from oracles import componentwise_backward_error
+from oracles import componentwise_backward_error, sorted_pattern
 
 
 def from_triplets(shape, rows, cols, vals):
@@ -167,19 +167,32 @@ class TestElimination:
 class TestPatternSum:
     def test_abs_matrix_follows_each_call_on_the_same_index_arrays(self):
         # |A| is kept as one data array on the kept matrix's pattern and
-        # refreshed in place, so a call allocates no matrix
+        # refreshed in place, so a call allocates no matrix; a transport
+        # entry whose slot is -1 is dropped
         rng = np.random.default_rng(29)
         base = from_triplets((6, 6), *rng.integers(0, 6, (2, 30)), rng.standard_normal(30))
-        pattern = ScatterPlan((6, 6), entry_rows(base)[::2], base.indices[::2])
-        op = linsolve.PatternSum(base, pattern, eliminated=np.array([1]))
+        slots = np.arange(0, base.nnz, 2)
+        slots[1] = -1
+        op = linsolve.PatternSum(base.copy(), slots)
         kept = op.abs_matrix
         for _ in range(3):
-            m = op(rng.standard_normal(pattern.nnz))
+            data = rng.standard_normal(len(slots))
+            m = op(data)
+            expected = base.data.copy()
+            expected[slots[slots >= 0]] += data[slots >= 0]
+            assert np.array_equal(m.data, expected)
             assert op.abs_matrix is kept and op.abs_matrix.data is kept.data
             assert np.array_equal(op.abs_matrix.data, np.abs(m.data))
             for name in ("indices", "indptr"):
                 kept_index, index = getattr(op.abs_matrix, name), getattr(m, name)
                 assert np.array_equal(kept_index, index) and np.shares_memory(kept_index, index)
+
+
+def kept_lu(a, pattern, transport):
+    """``linsolve.KeptLU`` of a copy of the CSR matrix ``a``, its transport
+    data on the positions of ``pattern`` (all of them stored in ``a``)."""
+    keys = [entry_rows(m) * m.shape[1] + m.indices for m in (a, pattern)]
+    return linsolve.KeptLU(a.copy(), np.searchsorted(*keys), transport)
 
 
 class TestRefinement:
@@ -215,7 +228,7 @@ class TestRefinement:
     def test_refines_against_a_nearby_matrix(self):
         a, skew, b = self.system()
         near = a + 0.05 * skew
-        kept = linsolve.KeptLU(a, skew, np.zeros(skew.nnz))  # the LU of a itself
+        kept = kept_lu(a, skew, np.zeros(skew.nnz))  # the LU of a itself
         for kind in ("lu", "cached-lu"):
             x, report = kept.solve(b, 0.05 * skew.data)
             assert report.kind == kind and (report.factor_time > 0.0) == (kind == "lu")
@@ -266,7 +279,7 @@ class TestRefinement:
     def test_falls_back_to_a_fresh_lu(self):
         a, skew, b = self.system()
         far = a + 40.0 * skew  # the refinement diverges
-        kept = linsolve.KeptLU(a, skew, np.zeros(skew.nnz))
+        kept = kept_lu(a, skew, np.zeros(skew.nnz))
         kept.solve(b, np.zeros(skew.nnz))
         x, report = kept.solve(b, 40.0 * skew.data)
         assert report.kind == "lu-fallback"
@@ -275,24 +288,31 @@ class TestRefinement:
         bound = linsolve.RTOL * (np.linalg.norm(far.data) * np.linalg.norm(x) + np.linalg.norm(b))
         assert np.linalg.norm(b - far @ x) <= bound
 
-    def test_fresh_lu_factors_without_stored_zeros(self, monkeypatch):
+    def test_fresh_lu_factors_the_operator_on_its_pattern(self, monkeypatch):
+        # the fresh LU factors the step's operator itself, in the kept order,
+        # its stored zeros included: the pattern, and so the order, is fixed
         a, skew, b = self.system()
         far = a + 40.0 * skew  # on the pattern of a, which stores every entry
-        far.data[1::7] = 0.0  # stored zeros the fresh LU must not see
-        kept = linsolve.KeptLU(a, a, np.zeros(a.nnz))
+        far.data[1::7] = 0.0
+        kept = kept_lu(a, a, np.zeros(a.nnz))
         factored = []
         original = Factorization.__init__
 
         def recording(self, m, *args):
-            factored.append(m)
+            factored.append(m.copy())
             original(self, m, *args)
 
         monkeypatch.setattr(Factorization, "__init__", recording)
         x, report = kept.solve(b, far.data - a.data)
-        assert kept.operator.matrix.nnz == far.nnz and np.array_equal(far.indices, a.indices)
         assert report.kind == "lu-fallback"
-        assert factored[0].nnz == far.count_nonzero() < far.nnz
-        assert np.allclose(x, np.linalg.solve(far.toarray(), b), rtol=1e-12, atol=0)
+        assert np.array_equal(far.indices, a.indices) and factored[0].nnz == far.nnz
+        assert np.array_equal(factored[0].data, a.data + (far.data - a.data))
+        # without pivoting, this skew-dominated matrix leaves the smallest
+        # entries of x some 1e-11 off the dense solve; x meets the solver's
+        # componentwise backward error floor, and agrees in norm
+        assert componentwise_backward_error(factored[0], x, b) <= linsolve.FLOOR * np.finfo(float).eps
+        ref = np.linalg.solve(factored[0].toarray(), b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("case", ["exact", "exact-refined", "nearby", "fallback"])
     def test_one_product_per_pass(self, monkeypatch, case):
@@ -340,3 +360,111 @@ class TestRefinement:
             assert report.iterations < linsolve.MAX_REFINE_PASSES
         else:
             assert report.iterations == passes
+
+
+class TestOneFactorizationPath:
+    """Every LU factors its kept unknowns in the order given, without
+    reordering or pivoting."""
+
+    def test_natural_order_without_pivots(self):
+        rng = np.random.default_rng(41)
+        a = sp.csr_matrix(rng.standard_normal((30, 30)) + 30 * np.eye(30))
+        fact = Factorization(a)
+        identity = np.arange(30)
+        assert np.array_equal(fact._lu.perm_r, identity) and np.array_equal(fact._lu.perm_c, identity)
+        assert not fact.pivoted and fact.fill >= a.nnz
+        b = rng.standard_normal(30)
+        assert np.allclose(fact.solve(b)[0], np.linalg.solve(a.toarray(), b), rtol=1e-12, atol=0)
+
+    def test_selection_factors_the_kept_unknowns_and_holds_the_others_at_0(self):
+        rng = np.random.default_rng(43)
+        dense = rng.standard_normal((8, 8)) + 8 * np.eye(8)
+        a = sp.csr_matrix(dense)
+        kept = np.array([5, 0, 7, 2, 3])
+        pattern = sorted_pattern(8, entry_rows(a), a.indices, np.arange(a.nnz), kept)
+        fact = Factorization(a, linsolve.Selection(kept, *pattern, a.nnz))
+        assert fact.matrix.shape == (5, 5)
+        assert np.array_equal(fact.matrix.toarray(), dense[np.ix_(kept, kept)])
+        b = rng.standard_normal(8)
+        x, _ = fact.solve(b)
+        assert np.all(x[[1, 4, 6]] == 0.0)
+        assert np.allclose(x[kept], np.linalg.solve(dense[np.ix_(kept, kept)], b[kept]), rtol=1e-12, atol=0)
+
+    def test_singular_system_raises_without_a_warning(self):
+        # pytest turns warnings into errors: the unpivoted path raises the
+        # package's error at SuperLU's zero pivot (a tiny pivot is caught by
+        # the residual check: TestNodeOrder in test_scheme)
+        for dense in (np.ones((3, 3)), [[1.0, 2.0], [2.0, 4.0]]):
+            with pytest.raises(SingularSystemError):
+                Factorization(sp.csr_matrix(dense))
+
+    def test_graph_order_is_superlu_minimum_degree(self):
+        import scipy.sparse.linalg as spla
+
+        from chemflow.mesh import build_rect_mesh
+
+        for k in ((1, 1), (3, 2), (12, 6)):
+            plan = build_rect_mesh(2.0, 1.0, *k).p1_plan
+            order = linsolve.graph_order(plan)
+            assert np.array_equal(np.sort(order), np.arange(plan.shape[0]))
+            graph = sp.csc_matrix((np.ones(plan.nnz), plan.indices, plan.indptr), shape=plan.shape)
+            laplacian = sp.diags(np.asarray(graph.sum(axis=0)).ravel()) - graph + sp.identity(plan.shape[0])
+            full = spla.splu(sp.csc_matrix(laplacian) + 2 * sp.identity(plan.shape[0], format="csc"),
+                             permc_spec="MMD_AT_PLUS_A")
+            assert np.array_equal(order, np.argsort(full.perm_c))
+
+
+class TestPatternsByIndexArithmetic:
+    @staticmethod
+    def node_graph(seed, n=12):
+        rng = np.random.default_rng(seed)
+        r, c = rng.integers(0, n, (2, 40))
+        plan = ScatterPlan((n, n), np.concatenate([r, c, np.arange(n)]), np.concatenate([c, r, np.arange(n)]))
+        return plan, rng.permutation(n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ordered_pattern_matches_a_sort(self, seed):
+        plan, order = self.node_graph(seed)
+        rows = entry_rows(plan)
+        indptr, indices, entry = linsolve.ordered_pattern(plan, order)
+        ref = sorted_pattern(plan.shape[0], rows, plan.indices, np.arange(plan.nnz), order)
+        for got, want in zip((indptr, indices, entry), ref):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_pattern_matches_a_sort(self, seed):
+        plan, order = self.node_graph(seed)
+        indptr, indices, entry = linsolve.ordered_pattern(plan, order)
+        n, w = plan.shape[0], 3
+        rng = np.random.default_rng(seed + 10)
+        keep = rng.random((n, w)) < 0.8
+        dof_rank = np.where(keep, np.cumsum(keep).reshape(n, w) - 1, -1)
+        allowed = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=bool)
+        ptr, cols, cell = linsolve.block_pattern(indptr, indices, dof_rank, allowed)
+        # every candidate (node entry, a, b) as an entry of the unknowns' matrix
+        e = np.repeat(np.arange(len(indices)), w * w)
+        a, b = (np.tile(ab, len(indices)) for ab in np.divmod(np.arange(w * w), w))
+        r, c = dof_rank[entry_rows(indptr=indptr)[e], a], dof_rank[indices[e], b]
+        ok = (r >= 0) & (c >= 0) & allowed[a, b]
+        flat = np.arange(len(e))
+        kept_count = int(keep.sum())
+        ref = sorted_pattern(kept_count, r[ok], c[ok], flat[ok], np.arange(kept_count))
+        for got, want in zip((ptr, cols, cell), ref):
+            assert np.array_equal(got, want)
+
+    def test_stacked_pattern_matches_a_sort(self):
+        rng = np.random.default_rng(5)
+        parts, lists, offset = [], [], 0
+        for width in (4, 3, 2):  # part p's columns lie in [10 p, 10 p + width)
+            rows = np.sort(rng.integers(0, 6, 15))
+            cols = np.empty(15, dtype=np.int64)
+            for r in range(6):  # distinct, sorted columns within a row
+                at = np.flatnonzero(rows == r)
+                cols[at] = 10 * len(parts) + np.sort(rng.choice(8, len(at), replace=False))
+            parts.append((rows, cols, offset + np.arange(15)))
+            offset += 15
+        indptr, indices, take = linsolve.stacked_pattern(6, parts)
+        rows, cols, src = (np.concatenate(x) for x in zip(*parts))
+        ref = sorted_pattern(40, rows, cols, src, np.arange(40))
+        assert np.array_equal(indptr, ref[0][:7]) and np.array_equal(indices, ref[1])
+        assert np.array_equal(take, ref[2])

@@ -17,6 +17,7 @@ from chemflow import assembly as asm
 from chemflow import io_cli
 from chemflow import linsolve
 from chemflow import manufactured
+from chemflow import mesh as mesh_module
 from chemflow.mesh import build_rect_mesh
 from chemflow.scheme import (
     DIVERGENCE_TOL,
@@ -31,6 +32,7 @@ from chemflow.scheme import (
 )
 from oracles import (
     bordered_saddle_matrix,
+    pivoting_solve,
     bordered_saddle_reference,
     componentwise_backward_error,
     lagged_forms_at_points,
@@ -222,8 +224,7 @@ class TestInitialProjections:
         assert len(built) == saddles
         assert [system for system, _ in lus] == factored
         n0, c0, sigma0, u0, pi0 = solved_projections(st, data)
-        assert state.n.dtype == n0.dtype and state.n.tobytes() == n0.tobytes()
-        for got, ref in ((state.c, c0), (state.sigma, sigma0)):
+        for got, ref in ((state.n, n0), (state.c, c0), (state.sigma, sigma0)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         # (u, pi) against one LU of the uncondensed bordered Stokes matrix
         for got, ref in ((state.u, u0), (state.pi, pi0)):
@@ -287,39 +288,36 @@ class TestInitialProjections:
             return solver if system == "sigma" else solver.lu
 
         for system in ("n", "sigma", "c", "u"):
-            assert_same_csr(kept_lu(st, system).matrix, kept_lu(ref, system).matrix)
+            got, want = kept_lu(st, system).matrix, kept_lu(ref, system).matrix
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (system, name)
 
     def test_spd_lus_take_no_pivots(self, monkeypatch):
+        # every LU of init and the first step factors its system in the given
+        # order without interchanging a row, the singular-K density projection
+        # included, and solves like SuperLU's COLAMD LU with partial pivoting
         st, data, dt, forcing = self.case("test1", (16, 8))
         with monkeypatch.context() as m:
             lus = _recorded_lus(m, st)
             st.step(st.init_state(data, mode="elliptic_projection"), dt, forcing)
-        init = dict(lus[:3])
-        assert [fact for system, fact in lus[3:] if system == "sigma"] == [st._solver("sigma", dt)]
+        assert [system for system, _ in lus] == ["n", "c", "sigma", "n", "sigma", "c", "u"]
         rng = np.random.default_rng(3)
-        for fact in (init["c"], init["sigma"], st._solver("sigma", dt)):
-            unpivoted = spla.splu(fact.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            assert np.array_equal(fact._lu.perm_r, fact._lu.perm_c)
-            assert np.array_equal(fact._lu.perm_c, unpivoted.perm_c)
+        for _, fact in lus:
+            identity = np.arange(fact.matrix.shape[0])
+            assert np.array_equal(fact._lu.perm_r, identity) and np.array_equal(fact._lu.perm_c, identity)
+            assert not fact.pivoted
             b = rng.standard_normal(fact.matrix.shape[0])
-            x, x_ref = fact.solve(b)[0], linsolve.Factorization(fact.matrix).solve(b)[0]
+            x, x_ref = fact.lu_solve(b), pivoting_solve(fact.matrix, b)
+            x += fact.lu_solve(b - fact.matrix @ x)
             assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
-        # the n projection's K block is singular: its LU interchanges rows
-        assert not np.array_equal(init["n"]._lu.perm_r, init["n"]._lu.perm_c)
-        for fact in (init["n"], st._solver("n", dt).lu, st._solver("c", dt).lu):
-            pivoting = spla.splu(fact.matrix.tocsc())  # COLAMD, partial pivoting
-            assert np.array_equal(fact._lu.perm_c, pivoting.perm_c)
-            assert np.array_equal(fact._lu.perm_r, pivoting.perm_r)
 
     @pytest.mark.parametrize("preset, mesh, n_steps", [("test1", (16, 8), 10), ("test2", (10, 10), 50)])
     def test_runs_match_an_all_pivoting_run(self, monkeypatch, preset, mesh, n_steps):
         cfg = replace(io_cli.default_config(preset), kx=mesh[0], ky=mesh[1])
         got = _run_levels(cfg, n_steps)
-        original = linsolve.Factorization.__init__
-        with monkeypatch.context() as m:
-            m.setattr(linsolve.Factorization, "__init__",
-                      lambda self, a, quasi_definite=False: original(self, a))
+        splu = spla.splu
+        with monkeypatch.context() as m:  # every LU in COLAMD order with partial pivoting
+            m.setattr(linsolve.spla, "splu", lambda a, **options: splu(a))
             ref = _run_levels(cfg, n_steps)
         _assert_levels_agree(got, ref)
 
@@ -614,15 +612,16 @@ class TestCachedFactorizations:
             prev, _ = st.step(prev, dt)
         factored, original = [], linsolve.Factorization.__init__
 
-        def recording(self, a, quasi_definite=False):
-            factored.append(quasi_definite)
-            original(self, a, quasi_definite)
+        def recording(self, a, order=None):
+            original(self, a, order)
+            factored.append(self.pivoted)
 
         monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
         state, reports = st.step(prev, dt)
         assert {reports[s].kind for s in ("n", "c", "u")} == {"lu-fallback"}
         # the fresh LUs of n, c and the condensed (u, pi) include the skew
-        # transport, so they keep partial pivoting
+        # transport, which keeps their symmetric parts positive definite:
+        # they take no pivots either
         assert factored == [False] * 3
         assert reports["sigma"].kind == "cached-lu"
         # the step's own concentration system, rebuilt, meets the bound
@@ -670,12 +669,12 @@ class TestCachedFactorizations:
         st.step(state, dt, forcing)
         solvers = {system: st._solver(system, dt) for system in ("n", "c", "u")}
         assert {type(solver) for solver in solvers.values()} == {linsolve.KeptLU}
-        assert isinstance(solvers["u"].lu.saddle, CondensedSaddle)
+        assert isinstance(solvers["u"].lu, CondensedSaddle)
         assert isinstance(st._solver("sigma", dt), linsolve.Factorization)
 
     def test_a_stepped_stepper_is_freed_without_the_cycle_collector(self):
         # no kept solver refers back to the object that keeps it (the (u, pi)
-        # KeptLU holds its condensation, which holds its CondensedSaddle), so
+        # KeptLU holds its factored CondensedSaddle, which holds its LU), so
         # the last reference to a Stepper frees its LUs at once, not at the
         # next run of the cyclic garbage collector
         st, state, dt, forcing = _preset_case("test2")
@@ -686,7 +685,7 @@ class TestCachedFactorizations:
                 state, _ = st.step(state, dt, forcing)
             solvers = list(st._solvers.values())
             kept = solvers + [s.lu for s in solvers if isinstance(s, linsolve.KeptLU)]
-            kept += [st._solver("u", dt).lu.saddle, st._solver("u", dt).lu.lu]
+            kept += [st._solver("u", dt).lu.lu, st._saddle]
             refs = [weakref.ref(obj) for obj in [st] + kept]
             del st, solvers, kept
             assert [ref() is None for ref in refs] == [True] * len(refs)
@@ -803,8 +802,9 @@ class TestStepOperators:
             n_skew, u_skew, _ = lagged_matrices(st, state, state.t + dt, forcing)
             state, _ = st.step(state, dt, forcing)
         assert n_skew.count_nonzero() > 0 and u_skew.count_nonzero() > 0
-        assert np.all(st.G.data != 0.0)  # G keeps none of its exact zeros
+        assert st.G.nnz == asm.pressure_plan(st.layout_u).nnz  # G keeps its exact zeros
         op_n, op_c = st._solver("n", dt).operator, st._solver("c", dt).operator
+        kept_n, kept_c = st._solver("n", dt).kept, st._solver("c", dt).kept
         p = st.params
         a_n = asm.apply_constraints(st.M * (1.0 / dt) + st.K * p.D_n, st.layout_n,
                                     weight_vector=st.w_p1)
@@ -818,9 +818,9 @@ class TestStepOperators:
             skew.resize(shape)
             return skew
 
-        pairs = [
-            (op_n.matrix, a_n + resized(n_skew, a_n.shape)),
-            (op_c.matrix, a_c + n_skew),
+        pairs = [  # n and c kept in node order
+            (op_n.matrix, (a_n + resized(n_skew, a_n.shape))[kept_n][:, kept_n].sorted_indices()),
+            (op_c.matrix, (a_c + n_skew)[kept_c][:, kept_c].sorted_indices()),
             # the transport is dropped in the pinned rows and columns
             (st._solver("u", dt).operator.matrix,
              t_ref + resized(proj @ u_skew @ proj, t_ref.shape)),
@@ -828,23 +828,21 @@ class TestStepOperators:
         for got, ref in pairs:
             assert_same_csr(got, ref)
 
-    def test_lus_factor_the_operators_without_stored_zeros(self, monkeypatch):
+    def test_lus_factor_the_kept_operators(self, monkeypatch):
         # at dt = 1/1200, M/dt + K cancels exactly on some edges of the k=10
-        # mesh; the LUs must not see those positions
+        # mesh: the LUs keep those positions of the node-ordered pattern, and
+        # factor no pinned row, without pivoting
         st, state, _, forcing = _preset_case("test2")
         dt = 1.0 / 1200
         assert np.any((st.M * (1.0 / dt)).data + st.K.data == 0.0)
-        factored = []
-        original = linsolve.Factorization.__init__
-
-        def recording(self, a, quasi_definite=False):
-            factored.append(a)
-            original(self, a, quasi_definite)
-
-        monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
+        lus = _recorded_lus(monkeypatch, st)
         st.step(state, dt, forcing)
-        assert len(factored) == 4  # n, sigma, c and the condensed (u, pi)
-        assert all(np.all(a.data != 0.0) for a in factored)
+        assert [system for system, _ in lus] == ["n", "sigma", "c", "u"]
+        free_sigma = st.layout_sigma.n_dofs - len(st.layout_sigma.constrained_dofs)
+        sizes = [st.mesh.n_nodes + 1, free_sigma, st.mesh.n_nodes, len(st._saddle.kept)]
+        assert [fact.matrix.shape[0] for _, fact in lus] == sizes
+        assert not any(fact.pivoted for _, fact in lus)
+        assert np.any(lus[2][1].matrix.data == 0.0)  # the cancelled entries stay stored
 
     @pytest.mark.parametrize("system", ["n", "c", "u"])
     def test_wrong_length_transport_rejected(self, system):
@@ -935,8 +933,8 @@ def _recorded_lus(monkeypatch, st):
     sizes = {st.layout_n.n_dofs + 1: "n", st.layout_c.n_dofs: "c", st.layout_sigma.n_dofs: "sigma"}
     made, original = [], linsolve.Factorization.__init__
 
-    def recording(self, a, quasi_definite=False):
-        original(self, a, quasi_definite)
+    def recording(self, a, order=None):
+        original(self, a, order)
         made.append((sizes.get(a.shape[0], "u"), self))
 
     monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
@@ -973,7 +971,8 @@ def _assert_levels_agree(got, ref, passes_agree=lambda n, n_ref: abs(n - n_ref) 
 
 def assert_same_csr(got, ref):
     """``got`` without its stored zeros equals ``ref`` entry by entry, bit for bit."""
-    got = linsolve.pruned(got)
+    got = got.copy()
+    got.eliminate_zeros()
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
@@ -1088,9 +1087,9 @@ class TestCondensedSaddle:
         sizes = []
         original = linsolve.Factorization.__init__
 
-        def recording(self, a, quasi_definite=False):
+        def recording(self, a, order=None):
             sizes.append(a.shape[0])
-            original(self, a, quasi_definite)
+            original(self, a, order)
 
         monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
         zero = np.zeros(st.M_u.nnz)
@@ -1108,7 +1107,8 @@ class TestCondensedSaddle:
     def kept_operator(preset, solve):
         """Condensed (u, pi) matrix of the kept LU of the first step of a
         ``_preset_case`` or of "test2-dt1e-2", or of its init Stokes
-        projection, its LU and the number of its velocity unknowns."""
+        projection, its LU and the number of its velocity unknowns, its rows
+        and columns permuted from the node order to velocities first."""
         if preset == "test2-dt1e-2":
             st, data, _, forcing = TestInitialProjections.case("test2")
             state, dt = st.init_state(data, mode="elliptic_projection"), 1e-2
@@ -1121,13 +1121,15 @@ class TestCondensedSaddle:
         else:  # as init_state builds it
             solver = st._saddle_lu(st.K_u * p.D_u, np.zeros(st.K_u.nnz))
         fact = solver.lu.lu
-        return st, fact.matrix, fact, fact.matrix.shape[0] - (st.layout_pi.n_dofs - 1)
+        velocity_first = np.argsort(solver.lu.kept >= st.layout_u.n_dofs, kind="stable")
+        a = fact.matrix[velocity_first][:, velocity_first]
+        return st, a, fact, a.shape[0] - (st.layout_pi.n_dofs - 1)
 
     @pytest.mark.parametrize("solve, preset", KEPT)
     def test_condensed_operator_is_quasi_definite(self, preset, solve):
         # with its pressure rows scaled by 1/rho, the condensed operator has a
         # positive definite symmetric part, so every symmetric ordering has
-        # nonzero pivots: the kept LU, in the minimum-degree ordering, took
+        # nonzero pivots: the kept LU, in the node order, took
         # none.  Without transport (the Stokes projection, test1's first step
         # from rest) it is quasi-definite: [[A, B^T], [B, -C]] with A and C
         # positive definite once its pressure rows are scaled by -1/rho
@@ -1136,10 +1138,8 @@ class TestCondensedSaddle:
         scale[n_vel:] = 1.0 / st.params.rho
         k = (sp.diags(scale) @ a).toarray()
         assert np.linalg.eigvalsh(k + k.T).min() > 0.0
-        assert np.array_equal(fact._lu.perm_r, fact._lu.perm_c)
-        unpivoted = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                              options={"SymmetricMode": True})
-        assert np.array_equal(fact._lu.perm_c, unpivoted.perm_c)
+        identity = np.arange(a.shape[0])
+        assert np.array_equal(fact._lu.perm_r, identity) and np.array_equal(fact._lu.perm_c, identity)
         velocity = k[:n_vel, :n_vel]
         transported = np.abs(velocity - velocity.T).max() > 1e-14 * np.abs(k).max()
         assert transported == (solve == "step" and preset != "test1")
@@ -1151,40 +1151,58 @@ class TestCondensedSaddle:
 
     @pytest.mark.parametrize("solve, preset", KEPT)
     def test_unpivoted_lu_matches_pivoting_lus(self, preset, solve):
-        # the path replaced: SuperLU's partial pivoting on the same matrix.
-        # A single solve of the condensed test1 operator (condition 3e10)
-        # differs from the dense LAPACK solve by 2e-12 through that LU and by
-        # 1e-14 through the unpivoted one; after one refinement pass against
-        # the matrix, the two agree to rounding
-        _, a, fact, _ = self.kept_operator(preset, solve)
+        # the path replaced: SuperLU's COLAMD ordering with partial pivoting
+        # on the same matrix, velocities first.  A single solve of the
+        # condensed test1 operator (condition 3e10) through the unpivoted LU
+        # differs from the dense LAPACK solve of that matrix by 1e-14 (from
+        # LAPACK's solve of the node-ordered matrix by 4e-12, which is
+        # LAPACK's own rounding: both LUs, refined, agree to 1e-15); after
+        # one refinement pass against the matrix, it agrees with the refined
+        # pivoting one to rounding
+        st, a, fact, _ = self.kept_operator(preset, solve)
+        first = np.argsort(st._saddle.kept >= st.layout_u.n_dofs, kind="stable")  # as in ``a``
+
+        def lu_solve(r):  # the kept LU, in the order of ``a``
+            y = np.empty_like(r)
+            y[first] = r
+            return fact.lu_solve(y)[first]
+
         b = np.random.default_rng(7).standard_normal(a.shape[0])
-        x = fact.lu_solve(b)
+        x = lu_solve(b)
         assert np.linalg.norm(b - a @ x) <= 1e-15 * np.linalg.norm(a.data) * np.linalg.norm(x)
         x_dense = np.linalg.solve(a.toarray(), b)
         assert np.linalg.norm(x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
-        pivoting = linsolve.Factorization(a)
-        assert not np.array_equal(pivoting._lu.perm_r, pivoting._lu.perm_c)
+        pivoting = spla.splu(a.tocsc())
+        assert not np.array_equal(pivoting.perm_r, pivoting.perm_c)
 
-        def refined(lu):
-            y = lu.lu_solve(b)
-            return y + lu.lu_solve(b - a @ y)
+        def refined(solve):
+            y = solve(b)
+            return y + solve(b - a @ y)
 
-        x, x_ref = refined(fact), refined(pivoting)
+        x, x_ref = refined(lu_solve), refined(pivoting.solve)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
     @pytest.mark.parametrize("preset", ["test1", "test2"])
     def test_bookkeeping_matches_slicing(self, preset):
-        # D^-1, read through the diagonal, against the sparse slicing it
-        # replaces; the saddle matrix, its pinned dofs eliminated on its own
-        # pattern, against the P s P + diag(pinned) construction
-        st, _, dt, _ = _preset_case(preset)
-        solver = st._solver("u", dt, np.zeros(st.M_u.nnz))
-        s = st.M_u * (1.0 / dt) + st.K_u * (st.params.D_u / st.params.rho)
+        # D^-1, read through T's diagonal, and the condensed matrix, summed
+        # bubble by bubble into its node-ordered pattern, against the sparse
+        # slicing T_kk - T_kb D^-1 T_bk they replace; the saddle matrix, its
+        # pinned dofs eliminated on its own pattern, against the
+        # P s P + diag(pinned) construction
+        st, state, dt, forcing = _preset_case(preset)
+        st.step(state, dt, forcing)
+        solver = st._solver("u", dt)
+        saddle, t = solver.lu, solver.operator.matrix  # holding step 1's transport
         _, bubble = st.layout_u.nodal_and_bubble_dofs()
-        assert np.array_equal(solver.lu.saddle.d_inv, 1.0 / s[bubble][:, bubble].diagonal())
-        t = solver.operator.matrix  # holding the zero transport
-        assert_same_csr(t, bordered_saddle_matrix(st, s))
-        assert t.nnz > linsolve.pruned(t).nnz  # the pattern is kept
+        assert np.array_equal(saddle.d_inv, 1.0 / t[bubble][:, bubble].diagonal())
+        kept = saddle.kept
+        ref = t[kept][:, kept] - t[kept][:, bubble] @ sp.diags(saddle.d_inv) @ t[bubble][:, kept]
+        got = saddle.lu.matrix
+        assert np.abs((got - ref).toarray()).max() <= 1e-13 * np.abs(ref.data).max()
+        s = st.M_u * (1.0 / dt) + st.K_u * (st.params.D_u / st.params.rho)
+        t0 = st._saddle_lu(s, np.zeros(st.M_u.nnz)).operator.matrix  # the zero transport
+        assert_same_csr(t0, bordered_saddle_matrix(st, s))
+        assert t0.count_nonzero() < t0.nnz  # the pattern is kept
 
     def test_rejects_coupled_bubbles(self):
         st, _, dt, _ = _saddle_case("test2")
@@ -1192,19 +1210,18 @@ class TestCondensedSaddle:
         s = (st.M_u / dt).tolil()
         s[bubble[0], bubble[1]] = s[bubble[1], bubble[0]] = 1.0
         with pytest.raises(ValueError, match="not diagonal"):
-            CondensedSaddle(s.tocsr(), st.layout_u, st.w_p1)
+            CondensedSaddle(s.tocsr(), st.G, st.layout_u, st.w_p1, st.params.rho, st._nodes)
 
-    def test_residual_of_full_system_is_enforced(self):
-        # a transport entry the condensation ignores (on a bubble's diagonal,
-        # which a skew transport leaves 0) breaks the full system's residual bound
+    def test_residual_of_full_system_is_enforced(self, monkeypatch):
+        # a condensation that solves a wrong system, the kept LU and every
+        # fresh one alike, breaks the full system's residual bound
         st, _, dt, _ = _saddle_case("test2")
-        _, bubble = st.layout_u.nodal_and_bubble_dofs()
-        bad = st.M_u * 0.0  # the layout's pattern
-        bad[bubble[0], bubble[0]] = 1e3
+        exact = CondensedSaddle.lu_solve
+        monkeypatch.setattr(CondensedSaddle, "lu_solve", lambda self, r: 0.5 * exact(self, r))
         rhs_u = np.ones(st.layout_u.n_dofs)
+        zero = np.zeros(st.M_u.nnz)
         with pytest.raises(linsolve.SingularSystemError):
-            _saddle_solve(st, st._solver("u", dt, np.zeros(bad.nnz)), bad.data, rhs_u,
-                          np.zeros(st.layout_pi.n_dofs))
+            _saddle_solve(st, st._solver("u", dt, zero), zero, rhs_u, np.zeros(st.layout_pi.n_dofs))
 
     def test_corrupted_condensed_lu_is_caught(self, monkeypatch):
         # the condensed LU is applied unchecked; a wrong one is still caught
@@ -1226,3 +1243,112 @@ class TestCondensedSaddle:
         u_ref, pi_ref = bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi)
         assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
         assert np.abs(pi - pi_ref).max() <= 1e-10 * np.abs(pi_ref).max()
+
+
+class TestNodeOrder:
+    """One node ordering per mesh, expanded to the kept unknowns of each
+    system; every LU factors them in that order without pivoting."""
+
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_each_order_is_a_permutation_of_the_kept_unknowns(self, preset):
+        st, state, dt, forcing = _preset_case(preset)
+        st.step(state, dt, forcing)
+        order, nn = st.mesh.node_order, st.mesh.n_nodes
+        assert np.array_equal(np.sort(order), np.arange(nn))
+        kept = {system: st._selection(system).kept for system in ("n", "c", "sigma")}
+        kept["u"] = st._saddle.kept
+        assert np.array_equal(kept["c"], order)
+        # n: the border (unknown nn) just before the last node
+        assert np.array_equal(kept["n"], np.concatenate([order[:-1], [nn], order[-1:]]))
+        pinned = st.layout_sigma.constrained_dofs
+        assert np.array_equal(np.sort(kept["sigma"]), np.setdiff1d(np.arange(2 * nn), pinned))
+        node = kept["sigma"] % nn  # a node's two components next to each other
+        rank = np.argsort(order)[node]
+        assert np.all(np.diff(rank) >= 0) and np.all(np.diff(kept["sigma"])[np.diff(rank) == 0] == nn)
+        nu, ns = st.layout_u.n_dofs, st.layout_u.n_scalar
+        nodal = np.setdiff1d(np.concatenate([np.arange(nn), ns + np.arange(nn)]), st.layout_u.constrained_dofs)
+        assert np.array_equal(np.sort(kept["u"]), np.concatenate([nodal, nu + np.arange(1, nn)]))
+        node = np.where(kept["u"] >= nu, kept["u"] - nu, kept["u"] % ns)
+        kind = np.where(kept["u"] >= nu, 2, kept["u"] // ns)
+        assert np.all(np.diff(np.argsort(order)[node] * 3 + kind) > 0)  # by node, then u1, u2, pi
+
+    def test_border_last_leaves_a_zero_pivot(self):
+        # the init density operator K, bordered: with the border just before
+        # the last node every pivot is of the order of K's entries; with the
+        # border last, the last node's pivot is the Schur complement of K,
+        # which is singular, so it is 0 up to rounding
+        st, data, _, _ = TestInitialProjections.case("test1", (24, 12))
+        with linsolve.recorded_lus() as lus:
+            st.init_state(data, mode="elliptic_projection")
+        nn = st.mesh.n_nodes
+        kept = st._selection("n").kept
+        assert kept[-2] == nn
+        density = lus[0]
+        assert density.matrix.shape == (nn + 1, nn + 1)
+
+        def pivots(fact):
+            d = np.abs(fact._lu.U.diagonal())
+            return d.min() / d.max()
+
+        assert pivots(density) > 1e-3
+        last = np.concatenate([np.arange(nn - 1), [nn], [nn - 1]])  # swap the last two
+        border_last = density.matrix[last][:, last].sorted_indices()
+        assert pivots(linsolve.Factorization(border_last)) < 1e-12
+
+    @pytest.mark.parametrize("preset, mesh, dt, n_steps", [
+        ("test1", (16, 8), None, 3), ("test2", None, None, 3), ("test1", (10, 10), 1e-2, 4),
+    ])
+    def test_every_lu_of_a_run_takes_no_pivots(self, preset, mesh, dt, n_steps):
+        st, data, cfg_dt, forcing = TestInitialProjections.case(preset, mesh)
+        with linsolve.recorded_lus() as lus:
+            state = st.init_state(data, mode="elliptic_projection")
+            for _ in range(n_steps):
+                state, reports = st.step(state, dt or cfg_dt, forcing)
+        assert len(lus) >= 3 + 4 and not any(fact.pivoted for fact in lus)
+        assert all(np.array_equal(fact._lu.perm_c, np.arange(fact.matrix.shape[0])) for fact in lus)
+        if dt:  # the fresh LUs of the fallbacks at dt = 1e-2
+            assert {reports[s].kind for s in ("n", "c", "u")} == {"lu-fallback"}
+
+    def test_node_order_is_computed_once_per_mesh_at_the_first_lu(self, monkeypatch):
+        calls, original = [], linsolve.graph_order
+
+        def counting(plan):
+            calls.append(plan.shape)
+            return original(plan)
+
+        monkeypatch.setattr(mesh_module, "graph_order", counting)
+        cfg = replace(io_cli.default_config("test1"), kx=12, ky=6)
+        mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
+        params, data, forcing = io_cli.build_problem(cfg, mesh)
+        st = Stepper(mesh, params)
+        assert calls == [] and "node_order" not in vars(mesh)  # set-up orders nothing
+        state = st.init_state(data, mode="nodal")
+        assert calls == []  # the nodal init factors nothing
+        state, _ = st.step(state, cfg.dt, forcing)
+        assert len(calls) == 1
+        other = Stepper(mesh, params)
+        other.step(other.init_state(data, mode="elliptic_projection"), cfg.dt, forcing)
+        assert len(calls) == 1 and other._nodes[0] is not st._nodes[0]  # the order is the mesh's
+        build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky).node_order
+        assert len(calls) == 2  # one per mesh
+
+
+class TestEdgeMeshes:
+    """On 1x1, 1x2 and 2x1 meshes every nodal velocity dof and, on 1x1,
+    every sigma dof is pinned: the kept systems are small or empty."""
+
+    @pytest.mark.parametrize("mode", ["elliptic_projection", "nodal"])
+    @pytest.mark.parametrize("k", [(1, 1), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_init_and_steps_match_pivoting_solves(self, preset, k, mode):
+        st, data, dt, forcing = TestInitialProjections.case(preset, k)
+        state = st.init_state(data, mode=mode)
+        if mode == "elliptic_projection":
+            refs = dict(zip(("n", "c", "sigma", "u", "pi"), solved_projections(st, data)))
+            for name, ref in refs.items():
+                assert np.abs(getattr(state, name) - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+        for _ in range(2):
+            fresh = TestCachedFactorizations.fresh_lu_step(st, state, dt, forcing)
+            state, _ = st.step(state, dt, forcing)
+            for name, ref in fresh.items():
+                assert np.abs(getattr(state, name) - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
