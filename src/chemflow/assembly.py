@@ -37,7 +37,6 @@ fields' element coefficients (``Stepper.lagged_forms``).
 import itertools
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linsolve
 from .mesh import all_element_geometry
@@ -483,31 +482,6 @@ def integral_weight_vector(layout, ctx):
     if layout.components != 1:
         raise ValueError("integral weights are defined for scalar layouts")
     return assemble_load(layout, np.ones(ctx.points.shape[:2]), ctx)
-
-
-def apply_constraints(a, layout, weight_vector=None):
-    """Eliminate constrained dofs and append the zero-mean multiplier row.
-
-    Constrained rows/columns of the matrix ``a`` are replaced by the
-    identity (``linsolve.eliminated``: symmetric elimination, value 0, on the
-    pattern of ``a``, so zeroed entries stay stored), then, if the layout carries
-    a mean constraint, one bordered row/column with the basis integral
-    weights ``weight_vector`` (``integral_weight_vector``) is appended;
-    without them such a layout raises ValueError.  Idempotent on layouts
-    without a mean constraint.
-    """
-    if a.shape != (layout.n_dofs, layout.n_dofs):
-        raise ValueError(
-            f"form shape {a.shape} does not match layout dimension {layout.n_dofs}"
-        )
-    if len(layout.constrained_dofs):
-        a = linsolve.eliminated(a, layout.constrained_dofs)
-    if layout.mean_constraint:
-        if weight_vector is None:
-            raise ValueError("a mean-constrained layout needs its integral weight_vector")
-        wc = sp.csr_matrix(weight_vector.reshape(-1, 1))
-        a = sp.bmat([[a, wc], [wc.T, None]], format="csr")
-    return a
 
 
 def constrain_rhs(b, layout):

@@ -4,9 +4,9 @@ Matrices are plain ``scipy.sparse.csr_matrix``.  This module pins down the
 behaviours the rest of the code relies on: canonical CSR storage with
 duplicates summed, through a ``ScatterPlan`` built once per entry list, an
 explicit error on (near-)singular systems instead of silent garbage, one
-elimination of constrained dofs (``eliminated``), one way to factor: the
-kept unknowns of a system in an order its caller gives (``Selection``, a
-node ordering of the mesh, ``graph_order``, expanded to the system),
+way to factor: the kept unknowns of a system in an order its caller gives
+(``Selection``, sliced from an ``id_matrix``, in a node ordering of the
+mesh, ``graph_order``, expanded to the system),
 without reordering or pivoting (``Factorization``), one solver of operators
 that change by a transport each step through the LU of the first one
 (``KeptLU``), and one checked refinement loop for every solve
@@ -119,28 +119,6 @@ def abs_matrix(a):
     return sp.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
 
 
-def eliminated(a, dofs):
-    """A copy of the square CSR matrix ``a`` with the rows and columns of
-    ``dofs`` zeroed and their diagonal set to 1, on the pattern of ``a``: the
-    symmetric elimination of dofs held at 0.
-
-    Raises
-    ------
-    ValueError
-        If ``a`` stores no diagonal entry for one of ``dofs``.
-    """
-    a = a.tocsr(copy=True)
-    rows, hit = entry_rows(a), np.zeros(a.shape[0], dtype=bool)
-    hit[dofs] = True
-    touched = hit[rows] | hit[a.indices]
-    a.data[touched] = 0.0
-    diagonal = touched & (rows == a.indices)
-    if not np.array_equal(rows[diagonal], np.unique(dofs)):
-        raise ValueError("an eliminated dof has no stored diagonal entry")
-    a.data[diagonal] = 1.0
-    return a
-
-
 def graph_order(plan):
     """The rows of the square pattern of ``plan`` (a ``ScatterPlan`` or CSR
     matrix with a stored diagonal) in SuperLU's multiple minimum degree
@@ -157,68 +135,19 @@ def graph_order(plan):
     return np.argsort(lu.perm_c)
 
 
-def ordered_pattern(plan, order):
-    """The square pattern of ``plan`` (a ``ScatterPlan`` or CSR matrix) with
-    its rows and columns in ``order`` (``order[k]``: the row placed k-th):
-    (indptr, indices, entry), ``entry`` the index in ``plan``'s pattern of
-    each entry.  The rows come out sorted, each row's few entries sorted in
-    one padded (rows, widest row) array: no sort of the whole pattern."""
-    n = len(order)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    starts, length = plan.indptr[order].astype(np.int64), np.diff(plan.indptr)[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(length, out=indptr[1:])
-    rows = np.repeat(np.arange(n), length)
-    within = np.arange(indptr[-1]) - indptr[rows]
-    padded = np.full((n, int(length.max(initial=0))), n, dtype=np.int64)
-    padded[rows, within] = rank[plan.indices[starts[rows] + within]]
-    sorter = np.argsort(padded, axis=1, kind="stable")
-    entry = (starts[:, None] + sorter)[np.arange(padded.shape[1]) < length[:, None]]
-    return indptr, rank[plan.indices[entry]], entry
+def id_matrix(shape, parts):
+    """The id matrix of the entries listed in ``parts``, each (rows, cols,
+    take): a CSR matrix of ``shape`` whose entry (rows[k], cols[k]) holds
+    take[k] + 1, the 1-based index of the source entry it gathers (int64,
+    so that no entry is a stored 0).  No position may be listed twice."""
+    rows, cols, take = (np.concatenate(x) for x in zip(*parts))
+    return sp.csr_matrix((take.astype(np.int64) + 1, (rows, cols)), shape=shape)
 
 
-def stacked_pattern(n, parts):
-    """The CSR pattern of ``n`` rows whose row r holds the entries of
-    ``parts[0]`` in row r, then those of ``parts[1]``, and so on:
-    (indptr, indices, take).  A part is (rows, cols, take), its entries
-    listed by row (rows nondecreasing); a row comes out sorted if each
-    part's columns in it are sorted and lie below the next part's."""
-    counts = [np.bincount(rows, minlength=n) for rows, _, _ in parts]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.sum(counts, axis=0), out=indptr[1:])
-    indices, take = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1], dtype=np.int64)
-    filled = indptr[:-1].copy()
-    for (rows, cols, source), count in zip(parts, counts):
-        first = np.cumsum(count) - count  # where each row's entries start in the part
-        at = filled[rows] + np.arange(len(rows)) - first[rows]
-        indices[at], take[at] = cols, source
-        filled += count
-    return indptr, indices, take
-
-
-def block_pattern(indptr, indices, dof_rank, allowed):
-    """A pattern over nodes (``indptr``, ``indices``, rows sorted) expanded to
-    their unknowns: (indptr, indices, cell).  Unknown a of node i is
-    ``dof_rank[i, a]`` (-1: not kept; the kept ones increase with (i, a)),
-    and entry (i, j) holds the block entries (a, b) that ``allowed[a, b]``
-    admits.  ``cell`` is (entry * w + a) * w + b of each kept entry, w =
-    ``dof_rank.shape[1]``.  The candidates are laid out (i, a, j, b) in one
-    array padded to the widest row, so the kept ones, read in order, come
-    out with their rows sorted."""
-    (n, w), ptr = dof_rank.shape, np.asarray(indptr, dtype=np.int64)
-    rows, length = entry_rows(indptr=ptr), np.diff(ptr)
-    within = np.arange(len(indices)) - ptr[rows]
-    entry = np.full((n, int(length.max(initial=0))), -1, dtype=np.int64)
-    entry[rows, within] = np.arange(len(indices))
-    ranks = np.append(dof_rank, np.full((1, w), -1), axis=0)  # a padding entry reads row -1
-    cols = ranks[indices[entry] if len(indices) else entry][:, None, :, :]
-    cols = np.where(entry[:, None, :, None] >= 0, cols, -1)
-    ok = (dof_rank[:, :, None, None] >= 0) & (cols >= 0) & allowed[None, :, None, :]
-    cell = (entry[:, None, :, None] * w + np.arange(w)[:, None, None]) * w + np.arange(w)
-    out = np.zeros(n * w + 1, dtype=np.int64)
-    np.cumsum(ok.sum(axis=(2, 3)).ravel(), out=out[1:])
-    return out[np.append(dof_rank.ravel() >= 0, True)], np.broadcast_to(cols, ok.shape)[ok], cell[ok]
+def entry_ids(a):
+    """The id matrix (``id_matrix``) of the CSR matrix ``a`` as its own
+    source: its pattern, entry k gathering ``a.data[k]``."""
+    return sp.csr_matrix((np.arange(1, a.nnz + 1), a.indices, a.indptr), shape=a.shape)
 
 
 class Selection:
@@ -226,24 +155,27 @@ class Selection:
     pattern of its kept matrix, each entry gathered from one entry of a
     source vector.
 
-    ``kept[i]`` is the system's unknown at position i (None: all of them, in
-    their own order).  The kept matrix's pattern is (``indptr``,
-    ``indices``), and its entry k holds ``source[take[k]]``; both are built
-    once by index arithmetic (``ordered_pattern``, ``stacked_pattern``,
-    ``block_pattern``), so the kept matrix of each source costs one gather
-    (``matrix``).  ``slots[j]`` is the entry that source entry j fills, -1
-    where none (the last, for an entry taken twice), found at first use.
+    Made from an id matrix (``id_matrix``) and ``kept``, the system's
+    unknown at each position (None: all of them, in their own order): the
+    kept matrix's pattern (``indptr``, ``indices``) is that of
+    ``ids[kept][:, kept]``, its indices sorted, and its entry k holds
+    ``source[take[k]]``, so the kept matrix of each source costs one gather
+    (``matrix``).
     """
 
-    def __init__(self, kept, indptr, indices, take, n_source):
-        index = index_dtype(max(len(take), n_source))
-        self.kept, self.take, self._n_source = kept, take.astype(index), n_source
-        self.indptr, self.indices = indptr.astype(index), indices.astype(index)
+    def __init__(self, ids, kept=None):
+        ids = (ids if kept is None else ids[kept][:, kept]).sorted_indices()
+        index = index_dtype(max(ids.nnz, int(ids.data.max(initial=0))))
+        self.kept, self.take = kept, (ids.data - 1).astype(index)
+        self.indptr, self.indices = ids.indptr.astype(index), ids.indices.astype(index)
 
-    @functools.cached_property
-    def slots(self):
-        slots = np.full(self._n_source, -1, dtype=self.take.dtype)
-        slots[self.take] = np.arange(len(self.take))
+    def slots(self, n_source):
+        """The entry of the kept matrix that each of the first ``n_source``
+        source entries fills, -1 where none (the last, for an entry taken
+        twice)."""
+        slots = np.full(n_source, -1, dtype=self.take.dtype)
+        taken = self.take < n_source
+        slots[self.take[taken]] = np.flatnonzero(taken)
         return slots
 
     def matrix(self, source):

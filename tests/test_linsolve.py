@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from chemflow import assembly as asm
 from chemflow import linsolve
 from chemflow.linsolve import (
     Factorization,
     abs_matrix,
+    entry_ids,
     entry_rows,
+    id_matrix,
     refined_solve,
     ScatterPlan,
+    Selection,
     SingularSystemError,
 )
-from oracles import componentwise_backward_error, sorted_pattern
+from chemflow.mesh import build_rect_mesh
+from chemflow.spaces import VECTOR_P1_SIGMA, build_layout
+from oracles import componentwise_backward_error, eliminated, sorted_pattern
 
 
 def from_triplets(shape, rows, cols, vals):
@@ -152,16 +158,16 @@ class TestSolve:
 class TestElimination:
     def test_rows_and_columns_zeroed_on_the_pattern(self):
         a = from_triplets((3, 3), [0, 0, 1, 2, 2], [0, 1, 2, 0, 2], [1.0, 4.0, 2.0, 5.0, 3.0])
-        out = linsolve.eliminated(a, np.array([0, 2]))
+        out = eliminated(a, np.array([0, 2]))
         assert np.array_equal(out.toarray(), [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert np.array_equal(out.indices, a.indices) and a[0, 1] == 4.0  # a is left as it was
         # no eliminated dofs: an empty index array leaves the matrix as it is
-        assert np.array_equal(linsolve.eliminated(a, np.empty(0, dtype=int)).data, a.data)
+        assert np.array_equal(eliminated(a, np.empty(0, dtype=int)).data, a.data)
 
     def test_missing_diagonal_rejected(self):
         a = from_triplets((3, 3), [0, 0, 1, 2, 2], [0, 1, 2, 0, 2], [1.0, 4.0, 2.0, 5.0, 3.0])
         with pytest.raises(ValueError, match="no stored diagonal"):
-            linsolve.eliminated(a, np.array([0, 1]))
+            eliminated(a, np.array([0, 1]))
 
 
 class TestPatternSum:
@@ -381,8 +387,7 @@ class TestOneFactorizationPath:
         dense = rng.standard_normal((8, 8)) + 8 * np.eye(8)
         a = sp.csr_matrix(dense)
         kept = np.array([5, 0, 7, 2, 3])
-        pattern = sorted_pattern(8, entry_rows(a), a.indices, np.arange(a.nnz), kept)
-        fact = Factorization(a, linsolve.Selection(kept, *pattern, a.nnz))
+        fact = Factorization(a, Selection(entry_ids(a), kept))
         assert fact.matrix.shape == (5, 5)
         assert np.array_equal(fact.matrix.toarray(), dense[np.ix_(kept, kept)])
         b = rng.standard_normal(8)
@@ -401,8 +406,6 @@ class TestOneFactorizationPath:
     def test_graph_order_is_superlu_minimum_degree(self):
         import scipy.sparse.linalg as spla
 
-        from chemflow.mesh import build_rect_mesh
-
         for k in ((1, 1), (3, 2), (12, 6)):
             plan = build_rect_mesh(2.0, 1.0, *k).p1_plan
             order = linsolve.graph_order(plan)
@@ -414,57 +417,68 @@ class TestOneFactorizationPath:
             assert np.array_equal(order, np.argsort(full.perm_c))
 
 
-class TestPatternsByIndexArithmetic:
-    @staticmethod
-    def node_graph(seed, n=12):
+class TestSelection:
+    """The kept matrix of a ``Selection``, sliced from an id matrix, against
+    the dense slice and a sort of the entries."""
+
+    def test_source_entry_0_is_gathered(self):
+        # the ids are 1-based, so source entry 0 is no stored zero for the
+        # slicing to drop
+        ids = id_matrix((2, 2), [(np.array([0, 1]), np.array([1, 0]), np.array([0, 1]))])
+        for kept in (None, np.array([1, 0])):
+            selection = Selection(ids, kept)
+            assert sorted(selection.take) == [0, 1]
+            got = selection.matrix(np.array([5.0, 7.0])).toarray()
+            assert np.array_equal(got, [[0.0, 5.0], [7.0, 0.0]] if kept is None else [[0.0, 7.0], [5.0, 0.0]])
+
+    def test_empty_kept_gives_a_0x0_matrix(self):
+        # on a 1x1 mesh every sigma dof is pinned
+        lay = build_layout(build_rect_mesh(1.0, 1.0, 1, 1), VECTOR_P1_SIGMA)
+        assert len(lay.constrained_dofs) == lay.n_dofs
+        a = asm.assemble_mass(lay, asm.AssemblyContext(lay.mesh, degree=asm.P1_DEGREE))
+        selection = Selection(entry_ids(a), np.setdiff1d(np.arange(lay.n_dofs), lay.constrained_dofs))
+        assert selection.matrix(a.data).shape == (0, 0)
+        assert np.all(selection.slots(a.nnz) == -1)
+        x, _ = Factorization(a, selection).solve(np.ones(lay.n_dofs))
+        assert np.all(x == 0.0)
+
+    def test_slots_mark_untaken_entries_and_the_last_of_an_entry_taken_twice(self):
+        # a 2 x 2 operator bordered by w as the density system is: source
+        # [operator, w], each w entry taken by the border column and row
+        a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        nodes, border, w_at = np.arange(2), np.full(2, 2), a.nnz + np.arange(2)
+        ids = id_matrix((3, 3), [(entry_rows(a), a.indices, np.arange(a.nnz)), (nodes, border, w_at),
+                                 (border, nodes, w_at)])
+        kept = np.array([0, 2, 1])
+        selection = Selection(ids, kept)
+        source = np.array([2.0, 1.0, 1.0, 3.0, 0.25, 0.75])
+        dense = np.array([[2.0, 1.0, 0.25], [1.0, 3.0, 0.75], [0.25, 0.75, 0.0]])
+        kept_matrix = selection.matrix(source)
+        assert np.array_equal(kept_matrix.toarray(), dense[np.ix_(kept, kept)])
+        slots = selection.slots(len(source))
+        last = [np.flatnonzero(selection.take == j).max() for j in range(len(source))]
+        assert np.array_equal(slots, last)
+        assert all(np.sum(selection.take == j) == 2 for j in (4, 5))  # each w entry is taken twice
+        # node 1 left out: none of its operator entries, nor its w, is taken
+        selection = Selection(ids, np.array([0, 2]))
+        assert np.array_equal(selection.slots(a.nnz), [0, -1, -1, -1])
+        assert np.array_equal(selection.slots(len(source))[4:], [2, -1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kept_matrix_equals_the_dense_slice(self, seed):
         rng = np.random.default_rng(seed)
+        n = 12
         r, c = rng.integers(0, n, (2, 40))
         plan = ScatterPlan((n, n), np.concatenate([r, c, np.arange(n)]), np.concatenate([c, r, np.arange(n)]))
-        return plan, rng.permutation(n)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_ordered_pattern_matches_a_sort(self, seed):
-        plan, order = self.node_graph(seed)
-        rows = entry_rows(plan)
-        indptr, indices, entry = linsolve.ordered_pattern(plan, order)
-        ref = sorted_pattern(plan.shape[0], rows, plan.indices, np.arange(plan.nnz), order)
-        for got, want in zip((indptr, indices, entry), ref):
+        rows, take = entry_rows(plan), rng.permutation(plan.nnz)  # source entries in any order
+        source = rng.standard_normal(plan.nnz)
+        dense = np.zeros((n, n))
+        dense[rows, plan.indices] = source[take]
+        kept = rng.permutation(n)[: n - 3]
+        selection = Selection(id_matrix((n, n), [(rows, plan.indices, take)]), kept)
+        got = selection.matrix(source)
+        assert got.has_sorted_indices
+        assert np.array_equal(got.toarray(), dense[np.ix_(kept, kept)])
+        ref = sorted_pattern(n, rows, plan.indices, take, kept)
+        for got, want in zip((selection.indptr, selection.indices, selection.take), ref):
             assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_block_pattern_matches_a_sort(self, seed):
-        plan, order = self.node_graph(seed)
-        indptr, indices, entry = linsolve.ordered_pattern(plan, order)
-        n, w = plan.shape[0], 3
-        rng = np.random.default_rng(seed + 10)
-        keep = rng.random((n, w)) < 0.8
-        dof_rank = np.where(keep, np.cumsum(keep).reshape(n, w) - 1, -1)
-        allowed = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=bool)
-        ptr, cols, cell = linsolve.block_pattern(indptr, indices, dof_rank, allowed)
-        # every candidate (node entry, a, b) as an entry of the unknowns' matrix
-        e = np.repeat(np.arange(len(indices)), w * w)
-        a, b = (np.tile(ab, len(indices)) for ab in np.divmod(np.arange(w * w), w))
-        r, c = dof_rank[entry_rows(indptr=indptr)[e], a], dof_rank[indices[e], b]
-        ok = (r >= 0) & (c >= 0) & allowed[a, b]
-        flat = np.arange(len(e))
-        kept_count = int(keep.sum())
-        ref = sorted_pattern(kept_count, r[ok], c[ok], flat[ok], np.arange(kept_count))
-        for got, want in zip((ptr, cols, cell), ref):
-            assert np.array_equal(got, want)
-
-    def test_stacked_pattern_matches_a_sort(self):
-        rng = np.random.default_rng(5)
-        parts, lists, offset = [], [], 0
-        for width in (4, 3, 2):  # part p's columns lie in [10 p, 10 p + width)
-            rows = np.sort(rng.integers(0, 6, 15))
-            cols = np.empty(15, dtype=np.int64)
-            for r in range(6):  # distinct, sorted columns within a row
-                at = np.flatnonzero(rows == r)
-                cols[at] = 10 * len(parts) + np.sort(rng.choice(8, len(at), replace=False))
-            parts.append((rows, cols, offset + np.arange(15)))
-            offset += 15
-        indptr, indices, take = linsolve.stacked_pattern(6, parts)
-        rows, cols, src = (np.concatenate(x) for x in zip(*parts))
-        ref = sorted_pattern(40, rows, cols, src, np.arange(40))
-        assert np.array_equal(indptr, ref[0][:7]) and np.array_equal(indices, ref[1])
-        assert np.array_equal(take, ref[2])

@@ -31,6 +31,7 @@ from chemflow.scheme import (
     TimeGrid,
 )
 from oracles import (
+    apply_constraints,
     bordered_saddle_matrix,
     pivoting_solve,
     bordered_saddle_reference,
@@ -579,7 +580,7 @@ class TestCachedFactorizations:
         p, npi = st.params, st.layout_pi.n_dofs
         n_skew, u_skew, loads = lagged_matrices(st, prev, prev.t + dt, forcing)
         a_n = st.M / dt + st.K * p.D_n + n_skew
-        a_n = asm.apply_constraints(a_n, st.layout_n, weight_vector=st.w_p1)
+        a_n = apply_constraints(a_n, st.layout_n, weight_vector=st.w_p1)
         rhs_n = asm.constrain_rhs(st.M @ prev.n / dt + loads["n"], st.layout_n)
         n = pivoting_solve(a_n, rhs_n)[: st.layout_n.n_dofs]
         a_c = st.M / dt + st.K * p.D_c + n_skew
@@ -806,8 +807,7 @@ class TestStepOperators:
         op_n, op_c = st._solver("n", dt).operator, st._solver("c", dt).operator
         kept_n, kept_c = st._solver("n", dt).kept, st._solver("c", dt).kept
         p = st.params
-        a_n = asm.apply_constraints(st.M * (1.0 / dt) + st.K * p.D_n, st.layout_n,
-                                    weight_vector=st.w_p1)
+        a_n = apply_constraints(st.M * (1.0 / dt) + st.K * p.D_n, st.layout_n, weight_vector=st.w_p1)
         a_c = st.M * (1.0 / dt) + st.K * p.D_c
         s = st.M_u * (1.0 / dt) + st.K_u * (p.D_u / p.rho)
         t_ref = bordered_saddle_matrix(st, s)
@@ -827,6 +827,19 @@ class TestStepOperators:
         ]
         for got, ref in pairs:
             assert_same_csr(got, ref)
+
+    def test_sigma_mass_lies_where_the_plans_put_it(self):
+        # the id matrix of divrot read at the entries of M_sigma, against the
+        # element-by-element lookup in the two layouts' plans it replaces
+        st, _, _, _ = _preset_case("test2")
+        coupled = asm.square_plan(st.layout_sigma, coupled=True).slots.reshape(-1, 2, 3, 2, 3)
+        mass = asm.square_plan(st.layout_sigma)
+        ref = np.empty(mass.nnz, dtype=np.int64)
+        ref[mass.slots] = np.stack([coupled[:, c, :, c, :] for c in range(2)], axis=1).ravel()
+        at = st._sigma_mass
+        assert np.array_equal(at, ref)
+        rows, mass_rows = linsolve.entry_rows(st.divrot), linsolve.entry_rows(st.M_sigma)
+        assert np.array_equal(rows[at], mass_rows) and np.array_equal(st.divrot.indices[at], st.M_sigma.indices)
 
     def test_lus_factor_the_kept_operators(self, monkeypatch):
         # at dt = 1/1200, M/dt + K cancels exactly on some edges of the k=10
@@ -1184,21 +1197,24 @@ class TestCondensedSaddle:
 
     @pytest.mark.parametrize("preset", ["test1", "test2"])
     def test_bookkeeping_matches_slicing(self, preset):
-        # D^-1, read through T's diagonal, and the condensed matrix, summed
-        # bubble by bubble into its node-ordered pattern, against the sparse
-        # slicing T_kk - T_kb D^-1 T_bk they replace; the saddle matrix, its
-        # pinned dofs eliminated on its own pattern, against the
+        # D^-1 and the condensed matrix, formed by sparse slicing and
+        # products, against the dense Schur complement
+        # T_kk - T_kb D^-1 T_bk that numpy forms from T; the saddle matrix,
+        # its pinned dofs eliminated on its own pattern, against the
         # P s P + diag(pinned) construction
         st, state, dt, forcing = _preset_case(preset)
         st.step(state, dt, forcing)
         solver = st._solver("u", dt)
-        saddle, t = solver.lu, solver.operator.matrix  # holding step 1's transport
+        saddle, t = solver.lu, solver.operator.matrix.toarray()  # holding step 1's transport
         _, bubble = st.layout_u.nodal_and_bubble_dofs()
-        assert np.array_equal(saddle.d_inv, 1.0 / t[bubble][:, bubble].diagonal())
+        d = t[np.ix_(bubble, bubble)]
+        assert np.array_equal(d, np.diag(np.diag(d)))
+        assert np.array_equal(saddle.d_inv, 1.0 / np.diag(d))
         kept = saddle.kept
-        ref = t[kept][:, kept] - t[kept][:, bubble] @ sp.diags(saddle.d_inv) @ t[bubble][:, kept]
+        ref = t[np.ix_(kept, kept)] - t[np.ix_(kept, bubble)] @ (t[np.ix_(bubble, kept)] / np.diag(d)[:, None])
         got = saddle.lu.matrix
-        assert np.abs((got - ref).toarray()).max() <= 1e-13 * np.abs(ref.data).max()
+        assert got.has_sorted_indices
+        assert np.abs(got.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
         s = st.M_u * (1.0 / dt) + st.K_u * (st.params.D_u / st.params.rho)
         t0 = st._saddle_lu(s, np.zeros(st.M_u.nnz)).operator.matrix  # the zero transport
         assert_same_csr(t0, bordered_saddle_matrix(st, s))
@@ -1210,7 +1226,7 @@ class TestCondensedSaddle:
         s = (st.M_u / dt).tolil()
         s[bubble[0], bubble[1]] = s[bubble[1], bubble[0]] = 1.0
         with pytest.raises(ValueError, match="not diagonal"):
-            CondensedSaddle(s.tocsr(), st.G, st.layout_u, st.w_p1, st.params.rho, st._nodes)
+            CondensedSaddle(s.tocsr(), st.G, st.layout_u, st.w_p1, st.params.rho)
 
     def test_residual_of_full_system_is_enforced(self, monkeypatch):
         # a condensation that solves a wrong system, the kept LU and every
@@ -1328,7 +1344,8 @@ class TestNodeOrder:
         assert len(calls) == 1
         other = Stepper(mesh, params)
         other.step(other.init_state(data, mode="elliptic_projection"), cfg.dt, forcing)
-        assert len(calls) == 1 and other._nodes[0] is not st._nodes[0]  # the order is the mesh's
+        assert len(calls) == 1  # the order is the mesh's, shared by both steppers' LUs
+        assert other._selection("c").kept is st._selection("c").kept is mesh.node_order
         build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky).node_order
         assert len(calls) == 2  # one per mesh
 
