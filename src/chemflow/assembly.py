@@ -12,12 +12,13 @@ on every component is summed once and repeated.  Only the mesh's P1 plan
 (``Mesh.p1_plan``) is sorted.  Every other plan is derived from it by index
 arithmetic, with the pattern and slots a sort of its entry list would find,
 so every sum is the same bit for bit: per-component copies (sigma, the
-velocity), one block coupling the sigma components, the scalar MINI plan (a
+velocity), the scalar MINI plan (a
 vertex row is the P1 row followed by the bubbles of the elements at the
 vertex, in element order; a bubble row its three vertices sorted, then the
 bubble), and the velocity x pressure plan, the velocity's cut to its vertex
-columns (``pressure_plan``).  Load vectors
-are summed with one ``np.bincount``.  Every form integrates on the rule of
+columns (``pressure_plan``).  The sigma div/rot form, which couples the two
+components, is the data of its four component blocks on the P1 plan.  Load
+vectors are summed with one ``np.bincount``.  Every form integrates on the rule of
 the ``AssemblyContext`` its caller gives it: degree 2 (``P1_DEGREE``) is
 exact for pure-P1 mass and stiffness, degree 8 (``FULL_DEGREE``) for every
 MINI and lagged-coefficient polynomial integrand (the velocity trilinear
@@ -33,8 +34,6 @@ needs no point values: ``AssemblyContext.moments`` holds the integrals of
 products of basis functions on the context's rule, to contract with the
 fields' element coefficients (``Stepper.lagged_forms``).
 """
-
-import itertools
 
 import numpy as np
 
@@ -258,32 +257,6 @@ def _component_plan(scalar, layout, col_shift):
     )
 
 
-def _coupled_plan(scalar, layout):
-    """The plan of one element block coupling the layout's components, each
-    a copy of the element blocks of the plan ``scalar``: local function
-    c * nl + i is copy c of scalar function i, on row and column
-    c * n_scalar + its dof.  A row of any copy holds its scalar row once per
-    copy, so copy c of scalar entry p of row s lies
-    k * indptr[s] + c * len(s) + (p - indptr[s]) into the rows of its copy."""
-    k, ne, nl = layout.components, layout.mesh.n_triangles, layout.scalar_local_size
-    ptr, nnz, copies = scalar.indptr.astype(np.int64), scalar.nnz, np.arange(k)[:, None]
-    length = np.diff(ptr)
-    at = np.arange(nnz) + (k - 1) * np.repeat(ptr[:-1], length) + np.repeat(length, length) * copies
-    row = np.empty(k * nnz, dtype=np.int64)
-    row[at] = scalar.indices + layout.n_scalar * copies
-    table = at + k * nnz * copies[:, None]  # [ca, cb]: slot of copy (ca, cb) of each entry
-    blocks = scalar.slots.reshape(ne, nl, nl)
-    slots = np.empty((ne, k, nl, k, nl), dtype=np.int64)
-    for ca, cb in itertools.product(range(k), repeat=2):
-        slots[:, ca, :, cb] = table[ca, cb][blocks]
-    return linsolve.ScatterPlan.from_pattern(
-        (k * scalar.shape[0], k * scalar.shape[0]),
-        np.append((k * ptr[:-1] + k * nnz * copies).ravel(), k * k * nnz),
-        np.tile(row, k),
-        slots.ravel(),
-    )
-
-
 def _scalar_plan(layout):
     """Plan of one component's element blocks on the layout, kept on it: the
     mesh's P1 plan, or the square MINI plan derived from it."""
@@ -293,15 +266,12 @@ def _scalar_plan(layout):
     return layout.plans["scalar"]
 
 
-def square_plan(layout, coupled=False):
-    """Plan of square element blocks on a layout, derived from its mesh's P1
-    plan once and kept on the layout: one block per component, or with
-    ``coupled`` one block coupling all."""
-    if coupled not in layout.plans:
-        scalar = _scalar_plan(layout)
-        layout.plans[coupled] = (_coupled_plan(scalar, layout) if coupled
-                                 else _component_plan(scalar, layout, layout.n_scalar))
-    return layout.plans[coupled]
+def square_plan(layout):
+    """Plan of square element blocks on a layout, one block per component,
+    derived from its mesh's P1 plan once and kept on the layout."""
+    if "square" not in layout.plans:
+        layout.plans["square"] = _component_plan(_scalar_plan(layout), layout, layout.n_scalar)
+    return layout.plans["square"]
 
 
 def pressure_plan(layout):
@@ -364,7 +334,9 @@ def _sigma_div_rot(grad_bary):
 
 
 def assemble_divrot(layout, coeff, ctx):
-    """coeff * [(div s, div t) + (rot s, rot t)] on the sigma space.
+    """coeff * [(div s, div t) + (rot s, rot t)] on the sigma space, as its
+    four component blocks: (2, 2, nnz), block [a, b] the data on the mesh's
+    P1 plan of the rows of component a against the columns of component b.
 
     The integrands are elementwise constant for P1 vectors, so the element
     integrals are exact without quadrature: only the geometry of ``ctx`` is read.
@@ -374,7 +346,8 @@ def assemble_divrot(layout, coeff, ctx):
     div, rot = _sigma_div_rot(ctx.grad_bary)
     local = np.einsum("ea,eb->eab", div, div) + np.einsum("ea,eb->eab", rot, rot)
     local *= coeff * ctx.areas[:, None, None]
-    return square_plan(layout, coupled=True).matrix(local)
+    local = local.reshape(-1, 2, 3, 2, 3)  # [e, a, i, b, j]: component a's function i, b's j
+    return np.array([[layout.mesh.p1_plan.data(local[:, a, :, b]) for b in range(2)] for a in range(2)])
 
 
 def assemble_skew_data(layouts, velocity, ctx):

@@ -76,6 +76,8 @@ class RunConfig:
         signs = dict.fromkeys(("Lx", "Ly", "dt", "t_final"), "positive") | scheme.PARAM_SIGNS
         for name, sign in signs.items():
             require_real(f"config value {name}", getattr(self, name), sign)
+        if np.shape(self.grad_phi) != (2,):
+            raise ValueError(f"config value grad_phi must be a 2-vector, got {self.grad_phi!r}")
         for g in self.grad_phi:
             require_real("config value grad_phi", g)
         if not (is_integer(self.kx, 1) and is_integer(self.ky, 1)):
@@ -151,8 +153,10 @@ def parse_config(text, preset=None, **overrides):
 
     The defaults are those of ``preset``, else of the ``[initial] preset``
     entry, else of test2; every other key overrides one preset value, and
-    ``overrides`` (RunConfig field values) override the file.  The result
-    is validated once, with the overrides applied.
+    ``overrides`` (RunConfig field values) override the file.  Unless the
+    file or ``overrides`` set ``snapshot_times``, the preset's times after
+    the run's ``t_final`` are dropped.  The result is validated once, with
+    the overrides applied.
     """
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keep case: D_n vs d_n matters
@@ -175,7 +179,11 @@ def parse_config(text, preset=None, **overrides):
     cfg = default_config(preset or file_preset)
     gx, gy = cfg.grad_phi
     grad_phi = (values.pop("grad_phi_x", gx), values.pop("grad_phi_y", gy))
-    return replace(cfg, grad_phi=grad_phi, **(values | overrides)).validate()
+    values |= overrides
+    if "snapshot_times" not in values:
+        t_final = values.get("t_final", cfg.t_final)
+        values["snapshot_times"] = tuple(t for t in cfg.snapshot_times if t <= t_final)
+    return replace(cfg, grad_phi=grad_phi, **values).validate()
 
 
 def serialize_config(cfg):
@@ -525,9 +533,9 @@ def cmd_check(args):
     mean_pi = abs(stepper.w_p1 @ final.pi)
     check("zero means", max(mean_n, mean_pi) <= 1e-11, f"|mean| {max(mean_n, mean_pi):.3e}")
 
-    # each LU by its size: n bordered, c, the free sigma dofs, else the condensed (u, pi)
-    nn, sigma = mesh.n_nodes, stepper.layout_sigma
-    sizes = {nn + 1: "n", nn: "c", sigma.n_dofs - len(sigma.constrained_dofs): "sigma"}
+    # each LU by its size: n bordered, c, sigma, else the condensed (u, pi)
+    nn = mesh.n_nodes
+    sizes = {nn + 1: "n", nn: "c", 2 * nn: "sigma"}
     fill = {}
     for fact in lus:
         system = sizes.get(fact.matrix.shape[0], "u")

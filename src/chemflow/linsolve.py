@@ -4,21 +4,21 @@ Matrices are plain ``scipy.sparse.csr_matrix``.  This module pins down the
 behaviours the rest of the code relies on: canonical CSR storage with
 duplicates summed, through a ``ScatterPlan`` built once per entry list, an
 explicit error on (near-)singular systems instead of silent garbage, one
-way to factor: the kept unknowns of a system in an order its caller gives
-(``Selection``, sliced from an ``id_matrix``, in a node ordering of the
-mesh, ``graph_order``, expanded to the system),
-without reordering or pivoting (``Factorization``), one solver of operators
-that change by a transport each step through the LU of the first one
-(``KeptLU``), and one checked refinement loop for every solve
-(``refined_solve``).  Its one stopping rule accepts x once the residual
-meets the RTOL bound and every row is at its rounding floor, the
-Oettli-Prager componentwise backward error
+way to apply constraints: each unknown held at 0 an identity row and
+column of the system's ``id_matrix``, one way to factor: the unknowns of
+a system in an order its caller gives (``Selection``, sliced from its
+id matrix, in a node ordering of the mesh, ``graph_order``, expanded to
+the system), without reordering or pivoting (``Factorization``), one
+solver of every system, whose operator may change by a transport each
+step, through the LU of the first one (``KeptLU``), and one checked
+refinement loop for every solve (``refined_solve``).  Its one stopping
+rule accepts x once the residual meets the RTOL bound and every row is at
+its rounding floor, the Oettli-Prager componentwise backward error
 max_i |b - Ax|_i / (|A||x| + |b|)_i <= FLOOR * eps; its report carries the
 residual it accepted, also of a solve through the LU of a nearby matrix.
 """
 
 import contextlib
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -135,13 +135,24 @@ def graph_order(plan):
     return np.argsort(lu.perm_c)
 
 
-def id_matrix(shape, parts):
+def id_matrix(shape, parts, pinned=(), one=None):
     """The id matrix of the entries listed in ``parts``, each (rows, cols,
     take): a CSR matrix of ``shape`` whose entry (rows[k], cols[k]) holds
     take[k] + 1, the 1-based index of the source entry it gathers (int64,
-    so that no entry is a stored 0).  No position may be listed twice."""
+    so that no entry is a stored 0).  No position may be listed twice.
+
+    Each unknown of ``pinned`` (unique), held at 0, is an identity row and
+    column: the listed entries in its row or column are dropped, and its
+    diagonal gathers source entry ``one``, which holds 1."""
     rows, cols, take = (np.concatenate(x) for x in zip(*parts))
-    return sp.csr_matrix((take.astype(np.int64) + 1, (rows, cols)), shape=shape)
+    if len(pinned):
+        hit = np.zeros(shape[0], dtype=bool)
+        hit[pinned] = True
+        free = ~(hit[rows] | hit[cols])
+        rows, cols = (np.concatenate([x[free], pinned]) for x in (rows, cols))
+        take = np.concatenate([take[free], np.full(len(pinned), one)])
+    # one counting sort (COO to CSR): 2-3x faster than csr_matrix((data, (rows, cols))) on sigma's 80x40 ids
+    return sp.coo_matrix((take.astype(np.int64) + 1, (rows, cols)), shape=shape).tocsr()
 
 
 def entry_ids(a):
@@ -189,8 +200,8 @@ class PatternSum:
     in place into slot ``slots[k]`` of the matrix (dropped where -1): the
     slots are known from the matrix's construction, and a call builds no
     sparse matrix.  ``abs_matrix`` holds |matrix| on the index arrays of
-    ``matrix``, refreshed by each call.  Data of another length than
-    ``slots`` raises ValueError."""
+    ``matrix``, refreshed by each call that writes a transport.  Data of
+    another length than ``slots`` raises ValueError."""
 
     def __init__(self, matrix, slots):
         self.matrix, self.nnz = matrix, len(slots)
@@ -203,8 +214,9 @@ class PatternSum:
         """The kept matrix, holding its base plus the transport ``data``."""
         if np.shape(data) != (self.nnz,):
             raise ValueError(f"transport data has shape {np.shape(data)}, expected ({self.nnz},)")
-        self.matrix.data[self._slots] = self._base + data[self._kept]
-        np.abs(self.matrix.data, out=self.abs_matrix.data)
+        if self.nnz:  # an empty transport leaves the matrix as it is
+            self.matrix.data[self._slots] = self._base + data[self._kept]
+            np.abs(self.matrix.data, out=self.abs_matrix.data)
         return self.matrix
 
 
@@ -263,7 +275,7 @@ def refined_solve(b, inverse, a, abs_a, paid, fresh_inverse=None):
         if res <= bound:
             if floor is None:
                 floor = _FLOOR_EPS * (abs_a.dot(np.abs(x)) + np.abs(b))
-            if n == cap or res >= 0.5 * prev or np.all(np.abs(residual) <= floor):
+            if n == cap or res >= 0.5 * prev or (np.abs(residual) <= floor).all():
                 break
         if fresh_inverse is None:
             if n == cap or not math.isfinite(res):
@@ -282,46 +294,32 @@ def refined_solve(b, inverse, a, abs_a, paid, fresh_inverse=None):
 
 
 class Factorization:
-    """LU factorization of a square sparse system, reusable across solves.
+    """LU factorization of a square sparse matrix, as given.
 
-    There is one way to factor: SuperLU takes the kept unknowns in the order
+    There is one way to factor: SuperLU takes the unknowns in the order
     given (``permc_spec="NATURAL"``) and each diagonal entry as its pivot
     (``diag_pivot_thresh=0``), so its row and column permutations are the
     identity.  The order is the caller's, and fills little: the mesh's node
-    order (``graph_order``) expanded to the system.  Every system of the
-    scheme has nonzero pivots in it: a matrix that a diagonal row scaling
-    gives a positive definite symmetric part keeps that property under
-    every symmetric permutation (Golub and Van Loan, *Linear Algebra Appl.*
-    28, 1979), and the bordered density operator's border comes just before
-    its last node.  ``order`` is a ``Selection`` gathering the kept matrix
-    from ``a.data``, or None to factor ``a`` as it stands; unknowns outside
-    it are held at 0.  The kept matrix's CSR arrays, read as CSC, are those
-    of its transpose, which SuperLU factors without a copy; ``lu_solve``
-    solves with the transpose of that.
+    order (``graph_order``) expanded to the system, sliced by a
+    ``Selection``.  Every system of the scheme has nonzero pivots in it: a
+    matrix that a diagonal row scaling gives a positive definite symmetric
+    part keeps that property under every symmetric permutation (Golub and
+    Van Loan, *Linear Algebra Appl.* 28, 1979), and the bordered density
+    operator's border comes just before its last node.  The CSR arrays of
+    ``matrix``, read as CSC, are those of its transpose, which SuperLU
+    factors without a copy; ``lu_solve`` solves with the transpose of that.
     """
 
-    def __init__(self, a, order=None):
-        n, m = a.shape
-        if n != m:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
-        self.n, self.kept = n, None if order is None else order.kept
-        self.matrix = sp.csr_matrix(a) if order is None else order.matrix(a.data)
-        kept = self.matrix
-        t0 = time.perf_counter()
-        try:
-            self._lu = spla.splu(sp.csc_matrix((kept.data, kept.indices, kept.indptr), shape=kept.shape),
+    def __init__(self, a):
+        self.matrix = a = sp.csr_matrix(a)
+        try:  # SuperLU raises ValueError for a matrix that is not square
+            self._lu = spla.splu(sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape),
                                  permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=_RELAX,
                                  panel_size=_PANEL, options={"SymmetricMode": True})
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SingularSystemError(str(exc)) from exc
-        self.factor_time = self._unpaid = time.perf_counter() - t0
         for made in _RECORDERS:
             made.append(self)
-
-    @functools.cached_property
-    def abs_matrix(self):
-        """|A| on the index arrays of ``matrix``, built at its first use."""
-        return abs_matrix(self.matrix)
 
     @property
     def fill(self):
@@ -334,20 +332,8 @@ class Factorization:
         return not np.array_equal(self._lu.perm_r, np.arange(self.matrix.shape[0]))
 
     def lu_solve(self, b):
-        """LU^-1 b of the kept system, unchecked: for a caller that checks the residual itself."""
+        """LU^-1 b, unchecked: for a caller that checks the residual itself."""
         return self._lu.solve(b, trans="T")
-
-    def solve(self, b):
-        """(x, SolveReport) of A x = b (``refined_solve`` on the kept system);
-        the first reports the LU."""
-        paid, self._unpaid = self._unpaid, None
-        if self.kept is None:
-            return refined_solve(b, self.lu_solve, self.matrix, self.abs_matrix, paid)
-        x, report = refined_solve(np.asarray(b, dtype=float)[self.kept], self.lu_solve,
-                                  self.matrix, self.abs_matrix, paid)
-        full = np.zeros(self.n)
-        full[self.kept] = x
-        return full, report
 
 
 _RECORDERS = []  # the lists of ``recorded_lus`` contexts now open
@@ -371,14 +357,15 @@ class KeptLU:
     ``transport``: ``factor(a)``, an object whose ``lu_solve`` applies an LU
     of ``a`` unchecked (by default a ``Factorization``, whose ``matrix`` is
     then the kept operator, which each solve overwrites).  ``matrix`` holds
-    the system's unknowns ``kept`` in order (None: in their own order), so
-    each ``solve`` permutes b and x once.  Each ``solve`` refines against its
-    own operator through ``lu``, and a fresh ``factor(a)`` takes over if that
-    fails (``refined_solve``).  The first solve reports the time of the first
-    sum and its LU as its factor time."""
+    the system's unknowns in the order ``kept``, a permutation of them
+    (None: their own order), so each ``solve`` permutes b and x once.  Each
+    ``solve`` refines against its own operator through ``lu``, and a fresh
+    ``factor(a)`` takes over if that fails (``refined_solve``).  The first
+    solve reports the time of the first sum and its LU as its factor time."""
 
     def __init__(self, matrix, slots, transport, kept=None, factor=Factorization):
         self.operator, self.kept, self._factor = PatternSum(matrix, slots), kept, factor
+        self._at = None if kept is None else np.argsort(kept)  # of each unknown, in ``kept``
         t0 = time.perf_counter()
         self.lu = factor(self.operator(transport))
         self._unpaid = time.perf_counter() - t0
@@ -392,6 +379,4 @@ class KeptLU:
             return refined_solve(b, self.lu.lu_solve, a, self.operator.abs_matrix, paid, fresh)
         x, report = refined_solve(np.asarray(b, dtype=float)[self.kept], self.lu.lu_solve, a,
                                   self.operator.abs_matrix, paid, fresh)
-        full = np.empty(len(b))
-        full[self.kept] = x
-        return full, report
+        return x[self._at], report

@@ -12,7 +12,8 @@ of the operator of the first step of that size, its transport included; a
 later step refines against its own operator through it.  The
 velocity/pressure system has its bubbles condensed out.  Every LU factors
 its system's kept unknowns in the mesh's node order, sliced from the id
-matrix of its operator (``linsolve.Selection``), without pivoting.
+matrix of its operator (``linsolve.Selection``), each pinned unknown an
+identity row, without pivoting.
 """
 
 import copy
@@ -85,6 +86,9 @@ RECORD_KEYS = ("m", "t", "mass", "div_residual", *sorted(
     ["assembly_time"] + [f"max_pinned_{name}" for name in _PINNED]
     + [f"{bound}_{name}" for name in _NODAL for bound in ("min", "max")]
     + [f"{prefix}_{system}" for prefix in _REPORT_FIELDS for system in _SYSTEMS]))
+
+
+_NO_TRANSPORT = np.zeros(0)  # the sigma operator's: it does not change with the flow
 
 
 def _projected(rhs, solve):
@@ -215,15 +219,14 @@ class CondensedSaddle:
     * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
       the gauge pressure dof 0 is pinned and the mean shifted afterwards.
 
-    T is gathered from the source [s, -G/rho, G, w, 1, 0] through one
+    T is gathered from the source [s, -G/rho, G, w, 1] through one
     ``linsolve.Selection`` (``selection``), built once per layout from the
-    patterns of ``s`` and ``g`` (G, its exact zeros stored): the entries in
-    the pinned rows and columns gather the 1 on the diagonal and the 0
-    elsewhere, so ``bordered(s)`` is one gather, and ``slots`` places a
-    transport in it.  The condensed system keeps ``kept``: the free nodal
-    velocity dofs and the pressure dofs but the gauge, sorted by node in
-    the mesh's node order, then u1, u2, pi, so the condensation comes out
-    already ordered.  ``factor(t)`` returns a copy holding the bubble
+    patterns of ``s`` and ``g`` (G, its exact zeros stored): a pinned row
+    and column holds only its diagonal, the 1 (``linsolve.id_matrix``), so
+    ``bordered(s)`` is one gather, and ``slots`` places a transport in it.
+    The condensed system keeps ``kept``: the free nodal velocity dofs and
+    the pressure dofs but the gauge, sorted by node in the mesh's node
+    order, then u1, u2, pi, so the condensation comes out already ordered.  ``factor(t)`` returns a copy holding the bubble
     blocks of a bordered matrix t and the LU of its condensation
     T_kk - T_kb D^-1 T_bk, whose ``lu_solve`` solves with t.  With its
     pressure rows scaled by 1/rho that condensation has a positive definite
@@ -237,25 +240,23 @@ class CondensedSaddle:
         n, ns, pinned = nu + npi + 1, layout_u.n_scalar, layout_u.constrained_dofs
         bubble = layout_u.nodal_and_bubble_dofs()[1]
         rows, cols, g_rows = linsolve.entry_rows(s), s.indices, linsolve.entry_rows(g)
-        is_bubble, is_pinned = np.zeros(nu, dtype=bool), np.zeros(nu, dtype=bool)
-        is_bubble[bubble], is_pinned[pinned] = True, True
+        is_bubble = np.zeros(nu, dtype=bool)
+        is_bubble[bubble] = True
         if np.any(s.data[is_bubble[rows] & is_bubble[cols] & (rows != cols)] != 0.0):
             raise ValueError("bubble-bubble block of the velocity operator is not diagonal")
         self.n_u, self.w, self.area, self.bubble = nu, w, float(w.sum()), bubble
         self._g, self._rho = g, rho
 
-        # T from the source [s, -G/rho, G, w, 1, 0]
-        one, zero = s.nnz + 2 * g.nnz + npi, s.nnz + 2 * g.nnz + npi + 1
-        free, g_free = ~(is_pinned[rows] | is_pinned[cols]), ~is_pinned[g_rows]
-        at_g, at_w = np.arange(g.nnz), s.nnz + 2 * g.nnz + np.arange(npi)
+        # T from the source [s, -G/rho, G, w, 1]
+        at_g, at_w = s.nnz + np.arange(g.nnz), s.nnz + 2 * g.nnz + np.arange(npi)
         pressures, border = nu + np.arange(npi), np.full(npi, n - 1)
         self.selection = linsolve.Selection(linsolve.id_matrix((n, n), [
-            (rows, cols, np.where(free, np.arange(s.nnz), np.where(rows == cols, one, zero))),
-            (g_rows, nu + g.indices, np.where(g_free, s.nnz + at_g, zero)),
-            (nu + g.indices, g_rows, np.where(g_free, s.nnz + g.nnz + at_g, zero)),
+            (rows, cols, np.arange(s.nnz)),
+            (g_rows, nu + g.indices, at_g),
+            (nu + g.indices, g_rows, g.nnz + at_g),
             (pressures, border, at_w),
             (border, pressures, at_w),
-        ]))
+        ], pinned, at_w[-1] + 1))
         self.slots = self.selection.slots(s.nnz)
 
         # the condensed system: (u1, u2, pi) by node, in the node order
@@ -268,7 +269,7 @@ class CondensedSaddle:
     def bordered(self, s):
         """T of the velocity operator ``s`` (data on the pattern this was built from)."""
         g = self._g.data
-        return self.selection.matrix(np.concatenate([s.data, -g / self._rho, g, self.w, [1.0, 0.0]]))
+        return self.selection.matrix(np.concatenate([s.data, -g / self._rho, g, self.w, [1.0]]))
 
     def factor(self, t):
         """A copy holding the bubble blocks of the bordered matrix ``t`` (on
@@ -418,8 +419,10 @@ class Stepper:
             b, zero)[0])
 
         # flux: div/rot/L2 projection under the normal-trace constraints, SPD
-        sig0 = _projected(asm.constrain_rhs(rhs_s, self.layout_sigma), lambda b: linsolve.Factorization(
-            self._sigma_operator(1.0, 1.0 / p.D_c), self._selection("sigma")).solve(b)[0])
+        a_s = self.divrot * (1.0 / p.D_c)
+        a_s[(0, 1), (0, 1)] += self.M.data
+        sig0 = _projected(asm.constrain_rhs(rhs_s, self.layout_sigma), lambda b: self._kept_lu(
+            "sigma", a_s, _NO_TRANSPORT).solve(b, _NO_TRANSPORT)[0])
 
         # velocity/pressure: discrete Stokes projection (its LU is used once)
         nu = self.layout_u.n_dofs
@@ -439,14 +442,15 @@ class Stepper:
     def _solver(self, system, dt, transport=None):
         """Solver of one system and dt, built at the first step of that dt from
         that step's operator, its ``transport`` included (data on the pattern
-        of M for n and c, of M_u for u; sigma has none).  For n, c and u it is
-        a ``linsolve.KeptLU`` of the transport-free operator (``_kept_lu``; for
+        of M for n and c, of M_u for u; for sigma, whose operator does not
+        change with the flow, the empty ``_NO_TRANSPORT``): a
+        ``linsolve.KeptLU`` of the transport-free operator (``_kept_lu``; for
         u the bordered saddle of ``_saddle_lu``), into which a step writes its
-        own transport to refine against through the kept LU; for sigma an LU
-        of its free dofs.  A later call returns the kept solver whatever its
-        ``transport``.  Every LU factors its system's kept unknowns in the
-        mesh's node order, expanded to them (``_selection``,
-        ``CondensedSaddle``), without pivoting (``linsolve.Factorization``)."""
+        own transport to refine against through the kept LU.  A later call
+        returns the kept solver whatever its ``transport``.  Every LU factors
+        its system's kept unknowns in the mesh's node order, expanded to them
+        (``_selection``, ``CondensedSaddle``), without pivoting
+        (``linsolve.Factorization``)."""
         key = (system, dt)
         if key not in self._solvers:
             p = self.params
@@ -454,9 +458,10 @@ class Stepper:
                 s = self.M_u * (1.0 / dt)
                 s.data += self.K_u.data * (p.D_u / p.rho)  # M_u and K_u share the layout's pattern
                 solver = self._saddle_lu(s, transport)
-            elif system == "sigma":
-                solver = linsolve.Factorization(self._sigma_operator(1.0 / dt, 1.0),
-                                                self._selection("sigma"))
+            elif system == "sigma":  # M/dt on the diagonal blocks of divrot, each on the pattern of M
+                a = self.divrot.copy()
+                a[(0, 1), (0, 1)] += self.M.data * (1.0 / dt)
+                solver = self._kept_lu(system, a, transport)
             else:  # so do M and K
                 a = self.M.data * (1.0 / dt) + self.K.data * (p.D_n if system == "n" else p.D_c)
                 solver = self._kept_lu(system, a, transport)
@@ -470,50 +475,47 @@ class Stepper:
         source [operator, w], with the zero-mean border just before the last
         node: there every pivot is nonzero, also for the init operator K,
         which is singular, while the border last would leave K's last pivot,
-        0; for sigma the free dofs, a node's two components next to each
-        other, of the operator on the pattern of ``divrot``
-        (``_sigma_operator``)."""
+        0; for sigma, its source [the four component blocks of the operator,
+        each on the pattern of M, 1], the free dofs, a node's two components
+        next to each other, then the pinned dofs, each an identity row
+        (``linsolve.id_matrix``), so that the LU of the free dofs is that of
+        the free block alone."""
         if system not in self._selections:
             order, nn, m = self.mesh.node_order, self.mesh.n_nodes, self.M
+            rows = linsolve.entry_rows(m)
             if system == "c":
                 selection = linsolve.Selection(linsolve.entry_ids(m), order)
             elif system == "n":
                 nodes, border, w_at = np.arange(nn), np.full(nn, nn), m.nnz + np.arange(nn)
                 ids = linsolve.id_matrix((nn + 1, nn + 1), [
-                    (linsolve.entry_rows(m), m.indices, np.arange(m.nnz)), (nodes, border, w_at),
-                    (border, nodes, w_at)])
+                    (rows, m.indices, np.arange(m.nnz)), (nodes, border, w_at), (border, nodes, w_at)])
                 selection = linsolve.Selection(ids, np.concatenate([order[:-1], [nn], order[-1:]]))
             else:
-                kept = np.column_stack([order, nn + order]).ravel()
+                block = np.arange(4)[:, None]  # block [a, b] of the source is block 2 a + b
+                pinned = self.layout_sigma.constrained_dofs
+                ids = linsolve.id_matrix((2 * nn, 2 * nn), [
+                    ((nn * (block // 2) + rows).ravel(), (nn * (block % 2) + m.indices).ravel(),
+                     np.arange(4 * m.nnz))],
+                    pinned, 4 * m.nnz)
+                by_node = np.column_stack([order, nn + order]).ravel()
                 free = np.ones(2 * nn, dtype=bool)
-                free[self.layout_sigma.constrained_dofs] = False
-                selection = linsolve.Selection(linsolve.entry_ids(self.divrot), kept[free[kept]])
+                free[pinned] = False
+                selection = linsolve.Selection(ids, np.concatenate([by_node[free[by_node]], pinned]))
             self._selections[system] = selection
         return self._selections[system]
 
     def _kept_lu(self, system, data, transport):
-        """``linsolve.KeptLU`` of the n or c operator with ``data`` on the
-        pattern of M (n bordered by its zero-mean row and column), in the
-        order of ``_selection``, with the transport ``transport``."""
+        """``linsolve.KeptLU`` of the n, c or sigma operator with ``data`` on
+        the pattern of M (n bordered by its zero-mean row and column; sigma
+        its four component blocks, (2, 2, nnz)), in the order of
+        ``_selection``, with the transport ``transport``."""
         selection = self._selection(system)
         if system == "n":
             data = np.concatenate([data, self.w_p1])
-        return linsolve.KeptLU(selection.matrix(data), selection.slots(self.M.nnz), transport,
+        elif system == "sigma":
+            data = np.append(data, 1.0)
+        return linsolve.KeptLU(selection.matrix(data), selection.slots(len(transport)), transport,
                                selection.kept)
-
-    @functools.cached_property
-    def _sigma_mass(self):
-        """Where each entry of M_sigma lies in the pattern of divrot, which
-        holds it: read off the id matrix of divrot at the first sigma LU."""
-        mass = self.M_sigma
-        return np.asarray(linsolve.entry_ids(self.divrot)[linsolve.entry_rows(mass), mass.indices]).ravel() - 1
-
-    def _sigma_operator(self, mass_scale, divrot_scale):
-        """mass_scale M_sigma + divrot_scale divrot on the pattern of divrot:
-        no constraint applied, no position dropped."""
-        a = self.divrot * divrot_scale
-        a.data[self._sigma_mass] += self.M_sigma.data * mass_scale
-        return a
 
     @functools.cached_property
     def _saddle(self):
@@ -616,7 +618,7 @@ class Stepper:
 
         # (b) flux
         rhs = asm.constrain_rhs(self.M_sigma @ prev.sigma / dt + loads["sigma"], self.layout_sigma)
-        sigma_new, reports["sigma"] = self._solver("sigma", dt).solve(rhs)
+        sigma_new, reports["sigma"] = self._solver("sigma", dt, _NO_TRANSPORT).solve(rhs, _NO_TRANSPORT)
 
         # (c) concentration
         rhs = self.M @ prev.c / dt + loads["c"]

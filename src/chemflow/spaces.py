@@ -44,8 +44,8 @@ class DofLayout:
     by one bordered Lagrange-multiplier row/column, the velocity/pressure
     solve by pinning one pressure dof and shifting the mean afterwards.
     ``plans`` caches the scatter plans assembly derives on the layout from
-    its mesh's P1 plan (one component's, square per component or coupled,
-    and against the pressure) and the MINI slots of a P1 layout's, so they
+    its mesh's P1 plan (one component's, square per component, and
+    against the pressure) and the MINI slots of a P1 layout's, so they
     are derived once and live as long as the layout does.
     """
 

@@ -18,7 +18,9 @@ one solved whatever its data, the reference for the skipped projections
 of zero data; the skew transport of one layout at a time,
 skew-symmetrized by a global transpose of the summed one-sided form,
 against which the one MINI element kernel of
-``chemflow.assembly.assemble_skew_data`` is checked; and a step's lagged
+``chemflow.assembly.assemble_skew_data`` is checked; the div/rot form
+summed on one plan coupling the sigma components, the reference for its
+component blocks; one exactly solved system through one LU; and a step's lagged
 forms built from point values, their transports by the point table of
 the transport kernel, the reference for ``Stepper.lagged_forms``, which
 builds them from element coefficients; the divergence load that
@@ -521,7 +523,7 @@ def solved_projections(stepper, data):
     c0 = pivoting_solve(st.K + st.M, rhs_c)
     rhs_s = (load("div_load", st.layout_sigma, data.div_sigma0)
              + load("load", st.layout_sigma, data.grad_c0))  # the initial flux is grad c0
-    a_s = apply_constraints(st.divrot * (1.0 / p.D_c) + st.M_sigma, st.layout_sigma)
+    a_s = apply_constraints(divrot_matrix(st.mesh, st.divrot) * (1.0 / p.D_c) + st.M_sigma, st.layout_sigma)
     sigma0 = pivoting_solve(a_s, asm.constrain_rhs(rhs_s, st.layout_sigma))
     rhs_u = p.D_u * load("grad_load", st.layout_u, data.grad_u0)
     if data.pi0 is not None:
@@ -640,15 +642,17 @@ def recorded_sorts(monkeypatch):
 
 def sorted_plans(layout):
     """Every plan assembly keeps on ``layout``, by its key, each sorted from
-    its entry list (``sorted_block_plan``): one block per component (False),
-    one block coupling all components (True), the first component's blocks
-    (``"scalar"``) and, on a vector layout, the components' blocks against
-    the P1 pressure functions (``"pressure"``)."""
+    its entry list (``sorted_block_plan``): one block per component
+    (``"square"``), the first component's blocks (``"scalar"``) and, on a
+    vector layout, the components' blocks against the P1 pressure functions
+    (``"pressure"``); and one block coupling all components (``"coupled"``),
+    on which the sigma div/rot form was summed: the reference for its
+    component blocks (``divrot_by_coupled_plan``)."""
     dofs = layout.element_dofs.reshape(-1, layout.components, layout.scalar_local_size)
     coupled, square = layout.element_dofs[:, None], (layout.n_dofs, layout.n_dofs)
     plans = {
-        False: sorted_block_plan(dofs, dofs, square),
-        True: sorted_block_plan(coupled, coupled, square),
+        "square": sorted_block_plan(dofs, dofs, square),
+        "coupled": sorted_block_plan(coupled, coupled, square),
         "scalar": sorted_block_plan(dofs[:, :1], dofs[:, :1], (layout.n_scalar, layout.n_scalar)),
     }
     if layout.components == 2:
@@ -672,11 +676,39 @@ def stepper_matrices_by_sorted_plans(stepper):
         "M": asm.assemble_mass(lays["c"], ctx_p1),
         "K": asm.assemble_stiffness(lays["c"], 1.0, ctx_p1),
         "M_sigma": asm.assemble_mass(lays["sigma"], ctx_p1),
-        "divrot": asm.assemble_divrot(lays["sigma"], stepper.params.D_c, ctx_p1),
+        "divrot": divrot_by_coupled_plan(lays["sigma"], stepper.params.D_c, ctx_p1),
         "M_u": asm.assemble_mass(lays["u"], ctx),
         "K_u": asm.assemble_stiffness(lays["u"], 1.0, ctx),
         "G": g,
     }
+
+
+def divrot_by_coupled_plan(layout, coeff, ctx):
+    """``asm.assemble_divrot`` as it was summed, as the CSR matrix of the
+    sigma space: the (ne, 6, 6) element blocks coupling the two components
+    summed on one plan, sorted from its entry list (``sorted_plans``'
+    ``"coupled"``).  The reference for its four component blocks, each
+    summed on the mesh's P1 plan."""
+    div, rot = asm._sigma_div_rot(ctx.grad_bary)
+    local = np.einsum("ea,eb->eab", div, div) + np.einsum("ea,eb->eab", rot, rot)
+    local *= coeff * ctx.areas[:, None, None]
+    return sorted_plans(layout)["coupled"].matrix(local)
+
+
+def divrot_matrix(mesh, blocks):
+    """The CSR matrix of the sigma space holding the four component blocks
+    ``blocks``, (2, 2, nnz), each data on the mesh's P1 plan
+    (``asm.assemble_divrot``)."""
+    p1 = mesh.p1_plan
+    return sp.bmat([[p1.csr(blocks[a, b]) for b in range(2)] for a in range(2)], format="csr")
+
+
+def exact_solve(a, b):
+    """(x, SolveReport) of a x = b through one ``linsolve.Factorization`` of
+    the CSR matrix ``a``, checked against ``a`` (``linsolve.refined_solve``
+    through the LU of A itself: one refinement pass at most)."""
+    fact = linsolve.Factorization(a)
+    return linsolve.refined_solve(b, fact.lu_solve, fact.matrix, linsolve.abs_matrix(fact.matrix), None)
 
 
 def div_load_rebuilding_its_table(layout, f, ctx):

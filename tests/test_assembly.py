@@ -20,8 +20,11 @@ from chemflow.spaces import (
 from oracles import (
     apply_constraints,
     div_load_rebuilding_its_table,
+    divrot_by_coupled_plan,
+    divrot_matrix,
     element_geometry,
     eval_basis,
+    exact_solve,
     lagged_matrices,
     recorded_sorts,
     scatter_vector_by_add_at,
@@ -110,7 +113,7 @@ class TestDivRot:
         self.mesh = build_rect_mesh(1, 1, 10, 10)
         self.lay = build_layout(self.mesh, VECTOR_P1_SIGMA)
         self.Dc = 5.0
-        self.form = asm.assemble_divrot(self.lay, self.Dc, context(self.lay))
+        self.form = divrot_matrix(self.mesh, asm.assemble_divrot(self.lay, self.Dc, context(self.lay)))
 
     def test_constant_field_in_kernel(self):
         const = np.concatenate([np.full(self.mesh.n_nodes, 2.0), np.full(self.mesh.n_nodes, -3.0)])
@@ -521,7 +524,7 @@ class TestConstraints:
         ctx = context(lay)
         a = asm.assemble_mass(lay, ctx) + asm.assemble_stiffness(lay, 0.7, ctx)
         if kind == VECTOR_P1_SIGMA:
-            a = a + asm.assemble_divrot(lay, 0.3, ctx)
+            a = a + divrot_matrix(lay.mesh, asm.assemble_divrot(lay, 0.3, ctx))
         keep = np.ones(lay.n_dofs)
         keep[lay.constrained_dofs] = 0.0
         ref = sp.diags(keep) @ a @ sp.diags(keep) + sp.diags(1.0 - keep)
@@ -535,8 +538,6 @@ class TestConstraints:
         assert np.array_equal(got.data, ref.data)
 
     def test_mean_constrained_solve_has_zero_mean(self):
-        from chemflow import linsolve
-
         mesh = build_rect_mesh(1, 1, 6, 6)
         lay = build_layout(mesh, SCALAR_P1, zero_mean=True)
         ctx = context(lay)
@@ -546,7 +547,7 @@ class TestConstraints:
         assert out.shape == (lay.n_dofs + 1, lay.n_dofs + 1)
         rng = np.random.default_rng(31)
         rhs = asm.constrain_rhs(rng.standard_normal(lay.n_dofs), lay)
-        x, _ = linsolve.Factorization(out).solve(rhs)
+        x, _ = exact_solve(out, rhs)
         assert abs(w @ x[: lay.n_dofs]) <= 1e-12
 
     def test_mean_constraint_needs_its_weights(self):
@@ -825,10 +826,14 @@ class TestScatterPlans:
         assert np.array_equal(got, scatter_vector_by_add_at(local, lay))
 
     def test_coupled_and_rectangular(self):
+        # the div/rot element blocks, which couple the sigma components, as
+        # four component blocks on the P1 plan
         ls = build_layout(self.mesh, VECTOR_P1_SIGMA)
-        local = self.rng.standard_normal((self.mesh.n_triangles, 6, 6))
+        ctx = context(ls)
+        div, rot = asm._sigma_div_rot(ctx.grad_bary)
+        local = 0.7 * ctx.areas[:, None, None] * (div[:, :, None] * div[:, None] + rot[:, :, None] * rot[:, None])
         dofs = ls.element_dofs[:, None]
-        assert_rel(asm.square_plan(ls, coupled=True).matrix(local),
+        assert_rel(divrot_matrix(self.mesh, asm.assemble_divrot(ls, 0.7, ctx)),
                    triplet_matrix(local, dofs, dofs, (ls.n_dofs, ls.n_dofs)), rtol=1e-14)
         lu, lpi = build_layout(self.mesh, VELOCITY_MINI), build_layout(self.mesh, "pressure_p1")
         rows, cols = component_dofs(lu), lpi.element_dofs[:, None]
@@ -858,32 +863,53 @@ class TestDerivedPlans:
         "permuted": permuted_mesh,
     }
 
-    @staticmethod
-    def derived(lay, key):
-        if key == "scalar":
-            return asm._scalar_plan(lay)
-        return asm.pressure_plan(lay) if key == "pressure" else asm.square_plan(lay, coupled=key)
+    DERIVED = {"square": asm.square_plan, "scalar": asm._scalar_plan, "pressure": asm.pressure_plan}
+
+    def mesh(self, name):
+        make = self.MESHES[name]
+        return build_rect_mesh(1.0, 1.0, *make) if isinstance(make, tuple) else make()
 
     @pytest.mark.parametrize("name", list(MESHES))
     def test_equal_the_sorted_plans(self, name):
-        make = self.MESHES[name]
-        mesh = build_rect_mesh(1.0, 1.0, *make) if isinstance(make, tuple) else make()
+        mesh = self.mesh(name)
         for kind in (SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI, PRESSURE_P1):
             lay = build_layout(mesh, kind)
             for key, ref in sorted_plans(lay).items():
-                plan = self.derived(lay, key)
+                if key not in self.DERIVED:  # the coupled plan: only a reference
+                    continue
+                plan = self.DERIVED[key](lay)
                 assert plan.shape == ref.shape and plan.nnz == ref.nnz, (kind, key)
                 for field in ("indptr", "indices", "slots"):
                     got, want = getattr(plan, field), getattr(ref, field)
                     assert got.dtype == want.dtype and np.array_equal(got, want), (kind, key, field)
+
+    # the permuted mesh lists half its triangles clockwise: plans, not geometry
+    @pytest.mark.parametrize("name", [name for name in MESHES if name != "permuted"])
+    def test_divrot_blocks_equal_the_coupled_plan_sum(self, name):
+        # each component block, summed on the P1 plan in element order, bit
+        # for bit the sum on the plan of one block coupling both components
+        mesh = self.mesh(name)
+        lay = build_layout(mesh, VECTOR_P1_SIGMA)
+        ctx = context(lay)
+        blocks = asm.assemble_divrot(lay, 3.7, ctx)
+        ref, nn, p1 = divrot_by_coupled_plan(lay, 3.7, ctx), mesh.n_nodes, mesh.p1_plan
+        assert blocks.shape == (2, 2, p1.nnz)
+        for a in range(2):
+            for b in range(2):
+                block = ref[a * nn:(a + 1) * nn][:, b * nn:(b + 1) * nn]
+                assert np.array_equal(block.indptr, p1.indptr) and np.array_equal(block.indices, p1.indices)
+                assert np.array_equal(block.data, blocks[a, b]), (a, b)
+        got = divrot_matrix(mesh, blocks)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
 
     def test_p1_plan_sorted_once_and_kept_on_the_mesh(self, monkeypatch):
         made = recorded_sorts(monkeypatch)
         mesh = build_rect_mesh(1.0, 1.0, 6, 5)
         lays = [build_layout(mesh, kind) for kind in (SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI)]
         for lay in lays:
-            for key in (False, True, "scalar") + (("pressure",) if lay.components == 2 else ()):
-                self.derived(lay, key)
+            for key in ("square", "scalar") + (("pressure",) if lay.components == 2 else ()):
+                self.DERIVED[key](lay)
         assert made == [(mesh.n_nodes, mesh.n_nodes)]
         assert asm.square_plan(lays[0]) is mesh.p1_plan
         assert build_rect_mesh(1.0, 1.0, 6, 5).p1_plan is not mesh.p1_plan  # one per mesh

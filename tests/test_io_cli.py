@@ -61,6 +61,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             cfg.validate()
 
+    def test_shorter_t_final_drops_the_preset_snapshot_times(self):
+        # test1's own times reach 3e-4; times the file sets are kept as given
+        cfg = io_cli.parse_config("[time]\nt_final = 1e-4\n", "test1")
+        assert cfg.snapshot_times == (0.0,) and cfg.snapshot_steps() == {0}
+        assert io_cli.parse_config("", "test1", t_final=12e-5).snapshot_times == (0.0, 12e-5)
+        for text, preset in (("[output]\nsnapshot_times = 0, 5e-2\n", "test2"),
+                             ("[time]\nt_final = 1e-4\n[output]\nsnapshot_times = 0, 12e-5\n", "test1")):
+            with pytest.raises(ValueError, match="exceeds t_final"):
+                io_cli.parse_config(text, preset)
+
     def test_snapshot_times_on_grid(self):
         from dataclasses import replace
 
@@ -83,6 +93,9 @@ class TestConfig:
         cfg = io_cli.default_config("test2")
         with pytest.raises(ValueError, match="grad_phi must be finite"):
             replace(cfg, grad_phi=(0.0, math.nan)).validate()
+        for bad in ((1.0,), (1.0, 2.0, 3.0), (), 1.0):
+            with pytest.raises(ValueError, match="config value grad_phi must be a 2-vector"):
+                replace(io_cli.default_config("test1"), grad_phi=bad).validate()
         with pytest.raises(ValueError, match="snapshot times must be finite"):
             replace(cfg, snapshot_times=(math.inf,)).validate()
 
@@ -421,6 +434,11 @@ class TestMain:
         header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
         assert header.startswith("m,t,mass,div_residual")
 
+    def test_shorter_tfinal_flag_runs_the_plume(self, tmp_path):
+        argv = ["run", "--preset", "test1", "--mesh", "8,4", "--tfinal", "2e-5", "--out", str(tmp_path)]
+        assert io_cli.main(argv) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.vtk")) == ["snapshot_000000.vtk"]
+
     def test_diagnostics_carry_the_pinned_values(self, tmp_path):
         assert io_cli.main(["run", "--preset", "test1", "--mesh", "8,4", "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
@@ -646,13 +664,16 @@ class TestMain:
         lu_line = next(line for line in lines if "LUs factor without pivoting" in line)
         assert "0 of 7 LUs interchanged rows" in lu_line
         assert all(f"{system} " in lu_line.split("fill")[1] for system in ("n", "c", "sigma", "u"))
+        # sigma's LU holds its 2 * 153 dofs, each of the 52 pinned ones an identity row
+        assert "sigma 4114" in lu_line
 
     def test_check_reports_an_lu_that_pivoted(self, monkeypatch, capsys):
         # SuperLU interchanges rows only at a zero pivot in the given order;
         # here the sigma LUs (the 2 * 153 unknowns of the 16 x 8 mesh) report one
         from chemflow import linsolve
 
-        monkeypatch.setattr(linsolve.Factorization, "pivoted", property(lambda self: self.n == 2 * 153))
+        monkeypatch.setattr(linsolve.Factorization, "pivoted",
+                            property(lambda self: self.matrix.shape[0] == 2 * 153))
         assert io_cli.main(["check"]) == 1
         captured = capsys.readouterr()
         assert "FAIL: LUs factor without pivoting (2 of 7 LUs interchanged rows" in captured.out  # sigma, twice

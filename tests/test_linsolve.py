@@ -17,7 +17,7 @@ from chemflow.linsolve import (
 )
 from chemflow.mesh import build_rect_mesh
 from chemflow.spaces import VECTOR_P1_SIGMA, build_layout
-from oracles import componentwise_backward_error, eliminated, sorted_pattern
+from oracles import componentwise_backward_error, eliminated, exact_solve, sorted_pattern
 
 
 def from_triplets(shape, rows, cols, vals):
@@ -102,13 +102,13 @@ class TestSolve:
     def test_identity(self):
         eye = sp.csr_matrix(np.eye(4))
         b = np.array([1.0, -2.0, 3.5, 0.0])
-        x, report = Factorization(eye).solve(b)
+        x, report = exact_solve(eye, b)
         assert np.array_equal(x, b)
         assert report.residual_norm == 0.0
 
     def test_two_by_two(self):
         a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        x, _ = Factorization(a).solve(np.array([3.0, 3.0]))
+        x, _ = exact_solve(a, np.array([3.0, 3.0]))
         assert x == pytest.approx([1.0, 1.0], rel=1e-14)
 
     def test_random_spd_matches_dense(self):
@@ -117,7 +117,7 @@ class TestSolve:
         m = rng.standard_normal((n, n))
         spd = m @ m.T + n * np.eye(n)
         b = rng.standard_normal(n)
-        x, report = Factorization(sp.csr_matrix(spd)).solve(b)
+        x, report = exact_solve(sp.csr_matrix(spd), b)
         assert np.allclose(x, np.linalg.solve(spd, b), atol=1e-10)
         assert report.residual_norm <= 1e-10 * (
             np.linalg.norm(spd, "fro") * np.linalg.norm(x) + np.linalg.norm(b)
@@ -126,7 +126,7 @@ class TestSolve:
     def test_singular_raises(self):
         a = sp.csr_matrix(np.ones((2, 2)))
         with pytest.raises(SingularSystemError):
-            Factorization(a).solve(np.array([1.0, 2.0]))
+            exact_solve(a, np.array([1.0, 2.0]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)
@@ -134,8 +134,8 @@ class TestSolve:
         dense = rng.standard_normal((n, n)) + n * np.eye(n)
         a = sp.csr_matrix(dense)
         b = rng.standard_normal(n)
-        x1, _ = Factorization(a).solve(b)
-        x2, _ = Factorization(a).solve(b)
+        x1, _ = exact_solve(a, b)
+        x2, _ = exact_solve(a, b)
         assert np.array_equal(x1, x2)
 
     def test_factorization_reuse(self):
@@ -145,7 +145,7 @@ class TestSolve:
         fact = Factorization(a)
         for _ in range(3):
             b = rng.standard_normal(n)
-            x, report = fact.solve(b)
+            x, report = refined_solve(b, fact.lu_solve, a, abs_matrix(a), None)
             assert np.allclose(a @ x, b, atol=1e-9)
             assert report.factor_time >= 0 and report.solve_time >= 0
 
@@ -224,11 +224,14 @@ class TestRefinement:
         return recording, xs
 
     def test_reused_factorization_reports_no_factor_time(self):
+        # a kept LU without transport (the sigma system's): its first solve
+        # pays for the LU, the later ones reuse it
         a, _, b = self.system()
-        fact = Factorization(a)
-        reports = [fact.solve(b)[1] for _ in range(3)]
+        kept = linsolve.KeptLU(a.copy(), np.empty(0, dtype=np.int64), np.zeros(0))
+        unpaid = kept._unpaid
+        reports = [kept.solve(b, np.zeros(0))[1] for _ in range(3)]
         assert [r.kind for r in reports] == ["lu", "cached-lu", "cached-lu"]
-        assert [r.factor_time for r in reports] == [fact.factor_time, 0.0, 0.0]
+        assert [r.factor_time for r in reports] == [unpaid, 0.0, 0.0] and unpaid > 0.0
         assert all(r.iterations == 1 for r in reports)
 
     def test_refines_against_a_nearby_matrix(self):
@@ -380,19 +383,28 @@ class TestOneFactorizationPath:
         assert np.array_equal(fact._lu.perm_r, identity) and np.array_equal(fact._lu.perm_c, identity)
         assert not fact.pivoted and fact.fill >= a.nnz
         b = rng.standard_normal(30)
-        assert np.allclose(fact.solve(b)[0], np.linalg.solve(a.toarray(), b), rtol=1e-12, atol=0)
+        x, _ = refined_solve(b, fact.lu_solve, a, abs_matrix(a), None)
+        assert np.allclose(x, np.linalg.solve(a.toarray(), b), rtol=1e-12, atol=0)
 
     def test_selection_factors_the_kept_unknowns_and_holds_the_others_at_0(self):
+        # the others are pinned: identity rows after the kept ones, their
+        # right-hand side 0
         rng = np.random.default_rng(43)
         dense = rng.standard_normal((8, 8)) + 8 * np.eye(8)
         a = sp.csr_matrix(dense)
-        kept = np.array([5, 0, 7, 2, 3])
-        fact = Factorization(a, Selection(entry_ids(a), kept))
-        assert fact.matrix.shape == (5, 5)
-        assert np.array_equal(fact.matrix.toarray(), dense[np.ix_(kept, kept)])
+        kept, pinned = np.array([5, 0, 7, 2, 3]), np.array([1, 4, 6])
+        ids = id_matrix((8, 8), [(entry_rows(a), a.indices, np.arange(a.nnz))], pinned, a.nnz)
+        selection = Selection(ids, np.concatenate([kept, pinned]))
+        solver = linsolve.KeptLU(selection.matrix(np.append(a.data, 1.0)), selection.slots(0), np.zeros(0),
+                                 selection.kept)
+        fact = solver.lu
+        assert fact.matrix.shape == (8, 8)
+        assert np.array_equal(fact.matrix.toarray()[:5, :5], dense[np.ix_(kept, kept)])
+        assert np.array_equal(fact.matrix.toarray()[5:], np.eye(8)[5:])
         b = rng.standard_normal(8)
-        x, _ = fact.solve(b)
-        assert np.all(x[[1, 4, 6]] == 0.0)
+        b[pinned] = 0.0
+        x, _ = solver.solve(b, np.zeros(0))
+        assert np.all(x[pinned] == 0.0)
         assert np.allclose(x[kept], np.linalg.solve(dense[np.ix_(kept, kept)], b[kept]), rtol=1e-12, atol=0)
 
     def test_singular_system_raises_without_a_warning(self):
@@ -431,16 +443,29 @@ class TestSelection:
             got = selection.matrix(np.array([5.0, 7.0])).toarray()
             assert np.array_equal(got, [[0.0, 5.0], [7.0, 0.0]] if kept is None else [[0.0, 7.0], [5.0, 0.0]])
 
+    def test_pinned_unknowns_are_identity_rows(self):
+        # every listed entry in a pinned row or column is dropped, and the
+        # pinned diagonal gathers the source's 1: nothing else is stored there
+        a = sp.csr_matrix(np.arange(1.0, 17.0).reshape(4, 4))
+        pinned = np.array([1, 3])
+        ids = id_matrix((4, 4), [(entry_rows(a), a.indices, np.arange(a.nnz))], pinned, a.nnz)
+        assert ids.nnz == 4 + 2
+        ref = a.toarray()
+        ref[pinned], ref[:, pinned], ref[pinned, pinned] = 0.0, 0.0, 1.0
+        assert np.array_equal(Selection(ids).matrix(np.append(a.data, 1.0)).toarray(), ref)
+
     def test_empty_kept_gives_a_0x0_matrix(self):
         # on a 1x1 mesh every sigma dof is pinned
         lay = build_layout(build_rect_mesh(1.0, 1.0, 1, 1), VECTOR_P1_SIGMA)
         assert len(lay.constrained_dofs) == lay.n_dofs
         a = asm.assemble_mass(lay, asm.AssemblyContext(lay.mesh, degree=asm.P1_DEGREE))
         selection = Selection(entry_ids(a), np.setdiff1d(np.arange(lay.n_dofs), lay.constrained_dofs))
-        assert selection.matrix(a.data).shape == (0, 0)
+        empty = selection.matrix(a.data)
+        assert empty.shape == (0, 0)
         assert np.all(selection.slots(a.nnz) == -1)
-        x, _ = Factorization(a, selection).solve(np.ones(lay.n_dofs))
-        assert np.all(x == 0.0)
+        fact = Factorization(empty)
+        x, _ = refined_solve(np.ones(0), fact.lu_solve, empty, abs_matrix(empty), None)
+        assert fact.fill == 0 and x.shape == (0,)
 
     def test_slots_mark_untaken_entries_and_the_last_of_an_entry_taken_twice(self):
         # a 2 x 2 operator bordered by w as the density system is: source

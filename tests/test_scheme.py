@@ -36,6 +36,8 @@ from oracles import (
     pivoting_solve,
     bordered_saddle_reference,
     componentwise_backward_error,
+    divrot_matrix,
+    exact_solve,
     lagged_forms_at_points,
     lagged_matrices,
     projector,
@@ -284,9 +286,7 @@ class TestInitialProjections:
 
         def kept_lu(stepper, system):
             solver = stepper._solvers[(system, dt)]
-            if system == "u":
-                return solver.lu.lu
-            return solver if system == "sigma" else solver.lu
+            return solver.lu.lu if system == "u" else solver.lu
 
         for system in ("n", "sigma", "c", "u"):
             got, want = kept_lu(st, system).matrix, kept_lu(ref, system).matrix
@@ -534,8 +534,15 @@ class TestRun:
                 passes = rec[f"iterations_{system}"]
                 assert isinstance(passes, int) and 1 <= passes <= linsolve.MAX_REFINE_PASSES
 
-    def test_factor_time_counts_each_factorization_once(self):
+    def test_factor_time_counts_each_factorization_once(self, monkeypatch):
         # one flux factorization per dt, whatever the number of steps
+        unpaid, original = {}, linsolve.KeptLU.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            unpaid[self] = self._unpaid  # the time of its first sum and LU
+
+        monkeypatch.setattr(linsolve.KeptLU, "__init__", recording)
         mesh = build_rect_mesh(1, 1, 6, 6)
         st = Stepper(mesh, manufactured.test2_params())
         data, forcing = manufactured.test2_initial_data(), manufactured.test2_forcing()
@@ -546,7 +553,7 @@ class TestRun:
             records += steps
             paid = [rec["factor_time_sigma"] > 0 for rec in steps]
             assert paid == [True, False, False, False]
-        once = sum(st._solvers[("sigma", dt)].factor_time for dt in (2e-4, 1e-4))
+        once = sum(unpaid[st._solvers[("sigma", dt)]] for dt in (2e-4, 1e-4))
         assert sum(rec["factor_time_sigma"] for rec in records) == once
 
     def test_blow_up_stops_the_run(self):
@@ -613,8 +620,8 @@ class TestCachedFactorizations:
             prev, _ = st.step(prev, dt)
         factored, original = [], linsolve.Factorization.__init__
 
-        def recording(self, a, order=None):
-            original(self, a, order)
+        def recording(self, a):
+            original(self, a)
             factored.append(self.pivoted)
 
         monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
@@ -665,13 +672,13 @@ class TestCachedFactorizations:
         assert (reports["n"].kind, reports["n"].iterations) == ("lu-fallback", 2 + 1)
         assert reports["c"].kind == reports["u"].kind == "cached-lu"
 
-    def test_one_solver_class_for_n_c_and_u(self):
+    def test_one_solver_class_for_every_system(self):
         st, state, dt, forcing = _preset_case("test2")
         st.step(state, dt, forcing)
-        solvers = {system: st._solver(system, dt) for system in ("n", "c", "u")}
+        solvers = {system: st._solver(system, dt) for system in ("n", "sigma", "c", "u")}
         assert {type(solver) for solver in solvers.values()} == {linsolve.KeptLU}
         assert isinstance(solvers["u"].lu, CondensedSaddle)
-        assert isinstance(st._solver("sigma", dt), linsolve.Factorization)
+        assert solvers["sigma"].operator.nnz == 0  # sigma's operator takes no transport
 
     def test_a_stepped_stepper_is_freed_without_the_cycle_collector(self):
         # no kept solver refers back to the object that keeps it (the (u, pi)
@@ -828,31 +835,43 @@ class TestStepOperators:
         for got, ref in pairs:
             assert_same_csr(got, ref)
 
-    def test_sigma_mass_lies_where_the_plans_put_it(self):
-        # the id matrix of divrot read at the entries of M_sigma, against the
-        # element-by-element lookup in the two layouts' plans it replaces
-        st, _, _, _ = _preset_case("test2")
-        coupled = asm.square_plan(st.layout_sigma, coupled=True).slots.reshape(-1, 2, 3, 2, 3)
-        mass = asm.square_plan(st.layout_sigma)
-        ref = np.empty(mass.nnz, dtype=np.int64)
-        ref[mass.slots] = np.stack([coupled[:, c, :, c, :] for c in range(2)], axis=1).ravel()
-        at = st._sigma_mass
-        assert np.array_equal(at, ref)
-        rows, mass_rows = linsolve.entry_rows(st.divrot), linsolve.entry_rows(st.M_sigma)
-        assert np.array_equal(rows[at], mass_rows) and np.array_equal(st.divrot.indices[at], st.M_sigma.indices)
+    @pytest.mark.parametrize("preset, mesh", [("test1", None), ("test2", None), ("test2", (1, 1))])
+    def test_pinned_dofs_are_identity_rows(self, preset, mesh):
+        # sigma's kept matrix is the free block of the eliminated operator in
+        # node order, bit for bit, then an identity block (on a 1x1 mesh every
+        # sigma dof is pinned); the pinned rows and columns of it and of the
+        # (u, pi) matrix T store their diagonal 1 alone
+        if mesh is None:
+            st, state, dt, forcing = _preset_case(preset)
+        else:
+            st, data, dt, forcing = TestInitialProjections.case(preset, mesh)
+            state = st.init_state(data, mode="nodal")
+        st.step(state, dt, forcing)
+        got = st._solver("sigma", dt).operator.matrix
+        kept, pinned = st._selection("sigma").kept, st.layout_sigma.constrained_dofs
+        a = divrot_matrix(st.mesh, st.divrot) + st.M_sigma * (1.0 / dt)
+        ref = apply_constraints(a, st.layout_sigma)[kept][:, kept].sorted_indices()
+        ref.eliminate_zeros()
+        assert_same_csr(got, ref)
+        n_free = len(kept) - len(pinned)
+        assert np.array_equal(kept[n_free:], pinned)
+        t, u_pinned = st._solver("u", dt).operator.matrix, st.layout_u.constrained_dofs
+        for m, rows in ((got, np.arange(n_free, len(kept))), (t, u_pinned)):
+            for part in (m[rows], m.T.tocsr()[rows]):  # the rows, then the columns
+                assert part.nnz == len(rows)
+                assert np.array_equal(part.indices, rows) and np.all(part.data == 1.0)
 
     def test_lus_factor_the_kept_operators(self, monkeypatch):
         # at dt = 1/1200, M/dt + K cancels exactly on some edges of the k=10
-        # mesh: the LUs keep those positions of the node-ordered pattern, and
-        # factor no pinned row, without pivoting
+        # mesh: the LUs keep those positions of the node-ordered pattern,
+        # sigma's holds its pinned dofs as identity rows, and none pivots
         st, state, _, forcing = _preset_case("test2")
         dt = 1.0 / 1200
         assert np.any((st.M * (1.0 / dt)).data + st.K.data == 0.0)
         lus = _recorded_lus(monkeypatch, st)
         st.step(state, dt, forcing)
         assert [system for system, _ in lus] == ["n", "sigma", "c", "u"]
-        free_sigma = st.layout_sigma.n_dofs - len(st.layout_sigma.constrained_dofs)
-        sizes = [st.mesh.n_nodes + 1, free_sigma, st.mesh.n_nodes, len(st._saddle.kept)]
+        sizes = [st.mesh.n_nodes + 1, 2 * st.mesh.n_nodes, st.mesh.n_nodes, len(st._saddle.kept)]
         assert [fact.matrix.shape[0] for _, fact in lus] == sizes
         assert not any(fact.pivoted for _, fact in lus)
         assert np.any(lus[2][1].matrix.data == 0.0)  # the cancelled entries stay stored
@@ -911,7 +930,7 @@ class TestConsistency:
             skew, _, loads = lagged_matrices(st, prev, dt, forcing)
             a_c = st.M * (1.0 / dt) + st.K * params.D_c + skew
             r = a_c @ c1 - (st.M @ c0 / dt + loads["c"])
-            riesz, _ = linsolve.Factorization(st.M).solve(r)
+            riesz, _ = exact_solve(st.M, r)
             norms.append(math.sqrt(abs(r @ riesz)))
         assert norms[0] / norms[1] >= 1.8
         assert norms[1] / norms[2] >= 1.8
@@ -934,7 +953,7 @@ class TestOneSortPerStepper:
     def test_matrices_equal_the_sorted_plan_sums(self, preset):
         st = _preset_case(preset)[0]
         for name, ref in stepper_matrices_by_sorted_plans(st).items():
-            got = getattr(st, name)
+            got = divrot_matrix(st.mesh, st.divrot) if name == "divrot" else getattr(st, name)
             assert got.shape == ref.shape, name
             for field in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field)), (name, field)
@@ -946,8 +965,8 @@ def _recorded_lus(monkeypatch, st):
     sizes = {st.layout_n.n_dofs + 1: "n", st.layout_c.n_dofs: "c", st.layout_sigma.n_dofs: "sigma"}
     made, original = [], linsolve.Factorization.__init__
 
-    def recording(self, a, order=None):
-        original(self, a, order)
+    def recording(self, a):
+        original(self, a)
         made.append((sizes.get(a.shape[0], "u"), self))
 
     monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
@@ -1100,9 +1119,9 @@ class TestCondensedSaddle:
         sizes = []
         original = linsolve.Factorization.__init__
 
-        def recording(self, a, order=None):
+        def recording(self, a):
             sizes.append(a.shape[0])
-            original(self, a, order)
+            original(self, a)
 
         monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
         zero = np.zeros(st.M_u.nnz)
@@ -1277,6 +1296,9 @@ class TestNodeOrder:
         # n: the border (unknown nn) just before the last node
         assert np.array_equal(kept["n"], np.concatenate([order[:-1], [nn], order[-1:]]))
         pinned = st.layout_sigma.constrained_dofs
+        free = len(kept["sigma"]) - len(pinned)
+        assert np.array_equal(kept["sigma"][free:], pinned)  # the pinned dofs last
+        kept["sigma"] = kept["sigma"][:free]
         assert np.array_equal(np.sort(kept["sigma"]), np.setdiff1d(np.arange(2 * nn), pinned))
         node = kept["sigma"] % nn  # a node's two components next to each other
         rank = np.argsort(order)[node]
