@@ -7,15 +7,19 @@ time level, so each system is linear and they never feed back within a
 step.  Matrices that do not depend on the previous level (mass, stiffness,
 div/rot, pressure coupling) are assembled once per mesh; only the two
 transports (data on fixed patterns) and the load vectors are rebuilt each
-step.  A step solves each system through one LU kept per time step size,
-of the operator of the first step of that size, its transport included; a
-later step refines against its own operator through it.  The
-velocity/pressure system has its bubbles condensed out.  Every LU factors
-its system's kept unknowns in the mesh's node order, sliced from the id
-matrix of its operator (``linsolve.Selection``), each pinned unknown an
-identity row, without pivoting.
+step.  A step solves each system through one LU kept for the current time
+step size, of the operator of the first step of that size, its transport
+included; a later step refines against its own operator through it.  Every
+operator, of a step or of an initial projection, is mass A + diffusion B of
+its system's one pair (A, B), formed in one place (``Stepper._kept_lu``);
+the two differ only in the two scales.  The velocity/pressure system has
+its bubbles condensed out.  Every LU factors its system's kept unknowns in
+the mesh's node order, sliced from the id matrix of its operator
+(``linsolve.Selection``), each pinned unknown an identity row, without
+pivoting.
 """
 
+import collections
 import copy
 import functools
 import math
@@ -88,14 +92,7 @@ RECORD_KEYS = ("m", "t", "mass", "div_residual", *sorted(
     + [f"{prefix}_{system}" for prefix in _REPORT_FIELDS for system in _SYSTEMS]))
 
 
-_NO_TRANSPORT = np.zeros(0)  # the sigma operator's: it does not change with the flow
-
-
-def _projected(rhs, solve):
-    """``solve(rhs)``, or zeros of the shape of ``rhs`` if every entry of the
-    constrained right-hand side ``rhs`` is 0: a projection of zero data is
-    zero, so ``solve`` builds and factors its operator only for nonzero data."""
-    return solve(rhs) if np.any(rhs) else np.zeros_like(rhs)
+_NO_TRANSPORT = np.zeros(0)  # the transport of sigma's step operator and of every projection
 
 
 class InvariantError(RuntimeError):
@@ -219,15 +216,15 @@ class CondensedSaddle:
     * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
       the gauge pressure dof 0 is pinned and the mean shifted afterwards.
 
-    T is gathered from the source [s, -G/rho, G, w, 1] through one
-    ``linsolve.Selection`` (``selection``), built once per layout from the
-    patterns of ``s`` and ``g`` (G, its exact zeros stored): a pinned row
-    and column holds only its diagonal, the 1 (``linsolve.id_matrix``), so
-    ``bordered(s)`` is one gather, and ``slots`` places a transport in it.
-    The condensed system keeps ``kept``: the free nodal velocity dofs and
-    the pressure dofs but the gauge, sorted by node in the mesh's node
-    order, then u1, u2, pi, so the condensation comes out already ordered.  ``factor(t)`` returns a copy holding the bubble
-    blocks of a bordered matrix t and the LU of its condensation
+    T is gathered from the source [s, tail], ``tail`` = [-G/rho, G, w, 1],
+    through one ``linsolve.Selection`` (``selection``), built once per
+    layout from the patterns of ``s`` and ``g`` (G, its exact zeros
+    stored): a pinned row and column holds only its diagonal, the 1
+    (``linsolve.id_matrix``).  The condensed system keeps ``kept``: the
+    free nodal velocity dofs and the pressure dofs but the gauge, sorted by
+    node in the mesh's node order, then u1, u2, pi, so the condensation
+    comes out already ordered.  ``factor(t)`` returns a copy holding the
+    bubble blocks of a bordered matrix t and the LU of its condensation
     T_kk - T_kb D^-1 T_bk, whose ``lu_solve`` solves with t.  With its
     pressure rows scaled by 1/rho that condensation has a positive definite
     symmetric part (S is SPD, N skew and zero on D, and x^T (K/D) x =
@@ -245,9 +242,9 @@ class CondensedSaddle:
         if np.any(s.data[is_bubble[rows] & is_bubble[cols] & (rows != cols)] != 0.0):
             raise ValueError("bubble-bubble block of the velocity operator is not diagonal")
         self.n_u, self.w, self.area, self.bubble = nu, w, float(w.sum()), bubble
-        self._g, self._rho = g, rho
 
         # T from the source [s, -G/rho, G, w, 1]
+        self.tail = np.concatenate([-g.data / rho, g.data, w, [1.0]])
         at_g, at_w = s.nnz + np.arange(g.nnz), s.nnz + 2 * g.nnz + np.arange(npi)
         pressures, border = nu + np.arange(npi), np.full(npi, n - 1)
         self.selection = linsolve.Selection(linsolve.id_matrix((n, n), [
@@ -257,7 +254,6 @@ class CondensedSaddle:
             (pressures, border, at_w),
             (border, pressures, at_w),
         ], pinned, at_w[-1] + 1))
-        self.slots = self.selection.slots(s.nnz)
 
         # the condensed system: (u1, u2, pi) by node, in the node order
         order = mesh.node_order
@@ -266,14 +262,9 @@ class CondensedSaddle:
         keep[pinned] = keep[nu] = False
         self.kept = by_node[keep[by_node]]
 
-    def bordered(self, s):
-        """T of the velocity operator ``s`` (data on the pattern this was built from)."""
-        g = self._g.data
-        return self.selection.matrix(np.concatenate([s.data, -g / self._rho, g, self.w, [1.0]]))
-
     def factor(self, t):
         """A copy holding the bubble blocks of the bordered matrix ``t`` (on
-        the pattern of ``bordered``), T_kb and D^-1 T_bk, and the LU of its
+        the pattern of ``selection``), T_kb and D^-1 T_bk, and the LU of its
         condensation (``lu``)."""
         out, t_k, t_b = copy.copy(self), t[self.kept], t[self.bubble]
         out.d_inv = 1.0 / t.diagonal()[self.bubble]
@@ -298,6 +289,11 @@ class CondensedSaddle:
         z[self.bubble] = z_b - self.dinv_a_bk @ x
         z[nu:] += (b[-1] - self.w @ z[nu:]) / self.area
         return np.append(z, lam)
+
+
+# one system's pair (a, b) (``Stepper._operator``): each of its LUs gathers its
+# kept matrix from [mass a + diffusion b, tail] through ``selection``, then ``factor``s it
+_Operator = collections.namedtuple("_Operator", "selection a b tail factor")
 
 
 class Stepper:
@@ -329,8 +325,8 @@ class Stepper:
         self.w_p1 = asm.integral_weight_vector(self.layout_c, self.ctx_p1)
         self.area = float(self.w_p1.sum())
         self.assembly_time = 0.0  # seconds of assembly in the last init_state or step
-        self._solvers = {}  # (system, dt) -> solver kept from the first step of that dt
-        self._selections = {}  # system -> kept unknowns and their gather (``_selection``)
+        self._solvers = {}  # (system, dt) -> solver kept from the first step of the current dt
+        self._operators = {}  # system -> its ``_Operator``
 
     # -- helpers ----------------------------------------------------------
 
@@ -362,12 +358,13 @@ class Stepper:
         hold exactly in both modes.  The seconds spent assembling loads are
         left in ``assembly_time`` (0 for the vertex interpolation).
 
-        A projection whose right-hand side, after its constraints, is exactly
-        zero is zero, and builds and factors no operator: the Stokes
-        projection of a fluid at rest takes no LU.  Each LU factors its
-        system's kept unknowns in the order a step's LU of that system uses
-        (``_selection``): the n operator, whose K block is singular, has its
-        zero-mean border just before the last node, where no pivot is 0."""
+        Each projection's operator is mass A + diffusion B of its system's
+        pair (``_kept_lu``), as a step's, without transport and at the
+        scales (0, 1) for n, (1, 1) for c, (1, 1/D_c) for sigma and (0, D_u)
+        for (u, pi), factored in the order of its step LU.  A projection
+        whose right-hand side, after its constraints, is exactly zero is
+        zero and factors nothing: the Stokes projection of a fluid at rest
+        takes no LU."""
         if mode not in self.INIT_MODES:
             raise ValueError(f"unknown init mode {mode!r}")
         p, alpha0 = self.params, self.params.alpha0
@@ -377,15 +374,8 @@ class Stepper:
             n0 = np.asarray(data.eta0(x, y), dtype=float) - alpha0
             n0 -= (self.w_p1 @ n0) / self.area  # pin the discrete mean
             c0 = np.asarray(data.c0(x, y), dtype=float)
-            sig_nodal = np.asarray(data.grad_c0(x, y), dtype=float)
-            sig0 = np.concatenate([sig_nodal[..., 0], sig_nodal[..., 1]])
-            sig0[self.layout_sigma.constrained_dofs] = 0.0
-            u_nodal = np.asarray(data.u0(x, y), dtype=float)
-            ns = self.layout_u.n_scalar
-            u0 = np.zeros(self.layout_u.n_dofs)
-            u0[: self.mesh.n_nodes] = u_nodal[..., 0]
-            u0[ns : ns + self.mesh.n_nodes] = u_nodal[..., 1]
-            u0[self.layout_u.constrained_dofs] = 0.0
+            sig0 = self.layout_sigma.from_vertex_values(data.grad_c0(x, y))
+            u0 = self.layout_u.from_vertex_values(data.u0(x, y))
             if data.pi0 is None:
                 pi0 = np.zeros(self.layout_pi.n_dofs)
             else:
@@ -409,80 +399,57 @@ class Stepper:
         rhs_pi = asm.assemble_load(self.layout_pi, asm.at_points(data.div_u0, ctx), ctx)
         self.assembly_time = time.perf_counter() - t0
 
-        # density: gradient projection with matched (zero) mean
-        zero = np.zeros(self.M.nnz)
-        n0 = _projected(asm.constrain_rhs(rhs_n, self.layout_n), lambda b: self._kept_lu(
-            "n", self.K.data, zero).solve(b, zero)[0])[: self.layout_n.n_dofs]
-
-        # concentration: full H1 projection, SPD
-        c0 = _projected(rhs_c, lambda b: self._kept_lu("c", self.K.data + self.M.data, zero).solve(
-            b, zero)[0])
-
-        # flux: div/rot/L2 projection under the normal-trace constraints, SPD
-        a_s = self.divrot * (1.0 / p.D_c)
-        a_s[(0, 1), (0, 1)] += self.M.data
-        sig0 = _projected(asm.constrain_rhs(rhs_s, self.layout_sigma), lambda b: self._kept_lu(
-            "sigma", a_s, _NO_TRANSPORT).solve(b, _NO_TRANSPORT)[0])
-
-        # velocity/pressure: discrete Stokes projection (its LU is used once)
-        nu = self.layout_u.n_dofs
-
-        def stokes(b):
-            zero = np.zeros(self.K_u.nnz)
-            return self._saddle_lu(self.K_u * p.D_u, zero).solve(np.append(b, 0.0), zero)[0][:-1]
-
+        # n: gradient projection, zero mean; c: H1 projection; sigma: div/rot/L2
+        # projection under the normal-trace constraints; (u, pi): Stokes projection
         rhs_u[self.layout_u.constrained_dofs] = 0.0
-        x = _projected(np.concatenate([rhs_u, rhs_pi]), stokes)
+        x = {}
+        for system, rhs, mass, diffusion in (
+            ("n", asm.constrain_rhs(rhs_n, self.layout_n), 0.0, 1.0),
+            ("c", rhs_c, 1.0, 1.0),
+            ("sigma", asm.constrain_rhs(rhs_s, self.layout_sigma), 1.0, 1.0 / p.D_c),
+            ("u", np.concatenate([rhs_u, rhs_pi, [0.0]]), 0.0, p.D_u),
+        ):
+            x[system] = self._kept_lu(system, mass, diffusion, _NO_TRANSPORT).solve(
+                rhs, _NO_TRANSPORT)[0] if np.any(rhs) else np.zeros_like(rhs)
         # the projection problem carries no density scaling on its pressure
         # block, while the step solver does; undo it
-        return State(m=0, t=0.0, n=n0, c=c0, sigma=sig0, u=x[:nu], pi=x[nu:] / p.rho)
+        nu = self.layout_u.n_dofs
+        return State(m=0, t=0.0, n=x["n"][: self.layout_n.n_dofs], c=x["c"], sigma=x["sigma"],
+                     u=x["u"][:nu], pi=x["u"][nu:-1] / p.rho)
 
     # -- stepping ----------------------------------------------------------
 
     def _solver(self, system, dt, transport=None):
-        """Solver of one system and dt, built at the first step of that dt from
-        that step's operator, its ``transport`` included (data on the pattern
-        of M for n and c, of M_u for u; for sigma, whose operator does not
-        change with the flow, the empty ``_NO_TRANSPORT``): a
-        ``linsolve.KeptLU`` of the transport-free operator (``_kept_lu``; for
-        u the bordered saddle of ``_saddle_lu``), into which a step writes its
-        own transport to refine against through the kept LU.  A later call
-        returns the kept solver whatever its ``transport``.  Every LU factors
-        its system's kept unknowns in the mesh's node order, expanded to them
-        (``_selection``, ``CondensedSaddle``), without pivoting
-        (``linsolve.Factorization``)."""
+        """``_kept_lu`` of one system's step operator A/dt + D B, D its
+        diffusion scale, built at the first step of that dt with its
+        ``transport`` (data on the pattern of M for n and c, of M_u for u;
+        sigma's is ``_NO_TRANSPORT``) and kept, whatever a later call's
+        ``transport``, until a step with another dt drops it."""
         key = (system, dt)
         if key not in self._solvers:
+            self._solvers = {kept: solver for kept, solver in self._solvers.items() if kept[1] == dt}
             p = self.params
-            if system == "u":
-                s = self.M_u * (1.0 / dt)
-                s.data += self.K_u.data * (p.D_u / p.rho)  # M_u and K_u share the layout's pattern
-                solver = self._saddle_lu(s, transport)
-            elif system == "sigma":  # M/dt on the diagonal blocks of divrot, each on the pattern of M
-                a = self.divrot.copy()
-                a[(0, 1), (0, 1)] += self.M.data * (1.0 / dt)
-                solver = self._kept_lu(system, a, transport)
-            else:  # so do M and K
-                a = self.M.data * (1.0 / dt) + self.K.data * (p.D_n if system == "n" else p.D_c)
-                solver = self._kept_lu(system, a, transport)
-            self._solvers[key] = solver
+            diffusion = {"n": p.D_n, "sigma": 1.0, "c": p.D_c, "u": p.D_u / p.rho}[system]
+            self._solvers[key] = self._kept_lu(system, 1.0 / dt, diffusion, transport)
         return self._solvers[key]
 
-    def _selection(self, system):
-        """``linsolve.Selection`` of the kept unknowns of the n, c or sigma
-        system, built at its first LU and kept: for c the nodes in the mesh's
-        node order, of the operator on the pattern of M; for n the same, its
-        source [operator, w], with the zero-mean border just before the last
-        node: there every pivot is nonzero, also for the init operator K,
-        which is singular, while the border last would leave K's last pivot,
-        0; for sigma, its source [the four component blocks of the operator,
-        each on the pattern of M, 1], the free dofs, a node's two components
-        next to each other, then the pinned dofs, each an identity row
+    def _operator(self, system):
+        """The ``_Operator`` of the n, sigma, c or u system, built at its first
+        LU and kept.  Its pair is (M, K) for n and c, M on the diagonal blocks
+        and divrot (D_c inside) for sigma, each on the pattern of M (sigma's
+        as four component blocks), and (M_u, K_u) for u.  It keeps for c the
+        nodes in the mesh's node order; for n the same, its tail w the
+        zero-mean border just before the last node, where every pivot is
+        nonzero, also for the init operator K, which is singular (the border
+        last would leave K's last pivot, 0); for sigma, its tail [1], the free
+        dofs by node, then the pinned dofs as identity rows
         (``linsolve.id_matrix``), so that the LU of the free dofs is that of
-        the free block alone."""
-        if system not in self._selections:
+        the free block alone; for u the bordered T of a ``CondensedSaddle``,
+        its tail [-G/rho, G, w, 1], factored by its condensation."""
+        if system not in self._operators:
             order, nn, m = self.mesh.node_order, self.mesh.n_nodes, self.M
-            rows = linsolve.entry_rows(m)
+            rows, a, b, tail = linsolve.entry_rows(m), m.data, self.K.data, np.zeros(0)
+            factor = linsolve.Factorization
             if system == "c":
                 selection = linsolve.Selection(linsolve.entry_ids(m), order)
             elif system == "n":
@@ -490,45 +457,34 @@ class Stepper:
                 ids = linsolve.id_matrix((nn + 1, nn + 1), [
                     (rows, m.indices, np.arange(m.nnz)), (nodes, border, w_at), (border, nodes, w_at)])
                 selection = linsolve.Selection(ids, np.concatenate([order[:-1], [nn], order[-1:]]))
-            else:
+                tail = self.w_p1
+            elif system == "sigma":
                 block = np.arange(4)[:, None]  # block [a, b] of the source is block 2 a + b
                 pinned = self.layout_sigma.constrained_dofs
                 ids = linsolve.id_matrix((2 * nn, 2 * nn), [
                     ((nn * (block // 2) + rows).ravel(), (nn * (block % 2) + m.indices).ravel(),
                      np.arange(4 * m.nnz))],
                     pinned, 4 * m.nnz)
-                by_node = np.column_stack([order, nn + order]).ravel()
+                by_node = np.column_stack([order, nn + order]).ravel()  # a node's two components
                 free = np.ones(2 * nn, dtype=bool)
                 free[pinned] = False
                 selection = linsolve.Selection(ids, np.concatenate([by_node[free[by_node]], pinned]))
-            self._selections[system] = selection
-        return self._selections[system]
+                a, b, tail = np.eye(2)[:, :, None] * m.data, self.divrot, np.ones(1)
+            else:
+                saddle = CondensedSaddle(self.M_u, self.G, self.layout_u, self.w_p1, self.params.rho)
+                selection, factor, tail = saddle.selection, saddle.factor, saddle.tail
+                a, b = self.M_u.data, self.K_u.data
+            self._operators[system] = _Operator(selection, a, b, tail, factor)
+        return self._operators[system]
 
-    def _kept_lu(self, system, data, transport):
-        """``linsolve.KeptLU`` of the n, c or sigma operator with ``data`` on
-        the pattern of M (n bordered by its zero-mean row and column; sigma
-        its four component blocks, (2, 2, nnz)), in the order of
-        ``_selection``, with the transport ``transport``."""
-        selection = self._selection(system)
-        if system == "n":
-            data = np.concatenate([data, self.w_p1])
-        elif system == "sigma":
-            data = np.append(data, 1.0)
-        return linsolve.KeptLU(selection.matrix(data), selection.slots(len(transport)), transport,
-                               selection.kept)
-
-    @functools.cached_property
-    def _saddle(self):
-        """The ``CondensedSaddle`` of the velocity layout, built at the first
-        (u, pi) LU and kept."""
-        return CondensedSaddle(self.M_u, self.G, self.layout_u, self.w_p1, self.params.rho)
-
-    def _saddle_lu(self, s, transport):
-        """``linsolve.KeptLU`` of the bordered (u, pi) system of the velocity
-        operator ``s`` (``CondensedSaddle.bordered``), its condensed LU kept
-        from ``transport``; b is 0 in its pinned and border rows."""
-        saddle = self._saddle
-        return linsolve.KeptLU(saddle.bordered(s), saddle.slots, transport, factor=saddle.factor)
+    def _kept_lu(self, system, mass, diffusion, transport):
+        """``linsolve.KeptLU`` of the operator mass A + diffusion B of
+        ``system`` (``_operator``) with ``transport``: the one place an
+        operator is formed."""
+        op = self._operator(system)
+        source = np.concatenate([(mass * op.a + diffusion * op.b).ravel(), op.tail])
+        return linsolve.KeptLU(op.selection.matrix(source), op.selection.slots(len(transport)),
+                               transport, op.selection.kept, op.factor)
 
     @functools.cached_property
     def _load_dofs(self):

@@ -87,6 +87,15 @@ class DofLayout:
         nodal = np.reshape(x, (self.components, self.n_scalar))[:, : self.mesh.n_nodes]
         return nodal[0] if self.components == 1 else nodal.T
 
+    def from_vertex_values(self, values):
+        """The coefficient vector whose vertex values are ``values`` (shaped as
+        ``vertex_values`` returns them), 0 at the bubbles and the pinned dofs."""
+        x = np.zeros((self.components, self.n_scalar))
+        x[:, : self.mesh.n_nodes] = np.asarray(values).T
+        x = x.ravel()
+        x[self.constrained_dofs] = 0.0
+        return x
+
 
 def build_layout(mesh, kind, zero_mean=False):
     """Build the dof layout of one space kind on a mesh.

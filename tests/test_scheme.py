@@ -492,6 +492,22 @@ class TestRun:
         peak(10)  # first-step factorizations of the cached operators
         assert peak(40) <= peak(10) + 64 * 1024
 
+        # a step of a new dt drops the solvers of the last one: steps over
+        # 30 step sizes (two each) keep four solvers, as over 5
+        def varying(n_sizes):
+            tracemalloc.start()
+            try:
+                state = st.init_state(data, mode="nodal")
+                for m in range(2 * n_sizes):
+                    state, _ = st.step(state, 2e-4 * (1.0 + (m // 2) / 100), forcing)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        varying(5)
+        assert varying(30) <= varying(5) + 64 * 1024
+        assert len(st._solvers) == 4
+
     def test_diagnostics_fields(self):
         mesh = build_rect_mesh(1, 1, 4, 4)
         st = Stepper(mesh, simple_params(alpha0=1.0, gamma=2.0))
@@ -536,11 +552,12 @@ class TestRun:
 
     def test_factor_time_counts_each_factorization_once(self, monkeypatch):
         # one flux factorization per dt, whatever the number of steps
-        unpaid, original = {}, linsolve.KeptLU.__init__
+        unpaid, original = [], linsolve.KeptLU.__init__
 
         def recording(self, *args, **kwargs):
             original(self, *args, **kwargs)
-            unpaid[self] = self._unpaid  # the time of its first sum and LU
+            if self.operator.matrix.shape[0] == st.layout_sigma.n_dofs:  # a sigma solver
+                unpaid.append(self._unpaid)  # the time of its first sum and LU
 
         monkeypatch.setattr(linsolve.KeptLU, "__init__", recording)
         mesh = build_rect_mesh(1, 1, 6, 6)
@@ -553,8 +570,8 @@ class TestRun:
             records += steps
             paid = [rec["factor_time_sigma"] > 0 for rec in steps]
             assert paid == [True, False, False, False]
-        once = sum(unpaid[st._solvers[("sigma", dt)]] for dt in (2e-4, 1e-4))
-        assert sum(rec["factor_time_sigma"] for rec in records) == once
+        assert len(unpaid) == 2  # the nodal init factors nothing
+        assert sum(rec["factor_time_sigma"] for rec in records) == sum(unpaid)
 
     def test_blow_up_stops_the_run(self):
         # the lagged scheme blows up on test1 at dt=1e-2 while every solve
@@ -693,7 +710,7 @@ class TestCachedFactorizations:
                 state, _ = st.step(state, dt, forcing)
             solvers = list(st._solvers.values())
             kept = solvers + [s.lu for s in solvers if isinstance(s, linsolve.KeptLU)]
-            kept += [st._solver("u", dt).lu.lu, st._saddle]
+            kept += [st._solver("u", dt).lu.lu, st._operator("u").factor.__self__]  # the saddle
             refs = [weakref.ref(obj) for obj in [st] + kept]
             del st, solvers, kept
             assert [ref() is None for ref in refs] == [True] * len(refs)
@@ -848,7 +865,7 @@ class TestStepOperators:
             state = st.init_state(data, mode="nodal")
         st.step(state, dt, forcing)
         got = st._solver("sigma", dt).operator.matrix
-        kept, pinned = st._selection("sigma").kept, st.layout_sigma.constrained_dofs
+        kept, pinned = st._operator("sigma").selection.kept, st.layout_sigma.constrained_dofs
         a = divrot_matrix(st.mesh, st.divrot) + st.M_sigma * (1.0 / dt)
         ref = apply_constraints(a, st.layout_sigma)[kept][:, kept].sorted_indices()
         ref.eliminate_zeros()
@@ -871,7 +888,7 @@ class TestStepOperators:
         lus = _recorded_lus(monkeypatch, st)
         st.step(state, dt, forcing)
         assert [system for system, _ in lus] == ["n", "sigma", "c", "u"]
-        sizes = [st.mesh.n_nodes + 1, 2 * st.mesh.n_nodes, st.mesh.n_nodes, len(st._saddle.kept)]
+        sizes = [st.mesh.n_nodes + 1, 2 * st.mesh.n_nodes, st.mesh.n_nodes, len(st._solver("u", dt).lu.kept)]
         assert [fact.matrix.shape[0] for _, fact in lus] == sizes
         assert not any(fact.pivoted for _, fact in lus)
         assert np.any(lus[2][1].matrix.data == 0.0)  # the cancelled entries stay stored
@@ -902,6 +919,71 @@ class TestStepOperators:
         monkeypatch.setattr(_compressed._cs_matrix, "__init__", counting)
         st.step(state, dt, forcing)
         assert built == []  # the transports are data on the kept operators' patterns
+
+
+class TestOneOperatorForm:
+    """Every LU's operator is mass A + diffusion B of its system's pair,
+    formed by ``Stepper._kept_lu`` alone: the init projections and the step
+    solvers differ only in the two scales.  The operators written out from
+    the assembled matrices are the reference."""
+
+    def test_init_operators_equal_their_formulas(self, monkeypatch):
+        # test2's data at k=10 project to nonzero n, c, sigma and (u, pi);
+        # D_c and D_u other than 1 tell each scale apart (rho stays 1: the
+        # reference's sparse G / rho multiplies by 1 / rho, which rounds apart)
+        cfg = io_cli.default_config("test2")
+        mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
+        p = replace(manufactured.test2_params(), D_c=0.5, D_u=2.0)
+        st, made, original = Stepper(mesh, p), {}, Stepper._kept_lu
+
+        def recording(self, system, *args):
+            made[system] = original(self, system, *args)
+            return made[system]
+
+        monkeypatch.setattr(Stepper, "_kept_lu", recording)
+        st.init_state(manufactured.test2_initial_data(), mode="elliptic_projection")
+        assert list(made) == ["n", "c", "sigma", "u"]
+        refs = {
+            "n": apply_constraints(st.K, st.layout_n, weight_vector=st.w_p1),  # K bordered by w
+            "c": st.K + st.M,
+            # with sigma's pinned dofs as identity rows
+            "sigma": apply_constraints(divrot_matrix(mesh, st.divrot) * (1.0 / p.D_c) + st.M_sigma,
+                                       st.layout_sigma),
+        }
+        for system, ref in refs.items():  # each in its system's order
+            kept = st._operator(system).selection.kept
+            ref = ref[kept][:, kept].sorted_indices()
+            ref.eliminate_zeros()
+            assert_same_csr(made[system].operator.matrix, ref)
+        assert_same_csr(made["u"].operator.matrix, bordered_saddle_matrix(st, st.K_u * p.D_u))
+        assert all(solver.operator.nnz == 0 for solver in made.values())  # no transport
+
+    def test_every_lu_but_a_fallback_is_built_by_kept_lu(self, monkeypatch):
+        # test1 on 10x10 at dt = 1e-2: init factors n, c and sigma (the fluid
+        # is at rest), step 1 the four kept LUs, and later steps fall back
+        st, data, _, forcing = TestInitialProjections.case("test1", (10, 10))
+        forming, made = [], []  # the system _kept_lu is forming; that of each LU
+        kept_lu, factor = Stepper._kept_lu, linsolve.Factorization.__init__
+
+        def counting(self, system, *args):
+            forming.append(system)
+            try:
+                return kept_lu(self, system, *args)
+            finally:
+                forming.pop()
+
+        def recording(self, a):
+            factor(self, a)
+            made.append(forming[-1] if forming else None)
+
+        monkeypatch.setattr(Stepper, "_kept_lu", counting)
+        monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
+        state, fallbacks = st.init_state(data, mode="elliptic_projection"), 0
+        for _ in range(4):
+            state, reports = st.step(state, 1e-2, forcing)
+            fallbacks += sum(report.kind == "lu-fallback" for report in reports.values())
+        assert made[:7] == ["n", "c", "sigma", "n", "sigma", "c", "u"]
+        assert made[7:] == [None] * fallbacks and fallbacks > 0
 
 
 class TestConsistency:
@@ -1086,7 +1168,7 @@ class TestCondensedSaddle:
         p = st.params
         if solve == "stokes_init":
             skew, rhs_u, rhs_pi, (u, pi, report) = calls[0]
-            assert skew.shape == (st.K_u.nnz,) and not np.any(skew)
+            assert skew.shape == (0,)  # the Stokes projection takes no transport
             assert abs(rhs_pi.sum()) > 1e-3 * np.abs(rhs_pi).max()
             s_matrix = st.K_u * p.D_u
         else:
@@ -1139,8 +1221,9 @@ class TestCondensedSaddle:
     def kept_operator(preset, solve):
         """Condensed (u, pi) matrix of the kept LU of the first step of a
         ``_preset_case`` or of "test2-dt1e-2", or of its init Stokes
-        projection, its LU and the number of its velocity unknowns, its rows
-        and columns permuted from the node order to velocities first."""
+        projection, its LU, the number of its velocity unknowns and the
+        permutation of its rows and columns from the node order to velocities
+        first."""
         if preset == "test2-dt1e-2":
             st, data, _, forcing = TestInitialProjections.case("test2")
             state, dt = st.init_state(data, mode="elliptic_projection"), 1e-2
@@ -1151,11 +1234,11 @@ class TestCondensedSaddle:
             st.step(state, dt, forcing)
             solver = st._solver("u", dt)
         else:  # as init_state builds it
-            solver = st._saddle_lu(st.K_u * p.D_u, np.zeros(st.K_u.nnz))
+            solver = st._kept_lu("u", 0.0, p.D_u, np.zeros(0))
         fact = solver.lu.lu
         velocity_first = np.argsort(solver.lu.kept >= st.layout_u.n_dofs, kind="stable")
         a = fact.matrix[velocity_first][:, velocity_first]
-        return st, a, fact, a.shape[0] - (st.layout_pi.n_dofs - 1)
+        return st, a, fact, a.shape[0] - (st.layout_pi.n_dofs - 1), velocity_first
 
     @pytest.mark.parametrize("solve, preset", KEPT)
     def test_condensed_operator_is_quasi_definite(self, preset, solve):
@@ -1165,7 +1248,7 @@ class TestCondensedSaddle:
         # none.  Without transport (the Stokes projection, test1's first step
         # from rest) it is quasi-definite: [[A, B^T], [B, -C]] with A and C
         # positive definite once its pressure rows are scaled by -1/rho
-        st, a, fact, n_vel = self.kept_operator(preset, solve)
+        st, a, fact, n_vel, _ = self.kept_operator(preset, solve)
         scale = np.ones(a.shape[0])
         scale[n_vel:] = 1.0 / st.params.rho
         k = (sp.diags(scale) @ a).toarray()
@@ -1191,8 +1274,7 @@ class TestCondensedSaddle:
         # LAPACK's own rounding: both LUs, refined, agree to 1e-15); after
         # one refinement pass against the matrix, it agrees with the refined
         # pivoting one to rounding
-        st, a, fact, _ = self.kept_operator(preset, solve)
-        first = np.argsort(st._saddle.kept >= st.layout_u.n_dofs, kind="stable")  # as in ``a``
+        st, a, fact, _, first = self.kept_operator(preset, solve)
 
         def lu_solve(r):  # the kept LU, in the order of ``a``
             y = np.empty_like(r)
@@ -1235,7 +1317,7 @@ class TestCondensedSaddle:
         assert got.has_sorted_indices
         assert np.abs(got.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
         s = st.M_u * (1.0 / dt) + st.K_u * (st.params.D_u / st.params.rho)
-        t0 = st._saddle_lu(s, np.zeros(st.M_u.nnz)).operator.matrix  # the zero transport
+        t0 = st._kept_lu("u", 1.0 / dt, st.params.D_u / st.params.rho, np.zeros(0)).operator.matrix
         assert_same_csr(t0, bordered_saddle_matrix(st, s))
         assert t0.count_nonzero() < t0.nnz  # the pattern is kept
 
@@ -1290,8 +1372,8 @@ class TestNodeOrder:
         st.step(state, dt, forcing)
         order, nn = st.mesh.node_order, st.mesh.n_nodes
         assert np.array_equal(np.sort(order), np.arange(nn))
-        kept = {system: st._selection(system).kept for system in ("n", "c", "sigma")}
-        kept["u"] = st._saddle.kept
+        kept = {system: st._operator(system).selection.kept for system in ("n", "c", "sigma")}
+        kept["u"] = st._solver("u", dt).lu.kept
         assert np.array_equal(kept["c"], order)
         # n: the border (unknown nn) just before the last node
         assert np.array_equal(kept["n"], np.concatenate([order[:-1], [nn], order[-1:]]))
@@ -1319,7 +1401,7 @@ class TestNodeOrder:
         with linsolve.recorded_lus() as lus:
             st.init_state(data, mode="elliptic_projection")
         nn = st.mesh.n_nodes
-        kept = st._selection("n").kept
+        kept = st._operator("n").selection.kept
         assert kept[-2] == nn
         density = lus[0]
         assert density.matrix.shape == (nn + 1, nn + 1)
@@ -1367,7 +1449,7 @@ class TestNodeOrder:
         other = Stepper(mesh, params)
         other.step(other.init_state(data, mode="elliptic_projection"), cfg.dt, forcing)
         assert len(calls) == 1  # the order is the mesh's, shared by both steppers' LUs
-        assert other._selection("c").kept is st._selection("c").kept is mesh.node_order
+        assert other._operator("c").selection.kept is st._operator("c").selection.kept is mesh.node_order
         build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky).node_order
         assert len(calls) == 2  # one per mesh
 

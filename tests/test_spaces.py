@@ -58,6 +58,25 @@ class TestVertexValues:
             expected = np.column_stack([x[:nn], x[ns : ns + nn]])
         assert np.array_equal(lay.vertex_values(x), expected)
 
+    @pytest.mark.parametrize("kind", [SCALAR_P1, VECTOR_P1_SIGMA, VELOCITY_MINI, PRESSURE_P1])
+    def test_from_vertex_values_is_the_inverse(self, kind):
+        # from vertex values to coefficients and back; a coefficient vector
+        # that is 0 at the bubbles and the pinned dofs comes back bit for bit
+        mesh = build_rect_mesh(2, 1, 3, 2)
+        lay = build_layout(mesh, kind)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(lay.n_dofs)
+        x[lay.nodal_and_bubble_dofs()[1]] = 0.0
+        x[lay.constrained_dofs] = 0.0
+        assert np.array_equal(lay.from_vertex_values(lay.vertex_values(x)), x)
+        values = rng.standard_normal(lay.vertex_values(x).shape)
+        expected = np.zeros(lay.n_dofs)  # component-major, each component's nodes first
+        for comp in range(lay.components):
+            start = comp * lay.n_scalar
+            expected[start : start + mesh.n_nodes] = values.reshape(mesh.n_nodes, -1)[:, comp]
+        expected[lay.constrained_dofs] = 0.0
+        assert np.array_equal(lay.from_vertex_values(values), expected)
+
 
 class TestBasisEvaluation:
     def setup_method(self):
