@@ -533,16 +533,19 @@ def cmd_check(args):
     mean_pi = abs(stepper.w_p1 @ final.pi)
     check("zero means", max(mean_n, mean_pi) <= 1e-11, f"|mean| {max(mean_n, mean_pi):.3e}")
 
-    # each LU by its size: n bordered, c, sigma, else the condensed (u, pi)
+    # each LU by its exact size: n bordered, c, sigma, and (u, pi) bordered
     nn = mesh.n_nodes
-    sizes = {nn + 1: "n", nn: "c", 2 * nn: "sigma"}
+    sizes = {"n": nn + 1, "c": nn, "sigma": 2 * nn,
+             "u": stepper.layout_u.n_dofs + stepper.layout_pi.n_dofs + 1}
+    system_of = {size: system for system, size in sizes.items()}
     fill = {}
     for fact in lus:
-        system = sizes.get(fact.matrix.shape[0], "u")
+        system = system_of[fact.matrix.shape[0]]
         fill[system] = max(fill.get(system, 0), fact.fill)
     pivoted = sum(fact.pivoted for fact in lus)
     check("LUs factor without pivoting", pivoted == 0, f"{pivoted} of {len(lus)} LUs interchanged rows; "
-          + "L+U fill " + ", ".join(f"{system} {fill[system]}" for system in sorted(fill)))
+          + "L+U fill " + ", ".join(f"{system} {fill[system]} ({sizes[system]} unknowns)"
+                                    for system in sorted(fill)))
 
     rng = np.random.default_rng(7)
     worst = 0.0

@@ -304,8 +304,14 @@ class Factorization:
     ``Selection``.  Every system of the scheme has nonzero pivots in it: a
     matrix that a diagonal row scaling gives a positive definite symmetric
     part keeps that property under every symmetric permutation (Golub and
-    Van Loan, *Linear Algebra Appl.* 28, 1979), and the bordered density
-    operator's border comes just before its last node.  The CSR arrays of
+    Van Loan, *Linear Algebra Appl.* 28, 1979), and so does each leading
+    block of it; a bordered system's border comes just before its last
+    node, so the unknowns before it are such a block, the border's pivot
+    is minus a Schur complement w^T B^-1 w of it, nonzero, and the last
+    pivot is nonzero because the system is.  The velocity/pressure system
+    takes its diagonal bubble block first: eliminating it leaves the
+    condensation, whose pressure rows scaled by 1/rho give it a positive
+    definite symmetric part once one pressure is left out.  The CSR arrays of
     ``matrix``, read as CSC, are those of its transpose, which SuperLU
     factors without a copy; ``lu_solve`` solves with the transpose of that.
     """
@@ -353,30 +359,27 @@ def recorded_lus():
 class KeptLU:
     """Solver of (base + N) x = b, the transport N given as data written into
     the slots ``slots`` of the kept ``matrix`` (``operator``, a
-    ``PatternSum``), through the LU ``lu`` of its first operator, that of
-    ``transport``: ``factor(a)``, an object whose ``lu_solve`` applies an LU
-    of ``a`` unchecked (by default a ``Factorization``, whose ``matrix`` is
-    then the kept operator, which each solve overwrites).  ``matrix`` holds
-    the system's unknowns in the order ``kept``, a permutation of them
-    (None: their own order), so each ``solve`` permutes b and x once.  Each
-    ``solve`` refines against its own operator through ``lu``, and a fresh
-    ``factor(a)`` takes over if that fails (``refined_solve``).  The first
-    solve reports the time of the first sum and its LU as its factor time."""
+    ``PatternSum``), through the ``Factorization`` ``lu`` of its first
+    operator, that of ``transport``, whose ``matrix`` is the kept operator,
+    which each solve overwrites.  ``matrix`` holds the system's unknowns in
+    the order ``kept``, a permutation of them, so each ``solve`` permutes b
+    and x once.  Each ``solve`` refines against its
+    own operator through ``lu``, and a fresh ``Factorization`` takes over if
+    that fails (``refined_solve``).  The first solve reports the time of the
+    first sum and its LU as its factor time."""
 
-    def __init__(self, matrix, slots, transport, kept=None, factor=Factorization):
-        self.operator, self.kept, self._factor = PatternSum(matrix, slots), kept, factor
-        self._at = None if kept is None else np.argsort(kept)  # of each unknown, in ``kept``
+    def __init__(self, matrix, slots, transport, kept):
+        self.operator, self.kept = PatternSum(matrix, slots), kept
+        self._at = np.argsort(kept)  # of each unknown, in ``kept``
         t0 = time.perf_counter()
-        self.lu = factor(self.operator(transport))
+        self.lu = Factorization(self.operator(transport))
         self._unpaid = time.perf_counter() - t0
 
     def solve(self, b, transport):
         """(x, SolveReport) of (base + N) x = b for N with the data ``transport``."""
         a = self.operator(transport)
         paid, self._unpaid = self._unpaid, None
-        fresh = lambda: self._factor(a).lu_solve
-        if self.kept is None:
-            return refined_solve(b, self.lu.lu_solve, a, self.operator.abs_matrix, paid, fresh)
+        fresh = lambda: Factorization(a).lu_solve
         x, report = refined_solve(np.asarray(b, dtype=float)[self.kept], self.lu.lu_solve, a,
                                   self.operator.abs_matrix, paid, fresh)
         return x[self._at], report

@@ -12,15 +12,16 @@ step size, of the operator of the first step of that size, its transport
 included; a later step refines against its own operator through it.  Every
 operator, of a step or of an initial projection, is mass A + diffusion B of
 its system's one pair (A, B), formed in one place (``Stepper._kept_lu``);
-the two differ only in the two scales.  The velocity/pressure system has
-its bubbles condensed out.  Every LU factors its system's kept unknowns in
-the mesh's node order, sliced from the id matrix of its operator
-(``linsolve.Selection``), each pinned unknown an identity row, without
-pivoting.
+the two differ only in the two scales.  Every LU factors its system's
+kept unknowns in the mesh's node order, sliced from the id matrix of its
+operator (``linsolve.Selection``), each pinned unknown an identity row,
+without pivoting.  The bordered velocity/pressure system is factored whole,
+its element-local MINI bubbles first, so the LU condenses them out (static
+condensation, Arnold, Brezzi and Fortin, *Calcolo* 21, 1984) before it
+meets the nodes, its border just before the last node's pressure.
 """
 
 import collections
-import copy
 import functools
 import math
 import numbers
@@ -28,7 +29,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import assembly as asm
 from . import linsolve
@@ -196,104 +196,9 @@ class InitialData:
     pi0: object = None
 
 
-class CondensedSaddle:
-    """Condensation of the bordered velocity/pressure system of one layout.
-
-    The bordered saddle system of the scheme,
-
-        [ S_c    -G_c/rho  0 ] [u  ]   [f]
-        [ G_c^T   0        w ] [pi ] = [g]
-        [ 0       w^T      0 ] [lam]   [h]
-
-    with S a velocity operator on the pattern of the layout's mass matrix
-    (a step's skew transport N included) and the pinned velocity dofs
-    eliminated (identity rows, value 0), is T, solved without factoring it:
-
-    * the bubble-bubble block D of S is diagonal (a bubble lives on one
-      element, and N has a zero diagonal), so the bubbles are condensed
-      out, leaving a P1-P1 system whose pressure block is
-      G_B^T D^-1 G_B / rho;
-    * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
-      the gauge pressure dof 0 is pinned and the mean shifted afterwards.
-
-    T is gathered from the source [s, tail], ``tail`` = [-G/rho, G, w, 1],
-    through one ``linsolve.Selection`` (``selection``), built once per
-    layout from the patterns of ``s`` and ``g`` (G, its exact zeros
-    stored): a pinned row and column holds only its diagonal, the 1
-    (``linsolve.id_matrix``).  The condensed system keeps ``kept``: the
-    free nodal velocity dofs and the pressure dofs but the gauge, sorted by
-    node in the mesh's node order, then u1, u2, pi, so the condensation
-    comes out already ordered.  ``factor(t)`` returns a copy holding the
-    bubble blocks of a bordered matrix t and the LU of its condensation
-    T_kk - T_kb D^-1 T_bk, whose ``lu_solve`` solves with t.  With its
-    pressure rows scaled by 1/rho that condensation has a positive definite
-    symmetric part (S is SPD, N skew and zero on D, and x^T (K/D) x =
-    [y; x]^T K [y; x] for y = -D^-1 K_bk x), so every symmetric ordering of
-    it has nonzero pivots (``linsolve.Factorization``).
-    """
-
-    def __init__(self, s, g, layout_u, w, rho):
-        mesh, (nu, npi) = layout_u.mesh, (s.shape[0], len(w))
-        n, ns, pinned = nu + npi + 1, layout_u.n_scalar, layout_u.constrained_dofs
-        bubble = layout_u.nodal_and_bubble_dofs()[1]
-        rows, cols, g_rows = linsolve.entry_rows(s), s.indices, linsolve.entry_rows(g)
-        is_bubble = np.zeros(nu, dtype=bool)
-        is_bubble[bubble] = True
-        if np.any(s.data[is_bubble[rows] & is_bubble[cols] & (rows != cols)] != 0.0):
-            raise ValueError("bubble-bubble block of the velocity operator is not diagonal")
-        self.n_u, self.w, self.area, self.bubble = nu, w, float(w.sum()), bubble
-
-        # T from the source [s, -G/rho, G, w, 1]
-        self.tail = np.concatenate([-g.data / rho, g.data, w, [1.0]])
-        at_g, at_w = s.nnz + np.arange(g.nnz), s.nnz + 2 * g.nnz + np.arange(npi)
-        pressures, border = nu + np.arange(npi), np.full(npi, n - 1)
-        self.selection = linsolve.Selection(linsolve.id_matrix((n, n), [
-            (rows, cols, np.arange(s.nnz)),
-            (g_rows, nu + g.indices, at_g),
-            (nu + g.indices, g_rows, g.nnz + at_g),
-            (pressures, border, at_w),
-            (border, pressures, at_w),
-        ], pinned, at_w[-1] + 1))
-
-        # the condensed system: (u1, u2, pi) by node, in the node order
-        order = mesh.node_order
-        by_node = np.column_stack([order, ns + order, nu + order]).ravel()
-        keep = np.ones(n, dtype=bool)
-        keep[pinned] = keep[nu] = False
-        self.kept = by_node[keep[by_node]]
-
-    def factor(self, t):
-        """A copy holding the bubble blocks of the bordered matrix ``t`` (on
-        the pattern of ``selection``), T_kb and D^-1 T_bk, and the LU of its
-        condensation (``lu``)."""
-        out, t_k, t_b = copy.copy(self), t[self.kept], t[self.bubble]
-        out.d_inv = 1.0 / t.diagonal()[self.bubble]
-        out.a_kb = t_k[:, self.bubble]
-        out.dinv_a_bk = sp.diags(out.d_inv) @ t_b[:, self.kept]
-        condensed = t_k[:, self.kept] - out.a_kb @ out.dinv_a_bk
-        condensed.sort_indices()
-        out.lu = linsolve.Factorization(condensed)
-        return out
-
-    def lu_solve(self, b):
-        """x with T x = b through the condensed LU, unchecked: the caller
-        checks the residual of the bordered system."""
-        nu, n = self.n_u, len(b) - 1
-        lam = b[nu:n].sum() / self.area
-        z = b[:n].copy()
-        z[nu:] -= lam * self.w
-        z_b = self.d_inv * z[self.bubble]
-        x = self.lu.lu_solve(z[self.kept] - self.a_kb @ z_b)
-        z[:] = 0.0
-        z[self.kept] = x
-        z[self.bubble] = z_b - self.dinv_a_bk @ x
-        z[nu:] += (b[-1] - self.w @ z[nu:]) / self.area
-        return np.append(z, lam)
-
-
-# one system's pair (a, b) (``Stepper._operator``): each of its LUs gathers its
-# kept matrix from [mass a + diffusion b, tail] through ``selection``, then ``factor``s it
-_Operator = collections.namedtuple("_Operator", "selection a b tail factor")
+# one system's pair (a, b) (``Stepper._operator``): each of its LUs factors the
+# kept matrix gathered from [mass a + diffusion b, tail] through ``selection``
+_Operator = collections.namedtuple("_Operator", "selection a b tail")
 
 
 class Stepper:
@@ -444,12 +349,24 @@ class Stepper:
         last would leave K's last pivot, 0); for sigma, its tail [1], the free
         dofs by node, then the pinned dofs as identity rows
         (``linsolve.id_matrix``), so that the LU of the free dofs is that of
-        the free block alone; for u the bordered T of a ``CondensedSaddle``,
-        its tail [-G/rho, G, w, 1], factored by its condensation."""
+        the free block alone; for u the bordered saddle matrix
+
+            T = [ S_c    -G_c/rho  0 ]
+                [ G_c^T   0        w ]
+                [ 0       w^T      0 ],
+
+        S = mass M_u + diffusion K_u (a step's transport N added), its tail
+        [-G/rho, G, w, 1], each pinned velocity dof an identity row and
+        column.  T keeps every bubble first, then (u1, u2, pi) by node in the
+        node order, its border lam just before the last node's pi, as n's.
+        Eliminating the bubbles, each on one element, is static condensation
+        inside the LU, and leaves the condensation, whose pressure rows
+        scaled by 1/rho have a positive definite symmetric part once one
+        pressure dof is left out: the leading block with lam before the last
+        pi (lam last would leave the singular condensed block's pivot, 0)."""
         if system not in self._operators:
             order, nn, m = self.mesh.node_order, self.mesh.n_nodes, self.M
             rows, a, b, tail = linsolve.entry_rows(m), m.data, self.K.data, np.zeros(0)
-            factor = linsolve.Factorization
             if system == "c":
                 selection = linsolve.Selection(linsolve.entry_ids(m), order)
             elif system == "n":
@@ -470,11 +387,25 @@ class Stepper:
                 free[pinned] = False
                 selection = linsolve.Selection(ids, np.concatenate([by_node[free[by_node]], pinned]))
                 a, b, tail = np.eye(2)[:, :, None] * m.data, self.divrot, np.ones(1)
-            else:
-                saddle = CondensedSaddle(self.M_u, self.G, self.layout_u, self.w_p1, self.params.rho)
-                selection, factor, tail = saddle.selection, saddle.factor, saddle.tail
-                a, b = self.M_u.data, self.K_u.data
-            self._operators[system] = _Operator(selection, a, b, tail, factor)
+            else:  # T from the source [S, -G/rho, G, w, 1]
+                s, g, layout = self.M_u, self.G, self.layout_u
+                nu, n, g_rows = layout.n_dofs, layout.n_dofs + nn + 1, linsolve.entry_rows(g)
+                at_g, at_w = s.nnz + np.arange(g.nnz), s.nnz + 2 * g.nnz + np.arange(nn)
+                pressures, border = nu + np.arange(nn), np.full(nn, n - 1)
+                ids = linsolve.id_matrix((n, n), [
+                    (linsolve.entry_rows(s), s.indices, np.arange(s.nnz)),
+                    (g_rows, nu + g.indices, at_g),
+                    (nu + g.indices, g_rows, g.nnz + at_g),
+                    (pressures, border, at_w),
+                    (border, pressures, at_w),
+                ], layout.constrained_dofs, at_w[-1] + 1)
+                by_node = np.column_stack([order, layout.n_scalar + order, nu + order]).ravel()
+                bubble = layout.nodal_and_bubble_dofs()[1]
+                kept = np.concatenate([bubble, by_node[:-1], [n - 1], by_node[-1:]])
+                selection = linsolve.Selection(ids, kept)
+                a, b = s.data, self.K_u.data
+                tail = np.concatenate([-g.data / self.params.rho, g.data, self.w_p1, [1.0]])
+            self._operators[system] = _Operator(selection, a, b, tail)
         return self._operators[system]
 
     def _kept_lu(self, system, mass, diffusion, transport):
@@ -484,7 +415,7 @@ class Stepper:
         op = self._operator(system)
         source = np.concatenate([(mass * op.a + diffusion * op.b).ravel(), op.tail])
         return linsolve.KeptLU(op.selection.matrix(source), op.selection.slots(len(transport)),
-                               transport, op.selection.kept, op.factor)
+                               transport, op.selection.kept)
 
     @functools.cached_property
     def _load_dofs(self):

@@ -27,17 +27,20 @@ builds them from element coefficients; the divergence load that
 rebuilt its table on every call; the transport of each layout summed by a
 bincount of its own, the reference for the P1 data gathered from the MINI
 sum; the kept LUs of the transport-free operators, the reference for
-the LUs of the first step's operators; the uncondensed (u, pi) solve
-through one LU of the whole bordered matrix, the reference for the
-condensed one; the load vectors summed by ``np.add.at``, the reference for
-the bincount scatter; the diagnostics CSV over the union of the
+the LUs of the first step's operators; the (u, pi) solve through one
+pivoting LU of the whole bordered matrix, the reference for the kept
+one, and through a condensation of its bubbles formed in Python, the
+reference for the LU that condenses them out first; the load vectors
+summed by ``np.add.at``, the reference for the bincount scatter; the diagnostics CSV over the union of the
 records' keys, the reference for the writer whose columns are the record
 schema; and the scatter plans sorted from their entry lists, and a
 stepper's matrices summed through them, the reference for the plans
 derived from a mesh's P1 plan.
 """
 
+import copy
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -444,21 +447,23 @@ def projector(n, pinned):
 
 
 def bordered_saddle_matrix(st, s_matrix):
-    """The uncondensed (u, pi) matrix: pinned velocity dofs made identity
+    """The bordered (u, pi) matrix T: pinned velocity dofs made identity
     rows and columns by P s P + diag(pinned), the zero-mean pressure
     constraint bordered by a multiplier row."""
     p, pinned = projector(st.layout_u.n_dofs, st.layout_u.constrained_dofs)
     g_c = p @ st.G
+    # -G_c/rho as the package forms it, G's data divided by rho (a sparse
+    # g_c / rho multiplies by 1/rho, which rounds apart for rho != 1)
+    minus_g = sp.csr_matrix((-g_c.data / st.params.rho, g_c.indices, g_c.indptr), shape=g_c.shape)
     w = sp.csr_matrix(st.w_p1.reshape(-1, 1))
     return sp.bmat(
-        [[p @ s_matrix @ p + pinned, -g_c / st.params.rho, None], [g_c.T, None, w],
-         [None, w.T, None]],
+        [[p @ s_matrix @ p + pinned, minus_g, None], [g_c.T, None, w], [None, w.T, None]],
         format="csr",
     )
 
 
 def bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi):
-    """The uncondensed (u, pi) solve: one LU of ``bordered_saddle_matrix``,
+    """The (u, pi) solve through one pivoting LU of ``bordered_saddle_matrix``,
     refined against that system until the correction stops shrinking."""
     nu, npi = st.layout_u.n_dofs, st.layout_pi.n_dofs
     big = bordered_saddle_matrix(st, s_matrix)
@@ -472,6 +477,120 @@ def bordered_saddle_reference(st, s_matrix, rhs_u, rhs_pi):
         if not size < last:
             return x[:nu], x[nu : nu + npi]
         x, last = x + dx, size
+
+
+class CondensedSaddle:
+    """Condensation of the bordered velocity/pressure system T of one layout
+    (``bordered_saddle_matrix``), solved without factoring T: the reference
+    for the LU of T with its bubbles first (``Stepper._operator``), which
+    condenses them inside SuperLU.
+
+    * the bubble-bubble block D of S is diagonal (a bubble lives on one
+      element, and the transport N has a zero diagonal), so the bubbles are
+      condensed out, leaving a P1-P1 system whose pressure block is
+      G_B^T D^-1 G_B / rho;
+    * G_c 1 = 0, so the continuity rows sum to lam * area; with lam known,
+      the gauge pressure dof 0 is pinned and the mean shifted afterwards.
+
+    T is gathered, in its own order, from the source [s, tail], ``tail`` =
+    [-G/rho, G, w, 1], through ``selection``, built from the patterns of
+    ``s`` and ``g``, each pinned velocity dof an identity row and column.
+    The condensed system keeps ``kept``: the free nodal velocity dofs and
+    the pressure dofs but the gauge, by node in the mesh's node order, then
+    u1, u2, pi.  ``factor(t)`` returns a copy holding the bubble blocks of a
+    bordered matrix t and the LU of its condensation T_kk - T_kb D^-1 T_bk
+    (``lu``), whose ``lu_solve`` solves with t.
+
+    Raises
+    ------
+    ValueError
+        If the bubble-bubble block of ``s`` is not diagonal.
+    """
+
+    def __init__(self, s, g, layout_u, w, rho):
+        mesh, (nu, npi) = layout_u.mesh, (s.shape[0], len(w))
+        n, ns, pinned = nu + npi + 1, layout_u.n_scalar, layout_u.constrained_dofs
+        bubble = layout_u.nodal_and_bubble_dofs()[1]
+        rows, cols, g_rows = entry_rows(s), s.indices, entry_rows(g)
+        is_bubble = np.zeros(nu, dtype=bool)
+        is_bubble[bubble] = True
+        if np.any(s.data[is_bubble[rows] & is_bubble[cols] & (rows != cols)] != 0.0):
+            raise ValueError("bubble-bubble block of the velocity operator is not diagonal")
+        self.n_u, self.w, self.area, self.bubble = nu, w, float(w.sum()), bubble
+        self.tail = np.concatenate([-g.data / rho, g.data, w, [1.0]])
+        at_g, at_w = s.nnz + np.arange(g.nnz), s.nnz + 2 * g.nnz + np.arange(npi)
+        pressures, border = nu + np.arange(npi), np.full(npi, n - 1)
+        self.selection = linsolve.Selection(linsolve.id_matrix((n, n), [
+            (rows, cols, np.arange(s.nnz)),
+            (g_rows, nu + g.indices, at_g),
+            (nu + g.indices, g_rows, g.nnz + at_g),
+            (pressures, border, at_w),
+            (border, pressures, at_w),
+        ], pinned, at_w[-1] + 1))
+        order = mesh.node_order
+        by_node = np.column_stack([order, ns + order, nu + order]).ravel()
+        keep = np.ones(n, dtype=bool)
+        keep[pinned] = keep[nu] = False
+        self.kept = by_node[keep[by_node]]
+
+    def factor(self, t):
+        """A copy holding the bubble blocks of ``t``, T_kb and D^-1 T_bk, and
+        the LU of its condensation (``lu``)."""
+        out, t_k, t_b = copy.copy(self), t[self.kept], t[self.bubble]
+        out.d_inv = 1.0 / t.diagonal()[self.bubble]
+        out.a_kb = t_k[:, self.bubble]
+        out.dinv_a_bk = sp.diags(out.d_inv) @ t_b[:, self.kept]
+        condensed = t_k[:, self.kept] - out.a_kb @ out.dinv_a_bk
+        condensed.sort_indices()
+        out.lu = linsolve.Factorization(condensed)
+        return out
+
+    def lu_solve(self, b):
+        """x with T x = b through the condensed LU, unchecked."""
+        nu, n = self.n_u, len(b) - 1
+        lam = b[nu:n].sum() / self.area
+        z = b[:n].copy()
+        z[nu:] -= lam * self.w
+        z_b = self.d_inv * z[self.bubble]
+        x = self.lu.lu_solve(z[self.kept] - self.a_kb @ z_b)
+        z[:] = 0.0
+        z[self.kept] = x
+        z[self.bubble] = z_b - self.dinv_a_bk @ x
+        z[nu:] += (b[-1] - self.w @ z[nu:]) / self.area
+        return np.append(z, lam)
+
+
+class CondensedKeptLU:
+    """The (u, pi) solver of ``Stepper`` as it was before T was factored
+    whole: ``linsolve.KeptLU`` of T (of mass M_u + diffusion K_u) in its own
+    order through the LU of its first operator's condensation
+    (``CondensedSaddle.factor``), with a fresh condensation as the fallback."""
+
+    def __init__(self, st, mass, diffusion, transport):
+        self.saddle = CondensedSaddle(st.M_u, st.G, st.layout_u, st.w_p1, st.params.rho)
+        selection = self.saddle.selection
+        source = np.concatenate([mass * st.M_u.data + diffusion * st.K_u.data, self.saddle.tail])
+        self.operator = linsolve.PatternSum(selection.matrix(source), selection.slots(len(transport)))
+        t0 = time.perf_counter()
+        self.lu = self.saddle.factor(self.operator(transport))
+        self._unpaid = time.perf_counter() - t0
+
+    def solve(self, b, transport):
+        a = self.operator(transport)
+        paid, self._unpaid = self._unpaid, None
+        return linsolve.refined_solve(b, self.lu.lu_solve, a, self.operator.abs_matrix, paid,
+                                      lambda: self.saddle.factor(a).lu_solve)
+
+
+_kept_lu = Stepper._kept_lu
+
+
+def condensed_kept_lu(stepper, system, mass, diffusion, transport):
+    """``Stepper._kept_lu`` with the (u, pi) system solved through a
+    ``CondensedKeptLU``: the path the LU of T with its bubbles first replaces."""
+    if system == "u":
+        return CondensedKeptLU(stepper, mass, diffusion, transport)
+    return _kept_lu(stepper, system, mass, diffusion, transport)
 
 
 def sorted_pattern(n, rows, cols, take, kept):
@@ -507,10 +626,10 @@ def solved_projections(stepper, data):
     """(n0, c0, sigma0, u0, pi0) of ``stepper``'s elliptic and Stokes
     projections of ``data``, each one solved whatever its data: n, c and
     sigma through COLAMD LUs with partial pivoting (``pivoting_solve``),
-    (u, pi) through one LU of the uncondensed bordered Stokes matrix of
+    (u, pi) through one pivoting LU of the bordered Stokes matrix of
     D_u K_u (``bordered_saddle_reference``), pi divided by rho.  The
-    reference for the zero-data rule, the unpivoted LUs and the condensed
-    Stokes solve of ``Stepper.init_state``."""
+    reference for the zero-data rule and the unpivoted LUs of
+    ``Stepper.init_state``."""
     st, p, ctx = stepper, stepper.params, stepper.ctx
 
     def load(kind, layout, field):

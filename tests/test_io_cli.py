@@ -664,8 +664,10 @@ class TestMain:
         lu_line = next(line for line in lines if "LUs factor without pivoting" in line)
         assert "0 of 7 LUs interchanged rows" in lu_line
         assert all(f"{system} " in lu_line.split("fill")[1] for system in ("n", "c", "sigma", "u"))
-        # sigma's LU holds its 2 * 153 dofs, each of the 52 pinned ones an identity row
-        assert "sigma 4114" in lu_line
+        # sigma's LU holds its 2 * 153 dofs, each of the 52 pinned ones an identity
+        # row; (u, pi)'s the whole bordered system, its bubbles eliminated first
+        assert "sigma 4114 (306 unknowns)" in lu_line
+        assert "u 21952 (972 unknowns)" in lu_line
 
     def test_check_reports_an_lu_that_pivoted(self, monkeypatch, capsys):
         # SuperLU interchanges rows only at a zero pivot in the given order;

@@ -195,10 +195,11 @@ class TestPatternSum:
 
 
 def kept_lu(a, pattern, transport):
-    """``linsolve.KeptLU`` of a copy of the CSR matrix ``a``, its transport
-    data on the positions of ``pattern`` (all of them stored in ``a``)."""
+    """``linsolve.KeptLU`` of a copy of the CSR matrix ``a`` in its own order,
+    its transport data on the positions of ``pattern`` (all of them stored
+    in ``a``)."""
     keys = [entry_rows(m) * m.shape[1] + m.indices for m in (a, pattern)]
-    return linsolve.KeptLU(a.copy(), np.searchsorted(*keys), transport)
+    return linsolve.KeptLU(a.copy(), np.searchsorted(*keys), transport, np.arange(a.shape[0]))
 
 
 class TestRefinement:
@@ -227,7 +228,7 @@ class TestRefinement:
         # a kept LU without transport (the sigma system's): its first solve
         # pays for the LU, the later ones reuse it
         a, _, b = self.system()
-        kept = linsolve.KeptLU(a.copy(), np.empty(0, dtype=np.int64), np.zeros(0))
+        kept = linsolve.KeptLU(a.copy(), np.empty(0, dtype=np.int64), np.zeros(0), np.arange(a.shape[0]))
         unpaid = kept._unpaid
         reports = [kept.solve(b, np.zeros(0))[1] for _ in range(3)]
         assert [r.kind for r in reports] == ["lu", "cached-lu", "cached-lu"]

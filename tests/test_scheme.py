@@ -22,7 +22,6 @@ from chemflow.mesh import build_rect_mesh
 from chemflow.scheme import (
     DIVERGENCE_TOL,
     RECORD_KEYS,
-    CondensedSaddle,
     InitialData,
     InvariantError,
     ModelParams,
@@ -31,11 +30,13 @@ from chemflow.scheme import (
     TimeGrid,
 )
 from oracles import (
+    CondensedSaddle,
     apply_constraints,
     bordered_saddle_matrix,
     pivoting_solve,
     bordered_saddle_reference,
     componentwise_backward_error,
+    condensed_kept_lu,
     divrot_matrix,
     exact_solve,
     lagged_forms_at_points,
@@ -195,8 +196,8 @@ class TestInitialProjections:
     """A projection whose constrained data are exactly zero is zero and takes
     no LU, and the SPD c and sigma operators are factored without pivoting;
     ``oracles.solved_projections``, which solves every projection, whatever
-    its data, through pivoting LUs, the Stokes one uncondensed, is the
-    reference."""
+    its data, through pivoting LUs, the Stokes one of the whole bordered
+    matrix, is the reference."""
 
     @staticmethod
     def case(preset, mesh=None):
@@ -214,14 +215,15 @@ class TestInitialProjections:
     ])
     def test_match_the_solved_projections(self, monkeypatch, preset, mesh, saddles, factored):
         st, data, _, _ = self.case(preset, mesh)
-        built, original = [], CondensedSaddle.__init__
+        built, original = [], Stepper._kept_lu
 
-        def counting(self, *args):
-            built.append(args)
-            original(self, *args)
+        def counting(self, system, *args):
+            if system == "u":
+                built.append(args)
+            return original(self, system, *args)
 
         with monkeypatch.context() as m:
-            m.setattr(CondensedSaddle, "__init__", counting)
+            m.setattr(Stepper, "_kept_lu", counting)
             lus = _recorded_lus(m, st)
             state = st.init_state(data, mode="elliptic_projection")
         assert len(built) == saddles
@@ -229,7 +231,7 @@ class TestInitialProjections:
         n0, c0, sigma0, u0, pi0 = solved_projections(st, data)
         for got, ref in ((state.n, n0), (state.c, c0), (state.sigma, sigma0)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        # (u, pi) against one LU of the uncondensed bordered Stokes matrix
+        # (u, pi) against one pivoting LU of the bordered Stokes matrix
         for got, ref in ((state.u, u0), (state.pi, pi0)):
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
         assert (np.abs(state.u).max() > 0.0) == (saddles == 1)
@@ -284,12 +286,8 @@ class TestInitialProjections:
         monkeypatch.setattr(Stepper, "_solver", transport_free_solver)
         ref.step(ref.init_state(data, mode="elliptic_projection"), dt, forcing)
 
-        def kept_lu(stepper, system):
-            solver = stepper._solvers[(system, dt)]
-            return solver.lu.lu if system == "u" else solver.lu
-
         for system in ("n", "sigma", "c", "u"):
-            got, want = kept_lu(st, system).matrix, kept_lu(ref, system).matrix
+            got, want = st._solvers[(system, dt)].lu.matrix, ref._solvers[(system, dt)].lu.matrix
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (system, name)
 
@@ -644,7 +642,7 @@ class TestCachedFactorizations:
         monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
         state, reports = st.step(prev, dt)
         assert {reports[s].kind for s in ("n", "c", "u")} == {"lu-fallback"}
-        # the fresh LUs of n, c and the condensed (u, pi) include the skew
+        # the fresh LUs of n, c and (u, pi) include the skew
         # transport, which keeps their symmetric parts positive definite:
         # they take no pivots either
         assert factored == [False] * 3
@@ -694,12 +692,12 @@ class TestCachedFactorizations:
         st.step(state, dt, forcing)
         solvers = {system: st._solver(system, dt) for system in ("n", "sigma", "c", "u")}
         assert {type(solver) for solver in solvers.values()} == {linsolve.KeptLU}
-        assert isinstance(solvers["u"].lu, CondensedSaddle)
+        assert {type(solver.lu) for solver in solvers.values()} == {linsolve.Factorization}
         assert solvers["sigma"].operator.nnz == 0  # sigma's operator takes no transport
 
     def test_a_stepped_stepper_is_freed_without_the_cycle_collector(self):
-        # no kept solver refers back to the object that keeps it (the (u, pi)
-        # KeptLU holds its factored CondensedSaddle, which holds its LU), so
+        # no kept solver refers back to the object that keeps it (each
+        # KeptLU holds its Factorization, each _Operator its Selection), so
         # the last reference to a Stepper frees its LUs at once, not at the
         # next run of the cyclic garbage collector
         st, state, dt, forcing = _preset_case("test2")
@@ -710,7 +708,7 @@ class TestCachedFactorizations:
                 state, _ = st.step(state, dt, forcing)
             solvers = list(st._solvers.values())
             kept = solvers + [s.lu for s in solvers if isinstance(s, linsolve.KeptLU)]
-            kept += [st._solver("u", dt).lu.lu, st._operator("u").factor.__self__]  # the saddle
+            kept += [st._operator(system).selection for system in ("n", "sigma", "c", "u")]
             refs = [weakref.ref(obj) for obj in [st] + kept]
             del st, solvers, kept
             assert [ref() is None for ref in refs] == [True] * len(refs)
@@ -815,21 +813,26 @@ class TestCoefficientForms:
         assert np.abs(n_data).max() > 0.0 and np.abs(loads["u"]).max() > 0.0
 
 
+# each preset at rho = 1 (its own) and 3: T's -G/rho block divides G's data by rho
+_AT_RHO_1_AND_3 = [pytest.param(preset, rho, id=preset + ("" if rho == 1.0 else "-rho3"))
+                   for rho in (1.0, 3.0) for preset in ("test1", "test2")]
+
+
 class TestStepOperators:
     """Each step adds its transport to the kept transport-free operator in
     place, on the layout's pattern; the scipy sums it replaces are the
     reference."""
 
-    @pytest.mark.parametrize("preset", ["test1", "test2"])
-    def test_equal_the_scipy_sums(self, preset):
-        st, state, dt, forcing = _preset_case(preset)
+    @pytest.mark.parametrize("preset, rho", _AT_RHO_1_AND_3)
+    def test_equal_the_scipy_sums(self, preset, rho):
+        st, state, dt, forcing = _preset_case(preset, rho)
         for _ in range(3):  # test1 starts at rest
             n_skew, u_skew, _ = lagged_matrices(st, state, state.t + dt, forcing)
             state, _ = st.step(state, dt, forcing)
         assert n_skew.count_nonzero() > 0 and u_skew.count_nonzero() > 0
         assert st.G.nnz == asm.pressure_plan(st.layout_u).nnz  # G keeps its exact zeros
         op_n, op_c = st._solver("n", dt).operator, st._solver("c", dt).operator
-        kept_n, kept_c = st._solver("n", dt).kept, st._solver("c", dt).kept
+        kept_n, kept_c, kept_u = (st._solver(system, dt).kept for system in ("n", "c", "u"))
         p = st.params
         a_n = apply_constraints(st.M * (1.0 / dt) + st.K * p.D_n, st.layout_n, weight_vector=st.w_p1)
         a_c = st.M * (1.0 / dt) + st.K * p.D_c
@@ -847,7 +850,7 @@ class TestStepOperators:
             (op_c.matrix, (a_c + n_skew)[kept_c][:, kept_c].sorted_indices()),
             # the transport is dropped in the pinned rows and columns
             (st._solver("u", dt).operator.matrix,
-             t_ref + resized(proj @ u_skew @ proj, t_ref.shape)),
+             (t_ref + resized(proj @ u_skew @ proj, t_ref.shape))[kept_u][:, kept_u].sorted_indices()),
         ]
         for got, ref in pairs:
             assert_same_csr(got, ref)
@@ -872,7 +875,8 @@ class TestStepOperators:
         assert_same_csr(got, ref)
         n_free = len(kept) - len(pinned)
         assert np.array_equal(kept[n_free:], pinned)
-        t, u_pinned = st._solver("u", dt).operator.matrix, st.layout_u.constrained_dofs
+        t, kept_u = st._solver("u", dt).operator.matrix, st._operator("u").selection.kept
+        u_pinned = np.argsort(kept_u)[st.layout_u.constrained_dofs]  # their places in T's order
         for m, rows in ((got, np.arange(n_free, len(kept))), (t, u_pinned)):
             for part in (m[rows], m.T.tocsr()[rows]):  # the rows, then the columns
                 assert part.nnz == len(rows)
@@ -888,10 +892,21 @@ class TestStepOperators:
         lus = _recorded_lus(monkeypatch, st)
         st.step(state, dt, forcing)
         assert [system for system, _ in lus] == ["n", "sigma", "c", "u"]
-        sizes = [st.mesh.n_nodes + 1, 2 * st.mesh.n_nodes, st.mesh.n_nodes, len(st._solver("u", dt).lu.kept)]
+        sizes = [st.mesh.n_nodes + 1, 2 * st.mesh.n_nodes, st.mesh.n_nodes,
+                 st.layout_u.n_dofs + st.layout_pi.n_dofs + 1]
         assert [fact.matrix.shape[0] for _, fact in lus] == sizes
         assert not any(fact.pivoted for _, fact in lus)
         assert np.any(lus[2][1].matrix.data == 0.0)  # the cancelled entries stay stored
+
+    def test_lus_are_told_apart_by_size_on_a_6x6_mesh(self, monkeypatch):
+        # on build_rect_mesh(1, 1, 6, 6) sigma's 2 * 49 unknowns are as many as
+        # the (u, pi) system's condensed ones were; T holds 292
+        st, data, dt, forcing = TestInitialProjections.case("test2", (6, 6))
+        lus = _recorded_lus(monkeypatch, st)
+        st.step(st.init_state(data, mode="elliptic_projection"), dt, forcing)
+        assert [system for system, _ in lus] == ["n", "c", "sigma", "u", "n", "sigma", "c", "u"]
+        assert {system: fact.matrix.shape[0] for system, fact in lus} == {
+            "n": 50, "c": 49, "sigma": 98, "u": 292}
 
     @pytest.mark.parametrize("system", ["n", "c", "u"])
     def test_wrong_length_transport_rejected(self, system):
@@ -927,13 +942,13 @@ class TestOneOperatorForm:
     solvers differ only in the two scales.  The operators written out from
     the assembled matrices are the reference."""
 
-    def test_init_operators_equal_their_formulas(self, monkeypatch):
+    def test_init_operators_equal_their_formulas(self, monkeypatch, rho=1.0):
         # test2's data at k=10 project to nonzero n, c, sigma and (u, pi);
-        # D_c and D_u other than 1 tell each scale apart (rho stays 1: the
-        # reference's sparse G / rho multiplies by 1 / rho, which rounds apart)
+        # D_c and D_u other than 1 tell each scale apart, and rho = 3 the
+        # division of G's data by rho in T's -G/rho block
         cfg = io_cli.default_config("test2")
         mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
-        p = replace(manufactured.test2_params(), D_c=0.5, D_u=2.0)
+        p = replace(manufactured.test2_params(), D_c=0.5, D_u=2.0, rho=rho)
         st, made, original = Stepper(mesh, p), {}, Stepper._kept_lu
 
         def recording(self, system, *args):
@@ -949,14 +964,17 @@ class TestOneOperatorForm:
             # with sigma's pinned dofs as identity rows
             "sigma": apply_constraints(divrot_matrix(mesh, st.divrot) * (1.0 / p.D_c) + st.M_sigma,
                                        st.layout_sigma),
+            "u": bordered_saddle_matrix(st, st.K_u * p.D_u),  # T of D_u K_u
         }
         for system, ref in refs.items():  # each in its system's order
             kept = st._operator(system).selection.kept
             ref = ref[kept][:, kept].sorted_indices()
             ref.eliminate_zeros()
             assert_same_csr(made[system].operator.matrix, ref)
-        assert_same_csr(made["u"].operator.matrix, bordered_saddle_matrix(st, st.K_u * p.D_u))
         assert all(solver.operator.nnz == 0 for solver in made.values())  # no transport
+
+    def test_init_operators_equal_their_formulas_at_rho_3(self, monkeypatch):
+        self.test_init_operators_equal_their_formulas(monkeypatch, rho=3.0)
 
     def test_every_lu_but_a_fallback_is_built_by_kept_lu(self, monkeypatch):
         # test1 on 10x10 at dt = 1e-2: init factors n, c and sigma (the fluid
@@ -1042,14 +1060,17 @@ class TestOneSortPerStepper:
 
 
 def _recorded_lus(monkeypatch, st):
-    """(system, Factorization) of each LU built from now on,
-    the system told apart by its size against the layouts of ``st``."""
-    sizes = {st.layout_n.n_dofs + 1: "n", st.layout_c.n_dofs: "c", st.layout_sigma.n_dofs: "sigma"}
+    """(system, Factorization) of each LU built from now on, the system told
+    apart by its exact size against the layouts of ``st``; an LU of no
+    system's size fails."""
+    sizes = {st.layout_n.n_dofs + 1: "n", st.layout_c.n_dofs: "c", st.layout_sigma.n_dofs: "sigma",
+             st.layout_u.n_dofs + st.layout_pi.n_dofs + 1: "u"}
+    assert len(sizes) == 4, "two systems of one size"
     made, original = [], linsolve.Factorization.__init__
 
     def recording(self, a):
         original(self, a)
-        made.append((sizes.get(a.shape[0], "u"), self))
+        made.append((sizes[a.shape[0]], self))
 
     monkeypatch.setattr(linsolve.Factorization, "__init__", recording)
     return made
@@ -1118,14 +1139,14 @@ def _captured_saddle_solves(monkeypatch, st):
     return calls
 
 
-def _preset_case(preset):
+def _preset_case(preset, rho=1.0):
     """Stepper, initial state, step size and forcing of ``test1`` on 12x6
-    (elliptic init) or ``test2`` at k=10 (nodal init)."""
+    (elliptic init) or ``test2`` at k=10 (nodal init), at density ``rho``."""
     if preset == "test1":
-        cfg = replace(io_cli.default_config("test1"), kx=12, ky=6)
+        cfg = replace(io_cli.default_config("test1"), kx=12, ky=6, rho=rho)
         mode = "elliptic_projection"
     else:
-        cfg = io_cli.default_config("test2")  # k = 10
+        cfg = replace(io_cli.default_config("test2"), rho=rho)  # k = 10
         mode = "nodal"
     mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
     params, data, forcing = io_cli.build_problem(cfg, mesh)
@@ -1151,6 +1172,10 @@ def _saddle_case(preset):
 
 
 class TestCondensedSaddle:
+    """The bordered (u, pi) system T is factored whole, its bubbles first, so
+    SuperLU condenses them out inside the LU; the condensation formed in
+    Python (``oracles.CondensedSaddle``) is the path it replaces."""
+
     @pytest.mark.parametrize("preset", ["test1", "test2"])
     @pytest.mark.parametrize("solve", ["stokes_init", "step"])
     def test_matches_bordered_solve(self, monkeypatch, preset, solve):
@@ -1186,17 +1211,34 @@ class TestCondensedSaddle:
         # it meets the residual bound of the full system through the LU it
         # was given: the exact Stokes LU with one refinement pass at most, a
         # step's kept LU without a fallback; the accepted x of the bordered
-        # system is at its rounding floor
+        # system (in T's order) is at its rounding floor
         if solve == "stokes_init":
             assert report.kind == "lu" and report.iterations <= 2
         else:
             assert report.kind == "cached-lu"
         saddle_size = st.layout_u.n_dofs + st.layout_pi.n_dofs + 1
         a, b, x = [call for call in refined if len(call[1]) == saddle_size][-1]
-        assert np.array_equal(x[:st.layout_u.n_dofs], u)
+        at = np.argsort(st._operator("u").selection.kept)
+        assert np.array_equal(x[at][:st.layout_u.n_dofs], u)
         assert componentwise_backward_error(a, x, b) <= linsolve.FLOOR * np.finfo(float).eps
 
+    @pytest.mark.parametrize("dt", [2e-4, 1e-2])
+    @pytest.mark.parametrize("rho", [0.2, 1.0, 3.0])
+    @pytest.mark.parametrize("mode", ["elliptic", "nodal"])
+    @pytest.mark.parametrize("preset, mesh", [("test1", (24, 12)), ("test2", (10, 10))])
+    def test_runs_match_the_condensed_reference(self, monkeypatch, preset, mesh, mode, rho, dt):
+        # init (test2's elliptic init solves a Stokes projection) and three
+        # steps, the first factoring the kept LU, against the condensation
+        # formed in Python; the LU passes differ by one at most
+        cfg = replace(io_cli.default_config(preset), kx=mesh[0], ky=mesh[1], init_mode=mode,
+                      rho=rho, dt=dt)
+        got = _run_levels(cfg, 3)
+        monkeypatch.setattr(Stepper, "_kept_lu", condensed_kept_lu)
+        _assert_levels_agree(got, _run_levels(cfg, 3))
+
     def test_condensed_system_size(self, monkeypatch):
+        # the LU factors the whole bordered system: its bubbles are condensed
+        # out inside it, and its pinned dofs are identity rows
         st, data, dt, forcing = _saddle_case("test2")
         sizes = []
         original = linsolve.Factorization.__init__
@@ -1209,51 +1251,59 @@ class TestCondensedSaddle:
         zero = np.zeros(st.M_u.nnz)
         rhs_u, rhs_pi = np.ones(st.layout_u.n_dofs), np.zeros(st.layout_pi.n_dofs)
         _saddle_solve(st, st._solver("u", dt, zero), zero, rhs_u, rhs_pi)
-        free_nodal = 2 * st.mesh.n_nodes - len(st.layout_u.constrained_dofs)
-        assert sizes == [free_nodal + st.layout_pi.n_dofs - 1]
+        assert sizes == [st.layout_u.n_dofs + st.layout_pi.n_dofs + 1]
 
-    # (solve, preset) of each kept condensed LU; "test2-dt1e-2" is test2 at
+    # (solve, preset) of each kept (u, pi) LU; "test2-dt1e-2" is test2 at
     # k=10 with elliptic init at dt=1e-2, the largest first transport
     KEPT = [("stokes_init", "test1"), ("stokes_init", "test2"),
             ("step", "test1"), ("step", "test2"), ("step", "test2-dt1e-2")]
 
     @staticmethod
-    def kept_operator(preset, solve):
-        """Condensed (u, pi) matrix of the kept LU of the first step of a
+    def kept_lu(preset, solve):
+        """Stepper and (u, pi) ``KeptLU`` of the first step of a
         ``_preset_case`` or of "test2-dt1e-2", or of its init Stokes
-        projection, its LU, the number of its velocity unknowns and the
-        permutation of its rows and columns from the node order to velocities
-        first."""
+        projection."""
         if preset == "test2-dt1e-2":
             st, data, _, forcing = TestInitialProjections.case("test2")
             state, dt = st.init_state(data, mode="elliptic_projection"), 1e-2
         else:
             st, state, dt, forcing = _preset_case(preset)
-        p = st.params
         if solve == "step":
             st.step(state, dt, forcing)
-            solver = st._solver("u", dt)
-        else:  # as init_state builds it
-            solver = st._kept_lu("u", 0.0, p.D_u, np.zeros(0))
-        fact = solver.lu.lu
-        velocity_first = np.argsort(solver.lu.kept >= st.layout_u.n_dofs, kind="stable")
-        a = fact.matrix[velocity_first][:, velocity_first]
-        return st, a, fact, a.shape[0] - (st.layout_pi.n_dofs - 1), velocity_first
+            return st, st._solver("u", dt)
+        return st, st._kept_lu("u", 0.0, st.params.D_u, np.zeros(0))  # as init_state builds it
+
+    @staticmethod
+    def condensation(st, t):
+        """The condensation T_kk - T_kb D^-1 T_bk of T (dense, in T's order
+        ``t``: the bubbles first) that the LU is left with once it has
+        eliminated the bubbles, on the unknowns before lam (all but lam and
+        the last node's pi), velocities first, and the number of its
+        velocity unknowns."""
+        nb, kept = len(st.layout_u.nodal_and_bubble_dofs()[1]), st._operator("u").selection.kept
+        d = np.diag(t)[:nb]
+        c = t[nb:-2, nb:-2] - t[nb:-2, :nb] @ (t[:nb, nb:-2] / d[:, None])
+        velocity = kept[nb:-2] < st.layout_u.n_dofs
+        first = np.argsort(~velocity, kind="stable")
+        return c[np.ix_(first, first)], np.count_nonzero(velocity)
 
     @pytest.mark.parametrize("solve, preset", KEPT)
     def test_condensed_operator_is_quasi_definite(self, preset, solve):
-        # with its pressure rows scaled by 1/rho, the condensed operator has a
-        # positive definite symmetric part, so every symmetric ordering has
-        # nonzero pivots: the kept LU, in the node order, took
-        # none.  Without transport (the Stokes projection, test1's first step
-        # from rest) it is quasi-definite: [[A, B^T], [B, -C]] with A and C
-        # positive definite once its pressure rows are scaled by -1/rho
-        st, a, fact, n_vel, _ = self.kept_operator(preset, solve)
+        # with its pressure rows scaled by 1/rho, the condensation the LU is
+        # left with after the bubbles has a positive definite symmetric part
+        # on every unknown before lam, so every pivot is nonzero: the kept
+        # LU, in the given order, took none.  Without transport (the Stokes
+        # projection, test1's first step from rest) it is quasi-definite:
+        # [[A, B^T], [B, -C]] with A and C positive definite once its
+        # pressure rows are scaled by -1/rho
+        st, solver = self.kept_lu(preset, solve)
+        fact = solver.lu
+        a, n_vel = self.condensation(st, fact.matrix.toarray())
         scale = np.ones(a.shape[0])
         scale[n_vel:] = 1.0 / st.params.rho
-        k = (sp.diags(scale) @ a).toarray()
+        k = scale[:, None] * a
         assert np.linalg.eigvalsh(k + k.T).min() > 0.0
-        identity = np.arange(a.shape[0])
+        identity = np.arange(fact.matrix.shape[0])
         assert np.array_equal(fact._lu.perm_r, identity) and np.array_equal(fact._lu.perm_c, identity)
         velocity = k[:n_vel, :n_vel]
         transported = np.abs(velocity - velocity.T).max() > 1e-14 * np.abs(k).max()
@@ -1267,19 +1317,17 @@ class TestCondensedSaddle:
     @pytest.mark.parametrize("solve, preset", KEPT)
     def test_unpivoted_lu_matches_pivoting_lus(self, preset, solve):
         # the path replaced: SuperLU's COLAMD ordering with partial pivoting
-        # on the same matrix, velocities first.  A single solve of the
-        # condensed test1 operator (condition 3e10) through the unpivoted LU
-        # differs from the dense LAPACK solve of that matrix by 1e-14 (from
-        # LAPACK's solve of the node-ordered matrix by 4e-12, which is
-        # LAPACK's own rounding: both LUs, refined, agree to 1e-15); after
-        # one refinement pass against the matrix, it agrees with the refined
-        # pivoting one to rounding
-        st, a, fact, _, first = self.kept_operator(preset, solve)
+        # on the same matrix T, in its own order (velocities, pressures,
+        # lam).  A single solve through the unpivoted LU agrees with the
+        # dense LAPACK solve of T to 1e-12; after one refinement pass against
+        # T, it agrees with the refined pivoting one to rounding
+        st, solver = self.kept_lu(preset, solve)
+        fact, kept = solver.lu, solver.kept
+        first = np.argsort(kept)  # T's own order from the kept one
+        a = fact.matrix[first][:, first]
 
         def lu_solve(r):  # the kept LU, in the order of ``a``
-            y = np.empty_like(r)
-            y[first] = r
-            return fact.lu_solve(y)[first]
+            return fact.lu_solve(r[kept])[first]
 
         b = np.random.default_rng(7).standard_normal(a.shape[0])
         x = lu_solve(b)
@@ -1296,32 +1344,43 @@ class TestCondensedSaddle:
         x, x_ref = refined(lu_solve), refined(pivoting.solve)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
-    @pytest.mark.parametrize("preset", ["test1", "test2"])
-    def test_bookkeeping_matches_slicing(self, preset):
-        # D^-1 and the condensed matrix, formed by sparse slicing and
-        # products, against the dense Schur complement
-        # T_kk - T_kb D^-1 T_bk that numpy forms from T; the saddle matrix,
-        # its pinned dofs eliminated on its own pattern, against the
+    @pytest.mark.parametrize("preset, rho", _AT_RHO_1_AND_3)
+    def test_bookkeeping_matches_slicing(self, preset, rho):
+        # the LU condenses the bubbles out: its first pivots are the diagonal
+        # bubble block D, and the factors it is left with, L22 U22, are the
+        # dense Schur complement T_kk - T_kb D^-1 T_bk that numpy forms from
+        # T (SuperLU factors T's transpose); the reference's D^-1 and
+        # condensation, formed by sparse slicing and products, equal it too;
+        # T, its pinned dofs eliminated on its own pattern, against the
         # P s P + diag(pinned) construction
-        st, state, dt, forcing = _preset_case(preset)
+        st, state, dt, forcing = _preset_case(preset, rho)
         st.step(state, dt, forcing)
         solver = st._solver("u", dt)
-        saddle, t = solver.lu, solver.operator.matrix.toarray()  # holding step 1's transport
+        fact, t = solver.lu, solver.operator.matrix.toarray()  # holding step 1's transport
         _, bubble = st.layout_u.nodal_and_bubble_dofs()
-        d = t[np.ix_(bubble, bubble)]
+        nb, kept = len(bubble), solver.kept
+        assert np.array_equal(kept[:nb], bubble)  # the bubbles first
+        d = t[:nb, :nb]
         assert np.array_equal(d, np.diag(np.diag(d)))
-        assert np.array_equal(saddle.d_inv, 1.0 / np.diag(d))
-        kept = saddle.kept
-        ref = t[np.ix_(kept, kept)] - t[np.ix_(kept, bubble)] @ (t[np.ix_(bubble, kept)] / np.diag(d)[:, None])
-        got = saddle.lu.matrix
+        assert np.array_equal(fact._lu.U.diagonal()[:nb], np.diag(d))
+        ref = t[nb:, nb:] - t[nb:, :nb] @ (t[:nb, nb:] / np.diag(d)[:, None])
+        left = (fact._lu.L[nb:, nb:] @ fact._lu.U[nb:, nb:]).T.toarray()
+        assert np.abs(left - ref).max() <= 1e-13 * np.abs(ref).max()
+        saddle = CondensedSaddle(st.M_u, st.G, st.layout_u, st.w_p1, st.params.rho)
+        at = np.argsort(kept)
+        reference = saddle.factor(solver.operator.matrix[at][:, at])  # T in its own order
+        assert np.array_equal(reference.d_inv, 1.0 / np.diag(d))
+        places = at[reference.kept] - nb  # of the reference's condensed unknowns in ``ref``
+        got = reference.lu.matrix
         assert got.has_sorted_indices
-        assert np.abs(got.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(got.toarray() - ref[np.ix_(places, places)]).max() <= 1e-13 * np.abs(ref).max()
         s = st.M_u * (1.0 / dt) + st.K_u * (st.params.D_u / st.params.rho)
         t0 = st._kept_lu("u", 1.0 / dt, st.params.D_u / st.params.rho, np.zeros(0)).operator.matrix
-        assert_same_csr(t0, bordered_saddle_matrix(st, s))
+        assert_same_csr(t0, bordered_saddle_matrix(st, s)[kept][:, kept].sorted_indices())
         assert t0.count_nonzero() < t0.nnz  # the pattern is kept
 
     def test_rejects_coupled_bubbles(self):
+        # the reference condenses with D^-1, so it needs a diagonal bubble block
         st, _, dt, _ = _saddle_case("test2")
         _, bubble = st.layout_u.nodal_and_bubble_dofs()
         s = (st.M_u / dt).tolil()
@@ -1330,19 +1389,19 @@ class TestCondensedSaddle:
             CondensedSaddle(s.tocsr(), st.G, st.layout_u, st.w_p1, st.params.rho)
 
     def test_residual_of_full_system_is_enforced(self, monkeypatch):
-        # a condensation that solves a wrong system, the kept LU and every
-        # fresh one alike, breaks the full system's residual bound
+        # an LU that solves a wrong system, the kept LU and every fresh one
+        # alike, breaks the full system's residual bound
         st, _, dt, _ = _saddle_case("test2")
-        exact = CondensedSaddle.lu_solve
-        monkeypatch.setattr(CondensedSaddle, "lu_solve", lambda self, r: 0.5 * exact(self, r))
+        exact = linsolve.Factorization.lu_solve
+        monkeypatch.setattr(linsolve.Factorization, "lu_solve", lambda self, r: 0.5 * exact(self, r))
         rhs_u = np.ones(st.layout_u.n_dofs)
         zero = np.zeros(st.M_u.nnz)
         with pytest.raises(linsolve.SingularSystemError):
             _saddle_solve(st, st._solver("u", dt, zero), zero, rhs_u, np.zeros(st.layout_pi.n_dofs))
 
     def test_corrupted_condensed_lu_is_caught(self, monkeypatch):
-        # the condensed LU is applied unchecked; a wrong one is still caught
-        # by the residual check of the bordered system, and a fresh LU takes over
+        # the kept LU is applied unchecked; a wrong one is still caught by the
+        # residual check of the bordered system, and a fresh LU takes over
         st, data, dt, forcing = _saddle_case("test2")
         state, _ = st.step(st.init_state(data, mode="nodal"), dt, forcing)
         saddle = st._solver("u", dt)
@@ -1350,7 +1409,7 @@ class TestCondensedSaddle:
         u_skew = asm.square_plan(st.layout_u).csr(u_data)
         rhs_u, rhs_pi = st.M_u @ state.u / dt + loads["u"], np.zeros(st.layout_pi.n_dofs)
         assert _saddle_solve(st, saddle, u_data, rhs_u, rhs_pi)[2].kind == "cached-lu"
-        fact = saddle.lu.lu
+        fact = saddle.lu
         exact = fact.lu_solve
         monkeypatch.setattr(fact, "lu_solve", lambda r: 0.5 * exact(r))
         u, pi, report = _saddle_solve(st, saddle, u_data, rhs_u, rhs_pi)
@@ -1372,8 +1431,7 @@ class TestNodeOrder:
         st.step(state, dt, forcing)
         order, nn = st.mesh.node_order, st.mesh.n_nodes
         assert np.array_equal(np.sort(order), np.arange(nn))
-        kept = {system: st._operator(system).selection.kept for system in ("n", "c", "sigma")}
-        kept["u"] = st._solver("u", dt).lu.kept
+        kept = {system: st._operator(system).selection.kept for system in ("n", "c", "sigma", "u")}
         assert np.array_equal(kept["c"], order)
         # n: the border (unknown nn) just before the last node
         assert np.array_equal(kept["n"], np.concatenate([order[:-1], [nn], order[-1:]]))
@@ -1385,11 +1443,18 @@ class TestNodeOrder:
         node = kept["sigma"] % nn  # a node's two components next to each other
         rank = np.argsort(order)[node]
         assert np.all(np.diff(rank) >= 0) and np.all(np.diff(kept["sigma"])[np.diff(rank) == 0] == nn)
-        nu, ns = st.layout_u.n_dofs, st.layout_u.n_scalar
-        nodal = np.setdiff1d(np.concatenate([np.arange(nn), ns + np.arange(nn)]), st.layout_u.constrained_dofs)
-        assert np.array_equal(np.sort(kept["u"]), np.concatenate([nodal, nu + np.arange(1, nn)]))
-        node = np.where(kept["u"] >= nu, kept["u"] - nu, kept["u"] % ns)
-        kind = np.where(kept["u"] >= nu, 2, kept["u"] // ns)
+        # u: every unknown of T, each bubble before every node, then by node
+        # u1, u2, pi (the pinned ones as identity rows), the border lam (the
+        # last unknown) just before the last node's pi
+        nu, ns, n = st.layout_u.n_dofs, st.layout_u.n_scalar, st.layout_u.n_dofs + nn + 1
+        bubble = st.layout_u.nodal_and_bubble_dofs()[1]
+        assert np.array_equal(np.sort(kept["u"]), np.arange(n))
+        assert np.array_equal(np.sort(kept["u"][: len(bubble)]), np.sort(bubble))
+        assert kept["u"][-2] == n - 1 and kept["u"][-1] == nu + order[-1]
+        nodal = np.delete(kept["u"][len(bubble):], -2)
+        node = np.where(nodal >= nu, nodal - nu, nodal % ns)
+        kind = np.where(nodal >= nu, 2, nodal // ns)
+        assert np.array_equal(node % ns, node) and np.all(node < nn)  # no bubble among them
         assert np.all(np.diff(np.argsort(order)[node] * 3 + kind) > 0)  # by node, then u1, u2, pi
 
     def test_border_last_leaves_a_zero_pivot(self):
@@ -1413,6 +1478,27 @@ class TestNodeOrder:
         assert pivots(density) > 1e-3
         last = np.concatenate([np.arange(nn - 1), [nn], [nn - 1]])  # swap the last two
         border_last = density.matrix[last][:, last].sorted_indices()
+        assert pivots(linsolve.Factorization(border_last)) < 1e-12
+
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    @pytest.mark.parametrize("solve", ["stokes_init", "step"])
+    def test_saddle_border_last_leaves_a_zero_pivot(self, solve, preset):
+        # T, its bubbles first, each pivot against the largest entry of its
+        # row: with lam just before the last node's pi the leading block
+        # before lam is nonsingular, and no pivot is small; with lam last, the
+        # leading block holds every pressure, whose constant mode the
+        # continuity rows do not see, so the last node's pi pivot is 0 up to
+        # rounding
+        st, solver = TestCondensedSaddle.kept_lu(preset, solve)
+        fact, n = solver.lu, solver.lu.matrix.shape[0]
+
+        def pivots(fact):
+            rows = abs(fact.matrix).max(axis=1).toarray().ravel()
+            return (np.abs(fact._lu.U.diagonal()) / rows).min()
+
+        assert pivots(fact) > 1e-6 and not fact.pivoted
+        last = np.concatenate([np.arange(n - 2), [n - 1, n - 2]])  # swap lam and the last pi
+        border_last = fact.matrix[last][:, last].sorted_indices()
         assert pivots(linsolve.Factorization(border_last)) < 1e-12
 
     @pytest.mark.parametrize("preset, mesh, dt, n_steps", [
