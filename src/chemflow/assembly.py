@@ -456,11 +456,3 @@ def integral_weight_vector(layout, ctx):
         raise ValueError("integral weights are defined for scalar layouts")
     return assemble_load(layout, np.ones(ctx.points.shape[:2]), ctx)
 
-
-def constrain_rhs(b, layout):
-    """Zero constrained entries of a load vector; append the multiplier zero."""
-    b = np.array(b, dtype=float)
-    b[layout.constrained_dofs] = 0.0
-    if layout.mean_constraint:
-        b = np.append(b, 0.0)
-    return b

@@ -533,18 +533,14 @@ def cmd_check(args):
     mean_pi = abs(stepper.w_p1 @ final.pi)
     check("zero means", max(mean_n, mean_pi) <= 1e-11, f"|mean| {max(mean_n, mean_pi):.3e}")
 
-    # each LU by its exact size: n bordered, c, sigma, and (u, pi) bordered
-    nn = mesh.n_nodes
-    sizes = {"n": nn + 1, "c": nn, "sigma": 2 * nn,
-             "u": stepper.layout_u.n_dofs + stepper.layout_pi.n_dofs + 1}
-    system_of = {size: system for system, size in sizes.items()}
+    system_of = {size: system for system, size in stepper.system_size.items()}  # by exact size
     fill = {}
     for fact in lus:
         system = system_of[fact.matrix.shape[0]]
         fill[system] = max(fill.get(system, 0), fact.fill)
     pivoted = sum(fact.pivoted for fact in lus)
     check("LUs factor without pivoting", pivoted == 0, f"{pivoted} of {len(lus)} LUs interchanged rows; "
-          + "L+U fill " + ", ".join(f"{system} {fill[system]} ({sizes[system]} unknowns)"
+          + "L+U fill " + ", ".join(f"{system} {fill[system]} ({stepper.system_size[system]} unknowns)"
                                     for system in sorted(fill)))
 
     rng = np.random.default_rng(7)

@@ -7,18 +7,21 @@ time level, so each system is linear and they never feed back within a
 step.  Matrices that do not depend on the previous level (mass, stiffness,
 div/rot, pressure coupling) are assembled once per mesh; only the two
 transports (data on fixed patterns) and the load vectors are rebuilt each
-step.  A step solves each system through one LU kept for the current time
-step size, of the operator of the first step of that size, its transport
-included; a later step refines against its own operator through it.  Every
-operator, of a step or of an initial projection, is mass A + diffusion B of
-its system's one pair (A, B), formed in one place (``Stepper._kept_lu``);
-the two differ only in the two scales.  Every LU factors its system's
-kept unknowns in the mesh's node order, sliced from the id matrix of its
-operator (``linsolve.Selection``), each pinned unknown an identity row,
-without pivoting.  The bordered velocity/pressure system is factored whole,
-its element-local MINI bubbles first, so the LU condenses them out (static
-condensation, Arnold, Brezzi and Fortin, *Calcolo* 21, 1984) before it
-meets the nodes, its border just before the last node's pressure.
+step.  One table (``Stepper._systems``) holds each system's fields, pinned
+unknowns, mass matrix and scales, and a step is one loop over it: one rule
+places every right-hand side (``_rhs``), one slices every solution (``_state``).
+Each system is solved through one LU kept for the current time step size,
+of the operator of the first step of that size, its transport included; a
+later step refines against its own operator through it.  Every operator, of
+a step or of an initial projection, is mass A + diffusion B of its system's
+one pair (A, B), formed in one place (``Stepper._kept_lu``) at two scales.
+Every LU factors its system's kept unknowns in the mesh's node order, sliced
+from the id matrix of its operator (``linsolve.Selection``), each pinned
+unknown an identity row, without pivoting.  The bordered velocity/pressure
+system is factored whole, its element-local MINI bubbles first, so the LU
+condenses them out (static condensation, Arnold, Brezzi and Fortin,
+*Calcolo* 21, 1984) before it meets the nodes, its border just before the
+last node's pressure.
 """
 
 import collections
@@ -199,6 +202,9 @@ class InitialData:
 # one system's pair (a, b) (``Stepper._operator``): each of its LUs factors the
 # kept matrix gathered from [mass a + diffusion b, tail] through ``selection``
 _Operator = collections.namedtuple("_Operator", "selection a b tail")
+# a system of ``Stepper._systems``: its fields' (name, slice), its pinned unknowns, the
+# mass matrix of its step's rhs, its (init mass, init diffusion, step diffusion) scales
+_System = collections.namedtuple("_System", "fields pinned mass scales")
 
 
 class Stepper:
@@ -229,6 +235,23 @@ class Stepper:
 
         self.w_p1 = asm.integral_weight_vector(self.layout_c, self.ctx_p1)
         self.area = float(self.w_p1.sum())
+
+        # a system's unknowns: each field's dofs in order, then its border if mean-constrained
+        self._systems, self.system_size = {}, {}
+        for system, names, mass, scales in (
+            ("n", ("n",), self.M, (0.0, 1.0, params.D_n)),
+            ("sigma", ("sigma",), self.M_sigma, (1.0, 1.0 / params.D_c, 1.0)),
+            ("c", ("c",), self.M, (1.0, 1.0, params.D_c)),
+            ("u", ("u", "pi"), self.M_u, (0.0, params.D_u, params.D_u / params.rho)),
+        ):
+            fields, pinned, size = [], [], 0
+            for name in names:
+                layout = getattr(self, f"layout_{name}")
+                fields.append((name, slice(size, size + layout.n_dofs)))
+                pinned.append(layout.constrained_dofs + size)
+                size += layout.n_dofs + layout.mean_constraint
+            self._systems[system] = _System(fields, np.concatenate(pinned), mass, scales)
+            self.system_size[system] = size
         self.assembly_time = 0.0  # seconds of assembly in the last init_state or step
         self._solvers = {}  # (system, dt) -> solver kept from the first step of the current dt
         self._operators = {}  # system -> its ``_Operator``
@@ -263,13 +286,12 @@ class Stepper:
         hold exactly in both modes.  The seconds spent assembling loads are
         left in ``assembly_time`` (0 for the vertex interpolation).
 
-        Each projection's operator is mass A + diffusion B of its system's
-        pair (``_kept_lu``), as a step's, without transport and at the
-        scales (0, 1) for n, (1, 1) for c, (1, 1/D_c) for sigma and (0, D_u)
-        for (u, pi), factored in the order of its step LU.  A projection
-        whose right-hand side, after its constraints, is exactly zero is
-        zero and factors nothing: the Stokes projection of a fluid at rest
-        takes no LU."""
+        The projections of n, c, sigma and (u, pi), in that order, are posed
+        as a step's systems: the load placed by ``_rhs``, the operator mass A
+        + diffusion B of the system's pair (``_kept_lu``) at its init scales
+        in ``_systems``, without transport, the state sliced by ``_state``.
+        A projection whose right-hand side, after its constraints, is exactly
+        zero is zero and factors nothing: a fluid at rest takes no LU."""
         if mode not in self.INIT_MODES:
             raise ValueError(f"unknown init mode {mode!r}")
         p, alpha0 = self.params, self.params.alpha0
@@ -296,9 +318,7 @@ class Stepper:
         rhs_c += asm.assemble_load(self.layout_c, asm.at_points(data.c0, ctx), ctx)
         rhs_s = asm.assemble_div_load(self.layout_sigma, asm.at_points(data.div_sigma0, ctx), ctx)
         rhs_s += asm.assemble_load(self.layout_sigma, grad_c0, ctx)
-        rhs_u = p.D_u * asm.assemble_grad_load(
-            self.layout_u, asm.at_points(data.grad_u0, ctx), ctx
-        )
+        rhs_u = p.D_u * asm.assemble_grad_load(self.layout_u, asm.at_points(data.grad_u0, ctx), ctx)
         if data.pi0 is not None:
             rhs_u -= asm.assemble_div_load(self.layout_u, asm.at_points(data.pi0, ctx), ctx)
         rhs_pi = asm.assemble_load(self.layout_pi, asm.at_points(data.div_u0, ctx), ctx)
@@ -306,36 +326,40 @@ class Stepper:
 
         # n: gradient projection, zero mean; c: H1 projection; sigma: div/rot/L2
         # projection under the normal-trace constraints; (u, pi): Stokes projection
-        rhs_u[self.layout_u.constrained_dofs] = 0.0
         x = {}
-        for system, rhs, mass, diffusion in (
-            ("n", asm.constrain_rhs(rhs_n, self.layout_n), 0.0, 1.0),
-            ("c", rhs_c, 1.0, 1.0),
-            ("sigma", asm.constrain_rhs(rhs_s, self.layout_sigma), 1.0, 1.0 / p.D_c),
-            ("u", np.concatenate([rhs_u, rhs_pi, [0.0]]), 0.0, p.D_u),
-        ):
+        for system, load in (("n", rhs_n), ("c", rhs_c), ("sigma", rhs_s),
+                             ("u", np.concatenate([rhs_u, rhs_pi]))):
+            rhs, (mass, diffusion, _) = self._rhs(system, load), self._systems[system].scales
             x[system] = self._kept_lu(system, mass, diffusion, _NO_TRANSPORT).solve(
                 rhs, _NO_TRANSPORT)[0] if np.any(rhs) else np.zeros_like(rhs)
-        # the projection problem carries no density scaling on its pressure
-        # block, while the step solver does; undo it
-        nu = self.layout_u.n_dofs
-        return State(m=0, t=0.0, n=x["n"][: self.layout_n.n_dofs], c=x["c"], sigma=x["sigma"],
-                     u=x["u"][:nu], pi=x["u"][nu:-1] / p.rho)
+        state = self._state(0, 0.0, x)
+        state.pi /= p.rho  # undo the step's 1/rho, which the Stokes projection does not carry
+        return state
 
     # -- stepping ----------------------------------------------------------
 
+    def _rhs(self, system, b):
+        """A new rhs of ``system``: ``b`` at its leading unknowns, 0 at its pinned ones and the rest."""
+        rhs = np.zeros(self.system_size[system])
+        rhs[: len(b)] = b
+        rhs[self._systems[system].pinned] = 0.0
+        return rhs
+
+    def _state(self, m, t, x):
+        """The ``State`` of level m at t, each field a slice of its system's solution in ``x``."""
+        return State(m=m, t=t, **{name: x[system][at] for system, entry in self._systems.items()
+                                  for name, at in entry.fields})
+
     def _solver(self, system, dt, transport=None):
-        """``_kept_lu`` of one system's step operator A/dt + D B, D its
-        diffusion scale, built at the first step of that dt with its
+        """``_kept_lu`` of one system's step operator A/dt + D B, D its step
+        diffusion scale (``_systems``), built at the first step of that dt with its
         ``transport`` (data on the pattern of M for n and c, of M_u for u;
         sigma's is ``_NO_TRANSPORT``) and kept, whatever a later call's
         ``transport``, until a step with another dt drops it."""
         key = (system, dt)
         if key not in self._solvers:
             self._solvers = {kept: solver for kept, solver in self._solvers.items() if kept[1] == dt}
-            p = self.params
-            diffusion = {"n": p.D_n, "sigma": 1.0, "c": p.D_c, "u": p.D_u / p.rho}[system]
-            self._solvers[key] = self._kept_lu(system, 1.0 / dt, diffusion, transport)
+            self._solvers[key] = self._kept_lu(system, 1.0 / dt, self._systems[system].scales[2], transport)
         return self._solvers[key]
 
     def _operator(self, system):
@@ -389,7 +413,7 @@ class Stepper:
                 a, b, tail = np.eye(2)[:, :, None] * m.data, self.divrot, np.ones(1)
             else:  # T from the source [S, -G/rho, G, w, 1]
                 s, g, layout = self.M_u, self.G, self.layout_u
-                nu, n, g_rows = layout.n_dofs, layout.n_dofs + nn + 1, linsolve.entry_rows(g)
+                nu, n, g_rows = layout.n_dofs, self.system_size["u"], linsolve.entry_rows(g)
                 at_g, at_w = s.nnz + np.arange(g.nnz), s.nnz + 2 * g.nnz + np.arange(nn)
                 pressures, border = nu + np.arange(nn), np.full(nn, n - 1)
                 ids = linsolve.id_matrix((n, n), [
@@ -419,10 +443,10 @@ class Stepper:
 
     @functools.cached_property
     def _load_dofs(self):
-        """Element dofs of the n, sigma, c and u loads, (ne * 20,), offset so
-        that the four loads are consecutive parts of one vector, and the
-        offsets of the parts."""
-        layouts = (self.layout_n, self.layout_sigma, self.layout_c, self.layout_u)
+        """Element dofs of the loads of the systems, in ``_SYSTEMS`` order
+        (n, sigma, c, u), (ne * 20,), offset so that the four loads are
+        consecutive parts of one vector, and the offsets of the parts."""
+        layouts = [getattr(self, f"layout_{system}") for system in _SYSTEMS]
         offsets = np.cumsum([0] + [lay.n_dofs for lay in layouts])
         dofs = np.hstack([lay.element_dofs + off for lay, off in zip(layouts, offsets)])
         return dofs.ravel(), offsets
@@ -479,13 +503,16 @@ class Stepper:
         local *= ctx.areas[:, None]
         dofs, offsets = self._load_dofs
         b = np.bincount(dofs, weights=local.ravel(), minlength=offsets[-1])
-        loads = dict(zip(("n", "sigma", "c", "u"), np.split(b, offsets[1:-1])))
+        loads = dict(zip(_SYSTEMS, np.split(b, offsets[1:-1])))
         return (*asm.assemble_skew_data((self.layout_c, self.layout_u), u, ctx), loads)
 
     def step(self, prev, dt, forcing=None):
         """Advance one time level; returns (state, solve reports).
 
-        The seconds spent assembling the step's forms and loads
+        One loop poses each system of ``_SYSTEMS`` alike: mass @ prev / dt +
+        load, prev the system's first field, placed by ``_rhs`` and solved by
+        its kept LU (``_solver``) with its transport; ``_state`` slices the
+        solutions.  The seconds spent assembling the step's forms and loads
         (``lagged_forms``) are left in ``assembly_time``.
         """
         # require_real's check without the call: the benchmark's step breakdown
@@ -493,34 +520,18 @@ class Stepper:
         if not _is_real(dt, "positive"):
             raise ValueError(f"dt must be finite and positive, got {dt!r}")
         t_new = prev.t + dt
-        reports = {}
         t0 = time.perf_counter()
         n_skew, u_skew, loads = self.lagged_forms(prev, t_new, forcing)
         self.assembly_time = time.perf_counter() - t0
 
-        # (a) cell density: the kept LU, refined against the step's operator
-        rhs = asm.constrain_rhs(self.M @ prev.n / dt + loads["n"], self.layout_n)
-        sol, reports["n"] = self._solver("n", dt, n_skew).solve(rhs, n_skew)
-        n_new = sol[: self.layout_n.n_dofs]
-
-        # (b) flux
-        rhs = asm.constrain_rhs(self.M_sigma @ prev.sigma / dt + loads["sigma"], self.layout_sigma)
-        sigma_new, reports["sigma"] = self._solver("sigma", dt, _NO_TRANSPORT).solve(rhs, _NO_TRANSPORT)
-
-        # (c) concentration
-        rhs = self.M @ prev.c / dt + loads["c"]
-        c_new, reports["c"] = self._solver("c", dt, n_skew).solve(rhs, n_skew)
-
-        # (d)-(e) velocity and pressure: the bordered system, 0 but in the free u rows
-        nu = self.layout_u.n_dofs
-        rhs = np.zeros(nu + self.layout_pi.n_dofs + 1)
-        rhs[:nu] = self.M_u @ prev.u / dt + loads["u"]
-        rhs[self.layout_u.constrained_dofs] = 0.0
-        x, reports["u"] = self._solver("u", dt, u_skew).solve(rhs, u_skew)
-        u_new, pi_new = x[:nu], x[nu:-1]
-
-        state = State(m=prev.m + 1, t=t_new, n=n_new, c=c_new, sigma=sigma_new, u=u_new, pi=pi_new)
-        return state, reports
+        transports = {"n": n_skew, "sigma": _NO_TRANSPORT, "c": n_skew, "u": u_skew}
+        x, reports = {}, {}
+        for system in _SYSTEMS:
+            entry = self._systems[system]
+            b = entry.mass @ getattr(prev, entry.fields[0][0]) / dt + loads[system]
+            x[system], reports[system] = self._solver(system, dt, transports[system]).solve(
+                self._rhs(system, b), transports[system])
+        return self._state(prev.m + 1, t_new, x), reports
 
     def run(self, grid, data, mode="elliptic_projection", forcing=None):
         """Integrate over the whole time grid, yielding (state, diagnostics

@@ -413,6 +413,18 @@ def eliminated(a, dofs):
     return a
 
 
+def constrain_rhs(b, layout):
+    """A copy of the load vector ``b`` with its constrained entries zeroed and,
+    on a mean-constrained layout, the multiplier's 0 appended: the
+    right-hand side of the eliminated systems of ``apply_constraints``, the
+    reference for ``Stepper._rhs``."""
+    b = np.array(b, dtype=float)
+    b[layout.constrained_dofs] = 0.0
+    if layout.mean_constraint:
+        b = np.append(b, 0.0)
+    return b
+
+
 def apply_constraints(a, layout, weight_vector=None):
     """Eliminate constrained dofs and append the zero-mean multiplier row.
 
@@ -635,7 +647,7 @@ def solved_projections(stepper, data):
     def load(kind, layout, field):
         return getattr(asm, f"assemble_{kind}")(layout, asm.at_points(field, ctx), ctx)
 
-    rhs_n = asm.constrain_rhs(load("grad_load", st.layout_n, data.grad_eta0), st.layout_n)
+    rhs_n = constrain_rhs(load("grad_load", st.layout_n, data.grad_eta0), st.layout_n)
     a_n = apply_constraints(st.K, st.layout_n, weight_vector=st.w_p1)
     n0 = pivoting_solve(a_n, rhs_n)[: st.layout_n.n_dofs]
     rhs_c = load("grad_load", st.layout_c, data.grad_c0) + load("load", st.layout_c, data.c0)
@@ -643,7 +655,7 @@ def solved_projections(stepper, data):
     rhs_s = (load("div_load", st.layout_sigma, data.div_sigma0)
              + load("load", st.layout_sigma, data.grad_c0))  # the initial flux is grad c0
     a_s = apply_constraints(divrot_matrix(st.mesh, st.divrot) * (1.0 / p.D_c) + st.M_sigma, st.layout_sigma)
-    sigma0 = pivoting_solve(a_s, asm.constrain_rhs(rhs_s, st.layout_sigma))
+    sigma0 = pivoting_solve(a_s, constrain_rhs(rhs_s, st.layout_sigma))
     rhs_u = p.D_u * load("grad_load", st.layout_u, data.grad_u0)
     if data.pi0 is not None:
         rhs_u -= load("div_load", st.layout_u, data.pi0)

@@ -37,6 +37,7 @@ from oracles import (
     bordered_saddle_reference,
     componentwise_backward_error,
     condensed_kept_lu,
+    constrain_rhs,
     divrot_matrix,
     exact_solve,
     lagged_forms_at_points,
@@ -603,7 +604,7 @@ class TestCachedFactorizations:
         n_skew, u_skew, loads = lagged_matrices(st, prev, prev.t + dt, forcing)
         a_n = st.M / dt + st.K * p.D_n + n_skew
         a_n = apply_constraints(a_n, st.layout_n, weight_vector=st.w_p1)
-        rhs_n = asm.constrain_rhs(st.M @ prev.n / dt + loads["n"], st.layout_n)
+        rhs_n = constrain_rhs(st.M @ prev.n / dt + loads["n"], st.layout_n)
         n = pivoting_solve(a_n, rhs_n)[: st.layout_n.n_dofs]
         a_c = st.M / dt + st.K * p.D_c + n_skew
         c = pivoting_solve(a_c, st.M @ prev.c / dt + loads["c"])
@@ -1004,6 +1005,84 @@ class TestOneOperatorForm:
         assert made[7:] == [None] * fallbacks and fallbacks > 0
 
 
+class TestOneSystemTable:
+    """``Stepper`` poses its four systems from one table: ``_rhs`` places
+    every right-hand side, ``_state`` slices every solution into the state,
+    and ``system_size`` is each system's unknown count.  The layouts' dof
+    counts and ``oracles.constrain_rhs`` are the reference."""
+
+    @staticmethod
+    def layouts(st):
+        """system -> the layouts of its fields, in the order of its unknowns."""
+        return {"n": [st.layout_n], "sigma": [st.layout_sigma], "c": [st.layout_c],
+                "u": [st.layout_u, st.layout_pi]}
+
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_rhs_places_b_at_the_field_dofs(self, preset):
+        # b at the field dofs, 0 at the pinned ones and on the border; a load
+        # of the leading field alone, as a step's for (u, pi), leaves the
+        # other fields at 0
+        st, rng = _preset_case(preset)[0], np.random.default_rng(5)
+        assert len(st.layout_sigma.constrained_dofs) and len(st.layout_u.constrained_dofs)
+        for system, layouts in self.layouts(st).items():
+            b = [rng.standard_normal(lay.n_dofs) for lay in layouts]
+            zeros = [np.zeros(lay.n_dofs) for lay in layouts[1:]]
+            for given, placed in ((b, b), (b[:1], b[:1] + zeros)):
+                ref = np.concatenate([constrain_rhs(load, lay) for load, lay in zip(placed, layouts)])
+                assert np.array_equal(st._rhs(system, np.concatenate(given)), ref), system
+            assert (len(ref) > sum(lay.n_dofs for lay in layouts)) == (system in ("n", "u"))
+
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_state_slices_each_solution(self, preset):
+        st, rng = _preset_case(preset)[0], np.random.default_rng(6)
+        x = {system: rng.standard_normal(size) for system, size in st.system_size.items()}
+        state = st._state(4, 0.25, x)
+        nn, nu = st.mesh.n_nodes, st.layout_u.n_dofs
+        assert (state.m, state.t) == (4, 0.25)
+        for got, ref in ((state.n, x["n"][:nn]), (state.sigma, x["sigma"]), (state.c, x["c"]),
+                         (state.u, x["u"][:nu]), (state.pi, x["u"][nu:nu + nn])):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_system_size_is_the_size_of_each_lu(self, preset):
+        # n and (u, pi) bordered by their zero-mean multiplier
+        st, state, dt, forcing = _preset_case(preset)
+        nn, nu = st.mesh.n_nodes, st.layout_u.n_dofs
+        assert st.system_size == {"n": nn + 1, "sigma": 2 * nn, "c": nn, "u": nu + nn + 1}
+        with linsolve.recorded_lus() as lus:
+            st.step(state, dt, forcing)
+        assert [fact.matrix.shape[0] for fact in lus] == [
+            st.system_size[system] for system in ("n", "sigma", "c", "u")]
+
+    @pytest.mark.parametrize("preset", ["test1", "test2"])
+    def test_each_step_system_is_posed_by_one_rule(self, monkeypatch, preset):
+        # each solve of a step gets mass @ prev / dt + load, constrained, and
+        # its transport: the scalar one for n and c, none for sigma, the
+        # velocity one for (u, pi); test1 starts at rest, so its second step
+        st, state, dt, forcing = _preset_case(preset)
+        state, _ = st.step(state, dt, forcing)
+        solves, original = [], linsolve.KeptLU.solve
+
+        def recording(self, b, transport):
+            solves.append((b, transport))
+            return original(self, b, transport)
+
+        n_skew, u_skew, loads = st.lagged_forms(state, state.t + dt, forcing)
+        assert np.any(n_skew) and np.any(u_skew)
+        monkeypatch.setattr(linsolve.KeptLU, "solve", recording)
+        st.step(state, dt, forcing)
+        refs = [
+            (constrain_rhs(st.M @ state.n / dt + loads["n"], st.layout_n), n_skew),
+            (constrain_rhs(st.M_sigma @ state.sigma / dt + loads["sigma"], st.layout_sigma), np.zeros(0)),
+            (st.M @ state.c / dt + loads["c"], n_skew),
+            (np.concatenate([constrain_rhs(st.M_u @ state.u / dt + loads["u"], st.layout_u),
+                             np.zeros(st.layout_pi.n_dofs + 1)]), u_skew),
+        ]
+        assert len(solves) == len(refs)
+        for (b, transport), (b_ref, transport_ref) in zip(solves, refs):
+            assert np.array_equal(b, b_ref) and np.array_equal(transport, transport_ref)
+
+
 class TestConsistency:
     def test_discrete_residual_first_order_sweep(self):
         # plugging exact-field interpolants (levels m and m-1) into the
@@ -1061,10 +1140,9 @@ class TestOneSortPerStepper:
 
 def _recorded_lus(monkeypatch, st):
     """(system, Factorization) of each LU built from now on, the system told
-    apart by its exact size against the layouts of ``st``; an LU of no
-    system's size fails."""
-    sizes = {st.layout_n.n_dofs + 1: "n", st.layout_c.n_dofs: "c", st.layout_sigma.n_dofs: "sigma",
-             st.layout_u.n_dofs + st.layout_pi.n_dofs + 1: "u"}
+    apart by its exact size, ``st.system_size``; an LU of no system's size
+    fails."""
+    sizes = {size: system for system, size in st.system_size.items()}
     assert len(sizes) == 4, "two systems of one size"
     made, original = [], linsolve.Factorization.__init__
 
