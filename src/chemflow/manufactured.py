@@ -28,6 +28,7 @@ FOUR_PI2 = TWO_PI**2
 ETA_MEAN = 3.0  # spatial mean of the prescribed cell density, all t
 
 VARIABLES = ("eta", "c", "u1", "u2")
+SOURCES = ("g_n", "g_c", "g_sigma", "g_u")
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,6 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1]
 
 
-def _neg(v):
-    return tuple(-a for a in v)
-
-
 class _lazy:
     """A value computed on an instance's first use and kept in its ``__dict__``
     (``functools.cached_property`` without the lock it takes before 3.12)."""
@@ -96,10 +93,10 @@ class _Test2:
     def __init__(self, x, y, t):
         self.x, self.y, self.t = x, y, t
 
-    def at(self, t):
-        """The table at time t over this table's sin/cos of 2 pi x and 2 pi y."""
-        table = _Test2(self.x, self.y, t)
-        table.__dict__.update(sx=self.sx, cx=self.cx, sy=self.sy, cy=self.cy)
+    def at(self, e):
+        """The table at e = exp(-t) over this table's sin/cos of 2 pi x and 2 pi y."""
+        table = _Test2(self.x, self.y, None)
+        table.__dict__.update(e=e, sx=self.sx, cx=self.cx, sy=self.sy, cy=self.cy)
         return table
 
     e = _lazy(lambda s: np.exp(-s.t))
@@ -107,7 +104,7 @@ class _Test2:
     cx = _lazy(lambda s: np.cos(TWO_PI * s.x))
     sy = _lazy(lambda s: np.sin(TWO_PI * s.y))
     cy = _lazy(lambda s: np.cos(TWO_PI * s.y))
-    zero = _lazy(lambda s: np.zeros(np.broadcast(s.x, s.y, s.t).shape))
+    zero = _lazy(lambda s: np.zeros(np.broadcast(s.x, s.y, s.e).shape))
 
     eta_wave = _lazy(lambda s: s.e * (s.cx + s.cy))  # eta minus its mean
     eta = _lazy(lambda s: s.eta_wave + ETA_MEAN)
@@ -118,7 +115,7 @@ class _Test2:
     c_t = _lazy(lambda s: -s.c)
     sigma = _lazy(lambda s: (-TWO_PI * s.e * s.sx, TWO_PI * s.e * (s.cy - 1.0)))
     grad_c = _lazy(lambda s: s.sigma)
-    sigma_t = _lazy(lambda s: _neg(s.sigma))
+    sigma_t = _lazy(lambda s: tuple(-a for a in s.sigma))
     grad_sigma = _lazy(
         lambda s: ((-FOUR_PI2 * s.e * s.cx, 0.0), (0.0, -FOUR_PI2 * s.e * s.sy))
     )
@@ -127,7 +124,7 @@ class _Test2:
     div_sigma = _lazy(lambda s: -FOUR_PI2 * s.pi)
     grad_div_sigma = _lazy(lambda s: tuple(-FOUR_PI2 * g for g in s.grad_pi))
     u = _lazy(lambda s: (s.e * s.sy * (s.cx - 1.0), s.e * s.sx * (1.0 - s.cy)))
-    u_t = _lazy(lambda s: _neg(s.u))
+    u_t = _lazy(lambda s: tuple(-a for a in s.u))
     lap_u = _lazy(lambda s: (
         -FOUR_PI2 * s.e * s.sy * (2.0 * s.cx - 1.0), FOUR_PI2 * s.e * s.sx * (2.0 * s.cy - 1.0)
     ))
@@ -186,15 +183,13 @@ def _array(value):
     return out.reshape(out.shape[:-1] + (2, 2)) if matrix else out
 
 
-def _pointwise(name, table=_Test2):
+def _pointwise(name):
     """The vectorized (x, y, t) callable of one quantity of ``_Test2``, read
-    from ``table(x, y, t)``.  The quantity itself is not kept in the table;
-    each source formula builds new arrays, so the caller of a table shared
-    between calls still owns each source it gets."""
+    from a table of its own per call."""
     formula = vars(_Test2)[name].fn
 
     def fn(x, y, t):
-        return _array(formula(table(x, y, t)))
+        return _array(formula(_Test2(x, y, t)))
 
     fn.__name__ = fn.__qualname__ = name
     return fn
@@ -205,10 +200,12 @@ def test2_solution():
     return ExactSolution(**{f.name: _pointwise(f.name) for f in fields(ExactSolution)})
 
 
-def _same(value, kept):
-    """Whether ``value`` equals the private copy ``kept`` in dtype, shape and
-    every entry (a caller's view may be new on each call, or changed in place)."""
-    return np.asarray(value).dtype == kept.dtype and np.array_equal(value, kept)
+def _separated(x, y):
+    """(A, B) of each source at the points (x, y), components on a last axis:
+    the source at e = 1 and at e = -1 fixes A and B (``test2_forcing``)."""
+    plus, minus = map(_Test2(x, y, None).at, (1.0, -1.0))  # over one sin/cos half
+    g = {name: (_array(getattr(plus, name)), _array(getattr(minus, name))) for name in SOURCES}
+    return {name: ((p - m) / 2, (p + m) / 2) for name, (p, m) in g.items()}
 
 
 def test2_forcing():
@@ -216,30 +213,32 @@ def test2_forcing():
 
     Residuals of the strong equations at the exact solution with unit
     coefficients and zero gravity; the flux source is the gradient of the
-    concentration source.
-
-    The four sources share one table: the spatial half (sin/cos of 2 pi x
-    and 2 pi y) is kept while x and y hold the same values, and one level
-    over it while t does too, so the sources of a step compute exp(-t)
-    and the fields they share once, and a run on one mesh computes its
-    sin/cos once.  Points or times that differ by value replace what is
-    kept; each call returns arrays of its own.
+    concentration source.  Each is an (x, y, t) callable returning an array
+    of its own.  Every field is e = exp(-t) times a spatial part (eta plus
+    its mean), so each source, zero at e = 0 and at most quadratic in e, is
+    e A + e^2 B: A and B are kept per point set (``_separated``) while x and
+    y hold the same bytes, changed in place or not, and e while t does.
     """
-    kept = {}  # private copies of x, y and t; the half over x, y; the level at t
+    kept = {}  # the keys of x, y and t, (A, B) of each source over x, y, and e at t
 
-    def level(x, y, t):
-        if "half" in kept and _same(x, kept["x"]) and _same(y, kept["y"]):
-            if _same(t, kept["t"]):
-                return kept["level"]
-        else:
-            kept["x"], kept["y"] = np.array(x), np.array(y)
-            kept["half"] = _Test2(kept["x"], kept["y"], 0.0)
-        kept["t"] = np.array(t)
-        kept["level"] = kept["half"].at(kept["t"])
-        return kept["level"]
+    def source(name):
+        def fn(x, y, t):
+            kx, ky, kt = ((v.dtype, v.shape, v.tobytes()) for v in map(np.asarray, (x, y, t)))
+            if kept.get("points") != (kx, ky):
+                kept.update(_separated(x, y), points=(kx, ky))
+            if kept.get("t") != kt:
+                kept.update(t=kt, e=np.exp(-np.asarray(t)))
+            (a, b), e = kept[name], kept["e"]
+            if np.ndim(e) and a.ndim > np.broadcast(x, y).ndim:  # components on a last axis
+                e = e[..., None]
+            out = e * a
+            out += e * e * b
+            return out
 
-    names = ("g_n", "g_c", "g_sigma", "g_u")
-    return StepForcing(**{name: _pointwise(name, level) for name in names})
+        fn.__name__ = fn.__qualname__ = name
+        return fn
+
+    return StepForcing(**{name: source(name) for name in SOURCES})
 
 
 def test2_params():
@@ -340,7 +339,7 @@ def error_norms(states, stepper, dt, sol=None, k=None):
     x, y = ctx.points[..., 0], ctx.points[..., 1]
     scale = (ctx.weights[None, :] * ctx.areas[:, None]).ravel()
     if sol is None:
-        exact_at = _Test2(x, y, 0.0).at
+        exact_at = lambda t, half=_Test2(x, y, None): half.at(np.exp(-t))
     else:
         first = lambda a, n=1: np.moveaxis(a, range(-n, 0), range(n))  # components first
         exact_at = lambda t: SimpleNamespace(

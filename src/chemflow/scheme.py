@@ -149,12 +149,13 @@ class TimeGrid:
 
 @dataclass
 class StepForcing:
-    """Analytic sources (x, y, t) for the manufactured-solution harness.
-
-    All four are optional; the flux equation is forced through g_c (tested
-    against the divergence of the flux test function), which matches
-    applying grad(g_c) weakly since the flux space has zero normal trace.
-    g_sigma is carried for verification only.
+    """Analytic sources of the manufactured-solution harness, each a
+    vectorized (x, y, t) callable; test2's (``manufactured.test2_forcing``)
+    are tabulated per point set as e A + e^2 B with e = exp(-t).  All four
+    are optional; the flux equation is forced through g_c (tested against
+    the divergence of the flux test function), which matches applying
+    grad(g_c) weakly since the flux space has zero normal trace.  g_sigma
+    is carried for verification only.
     """
 
     g_n: object = None

@@ -315,13 +315,13 @@ def field_by_field_forcing(sol):
     return StepForcing(g_n=g_n, g_c=g_c, g_sigma=g_sigma, g_u=g_u)
 
 
-SOURCES = ("g_n", "g_c", "g_sigma", "g_u")
+SOURCES = mf.SOURCES
 
 
 def per_call_forcing():
     """The test2 sources, each call building its own table and keeping
-    nothing: the reference for the shared table of
-    ``chemflow.manufactured.test2_forcing``."""
+    nothing: the reference for the sources that
+    ``chemflow.manufactured.test2_forcing`` tabulates as e A + e^2 B."""
 
     def source(name):
         formula = vars(mf._Test2)[name].fn

@@ -856,14 +856,22 @@ class TestStepOperators:
         for got, ref in pairs:
             assert_same_csr(got, ref)
 
-    @pytest.mark.parametrize("preset, mesh", [("test1", None), ("test2", None), ("test2", (1, 1))])
-    def test_pinned_dofs_are_identity_rows(self, preset, mesh):
+    @pytest.mark.parametrize("preset, mesh, physical", [
+        pytest.param("test1", None, {}, id="test1-None"),
+        pytest.param("test2", None, {}, id="test2-None"),
+        pytest.param("test2", (1, 1), {}, id="test2-mesh2"),
+        # sigma's step diffusion scale is 1, as divrot holds D_c: off D_c = 1
+        # (test2's) a scale of D_c fails on either preset
+        pytest.param("test1", None, {"D_c": 0.5}, id="test1-Dc0.5"),
+        pytest.param("test2", None, {"D_c": 0.5}, id="test2-Dc0.5"),
+    ])
+    def test_pinned_dofs_are_identity_rows(self, preset, mesh, physical):
         # sigma's kept matrix is the free block of the eliminated operator in
         # node order, bit for bit, then an identity block (on a 1x1 mesh every
         # sigma dof is pinned); the pinned rows and columns of it and of the
         # (u, pi) matrix T store their diagonal 1 alone
         if mesh is None:
-            st, state, dt, forcing = _preset_case(preset)
+            st, state, dt, forcing = _preset_case(preset, **physical)
         else:
             st, data, dt, forcing = TestInitialProjections.case(preset, mesh)
             state = st.init_state(data, mode="nodal")
@@ -1217,14 +1225,15 @@ def _captured_saddle_solves(monkeypatch, st):
     return calls
 
 
-def _preset_case(preset, rho=1.0):
+def _preset_case(preset, rho=1.0, **physical):
     """Stepper, initial state, step size and forcing of ``test1`` on 12x6
-    (elliptic init) or ``test2`` at k=10 (nodal init), at density ``rho``."""
+    (elliptic init) or ``test2`` at k=10 (nodal init), at density ``rho``
+    and the preset's other physical parameters but those of ``physical``."""
     if preset == "test1":
-        cfg = replace(io_cli.default_config("test1"), kx=12, ky=6, rho=rho)
+        cfg = replace(io_cli.default_config("test1"), kx=12, ky=6, rho=rho, **physical)
         mode = "elliptic_projection"
     else:
-        cfg = replace(io_cli.default_config("test2"), rho=rho)  # k = 10
+        cfg = replace(io_cli.default_config("test2"), rho=rho, **physical)  # k = 10
         mode = "nodal"
     mesh = build_rect_mesh(cfg.Lx, cfg.Ly, cfg.kx, cfg.ky)
     params, data, forcing = io_cli.build_problem(cfg, mesh)
